@@ -14,8 +14,8 @@
 //! learned from `GET /shards`.
 //!
 //! Prints a human summary to stderr; with `--json`, prints a single
-//! JSON object to stdout (the `bench_serve` concurrency sweep and
-//! `scripts/server_smoke.sh` stress leg parse it):
+//! JSON object to stdout (the `scripts/server_smoke.sh` stress leg parses
+//! it):
 //!
 //! ```text
 //! {"tool":"stress_serve","conns":…,"queries":…,"errors":…,

@@ -179,7 +179,7 @@ pub(crate) fn answer(engine: &ServeEngine, q: Query) -> (Result<Answer, ServeErr
 pub struct QueryStats {
     /// Which [`AnswerSource`] the engine answered from — latency
     /// percentiles of runs with different sources are directly comparable
-    /// rows of the same report (`BENCH_serve.json` stores one per source).
+    /// rows of the same report.
     pub source: AnswerSource,
     /// Queries answered (including per-query errors).
     pub queries: usize,
@@ -217,7 +217,7 @@ impl QueryStats {
     ///
     /// This is the aggregation [`run_batch`] uses; it is public so other
     /// drivers measuring their own latencies (the HTTP server's rolling
-    /// window, `bench_serve`'s loopback client) produce directly
+    /// window, `stress_serve`'s loopback client) produce directly
     /// comparable rows. The mean is computed from the total nanoseconds
     /// as `u128` divided by the exact sample count — batches larger than
     /// `u32::MAX` queries must not silently truncate the divisor (the
@@ -270,7 +270,7 @@ impl QueryStats {
         self.queries as f64 / self.wall.as_secs_f64().max(1e-12)
     }
 
-    /// The report as a JSON object (the shape `BENCH_serve.json` stores).
+    /// The report as a JSON object (the shape `/stats` nests as `recent`).
     pub fn to_json(&self) -> Json {
         let us = |d: Duration| Json::num(d.as_secs_f64() * 1e6);
         Json::obj(vec![

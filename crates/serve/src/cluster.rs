@@ -32,14 +32,15 @@
 //! Peers are contacted lazily (first non-resident row fetch), so nodes
 //! can start in any order. A failed fetch (connect error, timeout, 5xx,
 //! or a malformed row body) transparently **fails over** to the next
-//! replica; per-peer consecutive-failure counters drive **health
-//! ejection** (`PeerHealth`): after `EJECT_AFTER` (3) consecutive
-//! failures a peer is marked down and skipped until a `GET /healthz`
-//! probe — allowed no sooner than a backoff that starts at
-//! `PROBE_BACKOFF_INITIAL` (500 ms) and doubles to `PROBE_BACKOFF_MAX`
-//! (8 s) — succeeds again. Fetched rows flow through the engine's hot-row
-//! [`crate::RowCache`] when one is configured — remote rows are exactly
-//! the expensive-fetch case the LRU exists for.
+//! replica, and three consecutive failures **eject** a peer until a
+//! `GET /healthz` probe re-admits it. That policy — pooling, the stale-
+//! connection retry, rotation, failover, ejection, probing — is not
+//! implemented here: `replica.rs` is its single implementation, shared
+//! with the router. This module only says what a `/row` answer means
+//! (which statuses fail over, how a body decodes). Fetched rows flow
+//! through the engine's hot-row [`crate::RowCache`] when one is
+//! configured — remote rows are exactly the expensive-fetch case the LRU
+//! exists for.
 //!
 //! ## Example
 //!
@@ -54,27 +55,17 @@
 //! ```
 
 use crate::engine::ServeError;
-use crate::http::Client;
+use crate::replica::{failover, first_uncovered, now_ms, Attempt, Method, Peer, Reply};
 use kron_stream::json::Json;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Default node-to-node fetch timeout (connect and read): long enough
 /// for a loaded peer, short enough that a dead one surfaces as a bounded
 /// [`ServeError::Remote`] instead of a stalled query.
 pub const DEFAULT_PEER_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Consecutive transport failures after which a peer is ejected
-/// (marked down and skipped until a health probe succeeds).
-pub(crate) const EJECT_AFTER: u64 = 3;
-
-/// Backoff before the first `/healthz` probe of an ejected peer.
-pub(crate) const PROBE_BACKOFF_INITIAL: Duration = Duration::from_millis(500);
-
-/// Cap on the probe backoff (doubles after every failed probe).
-pub(crate) const PROBE_BACKOFF_MAX: Duration = Duration::from_secs(8);
 
 /// One peer of a cluster node: the contiguous shard range it serves and
 /// the address its server listens on.
@@ -162,204 +153,22 @@ impl std::fmt::Display for PeerSpec {
     }
 }
 
-/// What the health gate says about using a peer right now.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Gate {
-    /// Peer is up — use it.
-    Up,
-    /// Peer is down and its probe backoff has elapsed — probe `/healthz`
-    /// before using it.
-    ProbeDue,
-    /// Peer is down and the backoff has not elapsed — skip it.
-    Skip,
-}
-
-/// Per-peer health state and counters, shared by the node-side remote-row
-/// client and the router (both follow the same normative ejection/probe
-/// semantics — ARCHITECTURE.md § "Cluster serving").
-///
-/// * a fetch/forward **success** resets the consecutive-failure count and
-///   restores a down peer;
-/// * a transport **failure** (connect error, timeout, 5xx, malformed row
-///   body) increments it; at [`EJECT_AFTER`] the peer is ejected: marked
-///   down, skipped by replica selection, and probed via `GET /healthz`
-///   no sooner than a backoff that starts at [`PROBE_BACKOFF_INITIAL`]
-///   and doubles (to [`PROBE_BACKOFF_MAX`]) after every failed probe.
-pub(crate) struct PeerHealth {
-    /// Epoch for the monotonic millisecond timestamps below.
-    epoch: Instant,
-    consecutive_failures: AtomicU64,
-    down: AtomicBool,
-    /// ms since `epoch` when the next `/healthz` probe may run.
-    next_probe_ms: AtomicU64,
-    /// Current probe backoff in ms.
-    backoff_ms: AtomicU64,
-    /// Successful fetches/forwards served by this peer.
-    fetches: AtomicU64,
-    /// Failed attempts on this peer that moved the caller on (or failed
-    /// the request, when it was the last replica).
-    failovers: AtomicU64,
-    /// Up → down transitions.
-    ejections: AtomicU64,
-}
-
-impl PeerHealth {
-    pub(crate) fn new() -> PeerHealth {
-        PeerHealth {
-            epoch: Instant::now(),
-            consecutive_failures: AtomicU64::new(0),
-            down: AtomicBool::new(false),
-            next_probe_ms: AtomicU64::new(0),
-            backoff_ms: AtomicU64::new(0),
-            fetches: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            ejections: AtomicU64::new(0),
-        }
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
-    pub(crate) fn is_up(&self) -> bool {
-        !self.down.load(Ordering::Relaxed)
-    }
-
-    /// May this peer be used right now (up, or down with the probe
-    /// backoff elapsed)?
-    pub(crate) fn gate(&self) -> Gate {
-        if self.is_up() {
-            Gate::Up
-        } else if self.now_ms() >= self.next_probe_ms.load(Ordering::Relaxed) {
-            Gate::ProbeDue
-        } else {
-            Gate::Skip
-        }
-    }
-
-    /// A successful fetch/forward (or probe): reset failures, restore a
-    /// down peer.
-    pub(crate) fn record_success(&self) {
-        self.consecutive_failures.store(0, Ordering::Relaxed);
-        self.backoff_ms.store(0, Ordering::Relaxed);
-        self.down.store(false, Ordering::Relaxed);
-    }
-
-    /// A request this peer answered (counted separately from health so a
-    /// probe-only success does not look like served traffic).
-    pub(crate) fn record_served(&self) {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A transport failure while the peer was (believed) up: bump the
-    /// failover counter and eject at [`EJECT_AFTER`] consecutive
-    /// failures.
-    pub(crate) fn record_failure(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-        let n = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= EJECT_AFTER && !self.down.swap(true, Ordering::Relaxed) {
-            self.ejections.fetch_add(1, Ordering::Relaxed);
-            let backoff = PROBE_BACKOFF_INITIAL.as_millis() as u64;
-            self.backoff_ms.store(backoff, Ordering::Relaxed);
-            self.next_probe_ms
-                .store(self.now_ms() + backoff, Ordering::Relaxed);
-        }
-    }
-
-    /// A failed `/healthz` probe of a down peer: double the backoff (to
-    /// the cap) and push the next probe out.
-    pub(crate) fn record_probe_failure(&self) {
-        let cap = PROBE_BACKOFF_MAX.as_millis() as u64;
-        let doubled = (self.backoff_ms.load(Ordering::Relaxed) * 2)
-            .clamp(PROBE_BACKOFF_INITIAL.as_millis() as u64, cap);
-        self.backoff_ms.store(doubled, Ordering::Relaxed);
-        self.next_probe_ms
-            .store(self.now_ms() + doubled, Ordering::Relaxed);
-    }
-
-    /// The `/stats` `peers[]` health fields, in their normative order
-    /// (`up`, `fetches`, `failovers`, `ejections`).
-    pub(crate) fn stats_fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("up", Json::Bool(self.is_up())),
-            ("fetches", Json::num(self.fetches.load(Ordering::Relaxed))),
-            (
-                "failovers",
-                Json::num(self.failovers.load(Ordering::Relaxed)),
-            ),
-            (
-                "ejections",
-                Json::num(self.ejections.load(Ordering::Relaxed)),
-            ),
-        ]
-    }
-
-    #[cfg(test)]
-    pub(crate) fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-}
-
-/// One `GET /healthz` round trip on a fresh connection; `true` iff the
-/// peer answered 200 within `timeout`.
-pub(crate) fn probe_healthz(addr: &str, timeout: Duration) -> bool {
-    Client::connect_timeout(addr, timeout)
-        .and_then(|mut c| c.get("/healthz"))
-        .map(|(status, _)| status == 200)
-        .unwrap_or(false)
-}
-
 /// The remote side of a cluster node's engine: shard → replica-list
-/// resolution plus a small per-peer pool of keep-alive [`Client`]
-/// connections.
+/// resolution over the configured peers.
 ///
 /// Fetches are blocking with a bounded timeout and rotate round-robin
-/// over a shard's replicas. A transport failure is retried once on a
-/// fresh connection (the peer may have restarted and the pooled
-/// connection gone stale), then **fails over** to the next replica;
-/// only when every replica has failed does the fetch surface as
-/// [`ServeError::Remote`] (naming each replica tried).
+/// over a shard's replicas with the failover, ejection, and probing of
+/// [`crate::replica`]; only when every replica has failed does the fetch
+/// surface as [`ServeError::Remote`] (naming each replica tried).
+#[derive(Debug)]
 pub(crate) struct RemoteShards {
-    peers: Vec<RemotePeer>,
+    /// One per `--peers` entry, in `--peers` order.
+    peers: Vec<Peer>,
     /// Run-wide shard index → indices into `peers` of its replicas
     /// (empty = resident locally only).
     by_shard: Vec<Vec<usize>>,
-    timeout: Duration,
     /// Round-robin cursor over replicas, shared across shards.
     rr: AtomicUsize,
-}
-
-struct RemotePeer {
-    spec: PeerSpec,
-    /// Idle keep-alive connections to this peer; fetches pop one (or
-    /// dial) and push it back on success, so concurrent batch workers
-    /// fan out over parallel connections instead of serializing.
-    pool: Mutex<Vec<Client>>,
-    health: PeerHealth,
-}
-
-impl std::fmt::Debug for RemoteShards {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteShards")
-            .field(
-                "peers",
-                &self
-                    .peers
-                    .iter()
-                    .map(|p| p.spec.to_string())
-                    .collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
-/// How one fetch attempt against one replica went down, for the failover
-/// loop: transport failures move on to the next replica, config skew
-/// (a non-5xx HTTP error: the peer answered, deterministically) does not
-/// — every replica of a consistent cluster would answer the same.
-enum Attempt {
-    Transport(String),
-    Skew(ServeError),
 }
 
 impl RemoteShards {
@@ -373,47 +182,44 @@ impl RemoteShards {
         num_shards: usize,
         timeout: Duration,
     ) -> Result<RemoteShards, ServeError> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        let mut covered = vec![false; num_shards];
-        for s in own.clone() {
-            covered[s] = true;
+        if let Some(spec) = specs.iter().find(|s| s.shards.end > num_shards) {
+            return Err(ServeError::Open(format!(
+                "peer {spec}: run has only {num_shards} shards"
+            )));
         }
-        for (i, spec) in specs.iter().enumerate() {
-            if spec.shards.end > num_shards {
-                return Err(ServeError::Open(format!(
-                    "peer {spec}: run has only {num_shards} shards"
-                )));
-            }
-            for s in spec.shards.clone() {
-                covered[s] = true;
-                by_shard[s].push(i);
-            }
-        }
-        if let Some(gap) = covered.iter().position(|&c| !c) {
+        let claims = specs.iter().map(|s| s.shards.clone());
+        if let Some(gap) = first_uncovered(num_shards, claims.chain([own.clone()])) {
             return Err(ServeError::Open(format!(
                 "ownership map incomplete: shard {gap} is neither resident \
                  (own range {}..{}) nor assigned to any --peers entry",
                 own.start, own.end
             )));
         }
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
+        for (i, spec) in specs.iter().enumerate() {
+            for s in spec.shards.clone() {
+                by_shard[s].push(i);
+            }
+        }
         Ok(RemoteShards {
             peers: specs
                 .iter()
-                .map(|spec| RemotePeer {
-                    spec: spec.clone(),
-                    pool: Mutex::new(Vec::new()),
-                    health: PeerHealth::new(),
-                })
+                .map(|s| Peer::new(s.to_string(), s.addr.clone(), s.shards.clone(), timeout))
                 .collect(),
             by_shard,
-            timeout,
             rr: AtomicUsize::new(0),
         })
     }
 
     /// The configured peer specs, in `--peers` order.
     pub(crate) fn specs(&self) -> Vec<PeerSpec> {
-        self.peers.iter().map(|p| p.spec.clone()).collect()
+        self.peers
+            .iter()
+            .map(|p| PeerSpec {
+                shards: p.shards.clone(),
+                addr: p.addr.clone(),
+            })
+            .collect()
     }
 
     /// The `/stats` `peers` array: one object per `--peers` entry with
@@ -422,20 +228,7 @@ impl RemoteShards {
         Json::Arr(
             self.peers
                 .iter()
-                .map(|p| {
-                    let mut fields = vec![
-                        ("peer", Json::str(&p.spec.addr)),
-                        (
-                            "shards",
-                            Json::Arr(vec![
-                                Json::num(p.spec.shards.start),
-                                Json::num(p.spec.shards.end),
-                            ]),
-                        ),
-                    ];
-                    fields.extend(p.health.stats_fields());
-                    Json::obj(fields)
-                })
+                .map(|p| Json::obj(p.stats_fields([])))
                 .collect(),
         )
     }
@@ -448,123 +241,76 @@ impl RemoteShards {
             !replicas.is_empty(),
             "fetch() is only called for shards the table maps to peers"
         );
-        let start = self.rr.fetch_add(1, Ordering::Relaxed);
-        let mut failures: Vec<String> = Vec::new();
-        for k in 0..replicas.len() {
-            let peer = &self.peers[replicas[(start + k) % replicas.len()]];
-            match peer.health.gate() {
-                Gate::Up => {}
-                Gate::ProbeDue => {
-                    if probe_healthz(&peer.spec.addr, self.timeout) {
-                        peer.health.record_success();
-                    } else {
-                        peer.health.record_probe_failure();
-                        failures.push(format!("peer {}: down (probe failed)", peer.spec));
-                        continue;
-                    }
-                }
-                Gate::Skip => {
-                    failures.push(format!("peer {}: down (awaiting probe)", peer.spec));
-                    continue;
-                }
-            }
-            match self.try_fetch(peer, shard, v) {
-                Ok(row) => {
-                    peer.health.record_success();
-                    peer.health.record_served();
-                    return Ok(row);
-                }
-                Err(Attempt::Transport(detail)) => {
-                    peer.health.record_failure();
-                    failures.push(detail);
-                }
-                Err(Attempt::Skew(e)) => return Err(e),
-            }
-        }
-        Err(ServeError::Remote(format!(
-            "all replicas failed for /row shard {shard} v {v}: {}",
-            failures.join("; ")
-        )))
-    }
-
-    /// One fetch attempt against one replica: pool/dial, retry a stale
-    /// pooled connection once, classify the outcome for the failover
-    /// loop.
-    fn try_fetch(&self, peer: &RemotePeer, shard: usize, v: u64) -> Result<Arc<[u64]>, Attempt> {
         // Ask for the varint delta encoding; the answer's Content-Type —
         // not the request — decides how to decode, so an older peer that
         // ignores `enc` and answers raw words still decodes correctly.
         let path = format!("/row?shard={shard}&v={v}&enc=vd");
-        let fail =
-            |detail: String| format!("peer {} (/row shard {shard} v {v}): {detail}", peer.spec);
-        // Pop a pooled keep-alive connection or dial a fresh one; retry a
-        // transport failure once on a fresh dial (a pooled connection may
-        // have gone stale across a peer restart).
-        let pooled = peer.pool.lock().unwrap().pop();
-        let had_pooled = pooled.is_some();
-        let mut client = match pooled {
-            Some(c) => c,
-            None => Client::connect_timeout(peer.spec.addr.as_str(), self.timeout)
-                .map_err(|e| Attempt::Transport(fail(format!("connect: {e}"))))?,
-        };
-        let (status, ctype, body) = match client.get_bytes_typed(&path) {
-            Ok(r) => r,
-            Err(first) => {
-                drop(client); // stale — never pool it again
-                if !had_pooled {
-                    return Err(Attempt::Transport(fail(format!("fetch: {first}"))));
-                }
-                client = Client::connect_timeout(peer.spec.addr.as_str(), self.timeout).map_err(
-                    |e| Attempt::Transport(fail(format!("reconnect after {first}: {e}"))),
-                )?;
-                client
-                    .get_bytes_typed(&path)
-                    .map_err(|e| Attempt::Transport(fail(format!("fetch (retried): {e}"))))?
-            }
-        };
-        // The connection framed a full response either way — reusable.
-        peer.pool.lock().unwrap().push(client);
-        if status >= 500 {
-            // the replica answered but could not serve — fail over
-            return Err(Attempt::Transport(fail(format!(
-                "status {status}: {}",
-                String::from_utf8_lossy(&body).trim()
-            ))));
+        let outcome = failover(
+            replicas.iter().map(|&i| &self.peers[i]),
+            self.rr.fetch_add(1, Ordering::Relaxed),
+            &now_ms,
+            |peer| match peer.exchange(Method::Get, &path) {
+                Err(detail) => Attempt::Transport(detail),
+                Ok(reply) => decode_row(reply, &|detail| {
+                    format!("peer {} (/row shard {shard} v {v}): {detail}", peer.label)
+                }),
+            },
+        );
+        match outcome {
+            Attempt::Done(row) => Ok(row),
+            Attempt::Transport(failures) => Err(ServeError::Remote(format!(
+                "all replicas failed for /row shard {shard} v {v}: {failures}"
+            ))),
+            Attempt::Final(e) => Err(e),
         }
-        if status != 200 {
+    }
+}
+
+/// Classify one framed `/row` answer for the failover loop and decode its
+/// body by the declared `Content-Type`.
+fn decode_row(
+    (status, ctype, body): Reply,
+    fail: &dyn Fn(String) -> String,
+) -> Attempt<Arc<[u64]>, ServeError> {
+    if status != 200 {
+        let detail = fail(format!(
+            "status {status}: {}",
+            String::from_utf8_lossy(&body).trim()
+        ));
+        return if status >= 500 {
+            // the replica answered but could not serve — fail over
+            Attempt::Transport(detail)
+        } else {
             // the peer's text/plain error body explains (not owned here /
             // out of range / malformed) — config skew between nodes; a
             // deterministic answer every replica would repeat, so no
             // failover
-            return Err(Attempt::Skew(ServeError::Remote(fail(format!(
-                "status {status}: {}",
-                String::from_utf8_lossy(&body).trim()
-            )))));
-        }
-        if ctype == crate::http::ROW_VD_CONTENT_TYPE {
-            let mut row = Vec::new();
-            if !kron_stream::decode_row_vd(&body, &mut row) {
-                // a torn/corrupted stream — another replica may frame it
-                // right
-                return Err(Attempt::Transport(fail(format!(
-                    "body of {} bytes is not a well-formed varint delta row",
-                    body.len()
-                ))));
-            }
-            return Ok(row.into());
-        }
-        if body.len() % 8 != 0 {
-            // a torn/corrupted stream — another replica may frame it right
-            return Err(Attempt::Transport(fail(format!(
-                "body of {} bytes is not a whole number of u64 words",
-                body.len()
-            ))));
-        }
-        Ok(body
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-            .collect())
+            Attempt::Final(ServeError::Remote(detail))
+        };
     }
+    // A body that does not frame is a torn/corrupted stream — another
+    // replica may frame it right.
+    if ctype == crate::http::ROW_VD_CONTENT_TYPE {
+        let mut row = Vec::new();
+        if !kron_stream::decode_row_vd(&body, &mut row) {
+            return Attempt::Transport(fail(format!(
+                "body of {} bytes is not a well-formed varint delta row",
+                body.len()
+            )));
+        }
+        return Attempt::Done(row.into());
+    }
+    if body.len() % 8 != 0 {
+        return Attempt::Transport(fail(format!(
+            "body of {} bytes is not a whole number of u64 words",
+            body.len()
+        )));
+    }
+    Attempt::Done(
+        body.chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -705,20 +451,5 @@ mod tests {
         assert!(matches!(err, ServeError::Remote(_)), "{err}");
         assert!(err.to_string().contains("127.0.0.1:1"), "{err}");
         assert!(err.to_string().contains("all replicas failed"), "{err}");
-    }
-
-    #[test]
-    fn health_ejection_and_probe_backoff_sequence() {
-        let h = PeerHealth::new();
-        assert_eq!(h.gate(), Gate::Up);
-        h.record_failure();
-        h.record_failure();
-        assert!(h.is_up(), "two failures must not eject yet");
-        h.record_failure();
-        assert!(!h.is_up(), "third consecutive failure ejects");
-        assert_eq!(h.gate(), Gate::Skip, "backoff starts at 500 ms");
-        h.record_success();
-        assert_eq!(h.gate(), Gate::Up, "success restores the peer");
-        assert_eq!(h.failovers(), 3);
     }
 }

@@ -213,8 +213,9 @@ pub struct OpenOptions {
     pub shard_subset: Option<std::ops::Range<usize>>,
     /// The other nodes of the cluster and the shard ranges they serve
     /// (`--peers a..b=ADDR,…`). Together with the claimed subset these
-    /// must tile `0..shards` disjointly. Empty (the default) for a
-    /// single-node engine.
+    /// must **cover** `0..shards`; claims may overlap — a shard several
+    /// entries claim has several replicas, and fetches rotate and fail
+    /// over across them. Empty (the default) for a single-node engine.
     pub peers: Vec<PeerSpec>,
     /// Connect/read timeout for node-to-node row fetches. Default
     /// [`crate::cluster::DEFAULT_PEER_TIMEOUT`].

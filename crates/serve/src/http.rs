@@ -7,7 +7,7 @@
 //! connections, percent-encoded query strings, and fixed
 //! `Content-Length` responses (no chunked transfer coding, no trailers,
 //! no upgrades). It also ships a small blocking [`Client`] so the
-//! integration tests and `bench_serve`'s loopback workload exercise the
+//! integration tests and the cluster's own peer transport exercise the
 //! real wire format instead of reimplementing it.
 //!
 //! Parsing is **incremental**: [`Conn`] owns a byte buffer that survives
@@ -511,7 +511,10 @@ impl Client {
         Ok((status, resp))
     }
 
-    fn request_typed(
+    /// One exchange with the method spelled out → `(status,
+    /// content-type, raw body bytes)`; what every verb above wraps, and
+    /// what the cluster's peer transport calls directly.
+    pub(crate) fn request_typed(
         &mut self,
         method: &str,
         path: &str,

@@ -226,8 +226,8 @@ pub(crate) fn execute(engine: &ServeEngine, registry: &JobRegistry, entry: &JobE
     // Leave a core for the connection pool: kernel results are
     // thread-count-independent by contract, so shaving one worker only
     // costs job wall-clock while keeping point-query tail latency flat
-    // (bench_analyze measures exactly this). An operator's explicit
-    // RAYON_NUM_THREADS is honored untouched.
+    // (`kronbench`'s `serve.jobs.query_p99_under_job_us` measures exactly
+    // this). An operator's explicit RAYON_NUM_THREADS is honored untouched.
     if std::env::var_os("RAYON_NUM_THREADS").is_none() {
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         std::env::set_var(

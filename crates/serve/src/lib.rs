@@ -128,6 +128,7 @@
 mod batch;
 mod cache;
 pub mod cluster;
+mod endpoints;
 mod engine;
 mod event_loop;
 pub mod http;
@@ -136,6 +137,7 @@ mod oracle;
 mod path;
 #[cfg(unix)]
 mod poll;
+mod replica;
 pub mod router;
 mod server;
 

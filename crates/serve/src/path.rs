@@ -25,7 +25,6 @@
 //! `/stats` and the CLI's nonzero cross-check exit.
 
 use crate::engine::{AnswerSource, ServeEngine, ServeError};
-use crate::http::Request;
 use kron_analyze::frontier_step;
 use kron_stream::json::Json;
 use std::collections::{HashMap, HashSet};
@@ -399,49 +398,6 @@ impl<'e> PathCertifier<'e> {
         }
         bad
     }
-}
-
-/// Parse one `u64` query parameter with the `Query::parse` error
-/// conventions pinned in the batch grammar: a missing parameter names
-/// it, overflow is distinguished from malformed, and the offending
-/// token is echoed back.
-pub(crate) fn parse_u64_param(
-    kw: &str,
-    name: &str,
-    noun: &str,
-    raw: Option<&str>,
-) -> Result<u64, String> {
-    let raw = raw.ok_or_else(|| format!("{kw}: missing <{name}>"))?;
-    raw.parse().map_err(|e: std::num::ParseIntError| {
-        if *e.kind() == std::num::IntErrorKind::PosOverflow {
-            format!(
-                "{kw}: <{name}> {raw:?} overflows the {noun} range (max {})",
-                u64::MAX
-            )
-        } else {
-            format!("{kw}: <{name}> must be a {noun} (got {raw:?})")
-        }
-    })
-}
-
-/// Parse `GET /path` parameters: `(from, to, max_depth)`. Shared by
-/// the node server and the router so both echo identical 400s.
-pub(crate) fn parse_path_params(req: &Request) -> Result<(u64, u64, Option<u64>), String> {
-    let from = parse_u64_param("path", "from", "vertex id", req.query_param("from"))?;
-    let to = parse_u64_param("path", "to", "vertex id", req.query_param("to"))?;
-    let max_depth = match req.query_param("max_depth") {
-        Some(raw) => Some(parse_u64_param("path", "max_depth", "hop count", Some(raw))?),
-        None => None,
-    };
-    Ok((from, to, max_depth))
-}
-
-/// Parse `GET /khop` parameters: `(v, k)`. Shared by the node server
-/// and the router so both echo identical 400s.
-pub(crate) fn parse_khop_params(req: &Request) -> Result<(u64, u64), String> {
-    let v = parse_u64_param("khop", "v", "vertex id", req.query_param("v"))?;
-    let k = parse_u64_param("khop", "k", "hop count", req.query_param("k"))?;
-    Ok((v, k))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! `poll(2)` rather than `epoll`: the portable call covers every unix,
 //! needs no extra kernel object to manage, and rebuilding the pollfd
 //! array per iteration is O(connections) — measured flat to 10K+
-//! connections in `bench_serve`, far past the point where the per-query
+//! connections by `stress_serve`, far past the point where the per-query
 //! work dominates. On non-unix hosts the module is absent and the event
 //! loop falls back to a blocking loop (see [`crate::event_loop`]).
 

@@ -20,15 +20,16 @@
 //! * fans `GET /healthz` out to every peer (`ok` only when all are).
 //!
 //! A failed forward (connect error, timeout, 5xx, short sub-batch
-//! response) transparently **fails over** to the next replica; per-peer
-//! consecutive-failure counters drive health ejection exactly as on the
-//! nodes (down after 3 consecutive failures, probed via `GET /healthz`
-//! on a doubling backoff, restored on success). Only when *every* replica of a vertex has failed does
+//! response) transparently **fails over** to the next replica, and
+//! health ejection works exactly as on the nodes — literally: pooling,
+//! the stale-connection retry, rotation, failover, ejection, and probing
+//! are `replica.rs`, the single implementation both tiers call. What is
+//! left here is discovery, the table swap, the `/batch` split, and the
+//! `/stats` merge. Only when *every* replica of a vertex has failed does
 //! the client see an error: a single `502 Bad Gateway` naming each
 //! replica tried — the router never invents an answer. Parse errors
-//! (`400`) are produced by the router itself with the same messages a
-//! node would emit, so clients cannot tell a router from a node on the
-//! error path either.
+//! (`400`) come from the same parser the nodes use (`endpoints.rs`), so
+//! clients cannot tell a router from a node on the error path either.
 //!
 //! With `--rediscover SECS` ([`Router::set_rediscover`]) the router
 //! re-runs discovery on a timer, so nodes can join/leave a live cluster:
@@ -59,16 +60,19 @@
 //! println!("{report}");
 //! ```
 
-use crate::batch::{self, Query};
-use crate::cluster::{probe_healthz, Gate, PeerHealth};
+use crate::endpoints::{
+    self, error, json, Endpoint, Point, Response, Tier, MAX_BATCH_RESPONSE, TEXT,
+};
 use crate::event_loop::serve_connections;
-use crate::http::{self, encode_query_component, Client};
-use crate::server::{LoopCounters, Server, ServerOptions, MAX_BATCH_RESPONSE};
+use crate::http::{self, Client};
+use crate::replica::{failover, first_uncovered, now_ms, Attempt, Method, Peer, Reply};
+use crate::server::{LoopCounters, Server, ServerOptions};
 use kron_stream::json::Json;
+use std::convert::Infallible;
 use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// One peer's parsed `GET /shards` answer: its shard claim, vertex
@@ -76,27 +80,20 @@ use std::time::{Duration, Instant};
 /// exchange left open (seeded into the peer's pool).
 type Discovered = (Range<usize>, Range<u64>, (u64, u64), Client);
 
-/// One discovered peer: its address, its claim, a pool of idle
-/// keep-alive connections, and its health state.
+/// One discovered peer: the shared transport [`Peer`] (address, shard
+/// claim, pool, health) plus the vertex span the router routes by.
 struct RouterPeer {
-    addr: String,
-    shards: Range<usize>,
+    peer: Peer,
     vertices: Range<u64>,
-    pool: Mutex<Vec<Client>>,
-    health: PeerHealth,
 }
 
-/// Idle connections kept per peer; re-discovery seeds one per tick, so
-/// the pool is capped to stop a long-lived router accumulating sockets.
-const POOL_CAP: usize = 8;
+/// The framed `(status, body)` of one forward, body as (lossy) text.
+type Forwarded = Result<(u16, String), String>;
 
-impl RouterPeer {
-    fn pool_push(&self, client: Client) {
-        let mut pool = self.pool.lock().unwrap();
-        if pool.len() < POOL_CAP {
-            pool.push(client);
-        }
-    }
+/// Every answer the router relays or merges is text: read a framed reply
+/// as `(status, lossy UTF-8 body)`.
+fn text((status, _ctype, body): Reply) -> (u16, String) {
+    (status, String::from_utf8_lossy(&body).into_owned())
 }
 
 /// One immutable routing table: the discovered peers of one
@@ -138,7 +135,7 @@ impl RouterTable {
     fn addr_list(&self) -> String {
         self.peers
             .iter()
-            .map(|p| p.addr.as_str())
+            .map(|p| p.peer.addr.as_str())
             .collect::<Vec<_>>()
             .join(", ")
     }
@@ -313,28 +310,25 @@ impl Router {
                         t.peers
                             .iter()
                             .find(|p| {
-                                p.addr == *addr && p.shards == shards && p.vertices == vertices
+                                p.peer.addr == *addr
+                                    && p.peer.shards == shards
+                                    && p.vertices == vertices
                             })
                             .cloned()
                     });
-                    match reused {
-                        Some(p) => {
-                            p.health.record_success();
-                            p.pool_push(client);
-                            peers.push(p);
-                        }
-                        None => peers.push(Arc::new(RouterPeer {
-                            addr: addr.clone(),
-                            shards,
+                    let p = reused.unwrap_or_else(|| {
+                        Arc::new(RouterPeer {
+                            peer: Peer::new(addr.clone(), addr.clone(), shards, timeout),
                             vertices,
-                            pool: Mutex::new(vec![client]),
-                            health: PeerHealth::new(),
-                        })),
-                    }
+                        })
+                    });
+                    p.peer.health.record_success();
+                    p.peer.pool_push(client);
+                    peers.push(p);
                 }
                 Err(e) => {
                     let carried =
-                        prev.and_then(|t| t.peers.iter().find(|p| p.addr == *addr).cloned());
+                        prev.and_then(|t| t.peers.iter().find(|p| p.peer.addr == *addr).cloned());
                     match carried {
                         Some(p) => peers.push(p),
                         None if prev.is_none() => return Err(e),
@@ -347,16 +341,15 @@ impl Router {
             shape.ok_or_else(|| "no peer answered GET /shards".to_string())?;
         let num_shards = num_shards as usize;
         peers.sort_by(|a, b| {
-            (a.shards.start, a.shards.end, &a.addr).cmp(&(b.shards.start, b.shards.end, &b.addr))
+            let key = |p: &'_ RouterPeer| (p.peer.shards.start, p.peer.shards.end);
+            (key(a), &a.peer.addr).cmp(&(key(b), &b.peer.addr))
         });
         // The claims must cover the run; overlap is replication.
-        for s in 0..num_shards {
-            if !peers.iter().any(|p| p.shards.contains(&s)) {
-                return Err(format!(
-                    "cluster ownership map incomplete: shard {s} is not claimed \
-                     by any --peers node (a node is missing from --peers)"
-                ));
-            }
+        if let Some(s) = first_uncovered(num_shards, peers.iter().map(|p| p.peer.shards.clone())) {
+            return Err(format!(
+                "cluster ownership map incomplete: shard {s} is not claimed \
+                 by any --peers node (a node is missing from --peers)"
+            ));
         }
         Ok(RouterTable {
             peers,
@@ -390,7 +383,11 @@ impl Router {
             .map(|p| {
                 format!(
                     "{} → shards {}..{}, vertices {}..{}",
-                    p.addr, p.shards.start, p.shards.end, p.vertices.start, p.vertices.end
+                    p.peer.addr,
+                    p.peer.shards.start,
+                    p.peer.shards.end,
+                    p.vertices.start,
+                    p.vertices.end
                 )
             })
             .collect()
@@ -401,109 +398,32 @@ impl Router {
         self.table().num_vertices
     }
 
-    /// Health-gate one peer before a forward: an up peer passes, a down
-    /// one is probed when its backoff has elapsed and skipped otherwise.
-    fn admit(&self, peer: &RouterPeer, failures: &mut Vec<String>) -> bool {
-        match peer.health.gate() {
-            Gate::Up => true,
-            Gate::ProbeDue => {
-                if probe_healthz(&peer.addr, self.timeout) {
-                    peer.health.record_success();
-                    true
-                } else {
-                    peer.health.record_probe_failure();
-                    failures.push(format!("peer {}: down (probe failed)", peer.addr));
-                    false
-                }
-            }
-            Gate::Skip => {
-                failures.push(format!("peer {}: down (awaiting probe)", peer.addr));
-                false
-            }
-        }
-    }
-
-    /// Forward one request to one peer, pooling connections and retrying
-    /// a stale pooled connection once, like the engine's row fetches.
-    fn forward(
-        &self,
-        peer: &RouterPeer,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> Result<(u16, String), String> {
-        let fail = |detail: String| format!("peer {}: {detail}", peer.addr);
-        let do_req = |client: &mut Client| -> io::Result<(u16, String)> {
-            match method {
-                "GET" => client.get(path),
-                _ => client.post(path, body),
-            }
-        };
-        let pooled = peer.pool.lock().unwrap().pop();
-        let had_pooled = pooled.is_some();
-        let mut client = match pooled {
-            Some(c) => c,
-            None => Client::connect_timeout(peer.addr.as_str(), self.timeout)
-                .map_err(|e| fail(format!("connect: {e}")))?,
-        };
-        let resp = match do_req(&mut client) {
-            Ok(r) => r,
-            Err(first) => {
-                drop(client);
-                if !had_pooled {
-                    return Err(fail(format!("{method} {path}: {first}")));
-                }
-                client = Client::connect_timeout(peer.addr.as_str(), self.timeout)
-                    .map_err(|e| fail(format!("reconnect after {first}: {e}")))?;
-                do_req(&mut client).map_err(|e| fail(format!("{method} {path} (retried): {e}")))?
-            }
-        };
-        peer.pool_push(client);
-        Ok(resp)
-    }
-
-    /// Forward with failover: rotate round-robin over `candidates`,
+    /// `GET path` with failover: rotate round-robin over `candidates`,
     /// moving on when a replica is down, unreachable, or answers 5xx.
     /// Any other answer is relayed verbatim — it is deterministic, and
     /// every replica of a consistent cluster would repeat it.
-    fn forward_failover(
-        &self,
-        table: &RouterTable,
-        candidates: &[usize],
-        method: &'static str,
-        path: &str,
-        body: &[u8],
-    ) -> Result<(u16, String), String> {
-        let start = self.rr.fetch_add(1, Ordering::Relaxed);
-        let mut failures: Vec<String> = Vec::new();
-        for k in 0..candidates.len() {
-            let peer = &table.peers[candidates[(start + k) % candidates.len()]];
-            if !self.admit(peer, &mut failures) {
-                continue;
-            }
-            match self.forward(peer, method, path, body) {
-                Ok((status, resp)) if status >= 500 => {
-                    peer.health.record_failure();
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
-                    failures.push(format!(
-                        "peer {}: {method} answered {status}: {}",
-                        peer.addr,
-                        resp.trim()
-                    ));
-                }
-                Ok(resp) => {
-                    peer.health.record_success();
-                    peer.health.record_served();
-                    return Ok(resp);
-                }
-                Err(e) => {
-                    peer.health.record_failure();
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
-                    failures.push(e);
-                }
-            }
+    fn forward_failover(&self, table: &RouterTable, candidates: &[usize], path: &str) -> Forwarded {
+        let outcome: Attempt<_, Infallible> = failover(
+            candidates.iter().map(|&i| &table.peers[i].peer),
+            self.rr.fetch_add(1, Ordering::Relaxed),
+            &now_ms,
+            |peer| {
+                let failed = match peer.exchange(Method::Get, path).map(text) {
+                    Ok((status, body)) if status >= 500 => {
+                        format!("peer {}: GET answered {status}: {}", peer.addr, body.trim())
+                    }
+                    Ok(answer) => return Attempt::Done(answer),
+                    Err(e) => e,
+                };
+                self.failovers.fetch_add(1, Ordering::Relaxed);
+                Attempt::Transport(failed)
+            },
+        );
+        match outcome {
+            Attempt::Done(answer) => Ok(answer),
+            Attempt::Transport(failures) => Err(format!("all replicas failed: {failures}")),
+            Attempt::Final(never) => match never {},
         }
-        Err(format!("all replicas failed: {}", failures.join("; ")))
     }
 
     /// Route until `shutdown` becomes `true`, accepting on the bound
@@ -568,269 +488,211 @@ impl Router {
 
 /// A peer's slot in a [`fan_out`] round: `None` when the peer was
 /// skipped, otherwise the forward's outcome.
-type FanOutSlot<'t> = (&'t Arc<RouterPeer>, Option<Result<(u16, String), String>>);
+type FanOutSlot<'t> = (&'t RouterPeer, Option<Forwarded>);
 
-/// Forward `method path` to every peer of `table` concurrently — a hung
-/// peer costs the caller one timeout, not one per peer. `body_of(i)`
-/// returns the body for peer `i`, or `None` to skip it (a batch with no
-/// queries for a node must not fail on that node being unreachable).
-/// Results come back in peer order, `None` for skipped peers.
+/// Send `path` to every peer of `table` concurrently — a hung peer costs
+/// the caller one timeout, not one per peer. `request_of(i)` returns the
+/// request for peer `i`, or `None` to skip it (a batch with no queries
+/// for a node must not fail on that node being unreachable). Results
+/// come back in peer order, `None` for skipped peers.
 fn fan_out<'t, 'b>(
-    r: &Router,
     table: &'t RouterTable,
-    method: &'static str,
     path: &str,
-    body_of: &(impl Fn(usize) -> Option<&'b [u8]> + Sync),
+    request_of: &(impl Fn(usize) -> Option<Method<'b>> + Sync),
 ) -> Vec<FanOutSlot<'t>> {
     std::thread::scope(|s| {
         let handles: Vec<_> = table
             .peers
             .iter()
             .enumerate()
-            .map(|(i, p)| body_of(i).map(|body| s.spawn(move || r.forward(p, method, path, body))))
+            .map(|(i, p)| {
+                request_of(i).map(|m| s.spawn(move || p.peer.exchange(m, path).map(text)))
+            })
             .collect();
         table
             .peers
             .iter()
             .zip(handles)
-            .map(|(p, h)| (p, h.map(|h| h.join().unwrap())))
+            .map(|(p, h)| (&**p, h.map(|h| h.join().expect("forward thread panicked"))))
             .collect()
     })
 }
 
 /// Dispatch one request: parse/validate locally (same errors as a node),
 /// forward the rest.
-fn route(state: &RouterState<'_>, req: &http::Request) -> (u16, &'static str, Vec<u8>) {
-    const TEXT: &str = "text/plain; charset=utf-8";
-    const JSON: &str = "application/json";
+fn route(state: &RouterState<'_>, req: &http::Request) -> Response {
     let r = state.router;
-    let gateway_err = |detail: String| -> (u16, &'static str, Vec<u8>) {
+    let gateway_err = |detail: String| -> Response {
         state.forward_errors.fetch_add(1, Ordering::Relaxed);
-        (502, TEXT, format!("error: {detail}\n").into_bytes())
+        error(502, detail)
     };
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => {
+    let endpoint = match endpoints::resolve(Tier::Router, &req.method, &req.path) {
+        Ok(endpoint) => endpoint,
+        Err(refusal) => return refusal,
+    };
+    match endpoint {
+        Endpoint::Healthz => {
             let table = r.table();
             // Probe every peer concurrently: one hung node must cost the
             // probe one timeout, not one per peer — monitoring timeouts
             // are usually shorter than peers × 5 s. Health state is not
             // consulted or updated here: a monitoring probe reports the
             // cluster as it is right now.
-            for (p, res) in fan_out(r, &table, "GET", "/healthz", &|_| Some(&[][..])) {
+            for (p, res) in fan_out(&table, "/healthz", &|_| Some(Method::Get)) {
                 match res.expect("healthz skips no peer") {
                     Ok((200, _)) => {}
                     Ok((status, _)) => {
-                        return (
+                        return error(
                             503,
-                            TEXT,
-                            format!("error: peer {} unhealthy (status {status})\n", p.addr)
-                                .into_bytes(),
+                            format_args!("peer {} unhealthy (status {status})", p.peer.addr),
                         )
                     }
-                    Err(e) => return (503, TEXT, format!("error: {e}\n").into_bytes()),
+                    Err(e) => return error(503, e),
                 }
             }
             (200, TEXT, b"ok\n".to_vec())
         }
-        ("GET", "/query") => {
-            let Some(line) = req.query_param("q") else {
-                return (400, TEXT, b"error: missing query parameter q\n".to_vec());
-            };
-            match Query::parse(line) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok(query) => {
-                    state.queries.fetch_add(1, Ordering::Relaxed);
-                    let table = r.table();
-                    let candidates = table.candidates_for(query.routing_vertex());
-                    let path = format!("/query?q={}", encode_query_component(&query.to_string()));
-                    match r.forward_failover(&table, &candidates, "GET", &path, b"") {
-                        // relay the winning node's answer verbatim,
-                        // whatever its (non-5xx) status — the router adds
-                        // nothing on this path
-                        Ok((status, body)) => (status, TEXT, body.into_bytes()),
-                        Err(e) => gateway_err(e),
-                    }
+        // Parse locally first (identical 400s to a node), then forward
+        // the canonical form to a replica of the routing vertex's shard
+        // and relay the winning node's answer verbatim, whatever its
+        // (non-5xx) status — the router adds nothing on this path.
+        Endpoint::Point(kind) => match Point::parse(kind, req) {
+            Err(e) => error(400, e),
+            Ok(point) => {
+                state.queries.fetch_add(1, Ordering::Relaxed);
+                let table = r.table();
+                let candidates = table.candidates_for(point.routing_vertex());
+                match r.forward_failover(&table, &candidates, &point.forward_path()) {
+                    Ok((200, body)) => (200, point.content_type(), body.into_bytes()),
+                    Ok((status, body)) => (status, TEXT, body.into_bytes()),
+                    Err(e) => gateway_err(e),
                 }
             }
-        }
-        ("GET", "/path") => {
-            // Parse locally first (identical 400s to a node), then
-            // forward the canonical form to a replica of `from`'s shard
-            // — the node traverses cross-shard through its own /row
-            // fetches, so any node holding the first row can answer.
-            match crate::path::parse_path_params(req) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok((from, to, max_depth)) => {
-                    state.queries.fetch_add(1, Ordering::Relaxed);
-                    let table = r.table();
-                    let candidates = table.candidates_for(from);
-                    let mut path = format!("/path?from={from}&to={to}");
-                    if let Some(k) = max_depth {
-                        path.push_str(&format!("&max_depth={k}"));
+        },
+        Endpoint::Batch => match endpoints::parse_batch(req) {
+            Err(refusal) => refusal,
+            Ok(queries) => {
+                state
+                    .queries
+                    .fetch_add(queries.len() as u64, Ordering::Relaxed);
+                // Split into per-peer sub-batches (input order is
+                // preserved within each), forward them concurrently
+                // (wall clock tracks the slowest node, not the sum),
+                // then reassemble the answer lines by original index —
+                // byte-identical to a single node walking the batch in
+                // order. A failed sub-batch (transport, 5xx, short
+                // response) returns its queries to the pool and the
+                // next round re-assigns them to surviving replicas;
+                // the loop is bounded because every retry round
+                // excludes at least one more peer.
+                let table = r.table();
+                let rr_base = r.rr.fetch_add(1, Ordering::Relaxed);
+                let mut lines: Vec<Option<String>> = vec![None; queries.len()];
+                let mut excluded: Vec<bool> = vec![false; table.peers.len()];
+                let mut total_len = 0usize;
+                loop {
+                    let remaining: Vec<usize> =
+                        (0..queries.len()).filter(|&i| lines[i].is_none()).collect();
+                    if remaining.is_empty() {
+                        break;
                     }
-                    match r.forward_failover(&table, &candidates, "GET", &path, b"") {
-                        Ok((status, body)) => {
-                            (status, if status == 200 { JSON } else { TEXT }, body.into_bytes())
-                        }
-                        Err(e) => gateway_err(e),
-                    }
-                }
-            }
-        }
-        ("GET", "/khop") => {
-            match crate::path::parse_khop_params(req) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok((v, k)) => {
-                    state.queries.fetch_add(1, Ordering::Relaxed);
-                    let table = r.table();
-                    let candidates = table.candidates_for(v);
-                    let path = format!("/khop?v={v}&k={k}");
-                    match r.forward_failover(&table, &candidates, "GET", &path, b"") {
-                        Ok((status, body)) => {
-                            (status, if status == 200 { JSON } else { TEXT }, body.into_bytes())
-                        }
-                        Err(e) => gateway_err(e),
-                    }
-                }
-            }
-        }
-        ("POST", "/batch") => {
-            let Ok(text) = std::str::from_utf8(&req.body) else {
-                return (400, TEXT, b"error: body is not UTF-8\n".to_vec());
-            };
-            match batch::parse_queries(text) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok(queries) => {
-                    state
-                        .queries
-                        .fetch_add(queries.len() as u64, Ordering::Relaxed);
-                    // Split into per-peer sub-batches (input order is
-                    // preserved within each), forward them concurrently
-                    // (wall clock tracks the slowest node, not the sum),
-                    // then reassemble the answer lines by original index —
-                    // byte-identical to a single node walking the batch in
-                    // order. A failed sub-batch (transport, 5xx, short
-                    // response) returns its queries to the pool and the
-                    // next round re-assigns them to surviving replicas;
-                    // the loop is bounded because every retry round
-                    // excludes at least one more peer.
-                    let table = r.table();
-                    let rr_base = r.rr.fetch_add(1, Ordering::Relaxed);
-                    let mut lines: Vec<Option<String>> = vec![None; queries.len()];
-                    let mut excluded: Vec<bool> = vec![false; table.peers.len()];
-                    let mut total_len = 0usize;
-                    loop {
-                        let remaining: Vec<usize> =
-                            (0..queries.len()).filter(|&i| lines[i].is_none()).collect();
-                        if remaining.is_empty() {
-                            break;
-                        }
-                        // Gate each peer once per round (probing down
-                        // peers whose backoff elapsed), not once per query.
-                        let mut probe_failures = Vec::new();
-                        let usable: Vec<bool> = table
-                            .peers
-                            .iter()
-                            .enumerate()
-                            .map(|(i, p)| !excluded[i] && r.admit(p, &mut probe_failures))
+                    // Gate each peer once per round (probing down
+                    // peers whose backoff elapsed), not once per query.
+                    let mut probe_failures = Vec::new();
+                    let usable: Vec<bool> = table
+                        .peers
+                        .iter()
+                        .enumerate()
+                        .map(|(i, p)| !excluded[i] && p.peer.admit(&now_ms, &mut probe_failures))
+                        .collect();
+                    let mut by_peer: Vec<(Vec<usize>, String)> = table
+                        .peers
+                        .iter()
+                        .map(|_| (Vec::new(), String::new()))
+                        .collect();
+                    for &i in &remaining {
+                        let cands: Vec<usize> = table
+                            .candidates_for(queries[i].routing_vertex())
+                            .into_iter()
+                            .filter(|&c| usable[c])
                             .collect();
-                        let mut by_peer: Vec<(Vec<usize>, String)> = table
-                            .peers
-                            .iter()
-                            .map(|_| (Vec::new(), String::new()))
-                            .collect();
-                        for &i in &remaining {
-                            let cands: Vec<usize> = table
-                                .candidates_for(queries[i].routing_vertex())
-                                .into_iter()
-                                .filter(|&c| usable[c])
-                                .collect();
-                            if cands.is_empty() {
+                        if cands.is_empty() {
+                            return gateway_err(format!(
+                                "all replicas failed for batch query {:?} (peers: {})",
+                                queries[i].to_string(),
+                                table.addr_list()
+                            ));
+                        }
+                        let pick = cands[(rr_base + i) % cands.len()];
+                        by_peer[pick].0.push(i);
+                        by_peer[pick].1.push_str(&format!("{}\n", queries[i]));
+                    }
+                    let responses = fan_out(&table, "/batch", &|i: usize| {
+                        let (indices, body) = &by_peer[i];
+                        (!indices.is_empty()).then_some(Method::Post(body.as_bytes()))
+                    });
+                    for (idx, ((p, res), (indices, _))) in
+                        responses.into_iter().zip(&by_peer).enumerate()
+                    {
+                        let Some(res) = res else {
+                            continue; // no queries route to this peer
+                        };
+                        let peer = &p.peer;
+                        // Transport failures, 5xx, and short responses
+                        // fail over; any other non-200 is deterministic
+                        // and surfaces (a retry would repeat it).
+                        let failure = match res {
+                            Err(e) => Some(e),
+                            Ok((status, resp)) if status >= 500 => Some(format!(
+                                "peer {}: /batch answered {status}: {}",
+                                peer.addr,
+                                resp.trim()
+                            )),
+                            Ok((status, resp)) if status != 200 => {
                                 return gateway_err(format!(
-                                    "all replicas failed for batch query {:?} (peers: {})",
-                                    queries[i].to_string(),
-                                    table.addr_list()
-                                ));
-                            }
-                            let pick = cands[(rr_base + i) % cands.len()];
-                            by_peer[pick].0.push(i);
-                            by_peer[pick].1.push_str(&format!("{}\n", queries[i]));
-                        }
-                        let responses = fan_out(r, &table, "POST", "/batch", &|i: usize| {
-                            let (indices, body) = &by_peer[i];
-                            (!indices.is_empty()).then_some(body.as_bytes())
-                        });
-                        for (idx, ((peer, res), (indices, _))) in
-                            responses.into_iter().zip(&by_peer).enumerate()
-                        {
-                            let Some(res) = res else {
-                                continue; // no queries route to this peer
-                            };
-                            // Transport failures, 5xx, and short responses
-                            // fail over; any other non-200 is deterministic
-                            // and surfaces (a retry would repeat it).
-                            let failure = match res {
-                                Err(e) => Some(e),
-                                Ok((status, resp)) if status >= 500 => Some(format!(
                                     "peer {}: /batch answered {status}: {}",
                                     peer.addr,
                                     resp.trim()
-                                )),
-                                Ok((status, resp)) if status != 200 => {
-                                    return gateway_err(format!(
-                                        "peer {}: /batch answered {status}: {}",
+                                ));
+                            }
+                            Ok((_, resp)) => {
+                                let answer_lines: Vec<&str> = resp.lines().collect();
+                                if answer_lines.len() != indices.len() {
+                                    Some(format!(
+                                        "peer {}: /batch returned {} lines for {} queries",
                                         peer.addr,
-                                        resp.trim()
-                                    ));
-                                }
-                                Ok((_, resp)) => {
-                                    let answer_lines: Vec<&str> = resp.lines().collect();
-                                    if answer_lines.len() != indices.len() {
-                                        Some(format!(
-                                            "peer {}: /batch returned {} lines for {} queries",
-                                            peer.addr,
-                                            answer_lines.len(),
-                                            indices.len()
-                                        ))
-                                    } else {
-                                        peer.health.record_success();
-                                        peer.health.record_served();
-                                        for (&i, line) in indices.iter().zip(answer_lines) {
-                                            total_len += line.len() + 1;
-                                            lines[i] = Some(line.to_string());
-                                        }
-                                        None
+                                        answer_lines.len(),
+                                        indices.len()
+                                    ))
+                                } else {
+                                    peer.health.record_served();
+                                    for (&i, line) in indices.iter().zip(answer_lines) {
+                                        total_len += line.len() + 1;
+                                        lines[i] = Some(line.to_string());
                                     }
+                                    None
                                 }
-                            };
-                            if failure.is_some() {
-                                peer.health.record_failure();
-                                r.failovers.fetch_add(1, Ordering::Relaxed);
-                                excluded[idx] = true;
                             }
-                            if total_len > MAX_BATCH_RESPONSE {
-                                return (
-                                    413,
-                                    TEXT,
-                                    format!(
-                                        "error: batch response exceeds {MAX_BATCH_RESPONSE} \
-                                         bytes — split the batch\n"
-                                    )
-                                    .into_bytes(),
-                                );
-                            }
+                        };
+                        if failure.is_some() {
+                            peer.health.record_failure(now_ms());
+                            r.failovers.fetch_add(1, Ordering::Relaxed);
+                            excluded[idx] = true;
+                        }
+                        if total_len > MAX_BATCH_RESPONSE {
+                            return endpoints::batch_too_large();
                         }
                     }
-                    let mut out = String::with_capacity(total_len);
-                    for line in lines.into_iter().flatten() {
-                        out.push_str(&line);
-                        out.push('\n');
-                    }
-                    (200, TEXT, out.into_bytes())
                 }
+                let mut out = String::with_capacity(total_len);
+                for line in lines.into_iter().flatten() {
+                    out.push_str(&line);
+                    out.push('\n');
+                }
+                (200, TEXT, out.into_bytes())
             }
-        }
-        ("GET", "/stats") => {
+        },
+        Endpoint::Stats => {
             // Merge rule (normative in ARCHITECTURE.md): per-peer docs
             // verbatim under `peers` (ascending claim) with the peer's
             // replica-health fields beside them, the named counters
@@ -852,10 +714,10 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> (u16, &'static str, Ve
                 "mismatch_count",
                 "rows_served",
             ];
-            let responses = fan_out(r, &table, "GET", "/stats", &|i: usize| {
+            let responses = fan_out(&table, "/stats", &|i: usize| {
                 // don't pay a timeout per /stats call for a known-down
                 // peer; it reports up:false, stats:null below
-                table.peers[i].health.is_up().then_some(&[][..])
+                table.peers[i].peer.health.is_up().then_some(Method::Get)
             });
             for (p, res) in responses {
                 let stats = match res {
@@ -867,16 +729,10 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> (u16, &'static str, Ve
                         totals[i] += doc.get(key).and_then(Json::as_u64).unwrap_or(0);
                     }
                 }
-                let mut fields = vec![
-                    ("peer", Json::str(&p.addr)),
-                    (
-                        "shards",
-                        Json::Arr(vec![Json::num(p.shards.start), Json::num(p.shards.end)]),
-                    ),
+                let mut fields = p.peer.stats_fields([
                     ("vertex_lo", Json::num(p.vertices.start)),
                     ("vertex_hi", Json::num(p.vertices.end)),
-                ];
-                fields.extend(p.health.stats_fields());
+                ]);
                 fields.push(("stats", stats.unwrap_or(Json::Null)));
                 peer_docs.push(Json::obj(fields));
             }
@@ -916,49 +772,23 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> (u16, &'static str, Ve
                 ),
                 ("peers", Json::Arr(peer_docs)),
             ]);
-            (200, JSON, format!("{doc}\n").into_bytes())
+            json(200, doc)
         }
-        ("GET", "/shards") => {
+        Endpoint::Shards => {
             // The cluster presents as one complete node — a router (or a
             // router of routers) in front of it needs nothing else.
-            let table = r.table();
-            let doc = Json::obj(vec![
-                ("shards", Json::num(table.num_shards)),
-                (
-                    "subset",
-                    Json::Arr(vec![Json::num(0), Json::num(table.num_shards)]),
-                ),
-                ("vertex_lo", Json::num(0)),
-                ("vertex_hi", Json::num(table.num_vertices)),
-                ("num_vertices", Json::num(table.num_vertices)),
-            ]);
-            (200, JSON, format!("{doc}\n").into_bytes())
+            let t = r.table();
+            endpoints::shards(
+                t.num_shards,
+                0..t.num_shards,
+                0..t.num_vertices,
+                t.num_vertices,
+            )
         }
-        ("GET", "/row") => (
+        Endpoint::Row => error(
             404,
-            TEXT,
-            b"error: the router serves no rows (fetch from the owning node)\n".to_vec(),
+            "the router serves no rows (fetch from the owning node)",
         ),
-        (
-            _,
-            "/healthz" | "/query" | "/batch" | "/path" | "/khop" | "/stats" | "/row" | "/shards",
-        ) => (
-            405,
-            TEXT,
-            b"error: method not allowed for this endpoint\n".to_vec(),
-        ),
-        // 501, not 404: the path may well exist on the nodes (the
-        // analytics-job API under /jobs is node-local state — an id
-        // minted by one node means nothing to its peers, so the router
-        // deliberately does not forward it). Name what *is* served so a
-        // client landing here can tell "wrong tier" from "no such thing".
-        _ => (
-            501,
-            JSON,
-            b"{\"error\":\"not implemented by the router\",\
-              \"supported\":[\"/healthz\",\"/query\",\"/batch\",\"/path\",\"/khop\",\"/stats\",\"/shards\"],\
-              \"note\":\"/jobs is node-local: submit to a node, not the router\"}\n"
-                .to_vec(),
-        ),
+        Endpoint::Jobs => unreachable!("the table marks /jobs absent on the router"),
     }
 }

@@ -33,10 +33,14 @@
 //! connection state machine and timeout semantics in its "Connection
 //! lifecycle & timeouts" subsection.
 
-use crate::batch::{self, Query, QueryStats};
+use crate::batch::{self, QueryStats};
+use crate::endpoints::{
+    self, error, json, Endpoint, Point, Response, Tier, MAX_BATCH_RESPONSE, TEXT,
+};
 use crate::engine::ServeEngine;
 use crate::event_loop::{serve_connections, ConnCounters, LoopConfig};
 use crate::http;
+use crate::path::PathFinder;
 use kron_stream::json::Json;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -46,12 +50,6 @@ use std::time::{Duration, Instant};
 
 /// Per-query latencies kept for the `/stats` rolling window.
 const RECENT_LATENCIES: usize = 4096;
-
-/// Hard cap on one `/batch` response body. The *request* cap lives in
-/// [`http::MAX_BODY`]; answers amplify, so the response needs its own.
-/// Shared with the router, whose merged responses must obey the same
-/// bound the nodes do (the byte-identical contract).
-pub(crate) const MAX_BATCH_RESPONSE: usize = 64 * 1024 * 1024;
 
 /// Server tuning knobs.
 #[derive(Clone, Debug, Default)]
@@ -451,107 +449,85 @@ fn route<'s>(
     state: &'s ServerState<'s>,
     scope: &'s std::thread::Scope<'s, '_>,
     req: &http::Request,
-) -> (u16, &'static str, Vec<u8>) {
-    const TEXT: &str = "text/plain; charset=utf-8";
-    const JSON: &str = "application/json";
+) -> Response {
     const OCTETS: &str = "application/octet-stream";
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => (200, TEXT, b"ok\n".to_vec()),
-        ("GET", "/query") => {
-            let Some(line) = req.query_param("q") else {
-                return (400, TEXT, b"error: missing query parameter q\n".to_vec());
-            };
-            match Query::parse(line) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok(query) => {
-                    let t0 = Instant::now();
-                    let (res, checks) = batch::answer(state.engine, query);
-                    state.record_query(t0.elapsed(), res.is_err(), checks);
-                    match res {
-                        Ok(a) => (200, TEXT, format!("{a}\n").into_bytes()),
-                        Err(e) => (error_status(&e), TEXT, format!("error: {e}\n").into_bytes()),
+    if let Some(id) = req.path.strip_prefix("/jobs/") {
+        return route_job(state, &req.method, id);
+    }
+    let endpoint = match endpoints::resolve(Tier::Node, &req.method, &req.path) {
+        Ok(endpoint) => endpoint,
+        Err(refusal) => return refusal,
+    };
+    match endpoint {
+        Endpoint::Healthz => (200, TEXT, b"ok\n".to_vec()),
+        Endpoint::Point(kind) => match Point::parse(kind, req) {
+            Err(e) => error(400, e),
+            Ok(point) => {
+                let t0 = Instant::now();
+                let (res, checks) = match point {
+                    Point::Query(query) => {
+                        let (res, checks) = batch::answer(state.engine, query);
+                        (res.map(|a| format!("{a}\n")), checks)
                     }
-                }
-            }
-        }
-        ("GET", "/path") => match crate::path::parse_path_params(req) {
-            Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-            Ok((from, to, max_depth)) => {
-                let t0 = Instant::now();
-                let res = crate::path::PathFinder::new(state.engine)
-                    .shortest_path(from, to, max_depth);
-                state.record_query(t0.elapsed(), res.is_err(), 0);
+                    Point::Path {
+                        from,
+                        to,
+                        max_depth,
+                    } => {
+                        let res = PathFinder::new(state.engine).shortest_path(from, to, max_depth);
+                        (res.map(|a| format!("{}\n", a.to_json())), 0)
+                    }
+                    Point::Khop { v, k } => {
+                        let res = PathFinder::new(state.engine).khop(v, k);
+                        (res.map(|a| format!("{}\n", a.to_json())), 0)
+                    }
+                };
+                state.record_query(t0.elapsed(), res.is_err(), checks);
                 match res {
-                    Ok(a) => (200, JSON, format!("{}\n", a.to_json()).into_bytes()),
-                    Err(e) => (error_status(&e), TEXT, format!("error: {e}\n").into_bytes()),
+                    Ok(body) => (200, point.content_type(), body.into_bytes()),
+                    Err(e) => error(error_status(&e), e),
                 }
             }
         },
-        ("GET", "/khop") => match crate::path::parse_khop_params(req) {
-            Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-            Ok((v, k)) => {
-                let t0 = Instant::now();
-                let res = crate::path::PathFinder::new(state.engine).khop(v, k);
-                state.record_query(t0.elapsed(), res.is_err(), 0);
-                match res {
-                    Ok(a) => (200, JSON, format!("{}\n", a.to_json()).into_bytes()),
-                    Err(e) => (error_status(&e), TEXT, format!("error: {e}\n").into_bytes()),
-                }
-            }
-        },
-        ("GET", "/row") => {
+        Endpoint::Row => {
             // The cluster-internal row fetch: raw little-endian u64 words
             // of one resident adjacency row, straight off the mapping.
             // Not a query — it bumps `rows_served`, never the engine's
             // query counter (the *querying* node accounts the query).
             let set = state.engine.shard_set();
             let (Some(shard), Some(v)) = (req.query_param("shard"), req.query_param("v")) else {
-                return (
-                    400,
-                    TEXT,
-                    b"error: /row needs shard=S and v=V parameters\n".to_vec(),
-                );
+                return error(400, "/row needs shard=S and v=V parameters");
             };
             let Ok(shard) = shard.parse::<usize>() else {
-                return (400, TEXT, b"error: shard must be a shard index\n".to_vec());
+                return error(400, "shard must be a shard index");
             };
             let Ok(v) = v.parse::<u64>() else {
-                return (400, TEXT, b"error: v must be a vertex id\n".to_vec());
+                return error(400, "v must be a vertex id");
             };
             let Some(range) = set.shard_vertices(shard) else {
-                return (
+                let shards = set.num_shards();
+                return error(
                     404,
-                    TEXT,
-                    format!(
-                        "error: no shard {shard} in this run ({} shards)\n",
-                        set.num_shards()
-                    )
-                    .into_bytes(),
+                    format_args!("no shard {shard} in this run ({shards} shards)"),
                 );
             };
             let Some(open) = set.local(shard) else {
                 let subset = set.subset();
-                return (
+                return error(
                     404,
-                    TEXT,
-                    format!(
-                        "error: shard {shard} is not resident on this node \
-                         (serving {}..{})\n",
+                    format_args!(
+                        "shard {shard} is not resident on this node (serving {}..{})",
                         subset.start, subset.end
-                    )
-                    .into_bytes(),
+                    ),
                 );
             };
             if !range.contains(&v) {
-                return (
+                return error(
                     422,
-                    TEXT,
-                    format!(
-                        "error: vertex {v} outside shard {shard}'s vertex range \
-                         ({}..{})\n",
+                    format_args!(
+                        "vertex {v} outside shard {shard}'s vertex range ({}..{})",
                         range.start, range.end
-                    )
-                    .into_bytes(),
+                    ),
                 );
             }
             // in range of a validated resident shard ⇒ the row exists
@@ -565,7 +541,7 @@ fn route<'s>(
                     Some(bytes) => bytes.to_vec(),
                     None => {
                         let Some(row) = open.reader.row(v) else {
-                            return (500, TEXT, b"error: resident row unavailable\n".to_vec());
+                            return error(500, "resident row unavailable");
                         };
                         let mut out = Vec::new();
                         kron_stream::encode_row_vd(&row, &mut out);
@@ -575,7 +551,7 @@ fn route<'s>(
                 (http::ROW_VD_CONTENT_TYPE, body)
             } else {
                 let Some(row) = open.reader.row(v) else {
-                    return (500, TEXT, b"error: resident row unavailable\n".to_vec());
+                    return error(500, "resident row unavailable");
                 };
                 let mut body = Vec::with_capacity(row.len() * 8);
                 for &w in &*row {
@@ -589,158 +565,100 @@ fn route<'s>(
                 .fetch_add(body.len() as u64, Ordering::Relaxed);
             (200, ctype, body)
         }
-        ("GET", "/shards") => {
+        Endpoint::Shards => {
             // The node's slice of the ownership map — what a router (or a
             // curious operator) needs to route by vertex range.
             let set = state.engine.shard_set();
-            let subset = set.subset();
-            let span = set.subset_vertices();
-            let doc = Json::obj(vec![
-                ("shards", Json::num(set.num_shards())),
-                (
-                    "subset",
-                    Json::Arr(vec![Json::num(subset.start), Json::num(subset.end)]),
-                ),
-                ("vertex_lo", Json::num(span.start)),
-                ("vertex_hi", Json::num(span.end)),
-                ("num_vertices", Json::num(set.num_vertices())),
-            ]);
-            (200, JSON, format!("{doc}\n").into_bytes())
+            let (subset, span) = (set.subset(), set.subset_vertices());
+            endpoints::shards(set.num_shards(), subset, span, set.num_vertices())
         }
-        ("POST", "/batch") => {
-            let Ok(text) = std::str::from_utf8(&req.body) else {
-                return (400, TEXT, b"error: body is not UTF-8\n".to_vec());
-            };
-            match batch::parse_queries(text) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok(queries) => {
-                    // sequential on purpose: answers come back in input
-                    // order by construction, identical to `run_batch`
-                    // output, and concurrency comes from the connection
-                    // pool rather than intra-batch fan-out
-                    let mut lines = String::new();
-                    for &q in &queries {
-                        let t0 = Instant::now();
-                        let (res, checks) = batch::answer(state.engine, q);
-                        state.record_query(t0.elapsed(), res.is_err(), checks);
-                        match res {
-                            Ok(a) => lines.push_str(&format!("{q} = {a}\n")),
-                            Err(e) => lines.push_str(&format!("{q} = error: {e}\n")),
-                        }
-                        // The request body is capped, but answers amplify
-                        // (one `neighbors <hub>` line can render thousands
-                        // of ids); keep the response bounded too instead
-                        // of buffering gigabytes for one request.
-                        if lines.len() > MAX_BATCH_RESPONSE {
-                            return (
-                                413,
-                                TEXT,
-                                format!(
-                                    "error: batch response exceeds {MAX_BATCH_RESPONSE} \
-                                     bytes — split the batch\n"
-                                )
-                                .into_bytes(),
-                            );
-                        }
+        Endpoint::Batch => match endpoints::parse_batch(req) {
+            Err(refusal) => refusal,
+            Ok(queries) => {
+                // sequential on purpose: answers come back in input
+                // order by construction, identical to `run_batch`
+                // output, and concurrency comes from the connection
+                // pool rather than intra-batch fan-out
+                let mut lines = String::new();
+                for &q in &queries {
+                    let t0 = Instant::now();
+                    let (res, checks) = batch::answer(state.engine, q);
+                    state.record_query(t0.elapsed(), res.is_err(), checks);
+                    match res {
+                        Ok(a) => lines.push_str(&format!("{q} = {a}\n")),
+                        Err(e) => lines.push_str(&format!("{q} = error: {e}\n")),
                     }
-                    (200, TEXT, lines.into_bytes())
+                    // The request body is capped, but answers amplify
+                    // (one `neighbors <hub>` line can render thousands
+                    // of ids); keep the response bounded too instead
+                    // of buffering gigabytes for one request.
+                    if lines.len() > MAX_BATCH_RESPONSE {
+                        return endpoints::batch_too_large();
+                    }
                 }
+                (200, TEXT, lines.into_bytes())
             }
-        }
-        ("GET", "/stats") => (200, JSON, format!("{}\n", state.stats_json()).into_bytes()),
-        ("GET", "/jobs") => {
-            // The listing: every job ever submitted, in submission order,
-            // as {id, kernel, state} summaries. Poll `/jobs/<id>` for
-            // result documents.
-            (
-                200,
-                JSON,
-                format!("{}\n", state.jobs.list_json()).into_bytes(),
-            )
-        }
-        ("POST", "/jobs") => {
+        },
+        Endpoint::Stats => json(200, state.stats_json()),
+        // The listing: every job ever submitted, in submission order, as
+        // {id, kernel, state} summaries. Poll `/jobs/<id>` for result
+        // documents.
+        Endpoint::Jobs if req.method == "GET" => json(200, state.jobs.list_json()),
+        Endpoint::Jobs => {
             let Ok(text) = std::str::from_utf8(&req.body) else {
-                return (400, TEXT, b"error: body is not UTF-8\n".to_vec());
+                return error(400, "body is not UTF-8");
             };
             let spec =
                 match Json::parse(text).and_then(|doc| kron_analyze::KernelSpec::from_json(&doc)) {
-                    Err(e) => return (400, TEXT, format!("error: {e}\n").into_bytes()),
+                    Err(e) => return error(400, e),
                     Ok(spec) => spec,
                 };
             let kernel = spec.kernel.name();
             match state.jobs.submit(kernel, spec) {
-                Err((running, cap)) => (
+                Err((running, cap)) => json(
                     429,
-                    JSON,
-                    format!(
-                        "{{\"error\":\"job pool is full\",\"running\":{running},\
-                         \"cap\":{cap}}}\n"
-                    )
-                    .into_bytes(),
+                    format_args!(
+                        "{{\"error\":\"job pool is full\",\"running\":{running},\"cap\":{cap}}}"
+                    ),
                 ),
                 Ok(entry) => {
                     let id = entry.id;
                     let engine = state.engine;
                     let registry = &state.jobs;
                     scope.spawn(move || crate::jobs::execute(engine, registry, &entry));
-                    (
+                    json(
                         202,
-                        JSON,
-                        format!("{{\"id\":{id},\"kernel\":\"{kernel}\",\"state\":\"running\"}}\n")
-                            .into_bytes(),
+                        format_args!(
+                            "{{\"id\":{id},\"kernel\":\"{kernel}\",\"state\":\"running\"}}"
+                        ),
                     )
                 }
             }
         }
-        // Precedence on `/jobs/<id>`: the id must parse (400), the job
-        // must exist (404), then the method must fit (405).
-        (method, path) if path.starts_with("/jobs/") => {
-            let Ok(id) = path["/jobs/".len()..].parse::<u64>() else {
-                return (
-                    400,
-                    TEXT,
-                    b"error: job id must be a decimal number\n".to_vec(),
-                );
-            };
-            let Some(job) = state.jobs.lookup(id) else {
-                return (404, TEXT, format!("error: no job {id}\n").into_bytes());
-            };
-            match method {
-                "GET" => (200, JSON, format!("{}\n", job.to_json()).into_bytes()),
-                "DELETE" => {
-                    // Idempotent: cancelling a finished (or already
-                    // cancelled) job re-raises a flag nobody reads.
-                    job.stop.store(true, Ordering::SeqCst);
-                    (
-                        202,
-                        JSON,
-                        format!("{{\"id\":{id},\"cancel_requested\":true}}\n").into_bytes(),
-                    )
-                }
-                _ => (
-                    405,
-                    TEXT,
-                    b"error: method not allowed for this endpoint\n".to_vec(),
-                ),
-            }
+    }
+}
+
+/// `GET`/`DELETE /jobs/<id>`. Precedence: the id must parse (400), the
+/// job must exist (404), then the method must fit (405).
+fn route_job(state: &ServerState<'_>, method: &str, id: &str) -> Response {
+    let Ok(id) = id.parse::<u64>() else {
+        return error(400, "job id must be a decimal number");
+    };
+    let Some(job) = state.jobs.lookup(id) else {
+        return error(404, format_args!("no job {id}"));
+    };
+    match method {
+        "GET" => json(200, job.to_json()),
+        "DELETE" => {
+            // Idempotent: cancelling a finished (or already
+            // cancelled) job re-raises a flag nobody reads.
+            job.stop.store(true, Ordering::SeqCst);
+            json(
+                202,
+                format_args!("{{\"id\":{id},\"cancel_requested\":true}}"),
+            )
         }
-        (
-            _,
-            "/healthz" | "/query" | "/batch" | "/path" | "/khop" | "/stats" | "/row" | "/shards"
-            | "/jobs",
-        ) => (
-            405,
-            TEXT,
-            b"error: method not allowed for this endpoint\n".to_vec(),
-        ),
-        // 501 with the endpoint inventory, mirroring the router's
-        // catch-all, so a client can tell a typo from a wrong tier.
-        _ => (
-            501,
-            JSON,
-            b"{\"error\":\"not implemented by this node\",\"supported\":[\"/healthz\",\"/query\",\"/batch\",\"/path\",\"/khop\",\"/stats\",\"/row\",\"/shards\",\"/jobs\"]}\n"
-                .to_vec(),
-        ),
+        _ => endpoints::method_not_allowed(),
     }
 }
 
