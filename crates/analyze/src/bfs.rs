@@ -13,7 +13,7 @@
 //! sorted frontier vector; levels are expanded chunk-parallel across the
 //! shard plan and merged in plan order.
 
-use crate::{check_stop, resident_row, row_chunks, AnalyzeError, BitSet, KernelSpec};
+use crate::{bad_column, check_stop, scan_rows, AnalyzeError, BitSet, KernelSpec, Row};
 use kron_stream::json::Json;
 use kron_stream::ShardSet;
 use rayon::prelude::*;
@@ -27,30 +27,31 @@ const PULL_DIVISOR: u64 = 20;
 /// For each frontier vertex `v` (in slice order) the row is fetched via
 /// `row_of` and every neighbor `u` is handed to `emit(v, u)` in row
 /// order, so callers observe a deterministic discovery sequence. Strict
-/// about columns: a neighbor id `>= num_vertices` aborts with
-/// `bad_column(v, u)` — on a checksummed artifact that can only mean
+/// about columns: a neighbor id outside the product ([`Row::cols`]) aborts
+/// with `bad_column(v, u)` — on a checksummed artifact that can only mean
 /// corruption.
 ///
-/// This is the kernel shared between the analytics BFS ([`push_round`]
+/// This is the kernel shared between the analytics BFS (`push_round`
 /// runs it chunk-parallel over resident shards) and `kron-serve`'s
 /// traversal endpoints, whose row source transparently mixes zero-copy
-/// mapped rows with rows fetched from cluster peers.
+/// mapped rows with rows fetched from cluster peers. Each caller brings
+/// its own stop-flag poll and error type in the closures.
 pub fn frontier_step<R, E>(
     frontier: &[u64],
     num_vertices: u64,
-    row_of: &mut dyn FnMut(u64) -> Result<R, E>,
-    bad_column: &dyn Fn(u64, u64) -> E,
-    emit: &mut dyn FnMut(u64, u64),
+    mut row_of: impl FnMut(u64) -> Result<R, E>,
+    bad_column: impl Fn(u64, u64) -> E,
+    mut emit: impl FnMut(u64, u64),
 ) -> Result<(), E>
 where
     R: std::ops::Deref<Target = [u64]>,
 {
     for &v in frontier {
-        for &u in &*row_of(v)? {
-            if u >= num_vertices {
-                return Err(bad_column(v, u));
-            }
-            emit(v, u);
+        let row = row_of(v)?;
+        let row = Row::new(&row, num_vertices);
+        row.cols().for_each(|u| emit(v, u));
+        if let Some(u) = row.stray() {
+            return Err(bad_column(v, u));
         }
     }
     Ok(())
@@ -173,16 +174,16 @@ fn push_round(
             frontier_step(
                 slice,
                 n,
-                &mut |v| {
+                |v| {
                     check_stop(stop)?;
-                    resident_row(set, v)
+                    set.row(v).ok_or_else(|| {
+                        AnalyzeError::Corrupt(format!(
+                            "vertex {v} has no resident row in a complete set"
+                        ))
+                    })
                 },
-                &|v, u| {
-                    AnalyzeError::Corrupt(format!(
-                        "row {v} names vertex {u}, but the product has only {n}"
-                    ))
-                },
-                &mut |_, u| {
+                |v, u| bad_column(v, u, n),
+                |_, u| {
                     if !visited.test(u) {
                         out.push(u);
                     }
@@ -210,31 +211,16 @@ fn pull_round(
     for &v in frontier {
         front_bits.set(v);
     }
-    let parts: Vec<Result<Vec<u64>, AnalyzeError>> = row_chunks(set)
-        .into_par_iter()
-        .map(|(shard, range)| {
-            let reader = &set.local(shard).expect("resident shard").reader;
-            let mut out = Vec::new();
-            for v in range {
-                if v % 4096 == 0 {
-                    check_stop(stop)?;
-                }
-                if visited.test(v) {
-                    continue;
-                }
-                let row = reader.row(v).ok_or_else(|| {
-                    AnalyzeError::Corrupt(format!("shard {shard} is missing row {v}"))
-                })?;
-                if row.iter().any(|&u| u < len as u64 && front_bits.test(u)) {
-                    out.push(v);
-                }
+    let parts: Vec<Vec<u64>> = scan_rows(
+        set,
+        stop,
+        |v| !visited.test(v),
+        |out: &mut Vec<u64>, v, row| {
+            if row.cols().any(|u| front_bits.test(u)) {
+                out.push(v);
             }
-            Ok(out)
-        })
-        .collect();
-    let mut merged = Vec::new();
-    for part in parts {
-        merged.extend(part?);
-    }
-    Ok(merged)
+            Ok(())
+        },
+    )?;
+    Ok(parts.concat())
 }

@@ -8,10 +8,9 @@
 //! applied serially in plan order — the round count and every label are
 //! independent of thread count.
 
-use crate::{check_stop, row_chunks, AnalyzeError};
+use crate::{check_stop, scan_rows, AnalyzeError};
 use kron_stream::json::Json;
 use kron_stream::ShardSet;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
@@ -51,51 +50,33 @@ pub(crate) fn run(set: &ShardSet, stop: &AtomicBool) -> Result<CcResult, Analyze
     let n = set.num_vertices();
     crate::dense_len(set)?;
     let mut labels: Vec<u64> = (0..n).collect();
-    let chunks = row_chunks(set);
     let mut rounds = 0u64;
     let mut isolated;
 
     loop {
         check_stop(stop)?;
-        let parts: Vec<Result<ChunkSweep, AnalyzeError>> = chunks
-            .clone()
-            .into_par_iter()
-            .map(|(shard, range)| {
-                let reader = &set.local(shard).expect("resident shard").reader;
-                let mut updates = Vec::new();
-                let mut empty = 0u64;
-                for v in range {
-                    if v % 4096 == 0 {
-                        check_stop(stop)?;
-                    }
-                    let row = reader.row(v).ok_or_else(|| {
-                        AnalyzeError::Corrupt(format!("shard {shard} is missing row {v}"))
-                    })?;
-                    if row.is_empty() {
-                        empty += 1;
-                        continue;
-                    }
-                    let mut m = labels[v as usize];
-                    for &u in &*row {
-                        if u >= n {
-                            return Err(AnalyzeError::Corrupt(format!(
-                                "row {v} names vertex {u}, but the product has only {n}"
-                            )));
-                        }
-                        m = m.min(labels[u as usize]);
-                    }
-                    if m < labels[v as usize] {
-                        updates.push((v, m));
-                    }
+        let parts: Vec<ChunkSweep> = scan_rows(
+            set,
+            stop,
+            |_| true,
+            |(updates, empty): &mut ChunkSweep, v, row| {
+                if row.is_empty() {
+                    *empty += 1;
+                    return Ok(());
                 }
-                Ok((updates, empty))
-            })
-            .collect();
+                let m = row
+                    .cols()
+                    .fold(labels[v as usize], |m, u| m.min(labels[u as usize]));
+                if m < labels[v as usize] {
+                    updates.push((v, m));
+                }
+                Ok(())
+            },
+        )?;
         rounds += 1;
         let mut changed = false;
         let mut empty_total = 0u64;
-        for part in parts {
-            let (updates, empty) = part?;
+        for (updates, empty) in parts {
             empty_total += empty;
             for (v, m) in updates {
                 labels[v as usize] = m;

@@ -11,12 +11,11 @@
 //! whole-graph scale, disagreement means corruption — the same verdict
 //! contract as the serving tier's sampled cross-check, but exhaustive.
 
-use crate::{check_stop, row_chunks, AnalyzeError};
+use crate::{scan_rows, AnalyzeError};
 use kron::KronProduct;
 use kron_stream::json::Json;
 use kron_stream::ShardSet;
 use kron_triangles::slice::{contains_sorted, vertex_triangles_rows};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
@@ -47,34 +46,27 @@ struct Partial {
 
 pub(crate) fn run(set: &ShardSet, stop: &AtomicBool) -> Result<CensusResult, AnalyzeError> {
     crate::dense_len(set)?;
-    let parts: Vec<Result<Partial, AnalyzeError>> = row_chunks(set)
-        .into_par_iter()
-        .map(|(shard, range)| {
-            let reader = &set.local(shard).expect("resident shard").reader;
-            let mut p = Partial::default();
-            for v in range {
-                check_stop(stop)?;
-                let row = reader.row(v).ok_or_else(|| {
-                    AnalyzeError::Corrupt(format!("shard {shard} is missing row {v}"))
-                })?;
-                p.entries += row.len() as u128;
-                let degree = row.len() as u64 - u64::from(contains_sorted(&row, v));
-                *p.deg.entry(degree).or_insert(0) += 1;
-                let (t, checks) = vertex_triangles_rows(&row, v, |u| set.row(u)).map_err(|u| {
-                    AnalyzeError::Corrupt(format!("row {v} names vertex {u}, which no shard owns"))
-                })?;
-                *p.tri.entry(t).or_insert(0) += 1;
-                p.total += t as u128;
-                p.max_t = p.max_t.max(t);
-                p.checks += checks as u128;
-            }
-            Ok(p)
-        })
-        .collect();
+    let parts: Vec<Partial> = scan_rows(
+        set,
+        stop,
+        |_| true,
+        |p: &mut Partial, v, row| {
+            p.entries += row.len() as u128;
+            let degree = row.len() as u64 - u64::from(contains_sorted(row, v));
+            *p.deg.entry(degree).or_insert(0) += 1;
+            let (t, checks) = vertex_triangles_rows(row, v, |u| set.row(u)).map_err(|u| {
+                AnalyzeError::Corrupt(format!("row {v} names vertex {u}, which no shard owns"))
+            })?;
+            *p.tri.entry(t).or_insert(0) += 1;
+            p.total += t as u128;
+            p.max_t = p.max_t.max(t);
+            p.checks += checks as u128;
+            Ok(())
+        },
+    )?;
 
     let mut merged = Partial::default();
-    for part in parts {
-        let p = part?;
+    for p in parts {
         merged.entries += p.entries;
         merged.total += p.total;
         merged.max_t = merged.max_t.max(p.max_t);

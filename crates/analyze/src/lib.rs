@@ -14,11 +14,11 @@
 //!   sorted-row intersection via the shared [`kron_triangles::slice`]
 //!   kernels, alongside an exact degree histogram.
 //!
-//! Every kernel streams shard-ordered rows ([`ShardSet::shard_rows`]-style
-//! traversal), is parallelized across the shard plan through the rayon
-//! shim, and emits a deterministic JSON result document — byte-identical
-//! across thread counts, so a CLI run and a server job over the same
-//! artifact can be compared verbatim.
+//! Every kernel takes its rows from one driver, [`scan_rows`] — resident
+//! rows in shard order, chunk-parallel across the shard plan through the
+//! rayon shim, merged in plan order — and emits a deterministic JSON
+//! result document, byte-identical across thread counts, so a CLI run and
+//! a server job over the same artifact can be compared verbatim.
 //!
 //! Where the paper provides closed forms the result carries **validation
 //! fields**: the tri-census degree histogram is checked against the factor
@@ -46,7 +46,8 @@ pub use bfs::frontier_step;
 
 use kron::KronProduct;
 use kron_stream::json::Json;
-use kron_stream::{RowRef, ShardSet};
+use kron_stream::ShardSet;
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The whole-graph kernels `kron analyze` and the server job API run.
@@ -250,47 +251,16 @@ pub fn run_kernel(
 }
 
 /// Rebuild the implicit [`KronProduct`] from the run directory's factor
-/// copies, cross-checking them against `run.json` (vertex counts and
-/// adjacency nnz) the same way the serving tier's oracle does, so a
-/// swapped or truncated factor file is rejected instead of silently
-/// "validating" against the wrong product.
+/// copies through [`kron_stream::load_factors`] — the same loader, with
+/// the same checks against `run.json`, as the serving tier's oracle and
+/// `verify-shards`, so a swapped, truncated or rewired factor file is
+/// rejected instead of silently "validating" against the wrong product.
 ///
 /// # Errors
 ///
 /// [`AnalyzeError::Open`] naming the offending factor copy.
 pub fn load_product(set: &ShardSet) -> Result<KronProduct, AnalyzeError> {
-    let run = set.run();
-    let read = |name: &str| -> Result<kron_graph::Graph, AnalyzeError> {
-        kron_graph::read_edge_list_path(set.dir().join(name))
-            .map_err(|e| AnalyzeError::Open(format!("factor copy {name}: {e}")))
-    };
-    let a = read(&run.factor_a)?;
-    let b = read(&run.factor_b)?;
-    let check = |name: &str, what: &str, got: u64, want: u64| -> Result<(), AnalyzeError> {
-        if got == want {
-            Ok(())
-        } else {
-            Err(AnalyzeError::Open(format!(
-                "factor copy {name}: {what} is {got}, run.json says {want} \
-                 (stale or swapped factor file)"
-            )))
-        }
-    };
-    check(
-        &run.factor_a,
-        "vertex count",
-        a.num_vertices() as u64,
-        run.n_a,
-    )?;
-    check(
-        &run.factor_b,
-        "vertex count",
-        b.num_vertices() as u64,
-        run.n_b,
-    )?;
-    check(&run.factor_a, "adjacency nnz", a.nnz(), run.nnz_a)?;
-    check(&run.factor_b, "adjacency nnz", b.nnz(), run.nnz_b)?;
-    Ok(KronProduct::new(a, b))
+    kron_stream::load_factors(set.dir(), set.run()).map_err(|e| AnalyzeError::Open(e.to_string()))
 }
 
 // ---------------------------------------------------------------------
@@ -344,13 +314,112 @@ pub(crate) fn row_chunks(set: &ShardSet) -> Vec<(usize, std::ops::Range<u64>)> {
     chunks
 }
 
-/// The resident row of `v`, or [`AnalyzeError::Corrupt`]: on a complete
-/// set every in-range vertex must resolve.
-#[inline]
-pub(crate) fn resident_row<'a>(set: &'a ShardSet, v: u64) -> Result<RowRef<'a>, AnalyzeError> {
-    set.row(v).ok_or_else(|| {
-        AnalyzeError::Corrupt(format!("vertex {v} has no resident row in a complete set"))
-    })
+/// A row names a column outside the product: on a checksummed artifact
+/// that can only mean corruption.
+pub(crate) fn bad_column(v: u64, u: u64, n: u64) -> AnalyzeError {
+    AnalyzeError::Corrupt(format!(
+        "row {v} names vertex {u}, but the product has only {n}"
+    ))
+}
+
+/// One row as [`scan_rows`] (and [`frontier_step`]) shows it to an
+/// algorithm: the stored columns (`Deref`, unchecked) plus [`Row::cols`],
+/// the checked read every kernel that indexes a dense per-vertex array by
+/// column goes through. The check rides the kernel's own loop — no second
+/// pass over the row, and a loop that exits early never pays for the tail.
+pub struct Row<'a> {
+    cols: &'a [u64],
+    n: u64,
+    stray: std::cell::Cell<Option<u64>>,
+}
+
+impl<'a> Row<'a> {
+    pub(crate) fn new(cols: &'a [u64], n: u64) -> Row<'a> {
+        Row {
+            cols,
+            n,
+            stray: std::cell::Cell::new(None),
+        }
+    }
+
+    /// The columns in stored order, each a vertex of the product. A
+    /// column `≥ n_C` ends the iteration and is remembered: whoever built
+    /// this row fails with it once the algorithm's body returns, so what
+    /// the body computed from the truncated read is never used.
+    pub fn cols(&self) -> impl Iterator<Item = u64> + '_ {
+        self.cols.iter().map_while(|&u| {
+            if u >= self.n {
+                self.stray.set(Some(u));
+                return None;
+            }
+            Some(u)
+        })
+    }
+
+    /// The column that cut a [`Row::cols`] read short, if one did.
+    pub(crate) fn stray(&self) -> Option<u64> {
+        self.stray.get()
+    }
+}
+
+impl std::ops::Deref for Row<'_> {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        self.cols
+    }
+}
+
+/// The one whole-graph row scan every kernel runs on: visit the resident
+/// row of every vertex `v` with `wanted(v)`, chunk-parallel over the
+/// shard plan, ascending within a chunk. Each chunk folds its rows into a
+/// fresh `T` through `body(&mut acc, v, row)`; the per-chunk accumulators
+/// come back **in plan order**, so a kernel that merges them front to
+/// back gets the same result for every thread count.
+///
+/// The driver owns what every kernel needs and none should repeat: the
+/// stop flag is polled before every row, a row the routed shard cannot
+/// produce is corruption, and so is a column `≥ n_C` met by a body
+/// reading through [`Row::cols`].
+///
+/// # Errors
+///
+/// [`AnalyzeError::Cancelled`] once `stop` is observed;
+/// [`AnalyzeError::Corrupt`] naming the shard and row that is missing
+/// (or does not decode), or the row and its out-of-range column; the
+/// first error of `body`, in plan order.
+pub fn scan_rows<T, W, B>(
+    set: &ShardSet,
+    stop: &AtomicBool,
+    wanted: W,
+    body: B,
+) -> Result<Vec<T>, AnalyzeError>
+where
+    T: Default + Send,
+    W: Fn(u64) -> bool + Sync,
+    B: Fn(&mut T, u64, &Row<'_>) -> Result<(), AnalyzeError> + Sync,
+{
+    let n = set.num_vertices();
+    let parts: Vec<Result<T, AnalyzeError>> = row_chunks(set)
+        .into_par_iter()
+        .map(|(shard, range)| {
+            let reader = &set.local(shard).expect("resident shard").reader;
+            let mut acc = T::default();
+            for v in range.filter(|&v| wanted(v)) {
+                check_stop(stop)?;
+                let row = reader.row(v).ok_or_else(|| {
+                    AnalyzeError::Corrupt(format!("shard {shard} is missing row {v}"))
+                })?;
+                let row = Row::new(&row, n);
+                body(&mut acc, v, &row)?;
+                if let Some(u) = row.stray() {
+                    return Err(bad_column(v, u, n));
+                }
+            }
+            Ok(acc)
+        })
+        .collect();
+    parts.into_iter().collect()
 }
 
 /// A plain fixed-size bitmap over vertex ids.

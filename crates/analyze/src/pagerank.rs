@@ -14,10 +14,9 @@
 //! results (and their shortest-round-trip JSON rendering) are identical
 //! for every thread count.
 
-use crate::{check_stop, row_chunks, AnalyzeError, KernelSpec};
+use crate::{check_stop, scan_rows, AnalyzeError, KernelSpec};
 use kron_stream::json::Json;
 use kron_stream::ShardSet;
-use rayon::prelude::*;
 use std::sync::atomic::AtomicBool;
 
 /// The damping factor, fixed at the customary value.
@@ -63,6 +62,18 @@ impl PagerankResult {
     }
 }
 
+/// `Σ_{u ∈ cols} rank[u]/deg(u)`, summed left to right. A function of its
+/// own so the running sum stays in a register: written out inside the
+/// scan closure it was spilled to the stack on every entry, which made a
+/// PageRank iteration 1.5× slower.
+fn pulled_mass(cols: impl Iterator<Item = u64>, rank: &[f64], inv_deg: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for u in cols {
+        s += rank[u as usize] * inv_deg[u as usize];
+    }
+    s
+}
+
 pub(crate) fn run(
     set: &ShardSet,
     spec: &KernelSpec,
@@ -76,35 +87,22 @@ pub(crate) fn run(
         ));
     }
     let nf = len as f64;
-    let chunks = row_chunks(set);
 
     // One shard-ordered pass for 1/deg(v); 0.0 marks a dangling vertex.
-    let inv_parts: Vec<Result<Vec<f64>, AnalyzeError>> = chunks
-        .clone()
-        .into_par_iter()
-        .map(|(shard, range)| {
-            let reader = &set.local(shard).expect("resident shard").reader;
-            let mut out = Vec::with_capacity((range.end - range.start) as usize);
-            for v in range {
-                if v % 4096 == 0 {
-                    check_stop(stop)?;
-                }
-                let row = reader.row(v).ok_or_else(|| {
-                    AnalyzeError::Corrupt(format!("shard {shard} is missing row {v}"))
-                })?;
-                out.push(if row.is_empty() {
-                    0.0
-                } else {
-                    1.0 / row.len() as f64
-                });
-            }
-            Ok(out)
-        })
-        .collect();
-    let mut inv_deg: Vec<f64> = Vec::with_capacity(len);
-    for part in inv_parts {
-        inv_deg.extend(part?);
-    }
+    let inv_deg: Vec<f64> = scan_rows(
+        set,
+        stop,
+        |_| true,
+        |out: &mut Vec<f64>, _, row| {
+            out.push(if row.is_empty() {
+                0.0
+            } else {
+                1.0 / row.len() as f64
+            });
+            Ok(())
+        },
+    )?
+    .concat();
     let dangling_count = inv_deg.iter().filter(|&&x| x == 0.0).count() as u64;
 
     let mut rank = vec![1.0 / nf; len];
@@ -120,37 +118,16 @@ pub(crate) fn run(
             .map(|(&r, _)| r)
             .sum();
         let base = (1.0 - DAMPING) / nf + DAMPING * dangling_mass / nf;
-        let parts: Vec<Result<Vec<f64>, AnalyzeError>> = chunks
-            .clone()
-            .into_par_iter()
-            .map(|(shard, range)| {
-                let reader = &set.local(shard).expect("resident shard").reader;
-                let mut out = Vec::with_capacity((range.end - range.start) as usize);
-                for v in range {
-                    if v % 4096 == 0 {
-                        check_stop(stop)?;
-                    }
-                    let row = reader.row(v).ok_or_else(|| {
-                        AnalyzeError::Corrupt(format!("shard {shard} is missing row {v}"))
-                    })?;
-                    let mut s = 0.0;
-                    for &u in &*row {
-                        if u >= n {
-                            return Err(AnalyzeError::Corrupt(format!(
-                                "row {v} names vertex {u}, but the product has only {n}"
-                            )));
-                        }
-                        s += rank[u as usize] * inv_deg[u as usize];
-                    }
-                    out.push(base + DAMPING * s);
-                }
-                Ok(out)
-            })
-            .collect();
-        let mut next: Vec<f64> = Vec::with_capacity(len);
-        for part in parts {
-            next.extend(part?);
-        }
+        let next: Vec<f64> = scan_rows(
+            set,
+            stop,
+            |_| true,
+            |out: &mut Vec<f64>, _, row| {
+                out.push(base + DAMPING * pulled_mass(row.cols(), &rank, &inv_deg));
+                Ok(())
+            },
+        )?
+        .concat();
         residual = rank.iter().zip(&next).map(|(&a, &b)| (a - b).abs()).sum();
         rank = next;
         iterations += 1;

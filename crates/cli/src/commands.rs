@@ -623,7 +623,6 @@ fn open_serve_engine(dir: &str, opts: &OpenOptions) -> Result<ServeEngine, Strin
     Ok(engine)
 }
 
-/// `kron serve <DIR> --listen ADDR` — the long-lived HTTP server.
 /// `kron analyze <DIR> --kernel K` — run one whole-graph kernel over the
 /// run directory and print its result document. Same kernels, same spec
 /// defaults, same JSON as a server job, so the two surfaces are

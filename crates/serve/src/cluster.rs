@@ -169,6 +169,9 @@ pub(crate) struct RemoteShards {
     by_shard: Vec<Vec<usize>>,
     /// Round-robin cursor over replicas, shared across shards.
     rr: AtomicUsize,
+    /// Product vertex count `n_C`: every column of a fetched row must be
+    /// below it.
+    num_vertices: u64,
 }
 
 impl RemoteShards {
@@ -180,6 +183,7 @@ impl RemoteShards {
         specs: &[PeerSpec],
         own: Range<usize>,
         num_shards: usize,
+        num_vertices: u64,
         timeout: Duration,
     ) -> Result<RemoteShards, ServeError> {
         if let Some(spec) = specs.iter().find(|s| s.shards.end > num_shards) {
@@ -208,6 +212,7 @@ impl RemoteShards {
                 .collect(),
             by_shard,
             rr: AtomicUsize::new(0),
+            num_vertices,
         })
     }
 
@@ -251,7 +256,7 @@ impl RemoteShards {
             &now_ms,
             |peer| match peer.exchange(Method::Get, &path) {
                 Err(detail) => Attempt::Transport(detail),
-                Ok(reply) => decode_row(reply, &|detail| {
+                Ok(reply) => decode_row(reply, self.num_vertices, &|detail| {
                     format!("peer {} (/row shard {shard} v {v}): {detail}", peer.label)
                 }),
             },
@@ -266,10 +271,13 @@ impl RemoteShards {
     }
 }
 
-/// Classify one framed `/row` answer for the failover loop and decode its
-/// body by the declared `Content-Type`.
+/// Classify one framed `/row` answer for the failover loop, decode its
+/// body by the declared `Content-Type`, and validate the row: it came
+/// from outside this process, and the binary searches behind `has_edge`
+/// and the triangle kernels need strictly ascending columns below `n_C`.
 fn decode_row(
     (status, ctype, body): Reply,
+    num_vertices: u64,
     fail: &dyn Fn(String) -> String,
 ) -> Attempt<Arc<[u64]>, ServeError> {
     if status != 200 {
@@ -288,29 +296,36 @@ fn decode_row(
             Attempt::Final(ServeError::Remote(detail))
         };
     }
-    // A body that does not frame is a torn/corrupted stream — another
-    // replica may frame it right.
+    // A body that does not frame, or frames a row no artifact can hold, is
+    // a torn/corrupted stream — another replica may get it right.
+    let mut row = Vec::new();
     if ctype == crate::http::ROW_VD_CONTENT_TYPE {
-        let mut row = Vec::new();
         if !kron_stream::decode_row_vd(&body, &mut row) {
             return Attempt::Transport(fail(format!(
                 "body of {} bytes is not a well-formed varint delta row",
                 body.len()
             )));
         }
-        return Attempt::Done(row.into());
-    }
-    if body.len() % 8 != 0 {
+    } else if body.len() % 8 != 0 {
         return Attempt::Transport(fail(format!(
             "body of {} bytes is not a whole number of u64 words",
             body.len()
         )));
+    } else {
+        row.extend(
+            body.chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"))),
+        );
     }
-    Attempt::Done(
-        body.chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")))
-            .collect(),
-    )
+    if row.windows(2).any(|w| w[0] >= w[1]) {
+        return Attempt::Transport(fail("row columns are not strictly ascending".into()));
+    }
+    if let Some(&q) = row.last().filter(|&&q| q >= num_vertices) {
+        return Attempt::Transport(fail(format!(
+            "row names vertex {q}, but the product has only {num_vertices}"
+        )));
+    }
+    Attempt::Done(row.into())
 }
 
 #[cfg(test)]
@@ -349,21 +364,21 @@ mod tests {
         let t = DEFAULT_PEER_TIMEOUT;
         let spec = |s: &str| PeerSpec::parse(s).unwrap();
         // complete, disjoint: own 0..2, peers cover 2..6
-        assert!(RemoteShards::new(&[spec("2..4=a:1"), spec("4..6=b:1")], 0..2, 6, t).is_ok());
+        assert!(RemoteShards::new(&[spec("2..4=a:1"), spec("4..6=b:1")], 0..2, 6, 100, t).is_ok());
         // overlap with the own range is a replica, not an error
-        assert!(RemoteShards::new(&[spec("1..6=a:1")], 0..2, 6, t).is_ok());
+        assert!(RemoteShards::new(&[spec("1..6=a:1")], 0..2, 6, 100, t).is_ok());
         // overlap between peers: shards 4..5 have two replicas
-        let r = RemoteShards::new(&[spec("2..5=a:1"), spec("4..6=b:1")], 0..2, 6, t).unwrap();
+        let r = RemoteShards::new(&[spec("2..5=a:1"), spec("4..6=b:1")], 0..2, 6, 100, t).unwrap();
         assert_eq!(r.by_shard[4], vec![0, 1]);
         assert_eq!(r.by_shard[3], vec![0]);
         // duplicate peer entries are two replicas of the same address
-        assert!(RemoteShards::new(&[spec("2..6=a:1"), spec("2..6=a:1")], 0..2, 6, t).is_ok());
+        assert!(RemoteShards::new(&[spec("2..6=a:1"), spec("2..6=a:1")], 0..2, 6, 100, t).is_ok());
         // gap: shard 5 uncovered — named in the rejection
-        let err = RemoteShards::new(&[spec("2..5=a:1")], 0..2, 6, t).unwrap_err();
+        let err = RemoteShards::new(&[spec("2..5=a:1")], 0..2, 6, 100, t).unwrap_err();
         assert!(err.to_string().contains("incomplete"), "{err}");
         assert!(err.to_string().contains("shard 5"), "{err}");
         // beyond the run
-        let err = RemoteShards::new(&[spec("2..9=a:1")], 0..2, 6, t).unwrap_err();
+        let err = RemoteShards::new(&[spec("2..9=a:1")], 0..2, 6, 100, t).unwrap_err();
         assert!(err.to_string().contains("only 6 shards"), "{err}");
     }
 
@@ -407,7 +422,7 @@ mod tests {
                 }
             }
             let first_gap = covered.iter().position(|&c| !c);
-            let result = RemoteShards::new(&specs, own_lo..own_hi, num_shards, t);
+            let result = RemoteShards::new(&specs, own_lo..own_hi, num_shards, 100, t);
             match (first_gap, result) {
                 (None, Ok(r)) => {
                     accepted += 1;
@@ -437,6 +452,92 @@ mod tests {
         assert!(rejected > 20, "only {rejected} rejected cases");
     }
 
+    /// A peer's row is input from outside the process: a body that frames
+    /// but breaks the row contract (strictly ascending columns below
+    /// `n_C`) is the torn-body class — the replica is charged, the next
+    /// one answers, nothing is served from it. Scripted replies over the
+    /// real failover loop and peer table; no socket is opened.
+    #[test]
+    fn peer_rows_breaking_the_row_contract_fail_over_to_the_next_replica() {
+        const N: u64 = 50;
+        let raw = |row: &[u64]| -> Reply {
+            let body = row.iter().flat_map(|w| w.to_le_bytes()).collect();
+            (200, "application/octet-stream".into(), body)
+        };
+        let vd = |body: &[u8]| -> Reply {
+            (
+                200,
+                crate::http::ROW_VD_CONTENT_TYPE.to_string(),
+                body.to_vec(),
+            )
+        };
+        let vd_of = |row: &[u64]| {
+            let mut body = Vec::new();
+            kron_stream::encode_row_vd(row, &mut body);
+            vd(&body)
+        };
+        let good: &[u64] = &[3, 7, N - 1];
+        let bad: [(&str, Reply); 6] = [
+            ("raw swapped pair", raw(&[7, 3])),
+            ("raw repeated column", raw(&[3, 3])),
+            ("raw column n_C", raw(&[3, N])),
+            ("raw column far outside", raw(&[u64::MAX])),
+            // varint gaps cannot go backwards; the closest a vd body gets
+            // to a swapped pair is the zero gap of a repeated column
+            ("vd zero gap", vd(&[3, 0])),
+            ("vd column n_C", vd_of(&[3, N])),
+        ];
+        for (what, reply) in bad {
+            for good_reply in [raw(good), vd_of(good)] {
+                let specs = [
+                    PeerSpec::parse("1..2=bad.invalid:1").unwrap(),
+                    PeerSpec::parse("1..2=good.invalid:1").unwrap(),
+                ];
+                let remote = RemoteShards::new(&specs, 0..1, 2, N, DEFAULT_PEER_TIMEOUT).unwrap();
+                let outcome = failover(remote.peers.iter(), 0, &|| 0, |peer| {
+                    let reply = if peer.addr.starts_with("bad") {
+                        reply.clone()
+                    } else {
+                        good_reply.clone()
+                    };
+                    decode_row(reply, N, &|detail| format!("peer {}: {detail}", peer.label))
+                });
+                match outcome {
+                    Attempt::Done(row) => assert_eq!(&*row, good, "{what}"),
+                    Attempt::Transport(e) => panic!("{what}: no failover: {e}"),
+                    Attempt::Final(e) => panic!("{what}: classified as deterministic: {e}"),
+                }
+                let stats = remote.peer_stats().to_string();
+                let [bad_peer, good_peer] = stats.split("},{").collect::<Vec<_>>()[..] else {
+                    panic!("two peers: {stats}");
+                };
+                assert!(
+                    bad_peer.contains("\"fetches\":0,\"failovers\":1"),
+                    "{what}: {stats}"
+                );
+                assert!(
+                    good_peer.contains("\"fetches\":1,\"failovers\":0"),
+                    "{what}: {stats}"
+                );
+            }
+        }
+        // with no healthy replica left the fetch fails as a transport
+        // error naming the defect — never an answer, never a mismatch
+        match decode_row(raw(&[7, 3]), N, &|d| d) {
+            Attempt::Transport(e) => assert!(e.contains("not strictly ascending"), "{e}"),
+            _ => panic!("a swapped pair must be a transport-class failure"),
+        }
+        match decode_row(vd_of(&[3, N]), N, &|d| d) {
+            Attempt::Transport(e) => assert!(e.contains("has only 50"), "{e}"),
+            _ => panic!("an out-of-range column must be a transport-class failure"),
+        }
+        // the contract's edges are legal rows
+        for row in [&[][..], &[0], &[N - 1]] {
+            assert!(matches!(decode_row(raw(row), N, &|d| d), Attempt::Done(r) if *r == *row));
+            assert!(matches!(decode_row(vd_of(row), N, &|d| d), Attempt::Done(r) if *r == *row));
+        }
+    }
+
     #[test]
     fn unreachable_peer_is_a_bounded_remote_error() {
         let remote = RemoteShards::new(
@@ -444,6 +545,7 @@ mod tests {
             &[PeerSpec::parse("1..2=127.0.0.1:1").unwrap()],
             0..1,
             2,
+            100,
             Duration::from_millis(200),
         )
         .unwrap();

@@ -249,32 +249,6 @@ enum QueryPath {
     Check,
 }
 
-/// A row fetched for an artifact-path query: either borrowed straight
-/// from a resident shard mapping, or an owned copy (out of the row cache
-/// or fetched from a peer).
-pub(crate) enum FetchedRow<'a> {
-    Mapped(RowRef<'a>),
-    Cached(Arc<[u64]>),
-}
-
-/// Why a row fetch failed: no shard owns the vertex (out of range — or
-/// corruption, when the vertex came from a mapped row), or the owning
-/// peer could not produce it.
-pub(crate) enum RowFetch {
-    Unrouted,
-    Failed(ServeError),
-}
-
-impl std::ops::Deref for FetchedRow<'_> {
-    type Target = [u64];
-    fn deref(&self) -> &[u64] {
-        match self {
-            FetchedRow::Mapped(r) => r,
-            FetchedRow::Cached(r) => r,
-        }
-    }
-}
-
 /// A read-only query engine over an opened [`ShardSet`], answering from a
 /// configurable [`AnswerSource`].
 ///
@@ -387,6 +361,7 @@ impl ServeEngine {
                 &opts.peers,
                 set.subset(),
                 set.num_shards(),
+                set.num_vertices(),
                 opts.peer_timeout,
             )?)
         } else {
@@ -516,16 +491,19 @@ impl ServeEngine {
         })
     }
 
-    /// Fetch the row of `v` wherever it lives, recording the route:
-    /// zero-copy from a resident shard's mapping, or over the wire from
-    /// the peer owning its shard. `cache_local` controls whether
-    /// *resident* rows also flow through the LRU (neighbor fetches do;
-    /// primary row reads stay zero-copy) — remote rows always do when a
-    /// cache is configured, because the wire round trip is exactly the
-    /// expensive fetch the LRU exists to absorb.
-    fn fetch_row(&self, v: u64, cache_local: bool) -> Result<FetchedRow<'_>, RowFetch> {
+    /// The one row fetch: the row of `v` wherever it lives, recording the
+    /// route — zero-copy (v1) or decoded (csr2) from a resident shard's
+    /// mapping, shared out of the LRU, or over the wire from a peer
+    /// owning its shard. `Ok(None)` means no shard owns `v`: out of range
+    /// for a vertex the query named, corruption for one a row named.
+    /// `cache_local` controls whether *resident* rows also flow through
+    /// the LRU (neighbor and traversal fetches do; primary row reads stay
+    /// zero-copy) — remote rows always do when a cache is configured,
+    /// because the wire round trip is exactly the expensive fetch the
+    /// LRU exists to absorb.
+    fn fetch(&self, v: u64, cache_local: bool) -> Result<Option<RowRef<'_>>, ServeError> {
         let Some(shard) = self.set.route(v) else {
-            return Err(RowFetch::Unrouted);
+            return Ok(None);
         };
         let local = self.set.local(shard);
         let cache = self
@@ -535,76 +513,60 @@ impl ServeEngine {
         if let Some(cache) = cache {
             if let Some(row) = cache.get(v) {
                 self.routing.record_hit();
-                return Ok(FetchedRow::Cached(row));
+                return Ok(Some(RowRef::Shared(row)));
             }
             self.routing.record_miss();
         }
         self.routing.record_fetch(shard);
-        match local {
-            Some(open) => {
-                // routing guarantees v is inside the shard's range, and
-                // the open validated the mapped header against it
-                let row = open.reader.row(v).ok_or(RowFetch::Unrouted)?;
-                match cache {
-                    Some(cache) => {
-                        let arc: Arc<[u64]> = row.into();
-                        cache.insert(v, arc.clone());
-                        Ok(FetchedRow::Cached(arc))
-                    }
-                    None => Ok(FetchedRow::Mapped(row)),
-                }
-            }
+        let row = match local {
+            // routing put v inside the shard's range and admission matched
+            // the mapped header to it, so only a csr2 row whose bytes do
+            // not decode can be missing here
+            Some(open) => open.reader.row(v).ok_or_else(|| {
+                ServeError::Corrupt(format!("shard {shard}: row {v} does not decode"))
+            })?,
             None => {
                 let remote = self.remote.as_ref().ok_or_else(|| {
                     // unreachable by construction (a partial subset cannot
                     // open without a complete peer table), but degrade to
                     // an error rather than a panic if it ever regresses
-                    RowFetch::Failed(ServeError::Remote(format!(
+                    ServeError::Remote(format!(
                         "shard {shard} is not resident and no peer is configured"
-                    )))
+                    ))
                 })?;
                 self.routing.record_remote();
-                let arc = remote.fetch(shard, v).map_err(RowFetch::Failed)?;
-                if let Some(cache) = &self.cache {
-                    cache.insert(v, arc.clone());
-                }
-                Ok(FetchedRow::Cached(arc))
+                RowRef::Shared(remote.fetch(shard, v)?)
             }
+        };
+        Ok(Some(match cache {
+            Some(cache) => {
+                let shared: Arc<[u64]> = row.into();
+                cache.insert(v, shared.clone());
+                RowRef::Shared(shared)
+            }
+            None => row,
+        }))
+    }
+
+    fn out_of_range(&self, vertex: u64) -> ServeError {
+        ServeError::VertexOutOfRange {
+            vertex,
+            num_vertices: self.set.num_vertices(),
         }
     }
 
-    /// The adjacency row of `v` for a primary read, or an out-of-range /
-    /// remote-fetch error (artifact path).
-    fn row(&self, v: u64) -> Result<FetchedRow<'_>, ServeError> {
-        self.fetch_row(v, false).map_err(|e| match e {
-            RowFetch::Unrouted => ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.set.num_vertices(),
-            },
-            RowFetch::Failed(e) => e,
-        })
-    }
-
-    /// Fetch a neighbor row for intersection: through the LRU when one is
-    /// configured, zero-copy from the mapping otherwise, over the wire
-    /// for non-resident shards.
-    pub(crate) fn neighbor_row(&self, u: u64) -> Result<FetchedRow<'_>, RowFetch> {
-        self.fetch_row(u, true)
-    }
-
-    /// The adjacency row of `v` for traversal frontier expansion
-    /// (`/path`, `/khop`): through the hot-row LRU like a neighbor
-    /// fetch — repeated frontier expansion re-touches the same rows —
-    /// with unrouted vertices mapped to the out-of-range error a
-    /// primary read would produce.
-    pub(crate) fn traversal_row(&self, v: u64) -> Result<FetchedRow<'_>, ServeError> {
-        self.neighbor_row(v).map_err(|e| match e {
-            RowFetch::Unrouted => ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.set.num_vertices(),
-            },
-            RowFetch::Failed(e) => e,
-        })
+    /// The adjacency row of a vertex the query itself named: a primary
+    /// read (`cache_local = false`, zero-copy), or a traversal frontier
+    /// expansion (`/path`, `/khop`: `cache_local = true`, since repeated
+    /// expansion re-touches the same rows).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::VertexOutOfRange`] when no shard owns `v`, plus
+    /// whatever the fetch itself reports.
+    pub(crate) fn row(&self, v: u64, cache_local: bool) -> Result<RowRef<'_>, ServeError> {
+        self.fetch(v, cache_local)?
+            .ok_or_else(|| self.out_of_range(v))
     }
 
     /// Account one traversal query (`/path`, `/khop`) on the query
@@ -680,18 +642,11 @@ impl ServeEngine {
     /// [`ServeError::VertexOutOfRange`] for `v ≥ n_C`; in a cluster,
     /// [`ServeError::Remote`] when the owning peer cannot produce the row.
     pub fn neighbors(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
-        fn as_cow(row: FetchedRow<'_>) -> Cow<'_, [u64]> {
-            match row {
-                FetchedRow::Mapped(RowRef::Mapped(r)) => Cow::Borrowed(r),
-                FetchedRow::Mapped(RowRef::Decoded(r)) => Cow::Owned(r),
-                FetchedRow::Cached(r) => Cow::Owned(r.to_vec()),
-            }
-        }
         match self.path() {
-            QueryPath::Artifact => Ok(as_cow(self.row(v)?)),
+            QueryPath::Artifact => Ok(self.row(v, false)?.into()),
             QueryPath::Oracle => Ok(Cow::Owned(self.need_oracle()?.neighbors(v)?)),
             QueryPath::Check => {
-                let art = self.row(v);
+                let art = self.row(v, false);
                 let ora = self.need_oracle()?.neighbors(v);
                 // Compare borrowed against owned directly — the agree path
                 // (every query on a healthy run) must not copy the row.
@@ -732,13 +687,13 @@ impl ServeEngine {
                         show(ora.as_ref().map(|r| r.as_slice())),
                     );
                 }
-                Ok(as_cow(art?))
+                Ok(art?.into())
             }
         }
     }
 
     fn degree_artifact(&self, v: u64) -> Result<u64, ServeError> {
-        let row = self.row(v)?;
+        let row = self.row(v, false)?;
         Ok(row.len() as u64 - u64::from(slice::contains_sorted(&row, v)))
     }
 
@@ -762,12 +717,9 @@ impl ServeEngine {
     }
 
     pub(crate) fn has_edge_artifact(&self, u: u64, v: u64) -> Result<bool, ServeError> {
-        let row = self.row(u)?;
+        let row = self.row(u, false)?;
         if v >= self.set.num_vertices() {
-            return Err(ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.set.num_vertices(),
-            });
+            return Err(self.out_of_range(v));
         }
         Ok(slice::contains_sorted(&row, v))
     }
@@ -793,22 +745,20 @@ impl ServeEngine {
     }
 
     fn vertex_triangles_artifact(&self, v: u64) -> Result<(u64, u64), ServeError> {
-        let row_v = self.row(v)?;
+        let row_v = self.row(v, false)?;
         // In a checksum-verified set every column id resolves (the shards
-        // tile 0..n_C); an *unrouted* neighbor means tampering, while in
-        // a cluster a routed-but-unfetchable neighbor is a remote fault
-        // carried out of the kernel via `fetch_failure`.
-        let mut fetch_failure: Option<ServeError> = None;
-        slice::vertex_triangles_rows(&row_v, v, |u| match self.neighbor_row(u) {
-            Ok(row) => Some(row),
-            Err(RowFetch::Unrouted) => None,
-            Err(RowFetch::Failed(e)) => {
-                fetch_failure = Some(e);
+        // tile 0..n_C); a neighbor no shard owns means tampering, while a
+        // neighbor whose fetch failed (a remote fault in a cluster, an
+        // undecodable row) is carried out of the kernel via `failure`.
+        let mut failure: Option<ServeError> = None;
+        slice::vertex_triangles_rows(&row_v, v, |u| {
+            self.fetch(u, true).unwrap_or_else(|e| {
+                failure = Some(e);
                 None
-            }
+            })
         })
         .map_err(|u| {
-            fetch_failure.take().unwrap_or_else(|| {
+            failure.take().unwrap_or_else(|| {
                 ServeError::Corrupt(format!("row {v} lists neighbor {u} outside every shard"))
             })
         })
@@ -854,12 +804,9 @@ impl ServeEngine {
     }
 
     fn edge_triangles_artifact(&self, u: u64, v: u64) -> Result<Option<(u64, u64)>, ServeError> {
-        let row_u = self.row(u)?;
+        let row_u = self.row(u, false)?;
         if v >= self.set.num_vertices() {
-            return Err(ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.set.num_vertices(),
-            });
+            return Err(self.out_of_range(v));
         }
         if !slice::contains_sorted(&row_u, v) {
             return Ok(None);
@@ -867,11 +814,8 @@ impl ServeEngine {
         if u == v {
             return Ok(Some((0, 0)));
         }
-        let row_v = self.neighbor_row(v).map_err(|e| match e {
-            RowFetch::Unrouted => {
-                ServeError::Corrupt(format!("row {u} lists neighbor {v} outside every shard"))
-            }
-            RowFetch::Failed(e) => e,
+        let row_v = self.fetch(v, true)?.ok_or_else(|| {
+            ServeError::Corrupt(format!("row {u} lists neighbor {v} outside every shard"))
         })?;
         Ok(Some(slice::edge_triangles_rows(&row_u, &row_v, u, v)))
     }

@@ -11,14 +11,14 @@
 //! factor rows (Thm. 2 / Cor. 2 / §III-C) — without touching a single
 //! mapped page.
 //!
-//! Loading cross-validates the factor copies against `run.json` (vertex
-//! counts and adjacency nnz), so a run directory whose factors were
-//! swapped or truncated after generation is rejected instead of silently
-//! answering for a different product.
+//! Loading goes through [`kron_stream::load_factors`], which cross-
+//! validates the factor copies against `run.json` (vertex counts,
+//! adjacency nnz, closed-form triangle sum), so a run directory whose
+//! factors were swapped or truncated after generation is rejected instead
+//! of silently answering for a different product.
 
 use crate::engine::ServeError;
 use kron::KronProduct;
-use kron_graph::read_edge_list_path;
 use kron_stream::RunSummary;
 use std::path::Path;
 
@@ -42,7 +42,8 @@ impl std::fmt::Debug for FactorOracle {
 
 impl FactorOracle {
     /// Load the factor copies named by `run` from `dir` and build the
-    /// implicit product, rejecting factors that disagree with `run.json`.
+    /// implicit product, rejecting factors that disagree with `run.json`
+    /// (see [`kron_stream::load_factors`]).
     ///
     /// # Errors
     ///
@@ -50,48 +51,9 @@ impl FactorOracle {
     /// unreadable, or inconsistent with `run.json` (vertex counts,
     /// adjacency nnz, closed-form triangle sum).
     pub fn load(dir: &Path, run: &RunSummary) -> Result<FactorOracle, ServeError> {
-        let read = |name: &str| -> Result<kron_graph::Graph, ServeError> {
-            read_edge_list_path(dir.join(name))
-                .map_err(|e| ServeError::Oracle(format!("factor copy {name}: {e}")))
-        };
-        let a = read(&run.factor_a)?;
-        let b = read(&run.factor_b)?;
-        let check = |name: &str, what: &str, got: u64, want: u64| -> Result<(), ServeError> {
-            if got == want {
-                Ok(())
-            } else {
-                Err(ServeError::Oracle(format!(
-                    "factor copy {name}: {what} is {got}, run.json says {want} \
-                     (stale or swapped factor file)"
-                )))
-            }
-        };
-        check(
-            &run.factor_a,
-            "vertex count",
-            a.num_vertices() as u64,
-            run.n_a,
-        )?;
-        check(
-            &run.factor_b,
-            "vertex count",
-            b.num_vertices() as u64,
-            run.n_b,
-        )?;
-        check(&run.factor_a, "adjacency nnz", a.nnz(), run.nnz_a)?;
-        check(&run.factor_b, "adjacency nnz", b.nnz(), run.nnz_b)?;
-        let product = KronProduct::new(a, b);
-        // The strongest cheap cross-check: the closed-form triangle total
-        // of the loaded factors must reproduce run.json's recorded sum.
-        let want = run.total_triangle_sum;
-        let got = product.total_triangle_participation();
-        if got != want {
-            return Err(ServeError::Oracle(format!(
-                "factor copies: closed-form triangle sum is {got}, run.json \
-                 recorded {want} (factors do not generate this run)"
-            )));
-        }
-        Ok(FactorOracle { product })
+        kron_stream::load_factors(dir, run)
+            .map(|product| FactorOracle { product })
+            .map_err(|e| ServeError::Oracle(e.to_string()))
     }
 
     /// The implicit product rebuilt from the factor copies.

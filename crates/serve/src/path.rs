@@ -204,9 +204,9 @@ impl<'e> PathFinder<'e> {
             frontier_step(
                 &frontier,
                 n,
-                &mut |w| self.engine.traversal_row(w),
-                &|w, u| bad_column(w, u),
-                &mut |_, u| {
+                |w| self.engine.row(w, true),
+                bad_column,
+                |_, u| {
                     if seen.insert(u) {
                         next.push(u);
                     }
@@ -322,9 +322,9 @@ impl<'e> PathFinder<'e> {
         frontier_step(
             frontier,
             self.engine.num_vertices(),
-            &mut |v| self.engine.traversal_row(v),
-            &|v, u| bad_column(v, u),
-            &mut |v, u| {
+            |v| self.engine.row(v, true),
+            bad_column,
+            |v, u| {
                 if seen.contains_key(&u) {
                     return;
                 }

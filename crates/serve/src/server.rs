@@ -530,34 +530,28 @@ fn route<'s>(
                     ),
                 );
             }
-            // in range of a validated resident shard ⇒ the row exists
-            let (ctype, body): (&'static str, Vec<u8>) = if req.query_param("enc") == Some("vd") {
-                // Varint delta body. A csr2 shard hands its encoded bytes
-                // out zero-copy; a v1 shard encodes on the fly, so the
-                // wire saving holds regardless of the on-disk format. Any
-                // other `enc` value (or none) falls through to raw words,
-                // which keeps old fetchers working unchanged.
-                let body = match open.reader.row_bytes_vd(v) {
-                    Some(bytes) => bytes.to_vec(),
-                    None => {
-                        let Some(row) = open.reader.row(v) else {
-                            return error(500, "resident row unavailable");
-                        };
-                        let mut out = Vec::new();
-                        kron_stream::encode_row_vd(&row, &mut out);
-                        out
-                    }
-                };
-                (http::ROW_VD_CONTENT_TYPE, body)
+            // In range of an admitted resident shard, so the row exists;
+            // only a csr2 row whose bytes do not decode can fail the raw
+            // arm. Varint delta bodies come from one `CsrMap` method
+            // whatever the on-disk format (csr2 bytes verbatim, v1 encoded
+            // on the fly), so the wire saving holds regardless. Any other
+            // `enc` value (or none) answers raw words, which keeps old
+            // fetchers working unchanged.
+            let mut body = Vec::new();
+            let ctype = if req.query_param("enc") == Some("vd") {
+                if !open.reader.append_row_vd(v, &mut body) {
+                    return error(500, "resident row unavailable");
+                }
+                http::ROW_VD_CONTENT_TYPE
             } else {
                 let Some(row) = open.reader.row(v) else {
                     return error(500, "resident row unavailable");
                 };
-                let mut body = Vec::with_capacity(row.len() * 8);
+                body.reserve(row.len() * 8);
                 for &w in &*row {
                     body.extend_from_slice(&w.to_le_bytes());
                 }
-                (OCTETS, body)
+                OCTETS
             };
             state.rows_served.fetch_add(1, Ordering::Relaxed);
             state

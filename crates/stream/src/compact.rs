@@ -16,11 +16,12 @@
 //! job — already-converted shards are skipped (and their stale v1
 //! artifact, if a crash left one behind, is removed).
 
-use crate::csr::{file_size_checked, CsrReader};
-use crate::driver::{load_manifest, RUN_FILE};
+use crate::csr::{file_size_checked, CsrMap};
+use crate::driver::RUN_FILE;
 use crate::manifest::{manifest_name, write_json_atomic, OutputFormat};
+use crate::open::{admit_shard, load_run_manifest};
 use crate::sink::{Csr2Sink, EdgeSink};
-use crate::{read_json, RunSummary, StreamError};
+use crate::{RunSummary, StreamError};
 use std::path::Path;
 
 /// Outcome of [`compact_run`].
@@ -51,10 +52,6 @@ impl CompactReport {
     }
 }
 
-fn shard_err(shard: usize, msg: String) -> StreamError {
-    StreamError::Shard(shard, msg)
-}
-
 /// Convert a v1 (`csr`) run directory to v2 (`csr2`) in place.
 ///
 /// Safe to re-run: already-converted shards are skipped, a crashed
@@ -66,14 +63,11 @@ fn shard_err(shard: usize, msg: String) -> StreamError {
 /// [`StreamError::Config`] when the run's format is not `csr` or `csr2`
 /// (edge lists and count runs have nothing to compact);
 /// [`StreamError::Shard`] naming the first shard whose artifact is
-/// missing, malformed, or fails to convert; any manifest/summary error
-/// from reading the directory.
+/// missing, fails admission (header, size) or fails to convert; any
+/// manifest/summary error from reading the directory.
 pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
-    let run_path = dir.join(RUN_FILE);
-    let run_doc = read_json(&run_path).map_err(|e| StreamError::Io(e.to_string()))?;
-    let mut run = RunSummary::from_json(&run_doc)
-        .map_err(|e| StreamError::Manifest(format!("{}: {e}", run_path.display())))?;
-    if !matches!(run.format, OutputFormat::Csr | OutputFormat::Csr2) {
+    let mut run = RunSummary::load(dir)?;
+    if !run.format.is_csr() {
         return Err(StreamError::Config(format!(
             "{}: run format is {:?}; only csr runs can be compacted",
             dir.display(),
@@ -89,61 +83,23 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
         bytes_after: 0,
     };
     for index in 0..run.shards {
-        let m = load_manifest(dir, index)?;
-        if m.shard != index {
-            return Err(shard_err(index, format!("manifest says shard {}", m.shard)));
-        }
-        match m.format {
-            OutputFormat::Csr2 => {
-                // Already converted (this run resumed). The artifact must
-                // still be there and the right size.
-                let name = m
-                    .file
-                    .as_deref()
-                    .ok_or_else(|| shard_err(index, "csr2 shard has no file".into()))?;
-                let len = std::fs::metadata(dir.join(name))
-                    .map(|md| md.len())
-                    .map_err(|e| shard_err(index, format!("{name}: {e}")))?;
-                if len != m.file_bytes {
-                    return Err(shard_err(
-                        index,
-                        format!(
-                            "{name}: {len} bytes on disk, manifest says {}",
-                            m.file_bytes
-                        ),
-                    ));
-                }
-                // A crash between manifest rewrite and v1 deletion can
-                // leave the old artifact behind; finish the job.
+        let m = load_run_manifest(dir, &run, index)?;
+        let fail = |msg: String| StreamError::Shard(index, msg);
+        match admit_shard(dir, &m)? {
+            CsrMap::V2(reader) => {
+                // Already converted (this run resumed). A crash between
+                // manifest rewrite and v1 deletion can leave the old
+                // artifact behind; finish the job.
                 if let Some(old) = OutputFormat::Csr.artifact_name(index) {
                     let _ = std::fs::remove_file(dir.join(old));
                 }
-                let rows = m.vertices.end - m.vertices.start;
-                let v1_size = u64::try_from(m.entries)
-                    .ok()
-                    .and_then(|nnz| file_size_checked(rows, nnz))
-                    .ok_or_else(|| shard_err(index, "manifest dimensions overflow".into()))?;
+                let v1_size = file_size_checked(reader.num_rows(), reader.nnz())
+                    .ok_or_else(|| fail("shard dimensions overflow".into()))?;
                 report.skipped += 1;
                 report.bytes_before += v1_size;
-                report.bytes_after += len;
+                report.bytes_after += m.file_bytes;
             }
-            OutputFormat::Csr => {
-                let name = m
-                    .file
-                    .as_deref()
-                    .ok_or_else(|| shard_err(index, "csr shard has no file".into()))?;
-                let old_path = dir.join(name);
-                let reader =
-                    CsrReader::open(&old_path).map_err(|e| shard_err(index, e.to_string()))?;
-                if reader.vertex_lo() != m.vertices.start
-                    || reader.num_rows() != m.vertices.end - m.vertices.start
-                    || u128::from(reader.nnz()) != m.entries
-                {
-                    return Err(shard_err(
-                        index,
-                        format!("{name}: mapped header disagrees with manifest"),
-                    ));
-                }
+            CsrMap::V1(reader) => {
                 let name2 = OutputFormat::Csr2
                     .artifact_name(index)
                     .expect("csr2 names artifacts");
@@ -152,14 +108,13 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
                 let offsets = reader.offsets();
                 let lengths = offsets.windows(2).map(|w| w[1] - w[0]);
                 let mut sink = Csr2Sink::create(dir, &name2, reader.vertex_lo(), lengths)
-                    .map_err(|e| shard_err(index, e.to_string()))?;
+                    .map_err(|e| fail(e.to_string()))?;
                 for (p, q) in reader.entries() {
-                    sink.push(p, q)
-                        .map_err(|e| shard_err(index, e.to_string()))?;
+                    sink.push(p, q).map_err(|e| fail(e.to_string()))?;
                 }
                 let (file, bytes) = sink
                     .finish()
-                    .map_err(|e| shard_err(index, e.to_string()))?
+                    .map_err(|e| fail(e.to_string()))?
                     .expect("csr2 sink commits a file");
                 // Entries are identical, so the stream hash and every
                 // closed-form statistic carry over untouched.
@@ -168,22 +123,14 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
                 m2.file = Some(file);
                 m2.file_bytes = bytes;
                 write_json_atomic(dir, &manifest_name(index), &m2.to_json())
-                    .map_err(|e| shard_err(index, e.to_string()))?;
+                    .map_err(|e| fail(e.to_string()))?;
                 drop(reader);
-                std::fs::remove_file(&old_path)
-                    .map_err(|e| shard_err(index, format!("{name}: {e}")))?;
+                // admission proved the v1 manifest names a file
+                let old = m.file.as_deref().unwrap_or_default();
+                std::fs::remove_file(dir.join(old)).map_err(|e| fail(format!("{old}: {e}")))?;
                 report.converted += 1;
                 report.bytes_before += m.file_bytes;
                 report.bytes_after += bytes;
-            }
-            other => {
-                return Err(shard_err(
-                    index,
-                    format!(
-                        "manifest format is {}, expected csr or csr2",
-                        other.as_str()
-                    ),
-                ));
             }
         }
     }
@@ -199,7 +146,7 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{stream_product, StreamConfig};
+    use crate::driver::{load_manifest, stream_product, StreamConfig};
     use crate::{verify_shards, ShardSet};
     use kron::KronProduct;
     use kron_graph::Graph;
@@ -288,6 +235,74 @@ mod tests {
         verify_shards(&dir2, false).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
+    }
+
+    #[test]
+    fn verify_accepts_the_mid_compaction_mix_and_nothing_else() {
+        // The reverse splice of the resume test: run.json still says csr,
+        // shard 0 is already csr2 — what a `kron compact` killed after its
+        // first shard leaves behind.
+        let c = product();
+        let streamed = |name: &str, format| {
+            let dir = tmpdir(name);
+            let mut cfg = StreamConfig::new(&dir, format);
+            cfg.shards = 3;
+            stream_product(&c, &cfg).unwrap();
+            dir
+        };
+        let dir = streamed("mixed", OutputFormat::Csr);
+        let donor = streamed("mixed_donor", OutputFormat::Csr);
+        compact_run(&donor).unwrap();
+        let splice = |from: &Path, index: usize| {
+            let m = load_manifest(from, index).unwrap();
+            let name = m.file.as_deref().unwrap();
+            std::fs::copy(from.join(name), dir.join(name)).unwrap();
+            write_json_atomic(&dir, &manifest_name(index), &m.to_json()).unwrap();
+            dir.join(name)
+        };
+        let v2 = splice(&donor, 0);
+        std::fs::remove_file(dir.join("shard_00000.csr")).unwrap();
+        assert_eq!(RunSummary::load(&dir).unwrap().format, OutputFormat::Csr);
+        for rehash in [false, true] {
+            let report = verify_shards(&dir, rehash).unwrap();
+            assert_eq!(report.total_entries, c.nnz());
+        }
+        ShardSet::open_verified(&dir).unwrap();
+
+        // a flipped byte in either format's artifact still fails, on the
+        // shard it is in (shard 1 is still v1)
+        let v1 = dir.join(load_manifest(&dir, 1).unwrap().file.unwrap());
+        for (shard, path) in [(0, &v2), (1, &v1)] {
+            let good = std::fs::read(path).unwrap();
+            let mut bad = good.clone();
+            *bad.last_mut().unwrap() ^= 1;
+            std::fs::write(path, &bad).unwrap();
+            for rehash in [false, true] {
+                let err = verify_shards(&dir, rehash).unwrap_err();
+                assert!(
+                    matches!(err, StreamError::Shard(s, _) if s == shard),
+                    "{err}"
+                );
+            }
+            std::fs::write(path, &good).unwrap();
+        }
+
+        // …and the mix stops at csr/csr2: an edges manifest in a csr run
+        // is refused by verify, open and compact alike
+        let edges = streamed("mixed_edges", OutputFormat::Edges);
+        splice(&edges, 2);
+        let errs = [
+            verify_shards(&dir, false).unwrap_err(),
+            ShardSet::open(&dir).unwrap_err(),
+            compact_run(&dir).unwrap_err(),
+        ];
+        for err in errs {
+            assert!(matches!(err, StreamError::Shard(2, _)), "{err}");
+            assert!(err.to_string().contains("manifest format edges"), "{err}");
+        }
+        for d in [dir, donor, edges] {
+            std::fs::remove_dir_all(&d).ok();
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! [`RowRef`]-returning API. v1 stays readable forever.
 
 use crate::mmap::{as_u64s, Mmap};
+use std::borrow::Cow;
 use std::fs::File;
 use std::io;
 use std::io::Read;
@@ -79,7 +80,7 @@ pub fn varint_push(mut x: u64, out: &mut Vec<u8>) {
 
 /// Decode one LEB128 varint starting at `bytes[*pos]`, advancing `pos`
 /// past it. `None` if the buffer ends mid-varint or the value overflows
-/// a `u64` — corrupt input degrades to a short row, never a panic.
+/// a `u64` — corrupt input is reported, never a panic.
 #[inline]
 pub fn varint_read(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut x = 0u64;
@@ -113,9 +114,10 @@ pub fn encode_row_vd(row: &[u64], out: &mut Vec<u8>) {
 }
 
 /// Decode a v2 column stream back into columns. `false` if the bytes
-/// are malformed (truncated varint or overflowing delta): the columns
-/// decoded so far are kept, so corrupt input yields a deterministic
-/// short row for checksums and cross-checks to flag, never a panic.
+/// are malformed — a truncated varint, an overflowing delta, or a gap of
+/// 0 (rows are strictly ascending, so no writer emits one). `out` then
+/// holds only the columns decoded before the defect and must not be
+/// served as a row; every caller turns `false` into an error.
 pub fn decode_row_vd(bytes: &[u8], out: &mut Vec<u64>) -> bool {
     let mut pos = 0usize;
     let mut prev = 0u64;
@@ -124,14 +126,12 @@ pub fn decode_row_vd(bytes: &[u8], out: &mut Vec<u64>) -> bool {
         let Some(delta) = varint_read(bytes, &mut pos) else {
             return false;
         };
-        let q = if first {
-            delta
-        } else {
-            match prev.checked_add(delta) {
-                Some(q) => q,
-                None => return false,
-            }
-        };
+        let q = prev.wrapping_add(delta);
+        // past the first (absolute) column, `q <= prev` is a gap of 0
+        // (equal) or a delta that overflowed (wrapped below)
+        if q <= prev && !first {
+            return false;
+        }
         first = false;
         out.push(q);
         prev = q;
@@ -250,21 +250,6 @@ impl CsrReader {
         Some(&self.cols()[lo..hi])
     }
 
-    /// Iterate `(p, row)` pairs in ascending vertex order, one per
-    /// covered product vertex. Each row is a zero-copy sorted slice into
-    /// the mapping — the shard-ordered traversal whole-graph kernels
-    /// stream over.
-    pub fn rows(&self) -> impl Iterator<Item = (u64, &[u64])> + '_ {
-        let offsets = self.offsets();
-        let cols = self.cols();
-        (0..self.num_rows as usize).map(move |r| {
-            (
-                self.vertex_lo + r as u64,
-                &cols[offsets[r] as usize..offsets[r + 1] as usize],
-            )
-        })
-    }
-
     /// Iterate all `(p, q)` entries in row-major order.
     pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let offsets = self.offsets();
@@ -282,9 +267,9 @@ impl CsrReader {
 ///
 /// Opening validates the header, the byte-offset array's structure, and
 /// the exact file length; [`Csr2Reader::row`] then decodes one row's
-/// stream slice on demand. Content integrity (row lengths, sortedness,
-/// checksums) is the job of `verify-shards` / checksum-verified opens,
-/// exactly as for v1.
+/// stream slice on demand and refuses a slice that does not decode.
+/// Content integrity (row lengths, checksums) is the job of
+/// `verify-shards` / checksum-verified opens, exactly as for v1.
 pub struct Csr2Reader {
     map: Mmap,
     vertex_lo: u64,
@@ -419,41 +404,29 @@ impl Csr2Reader {
     }
 
     /// The decoded adjacency row of product vertex `p`, or `None` if
-    /// `p` is outside the shard.
+    /// `p` is outside the shard **or its stream bytes are malformed**
+    /// (see [`decode_row_vd`]) — a short row is never handed out.
     pub fn row(&self, p: u64) -> Option<Vec<u64>> {
         let bytes = self.row_bytes(p)?;
         let mut out = Vec::new();
-        decode_row_vd(bytes, &mut out);
-        Some(out)
-    }
-
-    /// Iterate `(p, row)` pairs in ascending vertex order, decoding one
-    /// row at a time.
-    pub fn rows(&self) -> impl Iterator<Item = (u64, Vec<u64>)> + '_ {
-        (0..self.num_rows).map(move |r| {
-            let p = self.vertex_lo + r;
-            (p, self.row(p).expect("in-range row decodes"))
-        })
-    }
-
-    /// Iterate all `(p, q)` entries in row-major order.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.rows()
-            .flat_map(|(p, row)| row.into_iter().map(move |q| (p, q)))
+        decode_row_vd(bytes, &mut out).then_some(out)
     }
 }
 
-/// A borrowed-or-decoded adjacency row, `Deref`ing to `&[u64]`.
+/// The one adjacency-row handle, `Deref`ing to `&[u64]`.
 ///
 /// v1 rows are zero-copy slices of the mapping; v2 rows are decoded into
-/// an owned buffer. Every kernel above the reader is generic over
-/// `Deref<Target = [u64]>`, so both travel the same paths.
+/// an owned buffer; rows out of a hot-row cache or fetched from a cluster
+/// peer are shared. Every kernel above the reader is generic over
+/// `Deref<Target = [u64]>`, so all three travel the same paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowRef<'a> {
     /// A zero-copy slice into a v1 mapping.
     Mapped(&'a [u64]),
     /// A row decoded out of a v2 column stream.
     Decoded(Vec<u64>),
+    /// A shared row: out of the hot-row cache, or fetched from a peer.
+    Shared(Arc<[u64]>),
 }
 
 impl RowRef<'_> {
@@ -471,6 +444,7 @@ impl std::ops::Deref for RowRef<'_> {
         match self {
             RowRef::Mapped(s) => s,
             RowRef::Decoded(v) => v,
+            RowRef::Shared(a) => a,
         }
     }
 }
@@ -480,16 +454,25 @@ impl From<RowRef<'_>> for Arc<[u64]> {
         match row {
             RowRef::Mapped(s) => s.into(),
             RowRef::Decoded(v) => v.into(),
+            RowRef::Shared(a) => a,
+        }
+    }
+}
+
+/// Borrowed for a mapped row, owned otherwise (a shared row is copied).
+impl<'a> From<RowRef<'a>> for Cow<'a, [u64]> {
+    fn from(row: RowRef<'a>) -> Cow<'a, [u64]> {
+        match row {
+            RowRef::Mapped(s) => Cow::Borrowed(s),
+            RowRef::Decoded(v) => Cow::Owned(v),
+            RowRef::Shared(a) => Cow::Owned(a.to_vec()),
         }
     }
 }
 
 impl From<RowRef<'_>> for Vec<u64> {
     fn from(row: RowRef<'_>) -> Vec<u64> {
-        match row {
-            RowRef::Mapped(s) => s.to_vec(),
-            RowRef::Decoded(v) => v,
-        }
+        Cow::from(row).into_owned()
     }
 }
 
@@ -557,8 +540,14 @@ impl CsrMap {
         }
     }
 
-    /// The adjacency row of product vertex `p`, or `None` if `p` is
-    /// outside the shard. Zero-copy for v1, decoded for v2.
+    /// The adjacency row of product vertex `p`: zero-copy for v1,
+    /// decoded for v2. `None` if `p` is outside the shard or (v2 only)
+    /// its stream bytes do not decode — for a `p` the caller routed into
+    /// this shard's range, `None` therefore means a corrupt artifact.
+    // Every reader's per-row dispatch: without the hint the cross-crate
+    // inliner skips it and each whole-graph kernel pays a call, a
+    // memory round trip of the handle and ~20 ns per row.
+    #[inline]
     pub fn row(&self, p: u64) -> Option<RowRef<'_>> {
         match self {
             CsrMap::V1(r) => r.row(p).map(RowRef::Mapped),
@@ -566,31 +555,27 @@ impl CsrMap {
         }
     }
 
-    /// `p`'s row in the `enc=vd` wire encoding, zero-copy, if this shard
-    /// already stores it that way (v2 only — a v1 caller re-encodes).
-    pub fn row_bytes_vd(&self, p: u64) -> Option<&[u8]> {
+    /// Append `p`'s row in the `enc=vd` wire encoding to `out`: the
+    /// stored stream bytes verbatim for v2 (no decode — the fetching
+    /// side validates them), encoded on the fly for v1. `false`, with
+    /// `out` untouched, if `p` is outside the shard.
+    pub fn append_row_vd(&self, p: u64, out: &mut Vec<u8>) -> bool {
         match self {
-            CsrMap::V1(_) => None,
-            CsrMap::V2(r) => r.row_bytes(p),
+            CsrMap::V1(r) => r.row(p).map(|row| encode_row_vd(row, out)),
+            CsrMap::V2(r) => r.row_bytes(p).map(|b| out.extend_from_slice(b)),
         }
+        .is_some()
     }
 
-    /// Iterate `(p, row)` pairs in ascending vertex order, one per
-    /// covered product vertex — the shard-ordered traversal whole-graph
-    /// kernels stream over.
-    pub fn rows(&self) -> Box<dyn Iterator<Item = (u64, RowRef<'_>)> + '_> {
-        match self {
-            CsrMap::V1(r) => Box::new(r.rows().map(|(p, row)| (p, RowRef::Mapped(row)))),
-            CsrMap::V2(r) => Box::new(r.rows().map(|(p, row)| (p, RowRef::Decoded(row)))),
-        }
-    }
-
-    /// Iterate all `(p, q)` entries in row-major order.
-    pub fn entries(&self) -> Box<dyn Iterator<Item = (u64, u64)> + '_> {
-        match self {
-            CsrMap::V1(r) => Box::new(r.entries()),
-            CsrMap::V2(r) => Box::new(r.entries()),
-        }
+    /// Iterate `(p, row)` over the shard's vertex range in ascending
+    /// order, one pair per covered vertex; `row` is [`CsrMap::row`]'s
+    /// answer, so `None` marks a v2 row that does not decode.
+    pub fn rows(&self) -> impl Iterator<Item = (u64, Option<RowRef<'_>>)> + '_ {
+        let lo = self.vertex_lo();
+        (0..self.num_rows()).map(move |r| {
+            let p = lo.wrapping_add(r);
+            (p, self.row(p))
+        })
     }
 }
 
@@ -604,6 +589,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn rows_of(map: &CsrMap) -> Vec<(u64, Vec<u64>)> {
+        map.rows()
+            .map(|(p, row)| (p, row.expect("row decodes").into()))
+            .collect()
     }
 
     #[test]
@@ -631,7 +622,7 @@ mod tests {
             r.entries().collect::<Vec<_>>(),
             vec![(10, 3), (10, 7), (12, 0)]
         );
-        let rows: Vec<(u64, Vec<u64>)> = r.rows().map(|(p, row)| (p, row.to_vec())).collect();
+        let rows: Vec<(u64, Vec<u64>)> = rows_of(&CsrMap::V1(r));
         assert_eq!(
             rows,
             vec![(10, vec![3, 7]), (11, vec![]), (12, vec![0])],
@@ -743,6 +734,41 @@ mod tests {
         let mut back = Vec::new();
         assert!(!decode_row_vd(&bytes[..bytes.len() - 1], &mut back));
         assert_eq!(back, vec![1]);
+        // a gap of 0 would repeat a column: rows are strictly ascending,
+        // so it is malformed — but a first column of 0 is a value, not a gap
+        assert!(!decode_row_vd(&[5, 0], &mut Vec::new()));
+        assert!(!decode_row_vd(&[0, 0], &mut Vec::new()));
+        assert!(decode_row_vd(&[0, 1], &mut Vec::new()));
+    }
+
+    #[test]
+    fn csr2_reader_refuses_a_row_that_does_not_decode() {
+        let dir = tmpdir("v2_undecodable");
+        let mut sink = Csr2Sink::create(&dir, "z.csr2", 0, vec![2u64, 1].into_iter()).unwrap();
+        for (p, q) in [(0, 300), (0, 301), (1, 7)] {
+            sink.push(p, q).unwrap();
+        }
+        sink.finish().unwrap();
+        let path = dir.join("z.csr2");
+        let good = std::fs::read(&path).unwrap();
+        let stream0 = 32 + 8 * 3; // header + 3 byte offsets
+        assert_eq!(&good[stream0..], &[0xAC, 0x02, 0x01, 0x07]);
+        // (a) the gap becomes 0; (b) row 0's last byte gains a continuation
+        // bit, cutting its varint at the row boundary
+        for (at, byte) in [(2, 0x00), (2, 0x81)] {
+            let mut bad = good.clone();
+            bad[stream0 + at] = byte;
+            std::fs::write(&path, &bad).unwrap();
+            let map = CsrMap::open(&path).expect("structure is intact");
+            assert!(map.row(0).is_none(), "short row handed out");
+            assert_eq!(map.row(1).as_deref(), Some(&[7u64][..]));
+            let rows: Vec<(u64, bool)> = map.rows().map(|(p, r)| (p, r.is_some())).collect();
+            assert_eq!(
+                rows,
+                vec![(0, false), (1, true)],
+                "rows() reports, never panics"
+            );
+        }
     }
 
     #[test]
@@ -770,11 +796,9 @@ mod tests {
         assert_eq!(r.row(9), None);
         assert_eq!(r.row_bytes(10).unwrap(), &[3u8, 4]);
         assert_eq!(
-            r.entries().collect::<Vec<_>>(),
-            vec![(10, 3), (10, 7), (12, 0)]
+            rows_of(&CsrMap::V2(r)),
+            vec![(10, vec![3, 7]), (11, vec![]), (12, vec![0])]
         );
-        let rows: Vec<(u64, Vec<u64>)> = r.rows().collect();
-        assert_eq!(rows, vec![(10, vec![3, 7]), (11, vec![]), (12, vec![0])]);
     }
 
     #[test]
@@ -800,15 +824,16 @@ mod tests {
                 (a, b) => panic!("row {v} residency disagrees: {a:?} vs {b:?}"),
             }
         }
-        assert_eq!(
-            v1.entries().collect::<Vec<_>>(),
-            v2.entries().collect::<Vec<_>>()
-        );
-        let r1: Vec<(u64, Vec<u64>)> = v1.rows().map(|(p, r)| (p, r.into())).collect();
-        let r2: Vec<(u64, Vec<u64>)> = v2.rows().map(|(p, r)| (p, r.into())).collect();
-        assert_eq!(r1, r2);
-        assert!(v1.row_bytes_vd(10).is_none(), "v1 has no encoded bytes");
-        assert_eq!(v2.row_bytes_vd(10).unwrap(), &[3u8, 4]);
+        assert_eq!(rows_of(&v1), rows_of(&v2));
+        // one wire encoding whichever format stores the row; a vertex
+        // outside the shard appends nothing
+        for map in [&v1, &v2] {
+            let mut wire = vec![0xEE];
+            assert!(map.append_row_vd(10, &mut wire));
+            assert_eq!(wire, [0xEE, 3, 4]);
+            assert!(!map.append_row_vd(13, &mut wire));
+            assert_eq!(wire.len(), 3);
+        }
         // unknown magic is a named error
         std::fs::write(dir.join("x.csr"), b"NOTACSRX________").unwrap();
         let err = match CsrMap::open(&dir.join("x.csr")) {

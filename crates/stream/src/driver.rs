@@ -248,6 +248,84 @@ pub fn load_manifest(dir: &Path, shard: usize) -> Result<ShardManifest, StreamEr
         .map_err(|e| StreamError::Manifest(format!("{}: {e}", path.display())))
 }
 
+impl RunSummary {
+    /// Load and sanity-check a run directory's `run.json` — the one way
+    /// every consumer of a run directory learns its shape.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::Io`] when `run.json` is missing or unreadable (the
+    /// message names the path), [`StreamError::Manifest`] when it does not
+    /// parse or its shard count is zero or beyond [`crate::MAX_SHARDS`].
+    pub fn load(dir: &Path) -> Result<RunSummary, StreamError> {
+        let path = dir.join(RUN_FILE);
+        let doc = read_json(&path).map_err(|e| StreamError::Io(e.to_string()))?;
+        let run = RunSummary::from_json(&doc)
+            .map_err(|e| StreamError::Manifest(format!("{}: {e}", path.display())))?;
+        check_shard_count(run.shards)
+            .map_err(|e| StreamError::Manifest(format!("run.json: {e}")))?;
+        Ok(run)
+    }
+}
+
+/// Rebuild the implicit product — the closed-form ground truth — from a
+/// run directory's factor copies, refusing copies that are not the
+/// factors `run` was generated from: vertex counts and adjacency nnz per
+/// copy, then the closed-form triangle sum of the pair. The serving
+/// oracle, `tri-census` validation, and [`crate::verify_shards`] all load
+/// through here, so none can validate an artifact against factors
+/// another would refuse.
+///
+/// # Errors
+///
+/// [`StreamError::Io`] naming the factor copy that is missing or
+/// unreadable; [`StreamError::Manifest`] naming the copy whose vertex
+/// count or nnz disagrees with `run.json`, or the pair when only the
+/// triangle sum does.
+pub fn load_factors(dir: &Path, run: &RunSummary) -> Result<KronProduct, StreamError> {
+    let read = |name: &str| {
+        kron_graph::read_edge_list_path(dir.join(name))
+            .map_err(|e| StreamError::Io(format!("factor copy {name}: {e}")))
+    };
+    let (a, b) = (read(&run.factor_a)?, read(&run.factor_b)?);
+    for (name, what, got, want) in [
+        (
+            &run.factor_a,
+            "vertex count",
+            a.num_vertices() as u64,
+            run.n_a,
+        ),
+        (
+            &run.factor_b,
+            "vertex count",
+            b.num_vertices() as u64,
+            run.n_b,
+        ),
+        (&run.factor_a, "adjacency nnz", a.nnz(), run.nnz_a),
+        (&run.factor_b, "adjacency nnz", b.nnz(), run.nnz_b),
+    ] {
+        if got != want {
+            return Err(StreamError::Manifest(format!(
+                "factor copy {name}: {what} is {got}, run.json says {want} \
+                 (stale or swapped factor file)"
+            )));
+        }
+    }
+    let product = KronProduct::new(a, b);
+    let (got, want) = (
+        product.total_triangle_participation(),
+        run.total_triangle_sum,
+    );
+    if got != want {
+        return Err(StreamError::Manifest(format!(
+            "factor copies {} ⊗ {}: closed-form triangle sum is {got}, run.json \
+             recorded {want} (factors do not generate this run)",
+            run.factor_a, run.factor_b
+        )));
+    }
+    Ok(product)
+}
+
 /// Generate all shards of `product` into `cfg.out_dir`.
 ///
 /// Writes per-shard artifacts + manifests, copies of both factor edge

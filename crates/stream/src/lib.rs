@@ -66,7 +66,8 @@ mod verify;
 pub use compact::{compact_run, CompactReport};
 pub use csr::{decode_row_vd, encode_row_vd, Csr2Reader, CsrMap, CsrReader, RowRef};
 pub use driver::{
-    load_manifest, run_shard, stream_product, StreamConfig, FACTOR_A_FILE, FACTOR_B_FILE, RUN_FILE,
+    load_factors, load_manifest, run_shard, stream_product, StreamConfig, FACTOR_A_FILE,
+    FACTOR_B_FILE, RUN_FILE,
 };
 pub use manifest::{manifest_name, read_json, OutputFormat, RunSummary, ShardManifest, StreamHash};
 pub use open::{OpenShard, ShardSet};

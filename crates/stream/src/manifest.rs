@@ -57,6 +57,11 @@ impl OutputFormat {
         }
     }
 
+    /// Whether this is one of the two queryable CSR formats.
+    pub fn is_csr(self) -> bool {
+        matches!(self, OutputFormat::Csr | OutputFormat::Csr2)
+    }
+
     /// On-disk format version declared in manifests: 2 for [`Csr2`],
     /// 1 for everything else.
     ///

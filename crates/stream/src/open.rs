@@ -35,10 +35,118 @@
 //! manifests do not cover the claimed range is rejected at open.
 
 use crate::csr::{CsrMap, RowRef};
-use crate::driver::{load_manifest, RUN_FILE};
-use crate::manifest::{read_json, OutputFormat, RunSummary, ShardManifest, StreamHash};
+use crate::driver::load_manifest;
+use crate::manifest::{OutputFormat, RunSummary, ShardManifest, StreamHash};
 use crate::StreamError;
 use std::path::{Path, PathBuf};
+
+/// Load shard `index`'s manifest as a member of `run`: it must say it is
+/// shard `index`, and its format must be admissible in the run. The
+/// format rule, stated once: a shard has its run's format, except that a
+/// `csr`/`csr2` run may mix `csr` and `csr2` shards (the state a
+/// `kron compact` conversion passes through) — nothing else.
+pub(crate) fn load_run_manifest(
+    dir: &Path,
+    run: &RunSummary,
+    index: usize,
+) -> Result<ShardManifest, StreamError> {
+    let m = load_manifest(dir, index)?;
+    if m.shard != index {
+        return Err(StreamError::Shard(
+            index,
+            format!("manifest says shard {}", m.shard),
+        ));
+    }
+    if m.format != run.format && !(m.format.is_csr() && run.format.is_csr()) {
+        return Err(StreamError::Shard(
+            index,
+            format!(
+                "manifest format {} has no place in a {} run (only csr and csr2 shards may mix)",
+                m.format.as_str(),
+                run.format.as_str()
+            ),
+        ));
+    }
+    Ok(m)
+}
+
+/// The single admission check for a CSR shard artifact, shared by
+/// [`ShardSet`] opens, [`crate::verify_shards`] and [`crate::compact_run`]:
+/// the manifest names a file, the file maps as a structurally valid shard
+/// ([`CsrMap::open`]), its magic is the manifest's `format`, its header
+/// (`vertex_lo`, `num_rows`, `nnz`) is the manifest's range and entry
+/// count, and its size on disk is the manifest's `file_bytes`. Content
+/// (row bytes) is not read here; see [`check_content`].
+pub(crate) fn admit_shard(dir: &Path, m: &ShardManifest) -> Result<CsrMap, StreamError> {
+    let fail = |msg: String| StreamError::Shard(m.shard, msg);
+    let name = m
+        .file
+        .as_deref()
+        .ok_or_else(|| fail(format!("{} shard has no file", m.format.as_str())))?;
+    let path = dir.join(name);
+    let reader = CsrMap::open(&path).map_err(|e| fail(e.to_string()))?;
+    if reader.is_v2() != (m.format == OutputFormat::Csr2) {
+        return Err(fail(format!(
+            "{name}: artifact magic says {}, manifest says {}",
+            if reader.is_v2() { "csr2" } else { "csr" },
+            m.format.as_str()
+        )));
+    }
+    if reader.vertex_lo() != m.vertices.start
+        || Some(reader.num_rows()) != m.vertices.end.checked_sub(m.vertices.start)
+        || u128::from(reader.nnz()) != m.entries
+    {
+        return Err(fail(format!(
+            "{name}: mapped header disagrees with manifest"
+        )));
+    }
+    let len = std::fs::metadata(&path)
+        .map_err(|e| fail(format!("{name}: {e}")))?
+        .len();
+    if len != m.file_bytes {
+        return Err(fail(format!(
+            "{name}: {len} bytes on disk, manifest file_bytes says {}",
+            m.file_bytes
+        )));
+    }
+    Ok(reader)
+}
+
+/// Read every row of an admitted shard once, in vertex order: each must
+/// decode, pass `check_row(vertex, row)` and hold strictly ascending
+/// columns (what every binary search above relies on), and together they
+/// must reproduce the manifest's content checksum.
+pub(crate) fn check_content(
+    reader: &CsrMap,
+    m: &ShardManifest,
+    mut check_row: impl FnMut(u64, &[u64]) -> Result<(), String>,
+) -> Result<(), StreamError> {
+    let name = m.file.as_deref().unwrap_or_default();
+    let fail = |msg: String| StreamError::Shard(m.shard, format!("{name}: {msg}"));
+    let mut hash = StreamHash::default();
+    let mut unsorted: Option<u64> = None;
+    for (p, row) in reader.rows() {
+        let row = row.ok_or_else(|| fail(format!("row {p} does not decode")))?;
+        check_row(p, &row).map_err(fail)?;
+        let mut prev: Option<u64> = None;
+        for &q in &*row {
+            if prev.is_some_and(|pq| pq >= q) {
+                unsorted.get_or_insert(p);
+            }
+            prev = Some(q);
+            hash.update(p, q);
+        }
+    }
+    if hash != m.hash {
+        return Err(fail("content checksum mismatch".into()));
+    }
+    // The checksum is order-independent, so a row with the right columns
+    // in the wrong order still passes it.
+    match unsorted {
+        Some(p) => Err(fail(format!("row {p} columns not strictly ascending"))),
+        None => Ok(()),
+    }
+}
 
 /// One shard of an opened run: its manifest plus the live mapping.
 pub struct OpenShard {
@@ -153,13 +261,8 @@ impl ShardSet {
         verify: bool,
         subset: Option<std::ops::Range<usize>>,
     ) -> Result<ShardSet, StreamError> {
-        let run_path = dir.join(RUN_FILE);
-        let run_doc = read_json(&run_path).map_err(|e| StreamError::Io(e.to_string()))?;
-        let run = RunSummary::from_json(&run_doc)
-            .map_err(|e| StreamError::Manifest(format!("{}: {e}", run_path.display())))?;
-        crate::driver::check_shard_count(run.shards)
-            .map_err(|e| StreamError::Manifest(format!("run.json: {e}")))?;
-        if !matches!(run.format, OutputFormat::Csr | OutputFormat::Csr2) {
+        let run = RunSummary::load(dir)?;
+        if !run.format.is_csr() {
             return Err(StreamError::Config(format!(
                 "{}: run format is {:?}; only csr or csr2 shards are queryable in place \
                  (regenerate with --format csr2)",
@@ -199,25 +302,7 @@ impl ShardSet {
         let mut next_vertex = 0u64;
         let mut total_entries = 0u128;
         for index in 0..run.shards {
-            let manifest = load_manifest(dir, index)?;
-            if manifest.shard != index {
-                return Err(StreamError::Shard(
-                    index,
-                    format!("manifest says shard {}", manifest.shard),
-                ));
-            }
-            // A shard may individually be csr or csr2 — a run mid-way
-            // through `kron compact` mixes both, and each artifact's
-            // reader is picked per shard — but never a non-CSR format.
-            if !matches!(manifest.format, OutputFormat::Csr | OutputFormat::Csr2) {
-                return Err(StreamError::Shard(
-                    index,
-                    format!(
-                        "manifest format is {}, expected csr or csr2",
-                        manifest.format.as_str()
-                    ),
-                ));
-            }
+            let manifest = load_run_manifest(dir, &run, index)?;
             if manifest.vertices.start != next_vertex {
                 return Err(StreamError::Shard(
                     index,
@@ -236,46 +321,9 @@ impl ShardSet {
             if !subset.contains(&index) {
                 continue;
             }
-            let name = manifest
-                .file
-                .as_deref()
-                .ok_or_else(|| StreamError::Shard(index, "csr shard has no file".into()))?;
-            let path = dir.join(name);
-            let reader =
-                CsrMap::open(&path).map_err(|e| StreamError::Shard(index, e.to_string()))?;
-            if reader.is_v2() != (manifest.format == OutputFormat::Csr2) {
-                return Err(StreamError::Shard(
-                    index,
-                    format!(
-                        "{name}: artifact magic says {}, manifest says {}",
-                        if reader.is_v2() { "csr2" } else { "csr" },
-                        manifest.format.as_str()
-                    ),
-                ));
-            }
-            if reader.vertex_lo() != manifest.vertices.start
-                || reader.num_rows() != manifest.vertices.end - manifest.vertices.start
-                || u128::from(reader.nnz()) != manifest.entries
-            {
-                return Err(StreamError::Shard(
-                    index,
-                    format!("{name}: mapped header disagrees with manifest"),
-                ));
-            }
-            if std::fs::metadata(&path).map(|md| md.len()).ok() != Some(manifest.file_bytes) {
-                return Err(StreamError::Shard(
-                    index,
-                    format!("{name}: size disagrees with manifest file_bytes"),
-                ));
-            }
+            let reader = admit_shard(dir, &manifest)?;
             if verify {
-                let hash = StreamHash::of(reader.entries());
-                if hash != manifest.hash {
-                    return Err(StreamError::Shard(
-                        index,
-                        format!("{name}: content checksum mismatch"),
-                    ));
-                }
+                check_content(&reader, &manifest, |_, _| Ok(()))?;
             }
             shards.push(OpenShard { manifest, reader });
         }
@@ -391,18 +439,6 @@ impl ShardSet {
     pub fn row(&self, v: u64) -> Option<RowRef<'_>> {
         let shard = self.route(v)?;
         self.local(shard)?.reader.row(v)
-    }
-
-    /// Iterate `(vertex, row)` pairs of the resident shard with run-wide
-    /// index `shard`, in ascending vertex order, or `None` when that
-    /// shard is not in the claimed subset. Rows arrive as sorted
-    /// [`RowRef`]s (zero-copy for v1 shards, decoded for v2).
-    ///
-    /// This is the shard-ordered traversal the whole-graph kernels in
-    /// `kron-analyze` stream over: one call per shard of the plan, each
-    /// walking its vertex range without touching the routing table.
-    pub fn shard_rows(&self, shard: usize) -> Option<impl Iterator<Item = (u64, RowRef<'_>)> + '_> {
-        self.local(shard).map(|o| o.reader.rows())
     }
 }
 
@@ -529,6 +565,40 @@ mod tests {
     }
 
     #[test]
+    fn open_verified_rejects_swapped_columns_the_checksum_cannot_see() {
+        // The stream hash is order-independent: swapping two columns of
+        // a row keeps it, but breaks every binary search over that row.
+        let dir = tmpdir("swapped");
+        let c = product();
+        streamed(&dir, &c, 2);
+        let m = load_manifest(&dir, 0).unwrap();
+        let path = dir.join(m.file.as_deref().unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        let rows = (m.vertices.end - m.vertices.start) as usize;
+        let row = (m.vertices.start..m.vertices.end)
+            .find(|&v| c.neighbors(v).len() >= 2)
+            .unwrap();
+        let skip: usize = (m.vertices.start..row).map(|v| c.neighbors(v).len()).sum();
+        let at = 32 + 8 * (rows + 1) + 8 * skip;
+        let (a, b) = bytes[at..at + 16].split_at_mut(8);
+        a.swap_with_slice(b);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(ShardSet::open(&dir).is_ok());
+        for err in [
+            ShardSet::open_verified(&dir).unwrap_err(),
+            crate::verify_shards(&dir, false).unwrap_err(),
+        ] {
+            assert!(matches!(err, StreamError::Shard(0, _)), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("row {row} columns not strictly ascending")),
+                "{err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn open_rejects_truncated_artifact_naming_the_file() {
         let dir = tmpdir("trunc");
         let c = product();
@@ -579,26 +649,6 @@ mod tests {
             }
         }
         assert!(set.mapped_bytes() < full.mapped_bytes());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_rows_streams_every_resident_row_in_order() {
-        let dir = tmpdir("shard_rows");
-        let c = product();
-        streamed(&dir, &c, 4);
-        let set = ShardSet::open_subset(&dir, 1..3).unwrap();
-        assert!(set.shard_rows(0).is_none(), "non-resident shard");
-        assert!(set.shard_rows(3).is_none(), "non-resident shard");
-        let mut seen = Vec::new();
-        for shard in set.subset() {
-            for (v, row) in set.shard_rows(shard).unwrap() {
-                assert_eq!(&*row, c.neighbors(v).as_slice(), "vertex {v}");
-                seen.push(v);
-            }
-        }
-        let span = set.subset_vertices();
-        assert_eq!(seen, (span.start..span.end).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -678,16 +728,6 @@ mod tests {
         }
         for v in 0..c.num_vertices() {
             assert_eq!(&*set.row(v).unwrap(), c.neighbors(v).as_slice(), "row {v}");
-        }
-        for shard in set.subset() {
-            for ((v, row), (tv, trow)) in set
-                .shard_rows(shard)
-                .unwrap()
-                .zip(twin.shard_rows(shard).unwrap())
-            {
-                assert_eq!(v, tv);
-                assert_eq!(&*row, &*trow, "vertex {v}");
-            }
         }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir1).ok();

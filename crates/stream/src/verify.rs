@@ -2,12 +2,11 @@
 //! shard is re-checked against the closed-form factor statistics and its
 //! on-disk artifact.
 
-use crate::csr::CsrMap;
-use crate::driver::{load_manifest, RUN_FILE};
-use crate::manifest::{read_json, OutputFormat, RunSummary, StreamHash};
+use crate::driver::load_factors;
+use crate::manifest::{OutputFormat, RunSummary, StreamHash};
+use crate::open::{admit_shard, check_content, load_run_manifest};
 use crate::plan::ShardPlan;
 use crate::StreamError;
-use kron::KronProduct;
 use std::io::Read;
 use std::path::Path;
 
@@ -23,10 +22,6 @@ pub struct VerifyReport {
     /// Whether shard streams were regenerated from the factors and
     /// compared by checksum.
     pub rehashed: bool,
-}
-
-fn shard_err(shard: usize, msg: String) -> StreamError {
-    StreamError::Shard(shard, msg)
 }
 
 /// Verify a run directory produced by [`crate::stream_product`].
@@ -46,45 +41,16 @@ fn shard_err(shard: usize, msg: String) -> StreamError {
 /// The first failing check, always naming the offending manifest or
 /// artifact file and the shard index.
 pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamError> {
-    let run_path = dir.join(RUN_FILE);
-    let run_doc = read_json(&run_path).map_err(|e| StreamError::Io(e.to_string()))?;
-    let run = RunSummary::from_json(&run_doc)
-        .map_err(|e| StreamError::Manifest(format!("{}: {e}", run_path.display())))?;
-    crate::driver::check_shard_count(run.shards)
-        .map_err(|e| StreamError::Manifest(format!("run.json: {e}")))?;
-
-    let load = |name: &str| {
-        kron_graph::read_edge_list_path(dir.join(name))
-            .map_err(|e| StreamError::Io(format!("reading {name}: {e}")))
-    };
-    let (a, b) = (load(&run.factor_a)?, load(&run.factor_b)?);
-    if a.num_vertices() as u64 != run.n_a
-        || b.num_vertices() as u64 != run.n_b
-        || a.nnz() != run.nnz_a
-        || b.nnz() != run.nnz_b
-    {
-        return Err(StreamError::Manifest(
-            "factor copies disagree with run.json dimensions".into(),
-        ));
-    }
-    let product = KronProduct::new(a, b);
+    let run = RunSummary::load(dir)?;
+    let product = load_factors(dir, &run)?;
     let plan = ShardPlan::new(&product, run.shards);
 
     let mut total_entries = 0u128;
     let mut total_triangle_sum = 0u128;
     let mut artifact_bytes = 0u64;
     for spec in plan.iter() {
-        let m = load_manifest(dir, spec.index)?;
-        if m.format != run.format {
-            return Err(shard_err(
-                spec.index,
-                format!(
-                    "manifest format {} != run format {}",
-                    m.format.as_str(),
-                    run.format.as_str()
-                ),
-            ));
-        }
+        let m = load_run_manifest(dir, &run, spec.index)?;
+        let fail = |msg: String| StreamError::Shard(spec.index, msg);
         // closed-form checksums, recomputed from the factors
         m.matches_stats(&spec.stats)
             .map_err(StreamError::Manifest)?;
@@ -95,140 +61,77 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
         match m.format {
             OutputFormat::Count => {
                 if m.file.is_some() {
-                    return Err(shard_err(spec.index, "count shard names a file".into()));
+                    return Err(fail("count shard names a file".into()));
                 }
             }
             OutputFormat::Edges => {
                 let name = m
                     .file
                     .as_deref()
-                    .ok_or_else(|| shard_err(spec.index, "edges shard has no file".into()))?;
+                    .ok_or_else(|| fail("edges shard has no file".into()))?;
                 let path = dir.join(name);
                 let len = std::fs::metadata(&path)
-                    .map_err(|e| shard_err(spec.index, format!("{name}: {e}")))?
+                    .map_err(|e| fail(format!("{name}: {e}")))?
                     .len();
                 let expect = (m.entries as u64).saturating_mul(16);
                 if len != m.file_bytes {
-                    return Err(shard_err(
-                        spec.index,
-                        format!(
-                            "{name}: {len} bytes on disk, manifest file_bytes says {}",
-                            m.file_bytes
-                        ),
-                    ));
+                    return Err(fail(format!(
+                        "{name}: {len} bytes on disk, manifest file_bytes says {}",
+                        m.file_bytes
+                    )));
                 }
                 if len != expect {
-                    return Err(shard_err(
-                        spec.index,
-                        format!(
-                            "{name}: {len} bytes on disk, {} entries imply {expect}",
-                            m.entries
-                        ),
-                    ));
+                    return Err(fail(format!(
+                        "{name}: {len} bytes on disk, {} entries imply {expect}",
+                        m.entries
+                    )));
                 }
                 artifact_bytes += len;
                 let mut hash = StreamHash::default();
-                let file = std::fs::File::open(&path)
-                    .map_err(|e| shard_err(spec.index, format!("{name}: {e}")))?;
+                let file = std::fs::File::open(&path).map_err(|e| fail(format!("{name}: {e}")))?;
                 let mut reader = std::io::BufReader::with_capacity(1 << 20, file);
                 let mut buf = [0u8; 16];
                 for _ in 0..m.entries {
                     reader
                         .read_exact(&mut buf)
-                        .map_err(|e| shard_err(spec.index, format!("{name}: {e}")))?;
+                        .map_err(|e| fail(format!("{name}: {e}")))?;
                     let p = u64::from_le_bytes(buf[..8].try_into().unwrap());
                     let q = u64::from_le_bytes(buf[8..].try_into().unwrap());
                     if !spec.stats.vertices.contains(&p) {
-                        return Err(shard_err(
-                            spec.index,
-                            format!("{name}: source vertex {p} outside shard range"),
-                        ));
+                        return Err(fail(format!(
+                            "{name}: source vertex {p} outside shard range"
+                        )));
                     }
                     hash.update(p, q);
                 }
                 if hash != m.hash {
-                    return Err(shard_err(
-                        spec.index,
-                        format!("{name}: content checksum mismatch"),
-                    ));
+                    return Err(fail(format!("{name}: content checksum mismatch")));
                 }
             }
             OutputFormat::Csr | OutputFormat::Csr2 => {
-                let name = m.file.as_deref().ok_or_else(|| {
-                    shard_err(
-                        spec.index,
-                        format!("{} shard has no file", m.format.as_str()),
-                    )
-                })?;
-                let path = dir.join(name);
-                let reader =
-                    CsrMap::open(&path).map_err(|e| shard_err(spec.index, e.to_string()))?;
-                if reader.is_v2() != (m.format == OutputFormat::Csr2) {
-                    return Err(shard_err(
-                        spec.index,
-                        format!(
-                            "{name}: artifact magic says {}, manifest says {}",
-                            if reader.is_v2() { "csr2" } else { "csr" },
-                            m.format.as_str()
-                        ),
-                    ));
-                }
-                if reader.vertex_lo() != spec.stats.vertices.start
-                    || reader.num_rows() != spec.stats.vertices.end - spec.stats.vertices.start
-                    || reader.nnz() as u128 != m.entries
-                {
-                    return Err(shard_err(
-                        spec.index,
-                        format!("{name}: header disagrees with manifest"),
-                    ));
-                }
-                if std::fs::metadata(&path).map(|md| md.len()).ok() != Some(m.file_bytes) {
-                    return Err(shard_err(spec.index, format!("{name}: size mismatch")));
-                }
+                let reader = admit_shard(dir, &m)?;
                 artifact_bytes += m.file_bytes;
-                // one pass over the rows of either format: per-row
-                // lengths against the closed form, strict column order
-                // (for v2 this also proves every varint decodes), and
-                // the content checksum
-                let mut hash = StreamHash::default();
+                // one pass over the rows of either format: every row
+                // decodes, has its closed-form length and strictly
+                // ascending columns, and the content checksum holds
                 let mut lengths = product.row_lengths_in_rows(spec.stats.rows.clone());
-                for (p, row) in reader.rows() {
+                check_content(&reader, &m, |p, row| {
                     let want = lengths.next().unwrap_or(0);
-                    if row.len() as u64 != want {
-                        return Err(shard_err(
-                            spec.index,
-                            format!(
-                                "{name}: row {p} has {} entries, closed form says {want}",
-                                row.len()
-                            ),
-                        ));
+                    if row.len() as u64 == want {
+                        return Ok(());
                     }
-                    let mut prev: Option<u64> = None;
-                    for &q in row.iter() {
-                        if prev.is_some_and(|pq| pq >= q) {
-                            return Err(shard_err(
-                                spec.index,
-                                format!("{name}: row {p} columns not strictly ascending"),
-                            ));
-                        }
-                        prev = Some(q);
-                        hash.update(p, q);
-                    }
-                }
-                if hash != m.hash {
-                    return Err(shard_err(
-                        spec.index,
-                        format!("{name}: content checksum mismatch"),
-                    ));
-                }
+                    Err(format!(
+                        "row {p} has {} entries, closed form says {want}",
+                        row.len()
+                    ))
+                })?;
             }
         }
 
         if rehash {
             let regen = StreamHash::of(product.adjacency_entries_in_rows(spec.stats.rows.clone()));
             if regen != m.hash {
-                return Err(shard_err(
-                    spec.index,
+                return Err(fail(
                     "regenerated stream checksum disagrees with manifest".into(),
                 ));
             }

@@ -3,9 +3,11 @@
 # it twice (csr and csr2), verify both with full rehashing, answer an
 # identical query batch over both and diff the answers byte for byte,
 # then convert the v1 run in place with `kron compact`, re-verify it,
-# and diff again — plus idempotence (a second compact converts nothing)
-# and the size claim (the csr2 artifacts are smaller). Run from the
-# repo root; CI calls it after the release build.
+# and diff again — plus idempotence (a second compact converts nothing),
+# the size claim (the csr2 artifacts are smaller), and the mid-compaction
+# state (run.json still csr, one shard already csr2) verifying, answering
+# and resuming. Run from the repo root; CI calls it after the release
+# build.
 set -euo pipefail
 
 BIN=${KRON_BIN:-target/release/kron}
@@ -57,5 +59,18 @@ diff -u "$work/answers_v2.txt" "$work/answers_compacted.txt" \
 echo "== compact is idempotent"
 "$BIN" compact "$work/run_v1" | tee "$work/compact2.txt"
 grep -q '0 converted' "$work/compact2.txt"
+
+echo "== a compact killed after its first shard: verify, answer, resume"
+"$BIN" stream "$work/a.tsv" "$work/a.tsv" --out "$work/run_mid" --shards 4 --format csr
+cp "$work/run_v1/shard_00000.csr2" "$work/run_v1/shard_00000.json" "$work/run_mid/"
+rm "$work/run_mid/shard_00000.csr"
+grep -q '"format":"csr"' "$work/run_mid/run.json"
+"$BIN" verify-shards "$work/run_mid" --rehash
+"$BIN" serve "$work/run_mid" --queries "$work/queries.txt" \
+    --source cross-check > "$work/answers_mid.txt"
+diff -u "$work/answers_v2.txt" "$work/answers_mid.txt" \
+    || { echo "mid-compaction run diverged from the csr2-native run"; exit 1; }
+"$BIN" compact "$work/run_mid" | tee "$work/compact_mid.txt"
+grep -q '3 converted, 1 already csr2' "$work/compact_mid.txt"
 
 echo "format smoke OK (csr2 ${csr2_bytes}B vs csr ${csr_bytes}B)"

@@ -320,6 +320,226 @@ fn cross_check_flags_exactly_the_tampered_queries() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A csr2 row whose stream bytes do not decode — a zero gap, or a varint
+/// cut at the row boundary — is corruption the structural open cannot
+/// see. Every reader of that row must then fail with a corrupt-artifact
+/// error: no panic, and never an answer computed from the decodable
+/// prefix.
+#[test]
+fn undecodable_csr2_row_fails_every_reader_and_answers_none() {
+    use kron_analyze::{run_kernel, AnalyzeError, Kernel, KernelSpec};
+    use kron_serve::{OpenOptions, PathFinder, ServeError};
+    use kron_stream::{verify_shards, ShardSet, StreamError};
+    use std::sync::atomic::AtomicBool;
+
+    let a = Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4), (5, 5)]);
+    let b = Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (3, 3), (0, 0)]);
+    let c = KronProduct::new(a, b);
+    let dir = tmpdir("csr2_undecodable");
+    let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr2);
+    cfg.shards = 2;
+    stream_product(&c, &cfg).unwrap();
+
+    // The victim: the first row of shard 0 with at least two columns.
+    // Every id of this product fits one varint byte, so the row's stream
+    // bytes are its columns' gaps, one byte each.
+    let m = kron_stream::load_manifest(&dir, 0).unwrap();
+    let path = dir.join(m.file.as_deref().unwrap());
+    let good = std::fs::read(&path).unwrap();
+    let rows = (m.vertices.end - m.vertices.start) as usize;
+    let offset =
+        |i: usize| u64::from_le_bytes(good[32 + 8 * i..40 + 8 * i].try_into().unwrap()) as usize;
+    let stream0 = 32 + 8 * (rows + 1);
+    let i = (0..rows).find(|&i| offset(i + 1) - offset(i) >= 2).unwrap();
+    let r = m.vertices.start + i as u64;
+    let (lo, hi) = (stream0 + offset(i), stream0 + offset(i + 1));
+    assert!(good[lo..hi].iter().all(|&byte| byte < 0x80));
+    let w = *c.neighbors(r).iter().find(|&&w| w != r).unwrap();
+    let far = (0..c.num_vertices())
+        .find(|&v| v != r && !c.has_edge(r, v))
+        .unwrap();
+
+    let corrupt = |res: Result<String, ServeError>, what: &str| match res {
+        Err(ServeError::Corrupt(msg)) => {
+            assert!(msg.contains(&format!("row {r}")), "{what}: {msg}")
+        }
+        other => panic!("{what}: expected a corrupt-artifact error, got {other:?}"),
+    };
+    for (what, at, byte) in [
+        ("zero gap", lo + 1, 0x00),
+        (
+            "varint cut at the row boundary",
+            hi - 1,
+            good[hi - 1] | 0x80,
+        ),
+    ] {
+        let mut bad = good.clone();
+        bad[at] = byte;
+        std::fs::write(&path, &bad).unwrap();
+
+        for cache in [0, 1 << 20] {
+            let e = ServeEngine::open_with(
+                &dir,
+                &OpenOptions {
+                    verify_checksums: false,
+                    row_cache_bytes: cache,
+                    ..OpenOptions::default()
+                },
+            )
+            .expect("the structural open cannot see a stream byte");
+            corrupt(e.degree(r).map(|d| d.to_string()), what);
+            corrupt(e.neighbors(r).map(|row| format!("{row:?}")), what);
+            corrupt(e.vertex_triangles(r).map(|t| t.to_string()), what);
+            corrupt(e.has_edge(r, w).map(|x| x.to_string()), what);
+            // …and as a *neighbor's* row, fetched for an intersection
+            corrupt(e.vertex_triangles(w).map(|t| t.to_string()), what);
+            corrupt(e.edge_triangles(w, r).map(|d| format!("{d:?}")), what);
+            // /path and /khop expand r's row first
+            let finder = PathFinder::new(&e);
+            corrupt(
+                finder
+                    .shortest_path(r, far, None)
+                    .map(|p| p.to_json().to_string()),
+                what,
+            );
+            corrupt(finder.khop(r, 2).map(|k| k.to_json().to_string()), what);
+            // untouched rows still answer
+            assert_eq!(e.degree(w).unwrap(), c.degree(w), "{what}");
+        }
+
+        // `kron analyze`: every kernel reads every row (BFS starts at r)
+        let set = ShardSet::open(&dir).unwrap();
+        let idle = AtomicBool::new(false);
+        for kernel in [Kernel::Bfs, Kernel::Cc, Kernel::Pagerank, Kernel::TriCensus] {
+            let mut spec = KernelSpec::new(kernel);
+            spec.source = r;
+            match run_kernel(&set, &spec, &idle) {
+                Err(AnalyzeError::Corrupt(msg)) => {
+                    assert!(msg.contains(&r.to_string()), "{what}: {msg}")
+                }
+                other => panic!("{what}: {kernel:?} must fail as corrupt, got {other:?}"),
+            }
+        }
+
+        // the validating paths report the shard and the row; none panics
+        for err in [
+            verify_shards(&dir, false).unwrap_err(),
+            ShardSet::open_verified(&dir).unwrap_err(),
+        ] {
+            assert!(matches!(err, StreamError::Shard(0, _)), "{what}: {err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("row {r} does not decode")),
+                "{what}: {err}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The factor copies are the ground truth everything is validated
+/// against, so there is one loader and one verdict: whichever entry
+/// point meets a bad copy — the serving oracle, `tri-census` validation,
+/// `verify-shards` — refuses it at load, with the loader's own words.
+#[test]
+fn bad_factor_copies_are_refused_identically_by_every_loader() {
+    use kron_analyze::{run_kernel, AnalyzeError, Kernel, KernelSpec};
+    use kron_graph::write_edge_list_path;
+    use kron_serve::{AnswerSource, OpenOptions};
+    use kron_stream::{load_factors, verify_shards, RunSummary, ShardSet};
+    use std::sync::atomic::AtomicBool;
+
+    let edges_a = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4), (5, 5)];
+    let a = Graph::from_edges(6, edges_a);
+    let b = Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (3, 3), (0, 0)]);
+    let c = KronProduct::new(a.clone(), b);
+    // same n, same nnz as A, but the triangle 0-1-2 opened into a 4-cycle
+    let rewired = Graph::from_edges(6, [(0, 1), (1, 2), (0, 3), (2, 3), (3, 4), (4, 4), (5, 5)]);
+    assert_eq!((rewired.num_vertices(), rewired.nnz()), (6, a.nnz()));
+
+    type Damage = fn(&std::path::Path, &Graph);
+    let table: [(&str, Damage, &str); 4] = [
+        (
+            "swapped A/B copies",
+            |dir, _| {
+                let (fa, fb, tmp) = (
+                    dir.join("factor_a.tsv"),
+                    dir.join("factor_b.tsv"),
+                    dir.join("swap.tmp"),
+                );
+                std::fs::rename(&fa, &tmp).unwrap();
+                std::fs::rename(&fb, &fa).unwrap();
+                std::fs::rename(&tmp, &fb).unwrap();
+            },
+            "factor copy factor_a.tsv: vertex count is 4, run.json says 6",
+        ),
+        (
+            "truncated copy",
+            |dir, _| {
+                let path = dir.join("factor_b.tsv");
+                let text = std::fs::read_to_string(&path).unwrap();
+                let keep: Vec<&str> = text.lines().take(3).collect();
+                std::fs::write(&path, keep.join("\n") + "\n").unwrap();
+            },
+            "factor copy factor_b.tsv: adjacency nnz is",
+        ),
+        (
+            "one edge removed, n kept",
+            |dir, _| {
+                let fewer = Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 4), (5, 5)]);
+                write_edge_list_path(&fewer, dir.join("factor_a.tsv")).unwrap();
+            },
+            "factor copy factor_a.tsv: adjacency nnz is 10, run.json says 12",
+        ),
+        (
+            "same n and nnz, different triangles",
+            |dir, rewired| write_edge_list_path(rewired, dir.join("factor_a.tsv")).unwrap(),
+            "factor copies factor_a.tsv ⊗ factor_b.tsv: closed-form triangle sum is",
+        ),
+    ];
+    for (what, damage, fragment) in table {
+        let dir = tmpdir("bad_factors");
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+        cfg.shards = 2;
+        stream_product(&c, &cfg).unwrap();
+        damage(&dir, &rewired);
+
+        let run = RunSummary::load(&dir).unwrap();
+        let verdict = load_factors(&dir, &run).unwrap_err().to_string();
+        assert!(verdict.contains(fragment), "{what}: {verdict}");
+
+        let oracle = ServeEngine::open_with(
+            &dir,
+            &OpenOptions {
+                source: AnswerSource::Oracle,
+                ..OpenOptions::default()
+            },
+        )
+        .unwrap_err()
+        .to_string();
+        // the shards themselves are intact: only the validation step of
+        // tri-census can (and must) refuse
+        let set = ShardSet::open_verified(&dir).unwrap();
+        let census = match run_kernel(
+            &set,
+            &KernelSpec::new(Kernel::TriCensus),
+            &AtomicBool::new(false),
+        ) {
+            Err(e @ AnalyzeError::Open(_)) => e.to_string(),
+            other => panic!("{what}: tri-census must refuse at load, got {other:?}"),
+        };
+        let verify = verify_shards(&dir, false).unwrap_err().to_string();
+        for (entry, err) in [
+            ("oracle", oracle),
+            ("tri-census", census),
+            ("verify", verify),
+        ] {
+            assert!(err.contains(&verdict), "{what} via {entry}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Large-scale acceptance (tier 2, release only): a ~50M-entry web-like
 /// product served from disk — all three answer sources agree on a large
 /// random + skewed query sample, cross-check reconciles clean, and the

@@ -13,11 +13,14 @@
 //! same.
 
 use kron::KronProduct;
-use kron_analyze::{run_kernel, Kernel, KernelSpec};
+use kron_analyze::{run_kernel, scan_rows, AnalyzeError, Kernel, KernelSpec};
 use kron_graph::Graph;
 use kron_serve::http::{encode_query_component, Client};
 use kron_serve::{AnswerSource, OpenOptions, PeerSpec, ServeEngine, Server, ServerOptions};
-use kron_stream::{compact_run, stream_product, OutputFormat, StreamConfig};
+use kron_stream::{
+    compact_run, decode_row_vd, load_manifest, manifest_name, stream_product, OutputFormat,
+    ShardSet, StreamConfig,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -48,6 +51,22 @@ fn stream(c: &KronProduct, fmt: OutputFormat, shards: usize, tag: &str) -> std::
     let mut cfg = StreamConfig::new(&dir, fmt);
     cfg.shards = shards;
     stream_product(c, &cfg).unwrap();
+    dir
+}
+
+/// What a `kron compact` killed after its first shard leaves behind:
+/// `run.json` still says `csr`, shard 0 (artifact and manifest) is
+/// already `csr2`, its v1 artifact gone.
+fn mid_compaction(c: &KronProduct, shards: usize, tag: &str) -> std::path::PathBuf {
+    let dir = stream(c, OutputFormat::Csr, shards, tag);
+    let donor = stream(c, OutputFormat::Csr, shards, "donor");
+    compact_run(&donor).unwrap();
+    let v1 = load_manifest(&dir, 0).unwrap().file.unwrap();
+    let v2 = load_manifest(&donor, 0).unwrap().file.unwrap();
+    std::fs::copy(donor.join(&v2), dir.join(&v2)).unwrap();
+    std::fs::copy(donor.join(manifest_name(0)), dir.join(manifest_name(0))).unwrap();
+    std::fs::remove_file(dir.join(v1)).unwrap();
+    std::fs::remove_dir_all(&donor).ok();
     dir
 }
 
@@ -261,5 +280,157 @@ fn vd_row_bodies_are_at_least_1_5x_smaller_than_raw() {
              (raw {raw}, vd {vd})"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// One read path: whatever a run directory's format — v1, csr2, or the
+/// mixed state mid-`kron compact` — every consumer hands back the row the
+/// closed form generates, for every vertex: the shard set, the analyze
+/// scan driver, the engine under `artifact` and `cross-check`, and a
+/// decoded `GET /row` body in both wire encodings.
+#[test]
+fn every_consumer_sees_the_same_row() {
+    let a = Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4), (5, 5)]);
+    let b = kron_gen::holme_kim(30, 3, 0.6, 11);
+    let c = KronProduct::new(a, b);
+    let n = c.num_vertices();
+    let runs = [
+        ("v1", stream(&c, OutputFormat::Csr, 3, "rows_v1")),
+        ("csr2", stream(&c, OutputFormat::Csr2, 3, "rows_v2")),
+        ("mid-compaction", mid_compaction(&c, 3, "rows_mixed")),
+    ];
+    for (tag, dir) in &runs {
+        let set = ShardSet::open_verified(dir).unwrap();
+        let idle = AtomicBool::new(false);
+        // the scan driver: every vertex exactly once, ascending, in plan
+        // order across chunk accumulators
+        let scanned: Vec<(u64, Vec<u64>)> = scan_rows(
+            &set,
+            &idle,
+            |_| true,
+            |acc: &mut Vec<(u64, Vec<u64>)>, v, row| {
+                acc.push((v, row.to_vec()));
+                Ok(())
+            },
+        )
+        .unwrap()
+        .concat();
+        let visited: Vec<u64> = scanned.iter().map(|(v, _)| *v).collect();
+        assert_eq!(visited, (0..n).collect::<Vec<_>>(), "{tag}: scan order");
+
+        let artifact = ServeEngine::open_verified(dir).unwrap();
+        let audit = ServeEngine::open_with(
+            dir,
+            &OpenOptions {
+                source: AnswerSource::CrossCheck,
+                ..OpenOptions::default()
+            },
+        )
+        .unwrap();
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                server
+                    .run(&artifact, &ServerOptions::default(), &stop)
+                    .unwrap()
+            });
+            let mut client = Client::connect(addr).unwrap();
+            for v in 0..n {
+                let want = c.neighbors(v);
+                assert_eq!(&*set.row(v).unwrap(), want.as_slice(), "{tag}: set.row {v}");
+                assert_eq!(scanned[v as usize].1, want, "{tag}: scan {v}");
+                assert_eq!(artifact.neighbors(v).unwrap(), want.as_slice(), "{tag}");
+                assert_eq!(audit.neighbors(v).unwrap(), want.as_slice(), "{tag}");
+                let shard = set.route(v).unwrap();
+                let (status, raw) = client
+                    .get_bytes(&format!("/row?shard={shard}&v={v}"))
+                    .unwrap();
+                assert_eq!(status, 200);
+                let words: Vec<u64> = raw
+                    .chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                    .collect();
+                assert_eq!(words, want, "{tag}: raw /row {v}");
+                let (status, vd) = client
+                    .get_bytes(&format!("/row?shard={shard}&v={v}&enc=vd"))
+                    .unwrap();
+                assert_eq!(status, 200);
+                let mut decoded = Vec::new();
+                assert!(decode_row_vd(&vd, &mut decoded), "{tag}: vd /row {v}");
+                assert_eq!(decoded, want, "{tag}: vd /row {v}");
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(audit.mismatch_count(), 0, "{tag}");
+    }
+
+    // Cancellation: the flag is polled before every row, so the row that
+    // raises it is the last one visited. One worker makes the plan order
+    // the execution order, so "last" is checkable exactly.
+    let set = ShardSet::open(&runs[0].1).unwrap();
+    let stop = AtomicBool::new(false);
+    let visited = std::sync::Mutex::new(Vec::new());
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let cancelled = scan_rows(
+        &set,
+        &stop,
+        |_| true,
+        |_: &mut (), v, _| {
+            visited.lock().unwrap().push(v);
+            if v == 5 {
+                stop.store(true, Ordering::SeqCst);
+            }
+            Ok(())
+        },
+    );
+    std::env::remove_var("RAYON_NUM_THREADS");
+    assert!(matches!(cancelled, Err(AnalyzeError::Cancelled)));
+    assert_eq!(*visited.lock().unwrap(), (0..=5).collect::<Vec<u64>>());
+
+    // The two ways a row can be unusable, with the texts the kernels have
+    // always reported them by. Both defects sit in shard 0, past its
+    // offset table: the first column word (v1), the last stream byte (csr2).
+    let first_row = |dir: &std::path::Path| {
+        let m = load_manifest(dir, 0).unwrap();
+        let body = 32 + 8 * (m.vertices.end - m.vertices.start + 1) as usize;
+        (dir.join(m.file.unwrap()), body)
+    };
+    let scan_err = |dir: &std::path::Path| {
+        let set = ShardSet::open(dir).expect("structure is intact");
+        let idle = AtomicBool::new(false);
+        let read_columns = |_: &mut (), _, row: &kron_analyze::Row<'_>| {
+            row.cols().for_each(drop);
+            Ok(())
+        };
+        match scan_rows(&set, &idle, |_| true, read_columns) {
+            Err(AnalyzeError::Corrupt(msg)) => msg,
+            other => panic!("expected a corrupt-artifact error, got {other:?}"),
+        }
+    };
+    let (path, body) = first_row(&runs[0].1);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[body..body + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert_eq!(
+        scan_err(&runs[0].1),
+        format!(
+            "row 0 names vertex {}, but the product has only {n}",
+            u64::MAX
+        )
+    );
+    let (path, _) = first_row(&runs[1].1);
+    let mut bytes = std::fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() |= 0x80; // the last row's varint now runs off its end
+    std::fs::write(&path, &bytes).unwrap();
+    let last = load_manifest(&runs[1].1, 0).unwrap().vertices.end - 1;
+    assert_eq!(
+        scan_err(&runs[1].1),
+        format!("shard 0 is missing row {last}")
+    );
+
+    for (_, dir) in &runs {
+        std::fs::remove_dir_all(dir).ok();
     }
 }
