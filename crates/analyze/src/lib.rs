@@ -10,9 +10,10 @@
 //! - [`Kernel::Cc`] — connected components by min-label propagation,
 //! - [`Kernel::Pagerank`] — power iteration to an L1 tolerance, reporting
 //!   the top-k vertices and the final residual,
-//! - [`Kernel::TriCensus`] — triangle count *the hard way*: per-shard
-//!   sorted-row intersection via the shared [`kron_triangles::slice`]
-//!   kernels, alongside an exact degree histogram.
+//! - [`Kernel::TriCensus`] — triangle count *the hard way*: the
+//!   degree-ordered forward algorithm over the stored rows, which meets
+//!   every triangle once and yields `Δ(e)` at every edge and `t(v)` at
+//!   every vertex, alongside an exact degree histogram.
 //!
 //! Every kernel takes its rows from one driver, [`scan_rows`] — resident
 //! rows in shard order, chunk-parallel across the shard plan through the
@@ -21,13 +22,20 @@
 //! a server job over the same artifact can be compared verbatim.
 //!
 //! Where the paper provides closed forms the result carries **validation
-//! fields**: the tri-census degree histogram is checked against the factor
-//! closed forms (`kron::distributions::degree_histogram`), the adjacency
-//! entry total against `nnz(A)·nnz(B)`, and the triangle participation
-//! total against `KronProduct::total_triangle_participation()` (Thm. 1 /
-//! §III). A mismatch is [`AnalyzeError::Validation`] — same contract as
-//! the serving tier's cross-check: the artifact is corrupt or stale, and
-//! the caller must exit nonzero / fail the job.
+//! fields**, and the tri-census checks them element by element: every
+//! stored entry is an entry of the product in its place in the ascending
+//! row (no strays, duplicates or disorder), every `Δ(u, v)` equals
+//! `KronProduct::edge_triangles` (Thm. 2), every `t(v)` equals
+//! `KronProduct::vertex_triangles` (Thm. 1) — each check listing its
+//! first disagreements — and then the totals: the degree histogram
+//! against the factor closed forms
+//! (`kron::distributions::degree_histogram`), the adjacency entry total
+//! against `nnz(A)·nnz(B)`, the edge count, and the triangle
+//! participation total against
+//! `KronProduct::total_triangle_participation()`. A mismatch is
+//! [`AnalyzeError::Validation`] — same contract as the serving tier's
+//! cross-check: the artifact is corrupt or stale, and the caller must
+//! exit nonzero / fail the job.
 //!
 //! Kernels cancel cooperatively: every row loop polls a caller-owned stop
 //! flag and bails with [`AnalyzeError::Cancelled`], which is how both
@@ -59,7 +67,7 @@ pub enum Kernel {
     Cc,
     /// PageRank power iteration to tolerance.
     Pagerank,
-    /// Triangle + degree census by sorted-row intersection.
+    /// Triangle + degree census by the degree-ordered forward algorithm.
     TriCensus,
 }
 
@@ -111,8 +119,9 @@ pub struct KernelSpec {
     pub max_iters: u64,
     /// PageRank: how many top-ranked vertices to report.
     pub top_k: usize,
-    /// Whether tri-census checks its totals against the closed forms
-    /// (mismatch ⇒ [`AnalyzeError::Validation`]).
+    /// Whether tri-census checks its recount against the closed forms —
+    /// every stored entry, `Δ` at every edge, `t` at every vertex, then
+    /// the totals (mismatch ⇒ [`AnalyzeError::Validation`]).
     pub validate: bool,
 }
 
@@ -179,9 +188,10 @@ pub enum AnalyzeError {
     /// The artifact is structurally inconsistent (a row names a vertex
     /// outside every shard, a non-resident row was needed, …).
     Corrupt(String),
-    /// The kernel finished but its totals contradict the closed forms.
+    /// The kernel finished but its recount contradicts the closed forms.
     /// The boxed document is the full result — validation fields
-    /// included — so callers can surface *what* mismatched.
+    /// included — so callers can surface *what* mismatched, down to the
+    /// first disagreeing vertices and edges.
     Validation(Box<Json>),
 }
 
@@ -211,7 +221,8 @@ impl std::error::Error for AnalyzeError {}
 /// # Errors
 ///
 /// - [`AnalyzeError::Open`] if `set` is a cluster subset (whole-graph
-///   kernels need every row resident) or the spec is out of range;
+///   kernels need every row resident), the spec is out of range, or
+///   tri-census meets more than `u32::MAX` vertices;
 /// - [`AnalyzeError::Cancelled`] as soon as `stop` is observed `true`;
 /// - [`AnalyzeError::Corrupt`] for structural artifact damage;
 /// - [`AnalyzeError::Validation`] when tri-census disagrees with the
@@ -234,13 +245,8 @@ pub fn run_kernel(
         Kernel::Cc => Ok(cc::run(set, stop)?.to_json()),
         Kernel::Pagerank => Ok(pagerank::run(set, spec, stop)?.to_json()),
         Kernel::TriCensus => {
-            let census = census::run(set, stop)?;
-            if !spec.validate {
-                return Ok(census.to_json(None));
-            }
-            let product = load_product(set)?;
-            let (validation, ok) = census.validate(&product);
-            let doc = census.to_json(Some(validation));
+            let product = spec.validate.then(|| load_product(set)).transpose()?;
+            let (doc, ok) = census::run(set, product.as_ref(), stop)?;
             if ok {
                 Ok(doc)
             } else {

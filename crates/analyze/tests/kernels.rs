@@ -3,12 +3,15 @@
 //! Every kernel is checked three ways: against an independent serial
 //! reference over the materialized product, for byte-identical output
 //! across thread counts (the determinism contract the server job API
-//! relies on), and — for the census — against the paper's closed forms,
-//! including the tampered-artifact failure path.
+//! relies on), and — for the census — against the paper's closed forms
+//! at every vertex and every edge, including the tampered-artifact
+//! failure paths: a flipped column, a relabelled artifact that keeps
+//! every total, and a back entry no forward merge reads.
 
 use kron::KronProduct;
 use kron_analyze::{load_product, run_kernel, AnalyzeError, Kernel, KernelSpec};
 use kron_gen::deterministic::{clique, cycle, hub_cycle, path};
+use kron_gen::holme_kim;
 use kron_graph::Graph;
 use kron_stream::json::Json;
 use kron_stream::{stream_product, OutputFormat, ShardSet, StreamConfig};
@@ -255,6 +258,17 @@ fn census_validates_a_clean_artifact_against_the_closed_forms() {
     assert_eq!(num(&doc, "triangles"), c.total_triangles());
     let validation = doc.get("validation").unwrap();
     assert_eq!(validation.get("ok").and_then(Json::as_bool), Some(true));
+    // every vertex, every edge and every stored entry was compared
+    for (name, checked) in [
+        ("vertex_triangles", c.num_vertices() as u128),
+        ("edge_triangles", c.num_edges()),
+        ("entries_are_edges", c.nnz()),
+    ] {
+        let check = validation.get(name).unwrap();
+        assert_eq!(num(check, "checked"), checked, "{name}");
+        assert_eq!(num(check, "mismatches"), 0, "{name}");
+        assert_eq!(check.get("first").unwrap().as_arr().unwrap().len(), 0);
+    }
 
     // degree histogram, entry by entry, against the factor closed form
     let expected = kron::distributions::degree_histogram(&c);
@@ -314,6 +328,214 @@ fn census_flags_a_tampered_shard_unless_validation_is_off() {
     let doc = run(&set, &spec).unwrap();
     assert!(doc.get("validation").is_none());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Overwrite the rows of a single-shard v1 run with rows of the same
+/// lengths, so the header and the offsets stand (see the layout in
+/// `kron_stream::csr`).
+fn rewrite_rows(dir: &std::path::Path, rows: &[Vec<u64>]) {
+    let path = dir.join("shard_00000.csr");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mut at = 32 + 8 * (rows.len() + 1);
+    for &u in rows.iter().flatten() {
+        bytes[at..at + 8].copy_from_slice(&u.to_le_bytes());
+        at += 8;
+    }
+    assert_eq!(at, bytes.len(), "row lengths must not change");
+    std::fs::write(&path, bytes).unwrap();
+}
+
+/// A small stand-in for the benchmark's web crawl product.
+fn web_product() -> KronProduct {
+    KronProduct::new(holme_kim(14, 3, 0.75, 2018), holme_kim(12, 3, 0.75, 2019))
+}
+
+/// `v` under the transposition `x ↔ y`.
+fn swapped(v: u64, x: u64, y: u64) -> u64 {
+    match v {
+        v if v == x => y,
+        v if v == y => x,
+        v => v,
+    }
+}
+
+/// How many undirected edges of `c` land, under the swap `x ↔ y`, where
+/// the closed-form `Δ` differs from the one they carry with them, and how
+/// many stored entries land on a non-edge.
+fn moved(c: &KronProduct, x: u64, y: u64) -> (u128, u128) {
+    let swap = |v| swapped(v, x, y);
+    let (mut edges, mut entries) = (0, 0);
+    for (a, b) in c.adjacency_entries() {
+        entries += u128::from(!c.has_edge(swap(a), swap(b)));
+        edges += u128::from(a < b && c.edge_triangles(swap(a), swap(b)) != c.edge_triangles(a, b));
+    }
+    (edges, entries)
+}
+
+/// Stream [`web_product`], relabel it by swapping the first pair of
+/// vertices `x < y` of equal row length that `pick` accepts — swap their
+/// rows, rename every occurrence, re-sort — and run the validated census
+/// over the result, which must refuse it. The relabelled graph is
+/// isomorphic to the product: entry total, `Σ t`, degree histogram and
+/// edge count are all unchanged.
+fn census_of_relabelled(
+    name: &str,
+    pick: impl Fn(&KronProduct, u64, u64) -> bool,
+) -> (KronProduct, u64, u64, Json) {
+    let c = web_product();
+    let n = c.num_vertices();
+    let (x, y) = (0..n)
+        .flat_map(|x| (x + 1..n).map(move |y| (x, y)))
+        .find(|&(x, y)| c.row_len(x) == c.row_len(y) && pick(&c, x, y))
+        .expect("the product has such a pair");
+    let swap = |v| swapped(v, x, y);
+    let rows: Vec<Vec<u64>> = (0..n)
+        .map(|v| {
+            let mut row: Vec<u64> = c.neighbors(swap(v)).into_iter().map(swap).collect();
+            row.sort_unstable();
+            row
+        })
+        .collect();
+    let dir = streamed(name, &c, 1);
+    rewrite_rows(&dir, &rows);
+    let set = ShardSet::open(&dir).unwrap();
+    let err = run(&set, &KernelSpec::new(Kernel::TriCensus)).unwrap_err();
+    let AnalyzeError::Validation(doc) = err else {
+        panic!("a relabelled artifact must fail validation, got {err}");
+    };
+    std::fs::remove_dir_all(&dir).ok();
+    let validation = doc.get("validation").unwrap().clone();
+    assert_eq!(validation.get("ok").and_then(Json::as_bool), Some(false));
+    // everything the totals-only census compared still agrees
+    for total in [
+        "total_entries",
+        "total_triangle_participation",
+        "degree_histogram",
+        "edges",
+    ] {
+        let ok = validation.get(total).unwrap().get("ok");
+        assert_eq!(ok.and_then(Json::as_bool), Some(true), "{total}");
+    }
+    (c, x, y, validation)
+}
+
+#[test]
+fn census_catches_a_relabelled_artifact_that_keeps_every_total() {
+    let (c, x, y, validation) = census_of_relabelled("relabel", |c, x, y| {
+        c.vertex_triangles(x) != c.vertex_triangles(y)
+    });
+    // t(v) travelled with the rows: exactly x and y disagree, and say so
+    let vertices = validation.get("vertex_triangles").unwrap();
+    assert_eq!(num(vertices, "checked"), c.num_vertices() as u128);
+    assert_eq!(num(vertices, "mismatches"), 2);
+    let first = vertices.get("first").unwrap().as_arr().unwrap();
+    for (named, (v, carried)) in first.iter().zip([(x, y), (y, x)]) {
+        assert_eq!(num(named, "vertex"), v as u128);
+        assert_eq!(num(named, "expected"), c.vertex_triangles(v) as u128);
+        assert_eq!(num(named, "actual"), c.vertex_triangles(carried) as u128);
+    }
+    let (edges, entries) = moved(&c, x, y);
+    assert!(edges > 0 && entries > 0);
+    let check = validation.get("edge_triangles").unwrap();
+    assert_eq!(num(check, "checked"), c.num_edges());
+    assert_eq!(num(check, "mismatches"), edges);
+    let check = validation.get("entries_are_edges").unwrap();
+    assert_eq!(num(check, "checked"), c.nnz());
+    assert_eq!(num(check, "mismatches"), entries);
+}
+
+/// The cheaper twin: swap two vertices of equal degree **and equal
+/// `t(v)`** whose edges carry different `Δ`. Every vertex still shows its
+/// closed-form count, so a per-vertex check alone passes; the per-edge
+/// check trips. (`entries_are_edges` trips with it, necessarily: it passes
+/// an entry only in its place in the product's ascending row, so an
+/// artifact that passes it with as many entries as the product has *is*
+/// the product.)
+#[test]
+fn census_catches_a_relabelling_only_the_edges_can_see() {
+    let (c, x, y, validation) = census_of_relabelled("twin", |c, x, y| {
+        c.vertex_triangles(x) == c.vertex_triangles(y) && moved(c, x, y).0 > 0
+    });
+    let vertices = validation.get("vertex_triangles").unwrap();
+    assert_eq!(vertices.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(num(vertices, "checked"), c.num_vertices() as u128);
+    let (edges, entries) = moved(&c, x, y);
+    let check = validation.get("edge_triangles").unwrap();
+    assert_eq!(num(check, "mismatches"), edges);
+    let named = &check.get("first").unwrap().as_arr().unwrap()[0];
+    let edge = named.get("edge").unwrap().as_arr().unwrap();
+    let (v, u) = (edge[0].as_u64().unwrap(), edge[1].as_u64().unwrap());
+    assert!([v, u].contains(&x) || [v, u].contains(&y), "edge ({v},{u})");
+    assert_ne!(
+        named.get("expected").unwrap().as_u64(),
+        named.get("actual").unwrap().as_u64()
+    );
+    let check = validation.get("entries_are_edges").unwrap();
+    assert_eq!(num(check, "mismatches"), entries);
+}
+
+/// The forward merges read only the higher-ranked half of a row. Tamper
+/// one column of the top-ranked hub's row — every entry there is a back
+/// entry — and the recount is untouched: every `Δ`, every `t` and every
+/// total still agree. Only the entry-is-edge check sees it, and it must
+/// name exactly the column `tamper` wrote (which `tamper` returns).
+fn census_of_tampered_hub(name: &str, tamper: impl FnOnce(&KronProduct, u64, &mut [u64]) -> u64) {
+    let c = web_product();
+    let n = c.num_vertices();
+    let hub = (0..n).max_by_key(|&v| (c.row_len(v), v)).unwrap();
+    let mut rows: Vec<Vec<u64>> = (0..n).map(|v| c.neighbors(v)).collect();
+    let culprit = tamper(&c, hub, &mut rows[hub as usize]);
+
+    let dir = streamed(name, &c, 1);
+    rewrite_rows(&dir, &rows);
+    let set = ShardSet::open(&dir).unwrap();
+    let err = run(&set, &KernelSpec::new(Kernel::TriCensus)).unwrap_err();
+    let AnalyzeError::Validation(doc) = err else {
+        panic!("a tampered back entry must fail validation, got {err}");
+    };
+    let validation = doc.get("validation").unwrap();
+    assert_eq!(validation.get("ok").and_then(Json::as_bool), Some(false));
+    let Json::Obj(members) = validation else {
+        panic!("validation is an object")
+    };
+    for (name, check) in members.iter().skip(1) {
+        let ok = check.get("ok").and_then(Json::as_bool);
+        assert_eq!(ok, Some(name != "entries_are_edges"), "{name}");
+    }
+    let check = validation.get("entries_are_edges").unwrap();
+    assert_eq!(num(check, "mismatches"), 1);
+    assert_eq!(
+        check.get("first").unwrap().to_string(),
+        format!("[[{hub},{culprit}]]")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A replacement that keeps the row ascending and is no neighbour.
+#[test]
+fn census_flags_a_tampered_back_entry_no_merge_reads() {
+    census_of_tampered_hub("back_entry", |c, hub, row| {
+        let (at, stray) = (0..row.len() - 1)
+            .map(|at| (at, row[at] + 1))
+            .find(|&(at, stray)| stray < row[at + 1] && stray != hub && !c.has_edge(hub, stray))
+            .expect("the hub's row has a gap");
+        row[at] = stray;
+        stray
+    });
+}
+
+/// A replacement that *is* a neighbour: one entry overwritten with a copy
+/// of the one before it. The artifact has lost the edge, every stored
+/// entry is still an edge of the product, and row length, entry total and
+/// degree histogram stand — only the order of the row gives it away, and
+/// a plain `ShardSet::open` does not look at that.
+#[test]
+fn census_flags_a_back_entry_stored_twice() {
+    census_of_tampered_hub("back_entry_twice", |_, _, row| {
+        let at = row.len() / 2;
+        row[at] = row[at - 1];
+        row[at]
+    });
 }
 
 #[test]

@@ -57,9 +57,10 @@ USAGE:
       hops), cc (connected components by label propagation), pagerank
       (to --tol within --iters iterations, --top ranked vertices),
       tri-census (recount every degree and triangle from the artifact
-      and check the totals against the paper's closed forms — mismatch
-      prints the report and exits nonzero; --no-validate skips the
-      check). Results are byte-identical for any --threads. SIGTERM/
+      and check every stored entry, the count at every edge and every
+      vertex, and the totals against the paper's closed forms —
+      mismatch prints the report and exits nonzero; --no-validate skips
+      the check). Results are byte-identical for any --threads. SIGTERM/
       ctrl-c cancels cooperatively: no verdict, exit 0
   kron serve <DIR> --queries FILE [--threads T] [--no-verify]
              [--source artifact|oracle|cross-check[:N]] [--cache BYTES]
@@ -156,9 +157,10 @@ EXIT CODES:
   0  success
   1  command failed: unknown subcommand, missing argument, I/O or
      validation error, out-of-range query, any cross-check mismatch, or
-     an analyze validation failure — recounted whole-graph totals or a
-     finished server job contradicting the closed forms (artifact and
-     closed-form oracle disagree: the run directory is corrupt or stale)
+     an analyze validation failure — recounted whole-graph statistics
+     or a finished server job contradicting the closed forms (artifact
+     and closed-form oracle disagree: the run directory is corrupt or
+     stale)
   2  the command line itself could not be parsed (no subcommand)";
 
 /// Dispatch a parsed command line.
@@ -670,7 +672,7 @@ fn cmd_analyze(p: &ParsedArgs) -> Result<(), String> {
         Err(kron_analyze::AnalyzeError::Validation(doc)) => {
             println!("{doc}");
             Err(
-                "validation failed: recounted totals contradict the closed forms \
+                "validation failed: recounted statistics contradict the closed forms \
                  (artifact corrupt or stale)"
                     .into(),
             )

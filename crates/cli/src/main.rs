@@ -32,7 +32,7 @@
 //!   individual query in the batch failing, (for
 //!   `--source cross-check`) any disagreement between the artifact and
 //!   the closed-form oracle, or (for `kron analyze` and server analytics
-//!   jobs) recounted whole-graph totals contradicting the closed forms.
+//!   jobs) recounted whole-graph statistics contradicting the closed forms.
 //!   The error on stderr names the offending
 //!   file — `verify-shards` and `serve` failures always include the
 //!   specific manifest or artifact path, and cross-check failures print

@@ -30,12 +30,22 @@ grep -q '"kernel":"pagerank"' "$work/pr.json"
 grep -q '"top":\[' "$work/pr.json"
 "$BIN" analyze "$work/run" --kernel tri-census > "$work/census.json"
 grep -q '"ok":true' "$work/census.json"    # recount matches the closed forms
+# ... at every vertex and every edge: the element-wise checks compared
+# `vertices` counts and (entries - loops)/2 edges (holme-kim is loop-free)
+field() { grep -o "$1" "$work/census.json" | grep -o '[0-9]*$'; }
+vertices=$(field '"vertices":[0-9]*')
+entries=$(field '"entries":[0-9]*')
+[ "$(field '"vertex_triangles":{"ok":true,"checked":[0-9]*')" = "$vertices" ]
+[ "$(field '"edge_triangles":{"ok":true,"checked":[0-9]*')" = $((entries / 2)) ]
 
 echo "== results are deterministic across thread counts"
-"$BIN" analyze "$work/run" --kernel cc --threads 1 > "$work/cc.t1.json"
-"$BIN" analyze "$work/run" --kernel cc --threads 4 > "$work/cc.t4.json"
-cmp "$work/cc.t1.json" "$work/cc.t4.json"
+for kernel in cc tri-census; do
+    "$BIN" analyze "$work/run" --kernel $kernel --threads 1 > "$work/$kernel.t1.json"
+    "$BIN" analyze "$work/run" --kernel $kernel --threads 4 > "$work/$kernel.t4.json"
+    cmp "$work/$kernel.t1.json" "$work/$kernel.t4.json"
+done
 cmp "$work/cc.t1.json" "$work/cc.json"
+cmp "$work/tri-census.t1.json" "$work/census.json"
 
 echo "== a tampered artifact fails the recount nonzero"
 cp -r "$work/run" "$work/bad"
@@ -55,6 +65,8 @@ status=0
 "$BIN" analyze "$work/bad" --kernel tri-census > "$work/bad.json" 2> "$work/bad.err" || status=$?
 [ "$status" -ne 0 ] || { echo "tampered artifact validated cleanly"; exit 1; }
 grep -q '"ok":false' "$work/bad.json"      # the mismatch report still prints
+# ... and names a culprit: an entry, an edge or a vertex under "first"
+grep -Eq '"first":\[(\[[0-9]+,[0-9]+\]|\{"(edge|vertex)":)' "$work/bad.json"
 grep -q 'closed forms' "$work/bad.err"
 
 echo "== start the server (ephemeral port, job pool of 1)"
