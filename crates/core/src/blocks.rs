@@ -33,6 +33,77 @@ pub struct RowBlockStats {
     pub triangle_sum: u128,
 }
 
+/// Most columns one run of [`RowRuns`] carries. A constant, not a knob:
+/// large enough that per-run work (a sink's admission check, one
+/// `write_all`) vanishes per entry, small enough that the buffer and a
+/// sink's encoded copy of it stay in L1/L2 whatever the hub degree.
+pub const RUN_CAPACITY: usize = 4096;
+
+/// Generator of a row block's adjacency entries as **runs**: a run is a
+/// slice of consecutive ascending columns of one product row. Runs come
+/// in the order of [`KronProduct::adjacency_entries_in_rows`] — their
+/// concatenation *is* that stream — a row of at most [`RUN_CAPACITY`]
+/// entries arrives as one run, a longer (hub) row as several, and an
+/// empty row as none. One buffer is reused for every run, so memory is
+/// `O(RUN_CAPACITY)` however long the rows are.
+pub struct RowRuns<'a> {
+    product: &'a KronProduct,
+    /// Product row in progress, as its factor pair `(i, k)`; the block
+    /// ends at left-factor row `end`.
+    i: u32,
+    end: u32,
+    k: u32,
+    /// Position of the next entry within the row: index into `A.row(i)`
+    /// and into `B.row(k)`.
+    ja: usize,
+    lb: usize,
+    buf: Vec<u64>,
+}
+
+impl RowRuns<'_> {
+    /// The next run as `(product vertex, columns)`, or `None` once the
+    /// block is exhausted. The columns borrow the generator's buffer and
+    /// are overwritten by the next call.
+    pub fn next_run(&mut self) -> Option<(u64, &[u64])> {
+        let (a, b, ix) = (&self.product.a, &self.product.b, &self.product.ix);
+        let n_b = b.num_vertices() as u32;
+        loop {
+            if self.i >= self.end {
+                return None;
+            }
+            let ra = a.adj_row(self.i);
+            if self.k >= n_b || ra.is_empty() {
+                (self.i, self.k) = (self.i + 1, 0);
+                continue;
+            }
+            let rb = b.adj_row(self.k);
+            if self.ja >= ra.len() || rb.is_empty() {
+                (self.k, self.ja, self.lb) = (self.k + 1, 0, 0);
+                continue;
+            }
+            self.buf.clear();
+            let mut room = RUN_CAPACITY;
+            while room > 0 && self.ja < ra.len() {
+                let part = &rb[self.lb..rb.len().min(self.lb + room)];
+                let base = ix.compose(ra[self.ja], 0);
+                self.buf.extend(part.iter().map(|&l| base + u64::from(l)));
+                room -= part.len();
+                self.lb += part.len();
+                if self.lb == rb.len() {
+                    (self.ja, self.lb) = (self.ja + 1, 0);
+                }
+            }
+            return Some((ix.compose(self.i, self.k), &self.buf));
+        }
+    }
+
+    /// Capacity of the reused run buffer, in entries — what the memory
+    /// guards assert stays `O(RUN_CAPACITY)`.
+    pub fn buffer_capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+}
+
 impl KronProduct {
     /// Partition the left-factor rows `0..n_A` into `shards` contiguous
     /// blocks balanced by product-entry count (`nnz`), not row count —
@@ -143,8 +214,23 @@ impl KronProduct {
         })
     }
 
+    /// The same stream as [`Self::adjacency_entries_in_rows`], a **run**
+    /// at a time: see [`RowRuns`].
+    pub fn runs_in_rows(&self, rows: std::ops::Range<u32>) -> RowRuns<'_> {
+        RowRuns {
+            product: self,
+            i: rows.start,
+            end: rows.end,
+            k: 0,
+            ja: 0,
+            lb: 0,
+            buf: Vec::with_capacity(RUN_CAPACITY),
+        }
+    }
+
     /// Closed-form adjacency-row lengths of every product vertex in the
-    /// block, in vertex order — the first pass of a two-pass CSR writer
+    /// block, in vertex order — what a CSR writer lays its offsets out
+    /// from, and admits runs against
     /// (`rowlen_C(i·n_B + k) = rowlen_A(i)·rowlen_B(k)`).
     pub fn row_lengths_in_rows(
         &self,
@@ -176,6 +262,55 @@ mod tests {
             }
         }
         Graph::from_edges(n, edges)
+    }
+
+    /// A random graph whose vertex 0 is a hub joined to every vertex but
+    /// the last `isolated`, which have no entry at all.
+    fn hub_graph(rng: &mut StdRng, n: usize, isolated: usize, p: f64, loop_p: f64) -> Graph {
+        let live = (n - isolated) as u32;
+        let mut edges: Vec<(u32, u32)> = (1..live).map(|v| (0, v)).collect();
+        for i in 1..live {
+            edges.extend(((i + 1)..live).filter(|_| rng.gen_bool(p)).map(|j| (i, j)));
+            if rng.gen_bool(loop_p) {
+                edges.push((i, i));
+            }
+        }
+        Graph::from_edges(n, edges)
+    }
+
+    #[test]
+    fn runs_concatenate_to_the_entry_stream_within_rows_and_capacity() {
+        let mut rng = StdRng::seed_from_u64(44);
+        for case in 0..4 {
+            let a = hub_graph(&mut rng, 72 + case, 2, 0.03, 0.3);
+            let b = hub_graph(&mut rng, 70, 3, 0.05, 0.3);
+            let c = KronProduct::new(a, b);
+            assert!(c.row_len(0) as usize > RUN_CAPACITY, "hub row must split");
+            for rows in c.partition_rows_by_nnz(3) {
+                let mut entries = c.adjacency_entries_in_rows(rows.clone());
+                let mut runs = c.runs_in_rows(rows.clone());
+                let mut by_row = std::collections::BTreeMap::<u64, Vec<u64>>::new();
+                while let Some((p, cols)) = runs.next_run() {
+                    assert!(!cols.is_empty() && cols.len() <= RUN_CAPACITY);
+                    // every column is the stream's next entry *of row p*:
+                    // the run neither reorders nor crosses a row
+                    for &q in cols {
+                        assert_eq!(entries.next(), Some((p, q)));
+                    }
+                    let row = by_row.entry(p).or_default();
+                    // only a full run is ever followed by more of its row
+                    assert_eq!(row.len() % RUN_CAPACITY, 0, "row {p} split early");
+                    row.extend_from_slice(cols);
+                }
+                assert_eq!(entries.next(), None, "runs ended before the stream");
+                for p in c.row_block_stats(rows).vertices {
+                    let got = by_row.remove(&p).unwrap_or_default();
+                    assert_eq!(got, c.neighbors(p), "row {p}");
+                }
+                assert!(by_row.is_empty(), "runs outside the block: {by_row:?}");
+                assert!(runs.buffer_capacity() <= 2 * RUN_CAPACITY);
+            }
+        }
     }
 
     #[test]

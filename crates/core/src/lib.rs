@@ -73,7 +73,7 @@ mod truss_product;
 pub mod tuning;
 pub mod validate;
 
-pub use blocks::RowBlockStats;
+pub use blocks::{RowBlockStats, RowRuns, RUN_CAPACITY};
 pub use chain::KronChain;
 pub use directed::KronDirectedProduct;
 pub use directed_general::KronDirectedGeneral;

@@ -109,8 +109,12 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
                 let lengths = offsets.windows(2).map(|w| w[1] - w[0]);
                 let mut sink = Csr2Sink::create(dir, &name2, reader.vertex_lo(), lengths)
                     .map_err(|e| fail(e.to_string()))?;
-                for (p, q) in reader.entries() {
-                    sink.push(p, q).map_err(|e| fail(e.to_string()))?;
+                // A mapped row is already a run (admission proved the
+                // header covers `m.vertices`), and the sink bounds its own
+                // scratch however long the row.
+                for p in m.vertices.clone() {
+                    let row = reader.row(p).unwrap_or_default();
+                    sink.push_run(p, row).map_err(|e| fail(e.to_string()))?;
                 }
                 let (file, bytes) = sink
                     .finish()

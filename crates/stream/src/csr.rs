@@ -249,18 +249,6 @@ impl CsrReader {
         );
         Some(&self.cols()[lo..hi])
     }
-
-    /// Iterate all `(p, q)` entries in row-major order.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let offsets = self.offsets();
-        let cols = self.cols();
-        (0..self.num_rows as usize).flat_map(move |r| {
-            let p = self.vertex_lo + r as u64;
-            cols[offsets[r] as usize..offsets[r + 1] as usize]
-                .iter()
-                .map(move |&q| (p, q))
-        })
-    }
 }
 
 /// Reader over a v2 (varint delta-encoded) CSR shard.
@@ -408,7 +396,10 @@ impl Csr2Reader {
     /// (see [`decode_row_vd`]) — a short row is never handed out.
     pub fn row(&self, p: u64) -> Option<Vec<u64>> {
         let bytes = self.row_bytes(p)?;
-        let mut out = Vec::new();
+        // every varint ends in exactly one byte without the high bit, so
+        // this is the row length: one allocation, never a regrowth
+        let len = bytes.iter().filter(|&&b| b & 0x80 == 0).count();
+        let mut out = Vec::with_capacity(len);
         decode_row_vd(bytes, &mut out).then_some(out)
     }
 }
@@ -567,15 +558,18 @@ impl CsrMap {
         .is_some()
     }
 
-    /// Iterate `(p, row)` over the shard's vertex range in ascending
-    /// order, one pair per covered vertex; `row` is [`CsrMap::row`]'s
-    /// answer, so `None` marks a v2 row that does not decode.
-    pub fn rows(&self) -> impl Iterator<Item = (u64, Option<RowRef<'_>>)> + '_ {
-        let lo = self.vertex_lo();
-        (0..self.num_rows()).map(move |r| {
-            let p = lo.wrapping_add(r);
-            (p, self.row(p))
-        })
+    /// [`CsrMap::row`] without the allocation, for a scan over many rows:
+    /// a v1 row is the mapped slice, a v2 row is decoded into `buf`
+    /// (cleared first) and borrowed from it. `None` exactly when
+    /// [`CsrMap::row`] is.
+    pub fn row_into<'a>(&'a self, p: u64, buf: &'a mut Vec<u64>) -> Option<&'a [u64]> {
+        match self {
+            CsrMap::V1(r) => r.row(p),
+            CsrMap::V2(r) => {
+                buf.clear();
+                decode_row_vd(r.row_bytes(p)?, buf).then_some(&buf[..])
+            }
+        }
     }
 }
 
@@ -591,9 +585,11 @@ mod tests {
         dir
     }
 
+    /// Every row of the shard in vertex order, read the way a scan does.
     fn rows_of(map: &CsrMap) -> Vec<(u64, Vec<u64>)> {
-        map.rows()
-            .map(|(p, row)| (p, row.expect("row decodes").into()))
+        let mut buf = Vec::new();
+        (map.vertex_lo()..map.vertex_lo() + map.num_rows())
+            .map(|p| (p, map.row_into(p, &mut buf).expect("row decodes").to_vec()))
             .collect()
     }
 
@@ -603,9 +599,8 @@ mod tests {
         // rows: vertex 10: [3, 7]; vertex 11: []; vertex 12: [0]
         let lens = vec![2u64, 0, 1];
         let mut sink = CsrSink::create(&dir, "s.csr", 10, lens.into_iter()).unwrap();
-        sink.push(10, 3).unwrap();
-        sink.push(10, 7).unwrap();
-        sink.push(12, 0).unwrap();
+        sink.push_run(10, &[3, 7]).unwrap();
+        sink.push_run(12, &[0]).unwrap();
         let (name, bytes) = sink.finish().unwrap().unwrap();
         assert_eq!(name, "s.csr");
         assert_eq!(Some(bytes), file_size_checked(3, 3));
@@ -618,40 +613,67 @@ mod tests {
         assert_eq!(r.row(12).unwrap(), &[0]);
         assert_eq!(r.row(13), None);
         assert_eq!(r.row(9), None);
-        assert_eq!(
-            r.entries().collect::<Vec<_>>(),
-            vec![(10, 3), (10, 7), (12, 0)]
-        );
         let rows: Vec<(u64, Vec<u64>)> = rows_of(&CsrMap::V1(r));
         assert_eq!(
             rows,
             vec![(10, vec![3, 7]), (11, vec![]), (12, vec![0])],
-            "rows() must visit every vertex in order, empty rows included"
+            "a scan must visit every vertex in order, empty rows included"
         );
+    }
+
+    /// Every admission rejection, for the sink `create` builds over the
+    /// given row lengths (both formats share the cursor, so both must
+    /// refuse the same runs).
+    fn rejects_bad_runs<S: EdgeSink>(create: impl Fn(&str, Vec<u64>) -> S) {
+        let bad = |sink: &mut S, p: u64, cols: &[u64], want: &str| {
+            let err = sink.push_run(p, cols).unwrap_err().to_string();
+            assert!(err.contains(want), "{p} {cols:?}: {err}");
+        };
+        let order = "out of row-major order or exceeds";
+        // vertex outside the shard, below and above
+        let mut sink = create("outside", vec![1, 1]);
+        bad(&mut sink, 4, &[5], "outside shard");
+        bad(&mut sink, 7, &[5], "outside shard");
+        // a later row while the open one is short (a short row)
+        bad(&mut sink, 6, &[5], order);
+        // going back a row
+        let mut sink = create("back", vec![1, 1]);
+        sink.push_run(5, &[5]).unwrap();
+        sink.push_run(6, &[6]).unwrap();
+        bad(&mut sink, 5, &[7], order);
+        // a run past the closed-form length: at once, and as a second run
+        let mut sink = create("past", vec![2, 0, 3]);
+        bad(&mut sink, 5, &[1, 2, 3], order);
+        sink.push_run(5, &[1]).unwrap();
+        bad(&mut sink, 5, &[2, 3], order);
+        sink.push_run(5, &[2]).unwrap();
+        bad(&mut sink, 5, &[3], order);
+        // a run for an empty row
+        bad(&mut create("empty", vec![0, 1]), 5, &[1], order);
+        // finish with entries ≠ nnz
+        let mut sink = create("underfull", vec![2, 0, 3]);
+        sink.push_run(5, &[1, 2]).unwrap();
+        sink.push_run(7, &[1, 2]).unwrap();
+        let err = sink.finish().unwrap_err().to_string();
+        assert!(err.contains("wrote 4 of 5 entries"), "{err}");
     }
 
     #[test]
     fn csr_sink_rejects_out_of_order_and_overflow() {
         let dir = tmpdir("order");
-        let mut sink = CsrSink::create(&dir, "bad.csr", 0, vec![1u64, 1].into_iter()).unwrap();
-        assert!(
-            sink.push(1, 5).is_err(),
-            "row 1 before row 0 is filled must fail"
-        );
-        let mut sink1 = CsrSink::create(&dir, "bad1.csr", 0, vec![1u64, 1].into_iter()).unwrap();
-        sink1.push(0, 5).unwrap();
-        sink1.push(1, 6).unwrap();
-        assert!(sink1.push(0, 7).is_err(), "going back a row must fail");
-        assert!(sink1.push(2, 7).is_err(), "vertex outside shard must fail");
-        let mut sink2 = CsrSink::create(&dir, "bad2.csr", 0, vec![1u64].into_iter()).unwrap();
-        sink2.push(0, 1).unwrap();
-        assert!(sink2.push(0, 2).is_err(), "row overflow must fail");
-        let mut sink3 = CsrSink::create(&dir, "bad3.csr", 0, vec![2u64].into_iter()).unwrap();
-        sink3.push(0, 1).unwrap();
-        assert!(sink3.finish().is_err(), "underfull finish must fail");
+        rejects_bad_runs(|name, lens| {
+            CsrSink::create(&dir, &format!("{name}.csr"), 5, lens.into_iter()).unwrap()
+        });
+        rejects_bad_runs(|name, lens| {
+            Csr2Sink::create(&dir, &format!("{name}.csr2"), 5, lens.into_iter()).unwrap()
+        });
         // failed sinks leave only .tmp files behind
-        assert!(!dir.join("bad.csr").exists());
-        assert!(!dir.join("bad3.csr").exists());
+        let left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(left.len(), 10, "{left:?}");
+        assert!(left.iter().all(|name| name.ends_with(".tmp")), "{left:?}");
     }
 
     #[test]
@@ -745,9 +767,8 @@ mod tests {
     fn csr2_reader_refuses_a_row_that_does_not_decode() {
         let dir = tmpdir("v2_undecodable");
         let mut sink = Csr2Sink::create(&dir, "z.csr2", 0, vec![2u64, 1].into_iter()).unwrap();
-        for (p, q) in [(0, 300), (0, 301), (1, 7)] {
-            sink.push(p, q).unwrap();
-        }
+        sink.push_run(0, &[300, 301]).unwrap();
+        sink.push_run(1, &[7]).unwrap();
         sink.finish().unwrap();
         let path = dir.join("z.csr2");
         let good = std::fs::read(&path).unwrap();
@@ -762,12 +783,9 @@ mod tests {
             let map = CsrMap::open(&path).expect("structure is intact");
             assert!(map.row(0).is_none(), "short row handed out");
             assert_eq!(map.row(1).as_deref(), Some(&[7u64][..]));
-            let rows: Vec<(u64, bool)> = map.rows().map(|(p, r)| (p, r.is_some())).collect();
-            assert_eq!(
-                rows,
-                vec![(0, false), (1, true)],
-                "rows() reports, never panics"
-            );
+            let mut buf = Vec::new();
+            assert!(map.row_into(0, &mut buf).is_none(), "short row handed out");
+            assert_eq!(map.row_into(1, &mut buf), Some(&[7u64][..]));
         }
     }
 
@@ -777,9 +795,9 @@ mod tests {
         // rows: vertex 10: [3, 7]; vertex 11: []; vertex 12: [0]
         let lens = vec![2u64, 0, 1];
         let mut sink = Csr2Sink::create(&dir, "s.csr2", 10, lens.into_iter()).unwrap();
-        sink.push(10, 3).unwrap();
-        sink.push(10, 7).unwrap();
-        sink.push(12, 0).unwrap();
+        sink.push_run(10, &[3]).unwrap();
+        sink.push_run(10, &[7]).unwrap();
+        sink.push_run(12, &[0]).unwrap();
         let (name, bytes) = sink.finish().unwrap().unwrap();
         assert_eq!(name, "s.csr2");
         // stream: row 10 = varint(3), varint(4); row 12 = varint(0) → 3 bytes
@@ -807,9 +825,9 @@ mod tests {
         let lens = vec![2u64, 0, 1];
         let mut s1 = CsrSink::create(&dir, "a.csr", 10, lens.clone().into_iter()).unwrap();
         let mut s2 = Csr2Sink::create(&dir, "a.csr2", 10, lens.into_iter()).unwrap();
-        for (p, q) in [(10, 3), (10, 7), (12, 0)] {
-            s1.push(p, q).unwrap();
-            s2.push(p, q).unwrap();
+        for (p, cols) in [(10, &[3, 7][..]), (12, &[0])] {
+            s1.push_run(p, cols).unwrap();
+            s2.push_run(p, cols).unwrap();
         }
         s1.finish().unwrap();
         s2.finish().unwrap();
@@ -846,12 +864,24 @@ mod tests {
     #[test]
     fn csr2_sink_rejects_unsorted_columns_and_underfill() {
         let dir = tmpdir("v2_order");
-        let mut sink = Csr2Sink::create(&dir, "bad.csr2", 0, vec![3u64].into_iter()).unwrap();
-        sink.push(0, 5).unwrap();
-        let err = sink.push(0, 5).unwrap_err();
-        assert!(err.to_string().contains("strictly ascending"), "{err}");
-        let mut sink2 = Csr2Sink::create(&dir, "bad2.csr2", 0, vec![2u64].into_iter()).unwrap();
-        sink2.push(0, 1).unwrap();
+        let create = |name: &str| Csr2Sink::create(&dir, name, 0, vec![3u64].into_iter()).unwrap();
+        // within one run: a repeat and a descent
+        for cols in [[5, 5, 6], [5, 4, 6]] {
+            let err = create("bad.csr2").push_run(0, &cols).unwrap_err();
+            assert!(err.to_string().contains("strictly ascending"), "{err}");
+        }
+        // across two runs of one row
+        let mut sink = create("bad.csr2");
+        sink.push_run(0, &[4, 5]).unwrap();
+        let err = sink.push_run(0, &[5]).unwrap_err();
+        assert!(err.to_string().contains("(5 after 5)"), "{err}");
+        // …while a new row starts over
+        let mut sink = Csr2Sink::create(&dir, "ok.csr2", 0, vec![1u64, 1].into_iter()).unwrap();
+        sink.push_run(0, &[9]).unwrap();
+        sink.push_run(1, &[2]).unwrap();
+        sink.finish().unwrap();
+        let mut sink2 = create("bad2.csr2");
+        sink2.push_run(0, &[1]).unwrap();
         assert!(sink2.finish().is_err(), "underfull finish must fail");
         assert!(!dir.join("bad.csr2").exists());
         assert!(!dir.join("bad2.csr2").exists());
@@ -877,8 +907,7 @@ mod tests {
         assert_eq!(file_size2_checked(u64::MAX, 1), None);
 
         let mut sink = Csr2Sink::create(&dir, "c.csr2", 0, vec![2u64].into_iter()).unwrap();
-        sink.push(0, 300).unwrap();
-        sink.push(0, 301).unwrap();
+        sink.push_run(0, &[300, 301]).unwrap();
         sink.finish().unwrap();
         let path = dir.join("c.csr2");
         let good = std::fs::read(&path).unwrap();
@@ -913,7 +942,7 @@ mod tests {
     fn reader_rejects_corruption() {
         let dir = tmpdir("corrupt");
         let mut sink = CsrSink::create(&dir, "c.csr", 0, vec![1u64].into_iter()).unwrap();
-        sink.push(0, 9).unwrap();
+        sink.push_run(0, &[9]).unwrap();
         sink.finish().unwrap();
         let path = dir.join("c.csr");
         let good = std::fs::read(&path).unwrap();

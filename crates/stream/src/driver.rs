@@ -72,11 +72,12 @@ pub fn run_shard(
     let mut hash = StreamHash::default();
     let mut entries = 0u128;
     let mut self_loops = 0u128;
-    for (p, q) in product.adjacency_entries_in_rows(expect.rows.clone()) {
-        hash.update(p, q);
-        entries += 1;
-        self_loops += u128::from(p == q);
-        sink.push(p, q)
+    let mut runs = product.runs_in_rows(expect.rows.clone());
+    while let Some((p, cols)) = runs.next_run() {
+        hash.update_run(p, cols);
+        entries += cols.len() as u128;
+        self_loops += cols.iter().filter(|&&q| q == p).count() as u128;
+        sink.push_run(p, cols)
             .map_err(|e| StreamError::Shard(spec.index, e.to_string()))?;
     }
     let artifact = sink
@@ -154,6 +155,61 @@ fn make_sink<'a>(
             .map_err(io_err)?,
         ),
     })
+}
+
+/// Workers for a shard-parallel stage: `requested`, or every available
+/// core when that is 0; at most one per shard.
+fn worker_count(requested: usize, shards: usize) -> usize {
+    let threads = match requested {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    };
+    threads.min(shards).max(1)
+}
+
+/// The one shard-parallel loop: run `work(i)` for every shard index in
+/// `0..shards` on [`worker_count`]`(threads, shards)` workers (the calling
+/// thread is one of them) and return the results in shard order.
+///
+/// Workers claim indices in ascending order and finish what they claim;
+/// after a failure nobody claims further. So when shard `k` fails, every
+/// shard below `k` has been claimed and runs to completion, and the error
+/// returned is always that of the **lowest-index** failing shard —
+/// whatever the worker count or timing.
+pub(crate) fn for_each_shard<T: Send>(
+    shards: usize,
+    threads: usize,
+    work: impl Fn(usize) -> Result<T, StreamError> + Sync,
+) -> Result<Vec<T>, StreamError> {
+    // Both atomics only hand out work; results travel through the mutex.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let done = Mutex::new(Vec::with_capacity(shards));
+    let threads = worker_count(threads, shards);
+    let worker = || {
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= shards {
+                break;
+            }
+            let result = work(i);
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            done.lock()
+                .expect("no worker panics holding the lock")
+                .push((i, result));
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(worker);
+        }
+        worker();
+    });
+    let mut done = done.into_inner().expect("workers are joined");
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Validate a shard count from config or a run directory.
@@ -337,8 +393,8 @@ pub fn load_factors(dir: &Path, run: &RunSummary) -> Result<KronProduct, StreamE
 ///
 /// [`StreamError::Config`] for an invalid configuration (zero/too many
 /// shards), [`StreamError::Io`] for directory/summary I/O failures, and
-/// [`StreamError::Shard`] naming the first shard whose generation or
-/// validation failed.
+/// [`StreamError::Shard`] naming the lowest-index shard whose generation
+/// or validation failed.
 pub fn stream_product(
     product: &KronProduct,
     cfg: &StreamConfig,
@@ -355,50 +411,20 @@ pub fn stream_product(
     }
 
     let plan = ShardPlan::new(product, cfg.shards);
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    }
-    .min(cfg.shards)
-    .max(1);
+    let threads = worker_count(cfg.threads, cfg.shards);
 
     let t0 = std::time::Instant::now();
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let resumed = AtomicUsize::new(0);
-    let errors: Mutex<Vec<StreamError>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = plan.get(i) else { break };
-                if cfg.resume && shard_is_complete(dir, spec, cfg.format) {
-                    resumed.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let result = make_sink(dir, spec, cfg.format, product)
-                    .and_then(|mut sink| run_shard(product, spec, cfg.format, sink.as_mut()))
-                    .and_then(|m| {
-                        write_json_atomic(dir, &manifest_name(spec.index), &m.to_json())
-                            .map_err(|e| StreamError::Shard(spec.index, e.to_string()))
-                    });
-                if let Err(e) = result {
-                    errors.lock().unwrap().push(e);
-                    failed.store(true, Ordering::Relaxed);
-                    break;
-                }
-            });
+    let resumed = for_each_shard(cfg.shards, threads, |i| {
+        let spec = plan.get(i).expect("the plan has cfg.shards shards");
+        if cfg.resume && shard_is_complete(dir, spec, cfg.format) {
+            return Ok(true);
         }
-    });
-    if let Some(e) = errors.into_inner().unwrap().into_iter().next() {
-        return Err(e);
-    }
+        let mut sink = make_sink(dir, spec, cfg.format, product)?;
+        let m = run_shard(product, spec, cfg.format, sink.as_mut())?;
+        write_json_atomic(dir, &manifest_name(spec.index), &m.to_json())
+            .map_err(|e| StreamError::Shard(spec.index, e.to_string()))?;
+        Ok(false)
+    })?;
 
     // Aggregate manifests into the run summary; totals must reproduce the
     // closed-form global statistics exactly.
@@ -437,9 +463,74 @@ pub fn stream_product(
         factor_b: FACTOR_B_FILE.into(),
         threads,
         elapsed_secs: t0.elapsed().as_secs_f64(),
-        resumed_shards: resumed.into_inner(),
+        resumed_shards: resumed.into_iter().filter(|&r| r).count(),
     };
     write_json_atomic(dir, RUN_FILE, &summary.to_json())
         .map_err(|e| StreamError::Io(e.to_string()))?;
     Ok(summary)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{mpsc, Barrier};
+
+    #[test]
+    fn results_come_back_in_shard_order() {
+        for threads in [1, 3, 8] {
+            let squares = for_each_shard(5, threads, |i| Ok(i * i)).unwrap();
+            assert_eq!(squares, [0, 1, 4, 9, 16]);
+        }
+        assert_eq!(for_each_shard(0, 1, Ok).unwrap(), []);
+    }
+
+    #[test]
+    fn one_worker_stops_at_the_first_failure() {
+        let calls = AtomicUsize::new(0);
+        let err = for_each_shard(4, 1, |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            match i {
+                1 | 3 => Err(StreamError::Shard(i, "bad".into())),
+                _ => Ok(()),
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(err, StreamError::Shard(1, _)), "{err}");
+        assert_eq!(calls.into_inner(), 2, "shards 2 and 3 were never claimed");
+    }
+
+    #[test]
+    fn a_later_failure_of_a_lower_shard_still_wins() {
+        // Four workers each hold one shard (the barrier); shard 3 fails
+        // first, and shard 1 only once shard 3 is on its way out.
+        let all_claimed = Barrier::new(4);
+        let (three_failed, wait_for_three) = mpsc::channel();
+        let wait_for_three = Mutex::new(wait_for_three);
+        let err = for_each_shard(4, 4, |i| {
+            all_claimed.wait();
+            match i {
+                3 => {
+                    three_failed.send(()).unwrap();
+                    Err(StreamError::Shard(3, "bad".into()))
+                }
+                1 => {
+                    wait_for_three.lock().unwrap().recv().unwrap();
+                    Err(StreamError::Shard(1, "bad".into()))
+                }
+                _ => Ok(()),
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(err, StreamError::Shard(1, _)), "{err}");
+    }
+
+    #[test]
+    fn worker_count_is_capped_by_shards_and_never_zero() {
+        assert_eq!(worker_count(8, 3), 3);
+        assert_eq!(worker_count(2, 16), 2);
+        assert_eq!(worker_count(5, 0), 1);
+        let auto = worker_count(0, usize::MAX);
+        assert!(auto >= 1);
+        assert_eq!(worker_count(0, 1), 1);
+    }
 }

@@ -10,9 +10,10 @@
 //! * [`ShardPlan`] — partitions the edge space into contiguous left-factor
 //!   row blocks, balanced by entry count (`nnz`), so each shard streams
 //!   communication-free;
-//! * [`EdgeSink`] — where a shard's entries go: an in-memory collector
-//!   ([`MemorySink`]), a buffered binary edge-list writer
-//!   ([`EdgeListSink`], fixed-width little-endian `u64` pairs), a two-pass
+//! * [`EdgeSink`] — where a shard's entries go, a **run** (consecutive
+//!   ascending columns of one product row) at a time: an in-memory
+//!   collector ([`MemorySink`]), a buffered binary edge-list writer
+//!   ([`EdgeListSink`], fixed-width little-endian `u64` pairs), a streaming
 //!   on-disk CSR writer ([`CsrSink`]) with an mmap-backed zero-copy reader
 //!   ([`CsrReader`]), its varint delta-encoded v2 sibling ([`Csr2Sink`] /
 //!   [`Csr2Reader`], roughly 4× smaller on sorted rows, unified behind
@@ -25,7 +26,9 @@
 //!   **independently validatable** and a partial run **resumes** by
 //!   skipping completed shards;
 //! * [`stream_product`] — the concurrent driver; [`verify_shards`] — the
-//!   independent validator;
+//!   independent validator; both, and every [`ShardSet`] open, run their
+//!   shards in parallel through one loop that names the lowest-index
+//!   failing shard whatever the core count;
 //! * [`ShardSet`] — opens a completed CSR run for **in-place querying**:
 //!   every shard is validated and memory-mapped once, and product vertices
 //!   route to their owning shard by the plan's contiguous vertex ranges.

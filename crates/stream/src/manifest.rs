@@ -102,13 +102,12 @@ impl StreamHash {
         self.xor ^= h;
     }
 
-    /// Checksum of a whole entry iterator.
-    pub fn of(entries: impl Iterator<Item = (u64, u64)>) -> StreamHash {
-        let mut h = StreamHash::default();
-        for (p, q) in entries {
-            h.update(p, q);
+    /// Fold one run — columns `cols` of row `p` — into the checksum.
+    #[inline]
+    pub fn update_run(&mut self, p: u64, cols: &[u64]) {
+        for &q in cols {
+            self.update(p, q);
         }
-        h
     }
 }
 
@@ -487,15 +486,23 @@ mod tests {
 
     #[test]
     fn stream_hash_is_order_independent_and_sensitive() {
-        let entries = [(1u64, 2u64), (3, 4), (5, 6)];
-        let fwd = StreamHash::of(entries.iter().copied());
-        let rev = StreamHash::of(entries.iter().rev().copied());
-        assert_eq!(fwd, rev);
-        let tampered = StreamHash::of(vec![(1u64, 2u64), (3, 4), (5, 7)].into_iter());
-        assert_ne!(fwd, tampered);
-        // (p, q) is not (q, p)
-        let swapped = StreamHash::of(vec![(2u64, 1u64), (4, 3), (6, 5)].into_iter());
-        assert_ne!(fwd, swapped);
+        fn of(entries: &[(u64, u64)]) -> StreamHash {
+            let mut h = StreamHash::default();
+            for &(p, q) in entries {
+                h.update(p, q);
+            }
+            h
+        }
+        let fwd = of(&[(1, 2), (3, 4), (5, 6)]);
+        assert_eq!(fwd, of(&[(5, 6), (3, 4), (1, 2)]));
+        assert_ne!(fwd, of(&[(1, 2), (3, 4), (5, 7)]), "tampered");
+        assert_ne!(fwd, of(&[(2, 1), (4, 3), (6, 5)]), "(p, q) is not (q, p)");
+        // a run is its entries, however a row is cut into runs
+        let mut runs = StreamHash::default();
+        runs.update_run(7, &[1, 2]);
+        runs.update_run(7, &[9]);
+        runs.update_run(8, &[]);
+        assert_eq!(runs, of(&[(7, 1), (7, 2), (7, 9)]));
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //!   compares it to the manifest. `O(nnz)`, done exactly once at open;
 //!   queries afterwards trust the mapping.
 //!
+//! Either way an open runs in two stages. The manifests of *every* shard
+//! are read and cross-checked first, in order; then the claimed
+//! artifacts are admitted (and, verified, content-checked) shard-parallel
+//! on every core. Each stage fails with its lowest-index bad shard,
+//! whatever the worker count.
+//!
 //! A **subset open** ([`ShardSet::open_subset`] /
 //! [`ShardSet::open_subset_verified`]) is the multi-node entry point:
 //! one node of a cluster claims a contiguous shard range, memory-maps
@@ -35,7 +41,7 @@
 //! manifests do not cover the claimed range is rejected at open.
 
 use crate::csr::{CsrMap, RowRef};
-use crate::driver::load_manifest;
+use crate::driver::{for_each_shard, load_manifest};
 use crate::manifest::{OutputFormat, RunSummary, ShardManifest, StreamHash};
 use crate::StreamError;
 use std::path::{Path, PathBuf};
@@ -112,10 +118,10 @@ pub(crate) fn admit_shard(dir: &Path, m: &ShardManifest) -> Result<CsrMap, Strea
     Ok(reader)
 }
 
-/// Read every row of an admitted shard once, in vertex order: each must
-/// decode, pass `check_row(vertex, row)` and hold strictly ascending
-/// columns (what every binary search above relies on), and together they
-/// must reproduce the manifest's content checksum.
+/// Read every row of a shard [`admit_shard`] admitted for `m` once, in
+/// vertex order: each must decode, pass `check_row(vertex, row)` and hold
+/// strictly ascending columns (what every binary search above relies on),
+/// and together they must reproduce the manifest's content checksum.
 pub(crate) fn check_content(
     reader: &CsrMap,
     m: &ShardManifest,
@@ -125,17 +131,17 @@ pub(crate) fn check_content(
     let fail = |msg: String| StreamError::Shard(m.shard, format!("{name}: {msg}"));
     let mut hash = StreamHash::default();
     let mut unsorted: Option<u64> = None;
-    for (p, row) in reader.rows() {
-        let row = row.ok_or_else(|| fail(format!("row {p} does not decode")))?;
-        check_row(p, &row).map_err(fail)?;
-        let mut prev: Option<u64> = None;
-        for &q in &*row {
-            if prev.is_some_and(|pq| pq >= q) {
-                unsorted.get_or_insert(p);
-            }
-            prev = Some(q);
-            hash.update(p, q);
+    // one decode buffer for the whole shard
+    let mut buf = Vec::new();
+    for p in m.vertices.clone() {
+        let row = reader
+            .row_into(p, &mut buf)
+            .ok_or_else(|| fail(format!("row {p} does not decode")))?;
+        check_row(p, row).map_err(fail)?;
+        if row.windows(2).any(|w| w[0] >= w[1]) {
+            unsorted.get_or_insert(p);
         }
+        hash.update_run(p, row);
     }
     if hash != m.hash {
         return Err(fail("content checksum mismatch".into()));
@@ -210,7 +216,7 @@ impl ShardSet {
     /// run format is not CSR, the shard ranges do not tile `0..n_C`, or
     /// any artifact's mapped header disagrees with its manifest.
     pub fn open(dir: &Path) -> Result<ShardSet, StreamError> {
-        Self::open_impl(dir, false, None)
+        Self::open_impl(dir, false, None, 0)
     }
 
     /// Open a run directory and additionally verify every shard's content
@@ -221,7 +227,7 @@ impl ShardSet {
     /// Everything [`ShardSet::open`] rejects, plus any shard whose mapped
     /// contents fail the manifest's stream hash.
     pub fn open_verified(dir: &Path) -> Result<ShardSet, StreamError> {
-        Self::open_impl(dir, true, None)
+        Self::open_impl(dir, true, None, 0)
     }
 
     /// Open only the claimed contiguous shard range `subset`, with
@@ -239,7 +245,7 @@ impl ShardSet {
         dir: &Path,
         subset: std::ops::Range<usize>,
     ) -> Result<ShardSet, StreamError> {
-        Self::open_impl(dir, false, Some(subset))
+        Self::open_impl(dir, false, Some(subset), 0)
     }
 
     /// Like [`ShardSet::open_subset`], additionally verifying the content
@@ -253,13 +259,16 @@ impl ShardSet {
         dir: &Path,
         subset: std::ops::Range<usize>,
     ) -> Result<ShardSet, StreamError> {
-        Self::open_impl(dir, true, Some(subset))
+        Self::open_impl(dir, true, Some(subset), 0)
     }
 
+    /// Every open: `threads` workers admit (and, with `verify`, content-
+    /// check) the claimed artifacts; 0 means every available core.
     fn open_impl(
         dir: &Path,
         verify: bool,
         subset: Option<std::ops::Range<usize>>,
+        threads: usize,
     ) -> Result<ShardSet, StreamError> {
         let run = RunSummary::load(dir)?;
         if !run.format.is_csr() {
@@ -297,8 +306,9 @@ impl ShardSet {
             }
         };
 
-        let mut ranges = Vec::with_capacity(run.shards);
-        let mut shards = Vec::with_capacity(subset.end - subset.start);
+        // Manifests first, every shard of the run, in order: the ownership
+        // map must be whole before any artifact is touched.
+        let mut manifests = Vec::with_capacity(run.shards);
         let mut next_vertex = 0u64;
         let mut total_entries = 0u128;
         for index in 0..run.shards {
@@ -314,18 +324,7 @@ impl ShardSet {
             }
             next_vertex = manifest.vertices.end;
             total_entries += manifest.entries;
-            ranges.push(manifest.vertices.clone());
-
-            // Non-claimed shards contribute their manifest to the
-            // ownership map only; their artifacts may live on other nodes.
-            if !subset.contains(&index) {
-                continue;
-            }
-            let reader = admit_shard(dir, &manifest)?;
-            if verify {
-                check_content(&reader, &manifest, |_, _| Ok(()))?;
-            }
-            shards.push(OpenShard { manifest, reader });
+            manifests.push(manifest);
         }
         if next_vertex != num_vertices {
             return Err(StreamError::Manifest(format!(
@@ -338,6 +337,25 @@ impl ShardSet {
                 run.total_entries
             )));
         }
+        let ranges = manifests.iter().map(|m| m.vertices.clone()).collect();
+
+        // Then the claimed artifacts, shard-parallel. Non-claimed shards
+        // contribute their manifest to the ownership map only; their
+        // artifacts may live on other nodes.
+        let claimed = &manifests[subset.clone()];
+        let readers = for_each_shard(claimed.len(), threads, |i| {
+            let reader = admit_shard(dir, &claimed[i])?;
+            if verify {
+                check_content(&reader, &claimed[i], |_, _| Ok(()))?;
+            }
+            Ok(reader)
+        })?;
+        let shards = manifests
+            .into_iter()
+            .skip(subset.start)
+            .zip(readers)
+            .map(|(manifest, reader)| OpenShard { manifest, reader })
+            .collect();
         Ok(ShardSet {
             dir: dir.to_path_buf(),
             run,
@@ -596,6 +614,37 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_lowest_corrupt_shard_is_named_whatever_the_worker_count() {
+        let c = product();
+        for format in [OutputFormat::Csr, OutputFormat::Csr2] {
+            let dir = tmpdir(&format!("lowest_{}", format.as_str()));
+            streamed_fmt(&dir, &c, 4, format);
+            for shard in [1, 3] {
+                let m = load_manifest(&dir, shard).unwrap();
+                let path = dir.join(m.file.as_deref().unwrap());
+                let mut bytes = std::fs::read(&path).unwrap();
+                *bytes.last_mut().unwrap() ^= 1;
+                std::fs::write(&path, &bytes).unwrap();
+            }
+            // with 4 workers shard 3 is checked alongside shard 1; repeat so
+            // a first-error-wins policy could not pass by luck
+            for threads in [1].into_iter().chain([4; 8]) {
+                for err in [
+                    ShardSet::open_impl(&dir, true, None, threads).unwrap_err(),
+                    crate::verify::verify_with(&dir, false, threads).unwrap_err(),
+                    crate::verify::verify_with(&dir, true, threads).unwrap_err(),
+                ] {
+                    assert!(
+                        matches!(err, StreamError::Shard(1, _)),
+                        "{threads} workers: {err}"
+                    );
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -1,35 +1,46 @@
 //! Edge sinks: where a shard's stream of adjacency entries goes.
 //!
-//! The driver pushes entries in product row-major order (as produced by
-//! `KronProduct::adjacency_entries_in_rows`); a sink persists or collects
-//! them. Three implementations:
+//! The driver pushes **runs** — slices of consecutive ascending columns
+//! of one product row, in product row-major order, as produced by
+//! [`kron::RowRuns`] — and a sink persists or collects them. A row
+//! arrives as one run or, past [`RUN_CAPACITY`] entries, as several; an
+//! empty row as none. Implementations:
 //!
 //! * [`CountSink`] — statistics only, no artifact (generation-rate
 //!   benchmarking and manifest-only validation runs);
 //! * [`MemorySink`] — in-memory collector for tests and small products;
 //! * [`EdgeListSink`] — buffered binary writer, fixed-width little-endian
 //!   `u64` pairs (16 bytes per entry, no header);
-//! * [`CsrSink`] — two-pass on-disk CSR: pass 1 writes the header and the
-//!   closed-form row offsets, pass 2 appends column ids as entries stream
-//!   through. See [`crate::csr`] for the layout.
-//! * [`Csr2Sink`] — the varint delta-encoded v2 format: column gaps
-//!   stream through a LEB128 encoder while a second handle trails behind
-//!   filling in the byte-offset table as each row closes — still O(1)
-//!   memory. See [`crate::csr`] for the layout.
+//! * [`CsrSink`] — on-disk CSR: the header and the closed-form row
+//!   offsets are written at construction, then each run's column ids are
+//!   appended as it streams through. See [`crate::csr`] for the layout.
+//! * [`Csr2Sink`] — the varint delta-encoded v2 format: each run's
+//!   column gaps go through a LEB128 encoder while a second handle
+//!   trails behind filling in the byte-offset table as each row closes.
+//!   See [`crate::csr`] for the layout.
+//!
+//! Both CSR sinks admit a run through one `RowCursor` check against the
+//! closed-form row lengths, encode it into a scratch buffer and hand the
+//! file one `write_all`. Whatever the run length, the scratch holds at
+//! most [`RUN_CAPACITY`] entries at a time, so a writer's memory is O(1)
+//! in the shard, the row, and the run.
 //!
 //! File-backed sinks write to `<name>.tmp` and rename on
 //! [`EdgeSink::finish`], so a crashed run never leaves a plausible-looking
 //! partial artifact — resume logic treats a missing final file as "redo".
 
+use kron::RUN_CAPACITY;
 use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Destination of one shard's adjacency-entry stream.
 pub trait EdgeSink {
-    /// Accept one adjacency entry `(p, q)`; entries arrive in product
-    /// row-major order.
-    fn push(&mut self, p: u64, q: u64) -> io::Result<()>;
+    /// Accept one run: `cols` are consecutive ascending columns of
+    /// product row `p`. Runs arrive in product row-major order; a row
+    /// may span several runs, each continuing where the last one ended.
+    /// A sink that returned an error is dead: drop it.
+    fn push_run(&mut self, p: u64, cols: &[u64]) -> io::Result<()>;
 
     /// Flush and durably finalize; returns `(file_name, bytes)` for
     /// file-backed sinks, `None` otherwise.
@@ -44,8 +55,8 @@ pub struct CountSink {
 }
 
 impl EdgeSink for CountSink {
-    fn push(&mut self, _p: u64, _q: u64) -> io::Result<()> {
-        self.entries += 1;
+    fn push_run(&mut self, _p: u64, cols: &[u64]) -> io::Result<()> {
+        self.entries += cols.len() as u64;
         Ok(())
     }
 
@@ -62,8 +73,8 @@ pub struct MemorySink {
 }
 
 impl EdgeSink for MemorySink {
-    fn push(&mut self, p: u64, q: u64) -> io::Result<()> {
-        self.entries.push((p, q));
+    fn push_run(&mut self, p: u64, cols: &[u64]) -> io::Result<()> {
+        self.entries.extend(cols.iter().map(|&q| (p, q)));
         Ok(())
     }
 
@@ -72,29 +83,43 @@ impl EdgeSink for MemorySink {
     }
 }
 
-/// Create `<dir>/<name>.tmp` for writing.
-fn tmp_writer(dir: &Path, name: &str) -> io::Result<(PathBuf, BufWriter<File>)> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    let file = File::create(&tmp)?;
-    Ok((tmp, BufWriter::with_capacity(1 << 20, file)))
+/// The file under a file-backed sink: `<dir>/<name>.tmp` while it is
+/// written, `<dir>/<name>` once [`TmpFile::commit`] has made it durable.
+struct TmpFile {
+    dir: PathBuf,
+    name: String,
+    tmp: PathBuf,
+    writer: BufWriter<File>,
 }
 
-/// Rename `<name>.tmp` to `<name>` after flushing, returning final size.
-fn commit(dir: &Path, name: &str, tmp: &Path, w: &mut BufWriter<File>) -> io::Result<u64> {
-    w.flush()?;
-    w.get_ref().sync_all()?;
-    let final_path = dir.join(name);
-    std::fs::rename(tmp, &final_path)?;
-    Ok(std::fs::metadata(&final_path)?.len())
+impl TmpFile {
+    fn create(dir: &Path, name: &str) -> io::Result<TmpFile> {
+        let tmp = dir.join(format!("{name}.tmp"));
+        let writer = BufWriter::with_capacity(1 << 20, File::create(&tmp)?);
+        Ok(TmpFile {
+            dir: dir.to_path_buf(),
+            name: name.to_string(),
+            tmp,
+            writer,
+        })
+    }
+
+    /// Flush, `sync_all` (the artifact's one fsync: it covers every byte
+    /// of the inode, through whichever handle it was written) and rename
+    /// to the final name, returning `(file_name, bytes)`.
+    fn commit(&mut self) -> io::Result<(String, u64)> {
+        self.writer.flush()?;
+        self.writer.get_ref().sync_all()?;
+        let final_path = self.dir.join(&self.name);
+        std::fs::rename(&self.tmp, &final_path)?;
+        Ok((self.name.clone(), std::fs::metadata(&final_path)?.len()))
+    }
 }
 
 /// Buffered binary edge-list writer: each entry is 16 bytes, `p` then `q`,
 /// both little-endian `u64`. No header; the manifest carries the counts.
 pub struct EdgeListSink {
-    dir: PathBuf,
-    name: String,
-    tmp: PathBuf,
-    writer: BufWriter<File>,
+    file: TmpFile,
     written: u64,
 }
 
@@ -105,54 +130,43 @@ impl EdgeListSink {
     ///
     /// Any I/O error creating the artifact file.
     pub fn create(dir: &Path, name: &str) -> io::Result<Self> {
-        let (tmp, writer) = tmp_writer(dir, name)?;
         Ok(Self {
-            dir: dir.to_path_buf(),
-            name: name.to_string(),
-            tmp,
-            writer,
+            file: TmpFile::create(dir, name)?,
             written: 0,
         })
     }
 }
 
 impl EdgeSink for EdgeListSink {
-    fn push(&mut self, p: u64, q: u64) -> io::Result<()> {
+    fn push_run(&mut self, p: u64, cols: &[u64]) -> io::Result<()> {
         let mut buf = [0u8; 16];
         buf[..8].copy_from_slice(&p.to_le_bytes());
-        buf[8..].copy_from_slice(&q.to_le_bytes());
-        self.writer.write_all(&buf)?;
-        self.written += 1;
+        for &q in cols {
+            buf[8..].copy_from_slice(&q.to_le_bytes());
+            self.file.writer.write_all(&buf)?;
+        }
+        self.written += cols.len() as u64;
         Ok(())
     }
 
     fn finish(&mut self) -> io::Result<Option<(String, u64)>> {
-        let bytes = commit(&self.dir, &self.name, &self.tmp, &mut self.writer)?;
+        let (name, bytes) = self.file.commit()?;
         debug_assert_eq!(bytes, self.written * 16);
-        Ok(Some((self.name.clone(), bytes)))
+        Ok(Some((name, bytes)))
     }
 }
 
-/// Two-pass on-disk CSR writer.
-///
-/// Pass 1 happens at construction: the header and the complete offset
-/// array are written up front from the *closed-form* row lengths
-/// (`rowlen_C(i·n_B + k) = rowlen_A(i)·rowlen_B(k)` — no scan of the
-/// product needed). Pass 2 is the streaming pass: each pushed entry
-/// appends its column id, with the row grouping validated against a
-/// second walk of the same closed-form length iterator — **O(1) memory**
-/// regardless of shard size; nothing but the file grows with the shard.
-pub struct CsrSink<I: Iterator<Item = u64>> {
-    dir: PathBuf,
-    name: String,
-    tmp: PathBuf,
-    writer: BufWriter<File>,
+/// Row-major admission against the closed-form row lengths: which row of
+/// the shard is open and how many more entries it takes. Both CSR sinks
+/// own one, so "vertex in shard, rows in order, no row past its length,
+/// all `nnz` entries at the end" is decided in one place.
+struct RowCursor<I> {
     vertex_lo: u64,
     num_rows: u64,
     nnz: u64,
-    /// Entries written so far (must end at `nnz`).
+    /// Entries admitted so far (must end at `nnz`).
     written: u64,
-    /// Lengths of the rows after the current one (validation source).
+    /// Lengths of the rows after the current one.
     lengths: I,
     /// Row currently being filled (local index; meaningless when
     /// `num_rows == 0`).
@@ -161,8 +175,107 @@ pub struct CsrSink<I: Iterator<Item = u64>> {
     remaining: u64,
 }
 
+impl<I: Iterator<Item = u64>> RowCursor<I> {
+    /// A cursor at the shard's first row; walks a clone of `row_lengths`
+    /// once for the header totals.
+    fn new(vertex_lo: u64, mut row_lengths: I) -> io::Result<Self>
+    where
+        I: Clone,
+    {
+        let (mut num_rows, mut nnz) = (0u64, 0u64);
+        for len in row_lengths.clone() {
+            num_rows += 1;
+            nnz = nnz
+                .checked_add(len)
+                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "shard nnz > u64"))?;
+        }
+        let remaining = row_lengths.next().unwrap_or(0);
+        Ok(RowCursor {
+            vertex_lo,
+            num_rows,
+            nnz,
+            written: 0,
+            lengths: row_lengths,
+            current_row: 0,
+            remaining,
+        })
+    }
+
+    /// The 32-byte header both formats share: magic, `vertex_lo`,
+    /// `num_rows`, `nnz`.
+    fn write_header(&self, w: &mut impl Write, magic: &[u8; 8]) -> io::Result<()> {
+        w.write_all(magic)?;
+        for word in [self.vertex_lo, self.num_rows, self.nnz] {
+            w.write_all(&word.to_le_bytes())?;
+        }
+        Ok(())
+    }
+
+    /// Admit `len` more entries of vertex `p`'s row, returning how many
+    /// complete rows were closed on the way to it.
+    fn admit(&mut self, p: u64, len: usize) -> io::Result<u64> {
+        let local = p.checked_sub(self.vertex_lo).filter(|&l| l < self.num_rows);
+        let local = local.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("vertex {p} outside shard starting at {}", self.vertex_lo),
+            )
+        })?;
+        // advance over rows already complete (possibly empty rows)
+        let mut closed = 0;
+        while self.current_row < local && self.remaining == 0 {
+            closed += 1;
+            self.current_row += 1;
+            self.remaining = self.lengths.next().unwrap_or(0);
+        }
+        let len = len as u64;
+        if local != self.current_row || len > self.remaining {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "run for vertex {p} out of row-major order or exceeds its closed-form row length"
+                ),
+            ));
+        }
+        self.remaining -= len;
+        self.written += len;
+        Ok(closed)
+    }
+
+    /// Check that every entry arrived; returns how many rows are still
+    /// to close (the open one and the empty ones after it).
+    fn finish(&self) -> io::Result<u64> {
+        if self.written != self.nnz {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "CSR shard incomplete: wrote {} of {} entries",
+                    self.written, self.nnz
+                ),
+            ));
+        }
+        Ok(self.num_rows - self.current_row)
+    }
+}
+
+/// Streaming on-disk CSR writer.
+///
+/// Construction writes the header and the complete offset array up front
+/// from the *closed-form* row lengths
+/// (`rowlen_C(i·n_B + k) = rowlen_A(i)·rowlen_B(k)` — no scan of the
+/// product needed). The streaming pass appends each run's column ids,
+/// with the row grouping validated against a second walk of the same
+/// closed-form length iterator — **O(1) memory** regardless of shard
+/// size; nothing but the file grows with the shard.
+pub struct CsrSink<I: Iterator<Item = u64>> {
+    file: TmpFile,
+    cursor: RowCursor<I>,
+    /// One run piece as its file bytes.
+    scratch: Vec<u8>,
+}
+
 impl<I: Iterator<Item = u64> + Clone> CsrSink<I> {
-    /// Write header + offsets (pass 1) from closed-form row lengths.
+    /// Write header + offsets from closed-form row lengths.
     ///
     /// `vertex_lo` is the first product vertex of the shard; `row_lengths`
     /// yields the adjacency-row length of each vertex in the shard, in
@@ -175,262 +288,235 @@ impl<I: Iterator<Item = u64> + Clone> CsrSink<I> {
         vertex_lo: u64,
         row_lengths: I,
     ) -> io::Result<CsrSink<I>> {
-        let (tmp, mut writer) = tmp_writer(dir, name)?;
-        // pass over the lengths once for the header totals…
-        let (mut num_rows, mut nnz) = (0u64, 0u64);
-        for len in row_lengths.clone() {
-            num_rows += 1;
-            nnz = nnz
-                .checked_add(len)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "shard nnz > u64"))?;
-        }
-        writer.write_all(crate::csr::MAGIC)?;
-        writer.write_all(&vertex_lo.to_le_bytes())?;
-        writer.write_all(&num_rows.to_le_bytes())?;
-        writer.write_all(&nnz.to_le_bytes())?;
-        // …and again to stream the prefix sums straight to disk.
+        let mut file = TmpFile::create(dir, name)?;
+        let cursor = RowCursor::new(vertex_lo, row_lengths.clone())?;
+        cursor.write_header(&mut file.writer, crate::csr::MAGIC)?;
+        // stream the prefix sums straight to disk
         let mut acc = 0u64;
-        writer.write_all(&acc.to_le_bytes())?;
-        for len in row_lengths.clone() {
+        file.writer.write_all(&acc.to_le_bytes())?;
+        for len in row_lengths {
             acc += len;
-            writer.write_all(&acc.to_le_bytes())?;
+            file.writer.write_all(&acc.to_le_bytes())?;
         }
-        let mut lengths = row_lengths;
-        let remaining = lengths.next().unwrap_or(0);
         Ok(CsrSink {
-            dir: dir.to_path_buf(),
-            name: name.to_string(),
-            tmp,
-            writer,
-            vertex_lo,
-            num_rows,
-            nnz,
-            written: 0,
-            lengths,
-            current_row: 0,
-            remaining,
+            file,
+            cursor,
+            scratch: Vec::new(),
         })
     }
 }
 
 impl<I: Iterator<Item = u64>> EdgeSink for CsrSink<I> {
-    fn push(&mut self, p: u64, q: u64) -> io::Result<()> {
-        let local = p.checked_sub(self.vertex_lo).filter(|&l| l < self.num_rows);
-        let local = local.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("vertex {p} outside shard starting at {}", self.vertex_lo),
-            )
-        })?;
-        // advance over rows already complete (possibly empty rows)
-        while self.current_row < local && self.remaining == 0 {
-            self.current_row += 1;
-            self.remaining = self.lengths.next().unwrap_or(0);
+    fn push_run(&mut self, p: u64, cols: &[u64]) -> io::Result<()> {
+        self.cursor.admit(p, cols.len())?;
+        for piece in cols.chunks(RUN_CAPACITY) {
+            self.scratch.clear();
+            for &q in piece {
+                self.scratch.extend_from_slice(&q.to_le_bytes());
+            }
+            self.file.writer.write_all(&self.scratch)?;
         }
-        if local != self.current_row || self.remaining == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "entry for vertex {p} out of row-major order or exceeds its closed-form row length"
-                ),
-            ));
-        }
-        self.writer.write_all(&q.to_le_bytes())?;
-        self.remaining -= 1;
-        self.written += 1;
         Ok(())
     }
 
     fn finish(&mut self) -> io::Result<Option<(String, u64)>> {
-        if self.written != self.nnz {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "CSR shard incomplete: wrote {} of {} entries",
-                    self.written, self.nnz
-                ),
-            ));
-        }
-        let bytes = commit(&self.dir, &self.name, &self.tmp, &mut self.writer)?;
+        self.cursor.finish()?;
+        let (name, bytes) = self.file.commit()?;
         debug_assert_eq!(
             Some(bytes),
-            crate::csr::file_size_checked(self.num_rows, self.nnz)
+            crate::csr::file_size_checked(self.cursor.num_rows, self.cursor.nnz)
         );
-        Ok(Some((self.name.clone(), bytes)))
+        Ok(Some((name, bytes)))
     }
 }
 
 /// Streaming writer for the v2 (varint delta-encoded) CSR format.
 ///
-/// Pass 1 at construction writes the header and zero-fills the byte-offset
-/// table from the closed-form row count. The streaming pass appends each
-/// column as a LEB128 varint gap to the main handle while a **second**
-/// handle, parked at the offset table, fills in the real byte offsets as
-/// each row closes — so like [`CsrSink`] the writer holds O(1) memory no
-/// matter how many rows the shard has. Columns within a row must arrive
-/// strictly ascending (the format stores gaps); the generator's row-major
-/// sorted stream satisfies this by construction.
+/// Construction writes the header and zero-fills the byte-offset table
+/// from the closed-form row count. The streaming pass appends each run as
+/// LEB128 varint gaps to the main handle while a **second** handle,
+/// parked at the offset table, fills in the real byte offsets as each row
+/// closes — so like [`CsrSink`] the writer holds O(1) memory no matter
+/// how many rows the shard has. Columns within a row must arrive strictly
+/// ascending, within a run and from one run of the row to the next (the
+/// format stores gaps); the generator's row-major sorted stream satisfies
+/// this by construction.
 pub struct Csr2Sink<I: Iterator<Item = u64>> {
-    dir: PathBuf,
-    name: String,
-    tmp: PathBuf,
     /// Appends the column stream past the offset table.
-    writer: BufWriter<File>,
+    file: TmpFile,
     /// Trails behind, overwriting the zero-filled offset table.
     offsets: BufWriter<File>,
-    vertex_lo: u64,
-    num_rows: u64,
-    nnz: u64,
-    /// Entries written so far (must end at `nnz`).
-    written: u64,
-    /// Lengths of the rows after the current one (validation source).
-    lengths: I,
-    /// Row currently being filled (local index; meaningless when
-    /// `num_rows == 0`).
-    current_row: u64,
-    /// Entries the current row still accepts.
-    remaining: u64,
+    cursor: RowCursor<I>,
     /// Column-stream bytes emitted so far (the next row boundary).
     stream_bytes: u64,
     /// Last column written to the current row, if any.
     prev_col: Option<u64>,
+    /// One run piece as its stream bytes.
+    scratch: Vec<u8>,
 }
 
 impl<I: Iterator<Item = u64> + Clone> Csr2Sink<I> {
-    /// Write header + zeroed offset table (pass 1) and open the trailing
-    /// offset handle. Same contract as [`CsrSink::create`]: `row_lengths`
-    /// yields closed-form row lengths and is walked three times.
+    /// Write header + zeroed offset table and open the trailing offset
+    /// handle. Same contract as [`CsrSink::create`]: `row_lengths` yields
+    /// closed-form row lengths.
     pub fn create(
         dir: &Path,
         name: &str,
         vertex_lo: u64,
         row_lengths: I,
     ) -> io::Result<Csr2Sink<I>> {
-        let (tmp, mut writer) = tmp_writer(dir, name)?;
-        let (mut num_rows, mut nnz) = (0u64, 0u64);
-        for len in row_lengths.clone() {
-            num_rows += 1;
-            nnz = nnz
-                .checked_add(len)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "shard nnz > u64"))?;
-        }
-        writer.write_all(crate::csr::MAGIC2)?;
-        writer.write_all(&vertex_lo.to_le_bytes())?;
-        writer.write_all(&num_rows.to_le_bytes())?;
-        writer.write_all(&nnz.to_le_bytes())?;
-        for _ in 0..=num_rows {
-            writer.write_all(&0u64.to_le_bytes())?;
+        let mut file = TmpFile::create(dir, name)?;
+        let cursor = RowCursor::new(vertex_lo, row_lengths)?;
+        cursor.write_header(&mut file.writer, crate::csr::MAGIC2)?;
+        for _ in 0..=cursor.num_rows {
+            file.writer.write_all(&0u64.to_le_bytes())?;
         }
         // The main handle must be fully flushed before the trailing
         // offset handle starts overwriting the table, or a late flush of
         // buffered zeros could clobber real offsets.
-        writer.flush()?;
-        let mut offsets_file = std::fs::OpenOptions::new().write(true).open(&tmp)?;
+        file.writer.flush()?;
+        let mut offsets_file = std::fs::OpenOptions::new().write(true).open(&file.tmp)?;
         offsets_file.seek(SeekFrom::Start(crate::csr::HEADER))?;
         let mut offsets = BufWriter::with_capacity(1 << 16, offsets_file);
         offsets.write_all(&0u64.to_le_bytes())?; // offsets[0]
-        let mut lengths = row_lengths;
-        let remaining = lengths.next().unwrap_or(0);
         Ok(Csr2Sink {
-            dir: dir.to_path_buf(),
-            name: name.to_string(),
-            tmp,
-            writer,
+            file,
             offsets,
-            vertex_lo,
-            num_rows,
-            nnz,
-            written: 0,
-            lengths,
-            current_row: 0,
-            remaining,
+            cursor,
             stream_bytes: 0,
             prev_col: None,
+            scratch: Vec::new(),
         })
     }
 }
 
-impl<I: Iterator<Item = u64>> EdgeSink for Csr2Sink<I> {
-    fn push(&mut self, p: u64, q: u64) -> io::Result<()> {
-        let local = p.checked_sub(self.vertex_lo).filter(|&l| l < self.num_rows);
-        let local = local.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("vertex {p} outside shard starting at {}", self.vertex_lo),
-            )
-        })?;
-        // advance over rows already complete (possibly empty rows)
-        while self.current_row < local && self.remaining == 0 {
+impl<I: Iterator<Item = u64>> Csr2Sink<I> {
+    /// Record the current stream position as the end of `rows` rows.
+    fn close_rows(&mut self, rows: u64) -> io::Result<()> {
+        for _ in 0..rows {
             self.offsets.write_all(&self.stream_bytes.to_le_bytes())?;
+        }
+        Ok(())
+    }
+}
+
+impl<I: Iterator<Item = u64>> EdgeSink for Csr2Sink<I> {
+    fn push_run(&mut self, p: u64, cols: &[u64]) -> io::Result<()> {
+        let closed = self.cursor.admit(p, cols.len())?;
+        if closed > 0 {
+            self.close_rows(closed)?;
             self.prev_col = None;
-            self.current_row += 1;
-            self.remaining = self.lengths.next().unwrap_or(0);
         }
-        if local != self.current_row || self.remaining == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "entry for vertex {p} out of row-major order or exceeds its closed-form row length"
-                ),
-            ));
-        }
-        let gap = match self.prev_col {
-            None => q,
-            Some(prev) if q > prev => q - prev,
-            Some(prev) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "columns of vertex {p} not strictly ascending ({q} after {prev}); \
-                         csr2 stores gaps and requires sorted rows"
-                    ),
-                ));
+        for piece in cols.chunks(RUN_CAPACITY) {
+            self.scratch.clear();
+            for &q in piece {
+                let gap = match self.prev_col {
+                    None => q,
+                    Some(prev) if q > prev => q - prev,
+                    Some(prev) => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidInput,
+                            format!(
+                                "columns of vertex {p} not strictly ascending ({q} after {prev}); \
+                                 csr2 stores gaps and requires sorted rows"
+                            ),
+                        ));
+                    }
+                };
+                crate::csr::varint_push(gap, &mut self.scratch);
+                self.prev_col = Some(q);
             }
-        };
-        let mut buf = [0u8; 10];
-        let mut len = 0;
-        let mut x = gap;
-        while x >= 0x80 {
-            buf[len] = (x as u8 & 0x7f) | 0x80;
-            len += 1;
-            x >>= 7;
+            self.file.writer.write_all(&self.scratch)?;
+            self.stream_bytes += self.scratch.len() as u64;
         }
-        buf[len] = x as u8;
-        len += 1;
-        self.writer.write_all(&buf[..len])?;
-        self.stream_bytes += len as u64;
-        self.prev_col = Some(q);
-        self.remaining -= 1;
-        self.written += 1;
         Ok(())
     }
 
     fn finish(&mut self) -> io::Result<Option<(String, u64)>> {
-        if self.written != self.nnz {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "CSR shard incomplete: wrote {} of {} entries",
-                    self.written, self.nnz
-                ),
-            ));
-        }
         // close every remaining row (all empty once nnz entries landed)
-        let open_rows = if self.num_rows == 0 {
-            0
-        } else {
-            self.num_rows - self.current_row
-        };
-        for _ in 0..open_rows {
-            self.offsets.write_all(&self.stream_bytes.to_le_bytes())?;
-        }
+        let open_rows = self.cursor.finish()?;
+        self.close_rows(open_rows)?;
+        // to the page cache only: `commit` syncs the inode once
         self.offsets.flush()?;
-        self.offsets.get_ref().sync_all()?;
-        let bytes = commit(&self.dir, &self.name, &self.tmp, &mut self.writer)?;
+        let (name, bytes) = self.file.commit()?;
         debug_assert_eq!(
             Some(bytes),
-            crate::csr::file_size2_checked(self.num_rows, self.stream_bytes)
+            crate::csr::file_size2_checked(self.cursor.num_rows, self.stream_bytes)
         );
-        Ok(Some((self.name.clone(), bytes)))
+        Ok(Some((name, bytes)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kron::KronProduct;
+    use kron_gen::deterministic::star;
+
+    fn tmpdir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("kron_sink_test_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Memory budget: however long the row, the generator holds one run
+    /// of entries and the sink one run of encoded bytes (a varint is at
+    /// most 10; `Vec` growth may round that up to 16).
+    #[test]
+    fn a_two_million_entry_hub_row_streams_through_run_sized_buffers() {
+        let dir = tmpdir("hub");
+        let c = KronProduct::new(star(1500), star(1500));
+        assert!(c.row_len(0) > 2_000_000, "the hub row is the point");
+        // the hub's row block, as the driver streams it
+        let create = |name: &str, rows: std::ops::Range<u32>| {
+            Csr2Sink::create(&dir, name, 0, c.row_lengths_in_rows(rows)).unwrap()
+        };
+        let mut sink = create("hub.csr2", 0..1);
+        let mut runs = c.runs_in_rows(0..1);
+        let mut pushed = 0u64;
+        while let Some((p, cols)) = runs.next_run() {
+            assert!(cols.len() <= RUN_CAPACITY);
+            pushed += cols.len() as u64;
+            sink.push_run(p, cols).unwrap();
+        }
+        sink.finish().unwrap();
+        assert_eq!(u128::from(pushed), c.row_block_stats(0..1).nnz);
+        assert!(runs.buffer_capacity() <= 2 * RUN_CAPACITY);
+        assert!(sink.scratch.capacity() <= 16 * RUN_CAPACITY);
+
+        // …and as `compact` hands it over: the whole row as one run
+        let hub_row = c.neighbors(0);
+        let lengths = std::iter::once(hub_row.len() as u64);
+        let mut sink = Csr2Sink::create(&dir, "row.csr2", 0, lengths.clone()).unwrap();
+        sink.push_run(0, &hub_row).unwrap();
+        sink.finish().unwrap();
+        assert!(sink.scratch.capacity() <= 16 * RUN_CAPACITY);
+        let mut sink = CsrSink::create(&dir, "row.csr", 0, lengths).unwrap();
+        sink.push_run(0, &hub_row).unwrap();
+        sink.finish().unwrap();
+        assert!(sink.scratch.capacity() <= 16 * RUN_CAPACITY);
+        let map = crate::CsrMap::open(&dir.join("row.csr2")).unwrap();
+        assert_eq!(map.row(0).as_deref(), Some(&hub_row[..]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Size budget: the format's reason to exist, at the unit level.
+    #[test]
+    fn csr2_spends_under_two_bytes_per_entry_on_a_web_like_product() {
+        let dir = tmpdir("bytes_per_entry");
+        let web = |seed| kron_gen::holme_kim(200, 3, 0.75, seed);
+        let c = KronProduct::new(web(2018), web(2019));
+        let mut sink =
+            Csr2Sink::create(&dir, "web.csr2", 0, c.row_lengths_in_rows(0..200)).unwrap();
+        let mut runs = c.runs_in_rows(0..200);
+        while let Some((p, cols)) = runs.next_run() {
+            sink.push_run(p, cols).unwrap();
+        }
+        let (_, file_bytes) = sink.finish().unwrap().unwrap();
+        let per_entry = file_bytes as f64 / c.nnz() as f64;
+        assert!(per_entry < 2.0, "{file_bytes} bytes / {} entries", c.nnz());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,11 +2,12 @@
 //! shard is re-checked against the closed-form factor statistics and its
 //! on-disk artifact.
 
-use crate::driver::load_factors;
+use crate::driver::{for_each_shard, load_factors};
 use crate::manifest::{OutputFormat, RunSummary, StreamHash};
 use crate::open::{admit_shard, check_content, load_run_manifest};
-use crate::plan::ShardPlan;
+use crate::plan::{ShardPlan, ShardSpec};
 use crate::StreamError;
+use kron::KronProduct;
 use std::io::Read;
 use std::path::Path;
 
@@ -36,108 +37,151 @@ pub struct VerifyReport {
 /// from the factors and compared against the manifest checksum — this
 /// re-does the generation work and is the strongest (slowest) check.
 ///
+/// Shards are checked in parallel on every available core.
+///
 /// # Errors
 ///
-/// The first failing check, always naming the offending manifest or
-/// artifact file and the shard index.
+/// The first failing check of the lowest-index failing shard — whatever
+/// the core count — always naming the offending manifest or artifact file
+/// and the shard index.
 pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamError> {
+    verify_with(dir, rehash, 0)
+}
+
+/// What one shard contributes to the run-wide totals.
+struct ShardTotals {
+    entries: u128,
+    triangle_sum: u128,
+    artifact_bytes: u64,
+}
+
+/// Every per-shard check of [`verify_shards`], for the shard `spec` plans.
+fn verify_shard(
+    dir: &Path,
+    run: &RunSummary,
+    product: &KronProduct,
+    spec: &ShardSpec,
+    rehash: bool,
+) -> Result<ShardTotals, StreamError> {
+    let m = load_run_manifest(dir, run, spec.index)?;
+    let fail = |msg: String| StreamError::Shard(spec.index, msg);
+    // closed-form checksums, recomputed from the factors
+    m.matches_stats(&spec.stats)
+        .map_err(StreamError::Manifest)?;
+
+    // artifact structure + content checksum
+    let mut artifact_bytes = 0;
+    match m.format {
+        OutputFormat::Count => {
+            if m.file.is_some() {
+                return Err(fail("count shard names a file".into()));
+            }
+        }
+        OutputFormat::Edges => {
+            let name = m
+                .file
+                .as_deref()
+                .ok_or_else(|| fail("edges shard has no file".into()))?;
+            let path = dir.join(name);
+            let len = std::fs::metadata(&path)
+                .map_err(|e| fail(format!("{name}: {e}")))?
+                .len();
+            let expect = (m.entries as u64).saturating_mul(16);
+            if len != m.file_bytes {
+                return Err(fail(format!(
+                    "{name}: {len} bytes on disk, manifest file_bytes says {}",
+                    m.file_bytes
+                )));
+            }
+            if len != expect {
+                return Err(fail(format!(
+                    "{name}: {len} bytes on disk, {} entries imply {expect}",
+                    m.entries
+                )));
+            }
+            artifact_bytes = len;
+            let mut hash = StreamHash::default();
+            let file = std::fs::File::open(&path).map_err(|e| fail(format!("{name}: {e}")))?;
+            let mut reader = std::io::BufReader::with_capacity(1 << 20, file);
+            let mut buf = [0u8; 16];
+            for _ in 0..m.entries {
+                reader
+                    .read_exact(&mut buf)
+                    .map_err(|e| fail(format!("{name}: {e}")))?;
+                let p = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                let q = u64::from_le_bytes(buf[8..].try_into().unwrap());
+                if !spec.stats.vertices.contains(&p) {
+                    return Err(fail(format!(
+                        "{name}: source vertex {p} outside shard range"
+                    )));
+                }
+                hash.update(p, q);
+            }
+            if hash != m.hash {
+                return Err(fail(format!("{name}: content checksum mismatch")));
+            }
+        }
+        OutputFormat::Csr | OutputFormat::Csr2 => {
+            let reader = admit_shard(dir, &m)?;
+            artifact_bytes = m.file_bytes;
+            // one pass over the rows of either format: every row
+            // decodes, has its closed-form length and strictly
+            // ascending columns, and the content checksum holds
+            let mut lengths = product.row_lengths_in_rows(spec.stats.rows.clone());
+            check_content(&reader, &m, |p, row| {
+                let want = lengths.next().unwrap_or(0);
+                if row.len() as u64 == want {
+                    return Ok(());
+                }
+                Err(format!(
+                    "row {p} has {} entries, closed form says {want}",
+                    row.len()
+                ))
+            })?;
+        }
+    }
+
+    if rehash {
+        let mut regen = StreamHash::default();
+        let mut runs = product.runs_in_rows(spec.stats.rows.clone());
+        while let Some((p, cols)) = runs.next_run() {
+            regen.update_run(p, cols);
+        }
+        if regen != m.hash {
+            return Err(fail(
+                "regenerated stream checksum disagrees with manifest".into(),
+            ));
+        }
+    }
+    Ok(ShardTotals {
+        entries: m.entries,
+        triangle_sum: m.triangle_sum,
+        artifact_bytes,
+    })
+}
+
+/// [`verify_shards`] on `threads` workers (0: every available core).
+pub(crate) fn verify_with(
+    dir: &Path,
+    rehash: bool,
+    threads: usize,
+) -> Result<VerifyReport, StreamError> {
     let run = RunSummary::load(dir)?;
     let product = load_factors(dir, &run)?;
     let plan = ShardPlan::new(&product, run.shards);
+    let shards = for_each_shard(run.shards, threads, |i| {
+        let spec = plan.get(i).expect("the plan has run.shards shards");
+        verify_shard(dir, &run, &product, spec, rehash)
+    })?;
 
     let mut total_entries = 0u128;
     let mut total_triangle_sum = 0u128;
     let mut artifact_bytes = 0u64;
-    for spec in plan.iter() {
-        let m = load_run_manifest(dir, &run, spec.index)?;
-        let fail = |msg: String| StreamError::Shard(spec.index, msg);
-        // closed-form checksums, recomputed from the factors
-        m.matches_stats(&spec.stats)
-            .map_err(StreamError::Manifest)?;
-        total_entries += m.entries;
-        total_triangle_sum += m.triangle_sum;
-
-        // artifact structure + content checksum
-        match m.format {
-            OutputFormat::Count => {
-                if m.file.is_some() {
-                    return Err(fail("count shard names a file".into()));
-                }
-            }
-            OutputFormat::Edges => {
-                let name = m
-                    .file
-                    .as_deref()
-                    .ok_or_else(|| fail("edges shard has no file".into()))?;
-                let path = dir.join(name);
-                let len = std::fs::metadata(&path)
-                    .map_err(|e| fail(format!("{name}: {e}")))?
-                    .len();
-                let expect = (m.entries as u64).saturating_mul(16);
-                if len != m.file_bytes {
-                    return Err(fail(format!(
-                        "{name}: {len} bytes on disk, manifest file_bytes says {}",
-                        m.file_bytes
-                    )));
-                }
-                if len != expect {
-                    return Err(fail(format!(
-                        "{name}: {len} bytes on disk, {} entries imply {expect}",
-                        m.entries
-                    )));
-                }
-                artifact_bytes += len;
-                let mut hash = StreamHash::default();
-                let file = std::fs::File::open(&path).map_err(|e| fail(format!("{name}: {e}")))?;
-                let mut reader = std::io::BufReader::with_capacity(1 << 20, file);
-                let mut buf = [0u8; 16];
-                for _ in 0..m.entries {
-                    reader
-                        .read_exact(&mut buf)
-                        .map_err(|e| fail(format!("{name}: {e}")))?;
-                    let p = u64::from_le_bytes(buf[..8].try_into().unwrap());
-                    let q = u64::from_le_bytes(buf[8..].try_into().unwrap());
-                    if !spec.stats.vertices.contains(&p) {
-                        return Err(fail(format!(
-                            "{name}: source vertex {p} outside shard range"
-                        )));
-                    }
-                    hash.update(p, q);
-                }
-                if hash != m.hash {
-                    return Err(fail(format!("{name}: content checksum mismatch")));
-                }
-            }
-            OutputFormat::Csr | OutputFormat::Csr2 => {
-                let reader = admit_shard(dir, &m)?;
-                artifact_bytes += m.file_bytes;
-                // one pass over the rows of either format: every row
-                // decodes, has its closed-form length and strictly
-                // ascending columns, and the content checksum holds
-                let mut lengths = product.row_lengths_in_rows(spec.stats.rows.clone());
-                check_content(&reader, &m, |p, row| {
-                    let want = lengths.next().unwrap_or(0);
-                    if row.len() as u64 == want {
-                        return Ok(());
-                    }
-                    Err(format!(
-                        "row {p} has {} entries, closed form says {want}",
-                        row.len()
-                    ))
-                })?;
-            }
-        }
-
-        if rehash {
-            let regen = StreamHash::of(product.adjacency_entries_in_rows(spec.stats.rows.clone()));
-            if regen != m.hash {
-                return Err(fail(
-                    "regenerated stream checksum disagrees with manifest".into(),
-                ));
-            }
-        }
+    for shard in shards {
+        total_entries += shard.entries;
+        total_triangle_sum += shard.triangle_sum;
+        artifact_bytes += shard.artifact_bytes;
     }
-
     if total_entries != product.nnz() {
         return Err(StreamError::Manifest(format!(
             "shard entries sum to {total_entries}, product nnz is {}",

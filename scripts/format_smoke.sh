@@ -6,8 +6,10 @@
 # and diff again — plus idempotence (a second compact converts nothing),
 # the size claim (the csr2 artifacts are smaller), and the mid-compaction
 # state (run.json still csr, one shard already csr2) verifying, answering
-# and resuming. Run from the repo root; CI calls it after the release
-# build.
+# and resuming — and the on-disk bytes themselves: both formats streamed
+# with 1 and with 4 threads must agree file for file, and with sha256
+# sums recorded before the write path went from entries to runs. Run
+# from the repo root; CI calls it after the release build.
 set -euo pipefail
 
 BIN=${KRON_BIN:-target/release/kron}
@@ -72,5 +74,46 @@ diff -u "$work/answers_v2.txt" "$work/answers_mid.txt" \
     || { echo "mid-compaction run diverged from the csr2-native run"; exit 1; }
 "$BIN" compact "$work/run_mid" | tee "$work/compact_mid.txt"
 grep -q '3 converted, 1 already csr2' "$work/compact_mid.txt"
+
+echo "== on-disk bytes are pinned: any thread count, the recorded sha256s"
+echo "1d411fadb1b2197a85f14621b62becf63892a4c7dd3c920b1a842b1eaa44162e  $work/a.tsv" \
+    | sha256sum --check --quiet \
+    || { echo "the fixed factor changed; the recorded sums below are for the old one"; exit 1; }
+# run.json records the worker count and the wall time; nothing else may differ
+run_json() { sed -E 's/"threads":[0-9]+,"elapsed_secs":[^,}]+/"threads":T,"elapsed_secs":S/' "$1/run.json"; }
+for fmt in csr csr2; do
+    for t in 1 4; do
+        "$BIN" stream "$work/a.tsv" "$work/a.tsv" --out "$work/pin_${fmt}_t$t" \
+            --shards 4 --format "$fmt" --threads "$t" > /dev/null
+    done
+    for f in "$work/pin_${fmt}_t1"/shard_*; do
+        cmp "$f" "$work/pin_${fmt}_t4/$(basename "$f")" \
+            || { echo "$fmt: $(basename "$f") depends on the thread count"; exit 1; }
+    done
+    [ "$(run_json "$work/pin_${fmt}_t1")" = "$(run_json "$work/pin_${fmt}_t4")" ] \
+        || { echo "$fmt: run.json differs beyond threads and elapsed_secs"; exit 1; }
+done
+(cd "$work/pin_csr_t1" && sha256sum --check --quiet - <<'SUMS'
+ef8bdfddd8f5b28a9ac5339a9ea78fb0c840557eda91d7f074abc91a4628c897  shard_00000.csr
+fef0438e2e82e188a8f45ce09ba6576c231dcb4d6264d3421b63f0b75a3f6cad  shard_00000.json
+72a89876e35414604e4dd05455288f119ada722be70ae3a55c2c5c374130974a  shard_00001.csr
+2366c2045712ac7c345d18524a5f8b36f586d8fd7472464b0ff43d11cfb18fef  shard_00001.json
+979e73aaab519dd51f1173ff09085556da4772046258642a013762bfca9134cc  shard_00002.csr
+4002e33fc2ad32b51ff58b6449a64c82734d4467ca38a8f122cc99d498718268  shard_00002.json
+6d1a2840d54ff5f5410f84d000855d6362b2d7b08b26fc2eb9b595aa81a3e7fc  shard_00003.csr
+b5cd3477b93d1cf6215038b4e90cdedd72c0de0aae52981f30d09583c7e0d082  shard_00003.json
+SUMS
+) || { echo "csr bytes moved from the recorded sha256s"; exit 1; }
+(cd "$work/pin_csr2_t1" && sha256sum --check --quiet - <<'SUMS'
+62d92e938cd18fa37b350bd0da6b22e684006919052dad393e0f1b2347f713ec  shard_00000.csr2
+fd33ae7edfebc8597c57dd61f10a8242b030c6af743655ebfee59bdfc01742c0  shard_00000.json
+b6c31d459041037ba6478b2fb7a2621d5fa81896c5bd8cf966f3f4bc29dbf3e9  shard_00001.csr2
+a77a358254aab664add6a1846f663b449ec8cb2bb3136222ed1aa11526b2e38a  shard_00001.json
+72a25f64265a2845f7d9e9dec3e4142656025424a1d63f29fe2cd135b3985ba2  shard_00002.csr2
+645edd7a09a97b0542d98e0a0c0738efee20e44991b1806344288e18b20d425d  shard_00002.json
+b668b04020c3b63820ab7cde4c603db342bf65b9fe7b98a9894cb82ec8f681d5  shard_00003.csr2
+adde39ea419aa06efc865f227894b4e754e1d158c037e6332e817bbd15fc6409  shard_00003.json
+SUMS
+) || { echo "csr2 bytes moved from the recorded sha256s"; exit 1; }
 
 echo "format smoke OK (csr2 ${csr2_bytes}B vs csr ${csr_bytes}B)"

@@ -129,6 +129,136 @@ fn edge_artifacts_decode_to_generator_entries() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One shard of a golden run: the manifest's stream hash, then the
+/// artifact — `(len, FNV-1a 64)` where the bytes are too many to spell.
+type GoldenShard = ((u64, u64), (usize, u64));
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Stream `c` as `format` with `threads` workers and return every shard's
+/// manifest hash and artifact bytes.
+fn streamed_shards(
+    c: &KronProduct,
+    shards: usize,
+    format: OutputFormat,
+    threads: usize,
+) -> Vec<((u64, u64), Vec<u8>)> {
+    let dir = tmpdir(&format!("golden_{}_{shards}_{threads}", format.as_str()));
+    let mut cfg = StreamConfig::new(&dir, format);
+    (cfg.shards, cfg.threads) = (shards, threads);
+    stream_product(c, &cfg).unwrap();
+    let out = (0..shards)
+        .map(|shard| {
+            let m = load_manifest(&dir, shard).unwrap();
+            let bytes = std::fs::read(dir.join(m.file.as_deref().unwrap())).unwrap();
+            assert_eq!(bytes.len() as u64, m.file_bytes);
+            ((m.hash.sum, m.hash.xor), bytes)
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+/// On-disk bytes are a contract: every constant below was recorded from
+/// the commit *before* the write path went from entries to runs, so a
+/// writer that moves one byte of any format, for any thread count, fails
+/// here. (`scripts/format_smoke.sh` pins a third product by sha256.)
+#[test]
+fn artifact_bytes_and_manifest_hashes_equal_the_recorded_constants() {
+    // A: an edge, a loop and an isolated vertex; B: a triangle. Two shards.
+    let tiny = KronProduct::new(
+        Graph::from_edges(3, [(0, 1), (1, 1)]),
+        Graph::from_edges(3, [(0, 1), (1, 2), (2, 0)]),
+    );
+    let hashes = [
+        (0x0866_bd3b_5104_6dfe, 0x0f39_a8bd_e2c6_b89a),
+        (0x20f0_da3c_6576_755b, 0x0c66_caf1_265e_1589),
+    ];
+    // header (magic, vertex_lo, num_rows, nnz) and offsets, as LE words…
+    let words = |magic: &[u8; 8], rest: &[u64]| -> Vec<u8> {
+        let rest = rest.iter().flat_map(|w| w.to_le_bytes());
+        magic.iter().copied().chain(rest).collect()
+    };
+    // …then the columns: words again for csr, varint gaps for csr2
+    let csr = [
+        words(b"KRONCSR1", &[0, 3, 6, 0, 2, 4, 6, 4, 5, 3, 5, 3, 4]),
+        words(
+            b"KRONCSR1",
+            &[
+                3, 6, 12, 0, 4, 8, 12, 12, 12, 12, 1, 2, 4, 5, 0, 2, 3, 5, 0, 1, 3, 4,
+            ],
+        ),
+    ];
+    let csr2 = [
+        [
+            words(b"KRONCSR2", &[0, 3, 6, 0, 2, 4, 6]),
+            vec![4, 1, 3, 2, 3, 1],
+        ]
+        .concat(),
+        [
+            words(b"KRONCSR2", &[3, 6, 12, 0, 4, 8, 12, 12, 12, 12]),
+            vec![1, 1, 2, 1, 0, 2, 1, 2, 0, 1, 2, 1],
+        ]
+        .concat(),
+    ];
+
+    // star(100) ⊗ looped star(100): a 9 900-entry hub row (several runs),
+    // multi-byte varints, three shards — pinned by length and digest.
+    let star = kron_gen::deterministic::star(100);
+    let hub = KronProduct::new(star.clone(), star.with_all_self_loops());
+    let hub_hashes = [
+        (0x656e_109a_a226_32ac, 0x6ce7_d67e_0a17_d394),
+        (0xa077_be14_7d8c_d58f, 0xb9f4_146e_7348_4339),
+        (0xbaac_2427_b7f1_494b, 0x686c_557c_8157_4da5),
+    ];
+    let hub_files = [
+        (
+            OutputFormat::Csr,
+            [
+                (236_856, 0x5bb8_3f9e_76f1_19f1),
+                (105_112, 0x5799_83bf_9fc8_c12d),
+                (210_184, 0xd9ce_f634_bd40_dee6),
+            ],
+        ),
+        (
+            OutputFormat::Csr2,
+            [
+                (30_342, 0xf472_89ab_e171_5ab9),
+                (36_274, 0x50da_f3fa_f256_7b5d),
+                (72_508, 0x826e_b67c_2eca_ae5b),
+            ],
+        ),
+        (
+            OutputFormat::Edges,
+            [
+                (472_032, 0x12c7_dc8d_e9bf_c90d),
+                (157_344, 0x0356_5702_b9dd_ee0d),
+                (314_688, 0x66fc_2521_0eb6_201d),
+            ],
+        ),
+    ];
+
+    for threads in [1, 4] {
+        for (format, files) in [(OutputFormat::Csr, &csr), (OutputFormat::Csr2, &csr2)] {
+            let got = streamed_shards(&tiny, 2, format, threads);
+            let want: Vec<_> = hashes.iter().copied().zip(files.iter().cloned()).collect();
+            assert_eq!(got, want, "tiny {} x{threads}", format.as_str());
+        }
+        for (format, files) in hub_files {
+            let got: Vec<GoldenShard> = streamed_shards(&hub, 3, format, threads)
+                .into_iter()
+                .map(|(hash, bytes)| (hash, (bytes.len(), fnv1a64(&bytes))))
+                .collect();
+            let want: Vec<GoldenShard> = hub_hashes.iter().copied().zip(files).collect();
+            assert_eq!(got, want, "hub {} x{threads}", format.as_str());
+        }
+    }
+}
+
 /// The acceptance-scale plan: two 2¹⁰-vertex R-MAT factors whose product
 /// has ≥ 10⁹ adjacency entries, across 8+ shards. Manifest arithmetic is
 /// closed form, so this is fast; the `#[ignore]`d test below actually
