@@ -246,6 +246,19 @@ impl Point {
         }
     }
 
+    /// The vertex whose row is *all* this request reads — `degree`,
+    /// `neighbors`, `has_edge` — or `None` for one that goes on to other
+    /// rows (triangles, traversals). With the row's length this bounds the
+    /// request's cost before it starts.
+    pub(crate) fn single_row(&self) -> Option<u64> {
+        match *self {
+            Point::Query(Query::Degree(v) | Query::Neighbors(v) | Query::HasEdge(v, _)) => Some(v),
+            Point::Query(Query::VertexTriangles(_) | Query::EdgeTriangles(..))
+            | Point::Path { .. }
+            | Point::Khop { .. } => None,
+        }
+    }
+
     /// The canonical request line a router forwards.
     pub(crate) fn forward_path(&self) -> String {
         match *self {

@@ -1,5 +1,6 @@
 //! The shared front-end connection engine: a readiness-based `poll(2)`
-//! event loop with a bounded worker pool.
+//! event loop that answers bounded requests itself and hands the rest
+//! to a worker pool.
 //!
 //! PR 4's thread-per-connection loop capped the serving tier at
 //! `--threads` concurrent keep-alive clients — each idle peer owned a
@@ -11,14 +12,24 @@
 //!   [`crate::poll`] syscall shim (non-blocking sockets throughout);
 //! * **per-connection state machines** drive the incremental parser in
 //!   [`crate::http::RequestBuffer`]: bytes accumulate across partial
-//!   reads, complete requests are handed to the worker pool one at a
-//!   time per connection (so responses come back in request order even
-//!   for pipelined clients), responses drain on `POLLOUT`;
-//! * **a bounded worker pool** (`--threads`, default 64) executes parsed
-//!   requests off the event thread — request handling may block (remote
-//!   row fetches, router forwards), the event thread never does. A
-//!   finished worker pushes the rendered response bytes and pokes the
-//!   wake pipe;
+//!   reads, complete requests are taken one at a time per connection (so
+//!   responses come back in request order even for pipelined clients),
+//!   responses drain on `POLLOUT`;
+//! * **the handler is asked first on the event thread**
+//!   ([`Thread::Event`]). There it answers only what is bounded and known
+//!   before it starts — a refusal, a health probe, a short resident row —
+//!   and *declines* everything else (`None`). **The event thread never
+//!   blocks:** an answer given there touches no peer, no lock a worker can
+//!   hold across I/O, and spawns nothing. After 64 consecutive inline
+//!   answers on one connection in one wake-up the next request goes to
+//!   the pool regardless, so a pipelining peer cannot hold the thread;
+//! * **a bounded worker pool** (`--threads`, default 64) executes declined
+//!   requests ([`Thread::Pool`]) — that handling may block (remote row
+//!   fetches, router forwards). The hand-off is a `Mutex<VecDeque>` +
+//!   `Condvar` queue: one `notify_one` per request wakes exactly one
+//!   sleeping worker. A finished worker pushes the rendered response
+//!   bytes and pokes the wake pipe only if the completion list was empty
+//!   (a non-empty list already has a wake-up in flight);
 //! * **timeouts** protect the loop from slow clients: a *hard* deadline
 //!   of `io_timeout` from a request's first byte (a slow-loris drip
 //!   makes progress forever but never completes, so progress must not
@@ -37,6 +48,7 @@
 //! The full lifecycle and timeout semantics are normative in
 //! `ARCHITECTURE.md` § "Connection lifecycle & timeouts".
 
+use crate::endpoints::Response;
 use crate::http::Request;
 use crate::server::LoopCounters;
 use kron_stream::json::Json;
@@ -75,6 +87,12 @@ pub(crate) struct ConnCounters {
     /// `poll(2)` calls made by the event thread — the busy-spin
     /// regression metric (an idle loop must tick at ~10/s, not spin).
     pub(crate) polls: AtomicU64,
+    /// Requests answered on the event thread: what the handler accepted
+    /// there, plus framing `400`s.
+    pub(crate) inline: AtomicU64,
+    /// Requests handed to the worker pool. `inline + pooled` is
+    /// `requests`.
+    pub(crate) pooled: AtomicU64,
 }
 
 impl ConnCounters {
@@ -86,6 +104,8 @@ impl ConnCounters {
             idle_closed: AtomicU64::new(0),
             timeout_closed: AtomicU64::new(0),
             polls: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
+            pooled: AtomicU64::new(0),
         }
     }
 
@@ -104,40 +124,61 @@ impl ConnCounters {
                 Json::num(self.timeout_closed.load(Ordering::Relaxed)),
             ),
             ("polls", Json::num(self.polls.load(Ordering::Relaxed))),
+            ("inline", Json::num(self.inline.load(Ordering::Relaxed))),
+            ("pooled", Json::num(self.pooled.load(Ordering::Relaxed))),
         ])
     }
 }
 
+/// Which thread a handler call runs on — the one fact a dispatcher needs
+/// to decide whether it may answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Thread {
+    /// The event thread: must not block. Answer only what is bounded and
+    /// known before it starts; decline (`None`) the rest.
+    Event,
+    /// A worker-pool thread: may block, must answer.
+    Pool,
+}
+
+/// A tier's dispatcher as the loop sees it: asked on the event thread
+/// first, and again on the pool for a request it declined there.
+pub(crate) type Handler<'a> = dyn Fn(&Request, Thread) -> Option<Response> + Sync + 'a;
+
 /// Accept and serve connections until `shutdown` flips, then drain
 /// in-flight requests and return. `handle` dispatches one parsed request
-/// to its endpoint (it runs on worker-pool threads and may block);
-/// `counters` picks up request/framing/connection totals. Used by both
-/// [`crate::Server`] and [`crate::Router`].
-pub(crate) fn serve_connections<H>(
+/// to its endpoint (see [`Handler`]); `counters` picks up
+/// request/framing/connection totals. Used by both [`crate::Server`] and
+/// [`crate::Router`].
+pub(crate) fn serve_connections(
     listener: &TcpListener,
     cfg: &LoopConfig,
     name: &str,
     shutdown: &AtomicBool,
     counters: &LoopCounters,
-    handle: &H,
-) where
-    H: Fn(&Request) -> (u16, &'static str, Vec<u8>) + Sync,
-{
+    handle: &Handler<'_>,
+) {
     imp::serve(listener, cfg, name, shutdown, counters, handle);
+}
+
+/// The `500` an endpoint panic (or a pool-side decline, which is a
+/// dispatcher bug) is answered with.
+fn internal_error() -> Response {
+    (500, "text/plain", b"error: internal error\n".to_vec())
 }
 
 #[cfg(unix)]
 mod imp {
-    use super::LoopConfig;
+    use super::{internal_error, Handler, LoopConfig, Thread};
     use crate::http::{self, Request, RequestBuffer};
     use crate::poll::{self, PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
     use crate::server::LoopCounters;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, VecDeque};
     use std::io::{self, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{mpsc, Mutex};
+    use std::sync::{Condvar, Mutex};
     use std::time::{Duration, Instant};
 
     /// Max poll timeout: the shutdown flag is re-checked at least this
@@ -154,6 +195,11 @@ mod imp {
     /// level-triggered; the remainder re-fires immediately).
     const MAX_READ_PER_WAKEUP: usize = 256 * 1024;
 
+    /// Consecutive inline answers one connection gets in one wake-up;
+    /// its next request goes to the pool whatever it is, which returns
+    /// the event thread to the rest of the poll set.
+    const INLINE_STREAK: u32 = 64;
+
     /// Pacing after a transient accept failure (the listener may stay
     /// readable, which would otherwise spin the loop hot).
     const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
@@ -161,20 +207,75 @@ mod imp {
     /// Consecutive accept failures that end the run (dead listener).
     const MAX_CONSECUTIVE_ACCEPT_ERRORS: u32 = 100;
 
-    /// A finished request: connection id, rendered response bytes, and
-    /// whether the connection must close after them.
-    type Completion = (u64, Vec<u8>, bool);
+    /// A finished request: connection id and rendered response bytes.
+    type Completion = (u64, Vec<u8>);
 
-    pub(super) fn serve<H>(
+    /// The event thread → pool hand-off. `push` wakes exactly one
+    /// sleeping worker; nobody sleeps holding the lock. Its length is
+    /// bounded by `--max-conns`: a connection has at most one request
+    /// in flight.
+    pub(super) struct Queue {
+        state: Mutex<QueueState>,
+        ready: Condvar,
+    }
+
+    struct QueueState {
+        items: VecDeque<(u64, Request)>,
+        closed: bool,
+    }
+
+    impl Queue {
+        pub(super) fn new() -> Queue {
+            Queue {
+                state: Mutex::new(QueueState {
+                    items: VecDeque::new(),
+                    closed: false,
+                }),
+                ready: Condvar::new(),
+            }
+        }
+
+        fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+            // no code path panics while holding this lock
+            self.state.lock().expect("request queue lock poisoned")
+        }
+
+        pub(super) fn push(&self, id: u64, req: Request) {
+            self.lock().items.push_back((id, req));
+            self.ready.notify_one();
+        }
+
+        /// The next request, sleeping until there is one; `None` once the
+        /// queue is closed **and** drained.
+        pub(super) fn pop(&self) -> Option<(u64, Request)> {
+            let mut state = self.lock();
+            loop {
+                if let Some(item) = state.items.pop_front() {
+                    return Some(item);
+                }
+                if state.closed {
+                    return None;
+                }
+                state = self.ready.wait(state).expect("request queue lock poisoned");
+            }
+        }
+
+        /// No more pushes: every sleeping worker wakes, takes what is
+        /// still queued, then sees `None`.
+        pub(super) fn close(&self) {
+            self.lock().closed = true;
+            self.ready.notify_all();
+        }
+    }
+
+    pub(super) fn serve(
         listener: &TcpListener,
         cfg: &LoopConfig,
         name: &str,
         shutdown: &AtomicBool,
         counters: &LoopCounters,
-        handle: &H,
-    ) where
-        H: Fn(&Request) -> (u16, &'static str, Vec<u8>) + Sync,
-    {
+        handle: &Handler<'_>,
+    ) {
         let wake = match WakePipe::new() {
             Ok(w) => w,
             Err(e) => {
@@ -182,57 +283,78 @@ mod imp {
                 return;
             }
         };
-        let (req_tx, req_rx) = mpsc::channel::<(u64, Request)>();
-        let req_rx = Mutex::new(req_rx);
+        let queue = Queue::new();
         let done: Mutex<Vec<Completion>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for _ in 0..cfg.workers.max(1) {
-                let (req_rx, done, wake) = (&req_rx, &done, &wake);
-                s.spawn(move || worker(counters, handle, req_rx, done, wake));
+                let (queue, done, wake) = (&queue, &done, &wake);
+                s.spawn(move || worker(counters, handle, queue, done, wake));
             }
             event_loop(
-                listener, cfg, name, shutdown, counters, &wake, &req_tx, &done,
+                listener, cfg, name, shutdown, counters, handle, &wake, &queue, &done,
             );
-            // hang up the request channel: workers drain what's queued
-            // (nothing — the loop only exits once no request is in
-            // flight), then exit on the recv error
-            drop(req_tx);
+            // workers drain what's queued (nothing — the loop only exits
+            // once no request is in flight), then exit
+            queue.close();
         });
     }
 
-    /// One worker-pool thread: take a parsed request, run the endpoint,
-    /// render the full response bytes, post the completion.
-    fn worker<H>(
+    /// The one path from a parsed request to response bytes, whichever
+    /// thread takes it: run the handler, account a `400`, render. `None`
+    /// is the handler declining on the event thread.
+    fn respond(
         counters: &LoopCounters,
-        handle: &H,
-        req_rx: &Mutex<mpsc::Receiver<(u64, Request)>>,
+        handle: &Handler<'_>,
+        req: &Request,
+        on: Thread,
+    ) -> Option<Vec<u8>> {
+        // An endpoint panic must not kill its thread (on the pool the
+        // connection would stay busy and the shutdown drain never
+        // finish; on the event thread the whole loop would die): unwind
+        // to a 500 and keep serving.
+        let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(req, on)))
+            .unwrap_or_else(|_| Some(internal_error()));
+        let (status, content_type, body) = match (answer, on) {
+            (Some(response), _) => response,
+            (None, Thread::Event) => return None,
+            (None, Thread::Pool) => internal_error(),
+        };
+        if status == 400 {
+            counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(render(status, content_type, &body))
+    }
+
+    /// One response as the bytes that go on the wire.
+    fn render(status: u16, content_type: &str, body: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(body.len() + 96);
+        http::write_response(&mut bytes, status, content_type, body)
+            .expect("writing to a Vec cannot fail");
+        bytes
+    }
+
+    /// One worker-pool thread: take a request the event thread did not
+    /// answer, run the endpoint, post the completion.
+    fn worker(
+        counters: &LoopCounters,
+        handle: &Handler<'_>,
+        queue: &Queue,
         done: &Mutex<Vec<Completion>>,
         wake: &WakePipe,
-    ) where
-        H: Fn(&Request) -> (u16, &'static str, Vec<u8>) + Sync,
-    {
-        loop {
-            // Holding the lock across recv serializes *dispatch*, not
-            // request execution: the lock is released the instant a
-            // request is taken.
-            let msg = req_rx.lock().unwrap().recv();
-            let Ok((id, req)) = msg else { return };
-            counters.requests.fetch_add(1, Ordering::Relaxed);
-            let close = req.close;
-            // An endpoint panic must not wedge its connection in the
-            // busy state (the shutdown drain would never finish):
-            // unwind to a 500 and keep serving.
-            let (status, content_type, body) =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(&req)))
-                    .unwrap_or_else(|_| (500, "text/plain", b"error: internal error\n".to_vec()));
-            if status == 400 {
-                counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+    ) {
+        while let Some((id, req)) = queue.pop() {
+            let bytes =
+                respond(counters, handle, &req, Thread::Pool).expect("the pool always answers");
+            let first = {
+                let mut done = done.lock().expect("completion list lock poisoned");
+                done.push((id, bytes));
+                done.len() == 1
+            };
+            // The event thread takes the whole list per wake-up, so only
+            // the push that made it non-empty needs to wake it.
+            if first {
+                wake.notify();
             }
-            let mut bytes = Vec::with_capacity(body.len() + 96);
-            http::write_response(&mut bytes, status, content_type, &body)
-                .expect("writing to a Vec cannot fail");
-            done.lock().unwrap().push((id, bytes, close));
-            wake.notify();
         }
     }
 
@@ -246,22 +368,24 @@ mod imp {
     /// machine.
     struct Ctx<'a> {
         counters: &'a LoopCounters,
-        req_tx: &'a mpsc::Sender<(u64, Request)>,
+        handle: &'a Handler<'a>,
+        queue: &'a Queue,
         io_timeout: Duration,
         shutting: bool,
         now: Instant,
     }
 
     /// One connection's state machine: reading (parser accumulating) →
-    /// busy (request at the worker pool) → writing (out buffer
-    /// draining) → back to reading/idle.
+    /// busy (request with the worker pool; skipped by a request the
+    /// event thread answers itself) → writing (out buffer draining) →
+    /// back to reading/idle.
     struct Connection {
         stream: TcpStream,
         parser: RequestBuffer,
         out: Vec<u8>,
         out_pos: usize,
-        /// A request from this connection is at the worker pool; at most
-        /// one, which is what keeps pipelined responses in order.
+        /// A request from this connection is with the worker pool; at
+        /// most one, which is what keeps pipelined responses in order.
         busy: bool,
         close_after_write: bool,
         /// The peer shut down its write side (half-close): serve what is
@@ -314,7 +438,7 @@ mod imp {
             })
         }
 
-        /// Drain readable bytes into the parser, then advance.
+        /// Drain readable bytes into the parser, then run the machine.
         fn on_readable(&mut self, id: u64, ctx: &Ctx<'_>) -> Flow {
             let mut budget = MAX_READ_PER_WAKEUP;
             loop {
@@ -337,33 +461,70 @@ mod imp {
                     Err(_) => return Flow::Close,
                 }
             }
-            self.advance(id, ctx)
+            self.run(id, ctx)
         }
 
-        /// Start the next buffered request if the connection is free,
-        /// handle EOF, or arm the slow-client deadline.
-        fn advance(&mut self, id: u64, ctx: &Ctx<'_>) -> Flow {
+        /// Queue a rendered response for the peer.
+        fn start_write(&mut self, bytes: Vec<u8>, now: Instant) {
+            self.out = bytes;
+            self.out_pos = 0;
+            self.last_write_progress = now;
+        }
+
+        /// Run the machine as far as it goes without waiting: flush,
+        /// take the next buffered request, flush its answer if the event
+        /// thread gave one, and so on — until the socket, the pool or
+        /// the peer has to move. A loop, not a recursion: the stack is
+        /// constant however many requests a peer pipelined.
+        fn run(&mut self, id: u64, ctx: &Ctx<'_>) -> Flow {
+            let mut inline_streak = 0;
+            loop {
+                if let Some(flow) = self.flush(ctx) {
+                    return flow;
+                }
+                if let Some(flow) = self.advance(id, ctx, &mut inline_streak) {
+                    return flow;
+                }
+            }
+        }
+
+        /// Start the next buffered request, handle EOF, or arm the
+        /// slow-client deadline. `None` means a response was queued on
+        /// the spot and wants flushing.
+        fn advance(&mut self, id: u64, ctx: &Ctx<'_>, inline_streak: &mut u32) -> Option<Flow> {
             if self.busy || self.writing() {
-                return Flow::Keep;
+                return Some(Flow::Keep);
             }
             match self.parser.next_request() {
                 Ok(Some(req)) => {
                     if ctx.shutting {
                         // drain semantics: in-flight requests finish,
                         // buffered *new* requests do not start
-                        return Flow::Close;
+                        return Some(Flow::Close);
                     }
                     self.read_deadline = None;
-                    self.busy = true;
                     self.close_after_write |= req.close;
-                    let _ = ctx.req_tx.send((id, req));
-                    Flow::Keep
+                    let conns = &ctx.counters.conns;
+                    ctx.counters.requests.fetch_add(1, Ordering::Relaxed);
+                    if *inline_streak < INLINE_STREAK {
+                        if let Some(bytes) = respond(ctx.counters, ctx.handle, &req, Thread::Event)
+                        {
+                            *inline_streak += 1;
+                            conns.inline.fetch_add(1, Ordering::Relaxed);
+                            self.start_write(bytes, ctx.now);
+                            return None;
+                        }
+                    }
+                    conns.pooled.fetch_add(1, Ordering::Relaxed);
+                    self.busy = true;
+                    ctx.queue.push(id, req);
+                    Some(Flow::Keep)
                 }
                 Ok(None) => {
                     if self.read_closed {
                         // clean close between requests, or a request
                         // truncated by the peer — nothing left to serve
-                        return Flow::Close;
+                        return Some(Flow::Close);
                     }
                     if !self.parser.is_empty() && self.read_deadline.is_none() {
                         // a request's first bytes arm a *hard* deadline:
@@ -371,43 +532,41 @@ mod imp {
                         // never completes, so progress must not extend it
                         self.read_deadline = Some(ctx.now + ctx.io_timeout);
                     }
-                    Flow::Keep
+                    Some(Flow::Keep)
                 }
                 Err(_) => {
                     // framing error: a (malformed) request was received
+                    // and is answered here
                     ctx.counters.requests.fetch_add(1, Ordering::Relaxed);
                     ctx.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    self.queue_response(400, b"error: malformed request\n");
+                    ctx.counters.conns.inline.fetch_add(1, Ordering::Relaxed);
+                    self.queue_response(400, b"error: malformed request\n", ctx.now);
                     self.close_after_write = true;
-                    self.drive_write(id, ctx)
+                    None
                 }
             }
         }
 
         /// Render an event-thread-originated response (400/408) into the
         /// write buffer.
-        fn queue_response(&mut self, status: u16, body: &[u8]) {
-            let mut bytes = Vec::with_capacity(body.len() + 96);
-            http::write_response(&mut bytes, status, "text/plain", body)
-                .expect("writing to a Vec cannot fail");
-            self.out = bytes;
-            self.out_pos = 0;
+        fn queue_response(&mut self, status: u16, body: &[u8], now: Instant) {
+            self.start_write(render(status, "text/plain", body), now);
         }
 
-        /// Flush as much of the out buffer as the socket takes; on full
-        /// drain, close if asked to or move on to the next pipelined
-        /// request.
-        fn drive_write(&mut self, id: u64, ctx: &Ctx<'_>) -> Flow {
+        /// Flush as much of the out buffer as the socket takes. `None`
+        /// means it drained and the connection may take its next
+        /// request; otherwise wait for `POLLOUT` (`Keep`) or close.
+        fn flush(&mut self, ctx: &Ctx<'_>) -> Option<Flow> {
             while self.writing() {
                 match self.stream.write(&self.out[self.out_pos..]) {
-                    Ok(0) => return Flow::Close,
+                    Ok(0) => return Some(Flow::Close),
                     Ok(n) => {
                         self.out_pos += n;
                         self.last_write_progress = ctx.now;
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Flow::Keep,
-                    Err(_) => return Flow::Close,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Some(Flow::Keep),
+                    Err(_) => return Some(Flow::Close),
                 }
             }
             if !self.out.is_empty() {
@@ -418,12 +577,12 @@ mod imp {
             if self.close_after_write || ctx.shutting {
                 // answered in full; keep-alive ends here (the client
                 // asked for close, or the server is draining)
-                return Flow::Close;
+                return Some(Flow::Close);
             }
             if self.read_closed && self.parser.is_empty() {
-                return Flow::Close; // half-close: last response flushed
+                return Some(Flow::Close); // half-close: last response flushed
             }
-            self.advance(id, ctx)
+            None
         }
     }
 
@@ -445,8 +604,9 @@ mod imp {
         name: &str,
         shutdown: &AtomicBool,
         counters: &LoopCounters,
+        handle: &Handler<'_>,
         wake: &WakePipe,
-        req_tx: &mpsc::Sender<(u64, Request)>,
+        queue: &Queue,
         done: &Mutex<Vec<Completion>>,
     ) {
         let _ = listener.set_nonblocking(true); // already true via Server::bind
@@ -522,7 +682,8 @@ mod imp {
             let now = Instant::now();
             let ctx = Ctx {
                 counters,
-                req_tx,
+                handle,
+                queue,
                 io_timeout: cfg.io_timeout,
                 shutting,
                 now,
@@ -532,17 +693,15 @@ mod imp {
             // first, so a completion posted after the drain re-arms it)
             if pollfds[0].revents() & POLLIN != 0 {
                 wake.drain();
-                let finished = std::mem::take(&mut *done.lock().unwrap());
-                for (id, bytes, close) in finished {
+                let finished =
+                    std::mem::take(&mut *done.lock().expect("completion list lock poisoned"));
+                for (id, bytes) in finished {
                     let Some(c) = conns.get_mut(&id) else {
                         continue;
                     };
                     c.busy = false;
-                    c.out = bytes;
-                    c.out_pos = 0;
-                    c.close_after_write |= close;
-                    c.last_write_progress = now;
-                    if matches!(c.drive_write(id, &ctx), Flow::Close) {
+                    c.start_write(bytes, now);
+                    if matches!(c.run(id, &ctx), Flow::Close) {
                         remove(&mut conns, counters, id);
                     }
                 }
@@ -608,7 +767,7 @@ mod imp {
                     } else if c.writing() && (re & POLLOUT != 0 || err) {
                         // an error condition on a writing connection
                         // surfaces through the failed write
-                        c.drive_write(id, &ctx)
+                        c.run(id, &ctx)
                     } else {
                         Flow::Keep
                     }
@@ -638,7 +797,7 @@ mod imp {
                         // 408-style: tell the slow client why, best
                         // effort, then close — the partial request can
                         // never complete
-                        c.queue_response(408, b"error: request timed out\n");
+                        c.queue_response(408, b"error: request timed out\n", now);
                         let _ = c.stream.write(&c.out);
                         counters
                             .conns
@@ -663,10 +822,11 @@ mod imp {
     //! Non-unix fallback: the pre-event-loop blocking accept loop,
     //! thread per connection with `max_conns` as the cap. Keeps the
     //! same observable wire behavior and (approximate) timeout
-    //! semantics; `polls` stays 0 (there is no poll set to count).
+    //! semantics; `polls` and `inline` stay 0 (there is no poll set to
+    //! count, and no event thread to answer on).
 
-    use super::LoopConfig;
-    use crate::http::{Conn, NextRequest, Request};
+    use super::{internal_error, Handler, LoopConfig, Thread};
+    use crate::http::{Conn, NextRequest};
     use crate::server::LoopCounters;
     use std::io;
     use std::net::{TcpListener, TcpStream};
@@ -676,16 +836,14 @@ mod imp {
     const POLL_READ_TIMEOUT: Duration = Duration::from_millis(100);
     const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-    pub(super) fn serve<H>(
+    pub(super) fn serve(
         listener: &TcpListener,
         cfg: &LoopConfig,
         name: &str,
         shutdown: &AtomicBool,
         counters: &LoopCounters,
-        handle: &H,
-    ) where
-        H: Fn(&Request) -> (u16, &'static str, Vec<u8>) + Sync,
-    {
+        handle: &Handler<'_>,
+    ) {
         let active = AtomicUsize::new(0);
         const MAX_CONSECUTIVE_ACCEPT_ERRORS: u32 = 100;
         let mut accept_errors = 0u32;
@@ -727,15 +885,13 @@ mod imp {
         });
     }
 
-    fn handle_connection<H>(
+    fn handle_connection(
         counters: &LoopCounters,
         cfg: &LoopConfig,
-        handle: &H,
+        handle: &Handler<'_>,
         stream: TcpStream,
         shutdown: &AtomicBool,
-    ) where
-        H: Fn(&Request) -> (u16, &'static str, Vec<u8>) + Sync,
-    {
+    ) {
         // blocking loop: pace the idle poll with a short read timeout
         if stream.set_nonblocking(false).is_err()
             || stream.set_read_timeout(Some(POLL_READ_TIMEOUT)).is_err()
@@ -775,8 +931,11 @@ mod imp {
                 Ok(NextRequest::Request(req)) => {
                     request_started = None;
                     counters.requests.fetch_add(1, Ordering::Relaxed);
+                    counters.conns.pooled.fetch_add(1, Ordering::Relaxed);
                     let close = req.close;
-                    let (status, content_type, body) = handle(&req);
+                    // the connection's own thread may block: ask as the pool
+                    let (status, content_type, body) =
+                        handle(&req, Thread::Pool).unwrap_or_else(internal_error);
                     if status == 400 {
                         counters.bad_requests.fetch_add(1, Ordering::Relaxed);
                     }
@@ -797,5 +956,276 @@ mod imp {
                 Err(_) => break, // transport error: not a bad request
             }
         }
+    }
+}
+
+#[cfg(test)]
+#[cfg(unix)]
+pub(crate) mod tests {
+    use super::imp::Queue;
+    use super::*;
+    use crate::http::Client;
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::Barrier;
+
+    const TEXT: &str = "text/plain";
+
+    /// Holds a handler inside a request until the test lets it go: the
+    /// "channel the test owns". Flags rather than a barrier, so a failing
+    /// test can still release the worker and let the loop drain.
+    pub(crate) struct Gate {
+        entered: AtomicU64,
+        open: AtomicBool,
+    }
+
+    impl Gate {
+        pub(crate) fn new() -> Gate {
+            Gate {
+                entered: AtomicU64::new(0),
+                open: AtomicBool::new(false),
+            }
+        }
+
+        /// Handler side: announce arrival, then wait for `release`.
+        pub(crate) fn hold(&self) {
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            while !self.open.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        /// Test side: block until `n` handler calls are (or were) inside.
+        pub(crate) fn wait_entered(&self, n: u64) {
+            wait_until(|| self.entered.load(Ordering::SeqCst) >= n);
+        }
+
+        pub(crate) fn release(&self) {
+            self.open.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Spin until `cond` holds; a test that never gets there fails by
+    /// panicking, not by hanging.
+    pub(crate) fn wait_until(cond: impl Fn() -> bool) {
+        let t0 = std::time::Instant::now();
+        while !cond() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(30),
+                "condition never held"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Whatever happens to the test body, let the loop stop and drain.
+    pub(crate) struct StopOnDrop<'a>(pub(crate) &'a AtomicBool, pub(crate) &'a Gate);
+
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.1.release();
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    fn config(workers: usize) -> LoopConfig {
+        LoopConfig {
+            workers,
+            max_conns: 64,
+            idle_timeout: Duration::from_secs(60),
+            io_timeout: Duration::from_secs(10),
+        }
+    }
+
+    /// Serve `handle` on this thread while `client` runs on another;
+    /// returns the loop's counters once the client is done and the loop
+    /// has drained.
+    fn serve_while(
+        workers: usize,
+        gate: &Gate,
+        handle: &Handler<'_>,
+        client: impl FnOnce(SocketAddr, &LoopCounters, &AtomicBool) + Send,
+    ) -> LoopCounters {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let counters = LoopCounters::new();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let (counters, stop) = (&counters, &stop);
+            let client = s.spawn(move || {
+                let _stop = StopOnDrop(stop, gate);
+                client(addr, counters, stop);
+            });
+            serve_connections(&listener, &config(workers), "test", stop, counters, handle);
+            client.join().unwrap();
+        });
+        counters
+    }
+
+    fn ok(body: &str) -> Option<Response> {
+        Some((200, TEXT, body.as_bytes().to_vec()))
+    }
+
+    /// Split a raw response stream into bodies, checking each status line.
+    fn bodies(mut raw: &[u8]) -> Vec<String> {
+        let mut out = Vec::new();
+        while !raw.is_empty() {
+            let text = std::str::from_utf8(raw).unwrap();
+            assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+            let head_end = text.find("\r\n\r\n").unwrap() + 4;
+            let len: usize = text[..head_end]
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .unwrap()
+                .parse()
+                .unwrap();
+            out.push(text[head_end..head_end + len].to_string());
+            raw = &raw[head_end + len..];
+        }
+        out
+    }
+
+    /// A panic on the event thread is the same `500` a panic on a worker
+    /// is, and neither stops the loop.
+    #[test]
+    fn handler_panic_on_either_thread_is_a_500_and_the_loop_keeps_serving() {
+        let gate = Gate::new();
+        let handle = |req: &Request, on: Thread| match req.path.as_str() {
+            "/boom-event" => panic!("endpoint bug (event thread)"),
+            "/boom-pool" => (on == Thread::Pool).then(|| panic!("endpoint bug (pool)")),
+            _ => ok("fine\n"),
+        };
+        let counters = serve_while(2, &gate, &handle, |addr, _, _| {
+            let mut client = Client::connect(addr).unwrap();
+            let on_event = client.get("/boom-event").unwrap();
+            let on_pool = client.get("/boom-pool").unwrap();
+            assert_eq!(on_event, (500, "error: internal error\n".to_string()));
+            assert_eq!(on_pool, on_event);
+            // same connection, same loop, still serving
+            assert_eq!(client.get("/x").unwrap(), (200, "fine\n".to_string()));
+        });
+        assert_eq!(counters.conns.inline.load(Ordering::Relaxed), 2);
+        assert_eq!(counters.conns.pooled.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.requests.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.bad_requests.load(Ordering::Relaxed), 0);
+    }
+
+    /// A peer pipelining nothing but inline-able requests gets at most 64
+    /// of them answered back to back; the next one goes through the pool,
+    /// and order holds across the switch.
+    #[test]
+    fn a_pipelining_peer_yields_the_event_thread_every_64_answers() {
+        const N: usize = 200;
+        let gate = Gate::new();
+        let handle =
+            |req: &Request, on: Thread| ok(&format!("{} {on:?}\n", req.query_param("i").unwrap()));
+        let counters = serve_while(1, &gate, &handle, |addr, _, _| {
+            let mut wire = Vec::new();
+            for i in 0..N {
+                let close = if i + 1 == N {
+                    "Connection: close\r\n"
+                } else {
+                    ""
+                };
+                write!(wire, "GET /x?i={i} HTTP/1.1\r\n{close}\r\n").unwrap();
+            }
+            let mut raw = TcpStream::connect(addr).unwrap();
+            raw.write_all(&wire).unwrap(); // one segment train: ~5 KB
+            let mut all = Vec::new();
+            raw.read_to_end(&mut all).unwrap();
+            let answers = bodies(&all);
+            assert_eq!(answers.len(), N);
+            let mut streak = 0;
+            for (i, body) in answers.iter().enumerate() {
+                let (index, thread) = body.trim().split_once(' ').unwrap();
+                assert_eq!(index, i.to_string(), "responses out of order");
+                streak = if thread == "Event" { streak + 1 } else { 0 };
+                assert!(streak <= 64, "answer {i} is the {streak}th inline in a row");
+            }
+        });
+        let (inline, pooled) = (
+            counters.conns.inline.load(Ordering::Relaxed),
+            counters.conns.pooled.load(Ordering::Relaxed),
+        );
+        assert_eq!(inline + pooled, N as u64);
+        assert!(
+            pooled >= (N / 65) as u64,
+            "only {pooled} of {N} were pooled"
+        );
+    }
+
+    /// Shutdown with one request held in the only worker and two more
+    /// queued behind it: all three are answered, then the loop returns.
+    #[test]
+    fn shutdown_drains_requests_still_queued_for_the_pool() {
+        let gate = Gate::new();
+        let handle = |_: &Request, on: Thread| {
+            (on == Thread::Pool).then(|| {
+                gate.hold();
+                (200, TEXT, b"drained\n".to_vec())
+            })
+        };
+        let counters = serve_while(1, &gate, &handle, |addr, counters, stop| {
+            let mut idle = TcpStream::connect(addr).unwrap();
+            let mut conns: Vec<TcpStream> = (0..3)
+                .map(|_| {
+                    let mut c = TcpStream::connect(addr).unwrap();
+                    c.write_all(b"GET /slow HTTP/1.1\r\n\r\n").unwrap();
+                    c
+                })
+                .collect();
+            gate.wait_entered(1);
+            wait_until(|| counters.conns.pooled.load(Ordering::Relaxed) == 3);
+            stop.store(true, Ordering::SeqCst);
+            // the loop has seen the flag once it hangs up on the idle peer
+            assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0);
+            gate.release();
+            for c in &mut conns {
+                let mut all = Vec::new();
+                c.read_to_end(&mut all).unwrap();
+                assert_eq!(bodies(&all), ["drained\n"]);
+            }
+        });
+        assert_eq!(counters.requests.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.conns.inline.load(Ordering::Relaxed), 0);
+    }
+
+    fn request(path: &str) -> Request {
+        Request {
+            method: "GET".into(),
+            path: path.into(),
+            query: Vec::new(),
+            body: Vec::new(),
+            close: false,
+        }
+    }
+
+    /// Closing the queue releases every worker — asleep in `pop` or not
+    /// yet there — after what was queued has been handed out.
+    #[test]
+    fn a_closed_queue_hands_out_what_is_left_then_wakes_every_worker() {
+        const WORKERS: usize = 8;
+        let queue = Queue::new();
+        let started = Barrier::new(WORKERS + 1);
+        let taken = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..WORKERS {
+                s.spawn(|| {
+                    started.wait();
+                    while queue.pop().is_some() {
+                        taken.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+            started.wait();
+            for i in 0..100 {
+                queue.push(i, request("/x"));
+            }
+            queue.close();
+            // the scope joins: a worker left asleep would hang it
+        });
+        assert_eq!(taken.load(Ordering::SeqCst), 100);
+        assert!(queue.pop().is_none());
     }
 }

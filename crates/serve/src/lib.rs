@@ -35,8 +35,9 @@
 //!   `/stats`, and `/healthz` over a hand-rolled std-only HTTP/1.1 layer
 //!   ([`http`]) until a shutdown flag flips. Connections ride a
 //!   `poll(2)` event loop (10K+ concurrent keep-alive peers on one
-//!   node, with idle/slow-client timeouts); a bounded worker pool
-//!   executes the requests. Pair it with
+//!   node, with idle/slow-client timeouts); the event thread answers
+//!   bounded requests itself and a bounded worker pool executes the
+//!   rest. Pair it with
 //!   [`AnswerSource::CrossCheckSampled`] (`--source cross-check:N`) for
 //!   always-on 1-in-N conformance auditing at artifact-path cost;
 //! * [`cluster`] — multi-node serving (`kron serve --shards a..b

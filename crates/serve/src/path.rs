@@ -58,10 +58,7 @@ impl PathAnswer {
     /// The wire shape served by `GET /path` (normative in
     /// ARCHITECTURE.md "Traversal serving").
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("from", Json::num(self.from)),
-            ("to", Json::num(self.to)),
-        ];
+        let mut pairs = vec![("from", Json::num(self.from)), ("to", Json::num(self.to))];
         if let Some(k) = self.max_depth {
             pairs.push(("max_depth", Json::num(k)));
         }
@@ -410,10 +407,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "kron_path_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("kron_path_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -63,7 +63,7 @@
 use crate::endpoints::{
     self, error, json, Endpoint, Point, Response, Tier, MAX_BATCH_RESPONSE, TEXT,
 };
-use crate::event_loop::serve_connections;
+use crate::event_loop::{serve_connections, Thread};
 use crate::http::{self, Client};
 use crate::replica::{failover, first_uncovered, now_ms, Attempt, Method, Peer, Reply};
 use crate::server::{LoopCounters, Server, ServerOptions};
@@ -470,7 +470,7 @@ impl Router {
                 "kron route",
                 shutdown,
                 &state.http,
-                &|req| route(&state, req),
+                &|req, on| route(&state, req, on),
             );
             if let Some(t) = timer {
                 t.join().unwrap();
@@ -519,16 +519,23 @@ fn fan_out<'t, 'b>(
 }
 
 /// Dispatch one request: parse/validate locally (same errors as a node),
-/// forward the rest.
-fn route(state: &RouterState<'_>, req: &http::Request) -> Response {
+/// forward the rest. On the event thread only the table's refusals are
+/// answered: everything the router serves waits on a peer, so it is
+/// declined to the pool.
+fn route(state: &RouterState<'_>, req: &http::Request, on: Thread) -> Option<Response> {
+    match endpoints::resolve(Tier::Router, &req.method, &req.path) {
+        Err(refusal) => Some(refusal),
+        Ok(endpoint) => (on == Thread::Pool).then(|| forward(state, req, endpoint)),
+    }
+}
+
+/// Serve one resolved endpoint through the cluster (pool threads only:
+/// every arm may block on a peer).
+fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> Response {
     let r = state.router;
     let gateway_err = |detail: String| -> Response {
         state.forward_errors.fetch_add(1, Ordering::Relaxed);
         error(502, detail)
-    };
-    let endpoint = match endpoints::resolve(Tier::Router, &req.method, &req.path) {
-        Ok(endpoint) => endpoint,
-        Err(refusal) => return refusal,
     };
     match endpoint {
         Endpoint::Healthz => {
@@ -696,7 +703,8 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> Response {
             // Merge rule (normative in ARCHITECTURE.md): per-peer docs
             // verbatim under `peers` (ascending claim) with the peer's
             // replica-health fields beside them, the named counters
-            // summed under `totals`, the router's own counters at the
+            // (top-level, or under the peer's `connections`) summed
+            // under `totals`, the router's own counters at the
             // top level. An unreachable peer reports `"up":false` and
             // `"stats":null` and is left out of the totals — the per-peer
             // nulls make the partiality visible, and a cluster running
@@ -705,14 +713,16 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> Response {
             // it matters).
             let table = r.table();
             let mut peer_docs = Vec::with_capacity(table.peers.len());
-            let mut totals = [0u64; 6];
-            const KEYS: [&str; 6] = [
+            let mut totals = [0u64; 8];
+            const KEYS: [&str; 8] = [
                 "queries",
                 "errors",
                 "bad_requests",
                 "sampled_checks",
                 "mismatch_count",
                 "rows_served",
+                "inline",
+                "pooled",
             ];
             let responses = fan_out(&table, "/stats", &|i: usize| {
                 // don't pay a timeout per /stats call for a known-down
@@ -725,8 +735,10 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> Response {
                     _ => None,
                 };
                 if let Some(doc) = &stats {
+                    let conns = doc.get("connections");
                     for (i, key) in KEYS.iter().enumerate() {
-                        totals[i] += doc.get(key).and_then(Json::as_u64).unwrap_or(0);
+                        let field = doc.get(key).or_else(|| conns?.get(key));
+                        totals[i] += field.and_then(Json::as_u64).unwrap_or(0);
                     }
                 }
                 let mut fields = p.peer.stats_fields([

@@ -15,12 +15,21 @@
 //! * **std only** (no crate registry): a hand-rolled HTTP/1.1 subset
 //!   ([`crate::http`]) over `std::net::TcpListener`.
 //! * **an event loop, not thread-per-connection**: one event thread
-//!   `poll(2)`s every socket (via the [`crate::poll`] syscall shim) and
-//!   a bounded worker pool (`--threads`) executes parsed requests, so
+//!   `poll(2)`s every socket (via the [`crate::poll`] syscall shim), so
 //!   10K+ mostly idle keep-alive connections cost pollfd entries, not
 //!   threads. Idle/slow-client timeouts (`--idle-timeout`,
 //!   `--io-timeout`) bound what a misbehaving peer can hold. The loop
 //!   itself lives in [`crate::event_loop`].
+//! * **one dispatcher, two threads**: the loop offers every parsed
+//!   request to `route` on the event thread first. There `route` answers
+//!   what is bounded and known before it starts — refusals, `/healthz`,
+//!   `/shards`, and `/row` / `degree` / `has_edge` / `neighbors` on a
+//!   resident row of at most `INLINE_ROW_CAP` entries — and declines the
+//!   rest, which the loop hands to a bounded worker pool (`--threads`)
+//!   where the same `route` answers it. Nothing answered on the event
+//!   thread may block: no peer fetch, no lock held across I/O, no spawn;
+//!   the latency window `/stats` reports from is lock-free for that
+//!   reason.
 //! * **graceful shutdown via an atomic flag**: [`Server::run`] borrows a
 //!   caller-owned `AtomicBool` (the CLI sets it from SIGTERM/SIGINT, the
 //!   tests from a scope thread). On shutdown the listener stops
@@ -38,14 +47,13 @@ use crate::endpoints::{
     self, error, json, Endpoint, Point, Response, Tier, MAX_BATCH_RESPONSE, TEXT,
 };
 use crate::engine::ServeEngine;
-use crate::event_loop::{serve_connections, ConnCounters, LoopConfig};
+use crate::event_loop::{serve_connections, ConnCounters, LoopConfig, Thread};
 use crate::http;
 use crate::path::PathFinder;
 use kron_stream::json::Json;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Per-query latencies kept for the `/stats` rolling window.
@@ -56,8 +64,9 @@ const RECENT_LATENCIES: usize = 4096;
 pub struct ServerOptions {
     /// Request-execution worker threads. Connections are *not* tied to
     /// threads (the event loop holds them all); this sizes the pool that
-    /// runs endpoint handlers, which may block on peer I/O — so more
-    /// threads than cores is the right shape. `0` means 64.
+    /// runs the endpoint handlers the event thread declines — the ones
+    /// that may block on peer I/O or run long — so more threads than
+    /// cores is the right shape. `0` means 64.
     pub threads: usize,
     /// Maximum analytics jobs running concurrently (`POST /jobs` beyond
     /// the cap is rejected with 429, never queued); `0` means 2. Job
@@ -222,29 +231,42 @@ struct ServerState<'e> {
     rows_served: AtomicU64,
     row_wire_bytes: AtomicU64,
     wedge_checks: AtomicU64,
-    /// Rolling window of the most recent per-query latencies; `/stats`
-    /// derives its percentile block from this.
-    recent: Mutex<Vec<Duration>>,
+    /// Rolling window of the most recent per-query latencies in
+    /// nanoseconds; `/stats` derives its percentile block from this.
+    /// Lock-free, because the event thread records here too.
+    recent: [AtomicU64; RECENT_LATENCIES],
     /// Analytics-job registry behind `POST /jobs` (see [`crate::jobs`]).
     jobs: crate::jobs::JobRegistry,
 }
 
-impl ServerState<'_> {
+impl<'e> ServerState<'e> {
+    fn new(engine: &'e ServeEngine, opts: &ServerOptions) -> ServerState<'e> {
+        ServerState {
+            engine,
+            started: Instant::now(),
+            threads: opts.workers(),
+            http: LoopCounters::new(),
+            queries: AtomicU64::new(0),
+            query_errors: AtomicU64::new(0),
+            rows_served: AtomicU64::new(0),
+            row_wire_bytes: AtomicU64::new(0),
+            wedge_checks: AtomicU64::new(0),
+            recent: std::array::from_fn(|_| AtomicU64::new(0)),
+            jobs: crate::jobs::JobRegistry::new(opts.max_jobs()),
+        }
+    }
+
     /// Record one answered query.
     fn record_query(&self, lat: Duration, is_err: bool, checks: u64) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        // overwrite round-robin: cheap, and percentiles of a rolling
+        // window do not care about intra-window order. The slot comes
+        // from this query's own ticket, so no two queries share one.
+        let ticket = self.queries.fetch_add(1, Ordering::Relaxed);
+        let nanos = u64::try_from(lat.as_nanos()).unwrap_or(u64::MAX);
+        self.recent[ticket as usize % RECENT_LATENCIES].store(nanos, Ordering::Relaxed);
         self.query_errors
             .fetch_add(u64::from(is_err), Ordering::Relaxed);
         self.wedge_checks.fetch_add(checks, Ordering::Relaxed);
-        let mut recent = self.recent.lock().unwrap();
-        if recent.len() >= RECENT_LATENCIES {
-            // overwrite round-robin: cheap, and percentiles of a rolling
-            // window do not care about intra-window order
-            let i = (self.queries.load(Ordering::Relaxed) as usize) % RECENT_LATENCIES;
-            recent[i] = lat;
-        } else {
-            recent.push(lat);
-        }
     }
 
     fn report(&self) -> ServerReport {
@@ -266,7 +288,13 @@ impl ServerState<'_> {
 
     /// The `/stats` document.
     fn stats_json(&self) -> Json {
-        let recent = self.recent.lock().unwrap().clone();
+        // slots fill in ticket order, so the first `queries` are the live
+        // ones until the window wraps
+        let filled = (self.queries.load(Ordering::Relaxed) as usize).min(RECENT_LATENCIES);
+        let recent = self.recent[..filled]
+            .iter()
+            .map(|nanos| Duration::from_nanos(nanos.load(Ordering::Relaxed)))
+            .collect();
         // Latencies are the rolling window; the scalar fields (errors,
         // mismatches, wedge checks, wall = uptime) are run totals, so the
         // row never contradicts the top-level counters beside it.
@@ -395,19 +423,7 @@ impl Server {
         opts: &ServerOptions,
         shutdown: &AtomicBool,
     ) -> io::Result<ServerReport> {
-        let state = ServerState {
-            engine,
-            started: Instant::now(),
-            threads: opts.workers(),
-            http: LoopCounters::new(),
-            queries: AtomicU64::new(0),
-            query_errors: AtomicU64::new(0),
-            rows_served: AtomicU64::new(0),
-            row_wire_bytes: AtomicU64::new(0),
-            wedge_checks: AtomicU64::new(0),
-            recent: Mutex::new(Vec::new()),
-            jobs: crate::jobs::JobRegistry::new(opts.max_jobs()),
-        };
+        let state = ServerState::new(engine, opts);
         // Job workers are scoped threads spawned by `POST /jobs`
         // handlers; the scope exit is the shutdown barrier for them.
         // Once the accept loop has drained, every still-running job is
@@ -421,7 +437,7 @@ impl Server {
                 "kron serve",
                 shutdown,
                 &state.http,
-                &|req| route(&state, scope, req),
+                &|req, on| route(&state, scope, req, on),
             );
             state.jobs.cancel_all();
         });
@@ -439,7 +455,40 @@ fn error_status(e: &crate::engine::ServeError) -> u16 {
     }
 }
 
-/// Dispatch one request to its endpoint.
+/// Longest resident row (in entries, by [`kron_stream::CsrMap::row_len_bound`])
+/// the event thread reads itself; of the order of `kron::RUN_CAPACITY`,
+/// the generator's own unit of bounded work. A longer row goes to the
+/// pool.
+const INLINE_ROW_CAP: usize = 4096;
+
+/// Whether `v`'s row in this resident shard is short enough for the
+/// event thread, judged without decoding it.
+fn row_fits(shard: &kron_stream::OpenShard, v: u64) -> bool {
+    let fits = |len| len <= INLINE_ROW_CAP;
+    shard.reader.row_len_bound(v).is_some_and(fits)
+}
+
+/// Whether reading `v`'s row is bounded work that touches nothing but
+/// this node's own mappings: its shard is resident here and the row
+/// [fits](row_fits). A vertex no shard owns is bounded too — the engine
+/// refuses it without reading anything.
+fn row_is_bounded(engine: &ServeEngine, v: u64) -> bool {
+    let set = engine.shard_set();
+    match set.route(v) {
+        None => true,
+        Some(shard) => set.local(shard).is_some_and(|open| row_fits(open, v)),
+    }
+}
+
+/// Dispatch one request to its endpoint — the one dispatcher, asked on
+/// the event thread first ([`Thread::Event`]) and, for what it declines
+/// there (`None`), again on the pool.
+///
+/// What it answers on the event thread is the bounded set of
+/// `ARCHITECTURE.md` § "Serving over the network": table refusals, a
+/// `400`, `/healthz`, `/shards`, and `/row` and single-row `/query`s on a
+/// short resident row. Nothing there touches a peer, spawns, or takes a
+/// lock that is held across I/O.
 ///
 /// `scope` is the job-worker scope owned by [`Server::run`]: `POST
 /// /jobs` spawns its kernel worker there, so the run's scope exit (after
@@ -449,185 +498,212 @@ fn route<'s>(
     state: &'s ServerState<'s>,
     scope: &'s std::thread::Scope<'s, '_>,
     req: &http::Request,
-) -> Response {
-    const OCTETS: &str = "application/octet-stream";
+    on: Thread,
+) -> Option<Response> {
+    let pool = on == Thread::Pool;
     if let Some(id) = req.path.strip_prefix("/jobs/") {
-        return route_job(state, &req.method, id);
+        return pool.then(|| route_job(state, &req.method, id));
     }
     let endpoint = match endpoints::resolve(Tier::Node, &req.method, &req.path) {
         Ok(endpoint) => endpoint,
-        Err(refusal) => return refusal,
+        Err(refusal) => return Some(refusal),
     };
     match endpoint {
-        Endpoint::Healthz => (200, TEXT, b"ok\n".to_vec()),
+        Endpoint::Healthz => Some((200, TEXT, b"ok\n".to_vec())),
         Endpoint::Point(kind) => match Point::parse(kind, req) {
-            Err(e) => error(400, e),
+            Err(e) => Some(error(400, e)),
             Ok(point) => {
-                let t0 = Instant::now();
-                let (res, checks) = match point {
-                    Point::Query(query) => {
-                        let (res, checks) = batch::answer(state.engine, query);
-                        (res.map(|a| format!("{a}\n")), checks)
-                    }
-                    Point::Path {
-                        from,
-                        to,
-                        max_depth,
-                    } => {
-                        let res = PathFinder::new(state.engine).shortest_path(from, to, max_depth);
-                        (res.map(|a| format!("{}\n", a.to_json())), 0)
-                    }
-                    Point::Khop { v, k } => {
-                        let res = PathFinder::new(state.engine).khop(v, k);
-                        (res.map(|a| format!("{}\n", a.to_json())), 0)
-                    }
-                };
-                state.record_query(t0.elapsed(), res.is_err(), checks);
-                match res {
-                    Ok(body) => (200, point.content_type(), body.into_bytes()),
-                    Err(e) => error(error_status(&e), e),
-                }
+                let row = point.single_row();
+                (pool || row.is_some_and(|v| row_is_bounded(state.engine, v)))
+                    .then(|| answer_point(state, point))
             }
         },
-        Endpoint::Row => {
-            // The cluster-internal row fetch: raw little-endian u64 words
-            // of one resident adjacency row, straight off the mapping.
-            // Not a query — it bumps `rows_served`, never the engine's
-            // query counter (the *querying* node accounts the query).
-            let set = state.engine.shard_set();
-            let (Some(shard), Some(v)) = (req.query_param("shard"), req.query_param("v")) else {
-                return error(400, "/row needs shard=S and v=V parameters");
-            };
-            let Ok(shard) = shard.parse::<usize>() else {
-                return error(400, "shard must be a shard index");
-            };
-            let Ok(v) = v.parse::<u64>() else {
-                return error(400, "v must be a vertex id");
-            };
-            let Some(range) = set.shard_vertices(shard) else {
-                let shards = set.num_shards();
-                return error(
-                    404,
-                    format_args!("no shard {shard} in this run ({shards} shards)"),
-                );
-            };
-            let Some(open) = set.local(shard) else {
-                let subset = set.subset();
-                return error(
-                    404,
-                    format_args!(
-                        "shard {shard} is not resident on this node (serving {}..{})",
-                        subset.start, subset.end
-                    ),
-                );
-            };
-            if !range.contains(&v) {
-                return error(
-                    422,
-                    format_args!(
-                        "vertex {v} outside shard {shard}'s vertex range ({}..{})",
-                        range.start, range.end
-                    ),
-                );
-            }
-            // In range of an admitted resident shard, so the row exists;
-            // only a csr2 row whose bytes do not decode can fail the raw
-            // arm. Varint delta bodies come from one `CsrMap` method
-            // whatever the on-disk format (csr2 bytes verbatim, v1 encoded
-            // on the fly), so the wire saving holds regardless. Any other
-            // `enc` value (or none) answers raw words, which keeps old
-            // fetchers working unchanged.
-            let mut body = Vec::new();
-            let ctype = if req.query_param("enc") == Some("vd") {
-                if !open.reader.append_row_vd(v, &mut body) {
-                    return error(500, "resident row unavailable");
-                }
-                http::ROW_VD_CONTENT_TYPE
-            } else {
-                let Some(row) = open.reader.row(v) else {
-                    return error(500, "resident row unavailable");
-                };
-                body.reserve(row.len() * 8);
-                for &w in &*row {
-                    body.extend_from_slice(&w.to_le_bytes());
-                }
-                OCTETS
-            };
-            state.rows_served.fetch_add(1, Ordering::Relaxed);
-            state
-                .row_wire_bytes
-                .fetch_add(body.len() as u64, Ordering::Relaxed);
-            (200, ctype, body)
-        }
+        Endpoint::Row => serve_row(state, req, on),
         Endpoint::Shards => {
             // The node's slice of the ownership map — what a router (or a
             // curious operator) needs to route by vertex range.
             let set = state.engine.shard_set();
             let (subset, span) = (set.subset(), set.subset_vertices());
-            endpoints::shards(set.num_shards(), subset, span, set.num_vertices())
+            Some(endpoints::shards(
+                set.num_shards(),
+                subset,
+                span,
+                set.num_vertices(),
+            ))
         }
-        Endpoint::Batch => match endpoints::parse_batch(req) {
-            Err(refusal) => refusal,
-            Ok(queries) => {
-                // sequential on purpose: answers come back in input
-                // order by construction, identical to `run_batch`
-                // output, and concurrency comes from the connection
-                // pool rather than intra-batch fan-out
-                let mut lines = String::new();
-                for &q in &queries {
-                    let t0 = Instant::now();
-                    let (res, checks) = batch::answer(state.engine, q);
-                    state.record_query(t0.elapsed(), res.is_err(), checks);
-                    match res {
-                        Ok(a) => lines.push_str(&format!("{q} = {a}\n")),
-                        Err(e) => lines.push_str(&format!("{q} = error: {e}\n")),
-                    }
-                    // The request body is capped, but answers amplify
-                    // (one `neighbors <hub>` line can render thousands
-                    // of ids); keep the response bounded too instead
-                    // of buffering gigabytes for one request.
-                    if lines.len() > MAX_BATCH_RESPONSE {
-                        return endpoints::batch_too_large();
-                    }
-                }
-                (200, TEXT, lines.into_bytes())
-            }
-        },
-        Endpoint::Stats => json(200, state.stats_json()),
-        // The listing: every job ever submitted, in submission order, as
-        // {id, kernel, state} summaries. Poll `/jobs/<id>` for result
-        // documents.
-        Endpoint::Jobs if req.method == "GET" => json(200, state.jobs.list_json()),
-        Endpoint::Jobs => {
-            let Ok(text) = std::str::from_utf8(&req.body) else {
-                return error(400, "body is not UTF-8");
-            };
-            let spec =
-                match Json::parse(text).and_then(|doc| kron_analyze::KernelSpec::from_json(&doc)) {
-                    Err(e) => return error(400, e),
-                    Ok(spec) => spec,
-                };
-            let kernel = spec.kernel.name();
-            match state.jobs.submit(kernel, spec) {
-                Err((running, cap)) => json(
-                    429,
-                    format_args!(
-                        "{{\"error\":\"job pool is full\",\"running\":{running},\"cap\":{cap}}}"
-                    ),
-                ),
-                Ok(entry) => {
-                    let id = entry.id;
-                    let engine = state.engine;
-                    let registry = &state.jobs;
-                    scope.spawn(move || crate::jobs::execute(engine, registry, &entry));
-                    json(
-                        202,
-                        format_args!(
-                            "{{\"id\":{id},\"kernel\":\"{kernel}\",\"state\":\"running\"}}"
-                        ),
-                    )
-                }
-            }
+        Endpoint::Batch => pool.then(|| answer_batch(state, req)),
+        Endpoint::Stats => pool.then(|| json(200, state.stats_json())),
+        Endpoint::Jobs => pool.then(|| route_jobs(state, scope, req)),
+    }
+}
+
+/// `GET /query`, `/path`, `/khop`: one parsed request, one answer.
+fn answer_point(state: &ServerState<'_>, point: Point) -> Response {
+    let t0 = Instant::now();
+    let (res, checks) = match point {
+        Point::Query(query) => {
+            let (res, checks) = batch::answer(state.engine, query);
+            (res.map(|a| format!("{a}\n")), checks)
+        }
+        Point::Path {
+            from,
+            to,
+            max_depth,
+        } => {
+            let res = PathFinder::new(state.engine).shortest_path(from, to, max_depth);
+            (res.map(|a| format!("{}\n", a.to_json())), 0)
+        }
+        Point::Khop { v, k } => {
+            let res = PathFinder::new(state.engine).khop(v, k);
+            (res.map(|a| format!("{}\n", a.to_json())), 0)
+        }
+    };
+    state.record_query(t0.elapsed(), res.is_err(), checks);
+    match res {
+        Ok(body) => (200, point.content_type(), body.into_bytes()),
+        Err(e) => error(error_status(&e), e),
+    }
+}
+
+/// `GET /row` — the cluster-internal row fetch: raw little-endian u64
+/// words of one resident adjacency row, straight off the mapping. Not a
+/// query — it bumps `rows_served`, never the engine's query counter (the
+/// *querying* node accounts the query). Every refusal is bounded; the row
+/// itself only up to [`INLINE_ROW_CAP`], past which the event thread
+/// declines.
+fn serve_row(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option<Response> {
+    const OCTETS: &str = "application/octet-stream";
+    let set = state.engine.shard_set();
+    let (Some(shard), Some(v)) = (req.query_param("shard"), req.query_param("v")) else {
+        return Some(error(400, "/row needs shard=S and v=V parameters"));
+    };
+    let Ok(shard) = shard.parse::<usize>() else {
+        return Some(error(400, "shard must be a shard index"));
+    };
+    let Ok(v) = v.parse::<u64>() else {
+        return Some(error(400, "v must be a vertex id"));
+    };
+    let Some(range) = set.shard_vertices(shard) else {
+        let shards = set.num_shards();
+        return Some(error(
+            404,
+            format_args!("no shard {shard} in this run ({shards} shards)"),
+        ));
+    };
+    let Some(open) = set.local(shard) else {
+        let subset = set.subset();
+        return Some(error(
+            404,
+            format_args!(
+                "shard {shard} is not resident on this node (serving {}..{})",
+                subset.start, subset.end
+            ),
+        ));
+    };
+    if !range.contains(&v) {
+        return Some(error(
+            422,
+            format_args!(
+                "vertex {v} outside shard {shard}'s vertex range ({}..{})",
+                range.start, range.end
+            ),
+        ));
+    }
+    if on == Thread::Event && !row_fits(open, v) {
+        return None;
+    }
+    // In range of an admitted resident shard, so the row exists;
+    // only a csr2 row whose bytes do not decode can fail the raw
+    // arm. Varint delta bodies come from one `CsrMap` method
+    // whatever the on-disk format (csr2 bytes verbatim, v1 encoded
+    // on the fly), so the wire saving holds regardless. Any other
+    // `enc` value (or none) answers raw words, which keeps old
+    // fetchers working unchanged.
+    let mut body = Vec::new();
+    let ctype = if req.query_param("enc") == Some("vd") {
+        if !open.reader.append_row_vd(v, &mut body) {
+            return Some(error(500, "resident row unavailable"));
+        }
+        http::ROW_VD_CONTENT_TYPE
+    } else {
+        let Some(row) = open.reader.row(v) else {
+            return Some(error(500, "resident row unavailable"));
+        };
+        body.reserve(row.len() * 8);
+        for &w in &*row {
+            body.extend_from_slice(&w.to_le_bytes());
+        }
+        OCTETS
+    };
+    state.rows_served.fetch_add(1, Ordering::Relaxed);
+    state
+        .row_wire_bytes
+        .fetch_add(body.len() as u64, Ordering::Relaxed);
+    Some((200, ctype, body))
+}
+
+/// `POST /batch`: every line answered in input order.
+fn answer_batch(state: &ServerState<'_>, req: &http::Request) -> Response {
+    let queries = match endpoints::parse_batch(req) {
+        Err(refusal) => return refusal,
+        Ok(queries) => queries,
+    };
+    // sequential on purpose: answers come back in input order by
+    // construction, identical to `run_batch` output, and concurrency
+    // comes from the connection pool rather than intra-batch fan-out
+    let mut lines = String::new();
+    for &q in &queries {
+        let t0 = Instant::now();
+        let (res, checks) = batch::answer(state.engine, q);
+        state.record_query(t0.elapsed(), res.is_err(), checks);
+        match res {
+            Ok(a) => lines.push_str(&format!("{q} = {a}\n")),
+            Err(e) => lines.push_str(&format!("{q} = error: {e}\n")),
+        }
+        // The request body is capped, but answers amplify (one
+        // `neighbors <hub>` line can render thousands of ids); keep the
+        // response bounded too instead of buffering gigabytes for one
+        // request.
+        if lines.len() > MAX_BATCH_RESPONSE {
+            return endpoints::batch_too_large();
+        }
+    }
+    (200, TEXT, lines.into_bytes())
+}
+
+/// `GET /jobs` (the listing: every job ever submitted, in submission
+/// order, as {id, kernel, state} summaries — poll `/jobs/<id>` for result
+/// documents) and `POST /jobs`.
+fn route_jobs<'s>(
+    state: &'s ServerState<'s>,
+    scope: &'s std::thread::Scope<'s, '_>,
+    req: &http::Request,
+) -> Response {
+    if req.method == "GET" {
+        return json(200, state.jobs.list_json());
+    }
+    let Ok(text) = std::str::from_utf8(&req.body) else {
+        return error(400, "body is not UTF-8");
+    };
+    let spec = match Json::parse(text).and_then(|doc| kron_analyze::KernelSpec::from_json(&doc)) {
+        Err(e) => return error(400, e),
+        Ok(spec) => spec,
+    };
+    let kernel = spec.kernel.name();
+    match state.jobs.submit(kernel, spec) {
+        Err((running, cap)) => json(
+            429,
+            format_args!("{{\"error\":\"job pool is full\",\"running\":{running},\"cap\":{cap}}}"),
+        ),
+        Ok(entry) => {
+            let id = entry.id;
+            let engine = state.engine;
+            let registry = &state.jobs;
+            scope.spawn(move || crate::jobs::execute(engine, registry, &entry));
+            json(
+                202,
+                format_args!("{{\"id\":{id},\"kernel\":\"{kernel}\",\"state\":\"running\"}}"),
+            )
         }
     }
 }
@@ -747,6 +823,98 @@ mod tests {
         assert_eq!(report.bad_requests, 1);
         assert_eq!(report.mismatches, 0);
         assert!(report.requests >= 8);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// With the pool's only worker held inside a request, everything in
+    /// the bounded set still answers — on the event thread — and a
+    /// triangle query sent meanwhile waits for the worker.
+    #[cfg(unix)]
+    #[test]
+    fn bounded_requests_answer_while_the_only_worker_is_held() {
+        use crate::event_loop::tests::{wait_until, Gate, StopOnDrop};
+        use std::io::{Read, Write};
+
+        let (dir, c) = run_dir("held_worker");
+        let engine = ServeEngine::open_verified(&dir).unwrap();
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let opts = ServerOptions {
+            threads: 1,
+            ..Default::default()
+        };
+        let state = ServerState::new(&engine, &opts);
+        let (gate, stop) = (Gate::new(), AtomicBool::new(false));
+        let path_counts = || {
+            let conns = &state.http.conns;
+            (
+                conns.inline.load(Ordering::Relaxed),
+                conns.pooled.load(Ordering::Relaxed),
+            )
+        };
+        std::thread::scope(|scope| {
+            let client = scope.spawn(|| {
+                let _stop = StopOnDrop(&stop, &gate);
+                let mut held = std::net::TcpStream::connect(addr).unwrap();
+                held.write_all(b"GET /hold HTTP/1.1\r\n\r\n").unwrap();
+                gate.wait_entered(1);
+                assert_eq!(path_counts(), (0, 1));
+
+                let mut client = Client::connect(addr).unwrap();
+                assert_eq!(client.get("/healthz").unwrap(), (200, "ok\n".into()));
+                let (status, body) = client.get("/query?q=degree%205").unwrap();
+                assert_eq!((status, body), (200, format!("{}\n", c.degree(5))));
+                let (status, body) = client.get("/query?q=has_edge%200%205").unwrap();
+                assert_eq!((status, body), (200, format!("{}\n", c.has_edge(0, 5))));
+                let (status, body) = client.get("/query?q=neighbors%205").unwrap();
+                let row: Vec<String> = c.neighbors(5).iter().map(u64::to_string).collect();
+                assert_eq!((status, body), (200, format!("{}\n", row.join(" "))));
+                let (status, bytes) = client.get_bytes("/row?shard=0&v=0").unwrap();
+                assert_eq!((status, bytes.len()), (200, 8 * c.neighbors(0).len()));
+                assert_eq!(path_counts(), (5, 1), "all five answered inline");
+
+                // a triangle query is not bounded: it queues behind the
+                // held request and gets no answer until the worker is back
+                let mut tri = std::net::TcpStream::connect(addr).unwrap();
+                tri.write_all(b"GET /query?q=tri_vertex%205 HTTP/1.1\r\nConnection: close\r\n\r\n")
+                    .unwrap();
+                wait_until(|| path_counts() == (5, 2));
+                tri.set_read_timeout(Some(Duration::from_millis(200)))
+                    .unwrap();
+                let early = tri.read(&mut [0u8; 1]).unwrap_err();
+                assert!(
+                    matches!(
+                        early.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ),
+                    "{early}"
+                );
+                gate.release();
+                tri.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                let mut answer = String::new();
+                tri.read_to_string(&mut answer).unwrap();
+                let want = format!("\r\n\r\n{}\n", c.vertex_triangles(5));
+                assert!(answer.ends_with(&want), "{answer}");
+                assert_eq!(state.queries.load(Ordering::Relaxed), 4);
+            });
+            serve_connections(
+                &server.listener,
+                &opts.loop_config(),
+                "test",
+                &stop,
+                &state.http,
+                &|req, on| {
+                    if req.path == "/hold" {
+                        return (on == Thread::Pool).then(|| {
+                            gate.hold();
+                            (200, TEXT, b"released\n".to_vec())
+                        });
+                    }
+                    route(&state, scope, req, on)
+                },
+            );
+            client.join().unwrap();
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,7 +17,12 @@
 //! * idle keep-alive connections cost ~10 poll ticks/s, not a busy
 //!   spin (the `connections.polls` gauge);
 //! * transport-layer casualties (timeouts, mid-request FIN) count in
-//!   the `/stats` `connections` object and **never** in `bad_requests`.
+//!   the `/stats` `connections` object and **never** in `bad_requests`;
+//! * a pipelined mix of requests the event thread answers itself and
+//!   requests it hands to the pool comes back byte-identical to the same
+//!   requests sent one at a time, and `connections.inline` /
+//!   `connections.pooled` say which path each took — a resident row of
+//!   more than 4096 entries is the pool's, one of exactly 4096 is not.
 
 use kron::KronProduct;
 use kron_graph::Graph;
@@ -531,4 +536,199 @@ fn transport_closes_are_never_counted_as_bad_requests() {
         assert_eq!(report.bad_requests, 1);
     });
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Read one framed response off `r`, returning its raw bytes (head and
+/// body) exactly as they came.
+fn read_raw_response(r: &mut impl std::io::BufRead) -> Vec<u8> {
+    let mut raw = Vec::new();
+    let mut len = 0usize;
+    loop {
+        let start = raw.len();
+        r.read_until(b'\n', &mut raw).unwrap();
+        let line = std::str::from_utf8(&raw[start..]).unwrap();
+        assert!(!line.is_empty(), "connection closed mid-response");
+        if let Some(n) = line.strip_prefix("Content-Length: ") {
+            len = n.trim().parse().unwrap();
+        }
+        if line == "\r\n" {
+            break;
+        }
+    }
+    let head = raw.len();
+    raw.resize(head + len, 0);
+    r.read_exact(&mut raw[head..]).unwrap();
+    raw
+}
+
+/// `(inline, pooled, requests)` as one `/stats` document reports them —
+/// the `/stats` request itself included (it is pooled).
+fn path_counts(addr: SocketAddr) -> (u64, u64, u64) {
+    let doc = stats(addr);
+    (
+        conn_gauge(&doc, "inline"),
+        conn_gauge(&doc, "pooled"),
+        doc.req("requests").unwrap().as_u64().unwrap(),
+    )
+}
+
+#[test]
+fn pipelined_mix_of_inline_and_pooled_requests_matches_one_at_a_time() {
+    const REQUESTS: usize = 10_000;
+
+    let (dir, c) = run_dir("pipelined_mix");
+    let engine = ServeEngine::open_verified(&dir).unwrap();
+    let n = c.num_vertices();
+    // a seeded mix: bounded reads and refusals the event thread answers,
+    // triangle / traversal / batch / stats-free work it hands to the pool
+    let mut seed = 0x1e17_u64;
+    let mut below = move |bound: u64| {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (seed >> 33) % bound
+    };
+    let requests: Vec<String> = (0..REQUESTS)
+        .map(|_| {
+            // u may be out of range (a 422), v never is
+            let (u, v) = (below(n + 1), below(n));
+            match below(10) {
+                0 => "GET /healthz HTTP/1.1\r\n\r\n".to_string(),
+                1 => format!("GET /query?q=degree%20{u} HTTP/1.1\r\n\r\n"),
+                2 => format!("GET /query?q=neighbors%20{v} HTTP/1.1\r\n\r\n"),
+                3 => format!("GET /query?q=has_edge%20{u}%20{v} HTTP/1.1\r\n\r\n"),
+                4 => format!("GET /row?shard=0&v={v}&enc=vd HTTP/1.1\r\n\r\n"),
+                5 => format!("GET /query?q=tri_vertex%20{u} HTTP/1.1\r\n\r\n"),
+                6 => format!("GET /query?q=tri_edge%20{u}%20{v} HTTP/1.1\r\n\r\n"),
+                7 => format!("GET /khop?v={v}&k=2 HTTP/1.1\r\n\r\n"),
+                8 => {
+                    let body = format!("degree {u}\ntri_vertex {v}\n");
+                    let len = body.len();
+                    format!("POST /batch HTTP/1.1\r\nContent-Length: {len}\r\n\r\n{body}")
+                }
+                _ => format!("PUT /query?q=frobnicate%20{v} HTTP/1.1\r\n\r\n"),
+            }
+        })
+        .collect();
+
+    let server = Server::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run(&engine, &ServerOptions::default(), &stop));
+
+        // the reference: one request, one response, then the next
+        let one = TcpStream::connect(addr).unwrap();
+        one.set_nodelay(true).unwrap();
+        let mut one_r = std::io::BufReader::new(one.try_clone().unwrap());
+        let mut one_w = one;
+        let mut expected = Vec::new();
+        for req in &requests {
+            one_w.write_all(req.as_bytes()).unwrap();
+            expected.extend(read_raw_response(&mut one_r));
+        }
+        let (inline_before, pooled_before, _) = path_counts(addr);
+        assert!(
+            inline_before > 0 && pooled_before > 0,
+            "the mix must take both paths"
+        );
+
+        // the same requests down one connection as fast as it takes them
+        let piped = TcpStream::connect(addr).unwrap();
+        piped
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut piped_w = piped.try_clone().unwrap();
+        let writer = s.spawn(move || {
+            for req in &requests {
+                piped_w.write_all(req.as_bytes()).unwrap();
+            }
+            piped_w.shutdown(Shutdown::Write).unwrap();
+        });
+        let mut got = Vec::new();
+        let mut piped_r = piped;
+        piped_r.read_to_end(&mut got).unwrap();
+        writer.join().unwrap();
+        assert_eq!(got.len(), expected.len());
+        assert!(
+            got == expected,
+            "pipelined bytes differ from one-at-a-time bytes"
+        );
+
+        // both passes took the same paths request for request (bar the 64th
+        // consecutive inline answer of a wake-up, which the pool takes), and
+        // every request took exactly one
+        let (inline, pooled, total) = path_counts(addr);
+        assert_eq!(inline + pooled, total);
+        assert_eq!(total, 2 * REQUESTS as u64 + 2); // + the two /stats reads
+        assert!(inline >= inline_before && inline <= 2 * inline_before);
+
+        stop.store(true, Ordering::SeqCst);
+        run.join().unwrap().unwrap();
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The inline row cap, from outside: a hub whose resident row is 4097
+/// entries is read by the pool, its neighbour with exactly 4096 by the
+/// event thread — in both shard formats (every gap of these rows is one
+/// varint byte, so the csr2 byte bound equals the entry count).
+#[test]
+fn rows_past_the_inline_cap_are_pooled_in_both_formats() {
+    const CAP: u32 = 4096;
+    // B: vertex 0 adjacent to 0..=CAP (loop included: CAP + 1 entries),
+    // vertex 1 to 0..CAP (CAP entries); A: one vertex with a loop, so
+    // A ⊗ B is B itself.
+    let b = Graph::from_edges(
+        CAP as usize + 1,
+        (0..=CAP).map(|v| (0, v)).chain((1..CAP).map(|v| (1, v))),
+    );
+    let c = KronProduct::new(Graph::from_edges(1, [(0, 0)]), b);
+    assert_eq!(c.neighbors(0).len(), CAP as usize + 1);
+    assert_eq!(c.neighbors(1).len(), CAP as usize);
+
+    for format in [OutputFormat::Csr, OutputFormat::Csr2] {
+        let dir = std::env::temp_dir().join(format!(
+            "kron_event_loop_cap_{format:?}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = StreamConfig::new(&dir, format);
+        cfg.shards = 1;
+        stream_product(&c, &cfg).unwrap();
+        let engine = ServeEngine::open_verified(&dir).unwrap();
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let run = s.spawn(|| server.run(&engine, &ServerOptions::default(), &stop));
+            let mut client = Client::connect(addr).unwrap();
+            // each probe, and how many of (inline, pooled) it adds
+            let probes = [
+                ("/query?q=neighbors%200", (0, 1)),
+                ("/query?q=neighbors%201", (1, 0)),
+                ("/query?q=degree%200", (0, 1)),
+                ("/query?q=degree%201", (1, 0)),
+                ("/query?q=has_edge%200%207", (0, 1)),
+                ("/query?q=has_edge%201%207", (1, 0)),
+                ("/row?shard=0&v=0&enc=vd", (0, 1)),
+                ("/row?shard=0&v=1&enc=vd", (1, 0)),
+                ("/row?shard=0&v=0", (0, 1)),
+                ("/row?shard=0&v=1", (1, 0)),
+            ];
+            for (path, (inline, pooled)) in probes {
+                let before = path_counts(addr);
+                assert_eq!(client.get_bytes(path).unwrap().0, 200, "{path}");
+                let after = path_counts(addr);
+                assert_eq!(
+                    (after.0 - before.0, after.1 - before.1),
+                    (inline, pooled + 1), // + the second /stats read
+                    "{format:?} {path}"
+                );
+            }
+            stop.store(true, Ordering::SeqCst);
+            run.join().unwrap().unwrap();
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -546,6 +546,17 @@ impl CsrMap {
         }
     }
 
+    /// An upper bound on the entry count of `p`'s row that costs two
+    /// offset reads and no decode: exact for v1, the stream byte length
+    /// for v2 (every entry is at least one byte). `None` if `p` is
+    /// outside the shard.
+    pub fn row_len_bound(&self, p: u64) -> Option<usize> {
+        match self {
+            CsrMap::V1(r) => r.row(p).map(<[u64]>::len),
+            CsrMap::V2(r) => r.row_bytes(p).map(<[u8]>::len),
+        }
+    }
+
     /// Append `p`'s row in the `enc=vd` wire encoding to `out`: the
     /// stored stream bytes verbatim for v2 (no decode — the fetching
     /// side validates them), encoded on the fly for v1. `false`, with

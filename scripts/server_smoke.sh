@@ -63,6 +63,16 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/query?q=frobnicate")
 # out-of-range vertices are 422s
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/query?q=degree%2099999999")
 [ "$code" = 422 ]
+# which path each request took: the /healthz probe and the two degree
+# probes above are bounded, so the event thread answered them itself
+# (the 400 too); /batch and /stats went to the pool; nothing took both
+stats=$(curl -fsS "http://$addr/stats")
+field() { echo "$stats" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
+inline=$(field inline); pooled=$(field pooled); requests=$(field requests)
+echo "   $requests requests: $inline inline, $pooled pooled"
+[ "$inline" -ge 3 ] || { echo "only $inline requests answered inline"; exit 1; }
+[ $(( inline + pooled )) -eq "$requests" ] \
+    || { echo "inline + pooled != requests ($inline + $pooled vs $requests)"; exit 1; }
 
 echo "== graceful shutdown (SIGTERM → exit 0 on a clean cross-check record)"
 kill -TERM "$server_pid"

@@ -145,6 +145,24 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
         );
         assert_eq!(totals.req("mismatch_count").unwrap().as_u64(), Some(0));
         assert!(totals.req("rows_served").unwrap().as_u64().unwrap() > 0);
+        // which thread answered, summed like the other integers: the
+        // peers' own `connections` gauges add up to the totals, and the
+        // router itself — every answer of which waits on a peer — pooled
+        // everything it was sent
+        let path_counts = |doc: &Json| {
+            let conns = doc.req("connections").unwrap();
+            ["inline", "pooled"].map(|key| conns.req(key).unwrap().as_u64().unwrap())
+        };
+        let mut summed = [0, 0];
+        for peer in doc.req("peers").unwrap().as_arr().unwrap() {
+            let [inline, pooled] = path_counts(peer.req("stats").unwrap());
+            summed = [summed[0] + inline, summed[1] + pooled];
+        }
+        assert!(summed[0] > 0 && summed[1] > 0, "{summed:?}");
+        assert_eq!(totals.req("inline").unwrap().as_u64(), Some(summed[0]));
+        assert_eq!(totals.req("pooled").unwrap().as_u64(), Some(summed[1]));
+        let requests = doc.req("requests").unwrap().as_u64().unwrap();
+        assert_eq!(path_counts(&doc), [0, requests]);
 
         // the cluster presents as one complete node to /shards
         let (_, shards) = routed.get("/shards").unwrap();

@@ -711,3 +711,121 @@ fn failover_leaves_cross_check_and_bad_requests_clean() {
     assert_eq!(rep.query_errors, 0, "{rep}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A hung peer costs only the requests that need it. Node A holds half
+/// the run and **one** worker; the other half lives on node B behind a
+/// blackholed proxy. A `degree` on a vertex B owns is handed to the pool
+/// and hangs there for the peer timeout — and while it does, a health
+/// probe and a `degree` on a resident vertex answer from the event thread
+/// in milliseconds.
+#[test]
+fn blackholed_peer_does_not_delay_resident_reads_or_health_probes() {
+    const PEER_TIMEOUT: Duration = Duration::from_secs(3);
+    let dir = tmpdir("blackhole_inline");
+    let c = cluster_product(33);
+    let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+    cfg.shards = 4;
+    stream_product(&c, &cfg).unwrap();
+
+    let a_srv = Server::bind("127.0.0.1:0").unwrap();
+    let b_srv = Server::bind("127.0.0.1:0").unwrap();
+    let (addr_a, addr_b) = (a_srv.local_addr().unwrap(), b_srv.local_addr().unwrap());
+    let proxy = FaultProxy::spawn(&addr_b.to_string());
+    let node_a = ServeEngine::open_with(
+        &dir,
+        &OpenOptions {
+            shard_subset: Some(0..2),
+            peers: vec![PeerSpec {
+                shards: 2..4,
+                addr: proxy.addr().to_string(),
+            }],
+            peer_timeout: PEER_TIMEOUT,
+            ..OpenOptions::default()
+        },
+    )
+    .unwrap();
+    let node_b = ServeEngine::open_with(
+        &dir,
+        &OpenOptions {
+            shard_subset: Some(2..4),
+            peers: vec![PeerSpec {
+                shards: 0..2,
+                addr: addr_a.to_string(),
+            }],
+            ..OpenOptions::default()
+        },
+    )
+    .unwrap();
+    let span = node_a.shard_set().subset_vertices();
+    let (resident, remote) = (span.start, span.end);
+    assert!(remote < c.num_vertices());
+
+    let stop = AtomicBool::new(false);
+    let one_worker = ServerOptions {
+        threads: 1,
+        ..Default::default()
+    };
+    let opts = ServerOptions::default();
+    std::thread::scope(|s| {
+        let h_a = s.spawn(|| a_srv.run(&node_a, &one_worker, &stop).unwrap());
+        let h_b = s.spawn(|| b_srv.run(&node_b, &opts, &stop).unwrap());
+        let query = |q: String| format!("/query?q={}", encode_query_component(&q));
+        let path_counts = |client: &mut Client| {
+            let doc = Json::parse(&client.get("/stats").unwrap().1).unwrap();
+            let conns = doc.req("connections").unwrap();
+            let count = |key| conns.req(key).unwrap().as_u64().unwrap();
+            (count("inline"), count("pooled"))
+        };
+
+        // healthy: the remote degree answers, through the pool
+        let mut client = Client::connect(addr_a).unwrap();
+        let before = path_counts(&mut client);
+        let (status, body) = client.get(&query(format!("degree {remote}"))).unwrap();
+        assert_eq!((status, body), (200, format!("{}\n", c.degree(remote))));
+        let after = path_counts(&mut client);
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (0, 2),
+            "a peer-owned row is pooled (with the /stats read that reports it)"
+        );
+
+        proxy.set_mode(Fault::Blackhole);
+        let remote_degree = query(format!("degree {remote}"));
+        let hung = s.spawn(move || {
+            let mut client = Client::connect(addr_a).unwrap();
+            let t0 = Instant::now();
+            let answer = client.get(&remote_degree).unwrap();
+            (answer, t0.elapsed())
+        });
+        // A's only worker is (or is about to be) stuck inside the fetch, so
+        // anything pooled — /stats included — would wait out the peer
+        // timeout behind it. The probes below must not.
+        let t0 = Instant::now();
+        let mut fast = 0;
+        while !hung.is_finished() {
+            let (status, body) = client.get("/healthz").unwrap();
+            assert_eq!((status, body.as_str()), (200, "ok\n"));
+            let (status, body) = client.get(&query(format!("degree {resident}"))).unwrap();
+            assert_eq!((status, body), (200, format!("{}\n", c.degree(resident))));
+            fast += 1;
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let ((status, body), hang) = hung.join().unwrap();
+        assert_eq!(status, 502, "{body}");
+        assert!(hang >= PEER_TIMEOUT / 2, "the fetch never hung: {hang:?}");
+        // every probe round finished while the worker was stuck: far more
+        // rounds than the single one a queued probe would have managed
+        assert!(
+            fast >= 10,
+            "{fast} probe rounds in {:?} beside a {hang:?} hang",
+            t0.elapsed()
+        );
+
+        proxy.set_mode(Fault::Forward);
+        stop.store(true, Ordering::SeqCst);
+        drop(client);
+        h_a.join().unwrap();
+        h_b.join().unwrap();
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}

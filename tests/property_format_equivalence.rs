@@ -89,6 +89,34 @@ fn query_grid(n: u64) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
+    /// `row_len_bound` — what the server's event thread sizes a row by
+    /// without decoding it — never under-reports: exact for v1, at least
+    /// the decoded length for csr2, `None` outside the shard.
+    #[test]
+    fn row_len_bound_covers_the_decoded_row_in_both_formats(
+        a in arb_graph(),
+        b in arb_graph(),
+        shards in 1usize..4,
+    ) {
+        let c = KronProduct::new(a, b);
+        for fmt in [OutputFormat::Csr, OutputFormat::Csr2] {
+            let dir = stream(&c, fmt, shards, "bound");
+            let set = ShardSet::open(&dir).unwrap();
+            for v in 0..c.num_vertices() {
+                let reader = &set.local(set.route(v).unwrap()).unwrap().reader;
+                let len = reader.row(v).unwrap().len();
+                let bound = reader.row_len_bound(v).unwrap();
+                prop_assert!(bound >= len, "{fmt:?} row {v}: bound {bound} < {len} entries");
+                prop_assert!(reader.is_v2() || bound == len);
+            }
+            for shard in set.shards() {
+                let end = shard.reader.vertex_lo() + shard.reader.num_rows();
+                prop_assert_eq!(shard.reader.row_len_bound(end), None);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     /// Engine answers, kernel result documents, and the cross-check
     /// audit are identical between a v1 run and its csr2 twin — and
     /// stay identical after `compact_run` rewrites the v1 twin in

@@ -23,7 +23,6 @@ use kron_serve::http::Client;
 use kron_serve::{
     AnswerSource, OpenOptions, PathFinder, PeerSpec, Router, ServeEngine, Server, ServerOptions,
 };
-use kron_stream::json::Json;
 use kron_stream::{load_manifest, stream_product, OutputFormat, ShardSet, StreamConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -212,7 +211,10 @@ fn cluster_paths_are_byte_identical_to_single_node() {
             for to in 0..n {
                 requests.push(format!("/path?from={from}&to={to}"));
             }
-            requests.push(format!("/path?from={from}&to={}&max_depth=1", (from + 9) % n));
+            requests.push(format!(
+                "/path?from={from}&to={}&max_depth=1",
+                (from + 9) % n
+            ));
         }
         for v in 0..n {
             for k in 0..3u64 {
@@ -228,7 +230,7 @@ fn cluster_paths_are_byte_identical_to_single_node() {
         requests.push("/path?to=0".to_string());
         requests.push("/path?from=zero&to=1".to_string());
         requests.push("/path?from=0&to=1&max_depth=soon".to_string());
-        requests.push(format!("/path?from=99999999999999999999&to=0"));
+        requests.push("/path?from=99999999999999999999&to=0".to_string());
         requests.push("/khop?v=1".to_string());
         requests.push("/khop?v=1&k=minus".to_string());
 
@@ -290,12 +292,16 @@ fn traversal_query_strings_never_panic_and_distinguish_overflow() {
         let mut rand_token = || {
             let alphabet = b"0123456789abcXYZ_%-+.~!*'();:@&=$,/?#[] ";
             let len = {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (state >> 33) % 12
             };
             let mut t = String::new();
             for _ in 0..len {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let b = alphabet[(state >> 33) as usize % alphabet.len()];
                 // keep the request line parseable: %-encode the few
                 // bytes the request line grammar reserves
