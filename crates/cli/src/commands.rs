@@ -39,10 +39,11 @@ USAGE:
       egonet spot checks (default) or full materialized validation (--full)
   kron stream <a.tsv> <b.tsv> --out DIR [--shards N] [--format F]
               [--threads T] [--resume]
-      generate A (x) B as N validated shards (formats: edges | csr |
-      csr2 | count); every shard gets a JSON manifest with closed-form
+      generate A (x) B as N validated shards (formats: csr2 (default) |
+      csr | count); every shard gets a JSON manifest with closed-form
       checksums. csr2 is the varint delta-encoded v2 shard format —
-      same queries, same checksums, roughly 4x smaller artifacts
+      same queries, same checksums, roughly 4x smaller artifacts than
+      csr's raw u64 columns; count writes manifests only
   kron compact <DIR>
       convert a --format csr run directory to csr2 in place: every
       shard is re-encoded (atomically, manifest checksums preserved
@@ -539,7 +540,7 @@ fn cmd_stream(p: &ParsedArgs) -> Result<(), String> {
         .options
         .get("out")
         .ok_or_else(|| "missing required option --out DIR".to_string())?;
-    let format = OutputFormat::parse(&p.opt("format", "edges".to_string())?)?;
+    let format = OutputFormat::parse(&p.opt("format", "csr2".to_string())?)?;
     let cfg = StreamConfig {
         out_dir: out.into(),
         shards: p.opt("shards", 8usize)?,

@@ -13,44 +13,30 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// The process-wide shutdown flag the handlers set.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
-mod imp {
-    use super::{Ordering, SHUTDOWN};
+const SIGINT: i32 = 2;
+const SIGTERM: i32 = 15;
 
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" fn on_signal(_sig: i32) {
-        // a relaxed store would also be fine; SeqCst keeps the pairing
-        // with the server's load obvious
-        SHUTDOWN.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        // `signal(2)` from the libc std already links. `sighandler_t` is
-        // a plain function pointer; the return value (the previous
-        // handler) is deliberately ignored.
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub fn install() {
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
+extern "C" fn on_signal(_sig: i32) {
+    // a relaxed store would also be fine; SeqCst keeps the pairing
+    // with the server's load obvious
+    SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
-#[cfg(not(unix))]
-mod imp {
-    /// Non-unix hosts get no signal hook; `ctrl-c` then kills the
-    /// process unconditionally, which still releases the socket.
-    pub fn install() {}
+extern "C" {
+    // `signal(2)` from the libc std already links. `sighandler_t` is
+    // a plain function pointer; the return value (the previous
+    // handler) is deliberately ignored.
+    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
 }
 
 /// Install the SIGTERM/SIGINT handlers (idempotent) and return the flag
 /// they set.
 pub fn install_shutdown_flag() -> &'static AtomicBool {
-    imp::install();
+    // SAFETY: both signal numbers are valid, and the handler only stores
+    // to an atomic, which is async-signal-safe.
+    unsafe {
+        signal(SIGINT, on_signal);
+        signal(SIGTERM, on_signal);
+    }
     &SHUTDOWN
 }

@@ -204,7 +204,7 @@ fn stream_and_verify_shards_roundtrip() {
             .success()
     );
     let run_dir = dir.join("stream_run");
-    for format in ["edges", "csr", "count"] {
+    for format in ["csr2", "csr", "count"] {
         let _ = std::fs::remove_dir_all(&run_dir);
         let out = kron(&[
             "stream",
@@ -235,6 +235,30 @@ fn stream_and_verify_shards_roundtrip() {
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.contains("verified 6 shard(s)"), "{text}");
     }
+
+    // no --format writes csr2; `edges` is a format no longer written
+    let stream = |extra: &[&str]| {
+        let _ = std::fs::remove_dir_all(&run_dir);
+        let args = [
+            "stream",
+            a.to_str().unwrap(),
+            b.to_str().unwrap(),
+            "--out",
+            run_dir.to_str().unwrap(),
+        ];
+        kron(&[&args[..], extra].concat())
+    };
+    assert!(stream(&[]).status.success());
+    assert!(run_dir.join("shard_00007.csr2").exists());
+    let run = std::fs::read_to_string(run_dir.join("run.json")).unwrap();
+    assert!(run.contains("\"format\":\"csr2\""), "{run}");
+    let out = stream(&["--format", "edges"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown format \"edges\" (expected csr, csr2, or count)"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -291,11 +315,11 @@ fn verify_shards_fails_on_tampered_artifact() {
         "--shards",
         "2",
         "--format",
-        "edges",
+        "csr2",
     ])
     .status
     .success());
-    let artifact = run_dir.join("shard_00000.edges");
+    let artifact = run_dir.join("shard_00000.csr2");
     let mut bytes = std::fs::read(&artifact).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 1;
@@ -411,21 +435,21 @@ fn serve_and_query_answer_off_shards() {
     assert!(stdout.contains("degree 0 = "), "{stdout}");
     assert!(stdout.contains("error:"), "{stdout}");
 
-    // serving an edges-format run fails with a clear message
-    let edges_dir = dir.join("serve_edges_run");
-    let _ = std::fs::remove_dir_all(&edges_dir);
+    // serving a count-format run (no artifacts) fails with a clear message
+    let count_dir = dir.join("serve_count_run");
+    let _ = std::fs::remove_dir_all(&count_dir);
     assert!(kron(&[
         "stream",
         a.to_str().unwrap(),
         a.to_str().unwrap(),
         "--out",
-        edges_dir.to_str().unwrap(),
+        count_dir.to_str().unwrap(),
         "--format",
-        "edges",
+        "count",
     ])
     .status
     .success());
-    let out = kron(&["query", edges_dir.to_str().unwrap(), "0"]);
+    let out = kron(&["query", count_dir.to_str().unwrap(), "0"]);
     assert!(!out.status.success());
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("csr"),

@@ -167,7 +167,6 @@ fn internal_error() -> Response {
     (500, "text/plain", b"error: internal error\n".to_vec())
 }
 
-#[cfg(unix)]
 mod imp {
     use super::{internal_error, Handler, LoopConfig, Thread};
     use crate::http::{self, Request, RequestBuffer};
@@ -817,150 +816,7 @@ mod imp {
     }
 }
 
-#[cfg(not(unix))]
-mod imp {
-    //! Non-unix fallback: the pre-event-loop blocking accept loop,
-    //! thread per connection with `max_conns` as the cap. Keeps the
-    //! same observable wire behavior and (approximate) timeout
-    //! semantics; `polls` and `inline` stay 0 (there is no poll set to
-    //! count, and no event thread to answer on).
-
-    use super::{internal_error, Handler, LoopConfig, Thread};
-    use crate::http::{Conn, NextRequest};
-    use crate::server::LoopCounters;
-    use std::io;
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::time::{Duration, Instant};
-
-    const POLL_READ_TIMEOUT: Duration = Duration::from_millis(100);
-    const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-    pub(super) fn serve(
-        listener: &TcpListener,
-        cfg: &LoopConfig,
-        name: &str,
-        shutdown: &AtomicBool,
-        counters: &LoopCounters,
-        handle: &Handler<'_>,
-    ) {
-        let active = AtomicUsize::new(0);
-        const MAX_CONSECUTIVE_ACCEPT_ERRORS: u32 = 100;
-        let mut accept_errors = 0u32;
-        std::thread::scope(|s| {
-            while !shutdown.load(Ordering::SeqCst) {
-                if active.load(Ordering::SeqCst) >= cfg.max_conns {
-                    std::thread::sleep(ACCEPT_POLL);
-                    continue;
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        accept_errors = 0;
-                        counters.conns.accepted.fetch_add(1, Ordering::Relaxed);
-                        let open = active.fetch_add(1, Ordering::SeqCst) as u64 + 1;
-                        counters.conns.open.store(open, Ordering::Relaxed);
-                        counters.conns.peak.fetch_max(open, Ordering::Relaxed);
-                        let active = &active;
-                        s.spawn(move || {
-                            handle_connection(counters, cfg, handle, stream, shutdown);
-                            let left = active.fetch_sub(1, Ordering::SeqCst) as u64 - 1;
-                            counters.conns.open.store(left, Ordering::Relaxed);
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        accept_errors += 1;
-                        if accept_errors >= MAX_CONSECUTIVE_ACCEPT_ERRORS {
-                            eprintln!("{name}: accept failing persistently, stopping: {e}");
-                            break;
-                        }
-                        eprintln!("{name}: accept error (retrying): {e}");
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                }
-            }
-        });
-    }
-
-    fn handle_connection(
-        counters: &LoopCounters,
-        cfg: &LoopConfig,
-        handle: &Handler<'_>,
-        stream: TcpStream,
-        shutdown: &AtomicBool,
-    ) {
-        // blocking loop: pace the idle poll with a short read timeout
-        if stream.set_nonblocking(false).is_err()
-            || stream.set_read_timeout(Some(POLL_READ_TIMEOUT)).is_err()
-            || stream.set_nodelay(true).is_err()
-        {
-            return;
-        }
-        let mut conn = Conn::new(stream);
-        let mut idle_since = Instant::now();
-        let mut request_started: Option<Instant> = None;
-        loop {
-            match conn.next_request() {
-                Ok(NextRequest::Closed) => break,
-                Ok(NextRequest::Idle) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let now = Instant::now();
-                    match request_started {
-                        Some(t0) if now.duration_since(t0) >= cfg.io_timeout => {
-                            let _ = conn.respond(408, "text/plain", b"error: request timed out\n");
-                            counters
-                                .conns
-                                .timeout_closed
-                                .fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                        Some(_) => {}
-                        None if conn.mid_request() => request_started = Some(now),
-                        None if now.duration_since(idle_since) >= cfg.idle_timeout => {
-                            counters.conns.idle_closed.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                        None => {}
-                    }
-                }
-                Ok(NextRequest::Request(req)) => {
-                    request_started = None;
-                    counters.requests.fetch_add(1, Ordering::Relaxed);
-                    counters.conns.pooled.fetch_add(1, Ordering::Relaxed);
-                    let close = req.close;
-                    // the connection's own thread may block: ask as the pool
-                    let (status, content_type, body) =
-                        handle(&req, Thread::Pool).unwrap_or_else(internal_error);
-                    if status == 400 {
-                        counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if conn.respond(status, content_type, &body).is_err() {
-                        break;
-                    }
-                    idle_since = Instant::now();
-                    if close || shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    counters.requests.fetch_add(1, Ordering::Relaxed);
-                    counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    let _ = conn.respond(400, "text/plain", b"error: malformed request\n");
-                    break;
-                }
-                Err(_) => break, // transport error: not a bad request
-            }
-        }
-    }
-}
-
 #[cfg(test)]
-#[cfg(unix)]
 pub(crate) mod tests {
     use super::imp::Queue;
     use super::*;

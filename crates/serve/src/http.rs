@@ -10,10 +10,9 @@
 //! integration tests and the cluster's own peer transport exercise the
 //! real wire format instead of reimplementing it.
 //!
-//! Parsing is **incremental**: [`Conn`] owns a byte buffer that survives
-//! read timeouts, so a server worker can poll a keep-alive connection
-//! with a short read timeout (checking its shutdown flag between polls)
-//! without ever losing a partially received request.
+//! Parsing is **incremental**: [`RequestBuffer`] keeps the bytes of a
+//! partially received request across reads, so the event loop can feed a
+//! keep-alive connection whatever each non-blocking read delivers.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -58,28 +57,14 @@ impl Request {
     }
 }
 
-/// Outcome of one [`Conn::next_request`] poll.
-#[derive(Debug)]
-pub enum NextRequest {
-    /// A complete request arrived.
-    Request(Request),
-    /// The read timed out with no complete request buffered — the caller
-    /// should check its shutdown flag and poll again.
-    Idle,
-    /// The peer closed the connection cleanly between requests.
-    Closed,
-}
-
 /// The incremental request parser, decoupled from any socket: bytes go
 /// in via [`RequestBuffer::push`] in whatever fragments the transport
 /// delivered them, complete requests come out of
 /// [`RequestBuffer::next_request`].
 ///
-/// This is the state machine both server front ends share: the blocking
-/// [`Conn`] feeds it from timed reads, the `poll(2)` event loop feeds it
-/// from non-blocking reads. Parsing is split-point independent — any
-/// fragmentation of the same byte stream yields the same request
-/// sequence (the fuzz suite pins this).
+/// The `poll(2)` event loop feeds it from non-blocking reads. Parsing is
+/// split-point independent — any fragmentation of the same byte stream
+/// yields the same request sequence (the fuzz suite pins this).
 #[derive(Debug, Default)]
 pub struct RequestBuffer {
     buf: Vec<u8>,
@@ -125,81 +110,6 @@ impl RequestBuffer {
             }
             None => Ok(None),
         }
-    }
-}
-
-/// A server-side connection: a stream plus the bytes received so far.
-#[derive(Debug)]
-pub struct Conn {
-    stream: TcpStream,
-    buf: RequestBuffer,
-}
-
-impl Conn {
-    /// Wrap an accepted stream.
-    pub fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            buf: RequestBuffer::new(),
-        }
-    }
-
-    /// Poll for the next request. Returns [`NextRequest::Idle`] on a read
-    /// timeout (any bytes already received stay buffered), and an error
-    /// for malformed or oversized requests — after which the connection
-    /// must be dropped (the buffer may be mid-request).
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for malformed or oversized requests (the connection
-    /// must be dropped — the buffer may be mid-request), `UnexpectedEof`
-    /// for a peer closing mid-request, or any transport error.
-    pub fn next_request(&mut self) -> io::Result<NextRequest> {
-        loop {
-            if let Some(req) = self.buf.next_request()? {
-                return Ok(NextRequest::Request(req));
-            }
-            let mut chunk = [0u8; 8192];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(NextRequest::Closed)
-                    } else {
-                        Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-request",
-                        ))
-                    }
-                }
-                Ok(n) => self.buf.push(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(NextRequest::Idle)
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Whether bytes of a not-yet-complete request are buffered — i.e.
-    /// an [`NextRequest::Idle`] poll caught the peer *mid-request*
-    /// (slow-client timeouts key off this).
-    pub fn mid_request(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
-    /// Write a complete response with a fixed `Content-Length`.
-    ///
-    /// # Errors
-    ///
-    /// Any transport error while writing.
-    pub fn respond(&mut self, status: u16, content_type: &str, body: &[u8]) -> io::Result<()> {
-        write_response(&mut self.stream, status, content_type, body)
     }
 }
 

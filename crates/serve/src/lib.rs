@@ -136,7 +136,6 @@ pub mod http;
 mod jobs;
 mod oracle;
 mod path;
-#[cfg(unix)]
 mod poll;
 mod replica;
 pub mod router;

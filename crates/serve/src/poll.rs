@@ -12,8 +12,8 @@
 //! needs no extra kernel object to manage, and rebuilding the pollfd
 //! array per iteration is O(connections) — measured flat to 10K+
 //! connections by `stress_serve`, far past the point where the per-query
-//! work dominates. On non-unix hosts the module is absent and the event
-//! loop falls back to a blocking loop (see [`crate::event_loop`]).
+//! work dominates. The workspace builds for unix targets only (see
+//! `kron-stream`'s `compile_error!`).
 
 #![allow(unsafe_code)]
 

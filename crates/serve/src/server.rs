@@ -829,7 +829,6 @@ mod tests {
     /// With the pool's only worker held inside a request, everything in
     /// the bounded set still answers — on the event thread — and a
     /// triangle query sent meanwhile waits for the worker.
-    #[cfg(unix)]
     #[test]
     fn bounded_requests_answer_while_the_only_worker_is_held() {
         use crate::event_loop::tests::{wait_until, Gate, StopOnDrop};

@@ -16,7 +16,7 @@
 //! job — already-converted shards are skipped (and their stale v1
 //! artifact, if a crash left one behind, is removed).
 
-use crate::csr::{file_size_checked, CsrMap};
+use crate::csr::file_size_checked;
 use crate::driver::RUN_FILE;
 use crate::manifest::{manifest_name, write_json_atomic, OutputFormat};
 use crate::open::{admit_shard, load_run_manifest};
@@ -61,7 +61,7 @@ impl CompactReport {
 /// # Errors
 ///
 /// [`StreamError::Config`] when the run's format is not `csr` or `csr2`
-/// (edge lists and count runs have nothing to compact);
+/// (a count run has nothing to compact);
 /// [`StreamError::Shard`] naming the first shard whose artifact is
 /// missing, fails admission (header, size) or fails to convert; any
 /// manifest/summary error from reading the directory.
@@ -85,58 +85,60 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
     for index in 0..run.shards {
         let m = load_run_manifest(dir, &run, index)?;
         let fail = |msg: String| StreamError::Shard(index, msg);
-        match admit_shard(dir, &m)? {
-            CsrMap::V2(reader) => {
-                // Already converted (this run resumed). A crash between
-                // manifest rewrite and v1 deletion can leave the old
-                // artifact behind; finish the job.
-                if let Some(old) = OutputFormat::Csr.artifact_name(index) {
-                    let _ = std::fs::remove_file(dir.join(old));
-                }
-                let v1_size = file_size_checked(reader.num_rows(), reader.nnz())
-                    .ok_or_else(|| fail("shard dimensions overflow".into()))?;
-                report.skipped += 1;
-                report.bytes_before += v1_size;
-                report.bytes_after += m.file_bytes;
+        let reader = admit_shard(dir, &m)?;
+        let v1_bytes = reader
+            .nnz()
+            .checked_mul(8)
+            .and_then(|cols| file_size_checked(reader.num_rows(), cols))
+            .ok_or_else(|| fail("shard dimensions overflow".into()))?;
+        report.bytes_before += v1_bytes;
+        if reader.is_v2() {
+            // Already converted (this run resumed). A crash between
+            // manifest rewrite and v1 deletion can leave the old artifact
+            // behind; finish the job.
+            if let Some(old) = OutputFormat::Csr.artifact_name(index) {
+                let _ = std::fs::remove_file(dir.join(old));
             }
-            CsrMap::V1(reader) => {
-                let name2 = OutputFormat::Csr2
-                    .artifact_name(index)
-                    .expect("csr2 names artifacts");
-                // Row lengths come straight from the v1 offset array —
-                // no factors needed, so compact works on a bare run.
-                let offsets = reader.offsets();
-                let lengths = offsets.windows(2).map(|w| w[1] - w[0]);
-                let mut sink = Csr2Sink::create(dir, &name2, reader.vertex_lo(), lengths)
-                    .map_err(|e| fail(e.to_string()))?;
-                // A mapped row is already a run (admission proved the
-                // header covers `m.vertices`), and the sink bounds its own
-                // scratch however long the row.
-                for p in m.vertices.clone() {
-                    let row = reader.row(p).unwrap_or_default();
-                    sink.push_run(p, row).map_err(|e| fail(e.to_string()))?;
-                }
-                let (file, bytes) = sink
-                    .finish()
-                    .map_err(|e| fail(e.to_string()))?
-                    .expect("csr2 sink commits a file");
-                // Entries are identical, so the stream hash and every
-                // closed-form statistic carry over untouched.
-                let mut m2 = m.clone();
-                m2.format = OutputFormat::Csr2;
-                m2.file = Some(file);
-                m2.file_bytes = bytes;
-                write_json_atomic(dir, &manifest_name(index), &m2.to_json())
-                    .map_err(|e| fail(e.to_string()))?;
-                drop(reader);
-                // admission proved the v1 manifest names a file
-                let old = m.file.as_deref().unwrap_or_default();
-                std::fs::remove_file(dir.join(old)).map_err(|e| fail(format!("{old}: {e}")))?;
-                report.converted += 1;
-                report.bytes_before += m.file_bytes;
-                report.bytes_after += bytes;
-            }
+            report.skipped += 1;
+            report.bytes_after += m.file_bytes;
+            continue;
         }
+        let name2 = OutputFormat::Csr2
+            .artifact_name(index)
+            .expect("csr2 names artifacts");
+        // Row lengths come straight from the v1 offset table (the bound is
+        // exact there) — no factors needed, so compact works on a bare run.
+        let lengths = m
+            .vertices
+            .clone()
+            .map(|p| reader.row_len_bound(p).unwrap_or(0) as u64);
+        let mut sink = Csr2Sink::create(dir, &name2, reader.vertex_lo(), lengths)
+            .map_err(|e| fail(e.to_string()))?;
+        // A row is already a run (admission proved the header covers
+        // `m.vertices`), and the sink bounds its own scratch however long
+        // the row.
+        let mut buf = Vec::new();
+        for p in m.vertices.clone() {
+            let row = reader.row_into(p, &mut buf).unwrap_or_default();
+            sink.push_run(p, row).map_err(|e| fail(e.to_string()))?;
+        }
+        let (file, bytes) = sink
+            .finish()
+            .map_err(|e| fail(e.to_string()))?
+            .expect("csr2 sink commits a file");
+        // Entries are identical, so the stream hash and every closed-form
+        // statistic carry over untouched.
+        let mut m2 = m.clone();
+        m2.format = OutputFormat::Csr2;
+        m2.file = Some(file);
+        m2.file_bytes = bytes;
+        write_json_atomic(dir, &manifest_name(index), &m2.to_json())
+            .map_err(|e| fail(e.to_string()))?;
+        // admission proved the v1 manifest names a file
+        let old = m.file.as_deref().unwrap_or_default();
+        std::fs::remove_file(dir.join(old)).map_err(|e| fail(format!("{old}: {e}")))?;
+        report.converted += 1;
+        report.bytes_after += bytes;
     }
 
     if run.format != OutputFormat::Csr2 {
@@ -259,12 +261,13 @@ mod tests {
         compact_run(&donor).unwrap();
         let splice = |from: &Path, index: usize| {
             let m = load_manifest(from, index).unwrap();
-            let name = m.file.as_deref().unwrap();
-            std::fs::copy(from.join(name), dir.join(name)).unwrap();
             write_json_atomic(&dir, &manifest_name(index), &m.to_json()).unwrap();
-            dir.join(name)
+            m.file.map(|name| {
+                std::fs::copy(from.join(&name), dir.join(&name)).unwrap();
+                dir.join(name)
+            })
         };
-        let v2 = splice(&donor, 0);
+        let v2 = splice(&donor, 0).unwrap();
         std::fs::remove_file(dir.join("shard_00000.csr")).unwrap();
         assert_eq!(RunSummary::load(&dir).unwrap().format, OutputFormat::Csr);
         for rehash in [false, true] {
@@ -291,10 +294,10 @@ mod tests {
             std::fs::write(path, &good).unwrap();
         }
 
-        // …and the mix stops at csr/csr2: an edges manifest in a csr run
+        // …and the mix stops at csr/csr2: a count manifest in a csr run
         // is refused by verify, open and compact alike
-        let edges = streamed("mixed_edges", OutputFormat::Edges);
-        splice(&edges, 2);
+        let count = streamed("mixed_count", OutputFormat::Count);
+        splice(&count, 2);
         let errs = [
             verify_shards(&dir, false).unwrap_err(),
             ShardSet::open(&dir).unwrap_err(),
@@ -302,23 +305,56 @@ mod tests {
         ];
         for err in errs {
             assert!(matches!(err, StreamError::Shard(2, _)), "{err}");
-            assert!(err.to_string().contains("manifest format edges"), "{err}");
+            assert!(err.to_string().contains("manifest format count"), "{err}");
         }
-        for d in [dir, donor, edges] {
+        for d in [dir, donor, count] {
             std::fs::remove_dir_all(&d).ok();
         }
     }
 
     #[test]
     fn compact_rejects_non_csr_runs() {
-        let dir = tmpdir("edges");
+        let dir = tmpdir("count");
         let c = product();
-        let mut cfg = StreamConfig::new(&dir, OutputFormat::Edges);
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Count);
         cfg.shards = 2;
         stream_product(&c, &cfg).unwrap();
         let err = compact_run(&dir).unwrap_err();
         assert!(matches!(err, StreamError::Config(_)), "{err}");
         assert!(err.to_string().contains("only csr runs"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_run_or_manifest_naming_edges_is_refused_naming_the_file() {
+        // `edges` was a format once; a directory that still says so is
+        // refused like any unknown format, by every reader of a run
+        let c = product();
+        for file in [RUN_FILE.to_string(), manifest_name(1)] {
+            let dir = tmpdir(&format!("says_edges_{file}"));
+            let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+            cfg.shards = 3;
+            stream_product(&c, &cfg).unwrap();
+            let path = dir.join(&file);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let edges = text.replace("\"format\":\"csr\"", "\"format\":\"edges\"");
+            assert_ne!(edges, text);
+            std::fs::write(&path, edges).unwrap();
+            let errs = [
+                ShardSet::open(&dir).unwrap_err(),
+                verify_shards(&dir, false).unwrap_err(),
+                compact_run(&dir).unwrap_err(),
+            ];
+            for err in errs {
+                let msg = err.to_string();
+                assert!(matches!(err, StreamError::Manifest(_)), "{msg}");
+                assert!(msg.contains(&file), "{file}: {msg}");
+                assert!(
+                    msg.contains("unknown format \"edges\" (expected csr, csr2, or count)"),
+                    "{msg}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -1,42 +1,42 @@
-//! The on-disk CSR shard formats and their mmap-backed readers.
+//! The on-disk CSR shard formats and their one mmap-backed reader.
 //!
-//! **v1** (`csr`) layout, all integers little-endian `u64`:
+//! Both formats share one layout, all integers little-endian `u64`:
 //!
 //! ```text
 //! offset  size            field
-//! 0       8               magic  b"KRONCSR1"
+//! 0       8               magic  b"KRONCSR1" (csr) or b"KRONCSR2" (csr2)
 //! 8       8               vertex_lo — first product vertex of the shard
 //! 16      8               num_rows  — product vertices covered
 //! 24      8               nnz       — adjacency entries in the shard
 //! 32      8·(num_rows+1)  offsets   — local prefix sums, offsets[0] = 0
-//! ...     8·nnz           cols      — column (neighbor) vertex ids
+//! ...                     body      — every row's columns, in the format's codec
 //! ```
 //!
-//! Row `r` (product vertex `vertex_lo + r`) owns
-//! `cols[offsets[r]..offsets[r+1]]`, sorted ascending. The header starts
-//! every section at an 8-byte boundary, so a page-aligned mapping exposes
-//! both arrays as `&[u64]` without copying.
+//! Row `r` (product vertex `vertex_lo + r`) owns body units
+//! `[offsets[r], offsets[r+1])`, its columns strictly ascending. The two
+//! formats differ only in the row [`Codec`]:
 //!
-//! **v2** (`csr2`) keeps the 32-byte header (magic `b"KRONCSR2"`) and the
-//! `num_rows + 1` `u64` offset array, but the offsets are **byte**
-//! positions into a varint delta-encoded column stream that follows:
-//! row `r` owns stream bytes `[offsets[r], offsets[r+1])`, holding its
-//! first column as an absolute LEB128 varint and every later column as
-//! the LEB128 gap to its predecessor (rows are strictly ascending, so
-//! gaps are small and most columns fit in 1–2 bytes instead of 8).
-//! [`Csr2Reader::row`] decodes a row on demand; [`CsrMap`] dispatches on
-//! the magic so every caller handles both formats through one
-//! [`RowRef`]-returning API. v1 stays readable forever.
+//! * [`Codec::Raw`] (v1, `csr`): one `u64` per column, so an offset counts
+//!   entries and the body is `8·nnz` bytes. The header starts every
+//!   section at an 8-byte boundary, so a page-aligned mapping exposes a
+//!   row as `&[u64]` without copying.
+//! * [`Codec::VarintDelta`] (v2, `csr2`): a row's first column as an
+//!   absolute LEB128 varint and every later column as the LEB128 gap to
+//!   its predecessor, so an offset counts bytes. Gaps are small on sorted
+//!   rows, and most columns take 1–2 bytes instead of 8.
+//!
+//! [`CsrMap`] opens either, picking the codec by the magic, and hands
+//! every row out through one [`RowRef`]-returning API. v1 stays readable
+//! forever.
 
 use crate::mmap::{as_u64s, Mmap};
 use std::borrow::Cow;
 use std::fs::File;
 use std::io;
-use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-/// File magic, also the format version.
+/// File magic of the v1 (raw) format.
 pub const MAGIC: &[u8; 8] = b"KRONCSR1";
 
 /// File magic of the varint delta-encoded v2 format.
@@ -45,26 +45,17 @@ pub const MAGIC2: &[u8; 8] = b"KRONCSR2";
 /// Header size in bytes.
 pub const HEADER: u64 = 32;
 
-/// Exact file size of a shard with the given dimensions, or `None` if
-/// the dimensions are corrupt enough to overflow (an attacker- or
+/// Exact file size of a shard with `num_rows` rows and a `body_bytes`-byte
+/// body (`8·nnz` for v1, the column stream for v2), or `None` if the
+/// dimensions are corrupt enough to overflow (an attacker- or
 /// corruption-supplied header must not panic the reader).
 ///
-/// This is the **only** size computation for the format: there is
+/// This is the **only** size computation for either format: there is
 /// deliberately no panicking variant, so header-derived dimensions can
 /// never wrap or abort no matter which call path reaches them.
-pub fn file_size_checked(num_rows: u64, nnz: u64) -> Option<u64> {
+pub fn file_size_checked(num_rows: u64, body_bytes: u64) -> Option<u64> {
     let offsets = num_rows.checked_add(1)?.checked_mul(8)?;
-    let cols = nnz.checked_mul(8)?;
-    HEADER.checked_add(offsets)?.checked_add(cols)
-}
-
-/// Exact file size of a v2 shard with the given dimensions and column
-/// stream length, or `None` on overflow. Same contract as
-/// [`file_size_checked`]: the only size computation for the format, with
-/// no panicking variant.
-pub fn file_size2_checked(num_rows: u64, stream_bytes: u64) -> Option<u64> {
-    let offsets = num_rows.checked_add(1)?.checked_mul(8)?;
-    HEADER.checked_add(offsets)?.checked_add(stream_bytes)
+    HEADER.checked_add(offsets)?.checked_add(body_bytes)
 }
 
 /// Append `x` as an LEB128 varint (7 value bits per byte, high bit set
@@ -139,211 +130,215 @@ pub fn decode_row_vd(bytes: &[u8], out: &mut Vec<u64>) -> bool {
     true
 }
 
-/// Zero-copy reader over an on-disk CSR shard.
+/// How a shard's body stores its columns: the one thing the two on-disk
+/// formats disagree on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Codec {
+    /// v1 (`csr`): raw little-endian `u64` columns; offsets count entries.
+    Raw,
+    /// v2 (`csr2`): LEB128 first column, then LEB128 gaps; offsets count
+    /// bytes.
+    VarintDelta,
+}
+
+impl Codec {
+    /// The file magic naming this codec.
+    pub(crate) fn magic(self) -> &'static [u8; 8] {
+        match self {
+            Codec::Raw => MAGIC,
+            Codec::VarintDelta => MAGIC2,
+        }
+    }
+
+    /// Body bytes per offset unit: an entry for v1, a byte for v2.
+    #[inline]
+    pub(crate) fn unit(self) -> u64 {
+        match self {
+            Codec::Raw => 8,
+            Codec::VarintDelta => 1,
+        }
+    }
+
+    /// Append the encoding of `cols`, the next columns of vertex `p`'s row,
+    /// to `out`. `prev` is the row's last column written so far (`None` at
+    /// the start of the row) and moves past `cols`. One dispatch per call,
+    /// none per column.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` when the row's columns are not strictly ascending —
+    /// what every binary search above the reader relies on, and all that
+    /// v2's gaps can encode.
+    #[inline]
+    pub(crate) fn encode(
+        self,
+        p: u64,
+        cols: &[u64],
+        prev: &mut Option<u64>,
+        out: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        match self {
+            Codec::Raw => {
+                for &q in cols {
+                    next_gap(p, q, prev)?;
+                    out.extend_from_slice(&q.to_le_bytes());
+                }
+            }
+            Codec::VarintDelta => {
+                for &q in cols {
+                    varint_push(next_gap(p, q, prev)?, out);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The gap from the row's previous column to `q` (`q` itself at the start
+/// of the row), advancing `prev` to `q`.
+#[inline]
+fn next_gap(p: u64, q: u64, prev: &mut Option<u64>) -> io::Result<u64> {
+    let gap = match *prev {
+        None => q,
+        Some(last) if q > last => q - last,
+        Some(last) => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "columns of vertex {p} not strictly ascending ({q} after {last}); \
+                     CSR rows must be sorted"
+                ),
+            ))
+        }
+    };
+    *prev = Some(q);
+    Ok(gap)
+}
+
+/// A [`Codec`] fixed by a type, so that each format's writer has a name of
+/// its own ([`crate::CsrSink`], [`crate::Csr2Sink`]).
+pub trait RowCodec {
+    /// The codec this type stands for.
+    const CODEC: Codec;
+}
+
+/// [`Codec::Raw`] as a type.
+pub enum Raw {}
+
+/// [`Codec::VarintDelta`] as a type.
+pub enum VarintDelta {}
+
+impl RowCodec for Raw {
+    const CODEC: Codec = Codec::Raw;
+}
+
+impl RowCodec for VarintDelta {
+    const CODEC: Codec = Codec::VarintDelta;
+}
+
+/// A mapped CSR shard of either on-disk format.
 ///
-/// Opening validates the header against the file length and the offset
-/// array's structure; row access is then slicing into the mapping.
-pub struct CsrReader {
+/// Opening validates the header and the offset table against the file
+/// length once. A row is then a slice of the mapping (v1, zero-copy) or
+/// one row's stream bytes decoded on demand (v2), and bytes that do not
+/// decode are refused. Readers above this type ([`crate::ShardSet`], the
+/// serving engine) see one [`RowRef`]-returning row API and never branch
+/// on the format. Content integrity (row lengths, checksums) is the job of
+/// `verify-shards` and checksum-verified opens.
+pub struct CsrMap {
     map: Mmap,
+    codec: Codec,
     vertex_lo: u64,
     num_rows: u64,
     nnz: u64,
 }
 
-impl CsrReader {
-    /// Map and validate a CSR shard file.
+impl CsrMap {
+    /// Map and validate a CSR shard file of either format, picking the
+    /// codec by the 8-byte magic.
     ///
     /// # Errors
     ///
-    /// `InvalidData` for a bad magic, a header that contradicts the file
-    /// size (with overflow-checked arithmetic), or non-monotone offsets;
-    /// any I/O error from opening or mapping the file.
-    pub fn open(path: &Path) -> io::Result<CsrReader> {
-        let file = File::open(path)?;
-        let map = Mmap::map_readonly(&file)?;
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        if map.len() < HEADER as usize {
-            return Err(bad(format!("{}: truncated header", path.display())));
-        }
-        if &map[..8] != MAGIC {
-            return Err(bad(format!(
-                "{}: bad magic (not a KRONCSR1 file)",
-                path.display()
-            )));
-        }
-        let word = |i: usize| u64::from_le_bytes(map[8 * i..8 * i + 8].try_into().unwrap());
-        let (vertex_lo, num_rows, nnz) = (word(1), word(2), word(3));
-        let expect = file_size_checked(num_rows, nnz)
-            .filter(|&sz| usize::try_from(sz).is_ok())
-            .ok_or_else(|| {
-                bad(format!(
-                    "{}: header dimensions overflow ({num_rows} rows, {nnz} nnz)",
-                    path.display()
-                ))
-            })?;
-        if map.len() as u64 != expect {
-            return Err(bad(format!(
-                "{}: file is {} bytes, header implies {expect}",
-                path.display(),
-                map.len()
-            )));
-        }
-        let reader = CsrReader {
-            map,
-            vertex_lo,
-            num_rows,
-            nnz,
+    /// `InvalidData` for an unrecognized magic, a header or offset table
+    /// that contradicts the file size (with overflow-checked arithmetic),
+    /// or non-monotone offsets; any I/O error from opening or mapping the
+    /// file.
+    pub fn open(path: &Path) -> io::Result<CsrMap> {
+        let map = Mmap::map_readonly(&File::open(path)?)?;
+        let bad = |msg: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {msg}", path.display()),
+            )
         };
-        let offsets = reader.offsets();
-        if offsets[0] != 0 || offsets[num_rows as usize] != nnz {
-            return Err(bad(format!(
-                "{}: offset array endpoints corrupt",
-                path.display()
-            )));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad(format!("{}: offsets not monotone", path.display())));
-        }
-        Ok(reader)
-    }
-
-    /// First product vertex of the shard.
-    pub fn vertex_lo(&self) -> u64 {
-        self.vertex_lo
-    }
-
-    /// Product vertices covered.
-    pub fn num_rows(&self) -> u64 {
-        self.num_rows
-    }
-
-    /// Adjacency entries stored.
-    pub fn nnz(&self) -> u64 {
-        self.nnz
-    }
-
-    /// The local offset array (`num_rows + 1` entries), zero-copy.
-    pub fn offsets(&self) -> &[u64] {
-        let start = HEADER as usize;
-        let end = start + 8 * (self.num_rows as usize + 1);
-        as_u64s(&self.map[start..end])
-    }
-
-    /// The flat column array, zero-copy.
-    pub fn cols(&self) -> &[u64] {
-        let start = HEADER as usize + 8 * (self.num_rows as usize + 1);
-        as_u64s(&self.map[start..])
-    }
-
-    /// The adjacency row of product vertex `p`, or `None` if `p` is
-    /// outside the shard. Zero-copy slice into the mapping.
-    pub fn row(&self, p: u64) -> Option<&[u64]> {
-        let local = p.checked_sub(self.vertex_lo)?;
-        if local >= self.num_rows {
-            return None;
-        }
-        let offsets = self.offsets();
-        let (lo, hi) = (
-            offsets[local as usize] as usize,
-            offsets[local as usize + 1] as usize,
-        );
-        Some(&self.cols()[lo..hi])
-    }
-}
-
-/// Reader over a v2 (varint delta-encoded) CSR shard.
-///
-/// Opening validates the header, the byte-offset array's structure, and
-/// the exact file length; [`Csr2Reader::row`] then decodes one row's
-/// stream slice on demand and refuses a slice that does not decode.
-/// Content integrity (row lengths, checksums) is the job of
-/// `verify-shards` / checksum-verified opens, exactly as for v1.
-pub struct Csr2Reader {
-    map: Mmap,
-    vertex_lo: u64,
-    num_rows: u64,
-    nnz: u64,
-}
-
-impl Csr2Reader {
-    /// Map and validate a v2 CSR shard file.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for a bad magic, a header or offset array that
-    /// contradicts the file size (overflow-checked), or non-monotone
-    /// byte offsets; any I/O error from opening or mapping the file.
-    pub fn open(path: &Path) -> io::Result<Csr2Reader> {
-        let file = File::open(path)?;
-        let map = Mmap::map_readonly(&file)?;
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let codec = match map.get(..8) {
+            Some(m) if m == MAGIC => Codec::Raw,
+            Some(m) if m == MAGIC2 => Codec::VarintDelta,
+            _ => return Err(bad("bad magic (not a KRONCSR1 or KRONCSR2 file)".into())),
+        };
         if map.len() < HEADER as usize {
-            return Err(bad(format!("{}: truncated header", path.display())));
-        }
-        if &map[..8] != MAGIC2 {
-            return Err(bad(format!(
-                "{}: bad magic (not a KRONCSR2 file)",
-                path.display()
-            )));
+            return Err(bad("truncated header".into()));
         }
         let word = |i: usize| u64::from_le_bytes(map[8 * i..8 * i + 8].try_into().unwrap());
         let (vertex_lo, num_rows, nnz) = (word(1), word(2), word(3));
-        let table_end = file_size2_checked(num_rows, 0)
-            .filter(|&sz| usize::try_from(sz).is_ok())
-            .ok_or_else(|| {
-                bad(format!(
-                    "{}: header dimensions overflow ({num_rows} rows, {nnz} nnz)",
-                    path.display()
-                ))
-            })?;
+        let overflow = || {
+            bad(format!(
+                "header dimensions overflow ({num_rows} rows, {nnz} nnz)"
+            ))
+        };
+        let addressable = |size: &u64| usize::try_from(*size).is_ok();
+        let table_end = file_size_checked(num_rows, 0)
+            .filter(addressable)
+            .ok_or_else(overflow)?;
         if (map.len() as u64) < table_end {
             return Err(bad(format!(
-                "{}: file is {} bytes, too short for {num_rows} row offsets",
-                path.display(),
+                "file is {} bytes, too short for {num_rows} row offsets",
                 map.len()
             )));
         }
-        let reader = Csr2Reader {
+        let shard = CsrMap {
             map,
+            codec,
             vertex_lo,
             num_rows,
             nnz,
         };
-        let offsets = reader.offsets();
-        let stream_bytes = offsets[num_rows as usize];
+        let offsets = shard.offsets();
+        let last = offsets[num_rows as usize];
         if offsets[0] != 0 {
-            return Err(bad(format!(
-                "{}: offset array endpoints corrupt",
-                path.display()
-            )));
+            return Err(bad("offset array endpoints corrupt".into()));
         }
         if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad(format!("{}: offsets not monotone", path.display())));
+            return Err(bad("offsets not monotone".into()));
         }
-        let expect = file_size2_checked(num_rows, stream_bytes)
-            .filter(|&sz| usize::try_from(sz).is_ok())
-            .ok_or_else(|| {
-                bad(format!(
-                    "{}: offset array overflows ({num_rows} rows, {stream_bytes} stream bytes)",
-                    path.display()
-                ))
-            })?;
-        if reader.map.len() as u64 != expect {
+        // each codec's size rule
+        let body = match codec {
+            Codec::Raw if last != nnz => return Err(bad("offset array endpoints corrupt".into())),
+            Codec::Raw => nnz.checked_mul(8),
+            // every stored entry takes at least one stream byte
+            Codec::VarintDelta if last < nnz => {
+                return Err(bad(format!(
+                    "{last}-byte column stream cannot hold {nnz} entries"
+                )))
+            }
+            Codec::VarintDelta => Some(last),
+        };
+        let expect = body
+            .and_then(|body| file_size_checked(num_rows, body))
+            .filter(addressable)
+            .ok_or_else(overflow)?;
+        if shard.map.len() as u64 != expect {
             return Err(bad(format!(
-                "{}: file is {} bytes, header implies {expect}",
-                path.display(),
-                reader.map.len()
+                "file is {} bytes, header implies {expect}",
+                shard.map.len()
             )));
         }
-        // Each stored entry takes at least one stream byte, so a stream
-        // shorter than nnz bytes cannot hold the claimed entries.
-        if stream_bytes < nnz {
-            return Err(bad(format!(
-                "{}: {stream_bytes}-byte column stream cannot hold {nnz} entries",
-                path.display()
-            )));
-        }
-        Ok(reader)
+        Ok(shard)
+    }
+
+    /// Whether this shard is the v2 (varint delta-encoded) format.
+    pub fn is_v2(&self) -> bool {
+        self.codec == Codec::VarintDelta
     }
 
     /// First product vertex of the shard.
@@ -361,46 +356,103 @@ impl Csr2Reader {
         self.nnz
     }
 
-    /// The byte-offset array (`num_rows + 1` entries), zero-copy.
-    /// Offsets are relative to the column stream's start;
-    /// `offsets[num_rows]` is the stream length.
-    pub fn offsets(&self) -> &[u64] {
-        let start = HEADER as usize;
-        let end = start + 8 * (self.num_rows as usize + 1);
-        as_u64s(&self.map[start..end])
+    /// The offset table (`num_rows + 1` entries, in the codec's units),
+    /// zero-copy.
+    fn offsets(&self) -> &[u64] {
+        let end = HEADER as usize + 8 * (self.num_rows as usize + 1);
+        as_u64s(&self.map[HEADER as usize..end])
     }
 
-    /// The varint delta-encoded column stream, zero-copy.
-    pub fn stream(&self) -> &[u8] {
+    /// Everything past the offset table, zero-copy.
+    fn body(&self) -> &[u8] {
         &self.map[HEADER as usize + 8 * (self.num_rows as usize + 1)..]
     }
 
-    /// The still-encoded stream bytes of product vertex `p`'s row, or
-    /// `None` if `p` is outside the shard. Zero-copy: this is what the
-    /// `GET /row` `enc=vd` wire path serves without decoding.
-    pub fn row_bytes(&self, p: u64) -> Option<&[u8]> {
+    /// `p`'s row as `[lo, hi)` in the codec's units (entries for v1, bytes
+    /// for v2), or `None` if `p` is outside the shard.
+    #[inline]
+    fn span(&self, p: u64) -> Option<(usize, usize)> {
         let local = p.checked_sub(self.vertex_lo)?;
         if local >= self.num_rows {
             return None;
         }
         let offsets = self.offsets();
-        let (lo, hi) = (
-            offsets[local as usize] as usize,
-            offsets[local as usize + 1] as usize,
-        );
-        Some(&self.stream()[lo..hi])
+        let local = local as usize;
+        Some((offsets[local] as usize, offsets[local + 1] as usize))
     }
 
-    /// The decoded adjacency row of product vertex `p`, or `None` if
-    /// `p` is outside the shard **or its stream bytes are malformed**
-    /// (see [`decode_row_vd`]) — a short row is never handed out.
-    pub fn row(&self, p: u64) -> Option<Vec<u64>> {
-        let bytes = self.row_bytes(p)?;
+    /// A v1 row: a zero-copy slice of the mapping.
+    fn raw_row(&self, p: u64) -> Option<&[u64]> {
+        let (lo, hi) = self.span(p)?;
+        Some(&as_u64s(self.body())[lo..hi])
+    }
+
+    /// A v2 row's still-encoded stream bytes, zero-copy.
+    fn stream_bytes(&self, p: u64) -> Option<&[u8]> {
+        let (lo, hi) = self.span(p)?;
+        Some(&self.body()[lo..hi])
+    }
+
+    /// A v2 row, decoded; `None` also when its bytes do not decode.
+    fn decoded_row(&self, p: u64) -> Option<Vec<u64>> {
+        let bytes = self.stream_bytes(p)?;
         // every varint ends in exactly one byte without the high bit, so
         // this is the row length: one allocation, never a regrowth
         let len = bytes.iter().filter(|&&b| b & 0x80 == 0).count();
         let mut out = Vec::with_capacity(len);
         decode_row_vd(bytes, &mut out).then_some(out)
+    }
+
+    /// The adjacency row of product vertex `p`: zero-copy for v1,
+    /// decoded for v2. `None` if `p` is outside the shard or (v2 only)
+    /// its stream bytes do not decode (see [`decode_row_vd`]) — for a `p`
+    /// the caller routed into this shard's range, `None` therefore means a
+    /// corrupt artifact. A short row is never handed out.
+    // Every reader's per-row dispatch: without the hint the cross-crate
+    // inliner skips it and each whole-graph kernel pays a call, a
+    // memory round trip of the handle and ~20 ns per row. Each codec's
+    // body stays out of line so the dispatch stays small enough to inline.
+    #[inline]
+    pub fn row(&self, p: u64) -> Option<RowRef<'_>> {
+        match self.codec {
+            Codec::Raw => self.raw_row(p).map(RowRef::Mapped),
+            Codec::VarintDelta => self.decoded_row(p).map(RowRef::Decoded),
+        }
+    }
+
+    /// An upper bound on the entry count of `p`'s row that costs two
+    /// offset reads and no decode: exact for v1, the stream byte length
+    /// for v2 (every entry is at least one byte). `None` if `p` is
+    /// outside the shard.
+    pub fn row_len_bound(&self, p: u64) -> Option<usize> {
+        self.span(p).map(|(lo, hi)| hi - lo)
+    }
+
+    /// Append `p`'s row in the `enc=vd` wire encoding to `out`: the
+    /// stored stream bytes verbatim for v2 (no decode — the fetching
+    /// side validates them), encoded on the fly for v1. `false`, with
+    /// `out` untouched, if `p` is outside the shard.
+    pub fn append_row_vd(&self, p: u64, out: &mut Vec<u8>) -> bool {
+        match self.codec {
+            Codec::Raw => self.raw_row(p).map(|row| encode_row_vd(row, out)),
+            Codec::VarintDelta => self.stream_bytes(p).map(|b| out.extend_from_slice(b)),
+        }
+        .is_some()
+    }
+
+    /// [`CsrMap::row`] without the allocation, for a scan over many rows:
+    /// a v1 row is the mapped slice, a v2 row is decoded into `buf`
+    /// (cleared first) and borrowed from it. `None` exactly when
+    /// [`CsrMap::row`] is.
+    #[inline]
+    pub fn row_into<'a>(&'a self, p: u64, buf: &'a mut Vec<u64>) -> Option<&'a [u64]> {
+        match self.codec {
+            Codec::Raw => self.raw_row(p),
+            Codec::VarintDelta => {
+                buf.clear();
+                decode_row_vd(self.stream_bytes(p)?, buf).then_some(&buf[..])
+            }
+        }
     }
 }
 
@@ -467,123 +519,6 @@ impl From<RowRef<'_>> for Vec<u64> {
     }
 }
 
-/// A mapped CSR shard of either on-disk format, dispatching on the file
-/// magic. Readers above this type ([`crate::ShardSet`], the serving
-/// engine) see one [`RowRef`]-returning row API and never branch on the
-/// format again.
-pub enum CsrMap {
-    /// v1: raw `u64` columns, zero-copy rows.
-    V1(CsrReader),
-    /// v2: varint delta-encoded columns, rows decoded on demand.
-    V2(Csr2Reader),
-}
-
-impl CsrMap {
-    /// Map and validate a CSR shard file of either format, sniffing the
-    /// 8-byte magic to pick the reader.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for an unrecognized magic or any structural defect
-    /// the format's reader rejects; any I/O error from opening the file.
-    pub fn open(path: &Path) -> io::Result<CsrMap> {
-        let mut magic = [0u8; 8];
-        let n = File::open(path)?.read(&mut magic)?;
-        match &magic[..n] {
-            m if m == MAGIC => Ok(CsrMap::V1(CsrReader::open(path)?)),
-            m if m == MAGIC2 => Ok(CsrMap::V2(Csr2Reader::open(path)?)),
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: bad magic (not a KRONCSR1 or KRONCSR2 file)",
-                    path.display()
-                ),
-            )),
-        }
-    }
-
-    /// Whether this shard is the v2 (varint delta-encoded) format.
-    pub fn is_v2(&self) -> bool {
-        matches!(self, CsrMap::V2(_))
-    }
-
-    /// First product vertex of the shard.
-    pub fn vertex_lo(&self) -> u64 {
-        match self {
-            CsrMap::V1(r) => r.vertex_lo(),
-            CsrMap::V2(r) => r.vertex_lo(),
-        }
-    }
-
-    /// Product vertices covered.
-    pub fn num_rows(&self) -> u64 {
-        match self {
-            CsrMap::V1(r) => r.num_rows(),
-            CsrMap::V2(r) => r.num_rows(),
-        }
-    }
-
-    /// Adjacency entries stored.
-    pub fn nnz(&self) -> u64 {
-        match self {
-            CsrMap::V1(r) => r.nnz(),
-            CsrMap::V2(r) => r.nnz(),
-        }
-    }
-
-    /// The adjacency row of product vertex `p`: zero-copy for v1,
-    /// decoded for v2. `None` if `p` is outside the shard or (v2 only)
-    /// its stream bytes do not decode — for a `p` the caller routed into
-    /// this shard's range, `None` therefore means a corrupt artifact.
-    // Every reader's per-row dispatch: without the hint the cross-crate
-    // inliner skips it and each whole-graph kernel pays a call, a
-    // memory round trip of the handle and ~20 ns per row.
-    #[inline]
-    pub fn row(&self, p: u64) -> Option<RowRef<'_>> {
-        match self {
-            CsrMap::V1(r) => r.row(p).map(RowRef::Mapped),
-            CsrMap::V2(r) => r.row(p).map(RowRef::Decoded),
-        }
-    }
-
-    /// An upper bound on the entry count of `p`'s row that costs two
-    /// offset reads and no decode: exact for v1, the stream byte length
-    /// for v2 (every entry is at least one byte). `None` if `p` is
-    /// outside the shard.
-    pub fn row_len_bound(&self, p: u64) -> Option<usize> {
-        match self {
-            CsrMap::V1(r) => r.row(p).map(<[u64]>::len),
-            CsrMap::V2(r) => r.row_bytes(p).map(<[u8]>::len),
-        }
-    }
-
-    /// Append `p`'s row in the `enc=vd` wire encoding to `out`: the
-    /// stored stream bytes verbatim for v2 (no decode — the fetching
-    /// side validates them), encoded on the fly for v1. `false`, with
-    /// `out` untouched, if `p` is outside the shard.
-    pub fn append_row_vd(&self, p: u64, out: &mut Vec<u8>) -> bool {
-        match self {
-            CsrMap::V1(r) => r.row(p).map(|row| encode_row_vd(row, out)),
-            CsrMap::V2(r) => r.row_bytes(p).map(|b| out.extend_from_slice(b)),
-        }
-        .is_some()
-    }
-
-    /// [`CsrMap::row`] without the allocation, for a scan over many rows:
-    /// a v1 row is the mapped slice, a v2 row is decoded into `buf`
-    /// (cleared first) and borrowed from it. `None` exactly when
-    /// [`CsrMap::row`] is.
-    pub fn row_into<'a>(&'a self, p: u64, buf: &'a mut Vec<u64>) -> Option<&'a [u64]> {
-        match self {
-            CsrMap::V1(r) => r.row(p),
-            CsrMap::V2(r) => {
-                buf.clear();
-                decode_row_vd(r.row_bytes(p)?, buf).then_some(&buf[..])
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,6 +539,14 @@ mod tests {
             .collect()
     }
 
+    /// Why [`CsrMap::open`] refuses `path`.
+    fn open_err(path: &Path) -> String {
+        match CsrMap::open(path) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("{} must not open", path.display()),
+        }
+    }
+
     #[test]
     fn write_then_mmap_roundtrip_bit_exact() {
         let dir = tmpdir("roundtrip");
@@ -614,19 +557,20 @@ mod tests {
         sink.push_run(12, &[0]).unwrap();
         let (name, bytes) = sink.finish().unwrap().unwrap();
         assert_eq!(name, "s.csr");
-        assert_eq!(Some(bytes), file_size_checked(3, 3));
-        let r = CsrReader::open(&dir.join("s.csr")).unwrap();
+        assert_eq!(Some(bytes), file_size_checked(3, 8 * 3));
+        let r = CsrMap::open(&dir.join("s.csr")).unwrap();
+        assert!(!r.is_v2());
         assert_eq!(r.vertex_lo(), 10);
         assert_eq!(r.num_rows(), 3);
         assert_eq!(r.nnz(), 3);
-        assert_eq!(r.row(10).unwrap(), &[3, 7]);
-        assert_eq!(r.row(11).unwrap(), &[] as &[u64]);
-        assert_eq!(r.row(12).unwrap(), &[0]);
+        assert_eq!(r.offsets(), &[0, 2, 2, 3]);
+        assert_eq!(r.row(10), Some(RowRef::Mapped(&[3, 7])));
+        assert_eq!(r.row(11), Some(RowRef::Mapped(&[])));
+        assert_eq!(r.row(12), Some(RowRef::Mapped(&[0])));
         assert_eq!(r.row(13), None);
         assert_eq!(r.row(9), None);
-        let rows: Vec<(u64, Vec<u64>)> = rows_of(&CsrMap::V1(r));
         assert_eq!(
-            rows,
+            rows_of(&r),
             vec![(10, vec![3, 7]), (11, vec![]), (12, vec![0])],
             "a scan must visit every vertex in order, empty rows included"
         );
@@ -700,11 +644,8 @@ mod tests {
         bytes.extend_from_slice(&1u64.to_le_bytes()); // nnz
         bytes.extend_from_slice(&0u64.to_le_bytes()); // filler
         std::fs::write(&path, &bytes).unwrap();
-        let err = match CsrReader::open(&path) {
-            Err(e) => e,
-            Ok(_) => panic!("overflowing header must not open"),
-        };
-        assert!(err.to_string().contains("overflow"), "{err}");
+        let err = open_err(&path);
+        assert!(err.contains("overflow"), "{err}");
         assert_eq!(file_size_checked(u64::MAX, 1), None);
     }
 
@@ -812,20 +753,21 @@ mod tests {
         let (name, bytes) = sink.finish().unwrap().unwrap();
         assert_eq!(name, "s.csr2");
         // stream: row 10 = varint(3), varint(4); row 12 = varint(0) → 3 bytes
-        assert_eq!(Some(bytes), file_size2_checked(3, 3));
-        let r = Csr2Reader::open(&dir.join("s.csr2")).unwrap();
+        assert_eq!(Some(bytes), file_size_checked(3, 3));
+        let r = CsrMap::open(&dir.join("s.csr2")).unwrap();
+        assert!(r.is_v2());
         assert_eq!(r.vertex_lo(), 10);
         assert_eq!(r.num_rows(), 3);
         assert_eq!(r.nnz(), 3);
         assert_eq!(r.offsets(), &[0, 2, 2, 3]);
-        assert_eq!(r.row(10).unwrap(), vec![3, 7]);
-        assert_eq!(r.row(11).unwrap(), Vec::<u64>::new());
-        assert_eq!(r.row(12).unwrap(), vec![0]);
+        assert_eq!(r.row(10), Some(RowRef::Decoded(vec![3, 7])));
+        assert_eq!(r.row(11), Some(RowRef::Decoded(vec![])));
+        assert_eq!(r.row(12), Some(RowRef::Decoded(vec![0])));
         assert_eq!(r.row(13), None);
         assert_eq!(r.row(9), None);
-        assert_eq!(r.row_bytes(10).unwrap(), &[3u8, 4]);
+        assert_eq!(r.stream_bytes(10).unwrap(), &[3u8, 4]);
         assert_eq!(
-            rows_of(&CsrMap::V2(r)),
+            rows_of(&r),
             vec![(10, vec![3, 7]), (11, vec![]), (12, vec![0])]
         );
     }
@@ -865,20 +807,20 @@ mod tests {
         }
         // unknown magic is a named error
         std::fs::write(dir.join("x.csr"), b"NOTACSRX________").unwrap();
-        let err = match CsrMap::open(&dir.join("x.csr")) {
-            Err(e) => e,
-            Ok(_) => panic!("unknown magic must not open"),
-        };
-        assert!(err.to_string().contains("bad magic"), "{err}");
+        let err = open_err(&dir.join("x.csr"));
+        assert!(err.contains("bad magic"), "{err}");
     }
 
     #[test]
     fn csr2_sink_rejects_unsorted_columns_and_underfill() {
         let dir = tmpdir("v2_order");
         let create = |name: &str| Csr2Sink::create(&dir, name, 0, vec![3u64].into_iter()).unwrap();
-        // within one run: a repeat and a descent
+        // within one run: a repeat and a descent, for either codec
         for cols in [[5, 5, 6], [5, 4, 6]] {
             let err = create("bad.csr2").push_run(0, &cols).unwrap_err();
+            assert!(err.to_string().contains("strictly ascending"), "{err}");
+            let mut v1 = CsrSink::create(&dir, "bad.csr", 0, vec![3u64].into_iter()).unwrap();
+            let err = v1.push_run(0, &cols).unwrap_err();
             assert!(err.to_string().contains("strictly ascending"), "{err}");
         }
         // across two runs of one row
@@ -894,6 +836,7 @@ mod tests {
         let mut sink2 = create("bad2.csr2");
         sink2.push_run(0, &[1]).unwrap();
         assert!(sink2.finish().is_err(), "underfull finish must fail");
+        assert!(!dir.join("bad.csr").exists());
         assert!(!dir.join("bad.csr2").exists());
         assert!(!dir.join("bad2.csr2").exists());
     }
@@ -910,65 +853,68 @@ mod tests {
         bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let err = match Csr2Reader::open(&path) {
-            Err(e) => e,
-            Ok(_) => panic!("overflowing header must not open"),
-        };
-        assert!(err.to_string().contains("overflow"), "{err}");
-        assert_eq!(file_size2_checked(u64::MAX, 1), None);
+        let err = open_err(&path);
+        assert!(err.contains("overflow"), "{err}");
 
         let mut sink = Csr2Sink::create(&dir, "c.csr2", 0, vec![2u64].into_iter()).unwrap();
         sink.push_run(0, &[300, 301]).unwrap();
         sink.finish().unwrap();
         let path = dir.join("c.csr2");
         let good = std::fs::read(&path).unwrap();
-        // v1 reader refuses a v2 file and vice versa
-        assert!(CsrReader::open(&path).is_err());
+        let refused = |bytes: &[u8], want: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            let err = open_err(&path);
+            assert!(err.contains(want), "{want}: {err}");
+        };
+        // relabelled KRONCSR1, its 3 stream bytes fail the v1 size rule
+        // (offsets[last] must be nnz = 2)
+        refused(&[&MAGIC[..], &good[8..]].concat(), "endpoints corrupt");
         // bad magic
         let mut bad = good.clone();
         bad[7] = b'9';
-        std::fs::write(&path, &bad).unwrap();
-        assert!(Csr2Reader::open(&path).is_err());
+        refused(&bad, "bad magic");
         // truncated stream no longer matches the offset table
-        std::fs::write(&path, &good[..good.len() - 1]).unwrap();
-        assert!(Csr2Reader::open(&path).is_err());
+        refused(&good[..good.len() - 1], "header implies");
         // stream shorter than nnz entries
         let mut bad = good.clone();
         bad[40..48].copy_from_slice(&1u64.to_le_bytes()); // offsets[1] = 1
         bad.truncate(good.len() - 2); // stream shrinks to 1 byte < nnz 2
-        std::fs::write(&path, &bad).unwrap();
-        let err = match Csr2Reader::open(&path) {
-            Err(e) => e,
-            Ok(_) => panic!("short stream must not open"),
-        };
-        assert!(err.to_string().contains("cannot hold"), "{err}");
-        // non-monotone offsets
+        refused(&bad, "cannot hold");
+        // a first offset above 0
         let mut bad = good.clone();
         bad[32..40].copy_from_slice(&2u64.to_le_bytes()); // offsets[0] = 2
-        std::fs::write(&path, &bad).unwrap();
-        assert!(Csr2Reader::open(&path).is_err());
+        refused(&bad, "endpoints corrupt");
     }
 
     #[test]
     fn reader_rejects_corruption() {
         let dir = tmpdir("corrupt");
-        let mut sink = CsrSink::create(&dir, "c.csr", 0, vec![1u64].into_iter()).unwrap();
+        let mut sink = CsrSink::create(&dir, "c.csr", 0, vec![1u64, 1].into_iter()).unwrap();
         sink.push_run(0, &[9]).unwrap();
+        sink.push_run(1, &[4]).unwrap();
         sink.finish().unwrap();
         let path = dir.join("c.csr");
         let good = std::fs::read(&path).unwrap();
+        let refused = |bytes: &[u8], want: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            let err = open_err(&path);
+            assert!(err.contains(want), "{want}: {err}");
+        };
         // bad magic
         let mut bad = good.clone();
         bad[0] = b'X';
-        std::fs::write(&path, &bad).unwrap();
-        assert!(CsrReader::open(&path).is_err());
-        // truncated
-        std::fs::write(&path, &good[..good.len() - 8]).unwrap();
-        assert!(CsrReader::open(&path).is_err());
-        // offsets endpoint corrupt (nnz in header says 1, offsets say 2)
+        refused(&bad, "bad magic");
+        // truncated: past the header, then into the offset table
+        refused(&good[..good.len() - 8], "header implies");
+        refused(&good[..40], "too short");
+        refused(&good[..31], "truncated header");
+        // offsets endpoint corrupt (nnz in header says 2, offsets say 3)
         let mut bad = good.clone();
-        bad[40..48].copy_from_slice(&2u64.to_le_bytes());
-        std::fs::write(&path, &bad).unwrap();
-        assert!(CsrReader::open(&path).is_err());
+        bad[48..56].copy_from_slice(&3u64.to_le_bytes());
+        refused(&bad, "endpoints corrupt");
+        // a middle offset past its successor
+        let mut bad = good.clone();
+        bad[40..48].copy_from_slice(&3u64.to_le_bytes());
+        refused(&bad, "offsets not monotone");
     }
 }

@@ -6,7 +6,7 @@ use crate::manifest::{
     StreamHash,
 };
 use crate::plan::{ShardPlan, ShardSpec};
-use crate::sink::{CountSink, Csr2Sink, CsrSink, EdgeListSink, EdgeSink};
+use crate::sink::{CountSink, Csr2Sink, CsrSink, EdgeSink};
 use crate::StreamError;
 use kron::KronProduct;
 use std::path::{Path, PathBuf};
@@ -135,7 +135,6 @@ fn make_sink<'a>(
     let io_err = |e: std::io::Error| StreamError::Shard(spec.index, e.to_string());
     Ok(match format {
         OutputFormat::Count => Box::new(CountSink::default()),
-        OutputFormat::Edges => Box::new(EdgeListSink::create(dir, &named()?).map_err(io_err)?),
         OutputFormat::Csr => Box::new(
             CsrSink::create(
                 dir,
@@ -227,22 +226,18 @@ pub(crate) fn check_shard_count(shards: usize) -> Result<(), String> {
 }
 
 /// Remove shard files a previous run left behind that the current plan
-/// will not overwrite: any `shard_NNNNN.*` with index ≥ `shards`, any
-/// artifact whose extension doesn't match the current format, and stray
-/// `.tmp` leftovers. Without this, re-running into the same directory
-/// with fewer shards (or another format) leaves stale artifacts that a
-/// `shard_*`-globbing consumer would happily mix with the new plan's.
+/// will not overwrite: any `shard_NNNNN.*` with index ≥ `shards`, and
+/// every other `shard_NNNNN.*` but the manifest and the artifact the
+/// current format names — another format's artifact (including one no
+/// longer written) and stray `.tmp` leftovers. Without this, re-running
+/// into the same directory with fewer shards (or another format) leaves
+/// stale artifacts that a `shard_*`-globbing consumer would happily mix
+/// with the new plan's.
 fn remove_stale_shard_files(
     dir: &Path,
     shards: usize,
     format: OutputFormat,
 ) -> std::io::Result<()> {
-    let keep_ext = match format {
-        OutputFormat::Edges => Some("edges"),
-        OutputFormat::Csr => Some("csr"),
-        OutputFormat::Csr2 => Some("csr2"),
-        OutputFormat::Count => None,
-    };
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
@@ -256,13 +251,8 @@ fn remove_stale_shard_files(
         let Ok(index) = index.parse::<usize>() else {
             continue;
         };
-        let stale = match ext {
-            "json" => index >= shards,
-            "edges" | "csr" | "csr2" => index >= shards || keep_ext != Some(ext),
-            _ if ext.ends_with("tmp") => true,
-            _ => false,
-        };
-        if stale {
+        let ours = ext == "json" || format.artifact_name(index).as_deref() == Some(name);
+        if index >= shards || !ours {
             std::fs::remove_file(entry.path())?;
         }
     }

@@ -11,15 +11,13 @@
 //!   row blocks, balanced by entry count (`nnz`), so each shard streams
 //!   communication-free;
 //! * [`EdgeSink`] — where a shard's entries go, a **run** (consecutive
-//!   ascending columns of one product row) at a time: an in-memory
-//!   collector ([`MemorySink`]), a buffered binary edge-list writer
-//!   ([`EdgeListSink`], fixed-width little-endian `u64` pairs), a streaming
-//!   on-disk CSR writer ([`CsrSink`]) with an mmap-backed zero-copy reader
-//!   ([`CsrReader`]), its varint delta-encoded v2 sibling ([`Csr2Sink`] /
-//!   [`Csr2Reader`], roughly 4× smaller on sorted rows, unified behind
-//!   [`CsrMap`] + [`RowRef`]), or a statistics-only counter
-//!   ([`CountSink`]); [`compact_run`] converts a v1 run to v2 in place
-//!   with checksums preserved;
+//!   ascending columns of one product row) at a time: the one streaming
+//!   on-disk CSR writer ([`CsrWriter`]), as v1 ([`CsrSink`], raw `u64`
+//!   columns) or v2 ([`Csr2Sink`], varint delta-encoded, roughly 4×
+//!   smaller on sorted rows), or a statistics-only counter
+//!   ([`CountSink`]); [`CsrMap`] is the one mmap-backed reader of both,
+//!   handing out every row as a [`RowRef`]; [`compact_run`] converts a v1
+//!   run to v2 in place with checksums preserved;
 //! * [`ShardManifest`] — per-shard JSON recording the shard's range, entry
 //!   count, closed-form checksums (degree sum, triangle-participation sum)
 //!   and an order-independent content hash, so every shard is
@@ -55,6 +53,11 @@
 
 #![warn(missing_docs)]
 
+// Shards are memory-mapped and the server multiplexes its sockets with
+// poll(2); every crate that reads or serves a run depends on this one.
+#[cfg(not(unix))]
+compile_error!("kron-stream requires a unix target (mmap(2), poll(2))");
+
 mod compact;
 pub mod csr;
 mod driver;
@@ -67,7 +70,7 @@ mod sink;
 mod verify;
 
 pub use compact::{compact_run, CompactReport};
-pub use csr::{decode_row_vd, encode_row_vd, Csr2Reader, CsrMap, CsrReader, RowRef};
+pub use csr::{decode_row_vd, encode_row_vd, CsrMap, RowRef};
 pub use driver::{
     load_factors, load_manifest, run_shard, stream_product, StreamConfig, FACTOR_A_FILE,
     FACTOR_B_FILE, RUN_FILE,
@@ -75,7 +78,7 @@ pub use driver::{
 pub use manifest::{manifest_name, read_json, OutputFormat, RunSummary, ShardManifest, StreamHash};
 pub use open::{OpenShard, ShardSet};
 pub use plan::{ShardPlan, ShardSpec, MAX_SHARDS};
-pub use sink::{CountSink, Csr2Sink, CsrSink, EdgeListSink, EdgeSink, MemorySink};
+pub use sink::{CountSink, Csr2Sink, CsrSink, CsrWriter, EdgeSink};
 pub use verify::{verify_shards, VerifyReport};
 
 /// Errors of the streaming subsystem.
@@ -126,22 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_edges_format_verifies() {
-        let dir = tmpdir("edges");
-        let c = web_pair();
-        let mut cfg = StreamConfig::new(&dir, OutputFormat::Edges);
-        cfg.shards = 4;
-        let run = stream_product(&c, &cfg).unwrap();
-        assert_eq!(run.total_entries, c.nnz());
-        assert_eq!(run.resumed_shards, 0);
-        let report = verify_shards(&dir, true).unwrap();
-        assert_eq!(report.shards, 4);
-        assert_eq!(report.total_entries, c.nnz());
-        assert_eq!(report.artifact_bytes, 16 * c.nnz() as u64);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn end_to_end_csr_format_verifies_and_roundtrips() {
         let dir = tmpdir("csr");
         let c = web_pair();
@@ -152,9 +139,9 @@ mod tests {
         // mmap readers reproduce every adjacency row of the product
         for shard in 0..3 {
             let m = load_manifest(&dir, shard).unwrap();
-            let r = CsrReader::open(&dir.join(m.file.as_deref().unwrap())).unwrap();
+            let r = CsrMap::open(&dir.join(m.file.as_deref().unwrap())).unwrap();
             for p in m.vertices.clone() {
-                assert_eq!(r.row(p).unwrap(), c.neighbors(p).as_slice(), "row {p}");
+                assert_eq!(&*r.row(p).unwrap(), c.neighbors(p).as_slice(), "row {p}");
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -198,7 +185,7 @@ mod tests {
     fn verify_detects_artifact_tampering() {
         let dir = tmpdir("tamper");
         let c = web_pair();
-        let mut cfg = StreamConfig::new(&dir, OutputFormat::Edges);
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr2);
         cfg.shards = 2;
         stream_product(&c, &cfg).unwrap();
         verify_shards(&dir, false).unwrap();
@@ -237,24 +224,27 @@ mod tests {
     fn rerun_with_fewer_shards_removes_stale_artifacts() {
         let dir = tmpdir("shrink");
         let c = web_pair();
-        let mut cfg = StreamConfig::new(&dir, OutputFormat::Edges);
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
         cfg.shards = 8;
         stream_product(&c, &cfg).unwrap();
-        assert!(dir.join("shard_00007.edges").exists());
+        assert!(dir.join("shard_00007.csr").exists());
         // shrink the plan: indices 4..8 must disappear from disk
         cfg.shards = 4;
         stream_product(&c, &cfg).unwrap();
         for stale in 4..8 {
-            assert!(!dir.join(format!("shard_{stale:05}.edges")).exists());
+            assert!(!dir.join(format!("shard_{stale:05}.csr")).exists());
             assert!(!dir.join(crate::manifest_name(stale)).exists());
         }
         verify_shards(&dir, true).unwrap();
-        // switch format: old-format artifacts must disappear too
-        cfg.format = OutputFormat::Csr;
+        // switch format: old-format artifacts must disappear too, as must
+        // one of a format this binary no longer writes
+        std::fs::write(dir.join("shard_00000.edges"), [0u8; 16]).unwrap();
+        cfg.format = OutputFormat::Csr2;
         stream_product(&c, &cfg).unwrap();
+        assert!(!dir.join("shard_00000.edges").exists());
         for shard in 0..4 {
-            assert!(!dir.join(format!("shard_{shard:05}.edges")).exists());
-            assert!(dir.join(format!("shard_{shard:05}.csr")).exists());
+            assert!(!dir.join(format!("shard_{shard:05}.csr")).exists());
+            assert!(dir.join(format!("shard_{shard:05}.csr2")).exists());
         }
         verify_shards(&dir, true).unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -283,16 +273,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Collects every entry it is handed, in arrival order.
+    #[derive(Default)]
+    struct Collect(Vec<(u64, u64)>);
+
+    impl EdgeSink for Collect {
+        fn push_run(&mut self, p: u64, cols: &[u64]) -> std::io::Result<()> {
+            self.0.extend(cols.iter().map(|&q| (p, q)));
+            Ok(())
+        }
+
+        fn finish(&mut self) -> std::io::Result<Option<(String, u64)>> {
+            Ok(None)
+        }
+    }
+
     #[test]
     fn memory_sinks_concatenate_to_the_full_generator_loop() {
         let c = web_pair();
         let plan = ShardPlan::new(&c, 7);
         let mut all = Vec::new();
         for spec in plan.iter() {
-            let mut sink = MemorySink::default();
+            let mut sink = Collect::default();
             let m = run_shard(&c, spec, OutputFormat::Count, &mut sink).unwrap();
-            assert_eq!(m.entries as usize, sink.entries.len());
-            all.extend(sink.entries);
+            assert_eq!(m.entries as usize, sink.0.len());
+            all.extend(sink.0);
         }
         let mut expect: Vec<(u64, u64)> = c.adjacency_entries().collect();
         all.sort_unstable();

@@ -9,8 +9,6 @@ use std::path::Path;
 /// Artifact format of a stream run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OutputFormat {
-    /// Binary edge list: fixed-width little-endian `u64` pairs.
-    Edges,
     /// On-disk CSR, raw `u64` columns (see [`crate::csr`]).
     Csr,
     /// On-disk CSR v2, varint delta-encoded columns (see [`crate::csr`]).
@@ -23,7 +21,6 @@ impl OutputFormat {
     /// Canonical name, as written in manifests and accepted by the CLI.
     pub fn as_str(self) -> &'static str {
         match self {
-            OutputFormat::Edges => "edges",
             OutputFormat::Csr => "csr",
             OutputFormat::Csr2 => "csr2",
             OutputFormat::Count => "count",
@@ -37,12 +34,11 @@ impl OutputFormat {
     /// A message naming the unrecognized format and the accepted set.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "edges" => Ok(OutputFormat::Edges),
             "csr" => Ok(OutputFormat::Csr),
             "csr2" => Ok(OutputFormat::Csr2),
             "count" => Ok(OutputFormat::Count),
             other => Err(format!(
-                "unknown format {other:?} (expected edges, csr, csr2, or count)"
+                "unknown format {other:?} (expected csr, csr2, or count)"
             )),
         }
     }
@@ -50,7 +46,6 @@ impl OutputFormat {
     /// Artifact file name for one shard, `None` for [`OutputFormat::Count`].
     pub fn artifact_name(self, shard: usize) -> Option<String> {
         match self {
-            OutputFormat::Edges => Some(format!("shard_{shard:05}.edges")),
             OutputFormat::Csr => Some(format!("shard_{shard:05}.csr")),
             OutputFormat::Csr2 => Some(format!("shard_{shard:05}.csr2")),
             OutputFormat::Count => None,
@@ -467,7 +462,7 @@ mod tests {
     fn run_summary_roundtrip() {
         let s = RunSummary {
             shards: 8,
-            format: OutputFormat::Edges,
+            format: OutputFormat::Csr2,
             n_a: 1024,
             n_b: 1024,
             nnz_a: 32768,
@@ -507,22 +502,19 @@ mod tests {
 
     #[test]
     fn format_parse_roundtrip() {
-        for f in [
-            OutputFormat::Edges,
-            OutputFormat::Csr,
-            OutputFormat::Csr2,
-            OutputFormat::Count,
-        ] {
+        for f in [OutputFormat::Csr, OutputFormat::Csr2, OutputFormat::Count] {
             assert_eq!(OutputFormat::parse(f.as_str()).unwrap(), f);
         }
-        let err = OutputFormat::parse("parquet").unwrap_err();
-        assert!(
-            err.contains("edges, csr, csr2, or count"),
-            "error must name the accepted set: {err}"
-        );
+        for gone in ["parquet", "edges"] {
+            let err = OutputFormat::parse(gone).unwrap_err();
+            assert!(
+                err.contains("(expected csr, csr2, or count)"),
+                "error must name the accepted set: {err}"
+            );
+        }
         assert_eq!(
-            OutputFormat::Edges.artifact_name(7).unwrap(),
-            "shard_00007.edges"
+            OutputFormat::Csr.artifact_name(7).unwrap(),
+            "shard_00007.csr"
         );
         assert_eq!(
             OutputFormat::Csr2.artifact_name(7).unwrap(),

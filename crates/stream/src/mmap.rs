@@ -1,36 +1,27 @@
-//! Read-only memory mapping with a portable fallback.
+//! Read-only memory mapping through `mmap(2)`.
 //!
-//! On unix this calls `mmap(2)` directly (the build environment has no
-//! crate registry, so no `memmap2`); elsewhere — and for empty files — it
-//! falls back to reading the file into an owned, 8-byte-aligned buffer.
-//! Either way [`Mmap`] dereferences to `&[u8]` whose base address is
-//! suitably aligned for `u64` access (page-aligned under mmap, `Vec<u64>`
-//! backed in the fallback).
+//! The build environment has no crate registry, so no `memmap2`: [`Mmap`]
+//! calls `mmap(2)` directly and dereferences to `&[u8]` whose base address
+//! is page-aligned, so suitably aligned for `u64` access. An empty file,
+//! which `mmap(2)` refuses to map, is a zero-length view with no mapping
+//! behind it.
 
 use std::fs::File;
 use std::io;
+use std::os::unix::io::AsRawFd;
 
 /// A read-only view of an entire file.
 pub struct Mmap {
-    inner: Inner,
+    ptr: *const u8,
+    len: usize,
 }
 
-enum Inner {
-    #[cfg(unix)]
-    Mapped {
-        ptr: *const u8,
-        len: usize,
-    },
-    Owned(Vec<u64>, usize),
-}
-
-// The mapping is read-only for its whole lifetime.
-#[cfg(unix)]
+// SAFETY: `ptr`/`len` are a private, read-only mapping (or an empty view)
+// that lives until `Drop` and is never written through, so moving or
+// sharing the view across threads cannot race.
 unsafe impl Send for Mmap {}
-#[cfg(unix)]
 unsafe impl Sync for Mmap {}
 
-#[cfg(unix)]
 mod sys {
     use std::os::raw::{c_int, c_void};
 
@@ -55,62 +46,35 @@ impl Mmap {
     ///
     /// # Errors
     ///
-    /// Any `mmap(2)` failure (the empty-file case maps a dummy page and
-    /// cannot fail for that reason).
+    /// Any `mmap(2)` failure (an empty file maps nothing and cannot fail
+    /// for that reason).
     pub fn map_readonly(file: &File) -> io::Result<Mmap> {
-        let len = file.metadata()?.len();
-        let len_usize = usize::try_from(len)
+        let len = usize::try_from(file.metadata()?.len())
             .map_err(|_| io::Error::new(io::ErrorKind::OutOfMemory, "file too large to map"))?;
-        if len_usize == 0 {
+        if len == 0 {
             return Ok(Mmap {
-                inner: Inner::Owned(Vec::new(), 0),
+                ptr: std::ptr::NonNull::<u64>::dangling().as_ptr().cast(),
+                len,
             });
         }
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
-            // SAFETY: fd is a valid open file, length matches its size,
-            // and the mapping is private + read-only; unmapped in Drop.
-            let ptr = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len_usize,
-                    sys::PROT_READ,
-                    sys::MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Mmap {
-                inner: Inner::Mapped {
-                    ptr: ptr as *const u8,
-                    len: len_usize,
-                },
-            })
+        // SAFETY: fd is a valid open file, length matches its size,
+        // and the mapping is private + read-only; unmapped in Drop.
+        let ptr = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ,
+                sys::MAP_PRIVATE,
+                file.as_raw_fd(),
+                0,
+            )
+        };
+        if ptr as isize == -1 {
+            return Err(io::Error::last_os_error());
         }
-        #[cfg(not(unix))]
-        {
-            Self::read_owned(file, len_usize)
-        }
-    }
-
-    /// Fallback: read the whole file into an 8-byte-aligned buffer.
-    #[allow(dead_code)]
-    fn read_owned(file: &File, len: usize) -> io::Result<Mmap> {
-        use std::io::Read;
-        let words = len.div_ceil(8);
-        let mut buf = vec![0u64; words];
-        // SAFETY: u64 buffer reinterpreted as bytes for reading; any bit
-        // pattern is a valid u64.
-        let bytes =
-            unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, words * 8) };
-        let mut reader = file;
-        reader.read_exact(&mut bytes[..len])?;
         Ok(Mmap {
-            inner: Inner::Owned(buf, len),
+            ptr: ptr as *const u8,
+            len,
         })
     }
 }
@@ -119,27 +83,18 @@ impl std::ops::Deref for Mmap {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        match &self.inner {
-            #[cfg(unix)]
-            Inner::Mapped { ptr, len } => {
-                // SAFETY: the mapping is live for self's lifetime.
-                unsafe { std::slice::from_raw_parts(*ptr, *len) }
-            }
-            Inner::Owned(buf, len) => {
-                // SAFETY: buf holds at least `len` initialized bytes.
-                unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u8, *len) }
-            }
-        }
+        // SAFETY: the mapping is live for self's lifetime; an empty view
+        // is a dangling, aligned pointer of length 0.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
 impl Drop for Mmap {
     fn drop(&mut self) {
-        #[cfg(unix)]
-        if let Inner::Mapped { ptr, len } = self.inner {
+        if self.len > 0 {
             // SAFETY: ptr/len came from a successful mmap.
             unsafe {
-                sys::munmap(ptr as *mut std::os::raw::c_void, len);
+                sys::munmap(self.ptr as *mut std::os::raw::c_void, self.len);
             }
         }
     }
@@ -191,14 +146,10 @@ mod tests {
         File::create(&path).unwrap();
         let map = Mmap::map_readonly(&File::open(&path).unwrap()).unwrap();
         assert!(map.is_empty());
-    }
-
-    #[test]
-    fn owned_fallback_matches() {
-        let path = tmp("owned.bin");
-        std::fs::write(&path, (0u8..96).collect::<Vec<_>>()).unwrap();
-        let f = File::open(&path).unwrap();
-        let owned = Mmap::read_owned(&f, 96).unwrap();
-        assert_eq!(&owned[..], (0u8..96).collect::<Vec<_>>().as_slice());
+        assert_eq!(
+            as_u64s(&map),
+            &[] as &[u64],
+            "an empty view is still aligned"
+        );
     }
 }

@@ -548,9 +548,9 @@ mod tests {
 
     #[test]
     fn open_rejects_non_csr_runs() {
-        let dir = tmpdir("edges_fmt");
+        let dir = tmpdir("count_fmt");
         let c = product();
-        let mut cfg = StreamConfig::new(&dir, OutputFormat::Edges);
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Count);
         cfg.shards = 2;
         stream_product(&c, &cfg).unwrap();
         let err = ShardSet::open(&dir).unwrap_err();

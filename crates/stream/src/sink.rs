@@ -2,36 +2,32 @@
 //!
 //! The driver pushes **runs** — slices of consecutive ascending columns
 //! of one product row, in product row-major order, as produced by
-//! [`kron::RowRuns`] — and a sink persists or collects them. A row
-//! arrives as one run or, past [`RUN_CAPACITY`] entries, as several; an
-//! empty row as none. Implementations:
+//! [`kron::RowRuns`] — and a sink persists or counts them. A row arrives
+//! as one run or, past [`RUN_CAPACITY`] entries, as several; an empty row
+//! as none. Implementations:
 //!
 //! * [`CountSink`] — statistics only, no artifact (generation-rate
 //!   benchmarking and manifest-only validation runs);
-//! * [`MemorySink`] — in-memory collector for tests and small products;
-//! * [`EdgeListSink`] — buffered binary writer, fixed-width little-endian
-//!   `u64` pairs (16 bytes per entry, no header);
-//! * [`CsrSink`] — on-disk CSR: the header and the closed-form row
-//!   offsets are written at construction, then each run's column ids are
-//!   appended as it streams through. See [`crate::csr`] for the layout.
-//! * [`Csr2Sink`] — the varint delta-encoded v2 format: each run's
-//!   column gaps go through a LEB128 encoder while a second handle
-//!   trails behind filling in the byte-offset table as each row closes.
-//!   See [`crate::csr`] for the layout.
+//! * [`CsrWriter`] — the one on-disk CSR writer, over either row codec:
+//!   [`CsrSink`] writes v1 (raw `u64` columns), [`Csr2Sink`] v2 (varint
+//!   delta-encoded). See [`crate::csr`] for the layout.
 //!
-//! Both CSR sinks admit a run through one `RowCursor` check against the
-//! closed-form row lengths, encode it into a scratch buffer and hand the
-//! file one `write_all`. Whatever the run length, the scratch holds at
-//! most [`RUN_CAPACITY`] entries at a time, so a writer's memory is O(1)
-//! in the shard, the row, and the run.
+//! The writer admits a run through one `RowCursor` check against the
+//! closed-form row lengths, encodes it into a scratch buffer and hands the
+//! file one `write_all`, while a second handle trails behind filling in
+//! the offset table as each row closes. Whatever the run length, the
+//! scratch holds at most [`RUN_CAPACITY`] entries at a time, so the
+//! writer's memory is O(1) in the shard, the row, and the run.
 //!
-//! File-backed sinks write to `<name>.tmp` and rename on
-//! [`EdgeSink::finish`], so a crashed run never leaves a plausible-looking
-//! partial artifact — resume logic treats a missing final file as "redo".
+//! The writer works on `<name>.tmp` and renames on [`EdgeSink::finish`],
+//! so a crashed run never leaves a plausible-looking partial artifact —
+//! resume logic treats a missing final file as "redo".
 
+use crate::csr::{file_size_checked, RowCodec, HEADER};
 use kron::RUN_CAPACITY;
 use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Destination of one shard's adjacency-entry stream.
@@ -57,24 +53,6 @@ pub struct CountSink {
 impl EdgeSink for CountSink {
     fn push_run(&mut self, _p: u64, cols: &[u64]) -> io::Result<()> {
         self.entries += cols.len() as u64;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<Option<(String, u64)>> {
-        Ok(None)
-    }
-}
-
-/// In-memory collector.
-#[derive(Default)]
-pub struct MemorySink {
-    /// The collected entries, in arrival order.
-    pub entries: Vec<(u64, u64)>,
-}
-
-impl EdgeSink for MemorySink {
-    fn push_run(&mut self, p: u64, cols: &[u64]) -> io::Result<()> {
-        self.entries.extend(cols.iter().map(|&q| (p, q)));
         Ok(())
     }
 
@@ -116,50 +94,10 @@ impl TmpFile {
     }
 }
 
-/// Buffered binary edge-list writer: each entry is 16 bytes, `p` then `q`,
-/// both little-endian `u64`. No header; the manifest carries the counts.
-pub struct EdgeListSink {
-    file: TmpFile,
-    written: u64,
-}
-
-impl EdgeListSink {
-    /// Open `<dir>/<name>.tmp` for streaming.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating the artifact file.
-    pub fn create(dir: &Path, name: &str) -> io::Result<Self> {
-        Ok(Self {
-            file: TmpFile::create(dir, name)?,
-            written: 0,
-        })
-    }
-}
-
-impl EdgeSink for EdgeListSink {
-    fn push_run(&mut self, p: u64, cols: &[u64]) -> io::Result<()> {
-        let mut buf = [0u8; 16];
-        buf[..8].copy_from_slice(&p.to_le_bytes());
-        for &q in cols {
-            buf[8..].copy_from_slice(&q.to_le_bytes());
-            self.file.writer.write_all(&buf)?;
-        }
-        self.written += cols.len() as u64;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<Option<(String, u64)>> {
-        let (name, bytes) = self.file.commit()?;
-        debug_assert_eq!(bytes, self.written * 16);
-        Ok(Some((name, bytes)))
-    }
-}
-
 /// Row-major admission against the closed-form row lengths: which row of
-/// the shard is open and how many more entries it takes. Both CSR sinks
-/// own one, so "vertex in shard, rows in order, no row past its length,
-/// all `nnz` entries at the end" is decided in one place.
+/// the shard is open and how many more entries it takes, so "vertex in
+/// shard, rows in order, no row past its length, all `nnz` entries at the
+/// end" is decided in one place.
 struct RowCursor<I> {
     vertex_lo: u64,
     num_rows: u64,
@@ -258,149 +196,88 @@ impl<I: Iterator<Item = u64>> RowCursor<I> {
     }
 }
 
-/// Streaming on-disk CSR writer.
+/// The v1 (`csr`, raw `u64` columns) shard writer.
+pub type CsrSink<I> = CsrWriter<crate::csr::Raw, I>;
+
+/// The v2 (`csr2`, varint delta-encoded) shard writer.
+pub type Csr2Sink<I> = CsrWriter<crate::csr::VarintDelta, I>;
+
+/// Streaming on-disk CSR writer over the row codec `C`.
 ///
-/// Construction writes the header and the complete offset array up front
-/// from the *closed-form* row lengths
+/// Construction writes the header and leaves room for the offset table,
+/// sized from the *closed-form* row lengths
 /// (`rowlen_C(i·n_B + k) = rowlen_A(i)·rowlen_B(k)` — no scan of the
-/// product needed). The streaming pass appends each run's column ids,
-/// with the row grouping validated against a second walk of the same
-/// closed-form length iterator — **O(1) memory** regardless of shard
-/// size; nothing but the file grows with the shard.
-pub struct CsrSink<I: Iterator<Item = u64>> {
+/// product needed). The streaming pass appends each run, encoded, to the
+/// main handle while a **second** handle, parked at the offset table,
+/// fills in the real offsets as each row closes. Row grouping is checked
+/// against a second walk of the same closed-form length iterator, so the
+/// writer holds **O(1) memory** however many rows the shard has. Columns
+/// within a row must arrive strictly ascending, within a run and from one
+/// run of the row to the next; the generator's row-major sorted stream
+/// satisfies this by construction.
+pub struct CsrWriter<C, I: Iterator<Item = u64>> {
+    /// Appends the body past the offset table.
     file: TmpFile,
+    /// Trails behind, filling in the offset table.
+    offsets: BufWriter<File>,
     cursor: RowCursor<I>,
-    /// One run piece as its file bytes.
+    /// Body bytes emitted so far (the next row boundary).
+    body_bytes: u64,
+    /// Last column written to the current row, if any.
+    prev_col: Option<u64>,
+    /// One run piece as its body bytes.
     scratch: Vec<u8>,
+    codec: PhantomData<C>,
 }
 
-impl<I: Iterator<Item = u64> + Clone> CsrSink<I> {
-    /// Write header + offsets from closed-form row lengths.
+impl<C: RowCodec, I: Iterator<Item = u64> + Clone> CsrWriter<C, I> {
+    /// Write the header, skip past the offset table and open the trailing
+    /// offset handle.
     ///
     /// `vertex_lo` is the first product vertex of the shard; `row_lengths`
     /// yields the adjacency-row length of each vertex in the shard, in
-    /// order. The iterator is walked three times (totals, offsets,
-    /// streaming validation) — closed-form generators make each walk
-    /// cheap, and no per-row state is ever buffered in memory.
-    pub fn create(
-        dir: &Path,
-        name: &str,
-        vertex_lo: u64,
-        row_lengths: I,
-    ) -> io::Result<CsrSink<I>> {
-        let mut file = TmpFile::create(dir, name)?;
-        let cursor = RowCursor::new(vertex_lo, row_lengths.clone())?;
-        cursor.write_header(&mut file.writer, crate::csr::MAGIC)?;
-        // stream the prefix sums straight to disk
-        let mut acc = 0u64;
-        file.writer.write_all(&acc.to_le_bytes())?;
-        for len in row_lengths {
-            acc += len;
-            file.writer.write_all(&acc.to_le_bytes())?;
-        }
-        Ok(CsrSink {
-            file,
-            cursor,
-            scratch: Vec::new(),
-        })
-    }
-}
-
-impl<I: Iterator<Item = u64>> EdgeSink for CsrSink<I> {
-    fn push_run(&mut self, p: u64, cols: &[u64]) -> io::Result<()> {
-        self.cursor.admit(p, cols.len())?;
-        for piece in cols.chunks(RUN_CAPACITY) {
-            self.scratch.clear();
-            for &q in piece {
-                self.scratch.extend_from_slice(&q.to_le_bytes());
-            }
-            self.file.writer.write_all(&self.scratch)?;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<Option<(String, u64)>> {
-        self.cursor.finish()?;
-        let (name, bytes) = self.file.commit()?;
-        debug_assert_eq!(
-            Some(bytes),
-            crate::csr::file_size_checked(self.cursor.num_rows, self.cursor.nnz)
-        );
-        Ok(Some((name, bytes)))
-    }
-}
-
-/// Streaming writer for the v2 (varint delta-encoded) CSR format.
-///
-/// Construction writes the header and zero-fills the byte-offset table
-/// from the closed-form row count. The streaming pass appends each run as
-/// LEB128 varint gaps to the main handle while a **second** handle,
-/// parked at the offset table, fills in the real byte offsets as each row
-/// closes — so like [`CsrSink`] the writer holds O(1) memory no matter
-/// how many rows the shard has. Columns within a row must arrive strictly
-/// ascending, within a run and from one run of the row to the next (the
-/// format stores gaps); the generator's row-major sorted stream satisfies
-/// this by construction.
-pub struct Csr2Sink<I: Iterator<Item = u64>> {
-    /// Appends the column stream past the offset table.
-    file: TmpFile,
-    /// Trails behind, overwriting the zero-filled offset table.
-    offsets: BufWriter<File>,
-    cursor: RowCursor<I>,
-    /// Column-stream bytes emitted so far (the next row boundary).
-    stream_bytes: u64,
-    /// Last column written to the current row, if any.
-    prev_col: Option<u64>,
-    /// One run piece as its stream bytes.
-    scratch: Vec<u8>,
-}
-
-impl<I: Iterator<Item = u64> + Clone> Csr2Sink<I> {
-    /// Write header + zeroed offset table and open the trailing offset
-    /// handle. Same contract as [`CsrSink::create`]: `row_lengths` yields
-    /// closed-form row lengths.
-    pub fn create(
-        dir: &Path,
-        name: &str,
-        vertex_lo: u64,
-        row_lengths: I,
-    ) -> io::Result<Csr2Sink<I>> {
+    /// order. The iterator is walked twice (totals, streaming validation)
+    /// — closed-form generators make each walk cheap, and no per-row state
+    /// is ever buffered in memory.
+    pub fn create(dir: &Path, name: &str, vertex_lo: u64, row_lengths: I) -> io::Result<Self> {
         let mut file = TmpFile::create(dir, name)?;
         let cursor = RowCursor::new(vertex_lo, row_lengths)?;
-        cursor.write_header(&mut file.writer, crate::csr::MAGIC2)?;
-        for _ in 0..=cursor.num_rows {
-            file.writer.write_all(&0u64.to_le_bytes())?;
-        }
-        // The main handle must be fully flushed before the trailing
-        // offset handle starts overwriting the table, or a late flush of
-        // buffered zeros could clobber real offsets.
-        file.writer.flush()?;
+        cursor.write_header(&mut file.writer, C::CODEC.magic())?;
+        // The body starts past the offset table, which the trailing handle
+        // fills in completely as rows close; until then the table is a
+        // hole that reads as zeros. (The seek flushes the header first.)
+        let table_end = file_size_checked(cursor.num_rows, 0).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "shard offset table > u64")
+        })?;
+        file.writer.seek(SeekFrom::Start(table_end))?;
         let mut offsets_file = std::fs::OpenOptions::new().write(true).open(&file.tmp)?;
-        offsets_file.seek(SeekFrom::Start(crate::csr::HEADER))?;
+        offsets_file.seek(SeekFrom::Start(HEADER))?;
         let mut offsets = BufWriter::with_capacity(1 << 16, offsets_file);
         offsets.write_all(&0u64.to_le_bytes())?; // offsets[0]
-        Ok(Csr2Sink {
+        Ok(CsrWriter {
             file,
             offsets,
             cursor,
-            stream_bytes: 0,
+            body_bytes: 0,
             prev_col: None,
             scratch: Vec::new(),
+            codec: PhantomData,
         })
     }
 }
 
-impl<I: Iterator<Item = u64>> Csr2Sink<I> {
-    /// Record the current stream position as the end of `rows` rows.
+impl<C: RowCodec, I: Iterator<Item = u64>> CsrWriter<C, I> {
+    /// Record the current body position as the end of `rows` rows.
     fn close_rows(&mut self, rows: u64) -> io::Result<()> {
+        let offset = self.body_bytes / C::CODEC.unit();
         for _ in 0..rows {
-            self.offsets.write_all(&self.stream_bytes.to_le_bytes())?;
+            self.offsets.write_all(&offset.to_le_bytes())?;
         }
         Ok(())
     }
 }
 
-impl<I: Iterator<Item = u64>> EdgeSink for Csr2Sink<I> {
+impl<C: RowCodec, I: Iterator<Item = u64>> EdgeSink for CsrWriter<C, I> {
     fn push_run(&mut self, p: u64, cols: &[u64]) -> io::Result<()> {
         let closed = self.cursor.admit(p, cols.len())?;
         if closed > 0 {
@@ -409,25 +286,9 @@ impl<I: Iterator<Item = u64>> EdgeSink for Csr2Sink<I> {
         }
         for piece in cols.chunks(RUN_CAPACITY) {
             self.scratch.clear();
-            for &q in piece {
-                let gap = match self.prev_col {
-                    None => q,
-                    Some(prev) if q > prev => q - prev,
-                    Some(prev) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!(
-                                "columns of vertex {p} not strictly ascending ({q} after {prev}); \
-                                 csr2 stores gaps and requires sorted rows"
-                            ),
-                        ));
-                    }
-                };
-                crate::csr::varint_push(gap, &mut self.scratch);
-                self.prev_col = Some(q);
-            }
+            C::CODEC.encode(p, piece, &mut self.prev_col, &mut self.scratch)?;
             self.file.writer.write_all(&self.scratch)?;
-            self.stream_bytes += self.scratch.len() as u64;
+            self.body_bytes += self.scratch.len() as u64;
         }
         Ok(())
     }
@@ -441,7 +302,7 @@ impl<I: Iterator<Item = u64>> EdgeSink for Csr2Sink<I> {
         let (name, bytes) = self.file.commit()?;
         debug_assert_eq!(
             Some(bytes),
-            crate::csr::file_size2_checked(self.cursor.num_rows, self.stream_bytes)
+            file_size_checked(self.cursor.num_rows, self.body_bytes)
         );
         Ok(Some((name, bytes)))
     }

@@ -3,12 +3,11 @@
 //! on-disk artifact.
 
 use crate::driver::{for_each_shard, load_factors};
-use crate::manifest::{OutputFormat, RunSummary, StreamHash};
+use crate::manifest::{RunSummary, StreamHash};
 use crate::open::{admit_shard, check_content, load_run_manifest};
 use crate::plan::{ShardPlan, ShardSpec};
 use crate::StreamError;
 use kron::KronProduct;
-use std::io::Read;
 use std::path::Path;
 
 /// Outcome of [`verify_shards`].
@@ -70,76 +69,28 @@ fn verify_shard(
         .map_err(StreamError::Manifest)?;
 
     // artifact structure + content checksum
-    let mut artifact_bytes = 0;
-    match m.format {
-        OutputFormat::Count => {
-            if m.file.is_some() {
-                return Err(fail("count shard names a file".into()));
+    let artifact_bytes = if m.format.is_csr() {
+        let reader = admit_shard(dir, &m)?;
+        // one pass over the rows of either format: every row decodes, has
+        // its closed-form length and strictly ascending columns, and the
+        // content checksum holds
+        let mut lengths = product.row_lengths_in_rows(spec.stats.rows.clone());
+        check_content(&reader, &m, |p, row| {
+            let want = lengths.next().unwrap_or(0);
+            if row.len() as u64 == want {
+                return Ok(());
             }
-        }
-        OutputFormat::Edges => {
-            let name = m
-                .file
-                .as_deref()
-                .ok_or_else(|| fail("edges shard has no file".into()))?;
-            let path = dir.join(name);
-            let len = std::fs::metadata(&path)
-                .map_err(|e| fail(format!("{name}: {e}")))?
-                .len();
-            let expect = (m.entries as u64).saturating_mul(16);
-            if len != m.file_bytes {
-                return Err(fail(format!(
-                    "{name}: {len} bytes on disk, manifest file_bytes says {}",
-                    m.file_bytes
-                )));
-            }
-            if len != expect {
-                return Err(fail(format!(
-                    "{name}: {len} bytes on disk, {} entries imply {expect}",
-                    m.entries
-                )));
-            }
-            artifact_bytes = len;
-            let mut hash = StreamHash::default();
-            let file = std::fs::File::open(&path).map_err(|e| fail(format!("{name}: {e}")))?;
-            let mut reader = std::io::BufReader::with_capacity(1 << 20, file);
-            let mut buf = [0u8; 16];
-            for _ in 0..m.entries {
-                reader
-                    .read_exact(&mut buf)
-                    .map_err(|e| fail(format!("{name}: {e}")))?;
-                let p = u64::from_le_bytes(buf[..8].try_into().unwrap());
-                let q = u64::from_le_bytes(buf[8..].try_into().unwrap());
-                if !spec.stats.vertices.contains(&p) {
-                    return Err(fail(format!(
-                        "{name}: source vertex {p} outside shard range"
-                    )));
-                }
-                hash.update(p, q);
-            }
-            if hash != m.hash {
-                return Err(fail(format!("{name}: content checksum mismatch")));
-            }
-        }
-        OutputFormat::Csr | OutputFormat::Csr2 => {
-            let reader = admit_shard(dir, &m)?;
-            artifact_bytes = m.file_bytes;
-            // one pass over the rows of either format: every row
-            // decodes, has its closed-form length and strictly
-            // ascending columns, and the content checksum holds
-            let mut lengths = product.row_lengths_in_rows(spec.stats.rows.clone());
-            check_content(&reader, &m, |p, row| {
-                let want = lengths.next().unwrap_or(0);
-                if row.len() as u64 == want {
-                    return Ok(());
-                }
-                Err(format!(
-                    "row {p} has {} entries, closed form says {want}",
-                    row.len()
-                ))
-            })?;
-        }
-    }
+            Err(format!(
+                "row {p} has {} entries, closed form says {want}",
+                row.len()
+            ))
+        })?;
+        m.file_bytes
+    } else if m.file.is_some() {
+        return Err(fail("count shard names a file".into()));
+    } else {
+        0
+    };
 
     if rehash {
         let mut regen = StreamHash::default();

@@ -8,8 +8,9 @@
 //! convention (Rem. 3: a triangle never uses a self loop), plus the
 //! wedge-check accounting the paper's §VI reports.
 //!
-//! Rows must be sorted ascending — exactly what `kron_stream::CsrReader`
-//! guarantees (and `verify-shards` re-checks) for every shard row.
+//! Rows must be sorted ascending — exactly what `kron_stream::CsrMap`
+//! hands out (its writer refuses anything else, and `verify-shards`
+//! re-checks) for every shard row, in either format.
 
 /// Whether a sorted row contains `v` (binary search).
 #[inline]

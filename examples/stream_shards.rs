@@ -9,7 +9,7 @@
 use kron::{human_count, KronProduct};
 use kron_gen::holme_kim;
 use kron_stream::{
-    load_manifest, stream_product, verify_shards, CsrReader, OutputFormat, ShardPlan, StreamConfig,
+    load_manifest, stream_product, verify_shards, CsrMap, OutputFormat, ShardPlan, StreamConfig,
 };
 
 fn main() {
@@ -63,7 +63,7 @@ fn main() {
         .find(|s| s.stats.vertices.contains(&p))
         .expect("some shard owns p");
     let m = load_manifest(&dir, owner.index).expect("manifest");
-    let reader = CsrReader::open(&dir.join(m.file.as_deref().unwrap())).expect("open CSR");
+    let reader = CsrMap::open(&dir.join(m.file.as_deref().unwrap())).expect("open CSR");
     let row = reader.row(p).unwrap();
     println!(
         "vertex {p}: degree {} on disk == closed form {} (first neighbors: {:?})",

@@ -8,8 +8,11 @@
 # state (run.json still csr, one shard already csr2) verifying, answering
 # and resuming — and the on-disk bytes themselves: both formats streamed
 # with 1 and with 4 threads must agree file for file, and with sha256
-# sums recorded before the write path went from entries to runs. Run
-# from the repo root; CI calls it after the release build.
+# sums recorded before the write path went from entries to runs. Last,
+# `kron stream` without `--format` must write exactly those csr2 bytes,
+# and `--format edges` (a format no longer written) must be refused
+# naming the accepted set. Run from the repo root; CI calls it after the
+# release build.
 set -euo pipefail
 
 BIN=${KRON_BIN:-target/release/kron}
@@ -104,7 +107,9 @@ fef0438e2e82e188a8f45ce09ba6576c231dcb4d6264d3421b63f0b75a3f6cad  shard_00000.js
 b5cd3477b93d1cf6215038b4e90cdedd72c0de0aae52981f30d09583c7e0d082  shard_00003.json
 SUMS
 ) || { echo "csr bytes moved from the recorded sha256s"; exit 1; }
-(cd "$work/pin_csr2_t1" && sha256sum --check --quiet - <<'SUMS'
+# the recorded csr2 sums, checked in directory $1
+csr2_sums() {
+    (cd "$1" && sha256sum --check --quiet - <<'SUMS'
 62d92e938cd18fa37b350bd0da6b22e684006919052dad393e0f1b2347f713ec  shard_00000.csr2
 fd33ae7edfebc8597c57dd61f10a8242b030c6af743655ebfee59bdfc01742c0  shard_00000.json
 b6c31d459041037ba6478b2fb7a2621d5fa81896c5bd8cf966f3f4bc29dbf3e9  shard_00001.csr2
@@ -114,6 +119,28 @@ a77a358254aab664add6a1846f663b449ec8cb2bb3136222ed1aa11526b2e38a  shard_00001.js
 b668b04020c3b63820ab7cde4c603db342bf65b9fe7b98a9894cb82ec8f681d5  shard_00003.csr2
 adde39ea419aa06efc865f227894b4e754e1d158c037e6332e817bbd15fc6409  shard_00003.json
 SUMS
-) || { echo "csr2 bytes moved from the recorded sha256s"; exit 1; }
+    )
+}
+csr2_sums "$work/pin_csr2_t1" || { echo "csr2 bytes moved from the recorded sha256s"; exit 1; }
+
+echo "== no --format writes csr2, byte for byte; --format edges is refused"
+for t in 1 4; do
+    "$BIN" stream "$work/a.tsv" "$work/a.tsv" --out "$work/pin_default_t$t" \
+        --shards 4 --threads "$t" > /dev/null
+    for f in "$work/pin_csr2_t$t"/shard_*; do
+        cmp "$f" "$work/pin_default_t$t/$(basename "$f")" \
+            || { echo "default format: $(basename "$f") differs from --format csr2"; exit 1; }
+    done
+    [ "$(run_json "$work/pin_csr2_t$t")" = "$(run_json "$work/pin_default_t$t")" ] \
+        || { echo "default format: run.json differs from --format csr2"; exit 1; }
+    csr2_sums "$work/pin_default_t$t" \
+        || { echo "default format bytes moved from the recorded sha256s"; exit 1; }
+done
+if refusal=$("$BIN" stream "$work/a.tsv" "$work/a.tsv" --out "$work/run_edges" \
+        --format edges 2>&1); then
+    echo "--format edges was accepted"; exit 1
+fi
+grep -qF 'unknown format "edges" (expected csr, csr2, or count)' <<<"$refusal" \
+    || { echo "the edges refusal does not name the accepted set: $refusal"; exit 1; }
 
 echo "format smoke OK (csr2 ${csr2_bytes}B vs csr ${csr_bytes}B)"
