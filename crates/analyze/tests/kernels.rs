@@ -572,7 +572,7 @@ fn kernels_cancel_cooperatively_and_reject_subsets() {
             Err(AnalyzeError::Cancelled)
         ));
     }
-    let subset = ShardSet::open_subset(&dir, 0..2).unwrap();
+    let subset = ShardSet::open_with(&dir, Some(0..2), false).unwrap();
     assert!(matches!(
         run(&subset, &KernelSpec::new(Kernel::Cc)),
         Err(AnalyzeError::Open(_))

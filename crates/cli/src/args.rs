@@ -59,6 +59,15 @@ impl ParsedArgs {
             .ok_or_else(|| format!("missing required argument <{name}>"))
     }
 
+    /// The value of a required option, or an error naming it with the
+    /// `hint` of what it takes (`--out DIR`).
+    pub fn required(&self, name: &str, hint: &str) -> Result<&str, String> {
+        self.options
+            .get(name)
+            .map(|s| s.as_str())
+            .ok_or_else(|| format!("missing required option --{name} {hint}"))
+    }
+
     /// Typed option with a default.
     pub fn opt<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.options.get(name) {

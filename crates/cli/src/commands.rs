@@ -6,11 +6,13 @@ use kron_gen::deterministic;
 use kron_graph::{read_edge_list_path, write_edge_list_path, Graph};
 use kron_serve::{
     parse_queries, parse_shard_range, run_batch, AnswerSource, OpenOptions, PeerSpec, Router,
-    ServeEngine,
+    ServeEngine, Server, ServerOptions,
 };
 use kron_stream::{compact_run, stream_product, verify_shards, OutputFormat, StreamConfig};
 use kron_triangles::count_triangles;
-use std::time::Instant;
+use std::io::Write;
+use std::sync::atomic::AtomicBool;
+use std::time::{Duration, Instant};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -27,7 +29,8 @@ USAGE:
   kron query <a.tsv> <b.tsv> <p> [<q>]
       O(1) degree/triangle lookup at product vertex p (or edge {p,q})
   kron query <DIR> <p> [<q>] [--source artifact|oracle|cross-check[:N]]
-      the same lookups over a `kron stream --format csr` run directory:
+             [--cache BYTES]
+      the same lookups over a `kron stream` (csr or csr2) run directory:
       artifact walks the mmap'd CSR shards (graph never loaded), oracle
       evaluates the closed forms on the run's factor copies (no shard
       I/O), cross-check runs both and fails on any disagreement
@@ -305,22 +308,56 @@ fn cmd_stats(p: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_vertex(s: &str) -> Result<u64, String> {
-    s.parse()
-        .map_err(|_| "vertex id must be an integer".to_string())
-}
-
-/// Parse the `--source` option shared by `kron serve` and the shard-dir
-/// form of `kron query`.
-fn parse_source(p: &ParsedArgs) -> Result<AnswerSource, String> {
-    match p.options.get("source") {
-        Some(s) => AnswerSource::parse(s),
-        None => Ok(AnswerSource::Artifact),
+/// Parse a product vertex id and refuse one outside `0..n` (`n = n_C`),
+/// for every command that names a vertex.
+fn vertex(s: &str, n: u64) -> Result<u64, String> {
+    let v: u64 = s
+        .parse()
+        .map_err(|_| "vertex id must be an integer".to_string())?;
+    if v >= n {
+        return Err(format!("vertex {v} out of range (n_C = {n})"));
     }
+    Ok(v)
 }
 
-/// After a cross-check run: describe the outcome, failing on mismatches.
+/// The engine options of `kron query <DIR>`, `kron path` and `kron serve`,
+/// parsed once and before any open: `--source` and `--cache`, plus (for
+/// `serving`, i.e. `kron serve`) `--no-verify`, `--shards` and `--peers`.
+/// The point commands open structurally; `kron verify-shards` owns
+/// whole-artifact hashing.
+fn engine_options(p: &ParsedArgs, serving: bool) -> Result<OpenOptions, String> {
+    let mut opts = OpenOptions {
+        verify_checksums: serving && !p.flag("no-verify"),
+        source: match p.options.get("source") {
+            Some(s) => AnswerSource::parse(s).map_err(|e| format!("--source: {e}"))?,
+            None => AnswerSource::Artifact,
+        },
+        row_cache_bytes: match p.options.get("cache") {
+            Some(s) => parse_byte_size(s).map_err(|e| format!("--cache: {e}"))?,
+            None => 0,
+        },
+        ..OpenOptions::default()
+    };
+    if serving {
+        if let Some(s) = p.options.get("shards") {
+            opts.shard_subset = Some(parse_shard_range(s).map_err(|e| format!("--shards: {e}"))?);
+        }
+        if let Some(s) = p.options.get("peers") {
+            opts.peers = PeerSpec::parse_list(s).map_err(|e| format!("--peers: {e}"))?;
+        }
+        if opts.shard_subset.is_none() && !opts.peers.is_empty() {
+            return Err("--peers requires --shards A..B (this node's own claim)".into());
+        }
+    }
+    Ok(opts)
+}
+
+/// After a run over `engine`: under a cross-checking source, describe
+/// the outcome and fail on mismatches; under any other, nothing to say.
 fn crosscheck_verdict(engine: &ServeEngine) -> Result<(), String> {
+    if engine.source().check_every().is_none() {
+        return Ok(());
+    }
     let n = engine.mismatch_count();
     if n == 0 {
         eprintln!(
@@ -341,81 +378,24 @@ fn crosscheck_verdict(engine: &ServeEngine) -> Result<(), String> {
     ))
 }
 
-/// `kron query <DIR> <p> [<q>]` — the same lookups as the factor-based
-/// path, answered off the mmap'd CSR shards (or the closed-form oracle,
-/// or both cross-checked) without loading the graph.
-fn cmd_query_shards(p: &ParsedArgs, dir: &str) -> Result<(), String> {
-    let source = parse_source(p)?;
-    let opts = OpenOptions {
-        verify_checksums: false,
-        source,
-        ..OpenOptions::default()
-    };
-    let engine = ServeEngine::open_with(std::path::Path::new(dir), &opts)
-        .map_err(|e| format!("{dir}: {e}"))?;
-    let pv = parse_vertex(p.pos(1, "p")?)?;
-    let err = |e: kron_serve::ServeError| e.to_string();
-    println!(
-        "product vertex {pv} (source: {source}; {} shard(s), {} mapped bytes)",
-        engine.shard_set().num_shards(),
-        engine.shard_set().mapped_bytes()
-    );
-    println!("  degree        = {}", engine.degree(pv).map_err(err)?);
-    println!(
-        "  triangles t_C = {}",
-        engine.vertex_triangles(pv).map_err(err)?
-    );
-    if let Some(qs) = p.positional.get(2) {
-        let qv = parse_vertex(qs)?;
-        match engine.edge_triangles(pv, qv).map_err(err)? {
-            Some(d) => println!("  edge ({pv},{qv}): Δ_C = {d}"),
-            None => println!("  ({pv},{qv}) is not an edge of C"),
-        }
-    }
-    if matches!(
-        source,
-        AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_)
-    ) {
-        crosscheck_verdict(&engine)?;
-    }
-    Ok(())
-}
-
 /// `kron path <DIR> --from F --to T [--max-depth K]` — the traversal
 /// endpoints' bidirectional BFS, answered in-process over the run
-/// directory. Structural open like the shard-dir `kron query` (point
-/// traversals re-read only the rows they touch; `kron verify-shards`
-/// owns whole-artifact hashing).
+/// directory.
 fn cmd_path(p: &ParsedArgs) -> Result<(), String> {
     let dir = p.pos(0, "dir")?;
-    let from = parse_vertex(
-        p.options
-            .get("from")
-            .ok_or("missing required option --from V")?,
-    )?;
-    let to = parse_vertex(
-        p.options
-            .get("to")
-            .ok_or("missing required option --to V")?,
-    )?;
-    let max_depth = match p.options.get("max-depth") {
-        Some(s) => Some(
-            s.parse::<u64>()
-                .map_err(|_| "--max-depth: hop count must be an integer".to_string())?,
-        ),
-        None => None,
-    };
-    let source = parse_source(p)?;
-    let opts = OpenOptions {
-        verify_checksums: false,
-        source,
-        row_cache_bytes: match p.options.get("cache") {
-            Some(s) => parse_byte_size(s).map_err(|e| format!("--cache: {e}"))?,
-            None => 0,
-        },
-        ..OpenOptions::default()
-    };
-    let engine = open_serve_engine(dir, &opts)?;
+    let from = p.required("from", "V")?;
+    let to = p.required("to", "V")?;
+    let max_depth = p
+        .options
+        .get("max-depth")
+        .map(|s| s.parse::<u64>())
+        .transpose()
+        .map_err(|_| "--max-depth: hop count must be an integer")?;
+    let engine = open_serve_engine(dir, &engine_options(p, false)?)?;
+    let (from, to) = (
+        vertex(from, engine.num_vertices())?,
+        vertex(to, engine.num_vertices())?,
+    );
     let t0 = Instant::now();
     let answer = kron_serve::PathFinder::new(&engine)
         .shortest_path(from, to, max_depth)
@@ -447,60 +427,65 @@ fn cmd_path(p: &ParsedArgs) -> Result<(), String> {
             println!("unreachable");
         }
     }
-    if matches!(
-        source,
-        AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_)
-    ) {
-        crosscheck_verdict(&engine)?;
-    }
-    Ok(())
+    crosscheck_verdict(&engine)
 }
 
+/// `kron query <a.tsv> <b.tsv> <p> [<q>]` answers in closed form off the
+/// factors; `kron query <DIR> <p> [<q>]` answers the same lookups off a
+/// run directory — its mmap'd CSR shards, its closed-form oracle, or
+/// both cross-checked — without loading the graph.
 fn cmd_query(p: &ParsedArgs) -> Result<(), String> {
     let first = p.pos(0, "a|DIR")?;
-    if std::path::Path::new(first).is_dir() {
-        return cmd_query_shards(p, first);
+    if !std::path::Path::new(first).is_dir() {
+        let c = KronProduct::new(load(first)?, load(p.pos(1, "b")?)?);
+        let (pv, qv) = point(p, 2, c.num_vertices())?;
+        let (i, k) = c.indexer().split(pv);
+        println!("product vertex {pv} = (A:{i}, B:{k})");
+        let edge = qv.map(|qv| (qv, c.edge_triangles(pv, qv)));
+        print_lookups(pv, c.degree(pv), c.vertex_triangles(pv), edge);
+        return Ok(());
     }
-    let a = load(first)?;
-    let b = load(p.pos(1, "b")?)?;
-    let pv: u64 = parse_vertex(p.pos(2, "p")?)?;
-    let c = KronProduct::new(a, b);
-    if pv >= c.num_vertices() {
-        return Err(format!(
-            "vertex {pv} out of range (n_C = {})",
-            c.num_vertices()
-        ));
+    let engine = open_serve_engine(first, &engine_options(p, false)?)?;
+    let (pv, qv) = point(p, 1, engine.num_vertices())?;
+    println!(
+        "product vertex {pv} (source: {}; {} shard(s), {} mapped bytes)",
+        engine.source(),
+        engine.shard_set().num_shards(),
+        engine.shard_set().mapped_bytes()
+    );
+    let err = |e: kron_serve::ServeError| e.to_string();
+    let degree = engine.degree(pv).map_err(err)?;
+    let t = engine.vertex_triangles(pv).map_err(err)?;
+    let edge = qv.map(|qv| engine.edge_triangles(pv, qv).map(|d| (qv, d)));
+    let edge = edge.transpose().map_err(err)?;
+    print_lookups(pv, degree, t, edge);
+    crosscheck_verdict(&engine)
+}
+
+/// The `<p> [<q>]` of `kron query`, from positional argument `at` on.
+fn point(p: &ParsedArgs, at: usize, n: u64) -> Result<(u64, Option<u64>), String> {
+    let pv = vertex(p.pos(at, "p")?, n)?;
+    let qv = p.positional.get(at + 1).map(|q| vertex(q, n)).transpose()?;
+    Ok((pv, qv))
+}
+
+/// The answer lines both `kron query` forms print: degree and `t_C` of
+/// `pv`, then `Δ_C` of `{pv, q}` (or that it is no edge) when asked.
+fn print_lookups(pv: u64, degree: u64, t: u64, edge: Option<(u64, Option<u64>)>) {
+    println!("  degree        = {degree}");
+    println!("  triangles t_C = {t}");
+    match edge {
+        Some((qv, Some(d))) => println!("  edge ({pv},{qv}): Δ_C = {d}"),
+        Some((qv, None)) => println!("  ({pv},{qv}) is not an edge of C"),
+        None => {}
     }
-    let (i, k) = c.indexer().split(pv);
-    println!("product vertex {pv} = (A:{i}, B:{k})");
-    println!("  degree        = {}", c.degree(pv));
-    println!("  triangles t_C = {}", c.vertex_triangles(pv));
-    if let Some(qs) = p.positional.get(3) {
-        let qv: u64 = qs
-            .parse()
-            .map_err(|_| "vertex id must be an integer".to_string())?;
-        match c.edge_triangles(pv, qv) {
-            Some(d) => println!("  edge ({pv},{qv}): Δ_C = {d}"),
-            None => println!("  ({pv},{qv}) is not an edge of C"),
-        }
-    }
-    Ok(())
 }
 
 fn cmd_egonet(p: &ParsedArgs) -> Result<(), String> {
     let a = load(p.pos(0, "a")?)?;
     let b = load(p.pos(1, "b")?)?;
-    let pv: u64 = p
-        .pos(2, "p")?
-        .parse()
-        .map_err(|_| "vertex id must be an integer".to_string())?;
     let c = KronProduct::new(a, b);
-    if pv >= c.num_vertices() {
-        return Err(format!(
-            "vertex {pv} out of range (n_C = {})",
-            c.num_vertices()
-        ));
-    }
+    let pv = vertex(p.pos(2, "p")?, c.num_vertices())?;
     let ego = c.egonet(pv);
     println!(
         "egonet of {pv}: {} vertices, {} edges; center degree {}, center triangles {}",
@@ -536,10 +521,7 @@ fn cmd_truss(p: &ParsedArgs) -> Result<(), String> {
 fn cmd_stream(p: &ParsedArgs) -> Result<(), String> {
     let a = load(p.pos(0, "a")?)?;
     let b = load(p.pos(1, "b")?)?;
-    let out = p
-        .options
-        .get("out")
-        .ok_or_else(|| "missing required option --out DIR".to_string())?;
+    let out = p.required("out", "DIR")?;
     let format = OutputFormat::parse(&p.opt("format", "csr2".to_string())?)?;
     let cfg = StreamConfig {
         out_dir: out.into(),
@@ -632,9 +614,7 @@ fn open_serve_engine(dir: &str, opts: &OpenOptions) -> Result<ServeEngine, Strin
 /// byte-comparable.
 fn cmd_analyze(p: &ParsedArgs) -> Result<(), String> {
     let dir = p.pos(0, "dir")?;
-    let kernel = kron_analyze::Kernel::parse(p.options.get("kernel").ok_or_else(|| {
-        "missing required option --kernel bfs|cc|pagerank|tri-census".to_string()
-    })?)?;
+    let kernel = kron_analyze::Kernel::parse(p.required("kernel", "bfs|cc|pagerank|tri-census")?)?;
     let mut spec = kron_analyze::KernelSpec::new(kernel);
     spec.source = p.opt("source", spec.source)?;
     if p.options.contains_key("depth") {
@@ -644,11 +624,7 @@ fn cmd_analyze(p: &ParsedArgs) -> Result<(), String> {
     spec.max_iters = p.opt("iters", spec.max_iters)?;
     spec.top_k = p.opt("top", spec.top_k)?;
     spec.validate = !p.flag("no-validate");
-    let threads: usize = p.opt("threads", 0)?;
-    if threads > 0 {
-        // the shim rayon sizes its pool from this on every call
-        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    }
+    rayon_threads(p)?;
     // Structural open only: the kernels recount everything and tri-census
     // checks the totals against the closed forms, which is a stronger
     // verdict than re-hashing bytes (`kron verify-shards` does that).
@@ -682,104 +658,86 @@ fn cmd_analyze(p: &ParsedArgs) -> Result<(), String> {
     }
 }
 
-/// Parse the event-loop tuning flags shared by `kron serve --listen` and
-/// `kron route` into a [`kron_serve::ServerOptions`]. Absent or zero
-/// values stay at the crate defaults (worker pool 64, 10240 connections,
-/// 60s idle / 10s I/O timeouts); the timeout flags take fractional
-/// seconds.
-fn parse_server_options(p: &ParsedArgs) -> Result<kron_serve::ServerOptions, String> {
-    let idle: f64 = p.opt("idle-timeout", 0.0)?;
-    let io: f64 = p.opt("io-timeout", 0.0)?;
-    for (name, v) in [("idle-timeout", idle), ("io-timeout", io)] {
-        if v < 0.0 || !v.is_finite() {
-            return Err(format!(
-                "--{name}: expected a non-negative number of seconds"
-            ));
-        }
+/// `--threads T` of the batch commands: the shim rayon sizes its pool
+/// from `RAYON_NUM_THREADS` on every call (absent or 0: every core).
+fn rayon_threads(p: &ParsedArgs) -> Result<(), String> {
+    let threads: usize = p.opt("threads", 0)?;
+    if threads > 0 {
+        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
     }
-    Ok(kron_serve::ServerOptions {
+    Ok(())
+}
+
+/// A non-negative number of seconds (fractions allowed) from option
+/// `--name`; absent or 0 is `None`, the caller's default.
+fn seconds(p: &ParsedArgs, name: &str) -> Result<Option<Duration>, String> {
+    let secs: f64 = p.opt(name, 0.0)?;
+    if secs < 0.0 || !secs.is_finite() {
+        return Err(format!(
+            "--{name}: expected a non-negative number of seconds"
+        ));
+    }
+    Ok((secs > 0.0).then(|| Duration::from_secs_f64(secs)))
+}
+
+/// The long-lived front of `kron serve --listen` and `kron route`: parse
+/// the event-loop options (absent or zero values keep the crate
+/// defaults), build what serves with `open`, bind `addr`, announce the
+/// bound address on stdout, run until SIGTERM/ctrl-c, and report the
+/// totals on stderr. Returns what `open` built, for a verdict after
+/// shutdown.
+fn listen<S, R: std::fmt::Display>(
+    p: &ParsedArgs,
+    addr: &str,
+    open: impl FnOnce() -> Result<S, String>,
+    run: impl FnOnce(&S, &Server, &ServerOptions, &AtomicBool) -> std::io::Result<R>,
+) -> Result<(S, R), String> {
+    let opts = ServerOptions {
         threads: p.opt("threads", 0)?,
         jobs: p.opt("jobs", 0)?,
         max_conns: p.opt("max-conns", 0)?,
-        idle_timeout: (idle > 0.0).then(|| std::time::Duration::from_secs_f64(idle)),
-        io_timeout: (io > 0.0).then(|| std::time::Duration::from_secs_f64(io)),
-    })
-}
-
-fn cmd_serve_listen(
-    dir: &str,
-    addr: &str,
-    opts: &OpenOptions,
-    server_opts: &kron_serve::ServerOptions,
-) -> Result<(), String> {
-    let engine = open_serve_engine(dir, opts)?;
-    let server = kron_serve::Server::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+        idle_timeout: seconds(p, "idle-timeout")?,
+        io_timeout: seconds(p, "io-timeout")?,
+    };
+    let serving = open()?;
+    let server = Server::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| e.to_string())?;
     // The bound address (with the real port for `:0`) goes to stdout so
     // scripts can capture it; flush explicitly — stdout is block-buffered
     // when piped, and the reader needs this line *before* shutdown.
     println!("listening on http://{local}");
-    use std::io::Write;
     std::io::stdout().flush().ok();
     let shutdown = crate::signals::install_shutdown_flag();
-    let report = server
-        .run(&engine, server_opts, shutdown)
-        .map_err(|e| e.to_string())?;
+    let report = run(&serving, &server, &opts, shutdown).map_err(|e| e.to_string())?;
     eprintln!("shutdown: {report}");
-    // Job validation failures are the whole-graph analogue of cross-check
-    // mismatches and fail the run under any --source. Cancelled jobs
-    // (SIGTERM mid-kernel) deliberately do not: cancellation says nothing
-    // about the artifact.
-    if report.job_validation_failures > 0 {
-        return Err(format!(
-            "{} analytics job(s) contradicted the closed forms \
-             (artifact corrupt or stale)",
-            report.job_validation_failures
-        ));
-    }
-    match opts.source {
-        AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_) => {
-            crosscheck_verdict(&engine)
-        }
-        _ => Ok(()),
-    }
+    Ok((serving, report))
 }
 
 fn cmd_serve(p: &ParsedArgs) -> Result<(), String> {
     let dir = p.pos(0, "dir")?;
-    let threads: usize = p.opt("threads", 0)?;
-    let shard_subset = match p.options.get("shards") {
-        Some(s) => Some(parse_shard_range(s).map_err(|e| format!("--shards: {e}"))?),
-        None => None,
-    };
-    let peers = match p.options.get("peers") {
-        Some(s) => PeerSpec::parse_list(s).map_err(|e| format!("--peers: {e}"))?,
-        None => Vec::new(),
-    };
-    if shard_subset.is_none() && !peers.is_empty() {
-        return Err("--peers requires --shards A..B (this node's own claim)".into());
-    }
-    let opts = OpenOptions {
-        verify_checksums: !p.flag("no-verify"),
-        source: parse_source(p)?,
-        row_cache_bytes: match p.options.get("cache") {
-            Some(s) => parse_byte_size(s).map_err(|e| format!("--cache: {e}"))?,
-            None => 0,
-        },
-        shard_subset,
-        peers,
-        ..OpenOptions::default()
-    };
+    let opts = engine_options(p, true)?;
     if let Some(addr) = p.options.get("listen") {
-        return cmd_serve_listen(dir, addr, &opts, &parse_server_options(p)?);
+        let (engine, report) = listen(
+            p,
+            addr,
+            || open_serve_engine(dir, &opts),
+            |engine, server, server_opts, stop| server.run(engine, server_opts, stop),
+        )?;
+        // Job validation failures are the whole-graph analogue of
+        // cross-check mismatches and fail the run under any --source.
+        // Cancelled jobs (SIGTERM mid-kernel) deliberately do not:
+        // cancellation says nothing about the artifact.
+        if report.job_validation_failures > 0 {
+            return Err(format!(
+                "{} analytics job(s) contradicted the closed forms \
+                 (artifact corrupt or stale)",
+                report.job_validation_failures
+            ));
+        }
+        return crosscheck_verdict(&engine);
     }
-    let file = p.options.get("queries").ok_or_else(|| {
-        "missing required option --queries FILE (or --listen ADDR for the server)".to_string()
-    })?;
-    if threads > 0 {
-        // the shim rayon sizes its pool from this on every call
-        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    }
+    let file = p.required("queries", "FILE (or --listen ADDR for the server)")?;
+    rayon_threads(p)?;
     let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
     let queries = parse_queries(&text).map_err(|e| format!("{file}: {e}"))?;
     let engine = open_serve_engine(dir, &opts)?;
@@ -808,12 +766,7 @@ fn cmd_serve(p: &ParsedArgs) -> Result<(), String> {
             eprintln!("{}", rep.shard_summary());
         }
     }
-    if matches!(
-        opts.source,
-        AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_)
-    ) {
-        crosscheck_verdict(&engine)?;
-    }
+    crosscheck_verdict(&engine)?;
     if failed > 0 {
         return Err(format!("{failed} of {} queries failed", queries.len()));
     }
@@ -823,50 +776,35 @@ fn cmd_serve(p: &ParsedArgs) -> Result<(), String> {
 /// `kron route --peers ADDR,… --listen ADDR` — the stateless cluster
 /// front end. Start the `kron serve --shards` nodes first.
 fn cmd_route(p: &ParsedArgs) -> Result<(), String> {
-    let addr = p
-        .options
-        .get("listen")
-        .ok_or_else(|| "missing required option --listen ADDR".to_string())?;
+    let addr = p.required("listen", "ADDR")?;
     let peer_addrs: Vec<String> = p
-        .options
-        .get("peers")
-        .ok_or_else(|| "missing required option --peers ADDR[,ADDR...]".to_string())?
+        .required("peers", "ADDR[,ADDR...]")?
         .split(',')
         .filter(|s| !s.is_empty())
         .map(String::from)
         .collect();
-    let server_opts = parse_server_options(p)?;
-    let rediscover: f64 = p.opt("rediscover", 0.0)?;
-    if rediscover < 0.0 || !rediscover.is_finite() {
-        return Err("--rediscover: expected a non-negative number of seconds".into());
-    }
-    let t0 = Instant::now();
-    let mut router = Router::discover(&peer_addrs, std::time::Duration::from_secs(5))
-        .map_err(|e| format!("discovering peers: {e}"))?;
-    if rediscover > 0.0 {
-        router.set_rediscover(std::time::Duration::from_secs_f64(rediscover));
-    }
-    eprintln!(
-        "routing {} vertices across {} node(s) (discovered in {:.2?}):",
-        router.num_vertices(),
-        peer_addrs.len(),
-        t0.elapsed()
-    );
-    for line in router.peer_summary() {
-        eprintln!("  {line}");
-    }
-    let front = kron_serve::Server::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-    let local = front.local_addr().map_err(|e| e.to_string())?;
-    // Same contract as `kron serve --listen`: the bound address goes to
-    // stdout, flushed, so scripts can capture the ephemeral port.
-    println!("listening on http://{local}");
-    use std::io::Write;
-    std::io::stdout().flush().ok();
-    let shutdown = crate::signals::install_shutdown_flag();
-    let report = router
-        .run(&front, &server_opts, shutdown)
-        .map_err(|e| e.to_string())?;
-    eprintln!("shutdown: {report}");
+    let rediscover = seconds(p, "rediscover")?;
+    let discover = || {
+        let t0 = Instant::now();
+        let mut router = Router::discover(&peer_addrs, Duration::from_secs(5))
+            .map_err(|e| format!("discovering peers: {e}"))?;
+        if let Some(every) = rediscover {
+            router.set_rediscover(every);
+        }
+        eprintln!(
+            "routing {} vertices across {} node(s) (discovered in {:.2?}):",
+            router.num_vertices(),
+            peer_addrs.len(),
+            t0.elapsed()
+        );
+        for line in router.peer_summary() {
+            eprintln!("  {line}");
+        }
+        Ok(router)
+    };
+    listen(p, addr, discover, |router, front, opts, stop| {
+        router.run(front, opts, stop)
+    })?;
     Ok(())
 }
 

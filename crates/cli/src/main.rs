@@ -1,28 +1,8 @@
 //! `kron` — command-line interface to the nonstochastic Kronecker graph
 //! generator with exact triangle statistics (Sanders et al., IPDPS 2018).
 //!
-//! ```text
-//! kron gen <family> [--n N] [--m M] [--p P] [--seed S] [--out FILE]
-//! kron triangles <graph.tsv>
-//! kron stats <a.tsv> <b.tsv> [--loops-b]
-//! kron query <a.tsv> <b.tsv> <p> [<q>]
-//! kron query <DIR> <p> [<q>] [--source artifact|oracle|cross-check]
-//! kron egonet <a.tsv> <b.tsv> <p>
-//! kron truss <a.tsv> <b.tsv>
-//! kron validate <a.tsv> <b.tsv> [--samples N] [--full]
-//! kron stream <a.tsv> <b.tsv> --out DIR [--shards N] [--format F] [--resume]
-//! kron compact <DIR>
-//! kron analyze <DIR> --kernel bfs|cc|pagerank|tri-census [--source V]
-//!              [--depth K] [--tol T] [--iters N] [--top K] [--threads T]
-//!              [--no-validate]
-//! kron serve <DIR> --queries FILE [--threads T] [--no-verify]
-//!            [--source artifact|oracle|cross-check[:N]] [--cache BYTES]
-//! kron serve <DIR> --listen ADDR [--threads T] [--jobs J] [--no-verify]
-//!            [--source artifact|oracle|cross-check[:N]] [--cache BYTES]
-//!            [--shards A..B --peers A..B=ADDR,...]
-//! kron route --peers ADDR[,ADDR...] --listen ADDR [--threads T]
-//! kron verify-shards <DIR> [--rehash]
-//! ```
+//! `kron help` prints the synopsis of every subcommand and its options
+//! (`USAGE` in `commands.rs` — the only copy, so it cannot drift).
 //!
 //! ## Exit codes
 //!

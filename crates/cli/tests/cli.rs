@@ -166,6 +166,64 @@ fn query_out_of_range_vertex() {
 }
 
 #[test]
+fn query_refuses_an_out_of_range_second_vertex() {
+    // K3 ⊗ K3 has n_C = 9 vertices; q = 3·2³² truncates to vertex 0 in a
+    // u32 factor index, so it must be refused like p, never answered
+    let dir = tmpdir();
+    let k3 = dir.join("range_k3.tsv");
+    let k3 = k3.to_str().unwrap();
+    assert!(kron(&["gen", "clique", "--n", "3", "--out", k3])
+        .status
+        .success());
+    for q in ["9", "12884901888"] {
+        let out = kron(&["query", k3, k3, "4", q]);
+        assert_eq!(out.status.code(), Some(1), "q = {q}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("out of range"), "q = {q}: {stderr}");
+        assert!(out.stdout.is_empty(), "q = {q}: nothing is answered");
+    }
+}
+
+#[test]
+fn engine_options_are_refused_alike_before_any_open() {
+    // An existing directory that is no run: opening it would fail with a
+    // different message, so the option error must come first.
+    let dir = tmpdir().join("options_not_a_run");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dir.to_str().unwrap();
+    let queries = tmpdir().join("options_queries.txt");
+    std::fs::write(&queries, "degree 0\n").unwrap();
+    let queries = queries.to_str().unwrap();
+    let commands: [&[&str]; 3] = [
+        &["query", dir, "0"],
+        &["path", dir, "--from", "0", "--to", "1"],
+        &["serve", dir, "--queries", queries],
+    ];
+    for (option, value, message) in [
+        ("--source", "cross-check:0", "sampling rate must be ≥ 1"),
+        ("--source", "bogus", "unknown answer source \"bogus\""),
+        ("--cache", "12q", "--cache: cannot parse \"12q\""),
+    ] {
+        let mut seen: Vec<String> = Vec::new();
+        for command in commands {
+            let mut args = command.to_vec();
+            args.extend([option, value]);
+            let out = kron(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+            assert!(stderr.contains(message), "{args:?}: {stderr}");
+            assert!(!stderr.contains("run.json"), "{args:?} opened: {stderr}");
+            seen.push(stderr);
+        }
+        assert!(
+            seen.iter().all(|s| *s == seen[0]),
+            "{option} {value}: {seen:?}"
+        );
+    }
+}
+
+#[test]
 fn triangles_single_graph() {
     let dir = tmpdir();
     let a = dir.join("tri_a.tsv");

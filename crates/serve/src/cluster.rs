@@ -6,7 +6,7 @@
 //! node's disks or page cache. The cluster answer keeps the wire protocol
 //! and the run-directory format unchanged and splits only *residency*:
 //! each node opens a contiguous **shard subset**
-//! ([`kron_stream::ShardSet::open_subset`]) of the same run directory and
+//! ([`kron_stream::ShardSet::open_with`]) of the same run directory and
 //! serves every query it receives — local rows zero-copy off its own
 //! mappings, non-resident rows fetched from a peer over the internal
 //! `GET /row?shard=S&v=V&enc=vd` endpoint. The fetcher asks for the

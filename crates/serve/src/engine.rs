@@ -29,8 +29,7 @@ pub enum ServeError {
     /// artifact is corrupt (structural open does not hash contents; see
     /// [`ServeEngine::open_verified`]).
     Corrupt(String),
-    /// The factor-copy oracle failed to load or validate, or a query
-    /// needed an oracle the engine was opened without.
+    /// The factor-copy oracle failed to load or validate.
     Oracle(String),
     /// A non-resident row could not be fetched from the peer owning its
     /// shard (unreachable peer, timeout, or a non-200 `/row` answer).
@@ -100,10 +99,22 @@ impl AnswerSource {
     /// (`"cross-check"`); the `Display` impl renders the full spelling
     /// with the sampling rate (`"cross-check:8"`).
     pub fn as_str(self) -> &'static str {
+        match self.check_every() {
+            Some(_) => "cross-check",
+            None if self == AnswerSource::Oracle => "oracle",
+            None => "artifact",
+        }
+    }
+
+    /// How often this source cross-checks: every `n`-th query (`1` for
+    /// [`AnswerSource::CrossCheck`], `N` for `cross-check:N`), or `None`
+    /// for a source that never runs both paths. The one place that says
+    /// which sources cross-check.
+    pub fn check_every(self) -> Option<u64> {
         match self {
-            AnswerSource::Artifact => "artifact",
-            AnswerSource::Oracle => "oracle",
-            AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_) => "cross-check",
+            AnswerSource::CrossCheck => Some(1),
+            AnswerSource::CrossCheckSampled(n) => Some(n),
+            AnswerSource::Artifact | AnswerSource::Oracle => None,
         }
     }
 
@@ -241,12 +252,43 @@ const MISMATCH_LOG_CAP: usize = 64;
 
 /// Which machinery one particular query runs through, after sampling.
 /// [`AnswerSource::CrossCheckSampled`] resolves to `Check` for 1-in-N
-/// queries and `Artifact` for the rest; the other sources map 1:1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum QueryPath {
+/// queries and `Artifact` for the rest; the other sources map 1:1. The
+/// oracle travels with the path, so a path that needs one has one.
+#[derive(Clone, Copy)]
+enum QueryPath<'o> {
     Artifact,
-    Oracle,
-    Check,
+    Oracle(&'o FactorOracle),
+    Check(&'o FactorOracle),
+}
+
+/// The cross-check verdict rule, stated once: does the artifact answer
+/// `art` disagree with the oracle answer `ora`? Two answers disagree
+/// unless `same` accepts them. A remote-fetch failure on the artifact
+/// side observed nothing about the artifact bytes, so it is no verdict —
+/// counting it would poison the node's exit-code certification (and the
+/// "corrupt or stale — re-verify" supervisor contract) over a network
+/// blip, while the query itself already failed loudly. Both sides failing
+/// (e.g. both out of range) is agreement; one side failing while the
+/// other answers is exactly what cross-check exists to flag.
+pub(crate) fn disagree<A: ?Sized, O>(
+    art: Result<&A, &ServeError>,
+    ora: Result<&O, &ServeError>,
+    same: impl FnOnce(&A, &O) -> bool,
+) -> bool {
+    match (art, ora) {
+        (Ok(a), Ok(o)) => !same(a, o),
+        (Err(ServeError::Remote(_)), _) | (Err(_), Err(_)) => false,
+        _ => true,
+    }
+}
+
+/// One side of a recorded disagreement: the answer as `render` shows it,
+/// an error as `error: …`.
+pub(crate) fn show<T: ?Sized>(r: Result<&T, &ServeError>, render: impl Fn(&T) -> String) -> String {
+    match r {
+        Ok(v) => render(v),
+        Err(e) => format!("error: {e}"),
+    }
 }
 
 /// A read-only query engine over an opened [`ShardSet`], answering from a
@@ -341,38 +383,31 @@ impl ServeEngine {
     pub fn open_with(dir: &Path, opts: &OpenOptions) -> Result<ServeEngine, ServeError> {
         // Reject an impossible config before paying for the open (a
         // checksum-verified open rehashes every shard byte).
-        if let AnswerSource::CrossCheckSampled(0) = opts.source {
+        if opts.source.check_every() == Some(0) {
             return Err(ServeError::Open(
                 "cross-check sampling rate must be ≥ 1".into(),
             ));
         }
         let verify = opts.verify_checksums && opts.source != AnswerSource::Oracle;
-        let set = match (&opts.shard_subset, verify) {
-            (None, true) => ShardSet::open_verified(dir)?,
-            (None, false) => ShardSet::open(dir)?,
-            (Some(s), true) => ShardSet::open_subset_verified(dir, s.clone())?,
-            (Some(s), false) => ShardSet::open_subset(dir, s.clone())?,
-        };
+        let set = ShardSet::open_with(dir, opts.shard_subset.clone(), verify)?;
         // A partial subset (or any configured peers) needs the full
         // ownership map up front: every non-resident shard must have at
         // least one serving replica (overlapping claims are replicas).
-        let remote = if !set.is_complete() || !opts.peers.is_empty() {
-            Some(RemoteShards::new(
-                &opts.peers,
-                set.subset(),
-                set.num_shards(),
-                set.num_vertices(),
-                opts.peer_timeout,
-            )?)
-        } else {
-            None
-        };
-        let oracle = match opts.source {
-            AnswerSource::Artifact => None,
-            AnswerSource::Oracle
-            | AnswerSource::CrossCheck
-            | AnswerSource::CrossCheckSampled(_) => Some(FactorOracle::load(dir, set.run())?),
-        };
+        let remote = (!set.is_complete() || !opts.peers.is_empty())
+            .then(|| {
+                RemoteShards::new(
+                    &opts.peers,
+                    set.subset(),
+                    set.num_shards(),
+                    set.num_vertices(),
+                    opts.peer_timeout,
+                )
+            })
+            .transpose()?;
+        // every source but the artifact walk answers or checks in closed form
+        let oracle = (opts.source != AnswerSource::Artifact)
+            .then(|| FactorOracle::load(dir, set.run()))
+            .transpose()?;
         let routing = RoutingStats::new(set.num_shards());
         Ok(ServeEngine {
             set,
@@ -426,27 +461,21 @@ impl ServeEngine {
     }
 
     /// Resolve which machinery answers *this* query: bumps the query
-    /// counter and, for the sampled source, deterministically picks
+    /// counter and, for a cross-checking source, deterministically picks
     /// queries `0, N, 2N, …` for the double-path check.
-    fn path(&self) -> QueryPath {
+    fn path(&self) -> QueryPath<'_> {
         let i = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        match self.source {
-            AnswerSource::Artifact => QueryPath::Artifact,
-            AnswerSource::Oracle => QueryPath::Oracle,
-            AnswerSource::CrossCheck => {
+        // the oracle is loaded for every source but the artifact walk
+        let Some(oracle) = &self.oracle else {
+            return QueryPath::Artifact;
+        };
+        match self.source.check_every() {
+            None => QueryPath::Oracle(oracle),
+            Some(n) if i.is_multiple_of(n) => {
                 self.sampled.fetch_add(1, Ordering::Relaxed);
-                QueryPath::Check
+                QueryPath::Check(oracle)
             }
-            AnswerSource::CrossCheckSampled(n) => {
-                // n ≥ 1 is enforced at open; max(1) keeps a hand-rolled
-                // OpenOptions from ever dividing by zero.
-                if i.is_multiple_of(n.max(1)) {
-                    self.sampled.fetch_add(1, Ordering::Relaxed);
-                    QueryPath::Check
-                } else {
-                    QueryPath::Artifact
-                }
-            }
+            Some(_) => QueryPath::Artifact,
         }
     }
 
@@ -479,16 +508,6 @@ impl ServeEngine {
     /// Product vertex count `n_C`.
     pub fn num_vertices(&self) -> u64 {
         self.set.num_vertices()
-    }
-
-    fn need_oracle(&self) -> Result<&FactorOracle, ServeError> {
-        self.oracle.as_ref().ok_or_else(|| {
-            ServeError::Oracle(
-                "engine was opened without a factor oracle \
-                 (open with AnswerSource::Oracle or CrossCheck)"
-                    .into(),
-            )
-        })
     }
 
     /// The one row fetch: the row of `v` wherever it lives, recording the
@@ -548,7 +567,7 @@ impl ServeEngine {
         }))
     }
 
-    fn out_of_range(&self, vertex: u64) -> ServeError {
+    pub(crate) fn out_of_range(&self, vertex: u64) -> ServeError {
         ServeError::VertexOutOfRange {
             vertex,
             num_vertices: self.set.num_vertices(),
@@ -598,8 +617,8 @@ impl ServeEngine {
         }
     }
 
-    /// Record a cross-check outcome; only a disagreement allocates (the
-    /// rendered pair for the log).
+    /// Record a cross-check outcome by [`disagree`]; only a disagreement
+    /// allocates (the rendered pair for the log).
     fn reconcile<T: PartialEq>(
         &self,
         query: impl FnOnce() -> String,
@@ -607,29 +626,13 @@ impl ServeEngine {
         oracle: &Result<T, ServeError>,
         render: impl Fn(&T) -> String,
     ) {
-        let agree = match (artifact, oracle) {
-            (Ok(a), Ok(o)) => a == o,
-            // A remote-fetch failure observed nothing about the artifact
-            // bytes — there is no verdict to record. Counting it would
-            // poison the node's exit-code certification (and the
-            // documented "corrupt or stale — re-verify" supervisor
-            // contract) over a network blip; the query itself already
-            // failed loudly with the remote error.
-            (Err(ServeError::Remote(_)), _) => true,
-            // Both failing (e.g. both out-of-range) is agreement; one side
-            // failing while the other answers is exactly what cross-check
-            // exists to flag.
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
-        if agree {
-            return;
+        if disagree(artifact.as_ref(), oracle.as_ref(), T::eq) {
+            self.note_mismatch(
+                query(),
+                show(artifact.as_ref(), &render),
+                show(oracle.as_ref(), &render),
+            );
         }
-        let show = |r: &Result<T, ServeError>| match r {
-            Ok(v) => render(v),
-            Err(e) => format!("error: {e}"),
-        };
-        self.note_mismatch(query(), show(artifact), show(oracle));
     }
 
     /// The sorted adjacency row of `v` (self loop included, matching
@@ -644,20 +647,13 @@ impl ServeEngine {
     pub fn neighbors(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
         match self.path() {
             QueryPath::Artifact => Ok(self.row(v, false)?.into()),
-            QueryPath::Oracle => Ok(Cow::Owned(self.need_oracle()?.neighbors(v)?)),
-            QueryPath::Check => {
+            QueryPath::Oracle(oracle) => Ok(Cow::Owned(oracle.neighbors(v)?)),
+            QueryPath::Check(oracle) => {
                 let art = self.row(v, false);
-                let ora = self.need_oracle()?.neighbors(v);
+                let ora = oracle.neighbors(v);
                 // Compare borrowed against owned directly — the agree path
                 // (every query on a healthy run) must not copy the row.
-                let agree = match (&art, &ora) {
-                    (Ok(a), Ok(o)) => **a == *o.as_slice(),
-                    // no verdict on a remote-fetch failure (see reconcile)
-                    (Err(ServeError::Remote(_)), _) => true,
-                    (Err(_), Err(_)) => true,
-                    _ => false,
-                };
-                if !agree {
+                if disagree(art.as_ref(), ora.as_ref(), |a, o| **a == *o.as_slice()) {
                     // Rows can be huge (hub vertices); render a bounded
                     // digest — length plus the first diverging position —
                     // so the mismatch log and stderr stay usable.
@@ -677,14 +673,10 @@ impl ServeEngine {
                         ),
                         None => format!("[{} entries]", r.len()),
                     };
-                    let show = |r: Result<&[u64], &ServeError>| match r {
-                        Ok(row) => show_row(row),
-                        Err(e) => format!("error: {e}"),
-                    };
                     self.note_mismatch(
                         format!("neighbors {v}"),
-                        show(art.as_ref().map(|r| &**r)),
-                        show(ora.as_ref().map(|r| r.as_slice())),
+                        show(art.as_ref().map(|r| &**r), show_row),
+                        show(ora.as_ref().map(Vec::as_slice), show_row),
                     );
                 }
                 Ok(art?.into())
@@ -706,10 +698,10 @@ impl ServeEngine {
     pub fn degree(&self, v: u64) -> Result<u64, ServeError> {
         match self.path() {
             QueryPath::Artifact => self.degree_artifact(v),
-            QueryPath::Oracle => self.need_oracle()?.degree(v),
-            QueryPath::Check => {
+            QueryPath::Oracle(oracle) => oracle.degree(v),
+            QueryPath::Check(oracle) => {
                 let art = self.degree_artifact(v);
-                let ora = self.need_oracle()?.degree(v);
+                let ora = oracle.degree(v);
                 self.reconcile(|| format!("degree {v}"), &art, &ora, u64::to_string);
                 art
             }
@@ -734,10 +726,10 @@ impl ServeEngine {
     pub fn has_edge(&self, u: u64, v: u64) -> Result<bool, ServeError> {
         match self.path() {
             QueryPath::Artifact => self.has_edge_artifact(u, v),
-            QueryPath::Oracle => self.need_oracle()?.has_edge(u, v),
-            QueryPath::Check => {
+            QueryPath::Oracle(oracle) => oracle.has_edge(u, v),
+            QueryPath::Check(oracle) => {
                 let art = self.has_edge_artifact(u, v);
-                let ora = self.need_oracle()?.has_edge(u, v);
+                let ora = oracle.has_edge(u, v);
                 self.reconcile(|| format!("has_edge {u} {v}"), &art, &ora, bool::to_string);
                 art
             }
@@ -782,10 +774,10 @@ impl ServeEngine {
     pub fn vertex_triangles_with_checks(&self, v: u64) -> Result<(u64, u64), ServeError> {
         match self.path() {
             QueryPath::Artifact => self.vertex_triangles_artifact(v),
-            QueryPath::Oracle => Ok((self.need_oracle()?.vertex_triangles(v)?, 0)),
-            QueryPath::Check => {
+            QueryPath::Oracle(oracle) => Ok((oracle.vertex_triangles(v)?, 0)),
+            QueryPath::Check(oracle) => {
                 let art = self.vertex_triangles_artifact(v);
-                let ora = self.need_oracle()?.vertex_triangles(v);
+                let ora = oracle.vertex_triangles(v);
                 // compare counts only — wedge checks are accounting, not answers
                 let art_t = art.as_ref().map(|&(t, _)| t).map_err(ServeError::clone);
                 self.reconcile(|| format!("tri_vertex {v}"), &art_t, &ora, u64::to_string);
@@ -837,10 +829,10 @@ impl ServeEngine {
     ) -> Result<Option<(u64, u64)>, ServeError> {
         match self.path() {
             QueryPath::Artifact => self.edge_triangles_artifact(u, v),
-            QueryPath::Oracle => Ok(self.need_oracle()?.edge_triangles(u, v)?.map(|d| (d, 0))),
-            QueryPath::Check => {
+            QueryPath::Oracle(oracle) => Ok(oracle.edge_triangles(u, v)?.map(|d| (d, 0))),
+            QueryPath::Check(oracle) => {
                 let art = self.edge_triangles_artifact(u, v);
-                let ora = self.need_oracle()?.edge_triangles(u, v);
+                let ora = oracle.edge_triangles(u, v);
                 let art_d = art
                     .as_ref()
                     .map(|o| o.map(|(d, _)| d))

@@ -42,7 +42,7 @@
 //!   always-on 1-in-N conformance auditing at artifact-path cost;
 //! * [`cluster`] — multi-node serving (`kron serve --shards a..b
 //!   --peers …`): each node memory-maps only its claimed shard subset
-//!   ([`kron_stream::ShardSet::open_subset`]) and fetches non-resident
+//!   ([`kron_stream::ShardSet::open_with`]) and fetches non-resident
 //!   rows from a peer over the internal `GET /row` endpoint (through
 //!   the [`RowCache`], which caches remote rows too), while serving the
 //!   *unchanged* single-node wire protocol — including cross-checking

@@ -24,7 +24,7 @@
 //! into the engine's mismatch machinery — the same counters that drive
 //! `/stats` and the CLI's nonzero cross-check exit.
 
-use crate::engine::{AnswerSource, ServeEngine, ServeError};
+use crate::engine::{disagree, show, ServeEngine, ServeError};
 use kron_analyze::frontier_step;
 use kron_stream::json::Json;
 use std::collections::{HashMap, HashSet};
@@ -137,14 +137,9 @@ impl<'e> PathFinder<'e> {
     }
 
     fn check_vertex(&self, v: u64) -> Result<(), ServeError> {
-        let n = self.engine.num_vertices();
-        if v >= n {
-            return Err(ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: n,
-            });
-        }
-        Ok(())
+        (v < self.engine.num_vertices())
+            .then_some(())
+            .ok_or_else(|| self.engine.out_of_range(v))
     }
 
     /// A minimal-hop path `from → to`, bounded by `max_depth` hops when
@@ -170,10 +165,7 @@ impl<'e> PathFinder<'e> {
             self.bidirectional(from, to, max_depth)?
         };
         if let Some(p) = &path {
-            if matches!(
-                self.engine.source(),
-                AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_)
-            ) {
+            if self.engine.source().check_every().is_some() {
                 PathCertifier::new(self.engine).certify(from, to, p);
             }
         }
@@ -362,36 +354,25 @@ impl<'e> PathCertifier<'e> {
     }
 
     /// Certify one path; returns how many of its edges failed. Counts
-    /// one sampled check on the engine, and one mismatch per bad edge.
-    /// A remote-fetch failure while re-reading observed nothing about
-    /// the artifact bytes, so (like the scalar cross-check path) it
-    /// records no verdict.
+    /// one sampled check on the engine, and one mismatch per edge that
+    /// either side denies, under the engine's one cross-check verdict
+    /// rule: a remote-fetch failure while re-reading is no verdict.
+    /// Without an oracle only the artifact is asked.
     pub fn certify(&self, from: u64, to: u64, path: &[u64]) -> u64 {
         self.engine.count_certified();
         let mut bad = 0u64;
         for pair in path.windows(2) {
             let (u, v) = (pair[0], pair[1]);
             let art = self.engine.has_edge_artifact(u, v);
-            let ora = self.engine.oracle().map(|o| o.has_edge(u, v));
-            let art_ok = matches!(art, Ok(true));
-            let art_no_verdict = matches!(art, Err(ServeError::Remote(_)));
-            let ora_ok = ora.as_ref().is_none_or(|r| matches!(r, Ok(true)));
-            if (art_ok || art_no_verdict) && ora_ok {
-                continue;
+            let ora = self.engine.oracle().map_or(Ok(true), |o| o.has_edge(u, v));
+            if disagree(art.as_ref(), ora.as_ref(), |&a, &o| a && o) {
+                bad += 1;
+                self.engine.note_mismatch(
+                    format!("path {from} {to}: edge {u} {v}"),
+                    show(art.as_ref(), bool::to_string),
+                    show(ora.as_ref(), bool::to_string),
+                );
             }
-            bad += 1;
-            let show = |r: &Result<bool, ServeError>| match r {
-                Ok(b) => b.to_string(),
-                Err(e) => format!("error: {e}"),
-            };
-            self.engine.note_mismatch(
-                format!("path {from} {to}: edge {u} {v}"),
-                show(&art),
-                match &ora {
-                    Some(r) => show(r),
-                    None => "unavailable".to_string(),
-                },
-            );
         }
         bad
     }
@@ -400,7 +381,7 @@ impl<'e> PathCertifier<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::OpenOptions;
+    use crate::engine::{AnswerSource, OpenOptions};
     use kron::KronProduct;
     use kron_graph::Graph;
     use kron_stream::{stream_product, OutputFormat, StreamConfig};

@@ -107,7 +107,7 @@ impl PeerHealth {
 
     /// A request this peer answered: a success that also counts as
     /// served traffic (which a probe-only success must not look like).
-    pub(crate) fn record_served(&self) {
+    fn record_served(&self) {
         self.record_success();
         self.fetches.fetch_add(1, Ordering::Relaxed);
     }
@@ -115,7 +115,7 @@ impl PeerHealth {
     /// A transport failure while the peer was (believed) up: bump the
     /// failover counter and eject at [`EJECT_AFTER`] consecutive
     /// failures.
-    pub(crate) fn record_failure(&self, now_ms: u64) {
+    fn record_failure(&self, now_ms: u64) {
         self.failovers.fetch_add(1, Ordering::Relaxed);
         let n = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
         if n >= EJECT_AFTER && !self.down.swap(true, Ordering::Relaxed) {
@@ -231,7 +231,7 @@ impl Peer {
     /// `GET /healthz` on a fresh connection when its backoff has elapsed
     /// (re-admitted on 200) and skipped otherwise. A refusal is appended
     /// to `failures` in the form all-replicas-failed errors carry.
-    pub(crate) fn admit(&self, now: &dyn Fn() -> u64, failures: &mut Vec<String>) -> bool {
+    fn admit(&self, now: &dyn Fn() -> u64, failures: &mut Vec<String>) -> bool {
         match self.health.gate(now()) {
             Gate::Up => true,
             Gate::ProbeDue => {

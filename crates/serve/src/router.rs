@@ -11,9 +11,10 @@
 //! * forwards `GET /query` to a node owning the query's routing vertex
 //!   ([`crate::Query::routing_vertex`]), rotating round-robin over the
 //!   vertex's replicas, and relays the answer verbatim;
-//! * splits `POST /batch` bodies into per-node sub-batches, forwards them,
-//!   and reassembles the answer lines **in input order** — byte-identical
-//!   to what one node serving the whole run directory would produce;
+//! * splits `POST /batch` bodies into one sub-batch per replica set,
+//!   forwards each with failover, and reassembles the answer lines **in
+//!   input order** — byte-identical to what one node serving the whole
+//!   run directory would produce;
 //! * merges `GET /stats` across peers (per-peer documents plus summed
 //!   totals and per-replica health; see `ARCHITECTURE.md` § "Cluster
 //!   serving" for the normative merge rules);
@@ -23,9 +24,10 @@
 //! response) transparently **fails over** to the next replica, and
 //! health ejection works exactly as on the nodes — literally: pooling,
 //! the stale-connection retry, rotation, failover, ejection, and probing
-//! are `replica.rs`, the single implementation both tiers call. What is
-//! left here is discovery, the table swap, the `/batch` split, and the
-//! `/stats` merge. Only when *every* replica of a vertex has failed does
+//! are `replica.rs`, the single implementation both tiers call — `/query`,
+//! each `/batch` sub-batch, and the traversals alike. What is left here
+//! is discovery, the table swap, the `/batch` split, and the `/stats`
+//! merge. Only when *every* replica of a vertex has failed does
 //! the client see an error: a single `502 Bad Gateway` naming each
 //! replica tried — the router never invents an answer. Parse errors
 //! (`400`) come from the same parser the nodes use (`endpoints.rs`), so
@@ -60,6 +62,7 @@
 //! println!("{report}");
 //! ```
 
+use crate::batch::Query;
 use crate::endpoints::{
     self, error, json, Endpoint, Point, Response, Tier, MAX_BATCH_RESPONSE, TEXT,
 };
@@ -68,6 +71,7 @@ use crate::http::{self, Client};
 use crate::replica::{failover, first_uncovered, now_ms, Attempt, Method, Peer, Reply};
 use crate::server::{LoopCounters, Server, ServerOptions};
 use kron_stream::json::Json;
+use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::io;
 use std::ops::Range;
@@ -398,32 +402,43 @@ impl Router {
         self.table().num_vertices
     }
 
-    /// `GET path` with failover: rotate round-robin over `candidates`,
-    /// moving on when a replica is down, unreachable, or answers 5xx.
-    /// Any other answer is relayed verbatim — it is deterministic, and
-    /// every replica of a consistent cluster would repeat it.
-    fn forward_failover(&self, table: &RouterTable, candidates: &[usize], path: &str) -> Forwarded {
-        let outcome: Attempt<_, Infallible> = failover(
+    /// One request to the replicas `candidates` through [`failover`],
+    /// rotating round-robin: a replica that is down, unreachable or
+    /// answers 5xx is failed over, and `judge` classifies every other
+    /// answer as the answer, a torn reply to fail over on, or a final
+    /// error that every replica of a consistent cluster would repeat.
+    fn try_replicas<T, E>(
+        &self,
+        table: &RouterTable,
+        candidates: &[usize],
+        method: Method<'_>,
+        path: &str,
+        judge: impl Fn(&Peer, u16, String) -> Attempt<T, E>,
+    ) -> Attempt<T, E> {
+        let label = match method {
+            Method::Get => "GET",
+            Method::Post(_) => path,
+        };
+        failover(
             candidates.iter().map(|&i| &table.peers[i].peer),
             self.rr.fetch_add(1, Ordering::Relaxed),
             &now_ms,
             |peer| {
-                let failed = match peer.exchange(Method::Get, path).map(text) {
-                    Ok((status, body)) if status >= 500 => {
-                        format!("peer {}: GET answered {status}: {}", peer.addr, body.trim())
-                    }
-                    Ok(answer) => return Attempt::Done(answer),
-                    Err(e) => e,
+                let outcome = match peer.exchange(method, path).map(text) {
+                    Ok((status, body)) if status >= 500 => Attempt::Transport(format!(
+                        "peer {}: {label} answered {status}: {}",
+                        peer.addr,
+                        body.trim()
+                    )),
+                    Ok((status, body)) => judge(peer, status, body),
+                    Err(e) => Attempt::Transport(e),
                 };
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-                Attempt::Transport(failed)
+                if let Attempt::Transport(_) = outcome {
+                    self.failovers.fetch_add(1, Ordering::Relaxed);
+                }
+                outcome
             },
-        );
-        match outcome {
-            Attempt::Done(answer) => Ok(answer),
-            Attempt::Transport(failures) => Err(format!("all replicas failed: {failures}")),
-            Attempt::Final(never) => match never {},
-        }
+        )
     }
 
     /// Route until `shutdown` becomes `true`, accepting on the bound
@@ -490,24 +505,19 @@ impl Router {
 /// skipped, otherwise the forward's outcome.
 type FanOutSlot<'t> = (&'t RouterPeer, Option<Forwarded>);
 
-/// Send `path` to every peer of `table` concurrently — a hung peer costs
-/// the caller one timeout, not one per peer. `request_of(i)` returns the
-/// request for peer `i`, or `None` to skip it (a batch with no queries
-/// for a node must not fail on that node being unreachable). Results
-/// come back in peer order, `None` for skipped peers.
-fn fan_out<'t, 'b>(
+/// `GET path` from every peer of `table` that `ask` selects,
+/// concurrently — a hung peer costs the caller one timeout, not one per
+/// peer. Results come back in peer order, `None` for peers not asked.
+fn fan_out<'t>(
     table: &'t RouterTable,
     path: &str,
-    request_of: &(impl Fn(usize) -> Option<Method<'b>> + Sync),
+    ask: &(impl Fn(&RouterPeer) -> bool + Sync),
 ) -> Vec<FanOutSlot<'t>> {
     std::thread::scope(|s| {
         let handles: Vec<_> = table
             .peers
             .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                request_of(i).map(|m| s.spawn(move || p.peer.exchange(m, path).map(text)))
-            })
+            .map(|p| ask(p).then(|| s.spawn(move || p.peer.exchange(Method::Get, path).map(text))))
             .collect();
         table
             .peers
@@ -545,7 +555,7 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
             // are usually shorter than peers × 5 s. Health state is not
             // consulted or updated here: a monitoring probe reports the
             // cluster as it is right now.
-            for (p, res) in fan_out(&table, "/healthz", &|_| Some(Method::Get)) {
+            for (p, res) in fan_out(&table, "/healthz", &|_| true) {
                 match res.expect("healthz skips no peer") {
                     Ok((200, _)) => {}
                     Ok((status, _)) => {
@@ -569,10 +579,21 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
                 state.queries.fetch_add(1, Ordering::Relaxed);
                 let table = r.table();
                 let candidates = table.candidates_for(point.routing_vertex());
-                match r.forward_failover(&table, &candidates, &point.forward_path()) {
-                    Ok((200, body)) => (200, point.content_type(), body.into_bytes()),
-                    Ok((status, body)) => (status, TEXT, body.into_bytes()),
-                    Err(e) => gateway_err(e),
+                let relay = |_: &Peer, status, body| Attempt::Done((status, body));
+                let outcome: Attempt<_, Infallible> = r.try_replicas(
+                    &table,
+                    &candidates,
+                    Method::Get,
+                    &point.forward_path(),
+                    relay,
+                );
+                match outcome {
+                    Attempt::Done((200, body)) => (200, point.content_type(), body.into_bytes()),
+                    Attempt::Done((status, body)) => (status, TEXT, body.into_bytes()),
+                    Attempt::Transport(failures) => {
+                        gateway_err(format!("all replicas failed: {failures}"))
+                    }
+                    Attempt::Final(never) => match never {},
                 }
             }
         },
@@ -582,121 +603,7 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
                 state
                     .queries
                     .fetch_add(queries.len() as u64, Ordering::Relaxed);
-                // Split into per-peer sub-batches (input order is
-                // preserved within each), forward them concurrently
-                // (wall clock tracks the slowest node, not the sum),
-                // then reassemble the answer lines by original index —
-                // byte-identical to a single node walking the batch in
-                // order. A failed sub-batch (transport, 5xx, short
-                // response) returns its queries to the pool and the
-                // next round re-assigns them to surviving replicas;
-                // the loop is bounded because every retry round
-                // excludes at least one more peer.
-                let table = r.table();
-                let rr_base = r.rr.fetch_add(1, Ordering::Relaxed);
-                let mut lines: Vec<Option<String>> = vec![None; queries.len()];
-                let mut excluded: Vec<bool> = vec![false; table.peers.len()];
-                let mut total_len = 0usize;
-                loop {
-                    let remaining: Vec<usize> =
-                        (0..queries.len()).filter(|&i| lines[i].is_none()).collect();
-                    if remaining.is_empty() {
-                        break;
-                    }
-                    // Gate each peer once per round (probing down
-                    // peers whose backoff elapsed), not once per query.
-                    let mut probe_failures = Vec::new();
-                    let usable: Vec<bool> = table
-                        .peers
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| !excluded[i] && p.peer.admit(&now_ms, &mut probe_failures))
-                        .collect();
-                    let mut by_peer: Vec<(Vec<usize>, String)> = table
-                        .peers
-                        .iter()
-                        .map(|_| (Vec::new(), String::new()))
-                        .collect();
-                    for &i in &remaining {
-                        let cands: Vec<usize> = table
-                            .candidates_for(queries[i].routing_vertex())
-                            .into_iter()
-                            .filter(|&c| usable[c])
-                            .collect();
-                        if cands.is_empty() {
-                            return gateway_err(format!(
-                                "all replicas failed for batch query {:?} (peers: {})",
-                                queries[i].to_string(),
-                                table.addr_list()
-                            ));
-                        }
-                        let pick = cands[(rr_base + i) % cands.len()];
-                        by_peer[pick].0.push(i);
-                        by_peer[pick].1.push_str(&format!("{}\n", queries[i]));
-                    }
-                    let responses = fan_out(&table, "/batch", &|i: usize| {
-                        let (indices, body) = &by_peer[i];
-                        (!indices.is_empty()).then_some(Method::Post(body.as_bytes()))
-                    });
-                    for (idx, ((p, res), (indices, _))) in
-                        responses.into_iter().zip(&by_peer).enumerate()
-                    {
-                        let Some(res) = res else {
-                            continue; // no queries route to this peer
-                        };
-                        let peer = &p.peer;
-                        // Transport failures, 5xx, and short responses
-                        // fail over; any other non-200 is deterministic
-                        // and surfaces (a retry would repeat it).
-                        let failure = match res {
-                            Err(e) => Some(e),
-                            Ok((status, resp)) if status >= 500 => Some(format!(
-                                "peer {}: /batch answered {status}: {}",
-                                peer.addr,
-                                resp.trim()
-                            )),
-                            Ok((status, resp)) if status != 200 => {
-                                return gateway_err(format!(
-                                    "peer {}: /batch answered {status}: {}",
-                                    peer.addr,
-                                    resp.trim()
-                                ));
-                            }
-                            Ok((_, resp)) => {
-                                let answer_lines: Vec<&str> = resp.lines().collect();
-                                if answer_lines.len() != indices.len() {
-                                    Some(format!(
-                                        "peer {}: /batch returned {} lines for {} queries",
-                                        peer.addr,
-                                        answer_lines.len(),
-                                        indices.len()
-                                    ))
-                                } else {
-                                    peer.health.record_served();
-                                    for (&i, line) in indices.iter().zip(answer_lines) {
-                                        total_len += line.len() + 1;
-                                        lines[i] = Some(line.to_string());
-                                    }
-                                    None
-                                }
-                            }
-                        };
-                        if failure.is_some() {
-                            peer.health.record_failure(now_ms());
-                            r.failovers.fetch_add(1, Ordering::Relaxed);
-                            excluded[idx] = true;
-                        }
-                        if total_len > MAX_BATCH_RESPONSE {
-                            return endpoints::batch_too_large();
-                        }
-                    }
-                }
-                let mut out = String::with_capacity(total_len);
-                for line in lines.into_iter().flatten() {
-                    out.push_str(&line);
-                    out.push('\n');
-                }
-                (200, TEXT, out.into_bytes())
+                forward_batch(r, &queries).unwrap_or_else(gateway_err)
             }
         },
         Endpoint::Stats => {
@@ -724,11 +631,9 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
                 "inline",
                 "pooled",
             ];
-            let responses = fan_out(&table, "/stats", &|i: usize| {
-                // don't pay a timeout per /stats call for a known-down
-                // peer; it reports up:false, stats:null below
-                table.peers[i].peer.health.is_up().then_some(Method::Get)
-            });
+            // don't pay a timeout per /stats call for a known-down peer;
+            // it reports up:false, stats:null below
+            let responses = fan_out(&table, "/stats", &|p| p.peer.health.is_up());
             for (p, res) in responses {
                 let stats = match res {
                     Some(Ok((200, body))) => Json::parse(&body).ok(),
@@ -803,4 +708,75 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
         ),
         Endpoint::Jobs => unreachable!("the table marks /jobs absent on the router"),
     }
+}
+
+/// `POST /batch` through the cluster: group the queries by replica set
+/// (input order is kept within each group), send every group's sub-batch
+/// through failover concurrently (wall clock tracks the slowest set, not
+/// the sum), then reassemble the answer lines by original index —
+/// byte-identical to a single node walking the batch in order. With
+/// disjoint claims that is one sub-batch per peer. `Err` is the detail of
+/// the router's `502`.
+fn forward_batch(r: &Router, queries: &[Query]) -> Result<Response, String> {
+    let table = r.table();
+    let mut groups: BTreeMap<Vec<usize>, (Vec<usize>, String)> = BTreeMap::new();
+    for (i, q) in queries.iter().enumerate() {
+        let (indices, body) = groups
+            .entry(table.candidates_for(q.routing_vertex()))
+            .or_default();
+        indices.push(i);
+        body.push_str(&format!("{q}\n"));
+    }
+    let outcomes: Vec<Attempt<String, String>> = std::thread::scope(|s| {
+        let table = &table;
+        let handles: Vec<_> = groups
+            .iter()
+            .map(|(replicas, (indices, body))| {
+                // one answer line per query, or the reply is torn
+                let judge =
+                    move |peer: &Peer, status, resp: String| match (status, resp.lines().count()) {
+                        (200, n) if n == indices.len() => Attempt::Done(resp),
+                        (200, n) => Attempt::Transport(format!(
+                            "peer {}: /batch returned {n} lines for {} queries",
+                            peer.addr,
+                            indices.len()
+                        )),
+                        _ => Attempt::Final(format!(
+                            "peer {}: /batch answered {status}: {}",
+                            peer.addr,
+                            resp.trim()
+                        )),
+                    };
+                let post = Method::Post(body.as_bytes());
+                s.spawn(move || r.try_replicas(table, replicas, post, "/batch", judge))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("forward thread panicked"))
+            .collect()
+    });
+    let mut lines: Vec<&str> = vec![""; queries.len()];
+    for ((indices, _), outcome) in groups.values().zip(&outcomes) {
+        match outcome {
+            Attempt::Done(resp) => {
+                for (&i, line) in indices.iter().zip(resp.lines()) {
+                    lines[i] = line;
+                }
+            }
+            Attempt::Transport(_) => {
+                return Err(format!(
+                    "all replicas failed for batch query {:?} (peers: {})",
+                    queries[indices[0]].to_string(),
+                    table.addr_list()
+                ))
+            }
+            Attempt::Final(detail) => return Err(detail.clone()),
+        }
+    }
+    if lines.iter().map(|l| l.len() + 1).sum::<usize>() > MAX_BATCH_RESPONSE {
+        return Ok(endpoints::batch_too_large());
+    }
+    let out: String = lines.iter().flat_map(|l| [*l, "\n"]).collect();
+    Ok((200, TEXT, out.into_bytes()))
 }

@@ -29,8 +29,8 @@
 //! on every core. Each stage fails with its lowest-index bad shard,
 //! whatever the worker count.
 //!
-//! A **subset open** ([`ShardSet::open_subset`] /
-//! [`ShardSet::open_subset_verified`]) is the multi-node entry point:
+//! A **subset open** ([`ShardSet::open_with`] with a claimed range) is
+//! the multi-node entry point:
 //! one node of a cluster claims a contiguous shard range, memory-maps
 //! only those artifacts, and still learns the *full* ownership map —
 //! every manifest is read and validated (index, format, range
@@ -177,8 +177,8 @@ impl std::fmt::Debug for OpenShard {
 /// owning shard (resident here or not).
 ///
 /// [`ShardSet::open`] validates structure only; [`ShardSet::open_verified`]
-/// additionally recomputes every shard's content checksum once. The
-/// `open_subset*` variants map only a claimed contiguous shard range —
+/// additionally recomputes every shard's content checksum once.
+/// [`ShardSet::open_with`] maps only a claimed contiguous shard range —
 /// the multi-node case — while still reading every manifest for the
 /// ownership map.
 pub struct ShardSet {
@@ -216,7 +216,7 @@ impl ShardSet {
     /// run format is not CSR, the shard ranges do not tile `0..n_C`, or
     /// any artifact's mapped header disagrees with its manifest.
     pub fn open(dir: &Path) -> Result<ShardSet, StreamError> {
-        Self::open_impl(dir, false, None, 0)
+        Self::open_with(dir, None, false)
     }
 
     /// Open a run directory and additionally verify every shard's content
@@ -227,39 +227,29 @@ impl ShardSet {
     /// Everything [`ShardSet::open`] rejects, plus any shard whose mapped
     /// contents fail the manifest's stream hash.
     pub fn open_verified(dir: &Path) -> Result<ShardSet, StreamError> {
-        Self::open_impl(dir, true, None, 0)
+        Self::open_with(dir, None, true)
     }
 
-    /// Open only the claimed contiguous shard range `subset`, with
-    /// structural validation of the claimed artifacts. Every manifest of
-    /// the run is still read and validated (the ownership map must be
+    /// Open the claimed contiguous shard range `subset` (`None`: every
+    /// shard), with structural validation of the claimed artifacts and,
+    /// with `verify`, their content checksums too. Every manifest of the
+    /// run is still read and validated (the ownership map must be
     /// complete), but artifacts outside `subset` are neither opened nor
-    /// required to exist on this node.
+    /// required to exist on this node — they have no resident contents
+    /// to hash.
     ///
     /// # Errors
     ///
-    /// Everything [`ShardSet::open`] rejects for the claimed shards, plus
+    /// Everything [`ShardSet::open`] (and, with `verify`,
+    /// [`ShardSet::open_verified`]) rejects for the claimed shards, plus
     /// an empty claim or one not covered by the run's manifests
     /// (`subset.end > shards` or `subset.start ≥ subset.end`).
-    pub fn open_subset(
+    pub fn open_with(
         dir: &Path,
-        subset: std::ops::Range<usize>,
+        subset: Option<std::ops::Range<usize>>,
+        verify: bool,
     ) -> Result<ShardSet, StreamError> {
-        Self::open_impl(dir, false, Some(subset), 0)
-    }
-
-    /// Like [`ShardSet::open_subset`], additionally verifying the content
-    /// checksum of every *claimed* shard once (non-claimed shards have no
-    /// resident contents to hash).
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardSet::open_subset`] and [`ShardSet::open_verified`].
-    pub fn open_subset_verified(
-        dir: &Path,
-        subset: std::ops::Range<usize>,
-    ) -> Result<ShardSet, StreamError> {
-        Self::open_impl(dir, true, Some(subset), 0)
+        Self::open_impl(dir, verify, subset, 0)
     }
 
     /// Every open: `threads` workers admit (and, with `verify`, content-
@@ -673,7 +663,7 @@ mod tests {
         streamed(&dir, &c, 4);
         let full = ShardSet::open(&dir).unwrap();
         assert!(full.is_complete());
-        let set = ShardSet::open_subset_verified(&dir, 1..3).unwrap();
+        let set = ShardSet::open_with(&dir, Some(1..3), true).unwrap();
         assert!(!set.is_complete());
         assert_eq!(set.num_shards(), 4);
         assert_eq!(set.subset(), 1..3);
@@ -708,12 +698,12 @@ mod tests {
         streamed(&dir, &c, 3);
         let backwards = std::ops::Range { start: 5, end: 4 };
         for bad in [0..4, 3..5, 2..2, backwards] {
-            let err = ShardSet::open_subset(&dir, bad.clone()).unwrap_err();
+            let err = ShardSet::open_with(&dir, Some(bad.clone()), false).unwrap_err();
             assert!(matches!(err, StreamError::Config(_)), "{bad:?}: {err}");
         }
         // a claim needs every manifest (the ownership map is run-wide)…
         std::fs::remove_file(dir.join(crate::manifest_name(2))).unwrap();
-        assert!(ShardSet::open_subset(&dir, 0..1).is_err());
+        assert!(ShardSet::open_with(&dir, Some(0..1), false).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -725,13 +715,13 @@ mod tests {
         // a non-claimed artifact may live on another node entirely
         let other = load_manifest(&dir, 2).unwrap();
         std::fs::remove_file(dir.join(other.file.as_deref().unwrap())).unwrap();
-        let set = ShardSet::open_subset_verified(&dir, 0..2).unwrap();
+        let set = ShardSet::open_with(&dir, Some(0..2), true).unwrap();
         for v in set.subset_vertices() {
             assert_eq!(&*set.row(v).unwrap(), c.neighbors(v).as_slice());
         }
         // …but a *claimed* artifact must be present and valid
-        assert!(ShardSet::open_subset(&dir, 2..3).is_err());
-        assert!(ShardSet::open_subset(&dir, 0..3).is_err());
+        assert!(ShardSet::open_with(&dir, Some(2..3), false).is_err());
+        assert!(ShardSet::open_with(&dir, Some(0..3), false).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -748,8 +738,8 @@ mod tests {
         let rows = (m.vertices.end - m.vertices.start) as usize;
         bytes[32 + 8 * (rows + 1)] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(ShardSet::open_subset_verified(&dir, 0..2).is_ok());
-        let err = ShardSet::open_subset_verified(&dir, 1..3).unwrap_err();
+        assert!(ShardSet::open_with(&dir, Some(0..2), true).is_ok());
+        let err = ShardSet::open_with(&dir, Some(1..3), true).unwrap_err();
         assert!(matches!(err, StreamError::Shard(2, _)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -117,12 +117,24 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
         let bad = "/query?q=frobnicate%201";
         assert_eq!(routed.get(bad).unwrap(), one.get(bad).unwrap());
 
-        // one /batch over the whole grid: a single body, byte-identical
+        // one /batch over the whole grid: a single body, byte-identical —
+        // and, the claims being disjoint, exactly one sub-batch per node
+        // (a node's requests that are not `/row` fetches, less the
+        // `/stats` read itself)
+        let mut direct1 = Client::connect(addr1).unwrap();
+        let non_row_requests = |c: &mut Client| {
+            let doc = Json::parse(&c.get("/stats").unwrap().1).unwrap();
+            let count = |key| doc.req(key).unwrap().as_u64().unwrap();
+            count("requests") - count("rows_served")
+        };
+        let before = [&mut direct0, &mut direct1].map(non_row_requests);
         let body: String = queries.iter().map(|q| format!("{q}\n")).collect();
         let want = one.post("/batch", body.as_bytes()).unwrap();
         let got = routed.post("/batch", body.as_bytes()).unwrap();
         assert_eq!(got, want, "batch diverged");
         assert_eq!(want.0, 200);
+        let after = [&mut direct0, &mut direct1].map(non_row_requests);
+        assert_eq!([after[0] - before[0], after[1] - before[1]], [2, 2]);
         // empty and comment-only batches too
         for empty in ["", "# only comments\n\n"] {
             assert_eq!(
@@ -174,7 +186,7 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
         assert_eq!(routed.get("/healthz").unwrap(), (200, "ok\n".to_string()));
 
         stop.store(true, Ordering::SeqCst);
-        drop((one, routed, direct0));
+        drop((one, routed, direct0, direct1));
         (
             h_single.join().unwrap(),
             h_node0.join().unwrap(),
@@ -355,9 +367,28 @@ fn remote_fetch_failure_fails_the_query_without_poisoning_cross_check() {
     .unwrap();
     let span = node0.shard_set().subset_vertices();
 
-    // a non-resident primary row: Remote error, no mismatch
-    let err = node0.neighbors(span.end).unwrap_err();
-    assert!(matches!(err, kron_serve::ServeError::Remote(_)), "{err}");
+    // a non-resident primary row: Remote error, no mismatch — for every
+    // query kind that reads it
+    let remote = span.end;
+    let other = (remote + 1) % c.num_vertices();
+    let errors = [
+        node0.neighbors(remote).map(|_| ()),
+        node0.degree(remote).map(|_| ()),
+        node0.has_edge(remote, other).map(|_| ()),
+        node0.edge_triangles(remote, other).map(|_| ()),
+    ];
+    for err in errors {
+        let err = err.unwrap_err();
+        assert!(matches!(err, kron_serve::ServeError::Remote(_)), "{err}");
+    }
+    // certifying a path whose edge needs the dead peer's row: no verdict
+    let hop = *c
+        .neighbors(remote)
+        .iter()
+        .find(|&&u| u != remote)
+        .expect("the non-resident vertex has a neighbor");
+    let bad = kron_serve::PathCertifier::new(&node0).certify(remote, hop, &[remote, hop]);
+    assert_eq!(bad, 0, "an unreadable edge is no verdict, not a bad edge");
     // a resident tri_vertex whose neighborhood crosses the dead peer
     let victim = span
         .clone()
