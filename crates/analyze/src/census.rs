@@ -176,22 +176,16 @@ struct Oriented {
 }
 
 /// Stored entries of row `v` that are not the product's. The product's
-/// row of `v = (i, k)` is `A.row(i) × B.row(k)`, strictly ascending, and
-/// the stored row is merged against it once: an entry passes only where
-/// the merge meets it, so a non-edge fails, and so does an edge stored
-/// twice or out of order — the copy stands where another neighbour was
-/// lost. Nothing else on a plain `ShardSet::open` checks the order. The
+/// row of `v = (i, k)` ([`KronProduct::row`]) is `A.row(i) × B.row(k)`,
+/// strictly ascending, and the stored row is merged against it once: an
+/// entry passes only where the merge meets it, so a non-edge fails, and
+/// so does an edge stored twice or out of order — the copy stands where
+/// another neighbour was lost. Nothing else on a plain `ShardSet::open`
+/// checks the order. The
 /// rows that pass are subsequences of the product's, and with the entry
 /// total equal they *are* the product's.
 fn check_entries(product: &KronProduct, v: u64, row: &Row<'_>, check: &mut Check) {
-    let (a, b) = product.factors();
-    let ix = product.indexer();
-    let (i, k) = ix.split(v);
-    let mut want = a
-        .adj_row(i)
-        .iter()
-        .flat_map(|&j| b.adj_row(k).iter().map(move |&l| ix.compose(j, l)))
-        .peekable();
+    let mut want = product.row(v).peekable();
     for u in row.cols() {
         check.checked += 1;
         while want.next_if(|&w| w < u).is_some() {}

@@ -1,4 +1,4 @@
-//! Ablation bench (DESIGN.md §5): SpGEMM accumulator strategies — dense
+//! Ablation bench: SpGEMM accumulator strategies — dense
 //! SPA (parallel and serial) vs sort-merge — squaring web-like adjacency
 //! matrices.
 

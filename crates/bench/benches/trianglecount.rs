@@ -1,4 +1,4 @@
-//! Ablation bench (DESIGN.md §5): degree-ordered forward triangle counting
+//! Ablation bench: degree-ordered forward triangle counting
 //! vs the naive wedge-check sweep vs the masked-SpGEMM linear-algebra
 //! kernel, on the web-like factor.
 

@@ -1,4 +1,4 @@
-//! Ablation bench (DESIGN.md §5 / experiment T3): bucket-peeling truss
+//! Ablation bench (experiment T3): bucket-peeling truss
 //! decomposition vs the paper's simple recompute-Δ algorithm, plus the
 //! Thm. 3 closed-form product truss vs decomposing a materialized product.
 

@@ -12,11 +12,11 @@
 //!
 //! computed "in about 10.5 seconds on a commodity laptop … utilizing
 //! 7,734,429 wedge checks". We reproduce the same pipeline with the
-//! Holme–Kim stand-in at the same vertex count (DESIGN.md §4); pass a
+//! Holme–Kim stand-in at the same vertex count (`web_factor`); pass a
 //! different `n` as `argv[1]` to rescale, or a path to the real SNAP file as
 //! `argv[2]`.
 //!
-//! Known paper erratum (documented in EXPERIMENTS.md): the §VI prose
+//! Known paper erratum: the §VI prose
 //! repeats A⊗A's triangle count for A⊗B; the table's 141.0T is what the
 //! Cor. 1 arithmetic gives, and what we print.
 

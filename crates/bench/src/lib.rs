@@ -1,12 +1,12 @@
 //! Shared workload builders for the criterion benches and the `expt_*`
-//! experiment binaries (one per table/figure of the paper — see DESIGN.md
-//! §3 for the index).
+//! experiment binaries (one per table/figure of the paper, each named
+//! after it: `src/bin/expt_table1.rs`, `expt_fig7.rs`, …).
 
 use kron_graph::{DiGraph, Graph, Label, LabeledGraph};
 use rand::prelude::*;
 
-/// The standard web-like factor (the `web-NotreDame` stand-in, DESIGN.md
-/// §4): Holme–Kim with `m = 3`, `p_t = 0.75`, fixed seed.
+/// The standard web-like factor, the `web-NotreDame` stand-in:
+/// Holme–Kim with `m = 3`, `p_t = 0.75`, fixed seed.
 pub fn web_factor(n: usize) -> Graph {
     kron_gen::holme_kim(n, 3, 0.75, 2018)
 }
@@ -40,7 +40,7 @@ pub fn labeled_web_factor(n: usize, l: usize, seed: u64) -> LabeledGraph {
 
 /// Naive triangle counting — every wedge at every vertex is closed-checked
 /// with a binary search, no degree ordering. The ablation baseline for the
-/// forward algorithm (DESIGN.md §5).
+/// forward algorithm (criterion bench `trianglecount`).
 pub fn naive_triangle_count(g: &Graph) -> u64 {
     let mut count = 0u64;
     for v in 0..g.num_vertices() as u32 {

@@ -20,8 +20,10 @@ kron — nonstochastic Kronecker graph generation with exact triangle statistics
 
 USAGE:
   kron gen <family> [--n N] [--m M] [--p P] [--pt PT] [--seed S] [--out FILE]
+           [--loops]
       families: clique | clique-loops | cycle | path | star | hub-cycle |
-                er | ba | holme-kim | one-triangle | rmat | skg
+                er | ba | holme-kim | one-triangle | rmat | skg;
+      --loops adds a self loop at every vertex
   kron triangles <graph.tsv>
       exact triangle count, per-run wedge checks and timing
   kron stats <a.tsv> <b.tsv> [--loops-b]
@@ -154,8 +156,10 @@ USAGE:
   kron verify-shards <DIR> [--rehash]
       re-check every shard manifest (shard_NNNNN.json) and artifact in DIR
       against the closed-form factor statistics; failures name the
-      offending manifest/artifact file (--rehash additionally regenerates
-      each stream and compares content checksums)
+      offending manifest/artifact file (--rehash additionally compares
+      every stored row with the product's row regenerated from the
+      factors, in the same single pass, and names the first row and
+      position that differ)
 
 EXIT CODES:
   0  success
@@ -167,8 +171,45 @@ EXIT CODES:
      stale)
   2  the command line itself could not be parsed (no subcommand)";
 
-/// Dispatch a parsed command line.
+/// The options and flags subcommand `cmd` takes, read off its synopsis
+/// in [`USAGE`] — each `kron <cmd>` line and the `[…]` lines under it —
+/// so the help text and the parser cannot drift. `None` when `cmd` has
+/// no synopsis.
+fn synopsis_options(cmd: &str) -> Option<Vec<&'static str>> {
+    let mut names = Vec::new();
+    let mut found = false;
+    let mut inside = false;
+    for line in USAGE.lines().map(str::trim_start) {
+        if let Some(rest) = line.strip_prefix("kron ") {
+            inside = rest.split(' ').next() == Some(cmd);
+            found |= inside;
+        } else if !line.starts_with('[') {
+            inside = false;
+        }
+        if inside {
+            names.extend(line.split("--").skip(1).map(|opt| {
+                opt.split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+                    .next()
+                    .unwrap_or_default()
+            }));
+        }
+    }
+    found.then_some(names)
+}
+
+/// Dispatch a parsed command line. An option or flag the subcommand does
+/// not take is refused before anything runs: a typo must not quietly
+/// weaken a check (`verify-shards --rehsh`).
 pub fn run(p: &ParsedArgs) -> Result<(), String> {
+    if let Some(known) = synopsis_options(&p.command) {
+        let given = p.options.keys().chain(&p.flags);
+        if let Some(bad) = given.filter(|o| !known.contains(&o.as_str())).min() {
+            return Err(format!(
+                "{}: unknown option --{bad} (see `kron help`)",
+                p.command
+            ));
+        }
+    }
     match p.command.as_str() {
         "gen" => cmd_gen(p),
         "triangles" => cmd_triangles(p),
@@ -837,7 +878,7 @@ fn cmd_verify_shards(p: &ParsedArgs) -> Result<(), String> {
         human_count(report.total_entries),
         report.artifact_bytes,
         if report.rehashed {
-            ", streams regenerated + rehashed"
+            ", every row compared with the product's"
         } else {
             ""
         },

@@ -31,6 +31,74 @@ fn unknown_subcommand_fails_cleanly() {
 }
 
 #[test]
+fn an_option_the_subcommand_does_not_take_is_refused_before_anything_runs() {
+    // An existing directory that is no run: had the command run, it would
+    // fail on run.json instead.
+    let dir = tmpdir().join("typo_not_a_run");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dir.to_str().unwrap();
+    let typos: [(&[&str], &str); 2] = [
+        (&["verify-shards", dir, "--rehsh"], "--rehsh"),
+        (&["serve", dir, "--lisen", "127.0.0.1:0"], "--lisen"),
+    ];
+    for (args, typo) in typos {
+        let out = kron(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {typo}")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("run.json"), "{args:?} ran: {stderr}");
+    }
+}
+
+#[test]
+fn every_option_usage_lists_is_accepted() {
+    let help = String::from_utf8(kron(&["help"]).stdout).unwrap();
+    // a synopsis is a `kron <cmd>` line plus the `[…]` lines under it
+    let mut synopses: Vec<(String, Vec<String>)> = Vec::new();
+    let mut inside = false;
+    for line in help.lines().map(str::trim_start) {
+        if let Some(rest) = line.strip_prefix("kron ") {
+            let cmd = rest.split(' ').next().unwrap();
+            inside = cmd.starts_with(|c: char| c.is_ascii_lowercase());
+            if inside {
+                synopses.push((cmd.to_string(), Vec::new()));
+            }
+        } else if !line.starts_with('[') {
+            inside = false;
+        }
+        if inside {
+            let options = line
+                .split_whitespace()
+                .filter_map(|tok| tok.trim_start_matches('[').strip_prefix("--"))
+                .map(|opt| opt.split(['|', ']', '[', '=']).next().unwrap());
+            let (_, all) = synopses.last_mut().unwrap();
+            all.extend(options.map(|opt| format!("--{opt}")));
+        }
+    }
+    let listed = |cmd: &str, opt: &str| {
+        synopses
+            .iter()
+            .any(|(c, all)| c == cmd && all.iter().any(|o| o == opt))
+    };
+    assert!(listed("verify-shards", "--rehash") && listed("gen", "--loops"));
+    assert!(listed("serve", "--peers") && listed("analyze", "--no-validate"));
+    // every option as a bare flag and no positional: each command stops
+    // at its first missing argument, never at an unknown option
+    for (cmd, options) in &synopses {
+        let args: Vec<&str> = std::iter::once(cmd.as_str())
+            .chain(options.iter().map(String::as_str))
+            .collect();
+        let out = kron(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("unknown option"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn missing_args_exit_nonzero() {
     let out = kron(&["stats"]);
     assert!(!out.status.success());

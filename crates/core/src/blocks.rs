@@ -200,18 +200,9 @@ impl KronProduct {
         &self,
         rows: std::ops::Range<u32>,
     ) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let n_b = self.b.num_vertices() as u32;
-        rows.flat_map(move |i| {
-            (0..n_b).flat_map(move |k| {
-                let p = self.ix.compose(i, k);
-                self.a.adj_row(i).iter().flat_map(move |&j| {
-                    self.b
-                        .adj_row(k)
-                        .iter()
-                        .map(move |&l| (p, self.ix.compose(j, l)))
-                })
-            })
-        })
+        let n_b = self.ix.n_b();
+        let vertices = u64::from(rows.start) * n_b..u64::from(rows.end) * n_b;
+        vertices.flat_map(move |p| self.row(p).map(move |q| (p, q)))
     }
 
     /// The same stream as [`Self::adjacency_entries_in_rows`], a **run**

@@ -60,21 +60,13 @@ impl KronProduct {
             .enumerate()
             .map(|(idx, &v)| (v, idx as u32))
             .collect();
-        let ix = self.indexer();
-        let (a, b) = self.factors();
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for (x, &q1) in verts.iter().enumerate() {
-            let (j1, l1) = ix.split(q1);
-            // restrict q1's product row to the egonet vertex set
-            for &j2 in a.adj_row(j1) {
-                for &l2 in b.adj_row(l1) {
-                    let q2 = ix.compose(j2, l2);
-                    if q2 < q1 {
-                        continue; // emit each undirected pair once
-                    }
-                    if let Some(&y) = local.get(&q2) {
-                        edges.push((x as u32, y));
-                    }
+            // restrict q1's product row to the egonet vertex set, from q1
+            // on: each undirected pair once
+            for q2 in self.row(q1).skip_while(|&q2| q2 < q1) {
+                if let Some(&y) = local.get(&q2) {
+                    edges.push((x as u32, y));
                 }
             }
         }

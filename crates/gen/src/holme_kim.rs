@@ -1,5 +1,5 @@
 //! Holme–Kim powerlaw-with-clustering graphs — the workspace's synthetic
-//! stand-in for the paper's `web-NotreDame` factor (DESIGN.md §4).
+//! stand-in for the paper's `web-NotreDame` factor.
 //!
 //! Plain preferential attachment yields power-law degrees but few
 //! triangles; the paper's §VI factor (a web crawl) is both scale-free *and*

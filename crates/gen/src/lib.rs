@@ -8,8 +8,8 @@
 //! * [`erdos_renyi`] / [`barabasi_albert`] / [`chung_lu`] — standard random
 //!   models for factors;
 //! * [`holme_kim`] — powerlaw-with-clustering model; the workspace's
-//!   **substitute for the SNAP `web-NotreDame` graph** of §VI (see
-//!   DESIGN.md §4): scale-free, heavy-tailed, rich in triangles;
+//!   **substitute for the SNAP `web-NotreDame` graph** of §VI:
+//!   scale-free, heavy-tailed, rich in triangles;
 //! * [`one_triangle_per_edge`] — the paper's §III-D strategy (b): a
 //!   preferential-attachment power-law generator guaranteeing `Δ_B ≤ 1`,
 //!   the hypothesis of the truss theorem (Thm. 3);

@@ -3,7 +3,7 @@
 //! The paper's §VI uses the SNAP `web-NotreDame` graph; this reader accepts
 //! that format (whitespace-separated endpoint pairs, `#` comment lines) so
 //! the real dataset can be dropped in where the experiments default to a
-//! synthetic stand-in (see DESIGN.md §4).
+//! synthetic stand-in (Holme–Kim, `kron_gen::holme_kim`).
 
 use crate::{Graph, GraphBuilder};
 use std::io::{BufRead, BufReader, Read, Write};

@@ -1,8 +1,7 @@
 //! Sparse general matrix–matrix multiplication (SpGEMM).
 //!
 //! Two accumulator strategies are provided and benchmarked against each
-//! other in `kron-bench/benches/spgemm.rs` (an ablation called out in
-//! DESIGN.md §5):
+//! other in `kron-bench/benches/spgemm.rs`, an ablation:
 //!
 //! * a **dense SPA** (sparse accumulator): a dense scratch vector of length
 //!   `ncols` plus a touched-column list — the classic Gustavson kernel, best

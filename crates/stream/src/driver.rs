@@ -259,25 +259,21 @@ fn remove_stale_shard_files(
     Ok(())
 }
 
-/// Whether a completed, valid manifest + artifact already exist for the
-/// shard (the resume check).
-fn shard_is_complete(dir: &Path, spec: &ShardSpec, format: OutputFormat) -> bool {
-    let path = dir.join(manifest_name(spec.index));
-    let Ok(doc) = read_json(&path) else {
-        return false;
-    };
-    let Ok(m) = ShardManifest::from_json(&doc) else {
-        return false;
-    };
+/// The shard's manifest, if a completed, valid manifest + artifact
+/// already exist for it (the resume check).
+fn completed_shard(dir: &Path, spec: &ShardSpec, format: OutputFormat) -> Option<ShardManifest> {
+    let doc = read_json(&dir.join(manifest_name(spec.index))).ok()?;
+    let m = ShardManifest::from_json(&doc).ok()?;
     if m.format != format || m.matches_stats(&spec.stats).is_err() {
-        return false;
+        return None;
     }
-    match &m.file {
+    let complete = match &m.file {
         None => format == OutputFormat::Count,
         Some(name) => {
             std::fs::metadata(dir.join(name)).map(|md| md.len()).ok() == Some(m.file_bytes)
         }
-    }
+    };
+    complete.then_some(m)
 }
 
 /// Load a shard's manifest from a run directory.
@@ -372,6 +368,31 @@ pub fn load_factors(dir: &Path, run: &RunSummary) -> Result<KronProduct, StreamE
     Ok(product)
 }
 
+/// The run-wide totals of `manifests` — `(entries, triangle sum)` — which
+/// must be the product's `nnz(A)·nnz(B)` and `3·τ(C)`: checked by
+/// [`stream_product`] before it writes `run.json`, and by
+/// [`crate::verify_shards`].
+pub(crate) fn run_totals(
+    product: &KronProduct,
+    manifests: &[ShardManifest],
+) -> Result<(u128, u128), StreamError> {
+    let entries: u128 = manifests.iter().map(|m| m.entries).sum();
+    let triangle_sum: u128 = manifests.iter().map(|m| m.triangle_sum).sum();
+    if entries != product.nnz() {
+        return Err(StreamError::Manifest(format!(
+            "shard entries sum to {entries}, product nnz is {}",
+            product.nnz()
+        )));
+    }
+    if triangle_sum != product.total_triangle_participation() {
+        return Err(StreamError::Manifest(format!(
+            "shard triangle sums total {triangle_sum}, closed form says {}",
+            product.total_triangle_participation()
+        )));
+    }
+    Ok((entries, triangle_sum))
+}
+
 /// Generate all shards of `product` into `cfg.out_dir`.
 ///
 /// Writes per-shard artifacts + manifests, copies of both factor edge
@@ -404,41 +425,21 @@ pub fn stream_product(
     let threads = worker_count(cfg.threads, cfg.shards);
 
     let t0 = std::time::Instant::now();
-    let resumed = for_each_shard(cfg.shards, threads, |i| {
+    let shards = for_each_shard(cfg.shards, threads, |i| {
         let spec = plan.get(i).expect("the plan has cfg.shards shards");
-        if cfg.resume && shard_is_complete(dir, spec, cfg.format) {
-            return Ok(true);
+        if cfg.resume {
+            if let Some(m) = completed_shard(dir, spec, cfg.format) {
+                return Ok((true, m));
+            }
         }
         let mut sink = make_sink(dir, spec, cfg.format, product)?;
         let m = run_shard(product, spec, cfg.format, sink.as_mut())?;
         write_json_atomic(dir, &manifest_name(spec.index), &m.to_json())
             .map_err(|e| StreamError::Shard(spec.index, e.to_string()))?;
-        Ok(false)
+        Ok((false, m))
     })?;
-
-    // Aggregate manifests into the run summary; totals must reproduce the
-    // closed-form global statistics exactly.
-    let mut total_entries = 0u128;
-    let mut total_triangle_sum = 0u128;
-    for spec in plan.iter() {
-        let m = load_manifest(dir, spec.index)?;
-        m.matches_stats(&spec.stats)
-            .map_err(StreamError::Manifest)?;
-        total_entries += m.entries;
-        total_triangle_sum += m.triangle_sum;
-    }
-    if total_entries != product.nnz() {
-        return Err(StreamError::Manifest(format!(
-            "shard entry counts sum to {total_entries}, product nnz is {}",
-            product.nnz()
-        )));
-    }
-    if total_triangle_sum != product.total_triangle_participation() {
-        return Err(StreamError::Manifest(format!(
-            "shard triangle sums total {total_triangle_sum}, closed form says {}",
-            product.total_triangle_participation()
-        )));
-    }
+    let (resumed, manifests): (Vec<bool>, Vec<ShardManifest>) = shards.into_iter().unzip();
+    let (total_entries, total_triangle_sum) = run_totals(product, &manifests)?;
 
     let summary = RunSummary {
         shards: cfg.shards,

@@ -4,7 +4,7 @@
 //! ## Convention
 //!
 //! The paper's Def. 10/11 give a matrix formula per type; we treat those
-//! formulas as **normative** (see DESIGN.md). Each vertex type `τ` has a
+//! formulas as **normative**: they define the types. Each vertex type `τ` has a
 //! *primary combo* `(X, Y, Z)` with `X, Y, Z ∈ {A_d, A_dᵗ, A_r}` such that
 //! `t^(τ) = diag(X·Y·Z)` — halved for the three reversal-symmetric types —
 //! where `diag(X·Y·Z)_i` counts closed walks `i → j → k → i` with

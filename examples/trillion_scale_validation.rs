@@ -10,8 +10,8 @@
 //!
 //! `n` is the factor size (default 100_000; the paper's web-NotreDame had
 //! 325_729 — pass that for full scale). The real SNAP file can be swapped
-//! in via `kron_graph::read_edge_list_path`; the default is the Holme–Kim
-//! stand-in documented in DESIGN.md §4.
+//! in via `kron_graph::read_edge_list_path`; the default is
+//! `holme_kim(n, 3, 0.75)`, the `web-NotreDame` stand-in.
 
 use kron::{validate, KronProduct};
 use kron_gen::holme_kim;
@@ -87,7 +87,7 @@ fn main() {
         t_table.elapsed()
     );
 
-    // Exact (non-humanized) numbers for EXPERIMENTS.md.
+    // Exact (non-humanized) numbers, to quote beside the paper's table.
     let caa = KronProduct::new(a.clone(), a.clone());
     let cab = KronProduct::new(a.clone(), b.clone());
     println!("\nexact: A(x)A = {}", caa.stats());

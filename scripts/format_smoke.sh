@@ -26,6 +26,22 @@ echo "== generate a factor and stream it in both formats"
 "$BIN" verify-shards "$work/run_v1" --rehash
 "$BIN" verify-shards "$work/run_v2" --rehash
 
+echo "== a flipped column byte fails --rehash naming its file; a typo is refused"
+f="$work/run_v1/shard_00002.csr"
+cp "$f" "$work/good.csr"
+rows=$(od -An -tu8 -j16 -N8 "$f" | tr -d ' ')
+at=$((32 + 8 * (rows + 1)))   # the shard's first column word
+byte=$(od -An -tu1 -j"$at" -N1 "$f" | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 1)))" | dd of="$f" bs=1 seek="$at" conv=notrunc status=none
+code=0; out=$("$BIN" verify-shards "$work/run_v1" --rehash 2>&1) || code=$?
+[ "$code" -eq 1 ] || { echo "--rehash on a flipped byte exited $code: $out"; exit 1; }
+grep -qF 'shard_00002.csr' <<<"$out" \
+    || { echo "the --rehash failure does not name the shard's file: $out"; exit 1; }
+mv "$work/good.csr" "$f"
+code=0; out=$("$BIN" verify-shards "$work/run_v1" --rehsh 2>&1) || code=$?
+[ "$code" -eq 1 ] && grep -qF 'unknown option --rehsh' <<<"$out" \
+    || { echo "verify-shards --rehsh was not refused ($code): $out"; exit 1; }
+
 csr_bytes=$(du -sb "$work/run_v1" | cut -f1)
 csr2_bytes=$(du -sb "$work/run_v2" | cut -f1)
 echo "   v1 run $csr_bytes bytes, csr2 run $csr2_bytes bytes"

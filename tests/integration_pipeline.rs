@@ -6,7 +6,6 @@ use kron::{human_count, validate, KronChain, KronProduct};
 use kron_gen::deterministic::clique;
 use kron_gen::{holme_kim, rmat, RmatParams};
 use kron_graph::{read_edge_list_path, write_edge_list_path};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 #[test]
 fn generate_save_reload_product() {
@@ -26,11 +25,7 @@ fn generate_save_reload_product() {
     let c = KronProduct::new(a2, b2);
     validate::spot_check(&c, 25, 3).unwrap();
     // streaming generation touches exactly nnz entries
-    let counter = AtomicU64::new(0);
-    c.for_each_adjacency_entry(|_, _| {
-        counter.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(counter.into_inner() as u128, c.nnz());
+    assert_eq!(c.adjacency_entries().count() as u128, c.nnz());
 }
 
 #[test]
