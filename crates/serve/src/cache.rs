@@ -221,8 +221,10 @@ impl RoutingStats {
         self.per_shard[shard].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one row fetched from a cluster peer (also counted in its
-    /// shard's [`RoutingStats::record_fetch`] by the engine).
+    /// Record one request sent to a cluster peer to answer a query: a
+    /// `/row` fetch (also counted in its shard's
+    /// [`RoutingStats::record_fetch`] by the engine) or a `/wedges`
+    /// exchange.
     #[inline]
     pub fn record_remote(&self) {
         self.remote_fetches.fetch_add(1, Ordering::Relaxed);
@@ -272,8 +274,9 @@ pub struct RoutingReport {
     /// taken (0 when no cache is configured). Filled in by the engine —
     /// the counters themselves don't know the cache.
     pub cache_bytes: u64,
-    /// Row fetches that crossed the wire to a cluster peer (a subset of
-    /// the non-resident shards' `shard_fetches`); 0 on a single node.
+    /// Requests this node sent a peer to answer a query: one per `/row`
+    /// (each also in its non-resident shard's `shard_fetches`), one per
+    /// `/wedges`; 0 on a single node.
     pub remote_fetches: u64,
 }
 
@@ -329,7 +332,7 @@ impl std::fmt::Display for RoutingReport {
             self.hit_rate() * 100.0
         )?;
         if self.remote_fetches > 0 {
-            write!(f, "; {} remote row fetches", self.remote_fetches)?;
+            write!(f, "; peer requests: {}", self.remote_fetches)?;
         }
         Ok(())
     }
@@ -482,7 +485,7 @@ mod tests {
         assert!((rep.hit_rate() - 0.25).abs() < 1e-12);
         let text = rep.to_string();
         assert!(text.contains("hit rate"), "{text}");
-        assert!(text.contains("1 remote row fetches"), "{text}");
+        assert!(text.contains("peer requests: 1"), "{text}");
         assert_eq!(
             rep.to_json().req("remote_fetches").unwrap().as_u64(),
             Some(1)

@@ -1,5 +1,6 @@
 //! Multi-node shard-subset serving: peer specs, replica-aware shard →
-//! peer resolution, and the remote-row client with failover.
+//! peer resolution, and the remote-row and remote-intersection client
+//! with failover.
 //!
 //! One machine stops being enough exactly when the paper's products get
 //! interesting: a trillion-entry CSR run directory does not fit one
@@ -15,6 +16,14 @@
 //! little-endian `u64` words), so either side may be older without
 //! corrupting a row; see `ARCHITECTURE.md` § "Cluster serving" for the
 //! normative wire format.
+//!
+//! Triangle queries do not fetch rows: a row's neighbours a peer owns
+//! are intersected **on** that peer. `RemoteShards::wedges` ships
+//! `row(v)` and the ascending far neighbours in one internal `POST
+//! /wedges` per replica set (`encode_wedges`; `WedgeAsk` is the
+//! answering side's decoder), and gets one `(count, checks)` pair per
+//! neighbour back — the terms `kron_triangles::slice::intersect_excluding`
+//! yields on a single node, so the sums are the single node's.
 //!
 //! The **ownership map** has two layers, both static:
 //!
@@ -36,11 +45,11 @@
 //! `GET /healthz` probe re-admits it. That policy — pooling, the stale-
 //! connection retry, rotation, failover, ejection, probing — is not
 //! implemented here: `replica.rs` is its single implementation, shared
-//! with the router. This module only says what a `/row` answer means
-//! (which statuses fail over, how a body decodes). Fetched rows flow
-//! through the engine's hot-row [`crate::RowCache`] when one is
-//! configured — remote rows are exactly the expensive-fetch case the LRU
-//! exists for.
+//! with the router. This module only says what a `/row` or `/wedges`
+//! answer means (which statuses fail over, how a body decodes, which
+//! framing is torn). Fetched rows flow through the engine's hot-row
+//! [`crate::RowCache`] when one is configured — remote rows are exactly
+//! the expensive-fetch case the LRU exists for.
 //!
 //! ## Example
 //!
@@ -238,37 +247,223 @@ impl RemoteShards {
         )
     }
 
-    /// Fetch the adjacency row of `v` in `shard` from one of the shard's
-    /// replicas, failing over on transport errors.
-    pub(crate) fn fetch(&self, shard: usize, v: u64) -> Result<Arc<[u64]>, ServeError> {
-        let replicas = &self.by_shard[shard];
+    /// Indices into the peer table of `shard`'s replicas (empty for a
+    /// shard resident here only). Two shards with equal lists share one
+    /// `/wedges` exchange.
+    pub(crate) fn replicas(&self, shard: usize) -> &[usize] {
+        &self.by_shard[shard]
+    }
+
+    /// One request to one of `replicas` through [`failover`], `judge`
+    /// classifying each framed answer; `what` names the request in the
+    /// all-replicas-failed error.
+    fn ask<T>(
+        &self,
+        replicas: &[usize],
+        method: Method<'_>,
+        path: &str,
+        what: impl std::fmt::Display,
+        judge: impl Fn(&Peer, Reply) -> Attempt<T, ServeError>,
+    ) -> Result<T, ServeError> {
         assert!(
             !replicas.is_empty(),
-            "fetch() is only called for shards the table maps to peers"
+            "peers are only asked about shards the table maps to them"
         );
-        // Ask for the varint delta encoding; the answer's Content-Type —
-        // not the request — decides how to decode, so an older peer that
-        // ignores `enc` and answers raw words still decodes correctly.
-        let path = format!("/row?shard={shard}&v={v}&enc=vd");
         let outcome = failover(
             replicas.iter().map(|&i| &self.peers[i]),
             self.rr.fetch_add(1, Ordering::Relaxed),
             &now_ms,
-            |peer| match peer.exchange(Method::Get, &path) {
+            |peer| match peer.exchange(method, path) {
                 Err(detail) => Attempt::Transport(detail),
-                Ok(reply) => decode_row(reply, self.num_vertices, &|detail| {
-                    format!("peer {} (/row shard {shard} v {v}): {detail}", peer.label)
-                }),
+                Ok(reply) => judge(peer, reply),
             },
         );
         match outcome {
-            Attempt::Done(row) => Ok(row),
+            Attempt::Done(answer) => Ok(answer),
             Attempt::Transport(failures) => Err(ServeError::Remote(format!(
-                "all replicas failed for /row shard {shard} v {v}: {failures}"
+                "all replicas failed for {what}: {failures}"
             ))),
             Attempt::Final(e) => Err(e),
         }
     }
+
+    /// Fetch the adjacency row of `v` in `shard` from one of the shard's
+    /// replicas, failing over on transport errors.
+    pub(crate) fn fetch(&self, shard: usize, v: u64) -> Result<Arc<[u64]>, ServeError> {
+        // Ask for the varint delta encoding; the answer's Content-Type —
+        // not the request — decides how to decode, so an older peer that
+        // ignores `enc` and answers raw words still decodes correctly.
+        let path = format!("/row?shard={shard}&v={v}&enc=vd");
+        self.ask(
+            &self.by_shard[shard],
+            Method::Get,
+            &path,
+            format_args!("/row shard {shard} v {v}"),
+            |peer, reply| {
+                decode_row(reply, self.num_vertices, &|detail| {
+                    format!("peer {} (/row shard {shard} v {v}): {detail}", peer.label)
+                })
+            },
+        )
+    }
+
+    /// Ship `row_v` to one of `replicas` in one `POST /wedges` and
+    /// return `Σ_u (|N(u) ∩ N(v) \ {u, v}|, comparisons)` over `asked`,
+    /// the ascending neighbours of `v` whose rows those replicas hold.
+    pub(crate) fn wedges(
+        &self,
+        replicas: &[usize],
+        v: u64,
+        row_v: &[u64],
+        asked: &[u64],
+    ) -> Result<(u64, u64), ServeError> {
+        let body = encode_wedges(v, row_v, asked);
+        self.ask(
+            replicas,
+            Method::Post(&body),
+            "/wedges",
+            format_args!("/wedges v {v} ({} neighbours)", asked.len()),
+            |peer, reply| {
+                decode_wedges(reply, asked.len(), row_v.len() as u64, &|detail| {
+                    format!("peer {} (/wedges v {v}): {detail}", peer.label)
+                })
+            },
+        )
+    }
+}
+
+/// The body of a `POST /wedges`: `v` and the byte length of `row(v)`'s
+/// varint delta encoding as LEB128 varints, those bytes, then the asked
+/// neighbours in the same varint delta encoding up to the end of the body
+/// (ARCHITECTURE.md § "`POST /wedges`").
+fn encode_wedges(v: u64, row_v: &[u64], asked: &[u64]) -> Vec<u8> {
+    let mut row = Vec::new();
+    kron_stream::encode_row_vd(row_v, &mut row);
+    let mut body = Vec::with_capacity(row.len() + asked.len() + 20);
+    kron_stream::csr::varint_push(v, &mut body);
+    kron_stream::csr::varint_push(row.len() as u64, &mut body);
+    body.extend_from_slice(&row);
+    kron_stream::encode_row_vd(asked, &mut body);
+    body
+}
+
+/// A decoded, validated `POST /wedges` body.
+pub(crate) struct WedgeAsk {
+    /// The querying node's vertex.
+    pub(crate) v: u64,
+    /// Its row, strictly ascending, every column below `n_C`.
+    pub(crate) row_v: Vec<u64>,
+    /// The neighbours of `v` to intersect with, strictly ascending, each
+    /// a column of `row_v`.
+    pub(crate) asked: Vec<u64>,
+}
+
+impl WedgeAsk {
+    /// Decode a `/wedges` body for a product of `num_vertices` vertices.
+    /// The error is the text of the `400` refusing it.
+    pub(crate) fn parse(body: &[u8], num_vertices: u64) -> Result<WedgeAsk, String> {
+        use kron_stream::csr::varint_read;
+        let mut pos = 0;
+        let (Some(v), Some(len)) = (varint_read(body, &mut pos), varint_read(body, &mut pos))
+        else {
+            return Err("/wedges body does not start with two varints (v, row bytes)".into());
+        };
+        if v >= num_vertices {
+            return Err(format!(
+                "v {v} is not a vertex (the product has {num_vertices})"
+            ));
+        }
+        let row_end = usize::try_from(len)
+            .ok()
+            .and_then(|len| pos.checked_add(len))
+            .filter(|&end| end <= body.len())
+            .ok_or_else(|| format!("row of {len} bytes overruns the {}-byte body", body.len()))?;
+        let mut row_v = Vec::new();
+        if !kron_stream::decode_row_vd(&body[pos..row_end], &mut row_v) {
+            return Err("row is not a strictly ascending varint delta row".into());
+        }
+        if let Some(&q) = row_v.last().filter(|&&q| q >= num_vertices) {
+            return Err(format!(
+                "row names vertex {q}, but the product has only {num_vertices}"
+            ));
+        }
+        let mut asked = Vec::new();
+        if !kron_stream::decode_row_vd(&body[row_end..], &mut asked) {
+            return Err("asked neighbours are not a strictly ascending varint delta row".into());
+        }
+        if let Some(u) = asked.iter().find(|u| row_v.binary_search(u).is_err()) {
+            return Err(format!("asked vertex {u} is not in row {v}"));
+        }
+        Ok(WedgeAsk { v, row_v, asked })
+    }
+}
+
+/// The status half of judging a peer's answer: the body of a `200`, or
+/// how the failover loop treats anything else.
+fn ok_body<T>(
+    (status, ctype, body): Reply,
+    fail: &dyn Fn(String) -> String,
+) -> Result<(String, Vec<u8>), Attempt<T, ServeError>> {
+    if status == 200 {
+        return Ok((ctype, body));
+    }
+    let detail = fail(format!(
+        "status {status}: {}",
+        String::from_utf8_lossy(&body).trim()
+    ));
+    Err(if status >= 500 {
+        // the replica answered but could not serve — fail over
+        Attempt::Transport(detail)
+    } else {
+        // the peer's text/plain error body explains (not owned here /
+        // out of range / malformed) — config skew between nodes; a
+        // deterministic answer every replica would repeat, so no
+        // failover
+        Attempt::Final(ServeError::Remote(detail))
+    })
+}
+
+/// Judge one `/wedges` answer for `asked` neighbours of a `row_len`-entry
+/// row: exactly one `(count, checks)` varint pair per neighbour and no
+/// trailing byte, every count at most `row_len` (an intersection is no
+/// larger than the row) and every check count at least its count (each
+/// common column costs a comparison). A body that breaks this is torn or
+/// corrupt — another replica may get it right — never a count to trust.
+/// Returns the sums over the pairs.
+fn decode_wedges(
+    reply: Reply,
+    asked: usize,
+    row_len: u64,
+    fail: &dyn Fn(String) -> String,
+) -> Attempt<(u64, u64), ServeError> {
+    let body = match ok_body(reply, fail) {
+        Ok((_, body)) => body,
+        Err(attempt) => return attempt,
+    };
+    let torn =
+        |what: String| Attempt::Transport(fail(format!("body of {} bytes: {what}", body.len())));
+    let read = |pos: &mut usize| kron_stream::csr::varint_read(&body, pos);
+    let mut pos = 0;
+    let (mut count, mut checks) = (0u64, 0u64);
+    for i in 0..asked {
+        let (Some(c), Some(k)) = (read(&mut pos), read(&mut pos)) else {
+            return torn(format!(
+                "no (count, checks) pair for neighbour {i} of {asked}"
+            ));
+        };
+        if c > row_len || k < c {
+            return torn(format!(
+                "pair {i} is ({c}, {k}): a count is at most the row's {row_len} \
+                 entries and at most its checks"
+            ));
+        }
+        count += c;
+        checks += k;
+    }
+    if pos != body.len() {
+        return torn(format!("trailing bytes after {asked} pairs"));
+    }
+    Attempt::Done((count, checks))
 }
 
 /// Classify one framed `/row` answer for the failover loop, decode its
@@ -276,26 +471,14 @@ impl RemoteShards {
 /// from outside this process, and the binary searches behind `has_edge`
 /// and the triangle kernels need strictly ascending columns below `n_C`.
 fn decode_row(
-    (status, ctype, body): Reply,
+    reply: Reply,
     num_vertices: u64,
     fail: &dyn Fn(String) -> String,
 ) -> Attempt<Arc<[u64]>, ServeError> {
-    if status != 200 {
-        let detail = fail(format!(
-            "status {status}: {}",
-            String::from_utf8_lossy(&body).trim()
-        ));
-        return if status >= 500 {
-            // the replica answered but could not serve — fail over
-            Attempt::Transport(detail)
-        } else {
-            // the peer's text/plain error body explains (not owned here /
-            // out of range / malformed) — config skew between nodes; a
-            // deterministic answer every replica would repeat, so no
-            // failover
-            Attempt::Final(ServeError::Remote(detail))
-        };
-    }
+    let (ctype, body) = match ok_body(reply, fail) {
+        Ok(framed) => framed,
+        Err(attempt) => return attempt,
+    };
     // A body that does not frame, or frames a row no artifact can hold, is
     // a torn/corrupted stream — another replica may get it right.
     let mut row = Vec::new();
@@ -452,11 +635,58 @@ mod tests {
         assert!(rejected > 20, "only {rejected} rejected cases");
     }
 
+    /// Run one attempt against two replicas of shard 1 — `bad` answering
+    /// `bad_reply`, then `good` answering `good_reply` — through the real
+    /// failover loop and peer table, judged by `judge`; no socket is
+    /// opened. The bad replica must be charged a failover and the good
+    /// one must answer `want`.
+    fn fails_over<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        bad_reply: &Reply,
+        good_reply: &Reply,
+        judge: impl Fn(Reply, &dyn Fn(String) -> String) -> Attempt<T, ServeError>,
+        want: &T,
+    ) {
+        let specs = [
+            PeerSpec::parse("1..2=bad.invalid:1").unwrap(),
+            PeerSpec::parse("1..2=good.invalid:1").unwrap(),
+        ];
+        let remote = RemoteShards::new(&specs, 0..1, 2, 50, DEFAULT_PEER_TIMEOUT).unwrap();
+        let outcome = failover(remote.peers.iter(), 0, &|| 0, |peer| {
+            let reply = if peer.addr.starts_with("bad") {
+                bad_reply
+            } else {
+                good_reply
+            };
+            judge(reply.clone(), &|detail| {
+                format!("peer {}: {detail}", peer.label)
+            })
+        });
+        match outcome {
+            Attempt::Done(got) => assert_eq!(&got, want, "{what}"),
+            Attempt::Transport(e) => panic!("{what}: no failover: {e}"),
+            Attempt::Final(e) => panic!("{what}: classified as deterministic: {e}"),
+        }
+        let stats = remote.peer_stats().to_string();
+        let [bad_peer, good_peer] = stats.split("},{").collect::<Vec<_>>()[..] else {
+            panic!("two peers: {stats}");
+        };
+        assert!(
+            bad_peer.contains("\"fetches\":0,\"failovers\":1"),
+            "{what}: {stats}"
+        );
+        assert!(
+            good_peer.contains("\"fetches\":1,\"failovers\":0"),
+            "{what}: {stats}"
+        );
+    }
+
     /// A peer's row is input from outside the process: a body that frames
     /// but breaks the row contract (strictly ascending columns below
     /// `n_C`) is the torn-body class — the replica is charged, the next
-    /// one answers, nothing is served from it. Scripted replies over the
-    /// real failover loop and peer table; no socket is opened.
+    /// one answers, nothing is served from it. So is a `/wedges` reply
+    /// that breaks its framing: a missing or extra pair, trailing bytes,
+    /// a count above the shipped row's length or above its own checks.
     #[test]
     fn peer_rows_breaking_the_row_contract_fail_over_to_the_next_replica() {
         const N: u64 = 50;
@@ -487,38 +717,11 @@ mod tests {
             ("vd zero gap", vd(&[3, 0])),
             ("vd column n_C", vd_of(&[3, N])),
         ];
-        for (what, reply) in bad {
+        let want: Arc<[u64]> = good.into();
+        for (what, reply) in &bad {
             for good_reply in [raw(good), vd_of(good)] {
-                let specs = [
-                    PeerSpec::parse("1..2=bad.invalid:1").unwrap(),
-                    PeerSpec::parse("1..2=good.invalid:1").unwrap(),
-                ];
-                let remote = RemoteShards::new(&specs, 0..1, 2, N, DEFAULT_PEER_TIMEOUT).unwrap();
-                let outcome = failover(remote.peers.iter(), 0, &|| 0, |peer| {
-                    let reply = if peer.addr.starts_with("bad") {
-                        reply.clone()
-                    } else {
-                        good_reply.clone()
-                    };
-                    decode_row(reply, N, &|detail| format!("peer {}: {detail}", peer.label))
-                });
-                match outcome {
-                    Attempt::Done(row) => assert_eq!(&*row, good, "{what}"),
-                    Attempt::Transport(e) => panic!("{what}: no failover: {e}"),
-                    Attempt::Final(e) => panic!("{what}: classified as deterministic: {e}"),
-                }
-                let stats = remote.peer_stats().to_string();
-                let [bad_peer, good_peer] = stats.split("},{").collect::<Vec<_>>()[..] else {
-                    panic!("two peers: {stats}");
-                };
-                assert!(
-                    bad_peer.contains("\"fetches\":0,\"failovers\":1"),
-                    "{what}: {stats}"
-                );
-                assert!(
-                    good_peer.contains("\"fetches\":1,\"failovers\":0"),
-                    "{what}: {stats}"
-                );
+                let judge = |reply, fail: &dyn Fn(String) -> String| decode_row(reply, N, fail);
+                fails_over(what, reply, &good_reply, judge, &want);
             }
         }
         // with no healthy replica left the fetch fails as a transport
@@ -535,6 +738,105 @@ mod tests {
         for row in [&[][..], &[0], &[N - 1]] {
             assert!(matches!(decode_row(raw(row), N, &|d| d), Attempt::Done(r) if *r == *row));
             assert!(matches!(decode_row(vd_of(row), N, &|d| d), Attempt::Done(r) if *r == *row));
+        }
+
+        // `/wedges` for two neighbours of a 3-entry row: two (count,
+        // checks) varint pairs, counts ≤ 3, checks ≥ count, nothing more
+        let wedges = |body: &[u8]| -> Reply {
+            let ctype = crate::http::WEDGES_CONTENT_TYPE.to_string();
+            (200, ctype, body.to_vec())
+        };
+        let judge = |reply, fail: &dyn Fn(String) -> String| decode_wedges(reply, 2, 3, fail);
+        let good_wedges = wedges(&[1, 4, 0, 0x82, 0x01]); // (1, 4), (0, 130)
+        let torn = [
+            ("empty body", wedges(&[])),
+            ("one pair for two neighbours", wedges(&[1, 4])),
+            ("half a pair", wedges(&[1, 4, 0])),
+            ("truncated varint", wedges(&[1, 4, 0, 0x82])),
+            ("trailing byte", wedges(&[1, 4, 0, 2, 0])),
+            ("count above |row(v)|", wedges(&[4, 9, 0, 2])),
+            ("checks below count", wedges(&[2, 1, 0, 2])),
+            (
+                "overflowing varint",
+                wedges(&[
+                    1, 4, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
+                ]),
+            ),
+            ("5xx", (503, "text/plain".into(), b"error: busy\n".to_vec())),
+        ];
+        for (what, reply) in &torn {
+            fails_over(what, reply, &good_wedges, judge, &(1, 134));
+            assert!(
+                matches!(judge(reply.clone(), &|d| d), Attempt::Transport(_)),
+                "{what}"
+            );
+        }
+        // a refusal every replica would repeat is final: no failover
+        for status in [400, 404] {
+            let refusal = (status, "text/plain".into(), b"error: no\n".to_vec());
+            match judge(refusal, &|d| d) {
+                Attempt::Final(ServeError::Remote(e)) => assert!(e.contains("error: no"), "{e}"),
+                _ => panic!("a {status} must be final"),
+            }
+        }
+        // the contract's edges are legal replies
+        assert!(matches!(
+            judge(wedges(&[3, 3, 0, 0]), &|d| d),
+            Attempt::Done((3, 3))
+        ));
+        let none = decode_wedges(wedges(&[]), 0, 0, &|d| d);
+        assert!(matches!(none, Attempt::Done((0, 0))));
+    }
+
+    /// What the querying node sends is what the answering node decodes,
+    /// and the answering node refuses every body that breaks the spec.
+    #[test]
+    fn wedge_requests_roundtrip_and_bad_bodies_are_refused() {
+        const N: u64 = 50;
+        let row = [3u64, 7, 8, 49];
+        let ask = WedgeAsk::parse(&encode_wedges(5, &row, &[7, 49]), N).unwrap();
+        assert_eq!(
+            (ask.v, &ask.row_v[..], &ask.asked[..]),
+            (5, &row[..], &[7, 49][..])
+        );
+        let empty = WedgeAsk::parse(&encode_wedges(0, &[], &[]), N).unwrap();
+        assert!(empty.row_v.is_empty() && empty.asked.is_empty());
+
+        let body = |v: u64, row: &[u8], asked: &[u8]| {
+            let mut b = Vec::new();
+            kron_stream::csr::varint_push(v, &mut b);
+            kron_stream::csr::varint_push(row.len() as u64, &mut b);
+            b.extend_from_slice(row);
+            b.extend_from_slice(asked);
+            b
+        };
+        let refused = [
+            ("no header", vec![], "two varints"),
+            ("truncated v", vec![0x80], "two varints"),
+            ("row length past the body", vec![5, 9, 3], "overruns"),
+            ("v outside the product", body(N, &[3], &[]), "not a vertex"),
+            (
+                "repeated column",
+                body(5, &[3, 0], &[]),
+                "row is not a strictly ascending",
+            ),
+            ("column n_C", body(5, &[3, 47], &[]), "has only 50"),
+            (
+                "asked repeats",
+                body(5, &[3, 4], &[3, 0]),
+                "asked neighbours are not",
+            ),
+            (
+                "asked outside the row",
+                body(5, &[3, 4], &[4]),
+                "asked vertex 4 is not in row 5",
+            ),
+        ];
+        for (what, bytes, says) in refused {
+            match WedgeAsk::parse(&bytes, N) {
+                Err(e) => assert!(e.contains(says), "{what}: {e}"),
+                Ok(_) => panic!("{what} must be refused"),
+            }
         }
     }
 

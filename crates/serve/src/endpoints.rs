@@ -35,6 +35,7 @@ pub(crate) enum Endpoint {
     Batch,
     Stats,
     Row,
+    Wedges,
     Shards,
     Jobs,
 }
@@ -53,8 +54,8 @@ enum Role {
     /// Dispatches it and lists it in the `501` `"supported"` inventory.
     Serves,
     /// Knows it — a wrong method is a `405` — but answers by design with
-    /// a refusal and does not list it: the router's `/row` (rows are
-    /// fetched from the owning node).
+    /// a refusal and does not list it: the router's `/row` and `/wedges`
+    /// (rows are read, and intersected, on the owning node).
     Refuses,
     /// Does not know it (`501`): the router's `/jobs` — job ids are
     /// node-local state, so the router deliberately does not forward them.
@@ -91,6 +92,7 @@ const TABLE: &[Row] = &[
     ),
     ("/stats", Endpoint::Stats, &["GET"], Role::Serves),
     ("/row", Endpoint::Row, &["GET"], Role::Refuses),
+    ("/wedges", Endpoint::Wedges, &["POST"], Role::Refuses),
     ("/shards", Endpoint::Shards, &["GET"], Role::Serves),
     ("/jobs", Endpoint::Jobs, &["GET", "POST"], Role::Absent),
 ];
@@ -318,7 +320,7 @@ mod tests {
 
     /// The `501` bodies as they were spelled by hand in each dispatcher
     /// before the table generated them.
-    const NODE_501: &str = "{\"error\":\"not implemented by this node\",\"supported\":[\"/healthz\",\"/query\",\"/batch\",\"/path\",\"/khop\",\"/stats\",\"/row\",\"/shards\",\"/jobs\"]}\n";
+    const NODE_501: &str = "{\"error\":\"not implemented by this node\",\"supported\":[\"/healthz\",\"/query\",\"/batch\",\"/path\",\"/khop\",\"/stats\",\"/row\",\"/wedges\",\"/shards\",\"/jobs\"]}\n";
     const ROUTER_501: &str = "{\"error\":\"not implemented by the router\",\"supported\":[\"/healthz\",\"/query\",\"/batch\",\"/path\",\"/khop\",\"/stats\",\"/shards\"],\"note\":\"/jobs is node-local: submit to a node, not the router\"}\n";
     const PINNED_405: &str = "error: method not allowed for this endpoint\n";
 
@@ -374,17 +376,23 @@ mod tests {
                     let (status, body) = ask("GET", path);
                     assert_eq!((status, body.as_str()), (501, pinned_501), "GET {path}");
                 }
-                // `/jobs` is on the node only; `/row` is known to the
-                // router but refused by design
+                // `/jobs` is on the node only; `/row` and `/wedges` are
+                // known to the router but refused by design (an empty
+                // `/wedges` body does not frame: the node's 400)
                 let (jobs, _) = ask("GET", "/jobs");
                 let (row, row_body) = ask("GET", "/row?shard=0&v=0");
+                let (wedges, wedges_body) = ask("POST", "/wedges");
                 match tier {
-                    Tier::Node => assert_eq!((jobs, row), (200, 200)),
+                    Tier::Node => assert_eq!((jobs, row, wedges), (200, 200, 400)),
                     Tier::Router => {
-                        assert_eq!((jobs, row), (501, 404));
+                        assert_eq!((jobs, row, wedges), (501, 404, 404));
                         assert_eq!(
                             row_body,
                             "error: the router serves no rows (fetch from the owning node)\n"
+                        );
+                        assert_eq!(
+                            wedges_body,
+                            "error: the router intersects no rows (ask the owning node)\n"
                         );
                         assert_eq!(ask("POST", "/jobs"), (501, pinned_501.to_string()));
                     }

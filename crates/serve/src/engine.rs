@@ -8,6 +8,7 @@ use crate::oracle::FactorOracle;
 use kron_stream::{RowRef, ShardSet, StreamError};
 use kron_triangles::slice;
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,7 +33,8 @@ pub enum ServeError {
     /// The factor-copy oracle failed to load or validate.
     Oracle(String),
     /// A non-resident row could not be fetched from the peer owning its
-    /// shard (unreachable peer, timeout, or a non-200 `/row` answer).
+    /// shard, or its intersections not computed there (unreachable peer,
+    /// timeout, or a non-200 or malformed `/row` / `/wedges` answer).
     /// The message names the peer, its shard range, and the row. The
     /// query — not the engine — fails; the next query retries from
     /// scratch.
@@ -736,24 +738,56 @@ impl ServeEngine {
         }
     }
 
+    /// The error for a row that names a vertex no shard owns: in a
+    /// checksum-verified set every column id resolves (the shards tile
+    /// `0..n_C`), so this means tampering.
+    pub(crate) fn stray_neighbor(v: u64, u: u64) -> ServeError {
+        ServeError::Corrupt(format!("row {v} lists neighbor {u} outside every shard"))
+    }
+
     fn vertex_triangles_artifact(&self, v: u64) -> Result<(u64, u64), ServeError> {
         let row_v = self.row(v, false)?;
-        // In a checksum-verified set every column id resolves (the shards
-        // tile 0..n_C); a neighbor no shard owns means tampering, while a
-        // neighbor whose fetch failed (a remote fault in a cluster, an
-        // undecodable row) is carried out of the kernel via `failure`.
-        let mut failure: Option<ServeError> = None;
-        slice::vertex_triangles_rows(&row_v, v, |u| {
-            self.fetch(u, true).unwrap_or_else(|e| {
-                failure = Some(e);
-                None
+        let Some(remote) = &self.remote else {
+            // A neighbor whose fetch failed (an undecodable row) is carried
+            // out of the kernel via `failure`.
+            let mut failure: Option<ServeError> = None;
+            return slice::vertex_triangles_rows(&row_v, v, |u| {
+                self.fetch(u, true).unwrap_or_else(|e| {
+                    failure = Some(e);
+                    None
+                })
             })
-        })
-        .map_err(|u| {
-            failure.take().unwrap_or_else(|| {
-                ServeError::Corrupt(format!("row {v} lists neighbor {u} outside every shard"))
-            })
-        })
+            .map_err(|u| failure.take().unwrap_or_else(|| Self::stray_neighbor(v, u)));
+        };
+        // In a cluster the resident neighbors are intersected here and the
+        // rest where their rows live: one `/wedges` per replica set ships
+        // `row(v)` there and brings back the counts, so no neighbor row
+        // crosses the wire. The sums are today's, term for term.
+        let (mut twice_t, mut checks) = (0u64, 0u64);
+        let mut far: BTreeMap<&[usize], Vec<u64>> = BTreeMap::new();
+        for &u in row_v.iter().filter(|&&u| u != v) {
+            let shard = self
+                .set
+                .route(u)
+                .ok_or_else(|| Self::stray_neighbor(v, u))?;
+            if self.set.local(shard).is_none() {
+                far.entry(remote.replicas(shard)).or_default().push(u);
+                continue;
+            }
+            let row_u = self
+                .fetch(u, true)?
+                .ok_or_else(|| Self::stray_neighbor(v, u))?;
+            let (delta, c) = slice::intersect_excluding(&row_v, &row_u, v, u);
+            twice_t += delta;
+            checks += c;
+        }
+        for (replicas, asked) in &far {
+            self.routing.record_remote();
+            let (delta, c) = remote.wedges(replicas, v, &row_v, asked)?;
+            twice_t += delta;
+            checks += c;
+        }
+        Ok((twice_t / 2, checks))
     }
 
     /// Triangle participation `t_C(v)` (Def. 5). Returns
@@ -761,9 +795,12 @@ impl ServeEngine {
     /// checks, so its `checks` is always 0.
     ///
     /// Artifact path: `v`'s row is intersected with each neighbor's row;
-    /// neighbors may live in any shard, so each row fetch routes
-    /// independently (through the hot-row LRU when one is configured).
-    /// Oracle path: `O(1)` from factor terms.
+    /// neighbors may live in any resident shard, so each row fetch routes
+    /// independently (through the hot-row LRU when one is configured). In
+    /// a cluster, neighbors a peer owns are intersected on that peer:
+    /// one `POST /wedges` per replica set carries `row(v)` there and the
+    /// per-neighbor counts and checks back, so `(t, checks)` are the
+    /// single node's to the bit. Oracle path: `O(1)` from factor terms.
     ///
     /// # Errors
     ///
@@ -806,9 +843,20 @@ impl ServeEngine {
         if u == v {
             return Ok(Some((0, 0)));
         }
-        let row_v = self.fetch(v, true)?.ok_or_else(|| {
-            ServeError::Corrupt(format!("row {u} lists neighbor {v} outside every shard"))
-        })?;
+        let shard = self
+            .set
+            .route(v)
+            .ok_or_else(|| Self::stray_neighbor(u, v))?;
+        if let (Some(remote), None) = (&self.remote, self.set.local(shard)) {
+            // `v`'s row lives on a peer: ship `row(u)` there instead
+            self.routing.record_remote();
+            return remote
+                .wedges(remote.replicas(shard), u, &row_u, &[v])
+                .map(Some);
+        }
+        let row_v = self
+            .fetch(v, true)?
+            .ok_or_else(|| Self::stray_neighbor(u, v))?;
         Ok(Some(slice::edge_triangles_rows(&row_u, &row_v, u, v)))
     }
 
@@ -816,7 +864,9 @@ impl ServeEngine {
     /// with wedge-check accounting: `Ok(None)` if `{u, v}` is not an
     /// adjacency entry, `Ok(Some((0, 0)))` for a self loop (the Δ diagonal
     /// is zero), otherwise the sorted intersection of the two rows (or its
-    /// closed-form equal in oracle mode, with 0 checks).
+    /// closed-form equal in oracle mode, with 0 checks). In a cluster,
+    /// when `v`'s row lives on a peer, `u`'s row travels there in one
+    /// `POST /wedges` and the intersection is computed where `v`'s is.
     ///
     /// # Errors
     ///

@@ -25,6 +25,10 @@ use std::time::Duration;
 /// node's `enc=vd` request stays correct across version skew.
 pub const ROW_VD_CONTENT_TYPE: &str = "application/kron-row-vd";
 
+/// The `Content-Type` of a `POST /wedges` answer: one varint
+/// `(count, checks)` pair per asked neighbour.
+pub const WEDGES_CONTENT_TYPE: &str = "application/kron-wedges";
+
 /// Hard cap on a request head (request line + headers).
 pub const MAX_HEAD: usize = 64 * 1024;
 
@@ -430,13 +434,16 @@ impl Client {
         path: &str,
         body: &[u8],
     ) -> io::Result<(u16, String, Vec<u8>)> {
-        write!(
-            self.stream,
+        // One write for head and body: `write!` straight to the socket
+        // would send each formatted piece as its own segment (the socket
+        // is `TCP_NODELAY`), waking the server once per piece.
+        let mut request = format!(
             "{method} {path} HTTP/1.1\r\nHost: kron\r\nContent-Length: {}\r\n\r\n",
             body.len()
-        )?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
+        )
+        .into_bytes();
+        request.extend_from_slice(body);
+        self.stream.write_all(&request)?;
         self.read_response()
     }
 

@@ -194,7 +194,7 @@ impl<'e> PathFinder<'e> {
                 &frontier,
                 n,
                 |w| self.engine.row(w, true),
-                bad_column,
+                ServeEngine::stray_neighbor,
                 |_, u| {
                     if seen.insert(u) {
                         next.push(u);
@@ -312,7 +312,7 @@ impl<'e> PathFinder<'e> {
             frontier,
             self.engine.num_vertices(),
             |v| self.engine.row(v, true),
-            bad_column,
+            ServeEngine::stray_neighbor,
             |v, u| {
                 if seen.contains_key(&u) {
                     return;
@@ -330,10 +330,6 @@ impl<'e> PathFinder<'e> {
         next.sort_unstable();
         Ok(next)
     }
-}
-
-fn bad_column(v: u64, u: u64) -> ServeError {
-    ServeError::Corrupt(format!("row {v} lists neighbor {u} outside every shard"))
 }
 
 /// Re-verifies returned paths edge-by-edge: the traversal layer's

@@ -620,14 +620,15 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
             // it matters).
             let table = r.table();
             let mut peer_docs = Vec::with_capacity(table.peers.len());
-            let mut totals = [0u64; 8];
-            const KEYS: [&str; 8] = [
+            let mut totals = [0u64; 9];
+            const KEYS: [&str; 9] = [
                 "queries",
                 "errors",
                 "bad_requests",
                 "sampled_checks",
                 "mismatch_count",
                 "rows_served",
+                "wedges_served",
                 "inline",
                 "pooled",
             ];
@@ -706,6 +707,7 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
             404,
             "the router serves no rows (fetch from the owning node)",
         ),
+        Endpoint::Wedges => error(404, "the router intersects no rows (ask the owning node)"),
         Endpoint::Jobs => unreachable!("the table marks /jobs absent on the router"),
     }
 }

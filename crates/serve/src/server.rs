@@ -23,13 +23,18 @@
 //! * **one dispatcher, two threads**: the loop offers every parsed
 //!   request to `route` on the event thread first. There `route` answers
 //!   what is bounded and known before it starts — refusals, `/healthz`,
-//!   `/shards`, and `/row` / `degree` / `has_edge` / `neighbors` on a
-//!   resident row of at most `INLINE_ROW_CAP` entries — and declines the
-//!   rest, which the loop hands to a bounded worker pool (`--threads`)
-//!   where the same `route` answers it. Nothing answered on the event
-//!   thread may block: no peer fetch, no lock held across I/O, no spawn;
-//!   the latency window `/stats` reports from is lock-free for that
-//!   reason.
+//!   `/shards`, `/row` / `degree` / `has_edge` / `neighbors` on a
+//!   resident row of at most `INLINE_ROW_CAP` entries, and a peer's
+//!   `/wedges` whose merge is at most `INLINE_MERGE_CAP` entries — and
+//!   declines the rest, which the loop hands to a bounded worker pool
+//!   (`--threads`) where the same `route` answers it. Nothing answered on
+//!   the event thread may block: no peer fetch, no lock held across I/O,
+//!   no spawn; the latency window `/stats` reports from is lock-free for
+//!   that reason.
+//! * **the cluster-internal endpoints call no peer**: `/row` reads a
+//!   resident row, `/wedges` intersects a shipped row with resident ones,
+//!   on whichever thread answers them — so two nodes asking each other
+//!   for help never wait on each other's workers.
 //! * **graceful shutdown via an atomic flag**: [`Server::run`] borrows a
 //!   caller-owned `AtomicBool` (the CLI sets it from SIGTERM/SIGINT, the
 //!   tests from a scope thread). On shutdown the listener stops
@@ -43,6 +48,7 @@
 //! lifecycle & timeouts" subsection.
 
 use crate::batch::{self, QueryStats};
+use crate::cluster::WedgeAsk;
 use crate::endpoints::{
     self, error, json, Endpoint, Point, Response, Tier, MAX_BATCH_RESPONSE, TEXT,
 };
@@ -50,7 +56,9 @@ use crate::engine::ServeEngine;
 use crate::event_loop::{serve_connections, ConnCounters, LoopConfig, Thread};
 use crate::http;
 use crate::path::PathFinder;
+use kron_stream::csr::varint_push;
 use kron_stream::json::Json;
+use kron_triangles::slice;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -154,6 +162,9 @@ pub struct ServerReport {
     /// Compared against `rows_served * 8 * mean row length` this shows
     /// what the varint wire encoding (`enc=vd`) saved.
     pub row_wire_bytes: u64,
+    /// `POST /wedges` exchanges answered for cluster peers: one per
+    /// request, however many neighbours it asked about.
+    pub wedges_served: u64,
     /// Queries that ran both answer paths (see
     /// [`ServeEngine::sampled_checks`]).
     pub sampled_checks: u64,
@@ -180,8 +191,8 @@ impl std::fmt::Display for ServerReport {
         write!(
             f,
             "{} requests ({} malformed), {} queries ({} errors), \
-             {} rows served to peers ({} wire bytes), {} sampled cross-checks, \
-             {} mismatches, \
+             {} rows served to peers ({} wire bytes), {} wedge exchanges served, \
+             {} sampled cross-checks, {} mismatches, \
              {} jobs ({} failed, {} cancelled, {} validation failures)",
             self.requests,
             self.bad_requests,
@@ -189,6 +200,7 @@ impl std::fmt::Display for ServerReport {
             self.query_errors,
             self.rows_served,
             self.row_wire_bytes,
+            self.wedges_served,
             self.sampled_checks,
             self.mismatches,
             self.jobs_submitted,
@@ -230,6 +242,7 @@ struct ServerState<'e> {
     query_errors: AtomicU64,
     rows_served: AtomicU64,
     row_wire_bytes: AtomicU64,
+    wedges_served: AtomicU64,
     wedge_checks: AtomicU64,
     /// Rolling window of the most recent per-query latencies in
     /// nanoseconds; `/stats` derives its percentile block from this.
@@ -250,6 +263,7 @@ impl<'e> ServerState<'e> {
             query_errors: AtomicU64::new(0),
             rows_served: AtomicU64::new(0),
             row_wire_bytes: AtomicU64::new(0),
+            wedges_served: AtomicU64::new(0),
             wedge_checks: AtomicU64::new(0),
             recent: std::array::from_fn(|_| AtomicU64::new(0)),
             jobs: crate::jobs::JobRegistry::new(opts.max_jobs()),
@@ -277,6 +291,7 @@ impl<'e> ServerState<'e> {
             query_errors: self.query_errors.load(Ordering::Relaxed),
             rows_served: self.rows_served.load(Ordering::Relaxed),
             row_wire_bytes: self.row_wire_bytes.load(Ordering::Relaxed),
+            wedges_served: self.wedges_served.load(Ordering::Relaxed),
             sampled_checks: self.engine.sampled_checks(),
             mismatches: self.engine.mismatch_count(),
             jobs_submitted: self.jobs.submitted(),
@@ -330,6 +345,10 @@ impl<'e> ServerState<'e> {
             (
                 "rows_served",
                 Json::num(self.rows_served.load(Ordering::Relaxed)),
+            ),
+            (
+                "wedges_served",
+                Json::num(self.wedges_served.load(Ordering::Relaxed)),
             ),
             (
                 "row_wire_bytes",
@@ -486,9 +505,9 @@ fn row_is_bounded(engine: &ServeEngine, v: u64) -> bool {
 ///
 /// What it answers on the event thread is the bounded set of
 /// `ARCHITECTURE.md` § "Serving over the network": table refusals, a
-/// `400`, `/healthz`, `/shards`, and `/row` and single-row `/query`s on a
-/// short resident row. Nothing there touches a peer, spawns, or takes a
-/// lock that is held across I/O.
+/// `400`, `/healthz`, `/shards`, `/row` and single-row `/query`s on a
+/// short resident row, and a small `/wedges`. Nothing there touches a
+/// peer, spawns, or takes a lock that is held across I/O.
 ///
 /// `scope` is the job-worker scope owned by [`Server::run`]: `POST
 /// /jobs` spawns its kernel worker there, so the run's scope exit (after
@@ -519,6 +538,7 @@ fn route<'s>(
             }
         },
         Endpoint::Row => serve_row(state, req, on),
+        Endpoint::Wedges => serve_wedges(state, req, on),
         Endpoint::Shards => {
             // The node's slice of the ownership map — what a router (or a
             // curious operator) needs to route by vertex range.
@@ -640,6 +660,60 @@ fn serve_row(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option
         .row_wire_bytes
         .fetch_add(body.len() as u64, Ordering::Relaxed);
     Some((200, ctype, body))
+}
+
+/// Largest `/wedges` the event thread answers itself, in entries merged:
+/// the body's bytes (each entry is at least one) before decoding it, then
+/// `Σ_u (|row(v)| + row_len_bound(u))` — a handful of short rows' worth.
+const INLINE_MERGE_CAP: usize = 4 * INLINE_ROW_CAP;
+
+/// `POST /wedges` — the cluster-internal intersection: for each asked
+/// neighbour `u` of the caller's `v`, `|N(u) ∩ N(v) \ {u, v}|` and the
+/// merge's comparison count, `row(v)` from the body and `row(u)` off this
+/// node's mapping. Like `/row` it is not a query (it bumps
+/// `wedges_served`) and it calls no peer, whichever thread answers it, so
+/// two nodes asking each other cannot wait on each other's workers.
+fn serve_wedges(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option<Response> {
+    let inline = on == Thread::Event;
+    if inline && req.body.len() > INLINE_MERGE_CAP {
+        return None;
+    }
+    let set = state.engine.shard_set();
+    let ask = match WedgeAsk::parse(&req.body, set.num_vertices()) {
+        Ok(ask) => ask,
+        Err(e) => return Some(error(400, e)),
+    };
+    let mut bound = 0;
+    let mut shards = Vec::with_capacity(ask.asked.len());
+    for &u in &ask.asked {
+        // `u` is a column of a row below n_C, so some shard owns it
+        let Some(open) = set.route(u).and_then(|shard| set.local(shard)) else {
+            let subset = set.subset();
+            return Some(error(
+                404,
+                format_args!(
+                    "vertex {u} is not resident on this node (serving shards {}..{})",
+                    subset.start, subset.end
+                ),
+            ));
+        };
+        bound += ask.row_v.len() + open.reader.row_len_bound(u).unwrap_or(0);
+        shards.push(open);
+    }
+    if inline && bound > INLINE_MERGE_CAP {
+        return None;
+    }
+    let mut body = Vec::with_capacity(4 * ask.asked.len());
+    for (&u, open) in ask.asked.iter().zip(shards) {
+        let Some(row_u) = open.reader.row(u) else {
+            return Some(error(500, "resident row unavailable"));
+        };
+        let (count, checks) = slice::intersect_excluding(&ask.row_v, &row_u, ask.v, u);
+        varint_push(count, &mut body);
+        varint_push(checks, &mut body);
+    }
+    state.wedges_served.fetch_add(1, Ordering::Relaxed);
+    Some((200, http::WEDGES_CONTENT_TYPE, body))
 }
 
 /// `POST /batch`: every line answered in input order.
@@ -912,6 +986,99 @@ mod tests {
                     route(&state, scope, req, on)
                 },
             );
+            client.join().unwrap();
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two nodes, one worker each, both workers held: triangle queries
+    /// that need the other node's rows still complete, because a bounded
+    /// `/wedges` is answered on the peer's event thread and never waits
+    /// for its pool — nor calls back.
+    #[test]
+    fn bounded_wedges_answer_while_both_nodes_hold_their_only_worker() {
+        use crate::event_loop::tests::{Gate, StopOnDrop};
+        use std::io::Write;
+
+        let (dir, c) = run_dir("held_wedges");
+        let whole = ServeEngine::open_verified(&dir).unwrap();
+        let servers = [0, 1].map(|_| Server::bind("127.0.0.1:0").unwrap());
+        let addrs = servers.each_ref().map(|s| s.local_addr().unwrap());
+        let engines = [0usize, 1].map(|i| {
+            let peer = format!("{}..{}={}", 1 - i, 2 - i, addrs[1 - i]);
+            ServeEngine::open_with(
+                &dir,
+                &OpenOptions {
+                    shard_subset: Some(i..i + 1),
+                    peers: vec![crate::PeerSpec::parse(&peer).unwrap()],
+                    ..OpenOptions::default()
+                },
+            )
+            .unwrap()
+        });
+        let opts = ServerOptions {
+            threads: 1,
+            ..Default::default()
+        };
+        let states = engines.each_ref().map(|e| ServerState::new(e, &opts));
+        let (gate, stop) = (Gate::new(), AtomicBool::new(false));
+        let counts = |s: &ServerState<'_>| {
+            let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+            let conns = &s.http.conns;
+            [
+                load(&conns.inline),
+                load(&conns.pooled),
+                load(&s.wedges_served),
+            ]
+        };
+        std::thread::scope(|scope| {
+            let client = scope.spawn(|| {
+                let _stop = StopOnDrop(&stop, &gate);
+                let held = addrs.map(|addr| {
+                    let mut held = std::net::TcpStream::connect(addr).unwrap();
+                    held.write_all(b"GET /hold HTTP/1.1\r\n\r\n").unwrap();
+                    held
+                });
+                gate.wait_entered(2);
+                for v in 0..c.num_vertices() {
+                    let home = engines
+                        .iter()
+                        .find(|e| e.shard_set().subset_vertices().contains(&v))
+                        .unwrap();
+                    let want = whole.vertex_triangles_with_checks(v).unwrap();
+                    assert_eq!(home.vertex_triangles_with_checks(v).unwrap(), want, "{v}");
+                }
+                for s in &states {
+                    let [inline, pooled, wedges] = counts(s);
+                    assert_eq!(pooled, 1, "only the held request reached the pool");
+                    assert!(
+                        wedges > 0 && inline == wedges,
+                        "{inline} inline, {wedges} wedges"
+                    );
+                }
+                drop(held);
+            });
+            for (server, state) in servers.iter().zip(&states) {
+                let (stop, gate, opts) = (&stop, &gate, &opts);
+                scope.spawn(move || {
+                    serve_connections(
+                        &server.listener,
+                        &opts.loop_config(),
+                        "test",
+                        stop,
+                        &state.http,
+                        &|req, on| {
+                            if req.path == "/hold" {
+                                return (on == Thread::Pool).then(|| {
+                                    gate.hold();
+                                    (200, TEXT, b"released\n".to_vec())
+                                });
+                            }
+                            route(state, scope, req, on)
+                        },
+                    )
+                });
+            }
             client.join().unwrap();
         });
         std::fs::remove_dir_all(&dir).ok();

@@ -6,7 +6,8 @@
 # failover leg: a 3-node cluster with every shard on two replicas gets
 # one node SIGKILLed mid-/batch, and the answers must stay
 # byte-identical with zero client-visible errors and failovers > 0 in
-# the router's /stats. Finishes with graceful shutdowns and the
+# the router's /stats (the batch's triangle lines fail their /wedges
+# over to the surviving replica). Finishes with graceful shutdowns and the
 # clusters' cross-check certifications (the auditing nodes check every
 # answer they assemble, remote rows included).
 # Run from the repo root; CI calls it after the release build.
@@ -75,6 +76,14 @@ curl -fsS --data-binary @"$work/queries.txt" "http://$single_addr/batch" > "$wor
 curl -fsS --data-binary @"$work/queries.txt" "http://$router_addr/batch" > "$work/batch_routed.txt"
 diff "$work/batch_single.txt" "$work/batch_routed.txt" \
     || { echo "routed /batch diverged from the single node"; exit 1; }
+total() { # key → the router's summed peer counter
+    curl -fsS "http://$router_addr/stats" | grep -o '"totals":{[^}]*}' \
+        | grep -o "\"$1\":[0-9]*" | cut -d: -f2
+}
+# its triangle lines crossed the node boundary as wedge exchanges: the
+# owning node shipped its row to the peer instead of pulling the peer's
+wedges=$(total wedges_served)
+[ "${wedges:-0}" -gt 0 ] || { echo "no /wedges traffic after the routed /batch"; exit 1; }
 for q in 'degree%2057' 'tri_vertex%2057' 'neighbors%203' 'tri_edge%2057%2058'; do
     one=$(curl -fsS "http://$single_addr/query?q=$q")
     routed=$(curl -fsS "http://$router_addr/query?q=$q")
@@ -109,9 +118,10 @@ echo "== cluster health and merged stats"
 stats=$(curl -fsS "http://$router_addr/stats")
 echo "$stats" | grep -q '"role":"router"'
 echo "$stats" | grep -q '"mismatch_count":0'
-# tri_vertex queries crossed the node boundary: rows moved over the wire
-echo "$stats" | grep -vq '"rows_served":0}' \
-    || { echo "no /row traffic — the cluster never clustered"; exit 1; }
+# the traversals crossed the node boundary: the executing node pulled
+# the far rows it expanded over /row
+rows=$(total rows_served)
+[ "${rows:-0}" -gt 0 ] || { echo "no /row traffic from the traversals"; exit 1; }
 
 echo "== replicated cluster: 3 nodes, every shard on two replicas"
 PA=$((P0 + 2)); PB=$((P0 + 3)); PC=$((P0 + 4))

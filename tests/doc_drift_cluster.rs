@@ -1,6 +1,7 @@
 //! Doc-drift guard for ARCHITECTURE.md § "Cluster serving".
 //!
-//! The `/row` and `/shards` wire examples in the spec are normative: this
+//! The `/row`, `/shards` and `/wedges` wire examples in the spec are
+//! normative: this
 //! test re-reads them **out of the markdown**, rebuilds exactly the run
 //! directory they describe (the 3-vertex triangle squared, 3 CSR
 //! shards), replays the documented request bytes against a live node,
@@ -108,6 +109,27 @@ fn documented_row_and_shards_examples_match_the_server_verbatim() {
         "the documented /row?enc=vd head contradicts its own body"
     );
 
+    let wedges_sec = section(&md, "#### `POST /wedges` wire example");
+    let wedges_http = fenced(wedges_sec, "http");
+    assert_eq!(
+        wedges_http.len(),
+        2,
+        "/wedges example needs request + response head"
+    );
+    let wedges_hex = fenced(wedges_sec, "hex");
+    assert_eq!(wedges_hex.len(), 2, "/wedges example needs both bodies");
+    let (wedges_ask, wedges_reply) = (parse_hex(&wedges_hex[0]), parse_hex(&wedges_hex[1]));
+    for (head, body) in [
+        (&wedges_http[0], &wedges_ask),
+        (&wedges_http[1], &wedges_reply),
+    ] {
+        assert_eq!(
+            declared_length(head),
+            body.len(),
+            "a documented /wedges head contradicts its own body"
+        );
+    }
+
     let shards_sec = section(&md, "#### `GET /shards` wire example");
     let shards_http = fenced(shards_sec, "http");
     assert_eq!(shards_http.len(), 2);
@@ -131,7 +153,7 @@ fn documented_row_and_shards_examples_match_the_server_verbatim() {
 
     // A node claiming --shards 1..2, as the /shards example describes.
     // The dummy peers complete the ownership map; they are never dialed
-    // (neither documented exchange needs a non-resident row).
+    // (no documented exchange needs a non-resident row).
     let engine = ServeEngine::open_with(
         &dir,
         &OpenOptions {
@@ -157,8 +179,9 @@ fn documented_row_and_shards_examples_match_the_server_verbatim() {
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let mut replay = |request: &str, head: &str, body: &[u8]| {
+        let mut replay = |request: &str, request_body: &[u8], head: &str, body: &[u8]| {
             stream.write_all(&wire(request)).unwrap();
+            stream.write_all(request_body).unwrap();
             let mut want = wire(head);
             want.extend_from_slice(body);
             let mut got = vec![0u8; want.len()];
@@ -173,9 +196,10 @@ fn documented_row_and_shards_examples_match_the_server_verbatim() {
             );
         };
         // all exchanges on one keep-alive connection, like a real peer
-        replay(&row_http[0], &row_http[1], &row_body);
-        replay(&vd_http[0], &vd_http[1], &vd_body);
-        replay(&shards_http[0], &shards_http[1], &shards_body);
+        replay(&row_http[0], &[], &row_http[1], &row_body);
+        replay(&vd_http[0], &[], &vd_http[1], &vd_body);
+        replay(&shards_http[0], &[], &shards_http[1], &shards_body);
+        replay(&wedges_http[0], &wedges_ask, &wedges_http[1], &wedges_reply);
 
         stop.store(true, Ordering::SeqCst);
         drop(stream);

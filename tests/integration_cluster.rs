@@ -119,13 +119,13 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
 
         // one /batch over the whole grid: a single body, byte-identical —
         // and, the claims being disjoint, exactly one sub-batch per node
-        // (a node's requests that are not `/row` fetches, less the
-        // `/stats` read itself)
+        // (a node's requests that are neither `/row` nor `/wedges` from
+        // its peer, less the `/stats` read itself)
         let mut direct1 = Client::connect(addr1).unwrap();
         let non_row_requests = |c: &mut Client| {
             let doc = Json::parse(&c.get("/stats").unwrap().1).unwrap();
             let count = |key| doc.req(key).unwrap().as_u64().unwrap();
-            count("requests") - count("rows_served")
+            count("requests") - count("rows_served") - count("wedges_served")
         };
         let before = [&mut direct0, &mut direct1].map(non_row_requests);
         let body: String = queries.iter().map(|q| format!("{q}\n")).collect();
@@ -157,6 +157,7 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
         );
         assert_eq!(totals.req("mismatch_count").unwrap().as_u64(), Some(0));
         assert!(totals.req("rows_served").unwrap().as_u64().unwrap() > 0);
+        assert!(totals.req("wedges_served").unwrap().as_u64().unwrap() > 0);
         // which thread answered, summed like the other integers: the
         // peers' own `connections` gauges add up to the totals, and the
         // router itself — every answer of which waits on a peer — pooled
@@ -406,5 +407,126 @@ fn remote_fetch_failure_fails_the_query_without_poisoning_cross_check() {
     assert_eq!(node0.degree(span.start).unwrap(), c.degree(span.start));
     assert!(node0.sampled_checks() > 0);
     assert_eq!(node0.mismatch_count(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Start one node per claim in `claims` — each listing every other node
+/// as its peer — over `dir`, hand the engines to `body`, then stop the
+/// nodes and return their reports.
+fn with_split(
+    dir: &std::path::Path,
+    claims: &[std::ops::Range<usize>],
+    body: impl FnOnce(&[ServeEngine]),
+) -> Vec<kron_serve::ServerReport> {
+    let servers: Vec<Server> = claims
+        .iter()
+        .map(|_| Server::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<String> = servers
+        .iter()
+        .map(|s| s.local_addr().unwrap().to_string())
+        .collect();
+    let engines: Vec<ServeEngine> = claims
+        .iter()
+        .enumerate()
+        .map(|(i, claim)| {
+            let peers = (0..claims.len())
+                .filter(|&j| j != i)
+                .map(|j| PeerSpec {
+                    shards: claims[j].clone(),
+                    addr: addrs[j].clone(),
+                })
+                .collect();
+            ServeEngine::open_with(
+                dir,
+                &OpenOptions {
+                    shard_subset: Some(claim.clone()),
+                    peers,
+                    row_cache_bytes: 64 << 10,
+                    ..OpenOptions::default()
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    let stop = AtomicBool::new(false);
+    let opts = ServerOptions::default();
+    std::thread::scope(|s| {
+        let runs: Vec<_> = servers
+            .iter()
+            .zip(&engines)
+            .map(|(server, engine)| s.spawn(|| server.run(engine, &opts, &stop).unwrap()))
+            .collect();
+        // stop the nodes whatever `body` does, or a failed assertion
+        // would leave the scope waiting on them forever
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let guard = Stop(&stop);
+        body(&engines);
+        drop(guard);
+        runs.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// Triangle queries answered across 1-, 2- and 3-node splits — the last
+/// with shards 1 and 2 on two replicas each — return the single node's
+/// `(answer, checks)` for every vertex and a sample of edges, asked of
+/// every node holding the first vertex's row. The far rows never travel:
+/// the intersections happen where they live (`wedges_served`), and not
+/// one `/row` crosses the wire.
+#[test]
+fn triangle_answers_and_checks_are_the_single_nodes_on_every_split() {
+    let dir = tmpdir("wedge_splits");
+    let c = cluster_product(19);
+    let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr2);
+    cfg.shards = 4;
+    stream_product(&c, &cfg).unwrap();
+    let single = ServeEngine::open_verified(&dir).unwrap();
+    let n = c.num_vertices();
+    let edges: Vec<(u64, u64)> = (0..n)
+        .flat_map(|v| {
+            let row = c.neighbors(v);
+            // first and last neighbour (loops included), and a non-edge
+            let ends = [row.first(), row.last()].map(|u| u.map(|&u| (v, u)));
+            ends.into_iter().flatten().chain([(v, (v * 7 + 3) % n)])
+        })
+        .collect();
+    // shard claims [lo, hi) per node
+    let splits: [&[(usize, usize)]; 3] = [&[(0, 4)], &[(0, 2), (2, 4)], &[(0, 2), (1, 3), (2, 4)]];
+    for split in splits {
+        let claims: Vec<_> = split.iter().map(|&(lo, hi)| lo..hi).collect();
+        let reports = with_split(&dir, &claims, |engines| {
+            let holders = |v: u64| {
+                engines
+                    .iter()
+                    .filter(move |e| e.shard_set().subset_vertices().contains(&v))
+            };
+            for v in 0..n {
+                let want = single.vertex_triangles_with_checks(v).unwrap();
+                for node in holders(v) {
+                    assert_eq!(node.vertex_triangles_with_checks(v).unwrap(), want, "{v}");
+                }
+            }
+            for &(u, v) in &edges {
+                let want = single.edge_triangles_with_checks(u, v).unwrap();
+                for node in holders(u) {
+                    let got = node.edge_triangles_with_checks(u, v).unwrap();
+                    assert_eq!(got, want, "tri_edge {u} {v}");
+                }
+            }
+        });
+        let rows: u64 = reports.iter().map(|r| r.rows_served).sum();
+        let wedges: u64 = reports.iter().map(|r| r.wedges_served).sum();
+        assert_eq!(rows, 0, "{claims:?}: a triangle query moved a /row");
+        assert_eq!(
+            wedges > 0,
+            claims.len() > 1,
+            "{claims:?}: {wedges} wedge exchanges"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
