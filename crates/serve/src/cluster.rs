@@ -23,7 +23,10 @@
 //! /wedges` per replica set (`encode_wedges`; `WedgeAsk` is the
 //! answering side's decoder), and gets one `(count, checks)` pair per
 //! neighbour back — the terms `kron_triangles::slice::intersect_excluding`
-//! yields on a single node, so the sums are the single node's.
+//! yields on a single node, so the sums are the single node's. A peer may
+//! answer only a prefix of the neighbours (its event thread stops at a
+//! bounded merge rather than hand a short-row exchange to its workers);
+//! the querying node then asks again for the rest.
 //!
 //! The **ownership map** has two layers, both static:
 //!
@@ -307,16 +310,18 @@ impl RemoteShards {
         )
     }
 
-    /// Ship `row_v` to one of `replicas` in one `POST /wedges` and
-    /// return `Σ_u (|N(u) ∩ N(v) \ {u, v}|, comparisons)` over `asked`,
-    /// the ascending neighbours of `v` whose rows those replicas hold.
+    /// Ship `row_v` to one of `replicas` in one `POST /wedges` about
+    /// `asked`, the ascending neighbours of `v` whose rows those replicas
+    /// hold. The peer answers a prefix of `asked`, at least its first
+    /// neighbour; returns its length `j` and `Σ_u (|N(u) ∩ N(v) \ {u, v}|,
+    /// comparisons)` over `asked[..j]`.
     pub(crate) fn wedges(
         &self,
         replicas: &[usize],
         v: u64,
         row_v: &[u64],
         asked: &[u64],
-    ) -> Result<(u64, u64), ServeError> {
+    ) -> Result<(usize, u64, u64), ServeError> {
         let body = encode_wedges(v, row_v, asked);
         self.ask(
             replicas,
@@ -424,18 +429,19 @@ fn ok_body<T>(
 }
 
 /// Judge one `/wedges` answer for `asked` neighbours of a `row_len`-entry
-/// row: exactly one `(count, checks)` varint pair per neighbour and no
-/// trailing byte, every count at most `row_len` (an intersection is no
-/// larger than the row) and every check count at least its count (each
-/// common column costs a comparison). A body that breaks this is torn or
-/// corrupt — another replica may get it right — never a count to trust.
-/// Returns the sums over the pairs.
+/// row: whole `(count, checks)` varint pairs for the first `j` neighbours,
+/// `1 ≤ j ≤ asked` (none only when nothing was asked), and no byte after
+/// them; every count at most `row_len` (an intersection is no larger than
+/// the row) and every check count at least its count (each common column
+/// costs a comparison). A body that breaks this is torn or corrupt —
+/// another replica may get it right — never a count to trust. Returns `j`
+/// and the sums over the pairs.
 fn decode_wedges(
     reply: Reply,
     asked: usize,
     row_len: u64,
     fail: &dyn Fn(String) -> String,
-) -> Attempt<(u64, u64), ServeError> {
+) -> Attempt<(usize, u64, u64), ServeError> {
     let body = match ok_body(reply, fail) {
         Ok((_, body)) => body,
         Err(attempt) => return attempt,
@@ -443,27 +449,29 @@ fn decode_wedges(
     let torn =
         |what: String| Attempt::Transport(fail(format!("body of {} bytes: {what}", body.len())));
     let read = |pos: &mut usize| kron_stream::csr::varint_read(&body, pos);
-    let mut pos = 0;
+    let (mut pos, mut answered) = (0, 0);
     let (mut count, mut checks) = (0u64, 0u64);
-    for i in 0..asked {
+    while pos < body.len() && answered < asked {
         let (Some(c), Some(k)) = (read(&mut pos), read(&mut pos)) else {
-            return torn(format!(
-                "no (count, checks) pair for neighbour {i} of {asked}"
-            ));
+            return torn(format!("pair {answered} is not two whole varints"));
         };
         if c > row_len || k < c {
             return torn(format!(
-                "pair {i} is ({c}, {k}): a count is at most the row's {row_len} \
-                 entries and at most its checks"
+                "pair {answered} is ({c}, {k}): a count is at most the row's \
+                 {row_len} entries and at most its checks"
             ));
         }
+        answered += 1;
         count += c;
         checks += k;
     }
     if pos != body.len() {
         return torn(format!("trailing bytes after {asked} pairs"));
     }
-    Attempt::Done((count, checks))
+    if answered == 0 && asked > 0 {
+        return torn(format!("no pair for {asked} neighbours"));
+    }
+    Attempt::Done((answered, count, checks))
 }
 
 /// Classify one framed `/row` answer for the failover loop, decode its
@@ -685,8 +693,8 @@ mod tests {
     /// but breaks the row contract (strictly ascending columns below
     /// `n_C`) is the torn-body class — the replica is charged, the next
     /// one answers, nothing is served from it. So is a `/wedges` reply
-    /// that breaks its framing: a missing or extra pair, trailing bytes,
-    /// a count above the shipped row's length or above its own checks.
+    /// that breaks its framing: no pair, a pair too many, half a pair, a
+    /// count above the shipped row's length or above its own checks.
     #[test]
     fn peer_rows_breaking_the_row_contract_fail_over_to_the_next_replica() {
         const N: u64 = 50;
@@ -740,7 +748,7 @@ mod tests {
             assert!(matches!(decode_row(vd_of(row), N, &|d| d), Attempt::Done(r) if *r == *row));
         }
 
-        // `/wedges` for two neighbours of a 3-entry row: two (count,
+        // `/wedges` for two neighbours of a 3-entry row: one or two (count,
         // checks) varint pairs, counts ≤ 3, checks ≥ count, nothing more
         let wedges = |body: &[u8]| -> Reply {
             let ctype = crate::http::WEDGES_CONTENT_TYPE.to_string();
@@ -750,8 +758,11 @@ mod tests {
         let good_wedges = wedges(&[1, 4, 0, 0x82, 0x01]); // (1, 4), (0, 130)
         let torn = [
             ("empty body", wedges(&[])),
-            ("one pair for two neighbours", wedges(&[1, 4])),
             ("half a pair", wedges(&[1, 4, 0])),
+            (
+                "three pairs for two neighbours",
+                wedges(&[1, 4, 0, 2, 0, 1]),
+            ),
             ("truncated varint", wedges(&[1, 4, 0, 0x82])),
             ("trailing byte", wedges(&[1, 4, 0, 2, 0])),
             ("count above |row(v)|", wedges(&[4, 9, 0, 2])),
@@ -765,7 +776,7 @@ mod tests {
             ("5xx", (503, "text/plain".into(), b"error: busy\n".to_vec())),
         ];
         for (what, reply) in &torn {
-            fails_over(what, reply, &good_wedges, judge, &(1, 134));
+            fails_over(what, reply, &good_wedges, judge, &(2, 1, 134));
             assert!(
                 matches!(judge(reply.clone(), &|d| d), Attempt::Transport(_)),
                 "{what}"
@@ -779,13 +790,18 @@ mod tests {
                 _ => panic!("a {status} must be final"),
             }
         }
-        // the contract's edges are legal replies
+        // the contract's edges are legal replies: a full count, a prefix of
+        // one pair (the rest is asked again), nothing asked
         assert!(matches!(
             judge(wedges(&[3, 3, 0, 0]), &|d| d),
-            Attempt::Done((3, 3))
+            Attempt::Done((2, 3, 3))
+        ));
+        assert!(matches!(
+            judge(wedges(&[1, 4]), &|d| d),
+            Attempt::Done((1, 1, 4))
         ));
         let none = decode_wedges(wedges(&[]), 0, 0, &|d| d);
-        assert!(matches!(none, Attempt::Done((0, 0))));
+        assert!(matches!(none, Attempt::Done((0, 0, 0))));
     }
 
     /// What the querying node sends is what the answering node decodes,

@@ -523,9 +523,19 @@ impl ServeEngine {
     /// because the wire round trip is exactly the expensive fetch the
     /// LRU exists to absorb.
     fn fetch(&self, v: u64, cache_local: bool) -> Result<Option<RowRef<'_>>, ServeError> {
-        let Some(shard) = self.set.route(v) else {
-            return Ok(None);
-        };
+        match self.set.route(v) {
+            None => Ok(None),
+            Some(shard) => self.fetch_routed(shard, v, cache_local).map(Some),
+        }
+    }
+
+    /// [`Self::fetch`] for a `v` the caller has already routed to `shard`.
+    fn fetch_routed(
+        &self,
+        shard: usize,
+        v: u64,
+        cache_local: bool,
+    ) -> Result<RowRef<'_>, ServeError> {
         let local = self.set.local(shard);
         let cache = self
             .cache
@@ -534,7 +544,7 @@ impl ServeEngine {
         if let Some(cache) = cache {
             if let Some(row) = cache.get(v) {
                 self.routing.record_hit();
-                return Ok(Some(RowRef::Shared(row)));
+                return Ok(RowRef::Shared(row));
             }
             self.routing.record_miss();
         }
@@ -559,14 +569,14 @@ impl ServeEngine {
                 RowRef::Shared(remote.fetch(shard, v)?)
             }
         };
-        Ok(Some(match cache {
+        Ok(match cache {
             Some(cache) => {
                 let shared: Arc<[u64]> = row.into();
                 cache.insert(v, shared.clone());
                 RowRef::Shared(shared)
             }
             None => row,
-        }))
+        })
     }
 
     pub(crate) fn out_of_range(&self, vertex: u64) -> ServeError {
@@ -747,22 +757,14 @@ impl ServeEngine {
 
     fn vertex_triangles_artifact(&self, v: u64) -> Result<(u64, u64), ServeError> {
         let row_v = self.row(v, false)?;
-        let Some(remote) = &self.remote else {
-            // A neighbor whose fetch failed (an undecodable row) is carried
-            // out of the kernel via `failure`.
-            let mut failure: Option<ServeError> = None;
-            return slice::vertex_triangles_rows(&row_v, v, |u| {
-                self.fetch(u, true).unwrap_or_else(|e| {
-                    failure = Some(e);
-                    None
-                })
-            })
-            .map_err(|u| failure.take().unwrap_or_else(|| Self::stray_neighbor(v, u)));
-        };
-        // In a cluster the resident neighbors are intersected here and the
-        // rest where their rows live: one `/wedges` per replica set ships
-        // `row(v)` there and brings back the counts, so no neighbor row
-        // crosses the wire. The sums are today's, term for term.
+        // `t(v) = ½·Σ_{u ∈ N(v), u≠v} Δ[{v,u}]` (the row-sum identity below
+        // Def. 6; the self loop spawns no wedges, Rem. 3). Resident
+        // neighbors are intersected here; in a cluster the rest are
+        // intersected where their rows live — `row(v)` travels to a replica
+        // of theirs in `/wedges` exchanges grouped by replica set, and the
+        // same per-neighbor terms come back, so no neighbor row crosses the
+        // wire. On a tampered artifact `Σ Δ` can be odd; the floor division
+        // then gives a deterministic wrong count for cross-check to flag.
         let (mut twice_t, mut checks) = (0u64, 0u64);
         let mut far: BTreeMap<&[usize], Vec<u64>> = BTreeMap::new();
         for &u in row_v.iter().filter(|&&u| u != v) {
@@ -770,24 +772,48 @@ impl ServeEngine {
                 .set
                 .route(u)
                 .ok_or_else(|| Self::stray_neighbor(v, u))?;
-            if self.set.local(shard).is_none() {
+            let far_here = |_: &&RemoteShards| self.set.local(shard).is_none();
+            if let Some(remote) = self.remote.as_ref().filter(far_here) {
                 far.entry(remote.replicas(shard)).or_default().push(u);
                 continue;
             }
-            let row_u = self
-                .fetch(u, true)?
-                .ok_or_else(|| Self::stray_neighbor(v, u))?;
+            let row_u = self.fetch_routed(shard, u, true)?;
             let (delta, c) = slice::intersect_excluding(&row_v, &row_u, v, u);
             twice_t += delta;
             checks += c;
         }
-        for (replicas, asked) in &far {
-            self.routing.record_remote();
-            let (delta, c) = remote.wedges(replicas, v, &row_v, asked)?;
-            twice_t += delta;
-            checks += c;
+        if let Some(remote) = &self.remote {
+            for (replicas, asked) in &far {
+                let (delta, c) = self.wedges(remote, replicas, v, &row_v, asked)?;
+                twice_t += delta;
+                checks += c;
+            }
         }
         Ok((twice_t / 2, checks))
+    }
+
+    /// `Σ_u (Δ[{v,u}], wedge checks)` over `asked`, the ascending
+    /// neighbors of `v` whose rows live on `replicas`: `/wedges` exchanges
+    /// until every one is answered. A peer answers at least the first
+    /// neighbor of each, so a long list takes more than one only when its
+    /// merges outgrow the bound a peer's event thread answers itself.
+    fn wedges(
+        &self,
+        remote: &RemoteShards,
+        replicas: &[usize],
+        v: u64,
+        row_v: &[u64],
+        asked: &[u64],
+    ) -> Result<(u64, u64), ServeError> {
+        let (mut delta, mut checks, mut rest) = (0, 0, asked);
+        while !rest.is_empty() {
+            self.routing.record_remote();
+            let (answered, d, c) = remote.wedges(replicas, v, row_v, rest)?;
+            rest = &rest[answered..];
+            delta += d;
+            checks += c;
+        }
+        Ok((delta, checks))
     }
 
     /// Triangle participation `t_C(v)` (Def. 5). Returns
@@ -798,9 +824,10 @@ impl ServeEngine {
     /// neighbors may live in any resident shard, so each row fetch routes
     /// independently (through the hot-row LRU when one is configured). In
     /// a cluster, neighbors a peer owns are intersected on that peer:
-    /// one `POST /wedges` per replica set carries `row(v)` there and the
-    /// per-neighbor counts and checks back, so `(t, checks)` are the
-    /// single node's to the bit. Oracle path: `O(1)` from factor terms.
+    /// `POST /wedges` (one per replica set, unless a peer answers only a
+    /// prefix) carries `row(v)` there and the per-neighbor counts and
+    /// checks back, so `(t, checks)` are the single node's to the bit.
+    /// Oracle path: `O(1)` from factor terms.
     ///
     /// # Errors
     ///
@@ -849,14 +876,11 @@ impl ServeEngine {
             .ok_or_else(|| Self::stray_neighbor(u, v))?;
         if let (Some(remote), None) = (&self.remote, self.set.local(shard)) {
             // `v`'s row lives on a peer: ship `row(u)` there instead
-            self.routing.record_remote();
-            return remote
-                .wedges(remote.replicas(shard), u, &row_u, &[v])
+            return self
+                .wedges(remote, remote.replicas(shard), u, &row_u, &[v])
                 .map(Some);
         }
-        let row_v = self
-            .fetch(v, true)?
-            .ok_or_else(|| Self::stray_neighbor(u, v))?;
+        let row_v = self.fetch_routed(shard, v, true)?;
         Ok(Some(slice::edge_triangles_rows(&row_u, &row_v, u, v)))
     }
 

@@ -25,9 +25,10 @@
 //!   the pool regardless, so a pipelining peer cannot hold the thread;
 //! * **a bounded worker pool** (`--threads`, default 64) executes declined
 //!   requests ([`Thread::Pool`]) — that handling may block (remote row
-//!   fetches, router forwards). The hand-off is a `Mutex<VecDeque>` +
-//!   `Condvar` queue: one `notify_one` per request wakes exactly one
-//!   sleeping worker. A finished worker pushes the rendered response
+//!   fetches, router forwards). The hand-off is a `Mutex<VecDeque>`
+//!   queue with a stack of parked workers: one `unpark` per request
+//!   wakes exactly one, the one parked last, so a light load stays on a
+//!   few warm threads. A finished worker pushes the rendered response
 //!   bytes and pokes the wake pipe only if the completion list was empty
 //!   (a non-empty list already has a wake-up in flight);
 //! * **timeouts** protect the loop from slow clients: a *hard* deadline
@@ -177,7 +178,7 @@ mod imp {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Condvar, Mutex};
+    use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
     /// Max poll timeout: the shutdown flag is re-checked at least this
@@ -210,16 +211,21 @@ mod imp {
     type Completion = (u64, Vec<u8>);
 
     /// The event thread → pool hand-off. `push` wakes exactly one
-    /// sleeping worker; nobody sleeps holding the lock. Its length is
-    /// bounded by `--max-conns`: a connection has at most one request
-    /// in flight.
+    /// parked worker — the one parked last — and nobody parks holding the
+    /// lock. Its length is bounded by `--max-conns`: a connection has at
+    /// most one request in flight.
     pub(super) struct Queue {
         state: Mutex<QueueState>,
-        ready: Condvar,
     }
 
     struct QueueState {
         items: VecDeque<(u64, Request)>,
+        /// Parked workers, the most recently parked last. Waking the top
+        /// keeps a light load on the same few warm threads — their caches
+        /// and their malloc arenas — instead of cycling it through the
+        /// whole pool, where every thread would come to hold an arena of
+        /// its own and the process's resident memory would grow with it.
+        idle: Vec<std::thread::Thread>,
         closed: bool,
     }
 
@@ -228,9 +234,9 @@ mod imp {
             Queue {
                 state: Mutex::new(QueueState {
                     items: VecDeque::new(),
+                    idle: Vec::new(),
                     closed: false,
                 }),
-                ready: Condvar::new(),
             }
         }
 
@@ -240,30 +246,58 @@ mod imp {
         }
 
         pub(super) fn push(&self, id: u64, req: Request) {
-            self.lock().items.push_back((id, req));
-            self.ready.notify_one();
-        }
-
-        /// The next request, sleeping until there is one; `None` once the
-        /// queue is closed **and** drained.
-        pub(super) fn pop(&self) -> Option<(u64, Request)> {
-            let mut state = self.lock();
-            loop {
-                if let Some(item) = state.items.pop_front() {
-                    return Some(item);
-                }
-                if state.closed {
-                    return None;
-                }
-                state = self.ready.wait(state).expect("request queue lock poisoned");
+            let woken = {
+                let mut state = self.lock();
+                state.items.push_back((id, req));
+                state.idle.pop()
+            };
+            if let Some(worker) = woken {
+                worker.unpark();
             }
         }
 
-        /// No more pushes: every sleeping worker wakes, takes what is
-        /// still queued, then sees `None`.
+        /// The next request, parking until there is one; `None` once the
+        /// queue is closed **and** drained.
+        pub(super) fn pop(&self) -> Option<(u64, Request)> {
+            let me = std::thread::current();
+            loop {
+                {
+                    let mut state = self.lock();
+                    if let Some(item) = state.items.pop_front() {
+                        return Some(item);
+                    }
+                    if state.closed {
+                        return None;
+                    }
+                    // after a spurious wake-up this worker is still on the
+                    // stack, in its place
+                    if !state.idle.iter().any(|t| t.id() == me.id()) {
+                        state.idle.push(me.clone());
+                    }
+                }
+                // an `unpark` that lands before this call makes it return
+                // at once, so no wake-up is lost
+                std::thread::park();
+            }
+        }
+
+        /// How many workers are parked.
+        #[cfg(test)]
+        pub(super) fn parked(&self) -> usize {
+            self.lock().idle.len()
+        }
+
+        /// No more pushes: every parked worker wakes, takes what is still
+        /// queued, then sees `None`.
         pub(super) fn close(&self) {
-            self.lock().closed = true;
-            self.ready.notify_all();
+            let parked = {
+                let mut state = self.lock();
+                state.closed = true;
+                std::mem::take(&mut state.idle)
+            };
+            for worker in parked {
+                worker.unpark();
+            }
         }
     }
 
@@ -1083,5 +1117,36 @@ pub(crate) mod tests {
         });
         assert_eq!(taken.load(Ordering::SeqCst), 100);
         assert!(queue.pop().is_none());
+    }
+
+    /// One request at a time lands on the worker that parked last, every
+    /// time: a light load stays on one warm thread.
+    #[test]
+    fn a_request_wakes_the_worker_that_parked_last() {
+        let queue = Queue::new();
+        let taken = std::sync::Mutex::new(Vec::new());
+        let settle = |parked: usize, taken_len: usize| {
+            while queue.parked() != parked || taken.lock().unwrap().len() != taken_len {
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|s| {
+            for worker in 0..3 {
+                let (queue, taken) = (&queue, &taken);
+                s.spawn(move || {
+                    while let Some((id, _)) = queue.pop() {
+                        taken.lock().unwrap().push((worker, id));
+                    }
+                });
+                settle(worker + 1, 0);
+            }
+            for id in 0..5 {
+                queue.push(id, request("/x"));
+                settle(3, id as usize + 1);
+            }
+            queue.close();
+        });
+        let want: Vec<(usize, u64)> = (0..5).map(|id| (2, id)).collect();
+        assert_eq!(taken.into_inner().unwrap(), want);
     }
 }

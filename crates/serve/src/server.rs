@@ -24,8 +24,8 @@
 //!   request to `route` on the event thread first. There `route` answers
 //!   what is bounded and known before it starts — refusals, `/healthz`,
 //!   `/shards`, `/row` / `degree` / `has_edge` / `neighbors` on a
-//!   resident row of at most `INLINE_ROW_CAP` entries, and a peer's
-//!   `/wedges` whose merge is at most `INLINE_MERGE_CAP` entries — and
+//!   resident row of at most `INLINE_ROW_CAP` entries, and as much of a
+//!   peer's `/wedges` as fits a merge of `INLINE_MERGE_CAP` entries — and
 //!   declines the rest, which the loop hands to a bounded worker pool
 //!   (`--threads`) where the same `route` answers it. Nothing answered on
 //!   the event thread may block: no peer fetch, no lock held across I/O,
@@ -33,8 +33,10 @@
 //!   that reason.
 //! * **the cluster-internal endpoints call no peer**: `/row` reads a
 //!   resident row, `/wedges` intersects a shipped row with resident ones,
-//!   on whichever thread answers them — so two nodes asking each other
-//!   for help never wait on each other's workers.
+//!   on whichever thread answers them; and both are answered on the event
+//!   thread unless a row is longer than `INLINE_ROW_CAP` — so two nodes
+//!   asking each other about short rows never wait on each other's
+//!   workers.
 //! * **graceful shutdown via an atomic flag**: [`Server::run`] borrows a
 //!   caller-owned `AtomicBool` (the CLI sets it from SIGTERM/SIGINT, the
 //!   tests from a scope thread). On shutdown the listener stops
@@ -506,8 +508,8 @@ fn row_is_bounded(engine: &ServeEngine, v: u64) -> bool {
 /// What it answers on the event thread is the bounded set of
 /// `ARCHITECTURE.md` § "Serving over the network": table refusals, a
 /// `400`, `/healthz`, `/shards`, `/row` and single-row `/query`s on a
-/// short resident row, and a small `/wedges`. Nothing there touches a
-/// peer, spawns, or takes a lock that is held across I/O.
+/// short resident row, and a bounded prefix of a `/wedges`. Nothing there
+/// touches a peer, spawns, or takes a lock that is held across I/O.
 ///
 /// `scope` is the job-worker scope owned by [`Server::run`]: `POST
 /// /jobs` spawns its kernel worker there, so the run's scope exit (after
@@ -662,20 +664,32 @@ fn serve_row(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option
     Some((200, ctype, body))
 }
 
-/// Largest `/wedges` the event thread answers itself, in entries merged:
-/// the body's bytes (each entry is at least one) before decoding it, then
-/// `Σ_u (|row(v)| + row_len_bound(u))` — a handful of short rows' worth.
+/// Largest merge the event thread runs for one `/wedges`, in entries:
+/// `Σ_u (|row(v)| + row_len_bound(u))` over the neighbours it answers — a
+/// handful of short rows' worth. One pair of rows of at most
+/// [`INLINE_ROW_CAP`] entries always fits.
 const INLINE_MERGE_CAP: usize = 4 * INLINE_ROW_CAP;
+
+/// Longest `/wedges` body the event thread decodes: `row(v)` and the
+/// asked list (a subset of it) of [`INLINE_ROW_CAP`] entries each, at the
+/// ten bytes a varint takes at most, plus the two header varints.
+const INLINE_WEDGES_BODY: usize = 2 * 10 * (INLINE_ROW_CAP + 1);
 
 /// `POST /wedges` — the cluster-internal intersection: for each asked
 /// neighbour `u` of the caller's `v`, `|N(u) ∩ N(v) \ {u, v}|` and the
 /// merge's comparison count, `row(v)` from the body and `row(u)` off this
 /// node's mapping. Like `/row` it is not a query (it bumps
-/// `wedges_served`) and it calls no peer, whichever thread answers it, so
-/// two nodes asking each other cannot wait on each other's workers.
+/// `wedges_served`) and it calls no peer, whichever thread answers it.
+///
+/// The event thread answers the longest prefix of the asked neighbours
+/// whose merges fit [`INLINE_MERGE_CAP`] and the caller asks again for the
+/// rest; only an exchange whose first pair does not fit — a row longer
+/// than `/row` reads inline — goes to the pool, which answers all of it.
+/// So, as with `/row`, two nodes asking each other about short rows never
+/// wait on each other's workers.
 fn serve_wedges(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option<Response> {
     let inline = on == Thread::Event;
-    if inline && req.body.len() > INLINE_MERGE_CAP {
+    if inline && req.body.len() > INLINE_WEDGES_BODY {
         return None;
     }
     let set = state.engine.shard_set();
@@ -683,7 +697,6 @@ fn serve_wedges(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Opt
         Ok(ask) => ask,
         Err(e) => return Some(error(400, e)),
     };
-    let mut bound = 0;
     let mut shards = Vec::with_capacity(ask.asked.len());
     for &u in &ask.asked {
         // `u` is a column of a row below n_C, so some shard owns it
@@ -697,14 +710,24 @@ fn serve_wedges(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Opt
                 ),
             ));
         };
-        bound += ask.row_v.len() + open.reader.row_len_bound(u).unwrap_or(0);
         shards.push(open);
     }
-    if inline && bound > INLINE_MERGE_CAP {
-        return None;
+    let mut answered = ask.asked.len();
+    if inline {
+        let mut bound = 0;
+        for (i, (&u, open)) in ask.asked.iter().zip(&shards).enumerate() {
+            bound += ask.row_v.len() + open.reader.row_len_bound(u).unwrap_or(0);
+            if bound > INLINE_MERGE_CAP {
+                answered = i;
+                break;
+            }
+        }
+        if answered == 0 && !ask.asked.is_empty() {
+            return None;
+        }
     }
-    let mut body = Vec::with_capacity(4 * ask.asked.len());
-    for (&u, open) in ask.asked.iter().zip(shards) {
+    let mut body = Vec::with_capacity(4 * answered);
+    for (&u, open) in ask.asked.iter().zip(shards).take(answered) {
         let Some(row_u) = open.reader.row(u) else {
             return Some(error(500, "resident row unavailable"));
         };
@@ -816,11 +839,15 @@ mod tests {
     use kron_stream::{stream_product, OutputFormat, StreamConfig};
 
     fn run_dir(name: &str) -> (std::path::PathBuf, KronProduct) {
+        let a = Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]);
+        run_dir_of(name, KronProduct::new(a.clone(), a))
+    }
+
+    /// `c` streamed into two v1 shards.
+    fn run_dir_of(name: &str, c: KronProduct) -> (std::path::PathBuf, KronProduct) {
         let dir =
             std::env::temp_dir().join(format!("kron_server_unit_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let a = Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let c = KronProduct::new(a.clone(), a);
         let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
         cfg.shards = 2;
         stream_product(&c, &cfg).unwrap();
@@ -997,17 +1024,57 @@ mod tests {
     /// for its pool — nor calls back.
     #[test]
     fn bounded_wedges_answer_while_both_nodes_hold_their_only_worker() {
+        let (dir, c) = run_dir("held_wedges");
+        let every: Vec<u64> = (0..c.num_vertices()).collect();
+        for [inline, pooled, wedges] in tri_vertex_with_both_workers_held(&dir, &every) {
+            assert_eq!(pooled, 1, "only the held request reached the pool");
+            assert!(
+                wedges > 0 && inline == wedges,
+                "{inline} inline, {wedges} wedges"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The same with a hub: its far neighbours' merges outgrow
+    /// `INLINE_MERGE_CAP`, so each peer's event thread answers them a
+    /// prefix at a time and the querying node asks again for the rest —
+    /// still no `/wedges` reaches a pool.
+    #[test]
+    fn hub_wedges_answer_in_prefixes_while_both_nodes_hold_their_only_worker() {
+        // (K15 + I) ⊗ (K14 + I) is K210 with every loop: 210 entries a
+        // row, and the ~100 neighbours a vertex has on the other node
+        // merge ~100 · 420 entries, more than twice the cap
+        let full = |n: usize| {
+            let n32 = n as u32;
+            Graph::from_edges(n, (0..n32).flat_map(|i| (i..n32).map(move |j| (i, j))))
+        };
+        let (dir, c) = run_dir_of("held_hub_wedges", KronProduct::new(full(15), full(14)));
+        let hubs = [0, c.num_vertices() - 1];
+        for [inline, pooled, wedges] in tri_vertex_with_both_workers_held(&dir, &hubs) {
+            assert_eq!(pooled, 1, "only the held request reached the pool");
+            assert_eq!(inline, wedges, "every /wedges answered inline");
+            assert!(wedges >= 3, "one hub query took {wedges} exchanges");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Open `dir`'s two shards as two nodes peering with each other,
+    /// serve them with one worker each, hold both workers, then ask each
+    /// of `vertices`' owning node for `tri_vertex` and check it against
+    /// the whole run. Returns each node's `[inline, pooled,
+    /// wedges_served]` after the queries.
+    fn tri_vertex_with_both_workers_held(dir: &std::path::Path, vertices: &[u64]) -> [[u64; 3]; 2] {
         use crate::event_loop::tests::{Gate, StopOnDrop};
         use std::io::Write;
 
-        let (dir, c) = run_dir("held_wedges");
-        let whole = ServeEngine::open_verified(&dir).unwrap();
+        let whole = ServeEngine::open_verified(dir).unwrap();
         let servers = [0, 1].map(|_| Server::bind("127.0.0.1:0").unwrap());
         let addrs = servers.each_ref().map(|s| s.local_addr().unwrap());
         let engines = [0usize, 1].map(|i| {
             let peer = format!("{}..{}={}", 1 - i, 2 - i, addrs[1 - i]);
             ServeEngine::open_with(
-                &dir,
+                dir,
                 &OpenOptions {
                     shard_subset: Some(i..i + 1),
                     peers: vec![crate::PeerSpec::parse(&peer).unwrap()],
@@ -1040,7 +1107,7 @@ mod tests {
                     held
                 });
                 gate.wait_entered(2);
-                for v in 0..c.num_vertices() {
+                for &v in vertices {
                     let home = engines
                         .iter()
                         .find(|e| e.shard_set().subset_vertices().contains(&v))
@@ -1048,15 +1115,9 @@ mod tests {
                     let want = whole.vertex_triangles_with_checks(v).unwrap();
                     assert_eq!(home.vertex_triangles_with_checks(v).unwrap(), want, "{v}");
                 }
-                for s in &states {
-                    let [inline, pooled, wedges] = counts(s);
-                    assert_eq!(pooled, 1, "only the held request reached the pool");
-                    assert!(
-                        wedges > 0 && inline == wedges,
-                        "{inline} inline, {wedges} wedges"
-                    );
-                }
+                let after = states.each_ref().map(counts);
                 drop(held);
+                after
             });
             for (server, state) in servers.iter().zip(&states) {
                 let (stop, gate, opts) = (&stop, &gate, &opts);
@@ -1079,9 +1140,8 @@ mod tests {
                     )
                 });
             }
-            client.join().unwrap();
-        });
-        std::fs::remove_dir_all(&dir).ok();
+            client.join().unwrap()
+        })
     }
 
     #[test]
