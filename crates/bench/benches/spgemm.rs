@@ -1,6 +1,5 @@
-//! Ablation bench: SpGEMM accumulator strategies — dense
-//! SPA (parallel and serial) vs sort-merge — squaring web-like adjacency
-//! matrices.
+//! SpGEMM bench: the parallel dense-SPA product against the
+//! pattern-masked one, squaring web-like adjacency matrices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kron_bench::web_factor;
@@ -17,12 +16,6 @@ fn bench_spgemm(c: &mut Criterion) {
         let a: CsrMatrix<u64> = web_factor(n).to_csr();
         group.bench_with_input(BenchmarkId::new("spa_parallel", n), &a, |b, a| {
             b.iter(|| black_box(a.spgemm(a).nnz()))
-        });
-        group.bench_with_input(BenchmarkId::new("spa_serial", n), &a, |b, a| {
-            b.iter(|| black_box(a.spgemm_serial(a).nnz()))
-        });
-        group.bench_with_input(BenchmarkId::new("sort_merge", n), &a, |b, a| {
-            b.iter(|| black_box(a.spgemm_sort_merge(a).nnz()))
         });
         group.bench_with_input(BenchmarkId::new("masked_by_pattern", n), &a, |b, a| {
             b.iter(|| black_box(masked_spgemm(a, a, a).nnz()))

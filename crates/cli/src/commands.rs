@@ -709,13 +709,15 @@ fn rayon_threads(p: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// A non-negative number of seconds (fractions allowed) from option
-/// `--name`; absent or 0 is `None`, the caller's default.
+/// A number of seconds from 0 to 10⁹ (fractions allowed) from option
+/// `--name`; absent or 0 is `None`, the caller's default. 10⁹ s is about
+/// 31 years: far past any use, and a deadline that far ahead still fits
+/// an `Instant`, which a larger value need not.
 fn seconds(p: &ParsedArgs, name: &str) -> Result<Option<Duration>, String> {
     let secs: f64 = p.opt(name, 0.0)?;
-    if secs < 0.0 || !secs.is_finite() {
+    if !(0.0..=1e9).contains(&secs) {
         return Err(format!(
-            "--{name}: expected a non-negative number of seconds"
+            "--{name}: expected a number of seconds from 0 to 1e9"
         ));
     }
     Ok((secs > 0.0).then(|| Duration::from_secs_f64(secs)))

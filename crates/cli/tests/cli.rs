@@ -1127,6 +1127,46 @@ fn cluster_nodes_and_router_serve_end_to_end() {
     assert!(node1.terminate().status.success());
 }
 
+/// A number of seconds too large for a deadline is refused with exit 1
+/// before the listener binds: `1e300` does not fit a `Duration`, and
+/// `1e19` does, but `now + 1e19 s` overflows an `Instant` later. The
+/// `--listen` port is held, so a check made after binding would fail
+/// with a binding error instead.
+#[test]
+fn out_of_range_seconds_exit_1_before_binding() {
+    let run_dir = server_run_dir("seconds_range");
+    let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = held.local_addr().unwrap().to_string();
+    let dir = run_dir.to_str().unwrap();
+    let serve = |opt: &'static str, secs: &'static str| {
+        (opt, kron(&["serve", dir, "--listen", &addr, opt, secs]))
+    };
+    for (opt, out) in [
+        serve("--idle-timeout", "1e300"),
+        serve("--idle-timeout", "1e19"),
+        serve("--io-timeout", "1e19"),
+        (
+            "--rediscover",
+            kron(&[
+                "route",
+                "--peers",
+                "127.0.0.1:1",
+                "--listen",
+                &addr,
+                "--rediscover",
+                "1e19",
+            ]),
+        ),
+    ] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{opt}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{opt}: expected a number of seconds")),
+            "{stderr}"
+        );
+    }
+}
+
 #[test]
 fn cluster_flag_errors_are_rejected_up_front() {
     let run_dir = server_run_dir("cluster_flags");

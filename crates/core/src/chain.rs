@@ -57,11 +57,6 @@ impl KronChain {
         })
     }
 
-    /// Number of factors `k`.
-    pub fn num_factors(&self) -> usize {
-        self.factors.len()
-    }
-
     /// The factors.
     pub fn factors(&self) -> &[Graph] {
         &self.factors

@@ -236,20 +236,6 @@ impl KronProduct {
         (2 * self.vertex_triangles(p)) as f64 / (d * (d - 1)) as f64
     }
 
-    /// Edge clustering coefficient of `{p, q}`:
-    /// `Δ_C(p,q) / (min(d_C(p), d_C(q)) − 1)` — how close the edge is to
-    /// being in a clique with its lower-degree endpoint. `None` for
-    /// non-edges; `0.0` when the denominator vanishes.
-    pub fn edge_clustering(&self, p: u64, q: u64) -> Option<f64> {
-        let delta = self.edge_triangles(p, q)?;
-        let dmin = self.degree(p).min(self.degree(q));
-        Some(if dmin < 2 {
-            0.0
-        } else {
-            delta as f64 / (dmin - 1) as f64
-        })
-    }
-
     /// Total wedges (2-paths) of `C`: `Σ_p C(d_C(p), 2)`, in closed form
     /// from the factor degree sequences — pairs with
     /// [`Self::total_triangles`] to give the exact global transitivity.
@@ -644,14 +630,14 @@ mod tests {
             })
             .sum();
         assert_eq!(wedges, c.total_wedges());
-        // edge clustering sanity on a clique product: every edge maximal
+        // Ex. 1(a) on a clique product, n=m=4: Δ = nm+4−2n−2m = 4 at every
+        // edge, d = nm+1−n−m = 9 at every vertex
         let kc = KronProduct::new(clique(4), clique(4));
         let ix = kc.indexer();
         let (p, q) = (ix.compose(0, 0), ix.compose(1, 1));
-        let cc = kc.edge_clustering(p, q).unwrap();
-        // Ex. 1(a) with n=m=4: Δ = nm+4−2n−2m = 4, d = nm+1−n−m = 9 → 4/8
-        assert!((cc - 0.5).abs() < 1e-12);
-        assert_eq!(kc.edge_clustering(p, p), None); // (0,0)x(0,0) loop absent
+        assert_eq!(kc.edge_triangles(p, q), Some(4));
+        assert_eq!(kc.degree(p), 9);
+        assert_eq!(kc.edge_triangles(p, p), None); // (0,0)x(0,0) loop absent
     }
 
     #[test]

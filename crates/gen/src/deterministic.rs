@@ -34,14 +34,6 @@ pub fn star(n: usize) -> Graph {
     Graph::from_edges(n, (1..n as u32).map(|i| (0, i)))
 }
 
-/// The complete bipartite graph `K_{a,b}` (vertices `0..a` vs `a..a+b`).
-pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    Graph::from_edges(
-        a + b,
-        (0..a as u32).flat_map(move |i| (a as u32..(a + b) as u32).map(move |j| (i, j))),
-    )
-}
-
 /// The paper's Ex. 2 graph (Fig. 3 left): a 4-cycle `1-2-3-4` with hub
 /// vertex `0` adjacent to every cycle vertex —
 /// `K_5 − e_2e_4ᵗ − e_4e_2ᵗ − e_3e_5ᵗ − e_5e_3ᵗ` in 1-based paper indexing.
@@ -121,7 +113,8 @@ mod tests {
     #[test]
     fn star_and_bipartite_are_triangle_free() {
         assert_eq!(count_triangles(&star(10)).triangles, 0);
-        let b = complete_bipartite(3, 4);
+        // K_{3,4}: vertices 0..3 against 3..7
+        let b = Graph::from_edges(7, (0..3).flat_map(|i| (3..7).map(move |j| (i, j))));
         assert_eq!(b.num_edges(), 12);
         assert_eq!(count_triangles(&b).triangles, 0);
     }

@@ -42,23 +42,6 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     b.build()
 }
 
-/// `G(n, m)`: exactly `m` distinct edges, uniformly among all edge sets.
-pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
-    let total = n as u64 * (n as u64 - 1) / 2;
-    assert!(m as u64 <= total, "too many edges requested");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut chosen = std::collections::HashSet::with_capacity(m * 2);
-    let mut b = GraphBuilder::with_capacity(n, m);
-    while chosen.len() < m {
-        let pos = rng.gen_range(0..total);
-        if chosen.insert(pos) {
-            let (i, j) = unrank_pair(pos, n as u64);
-            b.add_edge(i as u32, j as u32);
-        }
-    }
-    b.build()
-}
-
 /// Map linear index `pos ∈ [0, C(n,2))` to the `pos`-th pair `(i, j)`,
 /// `i < j`, in row-major upper-triangle order.
 fn unrank_pair(pos: u64, n: u64) -> (u64, u64) {
@@ -126,19 +109,5 @@ mod tests {
     fn gnp_deterministic_in_seed() {
         assert_eq!(erdos_renyi(50, 0.2, 7), erdos_renyi(50, 0.2, 7));
         assert_ne!(erdos_renyi(50, 0.2, 7), erdos_renyi(50, 0.2, 8));
-    }
-
-    #[test]
-    fn gnm_exact_count() {
-        for m in [0, 1, 10, 45] {
-            let g = gnm(10, m, 3);
-            assert_eq!(g.num_edges() as usize, m);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "too many edges")]
-    fn gnm_overfull_rejected() {
-        let _ = gnm(4, 7, 0);
     }
 }

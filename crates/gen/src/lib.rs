@@ -4,7 +4,7 @@
 //!
 //! * [`deterministic`] — closed-form families used throughout the paper's
 //!   examples: cliques `K_n`, looped cliques `J_n` (Ex. 1), the hub-cycle
-//!   graph of Ex. 2 / Fig. 3, cycles, paths, stars, bipartite graphs;
+//!   graph of Ex. 2 / Fig. 3, cycles, paths, stars, grids;
 //! * [`erdos_renyi`] / [`barabasi_albert`] / [`chung_lu`] — standard random
 //!   models for factors;
 //! * [`holme_kim`] — powerlaw-with-clustering model; the workspace's
@@ -55,10 +55,10 @@ mod wedge_close;
 
 pub use ba::barabasi_albert;
 pub use chung_lu::{chung_lu, pareto_weights};
-pub use er::{erdos_renyi, gnm};
+pub use er::erdos_renyi;
 pub use holme_kim::holme_kim;
 pub use one_triangle::one_triangle_per_edge;
 pub use rmat::{rmat, RmatParams};
-pub use skg::{stochastic_kronecker, stochastic_kronecker_balldrop};
+pub use skg::stochastic_kronecker;
 pub use sparsify::triangle_sparsify;
 pub use wedge_close::close_wedges;

@@ -3,16 +3,11 @@
 //! sampled independently from `P^{⊗k}`, which yields *few* triangles,
 //! unlike the nonstochastic products this workspace is about.
 //!
-//! Two samplers are provided:
-//!
-//! * [`stochastic_kronecker`] — the faithful **Bernoulli** model: edge
-//!   `(u, v)` present independently with probability
-//!   `∏_level P[u_bit][v_bit]`. This is the model Seshadhri–Pinar–Kolda
-//!   analyze when showing SKGs are triangle-poor (the paper's Rem. 1).
-//!   Cost `O(n²·k)` — fine for factor-sized graphs.
-//! * [`stochastic_kronecker_balldrop`] — Graph500-style ball dropping
-//!   (duplicates collapse), usable at much larger scale but with the
-//!   well-known dense-core artifact.
+//! [`stochastic_kronecker`] is the faithful **Bernoulli** model: edge
+//! `(u, v)` present independently with probability
+//! `∏_level P[u_bit][v_bit]`. This is the model Seshadhri–Pinar–Kolda
+//! analyze when showing SKGs are triangle-poor (the paper's Rem. 1). Cost
+//! `O(n²·k)` — fine for factor-sized graphs.
 
 use kron_graph::{Graph, GraphBuilder};
 use rand::prelude::*;
@@ -45,50 +40,6 @@ pub fn stochastic_kronecker(initiator: [[f64; 2]; 2], k: u32, seed: u64) -> Grap
             if p > 0.0 && rng.gen_bool(p.min(1.0)) {
                 b.add_edge(u, v);
             }
-        }
-    }
-    b.build()
-}
-
-/// Ball-dropping sampler: drop `edges` samples from the normalized
-/// initiator distribution (duplicates collapse, loops dropped, result
-/// symmetrized). Scales to large `k` but concentrates a dense core.
-pub fn stochastic_kronecker_balldrop(
-    initiator: [[f64; 2]; 2],
-    k: u32,
-    edges: usize,
-    seed: u64,
-) -> Graph {
-    assert!((1..32).contains(&k), "k out of range");
-    let total: f64 = initiator.iter().flatten().sum();
-    assert!(total > 0.0, "initiator must have positive mass");
-    let cells = [
-        (0u32, 0u32, initiator[0][0] / total),
-        (0, 1, initiator[0][1] / total),
-        (1, 0, initiator[1][0] / total),
-        (1, 1, initiator[1][1] / total),
-    ];
-    let n = 1usize << k;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(n, edges);
-    for _ in 0..edges {
-        let (mut r, mut c) = (0u32, 0u32);
-        for _ in 0..k {
-            let x: f64 = rng.gen();
-            let mut acc = 0.0;
-            let mut chosen = cells[3];
-            for cell in cells {
-                acc += cell.2;
-                if x < acc {
-                    chosen = cell;
-                    break;
-                }
-            }
-            r = 2 * r + chosen.0;
-            c = 2 * c + chosen.1;
-        }
-        if r != c {
-            b.add_edge(r, c);
         }
     }
     b.build()
@@ -129,22 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn balldrop_shape() {
-        let g = stochastic_kronecker_balldrop(FITTED, 14, 8 * (1 << 14), 5);
-        assert_eq!(g.num_vertices(), 1 << 14);
-        assert_eq!(g.num_self_loops(), 0);
-        assert!(g.num_edges() > 1 << 14);
-    }
-
-    #[test]
     fn deterministic_in_seed() {
         assert_eq!(
             stochastic_kronecker(FITTED, 8, 1),
             stochastic_kronecker(FITTED, 8, 1)
-        );
-        assert_eq!(
-            stochastic_kronecker_balldrop(FITTED, 8, 1000, 1),
-            stochastic_kronecker_balldrop(FITTED, 8, 1000, 1)
         );
     }
 

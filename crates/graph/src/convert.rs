@@ -25,11 +25,6 @@ impl Graph {
         .expect("graph adjacency is valid CSR")
     }
 
-    /// The adjacency matrix with signed values, for formulas that subtract.
-    pub fn to_csr_i64(&self) -> CsrMatrix<i64> {
-        self.to_csr().map_values(|v| v as i64)
-    }
-
     /// Reconstruct a graph from a symmetric 0/1 pattern.
     ///
     /// # Panics

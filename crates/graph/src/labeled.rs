@@ -63,12 +63,6 @@ impl LabeledGraph {
         &self.labels
     }
 
-    /// Vertices carrying label `q` — the support of the paper's filter
-    /// `Π_{A,q}` (Def. 12).
-    pub fn vertices_with_label(&self, q: Label) -> impl Iterator<Item = u32> + '_ {
-        (0..self.graph.num_vertices() as u32).filter(move |&v| self.labels[v as usize] == q)
-    }
-
     /// Histogram of label usage (length `num_labels`).
     pub fn label_histogram(&self) -> Vec<u64> {
         let mut h = vec![0u64; self.num_labels];
@@ -100,8 +94,6 @@ mod tests {
     #[test]
     fn filter_support() {
         let lg = sample();
-        let ones: Vec<_> = lg.vertices_with_label(1).collect();
-        assert_eq!(ones, vec![1, 3]);
         assert_eq!(lg.label_histogram(), vec![1, 2, 1]);
     }
 

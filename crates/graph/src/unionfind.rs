@@ -48,11 +48,6 @@ impl UnionFind {
         true
     }
 
-    /// Whether `x` and `y` are in the same set.
-    pub fn same_set(&mut self, x: u32, y: u32) -> bool {
-        self.find(x) == self.find(y)
-    }
-
     /// Current number of disjoint sets.
     pub fn num_sets(&self) -> usize {
         self.num_sets
@@ -71,8 +66,8 @@ mod tests {
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2));
         assert_eq!(uf.num_sets(), 3);
-        assert!(uf.same_set(0, 2));
-        assert!(!uf.same_set(0, 3));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(3));
     }
 
     #[test]

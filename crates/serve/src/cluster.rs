@@ -10,12 +10,11 @@
 //! ([`kron_stream::ShardSet::open_with`]) of the same run directory and
 //! serves every query it receives — local rows zero-copy off its own
 //! mappings, non-resident rows fetched from a peer over the internal
-//! `GET /row?shard=S&v=V&enc=vd` endpoint. The fetcher asks for the
-//! varint delta encoding and decodes by the response's `Content-Type`
-//! (`application/kron-row-vd` → varint, `application/octet-stream` → raw
-//! little-endian `u64` words), so either side may be older without
-//! corrupting a row; see `ARCHITECTURE.md` § "Cluster serving" for the
-//! normative wire format.
+//! `GET /row?shard=S&v=V&enc=vd` endpoint. Every row crosses the wire in
+//! one encoding, varint delta (`application/kron-row-vd`); the fetcher
+//! refuses a `200` of any other `Content-Type` and fails over, so a node
+//! speaking another encoding is never misread; see `ARCHITECTURE.md` §
+//! "Cluster serving" for the normative wire format.
 //!
 //! Triangle queries do not fetch rows: a row's neighbours a peer owns
 //! are intersected **on** that peer. `RemoteShards::wedges` ships
@@ -293,9 +292,8 @@ impl RemoteShards {
     /// Fetch the adjacency row of `v` in `shard` from one of the shard's
     /// replicas, failing over on transport errors.
     pub(crate) fn fetch(&self, shard: usize, v: u64) -> Result<Arc<[u64]>, ServeError> {
-        // Ask for the varint delta encoding; the answer's Content-Type —
-        // not the request — decides how to decode, so an older peer that
-        // ignores `enc` and answers raw words still decodes correctly.
+        // Every node answers varint delta rows; older ones only when
+        // asked, so ask. `decode_row` refuses any other Content-Type.
         let path = format!("/row?shard={shard}&v={v}&enc=vd");
         self.ask(
             &self.by_shard[shard],
@@ -383,15 +381,7 @@ impl WedgeAsk {
             .and_then(|len| pos.checked_add(len))
             .filter(|&end| end <= body.len())
             .ok_or_else(|| format!("row of {len} bytes overruns the {}-byte body", body.len()))?;
-        let mut row_v = Vec::new();
-        if !kron_stream::decode_row_vd(&body[pos..row_end], &mut row_v) {
-            return Err("row is not a strictly ascending varint delta row".into());
-        }
-        if let Some(&q) = row_v.last().filter(|&&q| q >= num_vertices) {
-            return Err(format!(
-                "row names vertex {q}, but the product has only {num_vertices}"
-            ));
-        }
+        let row_v = decode_peer_row(&body[pos..row_end], num_vertices)?;
         let mut asked = Vec::new();
         if !kron_stream::decode_row_vd(&body[row_end..], &mut asked) {
             return Err("asked neighbours are not a strictly ascending varint delta row".into());
@@ -474,10 +464,28 @@ fn decode_wedges(
     Attempt::Done((answered, count, checks))
 }
 
-/// Classify one framed `/row` answer for the failover loop, decode its
-/// body by the declared `Content-Type`, and validate the row: it came
-/// from outside this process, and the binary searches behind `has_edge`
-/// and the triangle kernels need strictly ascending columns below `n_C`.
+/// Decode a row another node sent — a `/row` body or the row of a
+/// `/wedges` ask — and check it: it came from outside this process, and
+/// the binary searches behind `has_edge` and the triangle kernels need
+/// strictly ascending columns below `n_C`. The varint delta decoder
+/// already refuses a zero gap, so only the last column needs a bound.
+fn decode_peer_row(bytes: &[u8], num_vertices: u64) -> Result<Vec<u64>, String> {
+    let mut row = Vec::new();
+    if !kron_stream::decode_row_vd(bytes, &mut row) {
+        return Err("row is not a strictly ascending varint delta row".into());
+    }
+    match row.last() {
+        Some(&q) if q >= num_vertices => Err(format!(
+            "row names vertex {q}, but the product has only {num_vertices}"
+        )),
+        _ => Ok(row),
+    }
+}
+
+/// Classify one framed `/row` answer for the failover loop and decode
+/// it. A `200` that is not [`crate::http::ROW_VD_CONTENT_TYPE`] is refused
+/// before its body is read: raw words read as varints can pass for a row
+/// (eight `0x01` bytes decode to `1..=8`).
 fn decode_row(
     reply: Reply,
     num_vertices: u64,
@@ -487,36 +495,19 @@ fn decode_row(
         Ok(framed) => framed,
         Err(attempt) => return attempt,
     };
-    // A body that does not frame, or frames a row no artifact can hold, is
-    // a torn/corrupted stream — another replica may get it right.
-    let mut row = Vec::new();
-    if ctype == crate::http::ROW_VD_CONTENT_TYPE {
-        if !kron_stream::decode_row_vd(&body, &mut row) {
-            return Attempt::Transport(fail(format!(
-                "body of {} bytes is not a well-formed varint delta row",
-                body.len()
-            )));
-        }
-    } else if body.len() % 8 != 0 {
+    // A body of another type, or one that does not decode to a row an
+    // artifact can hold, is torn or corrupt — another replica may get it
+    // right.
+    if ctype != crate::http::ROW_VD_CONTENT_TYPE {
         return Attempt::Transport(fail(format!(
-            "body of {} bytes is not a whole number of u64 words",
-            body.len()
-        )));
-    } else {
-        row.extend(
-            body.chunks_exact(8)
-                .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"))),
-        );
-    }
-    if row.windows(2).any(|w| w[0] >= w[1]) {
-        return Attempt::Transport(fail("row columns are not strictly ascending".into()));
-    }
-    if let Some(&q) = row.last().filter(|&&q| q >= num_vertices) {
-        return Attempt::Transport(fail(format!(
-            "row names vertex {q}, but the product has only {num_vertices}"
+            "200 declares Content-Type {ctype:?}, not {}",
+            crate::http::ROW_VD_CONTENT_TYPE
         )));
     }
-    Attempt::Done(row.into())
+    match decode_peer_row(&body, num_vertices) {
+        Ok(row) => Attempt::Done(row.into()),
+        Err(e) => Attempt::Transport(fail(format!("body of {} bytes: {e}", body.len()))),
+    }
 }
 
 #[cfg(test)]
@@ -715,36 +706,42 @@ mod tests {
             vd(&body)
         };
         let good: &[u64] = &[3, 7, N - 1];
+        // eight 0x01 bytes: the raw word 0x0101…01, and also the varint
+        // delta row 1..=8 — only the Content-Type tells them apart
+        let ones = u64::from_le_bytes([1; 8]);
+        let mut as_vd = Vec::new();
+        assert!(kron_stream::decode_row_vd(&[1; 8], &mut as_vd));
+        assert_eq!(as_vd, (1..=8).collect::<Vec<u64>>());
         let bad: [(&str, Reply); 6] = [
-            ("raw swapped pair", raw(&[7, 3])),
-            ("raw repeated column", raw(&[3, 3])),
-            ("raw column n_C", raw(&[3, N])),
-            ("raw column far outside", raw(&[u64::MAX])),
+            ("raw words", raw(good)),
+            ("raw words that decode as vd", raw(&[ones])),
+            ("text/plain 200", (200, "text/plain".into(), vd_of(good).2)),
             // varint gaps cannot go backwards; the closest a vd body gets
             // to a swapped pair is the zero gap of a repeated column
             ("vd zero gap", vd(&[3, 0])),
+            ("vd truncated varint", vd(&[3, 0x84])),
             ("vd column n_C", vd_of(&[3, N])),
         ];
         let want: Arc<[u64]> = good.into();
         for (what, reply) in &bad {
-            for good_reply in [raw(good), vd_of(good)] {
-                let judge = |reply, fail: &dyn Fn(String) -> String| decode_row(reply, N, fail);
-                fails_over(what, reply, &good_reply, judge, &want);
-            }
+            let judge = |reply, fail: &dyn Fn(String) -> String| decode_row(reply, N, fail);
+            fails_over(what, reply, &vd_of(good), judge, &want);
         }
         // with no healthy replica left the fetch fails as a transport
         // error naming the defect — never an answer, never a mismatch
-        match decode_row(raw(&[7, 3]), N, &|d| d) {
-            Attempt::Transport(e) => assert!(e.contains("not strictly ascending"), "{e}"),
-            _ => panic!("a swapped pair must be a transport-class failure"),
-        }
-        match decode_row(vd_of(&[3, N]), N, &|d| d) {
-            Attempt::Transport(e) => assert!(e.contains("has only 50"), "{e}"),
-            _ => panic!("an out-of-range column must be a transport-class failure"),
+        let defects = [
+            (raw(&[ones]), "Content-Type \"application/octet-stream\""),
+            (vd(&[3, 0]), "not a strictly ascending"),
+            (vd_of(&[3, N]), "has only 50"),
+        ];
+        for (reply, says) in defects {
+            match decode_row(reply, N, &|d| d) {
+                Attempt::Transport(e) => assert!(e.contains(says), "{e}"),
+                _ => panic!("{says}: must be a transport-class failure"),
+            }
         }
         // the contract's edges are legal rows
         for row in [&[][..], &[0], &[N - 1]] {
-            assert!(matches!(decode_row(raw(row), N, &|d| d), Attempt::Done(r) if *r == *row));
             assert!(matches!(decode_row(vd_of(row), N, &|d| d), Attempt::Done(r) if *r == *row));
         }
 

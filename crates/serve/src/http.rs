@@ -18,11 +18,10 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// The `Content-Type` of a varint delta-encoded `/row` body (the v2
-/// shard format's row encoding, served when the fetcher asks with
-/// `enc=vd`). A raw row is `application/octet-stream`; the fetcher must
-/// decode by the *declared* type, so an old node answering raw to a new
-/// node's `enc=vd` request stays correct across version skew.
+/// The `Content-Type` of every `200` to `GET /row`: the row in the v2
+/// shard format's varint delta encoding. The fetcher refuses a `200` that
+/// declares anything else, so a node that answers some other encoding
+/// fails over instead of being misread.
 pub const ROW_VD_CONTENT_TYPE: &str = "application/kron-row-vd";
 
 /// The `Content-Type` of a `POST /wedges` answer: one varint
@@ -375,8 +374,8 @@ impl Client {
     }
 
     /// `GET path` → `(status, raw body bytes)` — for binary endpoints
-    /// (the cluster's `/row` rows are little-endian `u64` words, which a
-    /// lossy UTF-8 conversion would corrupt).
+    /// (the cluster's `/row` rows are varint delta bytes, which a lossy
+    /// UTF-8 conversion would corrupt).
     ///
     /// # Errors
     ///
@@ -384,20 +383,6 @@ impl Client {
     pub fn get_bytes(&mut self, path: &str) -> io::Result<(u16, Vec<u8>)> {
         let (status, _ct, body) = self.request_typed("GET", path, b"")?;
         Ok((status, body))
-    }
-
-    /// `GET path` → `(status, content-type, raw body bytes)` — for
-    /// binary endpoints whose body *encoding* is negotiated and declared
-    /// in `Content-Type` (the cluster's `/row` answers raw little-endian
-    /// words or the varint delta stream depending on what the fetching
-    /// node asked for, and the fetcher must decode by the declared type,
-    /// not by what it requested — that keeps version skew safe).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::get`].
-    pub fn get_bytes_typed(&mut self, path: &str) -> io::Result<(u16, String, Vec<u8>)> {
-        self.request_typed("GET", path, b"")
     }
 
     /// `POST path` with a body → `(status, body)`.
@@ -474,12 +459,18 @@ impl Client {
                         }
                     }
                 }
-                let total = head_end + 4 + content_length;
+                // the peer's head is untrusted: a length past the address
+                // space is refused, not added
+                let total = (head_end + 4)
+                    .checked_add(content_length)
+                    .ok_or_else(|| bad(format!("Content-Length {content_length} overflows")))?;
                 if self.buf.len() >= total {
                     let body = self.buf[head_end + 4..total].to_vec();
                     self.buf.drain(..total);
                     return Ok((status, content_type, body));
                 }
+            } else if self.buf.len() > MAX_HEAD {
+                return Err(bad(format!("response head exceeds {MAX_HEAD} bytes")));
             }
             let mut chunk = [0u8; 8192];
             match self.stream.read(&mut chunk) {
@@ -598,5 +589,31 @@ mod tests {
         assert!(text.contains("Content-Length: 3\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\nok\n"), "{text}");
         assert_eq!(reason(422), "Unprocessable Entity");
+    }
+
+    #[test]
+    fn untrusted_response_heads_are_invalid_data_not_panics() {
+        let endless = format!("HTTP/1.1 200 OK\r\nX: {}", "a".repeat(MAX_HEAD));
+        for head in [
+            "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n".to_string(),
+            endless,
+        ] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            // a one-shot peer: answer one request with `head`, then hold
+            // the connection open until the client hangs up
+            let peer = std::thread::spawn(move || {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut request = [0u8; 1024];
+                let _ = conn.read(&mut request).unwrap();
+                let _ = conn.write_all(head.as_bytes());
+                let _ = conn.read_to_end(&mut Vec::new());
+            });
+            let mut client = Client::connect(addr).unwrap();
+            let err = client.get("/shards").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            drop(client);
+            peer.join().unwrap();
+        }
     }
 }

@@ -587,14 +587,13 @@ fn answer_point(state: &ServerState<'_>, point: Point) -> Response {
     }
 }
 
-/// `GET /row` — the cluster-internal row fetch: raw little-endian u64
-/// words of one resident adjacency row, straight off the mapping. Not a
+/// `GET /row` — the cluster-internal row fetch: one resident adjacency
+/// row in the varint delta encoding, whatever `enc` asks for. Not a
 /// query — it bumps `rows_served`, never the engine's query counter (the
 /// *querying* node accounts the query). Every refusal is bounded; the row
 /// itself only up to [`INLINE_ROW_CAP`], past which the event thread
 /// declines.
 fn serve_row(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option<Response> {
-    const OCTETS: &str = "application/octet-stream";
     let set = state.engine.shard_set();
     let (Some(shard), Some(v)) = (req.query_param("shard"), req.query_param("v")) else {
         return Some(error(400, "/row needs shard=S and v=V parameters"));
@@ -634,34 +633,18 @@ fn serve_row(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option
     if on == Thread::Event && !row_fits(open, v) {
         return None;
     }
-    // In range of an admitted resident shard, so the row exists;
-    // only a csr2 row whose bytes do not decode can fail the raw
-    // arm. Varint delta bodies come from one `CsrMap` method
-    // whatever the on-disk format (csr2 bytes verbatim, v1 encoded
-    // on the fly), so the wire saving holds regardless. Any other
-    // `enc` value (or none) answers raw words, which keeps old
-    // fetchers working unchanged.
+    // In range of an admitted resident shard, so the row exists. One
+    // `CsrMap` method writes the body whatever the on-disk format: csr2
+    // bytes verbatim (the fetcher validates them), v1 encoded on the fly.
     let mut body = Vec::new();
-    let ctype = if req.query_param("enc") == Some("vd") {
-        if !open.reader.append_row_vd(v, &mut body) {
-            return Some(error(500, "resident row unavailable"));
-        }
-        http::ROW_VD_CONTENT_TYPE
-    } else {
-        let Some(row) = open.reader.row(v) else {
-            return Some(error(500, "resident row unavailable"));
-        };
-        body.reserve(row.len() * 8);
-        for &w in &*row {
-            body.extend_from_slice(&w.to_le_bytes());
-        }
-        OCTETS
-    };
+    if !open.reader.append_row_vd(v, &mut body) {
+        return Some(error(500, "resident row unavailable"));
+    }
     state.rows_served.fetch_add(1, Ordering::Relaxed);
     state
         .row_wire_bytes
         .fetch_add(body.len() as u64, Ordering::Relaxed);
-    Some((200, ctype, body))
+    Some((200, http::ROW_VD_CONTENT_TYPE, body))
 }
 
 /// Largest merge the event thread runs for one `/wedges`, in entries:
@@ -970,7 +953,9 @@ mod tests {
                 let row: Vec<String> = c.neighbors(5).iter().map(u64::to_string).collect();
                 assert_eq!((status, body), (200, format!("{}\n", row.join(" "))));
                 let (status, bytes) = client.get_bytes("/row?shard=0&v=0").unwrap();
-                assert_eq!((status, bytes.len()), (200, 8 * c.neighbors(0).len()));
+                let mut row = Vec::new();
+                assert!(status == 200 && kron_stream::decode_row_vd(&bytes, &mut row));
+                assert_eq!(row, c.neighbors(0));
                 assert_eq!(path_counts(), (5, 1), "all five answered inline");
 
                 // a triangle query is not bounded: it queues behind the
@@ -1212,34 +1197,21 @@ mod tests {
                 Some(c.num_vertices())
             );
 
-            // /row: a resident row comes back as raw little-endian words
+            // /row: a resident row comes back varint delta encoded, and
+            // says so in its Content-Type, whatever `enc` asks for
             let v = span.start;
-            let (status, bytes) = client.get_bytes(&format!("/row?shard=0&v={v}")).unwrap();
-            assert_eq!(status, 200);
-            let row: Vec<u64> = bytes
-                .chunks_exact(8)
-                .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-                .collect();
-            assert_eq!(row, c.neighbors(v));
-
-            // /row with enc=vd: same row, varint delta body, declared by
-            // Content-Type, never larger than the raw words
-            let (status, ctype, vd) = client
-                .get_bytes_typed(&format!("/row?shard=0&v={v}&enc=vd"))
-                .unwrap();
-            assert_eq!(status, 200);
-            assert_eq!(ctype, http::ROW_VD_CONTENT_TYPE);
-            let mut decoded = Vec::new();
-            assert!(kron_stream::decode_row_vd(&vd, &mut decoded));
-            assert_eq!(decoded, c.neighbors(v));
-            assert!(vd.len() <= bytes.len(), "{} > {}", vd.len(), bytes.len());
-
-            // an unknown encoding falls back to raw words
-            let (status, ctype, raw) = client
-                .get_bytes_typed(&format!("/row?shard=0&v={v}&enc=zstd"))
-                .unwrap();
-            assert_eq!((status, ctype.as_str()), (200, "application/octet-stream"));
-            assert_eq!(raw, bytes);
+            let mut want = Vec::new();
+            kron_stream::encode_row_vd(&c.neighbors(v), &mut want);
+            for enc in ["", "&enc=vd", "&enc=zstd"] {
+                let path = format!("/row?shard=0&v={v}{enc}");
+                let (status, ctype, body) = client.request_typed("GET", &path, b"").unwrap();
+                assert_eq!(
+                    (status, ctype.as_str()),
+                    (200, http::ROW_VD_CONTENT_TYPE),
+                    "{path}"
+                );
+                assert_eq!(body, want, "{path}");
+            }
 
             // non-resident shard → 404; out-of-shard vertex → 422;
             // malformed → 400; unknown shard → 404

@@ -223,12 +223,6 @@ impl<T: Scalar> CsrMatrix<T> {
         &self.values
     }
 
-    /// Mutable access to the value array (structure is fixed).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.values
-    }
-
     /// The column indices of row `i` (sorted, unique).
     #[inline]
     pub fn row_indices(&self, i: usize) -> &[u32] {
@@ -247,13 +241,8 @@ impl<T: Scalar> CsrMatrix<T> {
         (self.row_indices(i), self.row_values(i))
     }
 
-    /// Number of stored entries in row `i`.
-    #[inline]
-    pub fn row_nnz(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
-    }
-
-    /// The value at `(i, j)`, or `T::ZERO` if not stored. `O(log row_nnz)`.
+    /// The value at `(i, j)`, or `T::ZERO` if not stored: a binary search
+    /// of row `i`.
     pub fn get(&self, i: usize, j: usize) -> T {
         let row = self.row_indices(i);
         match row.binary_search(&(j as u32)) {

@@ -14,8 +14,8 @@
 //!
 //! * [`CsrMatrix`] — compressed sparse row storage with sorted, deduplicated
 //!   column indices;
-//! * [`CsrMatrix::spgemm`] — sparse matrix–matrix product (sequential and
-//!   rayon-parallel), the workhorse behind `A²`, `A³`, `A_d A_r A_d`, …;
+//! * [`CsrMatrix::spgemm`] — sparse matrix–matrix product (rayon-parallel),
+//!   the workhorse behind `A²`, `A³`, `A_d A_r A_d`, …;
 //! * [`CsrMatrix::hadamard`] — elementwise product (`∘` in the paper);
 //! * [`CsrMatrix::kron`] — the explicit Kronecker product `A ⊗ B`
 //!   (Def. 1 of the paper), used to materialize small products in tests;

@@ -1,17 +1,11 @@
 //! Sparse general matrix–matrix multiplication (SpGEMM).
 //!
-//! Two accumulator strategies are provided and benchmarked against each
-//! other in `kron-bench/benches/spgemm.rs`, an ablation:
-//!
-//! * a **dense SPA** (sparse accumulator): a dense scratch vector of length
-//!   `ncols` plus a touched-column list — the classic Gustavson kernel, best
-//!   when output rows are a non-trivial fraction of `ncols`;
-//! * a **sort-merge** accumulator that collects `(col, val)` pairs and sorts
-//!   them — allocation-friendlier for very sparse rows.
-//!
-//! The public entry points pick the SPA and parallelize over row chunks with
-//! rayon, one scratch buffer per chunk (not per row), following the
-//! "workhorse collection" guidance of the Rust Performance Book.
+//! One kernel: Gustavson's row-by-row product with a **dense SPA**
+//! (sparse accumulator) — a dense scratch vector of length `ncols` plus a
+//! touched-column list. [`CsrMatrix::spgemm`] parallelizes it over row
+//! chunks with rayon, one scratch buffer per chunk (not per row),
+//! following the "workhorse collection" guidance of the Rust Performance
+//! Book.
 
 use crate::{CsrMatrix, Scalar};
 use rayon::prelude::*;
@@ -129,61 +123,6 @@ impl<T: Scalar> CsrMatrix<T> {
         assemble(nrows, ncols, blocks)
     }
 
-    /// Single-threaded SpGEMM with the same SPA kernel — the baseline for
-    /// the parallel-scaling bench and handy under proptest shrinking.
-    pub fn spgemm_serial(&self, other: &Self) -> Self {
-        assert_eq!(self.ncols(), other.nrows(), "spgemm dimension mismatch");
-        let nrows = self.nrows();
-        let ncols = other.ncols();
-        let mut acc = vec![T::ZERO; ncols];
-        let mut touched = Vec::new();
-        let block = spgemm_rows_spa(self, other, 0..nrows, &mut acc, &mut touched);
-        assemble(nrows, ncols, vec![block])
-    }
-
-    /// Sort-merge SpGEMM (no dense scratch) — ablation comparator.
-    pub fn spgemm_sort_merge(&self, other: &Self) -> Self {
-        assert_eq!(self.ncols(), other.nrows(), "spgemm dimension mismatch");
-        let nrows = self.nrows();
-        let ncols = other.ncols();
-        let mut offsets = Vec::with_capacity(nrows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        offsets.push(0);
-        let mut pairs: Vec<(u32, T)> = Vec::new();
-        for i in 0..nrows {
-            pairs.clear();
-            for (&k, &av) in self.row_indices(i).iter().zip(self.row_values(i)) {
-                for (&j, &bv) in other
-                    .row_indices(k as usize)
-                    .iter()
-                    .zip(other.row_values(k as usize))
-                {
-                    pairs.push((j, av.mul(bv)));
-                }
-            }
-            pairs.sort_unstable_by_key(|&(j, _)| j);
-            let mut it = pairs.iter().copied().peekable();
-            while let Some((j, mut v)) = it.next() {
-                while let Some(&(j2, v2)) = it.peek() {
-                    if j2 == j {
-                        v = v.add(v2);
-                        it.next();
-                    } else {
-                        break;
-                    }
-                }
-                if v != T::ZERO {
-                    indices.push(j);
-                    values.push(v);
-                }
-            }
-            offsets.push(indices.len());
-        }
-        CsrMatrix::try_from_parts(nrows, ncols, offsets, indices, values)
-            .expect("spgemm output is valid CSR")
-    }
-
     /// `A^p` by repeated multiplication (`p ≥ 1`). Used for `A²`, `A³` in
     /// the triangle formulas.
     pub fn pow(&self, p: u32) -> Self {
@@ -257,8 +196,6 @@ mod tests {
             let b = CsrMatrix::from_dense(&db);
             let expect = dense_mul(&da, &db);
             assert_eq!(a.spgemm(&b).to_dense(), expect);
-            assert_eq!(a.spgemm_serial(&b).to_dense(), expect);
-            assert_eq!(a.spgemm_sort_merge(&b).to_dense(), expect);
         }
     }
 

@@ -62,44 +62,10 @@ pub fn edge_triangles_rows(row_u: &[u64], row_v: &[u64], u: u64, v: u64) -> (u64
     intersect_excluding(row_u, row_v, u, v)
 }
 
-/// Per-vertex triangle participation `t(v)` from `v`'s sorted row and a
-/// row oracle for its neighbors: `t(v) = ½·Σ_{u ∈ N(v), u≠v} Δ[{v,u}]`
-/// (the row-sum identity below Def. 6). Returns `(t, wedge_checks)`, or
-/// `Err(u)` for the first neighbor whose row the oracle could not
-/// produce (for an in-memory graph that is unreachable; for the serving
-/// path it means a corrupt artifact lists a vertex outside every shard).
-///
-/// `row_of(u)` returns `u`'s sorted adjacency row as any borrowable
-/// handle — a zero-copy `&[u64]` out of a mapping, or an owned
-/// `Arc<[u64]>` out of a hot-row cache — so the serving path can mix
-/// both per neighbor. On a consistent graph `Σ_u Δ[{v,u}]` is even
-/// (every triangle at `v` is seen from both incident edges); on a
-/// *tampered* artifact the symmetry can break, and the floor division
-/// then yields a deterministic (wrong) count for a cross-checking caller
-/// to flag, rather than a panic.
-pub fn vertex_triangles_rows<F, R>(row_v: &[u64], v: u64, mut row_of: F) -> Result<(u64, u64), u64>
-where
-    F: FnMut(u64) -> Option<R>,
-    R: std::ops::Deref<Target = [u64]>,
-{
-    let mut twice_t = 0u64;
-    let mut checks = 0u64;
-    for &u in row_v {
-        if u == v {
-            continue; // the self loop spawns no wedges (Rem. 3)
-        }
-        let row_u = row_of(u).ok_or(u)?;
-        let (delta, c) = intersect_excluding(row_v, &row_u, v, u);
-        twice_t += delta;
-        checks += c;
-    }
-    Ok((twice_t / 2, checks))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{edge_participation, vertex_participation};
+    use crate::edge_participation;
     use kron_graph::Graph;
 
     /// Adapt a Graph's u32 rows to the u64 slice kernels.
@@ -162,32 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn vertex_kernel_matches_vertex_participation() {
-        let g = web();
-        let rows = rows_u64(&g);
-        let t = vertex_participation(&g);
-        for v in 0..g.num_vertices() {
-            let (got, checks) =
-                vertex_triangles_rows(&rows[v], v as u64, |u| Some(rows[u as usize].as_slice()))
-                    .unwrap();
-            assert_eq!(got, t[v], "vertex {v}");
-            if got > 0 {
-                assert!(checks > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn vertex_kernel_reports_unresolvable_neighbor() {
-        // the oracle cannot produce row 9: the kernel must name it
-        let row_v = [1u64, 9];
-        let other = [0u64, 2];
-        let err =
-            vertex_triangles_rows(&row_v, 0, |u| (u != 9).then_some(other.as_slice())).unwrap_err();
-        assert_eq!(err, 9);
-    }
-
-    #[test]
     fn randomized_agreement_with_graph_kernels() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(77);
@@ -199,15 +139,7 @@ mod tests {
                 .collect();
             let g = Graph::from_edges(n, edges);
             let rows = rows_u64(&g);
-            let t = vertex_participation(&g);
             let delta = edge_participation(&g);
-            for v in 0..n {
-                let (got, _) = vertex_triangles_rows(&rows[v], v as u64, |u| {
-                    Some(rows[u as usize].as_slice())
-                })
-                .unwrap();
-                assert_eq!(got, t[v]);
-            }
             for (u, v) in g.edges() {
                 let (got, _) =
                     edge_triangles_rows(&rows[u as usize], &rows[v as usize], u as u64, v as u64);

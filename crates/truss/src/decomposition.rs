@@ -38,15 +38,6 @@ impl TrussDecomposition {
             .map(|(&e, _)| e)
     }
 
-    /// `|T^(κ)|` for each `κ` from 2 to the maximum — the row the paper's
-    /// Ex. 2 reports ("128 edges in the 3-truss, 80 edges in the 4-truss").
-    pub fn truss_sizes(&self) -> BTreeMap<u32, usize> {
-        let max = self.max_trussness();
-        (2..=max.max(2))
-            .map(|k| (k, self.edges_in_truss(k).count()))
-            .collect()
-    }
-
     /// Histogram of exact trussness values.
     pub fn histogram(&self) -> BTreeMap<u32, usize> {
         let mut h = BTreeMap::new();
@@ -84,7 +75,6 @@ mod tests {
         assert_eq!(d.edges_in_truss(3).count(), 3);
         assert_eq!(d.edges_in_truss(2).count(), 4);
         assert_eq!(d.edges_in_truss(4).count(), 0);
-        assert_eq!(d.truss_sizes()[&3], 3);
         assert_eq!(d.histogram()[&2], 1);
     }
 
@@ -95,6 +85,6 @@ mod tests {
             trussness: vec![],
         };
         assert_eq!(d.max_trussness(), 0);
-        assert_eq!(d.truss_sizes()[&2], 0);
+        assert_eq!(d.edges_in_truss(2).count(), 0);
     }
 }

@@ -122,6 +122,13 @@ echo "$stats" | grep -q '"mismatch_count":0'
 # the far rows it expanded over /row
 rows=$(total rows_served)
 [ "${rows:-0}" -gt 0 ] || { echo "no /row traffic from the traversals"; exit 1; }
+# /row speaks one encoding: node1 answers its first resident row varint
+# delta encoded whether or not the fetch asks for enc=vd
+lo=$(curl -fsS "http://$node1_addr/shards" | grep -o '"vertex_lo":[0-9]*' | cut -d: -f2)
+for enc in '' '&enc=vd'; do
+    ctype=$(curl -fsS -o /dev/null -w '%{content_type}' "http://$node1_addr/row?shard=2&v=$lo$enc")
+    [ "$ctype" = application/kron-row-vd ] || { echo "/row?shard=2&v=$lo$enc answered $ctype"; exit 1; }
+done
 
 echo "== replicated cluster: 3 nodes, every shard on two replicas"
 PA=$((P0 + 2)); PB=$((P0 + 3)); PC=$((P0 + 4))

@@ -80,21 +80,7 @@ fn documented_row_and_shards_examples_match_the_server_verbatim() {
     let md = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/ARCHITECTURE.md"))
         .expect("read ARCHITECTURE.md");
 
-    // The two documented exchanges: (request, response head, body).
-    let row_sec = section(&md, "#### `GET /row` wire example");
-    let row_http = fenced(row_sec, "http");
-    assert_eq!(
-        row_http.len(),
-        2,
-        "/row example needs request + response head"
-    );
-    let row_body = parse_hex(&fenced(row_sec, "hex")[0]);
-    assert_eq!(
-        declared_length(&row_http[1]),
-        row_body.len(),
-        "the documented /row head contradicts its own body"
-    );
-
+    // The documented exchanges: (request, response head, body).
     let vd_sec = section(&md, "#### `GET /row?enc=vd` wire example");
     let vd_http = fenced(vd_sec, "http");
     assert_eq!(
@@ -196,7 +182,6 @@ fn documented_row_and_shards_examples_match_the_server_verbatim() {
             );
         };
         // all exchanges on one keep-alive connection, like a real peer
-        replay(&row_http[0], &[], &row_http[1], &row_body);
         replay(&vd_http[0], &[], &vd_http[1], &vd_body);
         replay(&shards_http[0], &[], &shards_http[1], &shards_body);
         replay(&wedges_http[0], &wedges_ask, &wedges_http[1], &wedges_reply);

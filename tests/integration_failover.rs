@@ -13,7 +13,7 @@ mod fault;
 
 use fault::{Fault, FaultProxy};
 use kron::KronProduct;
-use kron_serve::http::{encode_query_component, Client};
+use kron_serve::http::{encode_query_component, write_response, Client, RequestBuffer};
 use kron_serve::{OpenOptions, PeerSpec, Router, ServeEngine, Server, ServerOptions};
 use kron_stream::json::Json;
 use kron_stream::{stream_product, OutputFormat, StreamConfig};
@@ -826,6 +826,113 @@ fn blackholed_peer_does_not_delay_resident_reads_or_health_probes() {
         drop(client);
         h_a.join().unwrap();
         h_b.join().unwrap();
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A node that answers `/row` in another encoding than the one the
+/// protocol has — raw little-endian words of the right row, declared
+/// `application/octet-stream` — and `ok` to anything else. Serves
+/// `listener` until `stop`.
+fn raw_words_peer(listener: &std::net::TcpListener, c: &KronProduct, stop: &AtomicBool) {
+    use std::io::{ErrorKind, Read, Write};
+    listener.set_nonblocking(true).unwrap();
+    std::thread::scope(|s| {
+        while !stop.load(Ordering::Relaxed) {
+            let Ok((mut conn, _)) = listener.accept() else {
+                std::thread::sleep(Duration::from_millis(2));
+                continue;
+            };
+            s.spawn(move || {
+                conn.set_nonblocking(false).unwrap();
+                conn.set_read_timeout(Some(Duration::from_millis(50)))
+                    .unwrap();
+                let (mut buf, mut chunk) = (RequestBuffer::new(), [0u8; 4096]);
+                while !stop.load(Ordering::Relaxed) {
+                    match conn.read(&mut chunk) {
+                        Ok(0) => return,
+                        Ok(k) => buf.push(&chunk[..k]),
+                        Err(e)
+                            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                        {
+                            continue
+                        }
+                        Err(_) => return,
+                    }
+                    while let Ok(Some(req)) = buf.next_request() {
+                        let body: Vec<u8> = match req.query_param("v") {
+                            Some(v) => (c.neighbors(v.parse().unwrap()).iter())
+                                .flat_map(|w| w.to_le_bytes())
+                                .collect(),
+                            None => b"ok\n".to_vec(),
+                        };
+                        let mut out = Vec::new();
+                        write_response(&mut out, 200, "application/octet-stream", &body).unwrap();
+                        if conn.write_all(&out).is_err() {
+                            return;
+                        }
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// `/row` speaks one encoding, and the fetcher refuses a `200` that
+/// declares another before reading its body. A peer answering raw words
+/// is a torn reply: every query that needs its rows gets one well-formed
+/// `502` — never a `200` read from misdecoded words — and the cross-check
+/// ledger records no mismatch.
+#[test]
+fn peer_answering_raw_row_words_yields_a_502_never_a_wrong_answer() {
+    let dir = tmpdir("raw_words_peer");
+    let c = cluster_product(21);
+    let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+    cfg.shards = 2;
+    stream_product(&c, &cfg).unwrap();
+
+    let peer = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let node_srv = Server::bind("127.0.0.1:0").unwrap();
+    let addr = node_srv.local_addr().unwrap();
+    let node = ServeEngine::open_with(
+        &dir,
+        &OpenOptions {
+            shard_subset: Some(0..1),
+            peers: vec![PeerSpec::parse(&format!("1..2={}", peer.local_addr().unwrap())).unwrap()],
+            source: kron_serve::AnswerSource::CrossCheckSampled(1),
+            ..OpenOptions::default()
+        },
+    )
+    .unwrap();
+    let span = node.shard_set().subset_vertices();
+    let remote = span.end..(span.end + 6).min(c.num_vertices());
+    assert!(!remote.is_empty());
+
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| raw_words_peer(&peer, &c, &stop));
+        let h_node = s.spawn(|| {
+            node_srv
+                .run(&node, &ServerOptions::default(), &stop)
+                .unwrap()
+        });
+        let mut client = Client::connect(addr).unwrap();
+        for v in remote {
+            let q = encode_query_component(&format!("neighbors {v}"));
+            let (status, body) = client.get(&format!("/query?q={q}")).unwrap();
+            assert_eq!(status, 502, "neighbors {v}: {body}");
+            assert!(
+                body.starts_with("error: ") && body.ends_with('\n') && body.lines().count() == 1,
+                "{body}"
+            );
+        }
+        let doc = Json::parse(&client.get("/stats").unwrap().1).unwrap();
+        assert_eq!(doc.req("mismatch_count").unwrap().as_u64(), Some(0));
+
+        stop.store(true, Ordering::SeqCst);
+        drop(client);
+        let rep = h_node.join().unwrap();
+        assert_eq!(rep.mismatches, 0, "{rep}");
     });
     std::fs::remove_dir_all(&dir).ok();
 }
