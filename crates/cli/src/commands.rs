@@ -122,10 +122,10 @@ USAGE:
       A..B=HOST:PORT; the claim plus the peer ranges must cover every
       shard — overlapping claims are replicas, rotated round-robin with
       failover and health ejection on fetch errors). Nodes also answer
-      GET /shards (their claim) and the internal GET /row?shard=S&v=V
-      row fetch
+      GET /shards (their claim) and the internal GET /row?shard=S&v=V,
+      POST /rows (a traversal level's rows) and POST /wedges exchanges
   kron path <DIR> --from F --to T [--max-depth K]
-            [--source artifact|oracle|cross-check[:N]] [--cache BYTES]
+            [--source artifact|oracle|cross-check[:N]]
       bidirectional-BFS shortest path between two product vertices over
       the CSR run directory DIR: prints the vertex sequence (space
       separated) or `unreachable` on stdout, hop count and timing on
@@ -362,8 +362,9 @@ fn vertex(s: &str, n: u64) -> Result<u64, String> {
 }
 
 /// The engine options of `kron query <DIR>`, `kron path` and `kron serve`,
-/// parsed once and before any open: `--source` and `--cache`, plus (for
-/// `serving`, i.e. `kron serve`) `--no-verify`, `--shards` and `--peers`.
+/// parsed once and before any open: `--source`, `--cache` (not on `kron
+/// path`: a traversal reads no row through the LRU), plus (for `serving`,
+/// i.e. `kron serve`) `--no-verify`, `--shards` and `--peers`.
 /// The point commands open structurally; `kron verify-shards` owns
 /// whole-artifact hashing.
 fn engine_options(p: &ParsedArgs, serving: bool) -> Result<OpenOptions, String> {

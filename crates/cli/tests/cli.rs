@@ -274,6 +274,10 @@ fn engine_options_are_refused_alike_before_any_open() {
     ] {
         let mut seen: Vec<String> = Vec::new();
         for command in commands {
+            if option == "--cache" && command[0] == "path" {
+                // a traversal reads no row through the LRU: no --cache
+                continue;
+            }
             let mut args = command.to_vec();
             args.extend([option, value]);
             let out = kron(&args);
@@ -289,6 +293,10 @@ fn engine_options_are_refused_alike_before_any_open() {
             "{option} {value}: {seen:?}"
         );
     }
+    let out = kron(&["path", dir, "--from", "0", "--to", "1", "--cache", "1M"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --cache"), "{stderr}");
 }
 
 #[test]

@@ -223,8 +223,8 @@ impl RoutingStats {
 
     /// Record one request sent to a cluster peer to answer a query: a
     /// `/row` fetch (also counted in its shard's
-    /// [`RoutingStats::record_fetch`] by the engine) or a `/wedges`
-    /// exchange.
+    /// [`RoutingStats::record_fetch`] by the engine), a `/rows` exchange
+    /// (each of its rows counted so too) or a `/wedges` exchange.
     #[inline]
     pub fn record_remote(&self) {
         self.remote_fetches.fetch_add(1, Ordering::Relaxed);
@@ -274,9 +274,9 @@ pub struct RoutingReport {
     /// taken (0 when no cache is configured). Filled in by the engine —
     /// the counters themselves don't know the cache.
     pub cache_bytes: u64,
-    /// Requests this node sent a peer to answer a query: one per `/row`
-    /// (each also in its non-resident shard's `shard_fetches`), one per
-    /// `/wedges`; 0 on a single node.
+    /// Requests this node sent a peer to answer a query: one per `/row`,
+    /// `/rows` or `/wedges` exchange (each row a `/row` or `/rows` moves
+    /// also in its shard's `shard_fetches`); 0 on a single node.
     pub remote_fetches: u64,
 }
 

@@ -1,6 +1,6 @@
 //! Multi-node shard-subset serving: peer specs, replica-aware shard →
-//! peer resolution, and the remote-row and remote-intersection client
-//! with failover.
+//! peer resolution, and the remote-row, remote-level and
+//! remote-intersection client with failover.
 //!
 //! One machine stops being enough exactly when the paper's products get
 //! interesting: a trillion-entry CSR run directory does not fit one
@@ -9,12 +9,18 @@
 //! each node opens a contiguous **shard subset**
 //! ([`kron_stream::ShardSet::open_with`]) of the same run directory and
 //! serves every query it receives — local rows zero-copy off its own
-//! mappings, non-resident rows fetched from a peer over the internal
-//! `GET /row?shard=S&v=V&enc=vd` endpoint. Every row crosses the wire in
-//! one encoding, varint delta (`application/kron-row-vd`); the fetcher
-//! refuses a `200` of any other `Content-Type` and fails over, so a node
-//! speaking another encoding is never misread; see `ARCHITECTURE.md` §
-//! "Cluster serving" for the normative wire format.
+//! mappings, a non-resident row a query names fetched from a peer over
+//! the internal `GET /row?shard=S&v=V&enc=vd` endpoint. Every row crosses
+//! the wire in one encoding, varint delta (`application/kron-row-vd`);
+//! the fetcher refuses a `200` of any other `Content-Type` and fails
+//! over, so a node speaking another encoding is never misread; see
+//! `ARCHITECTURE.md` § "Cluster serving" for the normative wire format.
+//!
+//! Traversals fetch a whole BFS level at a time: `RemoteShards::rows`
+//! asks for the ascending far vertices of a frontier in one internal
+//! `POST /rows` per replica set and gets their rows back length-prefixed
+//! (`application/kron-rows`), so a level costs one round trip per replica
+//! set rather than one per row.
 //!
 //! Triangle queries do not fetch rows: a row's neighbours a peer owns
 //! are intersected **on** that peer. `RemoteShards::wedges` ships
@@ -23,9 +29,11 @@
 //! answering side's decoder), and gets one `(count, checks)` pair per
 //! neighbour back — the terms `kron_triangles::slice::intersect_excluding`
 //! yields on a single node, so the sums are the single node's. A peer may
-//! answer only a prefix of the neighbours (its event thread stops at a
-//! bounded merge rather than hand a short-row exchange to its workers);
-//! the querying node then asks again for the rest.
+//! answer only a prefix of the neighbours — or, for `/rows`, of the
+//! vertices — because its event thread stops at a bounded merge rather
+//! than hand a short-row exchange to its workers; the querying node then
+//! asks again for the rest. Both replies share one framing check
+//! (`decode_prefix`).
 //!
 //! The **ownership map** has two layers, both static:
 //!
@@ -47,11 +55,11 @@
 //! `GET /healthz` probe re-admits it. That policy — pooling, the stale-
 //! connection retry, rotation, failover, ejection, probing — is not
 //! implemented here: `replica.rs` is its single implementation, shared
-//! with the router. This module only says what a `/row` or `/wedges`
-//! answer means (which statuses fail over, how a body decodes, which
-//! framing is torn). Fetched rows flow through the engine's hot-row
-//! [`crate::RowCache`] when one is configured — remote rows are exactly
-//! the expensive-fetch case the LRU exists for.
+//! with the router. This module only says what a `/row`, `/rows` or
+//! `/wedges` answer means (which statuses fail over, how a body decodes,
+//! which framing is torn). A `/row` fetch flows through the engine's
+//! hot-row [`crate::RowCache`] when one is configured; the rows of a
+//! `/rows` level do not, because a BFS level reads each row once.
 //!
 //! ## Example
 //!
@@ -308,6 +316,26 @@ impl RemoteShards {
         )
     }
 
+    /// Ask one of `replicas` in one `POST /rows` for the rows of `asked`,
+    /// ascending vertices whose shards those replicas hold. The peer
+    /// answers a prefix of `asked`, at least its first vertex; returns the
+    /// rows of that prefix, in order, still varint delta encoded.
+    pub(crate) fn rows(&self, replicas: &[usize], asked: &[u64]) -> Result<PeerRows, ServeError> {
+        let mut body = Vec::new();
+        kron_stream::encode_row_vd(asked, &mut body);
+        self.ask(
+            replicas,
+            Method::Post(&body),
+            "/rows",
+            format_args!("/rows of {} vertices from {}", asked.len(), asked[0]),
+            |peer, reply| {
+                decode_rows(reply, asked.len(), self.num_vertices, &|detail| {
+                    format!("peer {} (/rows from {}): {detail}", peer.label, asked[0])
+                })
+            },
+        )
+    }
+
     /// Ship `row_v` to one of `replicas` in one `POST /wedges` about
     /// `asked`, the ascending neighbours of `v` whose rows those replicas
     /// hold. The peer answers a prefix of `asked`, at least its first
@@ -393,6 +421,33 @@ impl WedgeAsk {
     }
 }
 
+/// A checked `/rows` answer, kept as it came off the wire — a level's far
+/// rows held decoded would take about five times the memory: the body,
+/// and the byte span in it of each answered vertex's row, in asked order.
+/// Every span decodes to a strictly ascending row below `n_C`.
+pub(crate) struct PeerRows {
+    body: Vec<u8>,
+    pub(crate) spans: Vec<Range<usize>>,
+}
+
+impl PeerRows {
+    /// The row of the `i`-th answered vertex, decoded.
+    pub(crate) fn decode(&self, i: usize) -> Vec<u64> {
+        let mut row = Vec::new();
+        // checked when the answer was judged
+        let decoded = kron_stream::decode_row_vd(&self.body[self.spans[i].clone()], &mut row);
+        debug_assert!(decoded);
+        row
+    }
+}
+
+/// Decode a `POST /rows` body — the ascending vertices a peer asks the
+/// rows of, varint delta encoded — for a product of `num_vertices`
+/// vertices. The error is the text of the `400` refusing it.
+pub(crate) fn parse_rows_ask(body: &[u8], num_vertices: u64) -> Result<Vec<u64>, String> {
+    decode_peer_row(body, num_vertices).map_err(|e| format!("asked vertices: {e}"))
+}
+
 /// The status half of judging a peer's answer: the body of a `200`, or
 /// how the failover loop treats anything else.
 fn ok_body<T>(
@@ -418,14 +473,53 @@ fn ok_body<T>(
     })
 }
 
+/// [`ok_body`] for an answer whose `200` must declare `ctype`: one of
+/// another type is torn, refused before its body is read.
+fn typed_body<T>(
+    reply: Reply,
+    ctype: &str,
+    fail: &dyn Fn(String) -> String,
+) -> Result<Vec<u8>, Attempt<T, ServeError>> {
+    let (declared, body) = ok_body(reply, fail)?;
+    if declared != ctype {
+        return Err(Attempt::Transport(fail(format!(
+            "200 declares Content-Type {declared:?}, not {ctype}"
+        ))));
+    }
+    Ok(body)
+}
+
+/// The framing every prefix answer shares (`/wedges`, `/rows`): whole
+/// answers for the first `j` asked items, `1 ≤ j ≤ asked` (none only when
+/// nothing was asked), and no byte after them. `answer` reads one answer
+/// from `body` at `pos`, or says why it cannot. A body that breaks this
+/// is torn or corrupt — another replica may get it right — so the error
+/// is a transport failure's detail.
+fn decode_prefix<T>(
+    body: &[u8],
+    asked: usize,
+    mut answer: impl FnMut(&mut usize) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let (mut pos, mut answers) = (0, Vec::new());
+    while pos < body.len() && answers.len() < asked {
+        let i = answers.len();
+        answers.push(answer(&mut pos).map_err(|e| format!("answer {i}: {e}"))?);
+    }
+    if pos != body.len() {
+        return Err(format!("trailing bytes after {} answers", answers.len()));
+    }
+    if answers.is_empty() && asked > 0 {
+        return Err(format!("no answer for {asked} asked"));
+    }
+    Ok(answers)
+}
+
 /// Judge one `/wedges` answer for `asked` neighbours of a `row_len`-entry
-/// row: whole `(count, checks)` varint pairs for the first `j` neighbours,
-/// `1 ≤ j ≤ asked` (none only when nothing was asked), and no byte after
-/// them; every count at most `row_len` (an intersection is no larger than
-/// the row) and every check count at least its count (each common column
-/// costs a comparison). A body that breaks this is torn or corrupt —
-/// another replica may get it right — never a count to trust. Returns `j`
-/// and the sums over the pairs.
+/// row: [`decode_prefix`] framing of `(count, checks)` varint pairs, every
+/// count at most `row_len` (an intersection is no larger than the row) and
+/// every check count at least its count (each common column costs a
+/// comparison). Anything else is torn — never a count to trust. Returns
+/// how many neighbours were answered and the sums over their pairs.
 fn decode_wedges(
     reply: Reply,
     asked: usize,
@@ -436,49 +530,83 @@ fn decode_wedges(
         Ok((_, body)) => body,
         Err(attempt) => return attempt,
     };
-    let torn =
-        |what: String| Attempt::Transport(fail(format!("body of {} bytes: {what}", body.len())));
     let read = |pos: &mut usize| kron_stream::csr::varint_read(&body, pos);
-    let (mut pos, mut answered) = (0, 0);
-    let (mut count, mut checks) = (0u64, 0u64);
-    while pos < body.len() && answered < asked {
-        let (Some(c), Some(k)) = (read(&mut pos), read(&mut pos)) else {
-            return torn(format!("pair {answered} is not two whole varints"));
+    let pairs = decode_prefix(&body, asked, |pos| {
+        let (Some(c), Some(k)) = (read(pos), read(pos)) else {
+            return Err("not two whole varints".into());
         };
         if c > row_len || k < c {
-            return torn(format!(
-                "pair {answered} is ({c}, {k}): a count is at most the row's \
-                 {row_len} entries and at most its checks"
+            return Err(format!(
+                "({c}, {k}): a count is at most the row's {row_len} entries \
+                 and at most its checks"
             ));
         }
-        answered += 1;
-        count += c;
-        checks += k;
+        Ok((c, k))
+    });
+    match pairs {
+        Ok(pairs) => {
+            let sum = |f: fn(&(u64, u64)) -> u64| pairs.iter().map(f).sum();
+            Attempt::Done((pairs.len(), sum(|p| p.0), sum(|p| p.1)))
+        }
+        Err(e) => Attempt::Transport(fail(format!("body of {} bytes: {e}", body.len()))),
     }
-    if pos != body.len() {
-        return torn(format!("trailing bytes after {asked} pairs"));
-    }
-    if answered == 0 && asked > 0 {
-        return torn(format!("no pair for {asked} neighbours"));
-    }
-    Attempt::Done((answered, count, checks))
 }
 
-/// Decode a row another node sent — a `/row` body or the row of a
-/// `/wedges` ask — and check it: it came from outside this process, and
-/// the binary searches behind `has_edge` and the triangle kernels need
-/// strictly ascending columns below `n_C`. The varint delta decoder
+/// Judge one `/rows` answer for `asked` vertices: a `200` of
+/// [`crate::http::ROWS_CONTENT_TYPE`] whose body has [`decode_prefix`]
+/// framing of rows, each a varint byte length and that many bytes of a
+/// row passing [`decode_peer_row`]. Anything else is torn.
+fn decode_rows(
+    reply: Reply,
+    asked: usize,
+    num_vertices: u64,
+    fail: &dyn Fn(String) -> String,
+) -> Attempt<PeerRows, ServeError> {
+    let body = match typed_body(reply, crate::http::ROWS_CONTENT_TYPE, fail) {
+        Ok(body) => body,
+        Err(attempt) => return attempt,
+    };
+    let mut row = Vec::new();
+    let spans = decode_prefix(&body, asked, |pos| {
+        let len = kron_stream::csr::varint_read(&body, pos).ok_or("no whole length varint")?;
+        let span = usize::try_from(len)
+            .ok()
+            .and_then(|len| pos.checked_add(len))
+            .filter(|&end| end <= body.len())
+            .map(|end| *pos..end)
+            .ok_or_else(|| format!("a row of {len} bytes overruns the body"))?;
+        check_peer_row(&body[span.clone()], num_vertices, &mut row)?;
+        *pos = span.end;
+        Ok(span)
+    });
+    match spans {
+        Ok(spans) => Attempt::Done(PeerRows { body, spans }),
+        Err(e) => Attempt::Transport(fail(format!("body of {} bytes: {e}", body.len()))),
+    }
+}
+
+/// Decode a row another node sent — a `/row` body, a row of a `/rows`
+/// answer or the row of a `/wedges` ask — and check it: it came from
+/// outside this process, and the binary searches behind `has_edge` and the
+/// triangle kernels need strictly ascending columns below `n_C`. The varint delta decoder
 /// already refuses a zero gap, so only the last column needs a bound.
 fn decode_peer_row(bytes: &[u8], num_vertices: u64) -> Result<Vec<u64>, String> {
     let mut row = Vec::new();
-    if !kron_stream::decode_row_vd(bytes, &mut row) {
+    check_peer_row(bytes, num_vertices, &mut row)?;
+    Ok(row)
+}
+
+/// [`decode_peer_row`] into `row`, cleared first.
+fn check_peer_row(bytes: &[u8], num_vertices: u64, row: &mut Vec<u64>) -> Result<(), String> {
+    row.clear();
+    if !kron_stream::decode_row_vd(bytes, row) {
         return Err("row is not a strictly ascending varint delta row".into());
     }
     match row.last() {
         Some(&q) if q >= num_vertices => Err(format!(
             "row names vertex {q}, but the product has only {num_vertices}"
         )),
-        _ => Ok(row),
+        _ => Ok(()),
     }
 }
 
@@ -491,19 +619,13 @@ fn decode_row(
     num_vertices: u64,
     fail: &dyn Fn(String) -> String,
 ) -> Attempt<Arc<[u64]>, ServeError> {
-    let (ctype, body) = match ok_body(reply, fail) {
-        Ok(framed) => framed,
-        Err(attempt) => return attempt,
-    };
     // A body of another type, or one that does not decode to a row an
     // artifact can hold, is torn or corrupt — another replica may get it
     // right.
-    if ctype != crate::http::ROW_VD_CONTENT_TYPE {
-        return Attempt::Transport(fail(format!(
-            "200 declares Content-Type {ctype:?}, not {}",
-            crate::http::ROW_VD_CONTENT_TYPE
-        )));
-    }
+    let body = match typed_body(reply, crate::http::ROW_VD_CONTENT_TYPE, fail) {
+        Ok(body) => body,
+        Err(attempt) => return attempt,
+    };
     match decode_peer_row(&body, num_vertices) {
         Ok(row) => Attempt::Done(row.into()),
         Err(e) => Attempt::Transport(fail(format!("body of {} bytes: {e}", body.len()))),
@@ -511,7 +633,7 @@ fn decode_row(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -685,7 +807,10 @@ mod tests {
     /// `n_C`) is the torn-body class — the replica is charged, the next
     /// one answers, nothing is served from it. So is a `/wedges` reply
     /// that breaks its framing: no pair, a pair too many, half a pair, a
-    /// count above the shipped row's length or above its own checks.
+    /// count above the shipped row's length or above its own checks; and a
+    /// `/rows` reply that does: no row, a row too many, a length past the
+    /// body, a trailing byte, a row breaking the row contract, another
+    /// Content-Type.
     #[test]
     fn peer_rows_breaking_the_row_contract_fail_over_to_the_next_replica() {
         const N: u64 = 50;
@@ -799,6 +924,71 @@ mod tests {
         ));
         let none = decode_wedges(wedges(&[]), 0, 0, &|d| d);
         assert!(matches!(none, Attempt::Done((0, 0, 0))));
+
+        // `/rows` for two vertices: one or two length-prefixed vd rows,
+        // each strictly ascending below n_C, nothing more
+        let rows = |body: &[u8]| -> Reply {
+            let ctype = crate::http::ROWS_CONTENT_TYPE.to_string();
+            (200, ctype, body.to_vec())
+        };
+        let judge = |reply, fail: &dyn Fn(String) -> String| match decode_rows(reply, 2, N, fail) {
+            Attempt::Done(rows) => Attempt::Done(decoded(&rows)),
+            Attempt::Transport(e) => Attempt::Transport(e),
+            Attempt::Final(e) => Attempt::Final(e),
+        };
+        // [3, 7] and [] — an empty row is a zero length
+        let good_rows = rows(&[2, 3, 4, 0]);
+        let torn = [
+            ("no row", rows(&[])),
+            ("three rows for two vertices", rows(&[2, 3, 4, 0, 1, 9])),
+            ("length past the body", rows(&[2, 3, 4, 3, 1])),
+            ("truncated length varint", rows(&[2, 3, 4, 0x80])),
+            ("trailing byte", rows(&[2, 3, 4, 0, 5])),
+            ("zero gap", rows(&[2, 3, 0, 0])),
+            ("truncated row varint", rows(&[2, 3, 0x84, 0])),
+            ("column n_C", rows(&[2, 3, 47, 0])),
+            (
+                "row Content-Type",
+                (
+                    200,
+                    crate::http::ROW_VD_CONTENT_TYPE.into(),
+                    good_rows.2.clone(),
+                ),
+            ),
+            ("5xx", (503, "text/plain".into(), b"error: busy\n".to_vec())),
+        ];
+        let want = vec![vec![3, 7], vec![]];
+        for (what, reply) in &torn {
+            fails_over(what, reply, &good_rows, judge, &want);
+            assert!(
+                matches!(judge(reply.clone(), &|d| d), Attempt::Transport(_)),
+                "{what}"
+            );
+        }
+        for status in [400, 404] {
+            let refusal = (status, "text/plain".into(), b"error: no\n".to_vec());
+            match judge(refusal, &|d| d) {
+                Attempt::Final(ServeError::Remote(e)) => assert!(e.contains("error: no"), "{e}"),
+                _ => panic!("a {status} must be final"),
+            }
+        }
+        // the contract's edges are legal replies: a prefix of one row (the
+        // rest is asked again), a row ending at n_C - 1, nothing asked
+        assert!(matches!(
+            judge(rows(&[2, 3, 4]), &|d| d),
+            Attempt::Done(r) if r == [vec![3, 7]]
+        ));
+        assert!(matches!(
+            judge(rows(&[1, 49, 0]), &|d| d),
+            Attempt::Done(r) if r == [vec![N - 1], vec![]]
+        ));
+        let none = decode_rows(rows(&[]), 0, N, &|d| d);
+        assert!(matches!(none, Attempt::Done(r) if r.spans.is_empty()));
+    }
+
+    /// Every row of a `/rows` answer, decoded.
+    pub(crate) fn decoded(rows: &PeerRows) -> Vec<Vec<u64>> {
+        (0..rows.spans.len()).map(|i| rows.decode(i)).collect()
     }
 
     /// What the querying node sends is what the answering node decodes,

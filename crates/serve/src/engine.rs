@@ -3,12 +3,13 @@
 //! both at once with cross-checking.
 
 use crate::cache::{RoutingReport, RoutingStats, RowCache};
-use crate::cluster::{PeerSpec, RemoteShards};
+use crate::cluster::{PeerRows, PeerSpec, RemoteShards};
 use crate::oracle::FactorOracle;
+use crate::server::INLINE_ROW_CAP;
 use kron_stream::{RowRef, ShardSet, StreamError};
 use kron_triangles::slice;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -512,24 +513,14 @@ impl ServeEngine {
         self.set.num_vertices()
     }
 
-    /// The one row fetch: the row of `v` wherever it lives, recording the
-    /// route — zero-copy (v1) or decoded (csr2) from a resident shard's
-    /// mapping, shared out of the LRU, or over the wire from a peer
-    /// owning its shard. `Ok(None)` means no shard owns `v`: out of range
-    /// for a vertex the query named, corruption for one a row named.
-    /// `cache_local` controls whether *resident* rows also flow through
-    /// the LRU (neighbor and traversal fetches do; primary row reads stay
-    /// zero-copy) — remote rows always do when a cache is configured,
-    /// because the wire round trip is exactly the expensive fetch the
-    /// LRU exists to absorb.
-    fn fetch(&self, v: u64, cache_local: bool) -> Result<Option<RowRef<'_>>, ServeError> {
-        match self.set.route(v) {
-            None => Ok(None),
-            Some(shard) => self.fetch_routed(shard, v, cache_local).map(Some),
-        }
-    }
-
-    /// [`Self::fetch`] for a `v` the caller has already routed to `shard`.
+    /// The one row fetch: the row of `v`, which the caller has routed to
+    /// `shard`, recording the route — zero-copy (v1) or decoded (csr2)
+    /// from a resident shard's mapping, shared out of the LRU, or over the
+    /// wire from a peer owning its shard. `cache_local` controls whether
+    /// *resident* rows also flow through the LRU (the triangle kernels'
+    /// neighbor fetches do; primary row reads stay zero-copy) — remote
+    /// rows always do when a cache is configured, because the wire round
+    /// trip is exactly the expensive fetch the LRU exists to absorb.
     fn fetch_routed(
         &self,
         shard: usize,
@@ -586,18 +577,81 @@ impl ServeEngine {
         }
     }
 
-    /// The adjacency row of a vertex the query itself named: a primary
-    /// read (`cache_local = false`, zero-copy), or a traversal frontier
-    /// expansion (`/path`, `/khop`: `cache_local = true`, since repeated
-    /// expansion re-touches the same rows).
+    /// The adjacency row of a vertex the query itself named: zero-copy
+    /// off a resident mapping, or fetched over `GET /row` (through the LRU
+    /// when one is configured) from a peer owning its shard.
     ///
     /// # Errors
     ///
     /// [`ServeError::VertexOutOfRange`] when no shard owns `v`, plus
     /// whatever the fetch itself reports.
-    pub(crate) fn row(&self, v: u64, cache_local: bool) -> Result<RowRef<'_>, ServeError> {
-        self.fetch(v, cache_local)?
-            .ok_or_else(|| self.out_of_range(v))
+    pub(crate) fn row(&self, v: u64) -> Result<RowRef<'_>, ServeError> {
+        let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
+        self.fetch_routed(shard, v, false)
+    }
+
+    /// The rows one traversal level expands, for a sorted `frontier`: the
+    /// rows peers hold arrive now, in one `POST /rows` per replica set
+    /// and [`INLINE_ROW_CAP`] vertices — a body a peer's event thread
+    /// decodes — and another for what a prefix answer left over;
+    /// resident rows are read in place when [`LevelRows::row`] asks for
+    /// them. Neither touches the LRU — a BFS level reads each row once.
+    /// Every row counts in its shard's `shard_fetches`, every exchange
+    /// once in `remote_fetches`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::VertexOutOfRange`] for a frontier vertex no shard
+    /// owns; [`ServeError::Remote`] when no replica of a set answers.
+    pub(crate) fn level_rows(&self, frontier: &[u64]) -> Result<LevelRows<'_>, ServeError> {
+        let (mut answers, mut far_rows) = (Vec::new(), HashMap::new());
+        if let Some(remote) = &self.remote {
+            let mut far: BTreeMap<&[usize], Vec<u64>> = BTreeMap::new();
+            for &v in frontier {
+                let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
+                if self.set.local(shard).is_none() {
+                    self.routing.record_fetch(shard);
+                    far.entry(remote.replicas(shard)).or_default().push(v);
+                }
+            }
+            for (replicas, asked) in &far {
+                for asked in asked.chunks(INLINE_ROW_CAP) {
+                    self.ask_until_answered(asked, |rest| {
+                        let answer = remote.rows(replicas, rest)?;
+                        let answered = answer.spans.len();
+                        let at = answers.len();
+                        let rows = rest[..answered].iter().enumerate();
+                        far_rows.extend(rows.map(|(i, &v)| (v, (at, i))));
+                        answers.push(answer);
+                        Ok(answered)
+                    })?;
+                }
+            }
+        }
+        Ok(LevelRows {
+            engine: self,
+            answers,
+            far: far_rows,
+        })
+    }
+
+    /// Send `ask` the still-unanswered tail of `asked` until none is
+    /// left, counting each exchange in `remote_fetches`. `ask` returns how
+    /// many leading items its exchange answered — at least one, since the
+    /// reply decoders refuse an empty answer to a nonempty ask — so a
+    /// list takes more than one exchange only when a peer answers a
+    /// prefix.
+    fn ask_until_answered(
+        &self,
+        asked: &[u64],
+        mut ask: impl FnMut(&[u64]) -> Result<usize, ServeError>,
+    ) -> Result<(), ServeError> {
+        let mut rest = asked;
+        while !rest.is_empty() {
+            self.routing.record_remote();
+            rest = &rest[ask(rest)?..];
+        }
+        Ok(())
     }
 
     /// Account one traversal query (`/path`, `/khop`) on the query
@@ -658,10 +712,10 @@ impl ServeEngine {
     /// [`ServeError::Remote`] when the owning peer cannot produce the row.
     pub fn neighbors(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
         match self.path() {
-            QueryPath::Artifact => Ok(self.row(v, false)?.into()),
+            QueryPath::Artifact => Ok(self.row(v)?.into()),
             QueryPath::Oracle(oracle) => Ok(Cow::Owned(oracle.neighbors(v)?)),
             QueryPath::Check(oracle) => {
-                let art = self.row(v, false);
+                let art = self.row(v);
                 let ora = oracle.neighbors(v);
                 // Compare borrowed against owned directly — the agree path
                 // (every query on a healthy run) must not copy the row.
@@ -697,7 +751,7 @@ impl ServeEngine {
     }
 
     fn degree_artifact(&self, v: u64) -> Result<u64, ServeError> {
-        let row = self.row(v, false)?;
+        let row = self.row(v)?;
         Ok(row.len() as u64 - u64::from(slice::contains_sorted(&row, v)))
     }
 
@@ -721,7 +775,7 @@ impl ServeEngine {
     }
 
     pub(crate) fn has_edge_artifact(&self, u: u64, v: u64) -> Result<bool, ServeError> {
-        let row = self.row(u, false)?;
+        let row = self.row(u)?;
         if v >= self.set.num_vertices() {
             return Err(self.out_of_range(v));
         }
@@ -756,7 +810,7 @@ impl ServeEngine {
     }
 
     fn vertex_triangles_artifact(&self, v: u64) -> Result<(u64, u64), ServeError> {
-        let row_v = self.row(v, false)?;
+        let row_v = self.row(v)?;
         // `t(v) = ½·Σ_{u ∈ N(v), u≠v} Δ[{v,u}]` (the row-sum identity below
         // Def. 6; the self loop spawns no wedges, Rem. 3). Resident
         // neighbors are intersected here; in a cluster the rest are
@@ -805,14 +859,13 @@ impl ServeEngine {
         row_v: &[u64],
         asked: &[u64],
     ) -> Result<(u64, u64), ServeError> {
-        let (mut delta, mut checks, mut rest) = (0, 0, asked);
-        while !rest.is_empty() {
-            self.routing.record_remote();
+        let (mut delta, mut checks) = (0, 0);
+        self.ask_until_answered(asked, |rest| {
             let (answered, d, c) = remote.wedges(replicas, v, row_v, rest)?;
-            rest = &rest[answered..];
             delta += d;
             checks += c;
-        }
+            Ok(answered)
+        })?;
         Ok((delta, checks))
     }
 
@@ -860,7 +913,7 @@ impl ServeEngine {
     }
 
     fn edge_triangles_artifact(&self, u: u64, v: u64) -> Result<Option<(u64, u64)>, ServeError> {
-        let row_u = self.row(u, false)?;
+        let row_u = self.row(u)?;
         if v >= self.set.num_vertices() {
             return Err(self.out_of_range(v));
         }
@@ -933,6 +986,27 @@ impl ServeEngine {
     /// See [`ServeEngine::edge_triangles_with_checks`].
     pub fn edge_triangles(&self, u: u64, v: u64) -> Result<Option<u64>, ServeError> {
         Ok(self.edge_triangles_with_checks(u, v)?.map(|(d, _)| d))
+    }
+}
+
+/// One traversal level's rows ([`ServeEngine::level_rows`]): the
+/// answers the level's exchanges brought, which of them holds each far
+/// vertex's row, and the engine for the resident rest.
+pub(crate) struct LevelRows<'e> {
+    engine: &'e ServeEngine,
+    answers: Vec<PeerRows>,
+    /// Far vertex → (answer, row within it).
+    far: HashMap<u64, (usize, usize)>,
+}
+
+impl LevelRows<'_> {
+    /// The row of a vertex of the level's frontier: decoded off its
+    /// answer for a far vertex, the resident mapping's row otherwise.
+    pub(crate) fn row(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
+        match self.far.get(&v) {
+            Some(&(answer, i)) => Ok(Cow::Owned(self.answers[answer].decode(i))),
+            None => Ok(self.engine.row(v)?.into()),
+        }
     }
 }
 

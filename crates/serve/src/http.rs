@@ -24,6 +24,10 @@ use std::time::Duration;
 /// fails over instead of being misread.
 pub const ROW_VD_CONTENT_TYPE: &str = "application/kron-row-vd";
 
+/// The `Content-Type` of a `POST /rows` answer: one length-prefixed
+/// varint delta row per answered vertex.
+pub const ROWS_CONTENT_TYPE: &str = "application/kron-rows";
+
 /// The `Content-Type` of a `POST /wedges` answer: one varint
 /// `(count, checks)` pair per asked neighbour.
 pub const WEDGES_CONTENT_TYPE: &str = "application/kron-wedges";

@@ -1,14 +1,16 @@
 //! Traversal serving: shortest paths and k-hop neighborhoods over the
-//! engine's row-fetch path.
+//! engine's rows, one BFS level at a time.
 //!
 //! [`PathFinder`] answers `GET /path?from=&to=` with a **bidirectional
-//! BFS**: two frontiers grow toward each other through the engine's
-//! row fetches — resident rows zero-copy off the shard mappings,
-//! non-resident rows over `GET /row?enc=vd` and the byte-budgeted
-//! hot-row cache — so a cluster node can traverse the whole product
-//! while holding only its claimed shards. The frontier expansion
-//! itself is [`kron_analyze::frontier_step`], the same kernel the
-//! analytics BFS runs chunk-parallel over resident shards.
+//! BFS**: two frontiers grow toward each other, a level at a time.
+//! Before a level is expanded, the engine fetches the rows of its far
+//! vertices — one internal `POST /rows` per replica set, not one round
+//! trip per row — and the expansion reads resident rows in place off
+//! the shard mappings, so a cluster node can traverse the whole product
+//! while holding only its claimed shards. No traversal row enters the
+//! hot-row cache: a BFS level reads each row once. The frontier
+//! expansion itself is [`kron_analyze::frontier_step`], the same kernel
+//! the analytics BFS runs chunk-parallel over resident shards.
 //!
 //! Every step is deterministic: frontiers are kept sorted, the smaller
 //! side expands first (ties toward the `from` side), neighbors are
@@ -189,11 +191,12 @@ impl<'e> PathFinder<'e> {
         let mut reached = 1u64;
         let mut truncated = false;
         for _ in 0..k {
+            let level = self.engine.level_rows(&frontier)?;
             let mut next: Vec<u64> = Vec::new();
             frontier_step(
                 &frontier,
                 n,
-                |w| self.engine.row(w, true),
+                |w| level.row(w),
                 ServeEngine::stray_neighbor,
                 |_, u| {
                     if seen.insert(u) {
@@ -296,9 +299,10 @@ impl<'e> PathFinder<'e> {
         Ok(Some(path))
     }
 
-    /// One level of one side: discover unseen neighbors of the sorted
-    /// frontier (first listing wins the parent slot), record meetings
-    /// with the other side, and return the next frontier sorted.
+    /// One level of one side: fetch the sorted frontier's far rows, then
+    /// discover unseen neighbors in frontier order (first listing wins the
+    /// parent slot), record meetings with the other side, and return the
+    /// next frontier sorted.
     fn expand(
         &self,
         frontier: &[u64],
@@ -307,11 +311,12 @@ impl<'e> PathFinder<'e> {
         other: &HashMap<u64, (u64, u64)>,
         best: &mut Option<(u64, u64)>,
     ) -> Result<Vec<u64>, ServeError> {
+        let level = self.engine.level_rows(frontier)?;
         let mut next: Vec<u64> = Vec::new();
         frontier_step(
             frontier,
             self.engine.num_vertices(),
-            |v| self.engine.row(v, true),
+            |v| level.row(v),
             ServeEngine::stray_neighbor,
             |v, u| {
                 if seen.contains_key(&u) {

@@ -703,7 +703,7 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
                 t.num_vertices,
             )
         }
-        Endpoint::Row => error(
+        Endpoint::Row | Endpoint::Rows => error(
             404,
             "the router serves no rows (fetch from the owning node)",
         ),

@@ -25,18 +25,18 @@
 //!   what is bounded and known before it starts — refusals, `/healthz`,
 //!   `/shards`, `/row` / `degree` / `has_edge` / `neighbors` on a
 //!   resident row of at most `INLINE_ROW_CAP` entries, and as much of a
-//!   peer's `/wedges` as fits a merge of `INLINE_MERGE_CAP` entries — and
+//!   peer's `/rows` or `/wedges` as fits `INLINE_MERGE_CAP` entries — and
 //!   declines the rest, which the loop hands to a bounded worker pool
 //!   (`--threads`) where the same `route` answers it. Nothing answered on
 //!   the event thread may block: no peer fetch, no lock held across I/O,
 //!   no spawn; the latency window `/stats` reports from is lock-free for
 //!   that reason.
-//! * **the cluster-internal endpoints call no peer**: `/row` reads a
-//!   resident row, `/wedges` intersects a shipped row with resident ones,
-//!   on whichever thread answers them; and both are answered on the event
-//!   thread unless a row is longer than `INLINE_ROW_CAP` — so two nodes
-//!   asking each other about short rows never wait on each other's
-//!   workers.
+//! * **the cluster-internal endpoints call no peer**: `/row` and `/rows`
+//!   read resident rows, `/wedges` intersects a shipped row with resident
+//!   ones, on whichever thread answers them; and all three are answered
+//!   on the event thread unless a (first) row is longer than
+//!   `INLINE_ROW_CAP` — so two nodes asking each other about short rows
+//!   never wait on each other's workers.
 //! * **graceful shutdown via an atomic flag**: [`Server::run`] borrows a
 //!   caller-owned `AtomicBool` (the CLI sets it from SIGTERM/SIGINT, the
 //!   tests from a scope thread). On shutdown the listener stops
@@ -50,7 +50,7 @@
 //! lifecycle & timeouts" subsection.
 
 use crate::batch::{self, QueryStats};
-use crate::cluster::WedgeAsk;
+use crate::cluster::{parse_rows_ask, WedgeAsk};
 use crate::endpoints::{
     self, error, json, Endpoint, Point, Response, Tier, MAX_BATCH_RESPONSE, TEXT,
 };
@@ -158,11 +158,12 @@ pub struct ServerReport {
     pub queries: u64,
     /// Queries that returned an engine error (out-of-range, corrupt).
     pub query_errors: u64,
-    /// Raw adjacency rows served to cluster peers over `GET /row`.
+    /// Adjacency rows served to cluster peers: one per `GET /row`, one
+    /// per row of a `POST /rows` answer.
     pub rows_served: u64,
-    /// Body bytes those `/row` responses carried, across both encodings.
-    /// Compared against `rows_served * 8 * mean row length` this shows
-    /// what the varint wire encoding (`enc=vd`) saved.
+    /// Body bytes those `/row` and `/rows` answers carried. Compared
+    /// against `rows_served * 8 * mean row length` this shows what the
+    /// varint delta wire encoding saved.
     pub row_wire_bytes: u64,
     /// `POST /wedges` exchanges answered for cluster peers: one per
     /// request, however many neighbours it asked about.
@@ -480,7 +481,7 @@ fn error_status(e: &crate::engine::ServeError) -> u16 {
 /// the event thread reads itself; of the order of `kron::RUN_CAPACITY`,
 /// the generator's own unit of bounded work. A longer row goes to the
 /// pool.
-const INLINE_ROW_CAP: usize = 4096;
+pub(crate) const INLINE_ROW_CAP: usize = 4096;
 
 /// Whether `v`'s row in this resident shard is short enough for the
 /// event thread, judged without decoding it.
@@ -508,8 +509,9 @@ fn row_is_bounded(engine: &ServeEngine, v: u64) -> bool {
 /// What it answers on the event thread is the bounded set of
 /// `ARCHITECTURE.md` § "Serving over the network": table refusals, a
 /// `400`, `/healthz`, `/shards`, `/row` and single-row `/query`s on a
-/// short resident row, and a bounded prefix of a `/wedges`. Nothing there
-/// touches a peer, spawns, or takes a lock that is held across I/O.
+/// short resident row, and a bounded prefix of a `/rows` or `/wedges`.
+/// Nothing there touches a peer, spawns, or takes a lock that is held
+/// across I/O.
 ///
 /// `scope` is the job-worker scope owned by [`Server::run`]: `POST
 /// /jobs` spawns its kernel worker there, so the run's scope exit (after
@@ -540,6 +542,7 @@ fn route<'s>(
             }
         },
         Endpoint::Row => serve_row(state, req, on),
+        Endpoint::Rows => serve_rows(state, req, on),
         Endpoint::Wedges => serve_wedges(state, req, on),
         Endpoint::Shards => {
             // The node's slice of the ownership map — what a router (or a
@@ -647,11 +650,130 @@ fn serve_row(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option
     Some((200, http::ROW_VD_CONTENT_TYPE, body))
 }
 
-/// Largest merge the event thread runs for one `/wedges`, in entries:
-/// `Σ_u (|row(v)| + row_len_bound(u))` over the neighbours it answers — a
-/// handful of short rows' worth. One pair of rows of at most
+/// Most row entries the event thread reads for one `/rows` or
+/// `/wedges` — a handful of short rows' worth: `Σ_v row_len_bound(v)` over
+/// the vertices a `/rows` answers, `Σ_u (|row(v)| + row_len_bound(u))`
+/// over the neighbours a `/wedges` merges. One pair of rows of at most
 /// [`INLINE_ROW_CAP`] entries always fits.
 const INLINE_MERGE_CAP: usize = 4 * INLINE_ROW_CAP;
+
+/// Most row entries a pooled `/rows` answers past its first row — a
+/// thousand inline answers' worth — so an ask as long as the request body
+/// cap cannot make a node build a reply of its whole shard set; the asker
+/// asks again for the rest.
+const POOL_ROWS_CAP: usize = 1024 * INLINE_MERGE_CAP;
+
+/// How many of the leading `costs` (row entries) fit `cap` together: the
+/// prefix of a `/wedges` answered.
+fn prefix_within(cap: usize, costs: impl IntoIterator<Item = usize>) -> usize {
+    let mut total = 0;
+    costs
+        .into_iter()
+        .take_while(|&cost| {
+            total += cost;
+            total <= cap
+        })
+        .count()
+}
+
+/// The resident shard of `v`, or the `404` refusing an ask about a
+/// vertex this node does not hold — configuration skew between nodes.
+/// `v` is below `n_C` (the ask was decoded against it), so some shard
+/// owns it.
+fn resident_shard(
+    set: &kron_stream::ShardSet,
+    v: u64,
+) -> Result<&kron_stream::OpenShard, Response> {
+    set.route(v)
+        .and_then(|shard| set.local(shard))
+        .ok_or_else(|| {
+            let subset = set.subset();
+            error(
+                404,
+                format_args!(
+                    "vertex {v} is not resident on this node (serving shards {}..{})",
+                    subset.start, subset.end
+                ),
+            )
+        })
+}
+
+/// Longest `/rows` body the event thread decodes: [`INLINE_ROW_CAP`]
+/// vertices at the ten bytes a varint takes at most.
+const INLINE_ROWS_BODY: usize = 10 * INLINE_ROW_CAP;
+
+/// `POST /rows` — the cluster-internal level fetch: the rows of the
+/// asked vertices, each resident here, as one length-prefixed varint
+/// delta row per answered vertex. Like `/row` it is not a query (it adds
+/// each row to `rows_served`) and it calls no peer, whichever thread
+/// answers it.
+///
+/// The event thread answers the longest prefix of the asked vertices
+/// whose rows fit [`INLINE_MERGE_CAP`] entries and the caller asks again
+/// for the rest; only an exchange whose first row is longer than
+/// [`INLINE_ROW_CAP`] — one `/row` does not read inline either — or
+/// whose body is longer than [`INLINE_ROWS_BODY`] goes to the pool, which
+/// answers up to [`POOL_ROWS_CAP`] entries, and always the first row.
+/// Only the answered prefix is routed and sized, so a vertex past it is
+/// judged (resident, or `404`) when the caller asks again. The engine
+/// asks about at most [`INLINE_ROW_CAP`] vertices at a time, so its
+/// bodies always fit [`INLINE_ROWS_BODY`].
+fn serve_rows(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option<Response> {
+    let inline = on == Thread::Event;
+    if inline && req.body.len() > INLINE_ROWS_BODY {
+        return None;
+    }
+    let set = state.engine.shard_set();
+    let asked = match parse_rows_ask(&req.body, set.num_vertices()) {
+        Ok(asked) => asked,
+        Err(e) => return Some(error(400, e)),
+    };
+    let cap = if inline {
+        INLINE_MERGE_CAP
+    } else {
+        POOL_ROWS_CAP
+    };
+    // Route and size the asked vertices only as far as the answer goes:
+    // the prefix ends before the first row that would pass `cap`, and
+    // holds at least the first row.
+    let (mut answer, mut bound) = (Vec::new(), 0);
+    for &v in &asked {
+        let open = match resident_shard(set, v) {
+            Ok(open) => open,
+            Err(refusal) => return Some(refusal),
+        };
+        let len = open.reader.row_len_bound(v).unwrap_or(0);
+        if answer.is_empty() && inline && len > INLINE_ROW_CAP {
+            return None;
+        }
+        if !answer.is_empty() && bound + len > cap {
+            break;
+        }
+        bound += len;
+        answer.push((v, open));
+    }
+    let answered = answer.len();
+    // a csr2 row's bound is its byte length, a v1 row's its entry count:
+    // the reply's size, or a floor under it, before the first copy
+    let (mut body, mut row) = (Vec::with_capacity(bound + 2 * answered), Vec::new());
+    for (v, open) in answer {
+        // one CsrMap method writes the row: csr2 bytes verbatim, v1
+        // encoded on the fly
+        row.clear();
+        if !open.reader.append_row_vd(v, &mut row) {
+            return Some(error(500, "resident row unavailable"));
+        }
+        varint_push(row.len() as u64, &mut body);
+        body.extend_from_slice(&row);
+    }
+    state
+        .rows_served
+        .fetch_add(answered as u64, Ordering::Relaxed);
+    state
+        .row_wire_bytes
+        .fetch_add(body.len() as u64, Ordering::Relaxed);
+    Some((200, http::ROWS_CONTENT_TYPE, body))
+}
 
 /// Longest `/wedges` body the event thread decodes: `row(v)` and the
 /// asked list (a subset of it) of [`INLINE_ROW_CAP`] entries each, at the
@@ -680,31 +802,17 @@ fn serve_wedges(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Opt
         Ok(ask) => ask,
         Err(e) => return Some(error(400, e)),
     };
-    let mut shards = Vec::with_capacity(ask.asked.len());
-    for &u in &ask.asked {
-        // `u` is a column of a row below n_C, so some shard owns it
-        let Some(open) = set.route(u).and_then(|shard| set.local(shard)) else {
-            let subset = set.subset();
-            return Some(error(
-                404,
-                format_args!(
-                    "vertex {u} is not resident on this node (serving shards {}..{})",
-                    subset.start, subset.end
-                ),
-            ));
-        };
-        shards.push(open);
-    }
+    let shards: Result<Vec<_>, _> = ask.asked.iter().map(|&u| resident_shard(set, u)).collect();
+    let shards = match shards {
+        Ok(shards) => shards,
+        Err(refusal) => return Some(refusal),
+    };
     let mut answered = ask.asked.len();
     if inline {
-        let mut bound = 0;
-        for (i, (&u, open)) in ask.asked.iter().zip(&shards).enumerate() {
-            bound += ask.row_v.len() + open.reader.row_len_bound(u).unwrap_or(0);
-            if bound > INLINE_MERGE_CAP {
-                answered = i;
-                break;
-            }
-        }
+        let merge = |(&u, open): (&u64, &&kron_stream::OpenShard)| {
+            ask.row_v.len() + open.reader.row_len_bound(u).unwrap_or(0)
+        };
+        answered = prefix_within(INLINE_MERGE_CAP, ask.asked.iter().zip(&shards).map(merge));
         if answered == 0 && !ask.asked.is_empty() {
             return None;
         }
@@ -824,6 +932,12 @@ mod tests {
     fn run_dir(name: &str) -> (std::path::PathBuf, KronProduct) {
         let a = Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]);
         run_dir_of(name, KronProduct::new(a.clone(), a))
+    }
+
+    /// `K_n` with a loop at every vertex: every row is the whole vertex set.
+    fn complete_with_loops(n: usize) -> Graph {
+        let n32 = n as u32;
+        Graph::from_edges(n, (0..n32).flat_map(|i| (i..n32).map(move |j| (i, j))))
     }
 
     /// `c` streamed into two v1 shards.
@@ -1030,10 +1144,7 @@ mod tests {
         // (K15 + I) ⊗ (K14 + I) is K210 with every loop: 210 entries a
         // row, and the ~100 neighbours a vertex has on the other node
         // merge ~100 · 420 entries, more than twice the cap
-        let full = |n: usize| {
-            let n32 = n as u32;
-            Graph::from_edges(n, (0..n32).flat_map(|i| (i..n32).map(move |j| (i, j))))
-        };
+        let full = complete_with_loops;
         let (dir, c) = run_dir_of("held_hub_wedges", KronProduct::new(full(15), full(14)));
         let hubs = [0, c.num_vertices() - 1];
         for [inline, pooled, wedges] in tri_vertex_with_both_workers_held(&dir, &hubs) {
@@ -1044,12 +1155,114 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Open `dir`'s two shards as two nodes peering with each other,
-    /// serve them with one worker each, hold both workers, then ask each
-    /// of `vertices`' owning node for `tri_vertex` and check it against
-    /// the whole run. Returns each node's `[inline, pooled,
-    /// wedges_served]` after the queries.
+    /// Two nodes, one worker each, both workers held: every `/path` and
+    /// `/khop`, asked of either node, completes with frontiers on both
+    /// nodes, because a bounded `/rows` is answered on the peer's event
+    /// thread — a hub level a prefix at a time — and never waits for its
+    /// pool, nor calls back.
+    #[test]
+    fn bounded_rows_answer_while_both_nodes_hold_their_only_worker() {
+        let (dir, c) = run_dir("held_rows");
+        let n = c.num_vertices();
+        let grid = both_workers_held(&dir, |whole, engines| {
+            let want = PathFinder::new(whole);
+            for node in engines {
+                let got = PathFinder::new(node);
+                for (from, to) in (0..n).flat_map(|from| (0..n).map(move |to| (from, to))) {
+                    let path = |f: &PathFinder<'_>| {
+                        let answer = f.shortest_path(from, to, None).unwrap();
+                        answer.to_json().to_string()
+                    };
+                    assert_eq!(path(&got), path(&want), "/path {from} {to}");
+                }
+                for (v, k) in (0..n).flat_map(|v| (1..=3).map(move |k| (v, k))) {
+                    let khop = |f: &PathFinder<'_>| f.khop(v, k).unwrap().to_json().to_string();
+                    assert_eq!(khop(&got), khop(&want), "/khop {v} {k}");
+                }
+            }
+        });
+        // (K15 + I) ⊗ (K14 + I): the second level of a 2-hop is every
+        // vertex, ~105 far rows of 210 entries — more than the cap
+        let full = complete_with_loops;
+        let (hub_dir, hub) = run_dir_of("held_hub_rows", KronProduct::new(full(15), full(14)));
+        let hubs = [0, hub.num_vertices() - 1];
+        let hub_grid = both_workers_held(&hub_dir, |whole, engines| {
+            for (node, v) in engines.iter().flat_map(|e| hubs.map(|v| (e, v))) {
+                let khop = |e| PathFinder::new(e).khop(v, 2).unwrap().to_json().to_string();
+                assert_eq!(khop(node), khop(whole), "/khop {v} 2");
+            }
+        });
+        for (counts, min_asked) in [(grid, 1), (hub_grid, 4)] {
+            // a node's exchanges are the ones its peer sent
+            for (mine, peers) in [(counts[0], counts[1]), (counts[1], counts[0])] {
+                let ([inline, pooled, wedges, _], asked) = (mine, peers[3]);
+                assert_eq!((pooled, wedges), (1, 0), "only the held request was pooled");
+                assert!(asked >= min_asked, "{asked} /rows exchanges");
+                assert_eq!(inline, asked, "every /rows answered inline");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&hub_dir).ok();
+    }
+
+    /// A level of more far vertices than one `/rows` body the event thread
+    /// decodes can name is asked a chunk at a time, so it too is answered
+    /// inline while both nodes hold their only worker.
+    #[test]
+    fn long_levels_are_asked_in_bodies_the_event_thread_decodes() {
+        // (K_{1,250} + I) ⊗ (K_{1,250} + I): the hub (0, 0) reaches every
+        // vertex in one hop, and every other row is at most 502 entries,
+        // so its second level asks the other node for ~47k short rows
+        let star = |n: u32| {
+            Graph::from_edges(
+                n as usize,
+                (0..n).map(|i| (i, i)).chain((1..n).map(|j| (0, j))),
+            )
+        };
+        let (dir, c) = run_dir_of("held_long_level", KronProduct::new(star(251), star(251)));
+        let n = c.num_vertices();
+        let counts = both_workers_held(&dir, |whole, engines| {
+            let far = n - engines[0].shard_set().subset_vertices().end;
+            assert!(far > INLINE_ROWS_BODY as u64, "{far} far vertices");
+            let khop = |e| PathFinder::new(e).khop(0, 2).unwrap().to_json().to_string();
+            assert_eq!(khop(&engines[0]), khop(whole), "/khop 0 2");
+        });
+        let ([_, _, _, asked], [inline, pooled, wedges, _]) = (counts[0], counts[1]);
+        assert_eq!((pooled, wedges), (1, 0), "only the held request was pooled");
+        assert!(
+            asked > (n / INLINE_ROW_CAP as u64) / 2,
+            "{asked} /rows exchanges"
+        );
+        assert_eq!(inline, asked, "every /rows answered inline");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Hold both nodes' only worker and ask each of `vertices`' owning
+    /// node for `tri_vertex`, checked against the whole run. Returns each
+    /// node's `[inline, pooled, wedges_served]` after the queries.
     fn tri_vertex_with_both_workers_held(dir: &std::path::Path, vertices: &[u64]) -> [[u64; 3]; 2] {
+        let counts = both_workers_held(dir, |whole, engines| {
+            for &v in vertices {
+                let home = engines
+                    .iter()
+                    .find(|e| e.shard_set().subset_vertices().contains(&v))
+                    .unwrap();
+                let want = whole.vertex_triangles_with_checks(v).unwrap();
+                assert_eq!(home.vertex_triangles_with_checks(v).unwrap(), want, "{v}");
+            }
+        });
+        counts.map(|[inline, pooled, wedges, _]| [inline, pooled, wedges])
+    }
+
+    /// Open `dir`'s two shards as two nodes peering with each other,
+    /// serve them with one worker each, hold both workers, then run `ask`
+    /// on the whole run's engine and the two nodes'. Returns each node's
+    /// `[inline, pooled, wedges_served, remote_fetches]` after it — the
+    /// last the exchanges that node sent its peer.
+    fn both_workers_held(
+        dir: &std::path::Path,
+        ask: impl Fn(&ServeEngine, &[ServeEngine; 2]) + Sync,
+    ) -> [[u64; 4]; 2] {
         use crate::event_loop::tests::{Gate, StopOnDrop};
         use std::io::Write;
 
@@ -1081,6 +1294,7 @@ mod tests {
                 load(&conns.inline),
                 load(&conns.pooled),
                 load(&s.wedges_served),
+                s.engine.routing().remote_fetches,
             ]
         };
         std::thread::scope(|scope| {
@@ -1092,14 +1306,7 @@ mod tests {
                     held
                 });
                 gate.wait_entered(2);
-                for &v in vertices {
-                    let home = engines
-                        .iter()
-                        .find(|e| e.shard_set().subset_vertices().contains(&v))
-                        .unwrap();
-                    let want = whole.vertex_triangles_with_checks(v).unwrap();
-                    assert_eq!(home.vertex_triangles_with_checks(v).unwrap(), want, "{v}");
-                }
+                ask(&whole, &engines);
                 let after = states.each_ref().map(counts);
                 drop(held);
                 after
@@ -1238,6 +1445,84 @@ mod tests {
             report.row_wire_bytes
         );
         assert_eq!(report.queries, 0, "/row is not a query");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A prefix stops before the first cost that would pass the cap; a
+    /// first cost over the cap answers nothing, which `/wedges` sends to
+    /// the pool and a pooled `/rows` raises to its first row.
+    #[test]
+    fn prefixes_stop_before_the_cap() {
+        for (cap, want) in [(12, 3), (11, 2), (7, 2), (6, 1), (2, 0)] {
+            assert_eq!(prefix_within(cap, [3, 4, 5]), want, "cap {cap}");
+        }
+        assert_eq!(prefix_within(0, []), 0);
+    }
+
+    /// What the querying node sends is what the answering node decodes:
+    /// `RemoteShards::rows` against a live node gets that node's rows
+    /// back, and the node refuses every body that breaks the spec.
+    #[test]
+    fn rows_requests_roundtrip_and_bad_bodies_are_refused() {
+        let (dir, c) = run_dir("rows_roundtrip");
+        let n = c.num_vertices();
+        let engine = ServeEngine::open_with(
+            &dir,
+            &OpenOptions {
+                shard_subset: Some(0..1),
+                peers: vec![crate::PeerSpec::parse("1..2=127.0.0.1:1").unwrap()],
+                ..OpenOptions::default()
+            },
+        )
+        .unwrap();
+        let span = engine.shard_set().subset_vertices();
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let stop = AtomicBool::new(false);
+        let asked: Vec<u64> = span.clone().step_by(2).collect();
+        let report = std::thread::scope(|s| {
+            let run = s.spawn(|| server.run(&engine, &ServerOptions::default(), &stop));
+            // the asking side of the other node: shard 0 lives at `addr`
+            let peer = crate::PeerSpec::parse(&format!("0..1={addr}")).unwrap();
+            let timeout = crate::cluster::DEFAULT_PEER_TIMEOUT;
+            let remote = crate::cluster::RemoteShards::new(&[peer], 1..2, 2, n, timeout).unwrap();
+            let rows = remote.rows(remote.replicas(0), &asked).unwrap();
+            let want: Vec<Vec<u64>> = asked.iter().map(|&v| c.neighbors(v)).collect();
+            assert_eq!(crate::cluster::tests::decoded(&rows), want);
+
+            let vd = |vertices: &[u64]| {
+                let mut body = Vec::new();
+                kron_stream::encode_row_vd(vertices, &mut body);
+                body
+            };
+            let refused = [
+                (
+                    "repeated vertex",
+                    vec![3, 0],
+                    400,
+                    "not a strictly ascending",
+                ),
+                (
+                    "truncated varint",
+                    vec![0x80],
+                    400,
+                    "not a strictly ascending",
+                ),
+                ("vertex n_C", vd(&[0, n]), 400, &*format!("has only {n}")),
+                ("not resident here", vd(&[0, span.end]), 404, "not resident"),
+            ];
+            let mut client = Client::connect(addr).unwrap();
+            for (what, body, status, says) in refused {
+                let (got, _, reply) = client.request_typed("POST", "/rows", &body).unwrap();
+                let reply = String::from_utf8(reply).unwrap();
+                assert_eq!(got, status, "{what}: {reply}");
+                assert!(reply.contains(says), "{what}: {reply}");
+            }
+            stop.store(true, Ordering::SeqCst);
+            run.join().unwrap().unwrap()
+        });
+        assert_eq!(report.rows_served, asked.len() as u64);
+        assert_eq!(report.queries, 0, "/rows is not a query");
         std::fs::remove_dir_all(&dir).ok();
     }
 

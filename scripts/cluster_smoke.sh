@@ -96,9 +96,18 @@ for addr in "$single_addr" "$router_addr"; do
 done
 
 echo "== routed traversals must be byte-identical to the single node's"
+node_total() { # key → its first value summed over the two nodes' /stats
+    local sum=0 addr
+    for addr in "$node0_addr" "$node1_addr"; do
+        sum=$((sum + $(curl -fsS "http://$addr/stats" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2)))
+    done
+    echo "$sum"
+}
+rows_before=$(node_total rows_served)
+exchanges_before=$(node_total remote_fetches)
 # sources and targets on both sides of the shard split, so the executing
-# node pulls real cross-node rows; plus a bounded search that comes back
-# unreachable in-band
+# node fetches real cross-node rows; plus a bounded search that comes
+# back unreachable in-band
 for req in 'path?from=0&to=1599' 'path?from=1599&to=0' 'path?from=7&to=801' \
            'path?from=0&to=1599&max_depth=1' 'khop?v=57&k=2' 'khop?v=801&k=1'; do
     one=$(curl -fsS "http://$single_addr/$req")
@@ -118,10 +127,17 @@ echo "== cluster health and merged stats"
 stats=$(curl -fsS "http://$router_addr/stats")
 echo "$stats" | grep -q '"role":"router"'
 echo "$stats" | grep -q '"mismatch_count":0'
-# the traversals crossed the node boundary: the executing node pulled
-# the far rows it expanded over /row
+# the traversals crossed the node boundary: the executing node fetched
+# each BFS level's far rows over POST /rows, several rows an exchange
 rows=$(total rows_served)
-[ "${rows:-0}" -gt 0 ] || { echo "no /row traffic from the traversals"; exit 1; }
+[ "${rows:-0}" -gt 0 ] || { echo "no /rows traffic from the traversals"; exit 1; }
+rows=$(( $(node_total rows_served) - rows_before ))
+exchanges=$(( $(node_total remote_fetches) - exchanges_before ))
+[ "$exchanges" -gt 0 ] && [ "$rows" -gt "$exchanges" ] \
+    || { echo "traversals moved $rows rows in $exchanges exchanges"; exit 1; }
+# the router owns no rows: it refuses the internal level fetch
+code=$(curl -s -o /dev/null -w '%{http_code}' --data-binary '' "http://$router_addr/rows")
+[ "$code" = 404 ] || { echo "router: POST /rows expected 404, got $code"; exit 1; }
 # /row speaks one encoding: node1 answers its first resident row varint
 # delta encoded whether or not the fetch asks for enc=vd
 lo=$(curl -fsS "http://$node1_addr/shards" | grep -o '"vertex_lo":[0-9]*' | cut -d: -f2)

@@ -1,7 +1,7 @@
 //! Doc-drift guard for ARCHITECTURE.md § "Cluster serving".
 //!
-//! The `/row`, `/shards` and `/wedges` wire examples in the spec are
-//! normative: this
+//! The `/row`, `/shards`, `/rows` and `/wedges` wire examples in the
+//! spec are normative: this
 //! test re-reads them **out of the markdown**, rebuilds exactly the run
 //! directory they describe (the 3-vertex triangle squared, 3 CSR
 //! shards), replays the documented request bytes against a live node,
@@ -95,26 +95,26 @@ fn documented_row_and_shards_examples_match_the_server_verbatim() {
         "the documented /row?enc=vd head contradicts its own body"
     );
 
-    let wedges_sec = section(&md, "#### `POST /wedges` wire example");
-    let wedges_http = fenced(wedges_sec, "http");
-    assert_eq!(
-        wedges_http.len(),
-        2,
-        "/wedges example needs request + response head"
-    );
-    let wedges_hex = fenced(wedges_sec, "hex");
-    assert_eq!(wedges_hex.len(), 2, "/wedges example needs both bodies");
-    let (wedges_ask, wedges_reply) = (parse_hex(&wedges_hex[0]), parse_hex(&wedges_hex[1]));
-    for (head, body) in [
-        (&wedges_http[0], &wedges_ask),
-        (&wedges_http[1], &wedges_reply),
-    ] {
+    let [rows, wedges] = ["/rows", "/wedges"].map(|endpoint| {
+        let sec = section(&md, &format!("#### `POST {endpoint}` wire example"));
+        let http = fenced(sec, "http");
         assert_eq!(
-            declared_length(head),
-            body.len(),
-            "a documented /wedges head contradicts its own body"
+            http.len(),
+            2,
+            "{endpoint} example needs request + response head"
         );
-    }
+        let hex = fenced(sec, "hex");
+        assert_eq!(hex.len(), 2, "{endpoint} example needs both bodies");
+        let (ask, reply) = (parse_hex(&hex[0]), parse_hex(&hex[1]));
+        for (head, body) in [(&http[0], &ask), (&http[1], &reply)] {
+            assert_eq!(
+                declared_length(head),
+                body.len(),
+                "a documented {endpoint} head contradicts its own body"
+            );
+        }
+        (http, ask, reply)
+    });
 
     let shards_sec = section(&md, "#### `GET /shards` wire example");
     let shards_http = fenced(shards_sec, "http");
@@ -184,7 +184,9 @@ fn documented_row_and_shards_examples_match_the_server_verbatim() {
         // all exchanges on one keep-alive connection, like a real peer
         replay(&vd_http[0], &[], &vd_http[1], &vd_body);
         replay(&shards_http[0], &[], &shards_http[1], &shards_body);
-        replay(&wedges_http[0], &wedges_ask, &wedges_http[1], &wedges_reply);
+        for (http, ask, reply) in [&rows, &wedges] {
+            replay(&http[0], ask, &http[1], reply);
+        }
 
         stop.store(true, Ordering::SeqCst);
         drop(stream);

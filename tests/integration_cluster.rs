@@ -64,7 +64,9 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
                     shards: peer_shards,
                     addr: peer,
                 }],
-                row_cache_bytes: 64 << 10, // remote rows flow through the LRU
+                // a peer's row that a query names arrives over /row and
+                // flows through the LRU
+                row_cache_bytes: 64 << 10,
                 ..OpenOptions::default()
             },
         )

@@ -8,8 +8,9 @@
 //! 2. **minimal** — the hop count equals a reference single-source BFS
 //!    distance, and the per-distance census matches the `kron_analyze`
 //!    BFS level structure exactly;
-//! 3. **location-transparent** — a 2-node cluster (with real
-//!    cross-node `/row` traffic, asserted) answers `/path` and `/khop`
+//! 3. **location-transparent** — a 2-node cluster, and a 3-node one with
+//!    a shard on two replicas (with real cross-node `/rows` traffic,
+//!    several rows per exchange, asserted), answer `/path` and `/khop`
 //!    byte-identically to one server over the whole run directory,
 //!    directly and through the router.
 //!
@@ -21,7 +22,8 @@
 use kron::KronProduct;
 use kron_serve::http::Client;
 use kron_serve::{
-    AnswerSource, OpenOptions, PathFinder, PeerSpec, Router, ServeEngine, Server, ServerOptions,
+    AnswerSource, OpenOptions, PathFinder, PeerSpec, Router, RoutingReport, ServeEngine, Server,
+    ServerOptions, ServerReport,
 };
 use kron_stream::{load_manifest, stream_product, OutputFormat, ShardSet, StreamConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -157,116 +159,158 @@ fn cluster_paths_are_byte_identical_to_single_node() {
     stream_product(&c, &cfg).unwrap();
     let n = c.num_vertices();
 
-    // Bind every listener first so startup order cannot race.
-    let single_srv = Server::bind("127.0.0.1:0").unwrap();
-    let node0_srv = Server::bind("127.0.0.1:0").unwrap();
-    let node1_srv = Server::bind("127.0.0.1:0").unwrap();
-    let front = Server::bind("127.0.0.1:0").unwrap();
-    let (addr_single, addr0, addr1, addr_front) = (
-        single_srv.local_addr().unwrap(),
-        node0_srv.local_addr().unwrap(),
-        node1_srv.local_addr().unwrap(),
-        front.local_addr().unwrap(),
-    );
+    let mut requests: Vec<String> = Vec::new();
+    for from in (0..n).step_by(3) {
+        for to in 0..n {
+            requests.push(format!("/path?from={from}&to={to}"));
+        }
+        requests.push(format!(
+            "/path?from={from}&to={}&max_depth=1",
+            (from + 9) % n
+        ));
+    }
+    for v in 0..n {
+        for k in 0..=3u64 {
+            requests.push(format!("/khop?v={v}&k={k}"));
+        }
+    }
+    // error shapes come back identical too: out-of-range (422),
+    // missing/malformed/overflow parameters (400)
+    requests.push(format!("/path?from={n}&to=0"));
+    requests.push(format!("/path?from=0&to={n}"));
+    requests.push(format!("/khop?v={n}&k=1"));
+    requests.push("/path?from=0".to_string());
+    requests.push("/path?to=0".to_string());
+    requests.push("/path?from=zero&to=1".to_string());
+    requests.push("/path?from=0&to=1&max_depth=soon".to_string());
+    requests.push("/path?from=99999999999999999999&to=0".to_string());
+    requests.push("/khop?v=1".to_string());
+    requests.push("/khop?v=1&k=minus".to_string());
 
     let single = ServeEngine::open_verified(&dir).unwrap();
-    let node = |subset: std::ops::Range<usize>, peer: String, peer_shards| {
-        ServeEngine::open_with(
-            &dir,
-            &OpenOptions {
-                shard_subset: Some(subset),
-                peers: vec![PeerSpec {
-                    shards: peer_shards,
-                    addr: peer,
-                }],
-                row_cache_bytes: 64 << 10, // frontier rows ride the LRU
-                ..OpenOptions::default()
-            },
-        )
-        .unwrap()
-    };
-    let node0 = node(0..2, addr1.to_string(), 2..4);
-    let node1 = node(2..4, addr0.to_string(), 0..2);
-
+    let single_srv = Server::bind("127.0.0.1:0").unwrap();
+    let addr_single = single_srv.local_addr().unwrap();
     let stop = AtomicBool::new(false);
-    let opts = ServerOptions::default();
-    let (node0_rep, node1_rep) = std::thread::scope(|s| {
-        let h_single = s.spawn(|| single_srv.run(&single, &opts, &stop).unwrap());
-        let h_node0 = s.spawn(|| node0_srv.run(&node0, &opts, &stop).unwrap());
-        let h_node1 = s.spawn(|| node1_srv.run(&node1, &opts, &stop).unwrap());
-        let router = Router::discover(
-            &[addr0.to_string(), addr1.to_string()],
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        let (stop_ref, opts_ref, front_ref) = (&stop, &opts, &front);
-        let h_router = s.spawn(move || router.run(front_ref, opts_ref, stop_ref).unwrap());
-
+    std::thread::scope(|s| {
+        let h_single = s.spawn(|| single_srv.run(&single, &ServerOptions::default(), &stop));
         let mut one = Client::connect(addr_single).unwrap();
-        let mut routed = Client::connect(addr_front).unwrap();
-        let mut direct0 = Client::connect(addr0).unwrap();
-
-        let mut requests: Vec<String> = Vec::new();
-        for from in (0..n).step_by(3) {
-            for to in 0..n {
-                requests.push(format!("/path?from={from}&to={to}"));
-            }
-            requests.push(format!(
-                "/path?from={from}&to={}&max_depth=1",
-                (from + 9) % n
-            ));
-        }
-        for v in 0..n {
-            for k in 0..3u64 {
-                requests.push(format!("/khop?v={v}&k={k}"));
-            }
-        }
-        // error shapes come back identical too: out-of-range (422),
-        // missing/malformed/overflow parameters (400)
-        requests.push(format!("/path?from={n}&to=0"));
-        requests.push(format!("/path?from=0&to={n}"));
-        requests.push(format!("/khop?v={n}&k=1"));
-        requests.push("/path?from=0".to_string());
-        requests.push("/path?to=0".to_string());
-        requests.push("/path?from=zero&to=1".to_string());
-        requests.push("/path?from=0&to=1&max_depth=soon".to_string());
-        requests.push("/path?from=99999999999999999999&to=0".to_string());
-        requests.push("/khop?v=1".to_string());
-        requests.push("/khop?v=1&k=minus".to_string());
-
-        let mut reachable = 0u64;
-        for path in &requests {
-            let want = one.get(path).unwrap();
-            let got = routed.get(path).unwrap();
-            assert_eq!(got, want, "router diverged on {path}");
-            let got0 = direct0.get(path).unwrap();
-            assert_eq!(got0, want, "node 0 diverged on {path}");
-            if want.0 == 200 && want.1.contains("\"path\"") {
-                reachable += 1;
-            }
-        }
+        let answers: Vec<(u16, String)> = requests.iter().map(|p| one.get(p).unwrap()).collect();
+        let reachable = answers
+            .iter()
+            .filter(|(status, body)| *status == 200 && body.contains("\"path\""))
+            .count();
         assert!(reachable > 0, "the grid never found a path");
 
-        stop.store(true, Ordering::SeqCst);
-        drop((one, routed, direct0));
-        h_single.join().unwrap();
-        let r0 = h_node0.join().unwrap();
-        let r1 = h_node1.join().unwrap();
-        h_router.join().unwrap();
-        (r0, r1)
-    });
+        // two nodes; then three, the middle one a second replica of shard 1
+        let splits: [&[std::ops::Range<usize>]; 2] = [&[0..2, 2..4], &[0..2, 1..3, 3..4]];
+        for claims in splits {
+            let nodes = with_routed_split(&dir, claims, |router, nodes| {
+                let mut clients: Vec<Client> = [router]
+                    .iter()
+                    .chain(nodes)
+                    .map(|&addr| Client::connect(addr).unwrap())
+                    .collect();
+                for (path, want) in requests.iter().zip(&answers) {
+                    for (i, client) in clients.iter_mut().enumerate() {
+                        let got = client.get(path).unwrap();
+                        assert_eq!(&got, want, "{claims:?}: client {i} diverged on {path}");
+                    }
+                }
+            });
+            // Traversals from one node's range into another's must have
+            // moved real rows over the wire, a level's far rows per
+            // exchange — and none through the LRU.
+            let rows: u64 = nodes.iter().map(|(report, _)| report.rows_served).sum();
+            let exchanges: u64 = nodes.iter().map(|(_, r)| r.remote_fetches).sum();
+            assert!(exchanges > 0, "{claims:?}: the traversals never clustered");
+            assert!(
+                rows > exchanges,
+                "{claims:?}: {rows} rows in {exchanges} exchanges — one row a round trip"
+            );
+            for (_, routing) in &nodes {
+                assert_eq!(routing.cache_hits + routing.cache_misses, 0, "{routing}");
+            }
+        }
 
-    // Traversals from node 0's range into node 1's range (and vice
-    // versa) must have moved real rows over the wire.
-    assert!(
-        node0_rep.rows_served + node1_rep.rows_served > 0,
-        "no rows crossed the wire — the traversal never clustered"
-    );
-    assert!(
-        node0.routing().remote_fetches + node1.routing().remote_fetches > 0,
-        "routing report must count remote frontier fetches"
-    );
+        stop.store(true, Ordering::SeqCst);
+        drop(one);
+        h_single.join().unwrap().unwrap();
+    });
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Start one node per claim in `claims` — each listing every other node
+/// as its peer, each with a row cache — and a router in front, hand
+/// `body` the router's and the nodes' addresses, then stop them all and
+/// return each node's report and routing counters.
+fn with_routed_split(
+    dir: &std::path::Path,
+    claims: &[std::ops::Range<usize>],
+    body: impl FnOnce(std::net::SocketAddr, &[std::net::SocketAddr]),
+) -> Vec<(ServerReport, RoutingReport)> {
+    // Bind every listener first so startup order cannot race.
+    let servers: Vec<Server> = claims
+        .iter()
+        .map(|_| Server::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<std::net::SocketAddr> =
+        servers.iter().map(|s| s.local_addr().unwrap()).collect();
+    let front = Server::bind("127.0.0.1:0").unwrap();
+    let engines: Vec<ServeEngine> = claims
+        .iter()
+        .enumerate()
+        .map(|(i, claim)| {
+            let peers = (0..claims.len())
+                .filter(|&j| j != i)
+                .map(|j| PeerSpec {
+                    shards: claims[j].clone(),
+                    addr: addrs[j].to_string(),
+                })
+                .collect();
+            ServeEngine::open_with(
+                dir,
+                &OpenOptions {
+                    shard_subset: Some(claim.clone()),
+                    peers,
+                    // configured, and bypassed: a BFS level reads each
+                    // row once, so traversals never touch the LRU
+                    row_cache_bytes: 64 << 10,
+                    ..OpenOptions::default()
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    let stop = AtomicBool::new(false);
+    let opts = ServerOptions::default();
+    let reports: Vec<ServerReport> = std::thread::scope(|s| {
+        let runs: Vec<_> = servers
+            .iter()
+            .zip(&engines)
+            .map(|(server, engine)| s.spawn(|| server.run(engine, &opts, &stop).unwrap()))
+            .collect();
+        let peers: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
+        let router = Router::discover(&peers, Duration::from_secs(5)).unwrap();
+        let (stop_ref, opts_ref, front_ref) = (&stop, &opts, &front);
+        let h_router = s.spawn(move || router.run(front_ref, opts_ref, stop_ref).unwrap());
+        // stop everything whatever `body` does, or a failed assertion
+        // would leave the scope waiting on the servers forever
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let guard = Stop(&stop);
+        body(front.local_addr().unwrap(), &addrs);
+        drop(guard);
+        h_router.join().unwrap();
+        runs.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    reports
+        .into_iter()
+        .zip(engines.iter().map(ServeEngine::routing))
+        .collect()
 }
 
 #[test]
