@@ -81,8 +81,8 @@ USAGE:
       (a live conformance monitor); --source cross-check:N checks 1 in N
       queries (deterministic by query counter — the always-on audit mode
       at artifact cost). --cache keeps an LRU of hot decoded rows for
-      the artifact triangle kernels on skewed loads, bounded by a byte
-      budget (plain bytes or 512k / 512m / 4g suffixes)
+      the triangle kernels' resident neighbours on skewed loads, bounded
+      by a byte budget (plain bytes or 512k / 512m / 4g suffixes)
   kron serve <DIR> --listen ADDR [--threads T] [--jobs J] [--no-verify]
              [--source artifact|oracle|cross-check[:N]] [--cache BYTES]
              [--max-conns N] [--idle-timeout SECS] [--io-timeout SECS]
@@ -117,13 +117,12 @@ USAGE:
       contradicts the closed forms fails the job, keeps the mismatch
       report pollable, and makes the server exit nonzero at shutdown.
       --shards A..B turns the server into one node of a cluster: it
-      memory-maps only shards [A, B) of the run directory and fetches
-      non-resident rows from the --peers nodes (each spelled
-      A..B=HOST:PORT; the claim plus the peer ranges must cover every
-      shard — overlapping claims are replicas, rotated round-robin with
-      failover and health ejection on fetch errors). Nodes also answer
-      GET /shards (their claim) and the internal GET /row?shard=S&v=V,
-      POST /rows (a traversal level's rows) and POST /wedges exchanges
+      memory-maps only shards [A, B) of the run directory and asks the
+      --peers nodes (each spelled A..B=HOST:PORT; the claim plus the
+      peer ranges must cover every shard — overlapping claims are
+      replicas, rotated round-robin with failover and health ejection
+      on fetch errors) for far rows (POST /rows) and intersections
+      (POST /wedges). Nodes answer those, GET /shards and GET /row
   kron path <DIR> --from F --to T [--max-depth K]
             [--source artifact|oracle|cross-check[:N]]
       bidirectional-BFS shortest path between two product vertices over

@@ -1,17 +1,19 @@
 //! A sharded LRU of hot decoded rows, plus per-shard routing statistics.
 //!
-//! The artifact path is zero-copy — every row is a `&[u64]` slice out of a
-//! memory mapping — so a cache cannot make a *warm* page faster. What it
-//! buys is the expensive-fetch cases the serving tier actually sees:
-//! mapped pages evicted under memory pressure, artifacts on slow or
-//! network-attached storage, and (in a future multi-node tier) rows whose
-//! shard lives on another node entirely. Triangle queries re-fetch the
-//! rows of high-degree hub vertices over and over (every `tri_vertex v`
-//! touches all of `N(v)`, and hubs appear in many neighborhoods), so a
-//! small LRU of owned `Arc<[u64]>` copies pins exactly the rows a skewed
-//! load hammers. The budget is counted in **bytes** of decoded payload
-//! (`--cache 512m`), not rows — one hub row can outweigh thousands of
-//! leaves, so a row count would make the resident footprint unpredictable.
+//! The artifact path is zero-copy — every v1 row is a `&[u64]` slice out
+//! of a memory mapping — so a cache cannot make a *warm* page faster.
+//! What it buys is the expensive-read cases: csr2 rows decoded again on
+//! every read, mapped pages evicted under memory pressure, artifacts on
+//! slow or network-attached storage. Its one reader is the triangle loop
+//! over *resident* neighbour rows: triangle queries re-read the rows of
+//! high-degree hub vertices over and over (every `tri_vertex v` touches
+//! all of `N(v)`, and hubs appear in many neighborhoods), so a small LRU
+//! of owned `Arc<[u64]>` copies pins exactly the rows a skewed load
+//! hammers. No row a peer holds enters it: in a cluster a far neighbour
+//! is intersected on its peer, and a far row a query names is read once.
+//! The budget is counted in **bytes** of decoded payload (`--cache
+//! 512m`), not rows — one hub row can outweigh thousands of leaves, so a
+//! row count would make the resident footprint unpredictable.
 //!
 //! The cache is striped: keys hash to one of a fixed number of stripes,
 //! each behind its own `RwLock`, and the hit path takes only the *shared*
@@ -222,9 +224,9 @@ impl RoutingStats {
     }
 
     /// Record one request sent to a cluster peer to answer a query: a
-    /// `/row` fetch (also counted in its shard's
-    /// [`RoutingStats::record_fetch`] by the engine), a `/rows` exchange
-    /// (each of its rows counted so too) or a `/wedges` exchange.
+    /// `/rows` exchange (each of its rows also counted in its shard's
+    /// [`RoutingStats::record_fetch`] by the engine) or a `/wedges`
+    /// exchange.
     #[inline]
     pub fn record_remote(&self) {
         self.remote_fetches.fetch_add(1, Ordering::Relaxed);
@@ -274,9 +276,9 @@ pub struct RoutingReport {
     /// taken (0 when no cache is configured). Filled in by the engine —
     /// the counters themselves don't know the cache.
     pub cache_bytes: u64,
-    /// Requests this node sent a peer to answer a query: one per `/row`,
-    /// `/rows` or `/wedges` exchange (each row a `/row` or `/rows` moves
-    /// also in its shard's `shard_fetches`); 0 on a single node.
+    /// Requests this node sent a peer to answer a query: one per `/rows`
+    /// or `/wedges` exchange (each row a `/rows` moves also in its
+    /// shard's `shard_fetches`); 0 on a single node.
     pub remote_fetches: u64,
 }
 

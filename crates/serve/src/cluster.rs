@@ -1,6 +1,6 @@
 //! Multi-node shard-subset serving: peer specs, replica-aware shard →
-//! peer resolution, and the remote-row, remote-level and
-//! remote-intersection client with failover.
+//! peer resolution, and the remote-row and remote-intersection client
+//! with failover.
 //!
 //! One machine stops being enough exactly when the paper's products get
 //! interesting: a trillion-entry CSR run directory does not fit one
@@ -8,19 +8,17 @@
 //! and the run-directory format unchanged and splits only *residency*:
 //! each node opens a contiguous **shard subset**
 //! ([`kron_stream::ShardSet::open_with`]) of the same run directory and
-//! serves every query it receives — local rows zero-copy off its own
-//! mappings, a non-resident row a query names fetched from a peer over
-//! the internal `GET /row?shard=S&v=V&enc=vd` endpoint. Every row crosses
-//! the wire in one encoding, varint delta (`application/kron-row-vd`);
-//! the fetcher refuses a `200` of any other `Content-Type` and fails
-//! over, so a node speaking another encoding is never misread; see
+//! serves every query it receives — local rows read in place off its own
+//! mappings, the rows a peer holds asked of it over the internal `POST
+//! /rows` endpoint. `RemoteShards::rows` sends the ascending vertices
+//! whose rows it wants, all held by one replica set, and gets their rows
+//! back length-prefixed (`application/kron-rows`), each in the one row
+//! encoding, varint delta. A direct query's far row is a one-vertex
+//! ask; a traversal asks for a whole BFS level's far rows at once, so a
+//! level costs one round trip per replica set rather than one per row.
+//! The asker refuses a `200` of any other `Content-Type` and fails over,
+//! so a node speaking another encoding is never misread; see
 //! `ARCHITECTURE.md` § "Cluster serving" for the normative wire format.
-//!
-//! Traversals fetch a whole BFS level at a time: `RemoteShards::rows`
-//! asks for the ascending far vertices of a frontier in one internal
-//! `POST /rows` per replica set and gets their rows back length-prefixed
-//! (`application/kron-rows`), so a level costs one round trip per replica
-//! set rather than one per row.
 //!
 //! Triangle queries do not fetch rows: a row's neighbours a peer owns
 //! are intersected **on** that peer. `RemoteShards::wedges` ships
@@ -55,11 +53,12 @@
 //! `GET /healthz` probe re-admits it. That policy — pooling, the stale-
 //! connection retry, rotation, failover, ejection, probing — is not
 //! implemented here: `replica.rs` is its single implementation, shared
-//! with the router. This module only says what a `/row`, `/rows` or
-//! `/wedges` answer means (which statuses fail over, how a body decodes,
-//! which framing is torn). A `/row` fetch flows through the engine's
-//! hot-row [`crate::RowCache`] when one is configured; the rows of a
-//! `/rows` level do not, because a BFS level reads each row once.
+//! with the router. This module only says what a `/rows` or `/wedges`
+//! answer means (which statuses fail over, how a body decodes, which
+//! framing is torn). No far row enters the engine's hot-row
+//! [`crate::RowCache`]: a direct query reads its row once, and so does
+//! a BFS level. (Nodes still answer `GET /row`, one resident row per
+//! request, for tools that probe a single row; no node asks it.)
 //!
 //! ## Example
 //!
@@ -78,7 +77,6 @@ use crate::replica::{failover, first_uncovered, now_ms, Attempt, Method, Peer, R
 use kron_stream::json::Json;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Default node-to-node fetch timeout (connect and read): long enough
@@ -295,25 +293,6 @@ impl RemoteShards {
             ))),
             Attempt::Final(e) => Err(e),
         }
-    }
-
-    /// Fetch the adjacency row of `v` in `shard` from one of the shard's
-    /// replicas, failing over on transport errors.
-    pub(crate) fn fetch(&self, shard: usize, v: u64) -> Result<Arc<[u64]>, ServeError> {
-        // Every node answers varint delta rows; older ones only when
-        // asked, so ask. `decode_row` refuses any other Content-Type.
-        let path = format!("/row?shard={shard}&v={v}&enc=vd");
-        self.ask(
-            &self.by_shard[shard],
-            Method::Get,
-            &path,
-            format_args!("/row shard {shard} v {v}"),
-            |peer, reply| {
-                decode_row(reply, self.num_vertices, &|detail| {
-                    format!("peer {} (/row shard {shard} v {v}): {detail}", peer.label)
-                })
-            },
-        )
     }
 
     /// Ask one of `replicas` in one `POST /rows` for the rows of `asked`,
@@ -585,11 +564,12 @@ fn decode_rows(
     }
 }
 
-/// Decode a row another node sent — a `/row` body, a row of a `/rows`
-/// answer or the row of a `/wedges` ask — and check it: it came from
-/// outside this process, and the binary searches behind `has_edge` and the
-/// triangle kernels need strictly ascending columns below `n_C`. The varint delta decoder
-/// already refuses a zero gap, so only the last column needs a bound.
+/// Decode a row another node sent — a row of a `/rows` answer or the
+/// row of a `/wedges` ask — and check it: it came from outside this
+/// process, and the binary searches behind `has_edge` and the triangle
+/// kernels need strictly ascending columns below `n_C`. The varint delta
+/// decoder already refuses a zero gap, so only the last column needs a
+/// bound.
 fn decode_peer_row(bytes: &[u8], num_vertices: u64) -> Result<Vec<u64>, String> {
     let mut row = Vec::new();
     check_peer_row(bytes, num_vertices, &mut row)?;
@@ -607,28 +587,6 @@ fn check_peer_row(bytes: &[u8], num_vertices: u64, row: &mut Vec<u64>) -> Result
             "row names vertex {q}, but the product has only {num_vertices}"
         )),
         _ => Ok(()),
-    }
-}
-
-/// Classify one framed `/row` answer for the failover loop and decode
-/// it. A `200` that is not [`crate::http::ROW_VD_CONTENT_TYPE`] is refused
-/// before its body is read: raw words read as varints can pass for a row
-/// (eight `0x01` bytes decode to `1..=8`).
-fn decode_row(
-    reply: Reply,
-    num_vertices: u64,
-    fail: &dyn Fn(String) -> String,
-) -> Attempt<Arc<[u64]>, ServeError> {
-    // A body of another type, or one that does not decode to a row an
-    // artifact can hold, is torn or corrupt — another replica may get it
-    // right.
-    let body = match typed_body(reply, crate::http::ROW_VD_CONTENT_TYPE, fail) {
-        Ok(body) => body,
-        Err(attempt) => return attempt,
-    };
-    match decode_peer_row(&body, num_vertices) {
-        Ok(row) => Attempt::Done(row.into()),
-        Err(e) => Attempt::Transport(fail(format!("body of {} bytes: {e}", body.len()))),
     }
 }
 
@@ -802,72 +760,88 @@ pub(crate) mod tests {
         );
     }
 
-    /// A peer's row is input from outside the process: a body that frames
-    /// but breaks the row contract (strictly ascending columns below
-    /// `n_C`) is the torn-body class — the replica is charged, the next
-    /// one answers, nothing is served from it. So is a `/wedges` reply
-    /// that breaks its framing: no pair, a pair too many, half a pair, a
-    /// count above the shipped row's length or above its own checks; and a
+    /// A peer's row is input from outside the process: a `/rows` answer
+    /// that frames but breaks the row contract (strictly ascending columns
+    /// below `n_C`), or comes as raw words or under another Content-Type,
+    /// is the torn-body class — the replica is charged, the next one
+    /// answers, nothing is served from it. So is a `/wedges` reply that
+    /// breaks its framing: no pair, a pair too many, half a pair, a count
+    /// above the shipped row's length or above its own checks; and a
     /// `/rows` reply that does: no row, a row too many, a length past the
-    /// body, a trailing byte, a row breaking the row contract, another
-    /// Content-Type.
+    /// body, a trailing byte.
     #[test]
     fn peer_rows_breaking_the_row_contract_fail_over_to_the_next_replica() {
         const N: u64 = 50;
+        /// [`decode_rows`] for `asked` vertices, its rows decoded.
+        fn judge_rows(
+            reply: Reply,
+            asked: usize,
+            fail: &dyn Fn(String) -> String,
+        ) -> Attempt<Vec<Vec<u64>>, ServeError> {
+            match decode_rows(reply, asked, N, fail) {
+                Attempt::Done(rows) => Attempt::Done(decoded(&rows)),
+                Attempt::Transport(e) => Attempt::Transport(e),
+                Attempt::Final(e) => Attempt::Final(e),
+            }
+        }
+        let rows = |body: &[u8]| -> Reply {
+            let ctype = crate::http::ROWS_CONTENT_TYPE.to_string();
+            (200, ctype, body.to_vec())
+        };
+        // the answer to a one-vertex ask: the row's length, then its bytes
+        let one_row = |row: &[u64]| {
+            let (mut vd, mut body) = (Vec::new(), Vec::new());
+            kron_stream::encode_row_vd(row, &mut vd);
+            kron_stream::csr::varint_push(vd.len() as u64, &mut body);
+            body.extend_from_slice(&vd);
+            rows(&body)
+        };
         let raw = |row: &[u64]| -> Reply {
             let body = row.iter().flat_map(|w| w.to_le_bytes()).collect();
             (200, "application/octet-stream".into(), body)
         };
-        let vd = |body: &[u8]| -> Reply {
-            (
-                200,
-                crate::http::ROW_VD_CONTENT_TYPE.to_string(),
-                body.to_vec(),
-            )
-        };
-        let vd_of = |row: &[u64]| {
-            let mut body = Vec::new();
-            kron_stream::encode_row_vd(row, &mut body);
-            vd(&body)
-        };
+        let one = |reply, fail: &dyn Fn(String) -> String| judge_rows(reply, 1, fail);
         let good: &[u64] = &[3, 7, N - 1];
-        // eight 0x01 bytes: the raw word 0x0101…01, and also the varint
-        // delta row 1..=8 — only the Content-Type tells them apart
-        let ones = u64::from_le_bytes([1; 8]);
-        let mut as_vd = Vec::new();
-        assert!(kron_stream::decode_row_vd(&[1; 8], &mut as_vd));
-        assert_eq!(as_vd, (1..=8).collect::<Vec<u64>>());
+        // the raw word 0x0101…0107 is also a one-row answer — length 7,
+        // then the varint delta row 1..=7 — only the Content-Type tells
+        // them apart
+        let word = u64::from_le_bytes([7, 1, 1, 1, 1, 1, 1, 1]);
+        assert!(matches!(
+            one(rows(&word.to_le_bytes()), &|d| d),
+            Attempt::Done(r) if r == [(1..=7).collect::<Vec<u64>>()]
+        ));
         let bad: [(&str, Reply); 6] = [
             ("raw words", raw(good)),
-            ("raw words that decode as vd", raw(&[ones])),
-            ("text/plain 200", (200, "text/plain".into(), vd_of(good).2)),
-            // varint gaps cannot go backwards; the closest a vd body gets
+            ("raw words that decode as a row", raw(&[word])),
+            (
+                "text/plain 200",
+                (200, "text/plain".into(), one_row(good).2),
+            ),
+            // varint gaps cannot go backwards; the closest a vd row gets
             // to a swapped pair is the zero gap of a repeated column
-            ("vd zero gap", vd(&[3, 0])),
-            ("vd truncated varint", vd(&[3, 0x84])),
-            ("vd column n_C", vd_of(&[3, N])),
+            ("zero gap", rows(&[2, 3, 0])),
+            ("truncated varint", rows(&[2, 3, 0x84])),
+            ("column n_C", one_row(&[3, N])),
         ];
-        let want: Arc<[u64]> = good.into();
         for (what, reply) in &bad {
-            let judge = |reply, fail: &dyn Fn(String) -> String| decode_row(reply, N, fail);
-            fails_over(what, reply, &vd_of(good), judge, &want);
+            fails_over(what, reply, &one_row(good), one, &vec![good.to_vec()]);
         }
         // with no healthy replica left the fetch fails as a transport
         // error naming the defect — never an answer, never a mismatch
         let defects = [
-            (raw(&[ones]), "Content-Type \"application/octet-stream\""),
-            (vd(&[3, 0]), "not a strictly ascending"),
-            (vd_of(&[3, N]), "has only 50"),
+            (raw(&[word]), "Content-Type \"application/octet-stream\""),
+            (rows(&[2, 3, 0]), "not a strictly ascending"),
+            (one_row(&[3, N]), "has only 50"),
         ];
         for (reply, says) in defects {
-            match decode_row(reply, N, &|d| d) {
+            match one(reply, &|d| d) {
                 Attempt::Transport(e) => assert!(e.contains(says), "{e}"),
                 _ => panic!("{says}: must be a transport-class failure"),
             }
         }
         // the contract's edges are legal rows
         for row in [&[][..], &[0], &[N - 1]] {
-            assert!(matches!(decode_row(vd_of(row), N, &|d| d), Attempt::Done(r) if *r == *row));
+            assert!(matches!(one(one_row(row), &|d| d), Attempt::Done(r) if r == [row]));
         }
 
         // `/wedges` for two neighbours of a 3-entry row: one or two (count,
@@ -927,15 +901,7 @@ pub(crate) mod tests {
 
         // `/rows` for two vertices: one or two length-prefixed vd rows,
         // each strictly ascending below n_C, nothing more
-        let rows = |body: &[u8]| -> Reply {
-            let ctype = crate::http::ROWS_CONTENT_TYPE.to_string();
-            (200, ctype, body.to_vec())
-        };
-        let judge = |reply, fail: &dyn Fn(String) -> String| match decode_rows(reply, 2, N, fail) {
-            Attempt::Done(rows) => Attempt::Done(decoded(&rows)),
-            Attempt::Transport(e) => Attempt::Transport(e),
-            Attempt::Final(e) => Attempt::Final(e),
-        };
+        let judge = |reply, fail: &dyn Fn(String) -> String| judge_rows(reply, 2, fail);
         // [3, 7] and [] — an empty row is a zero length
         let good_rows = rows(&[2, 3, 4, 0]);
         let torn = [
@@ -1054,7 +1020,9 @@ pub(crate) mod tests {
             Duration::from_millis(200),
         )
         .unwrap();
-        let err = remote.fetch(1, 5).unwrap_err();
+        let Err(err) = remote.rows(remote.replicas(1), &[5]) else {
+            panic!("nothing listens on port 1");
+        };
         assert!(matches!(err, ServeError::Remote(_)), "{err}");
         assert!(err.to_string().contains("127.0.0.1:1"), "{err}");
         assert!(err.to_string().contains("all replicas failed"), "{err}");

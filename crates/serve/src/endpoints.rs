@@ -240,8 +240,9 @@ impl Point {
     }
 
     /// The vertex whose row the answering node reads first — a router
-    /// forwards to a replica of this vertex's shard (the node traverses
-    /// cross-shard through its own `/row` fetches from there).
+    /// forwards to a replica of this vertex's shard (the node reaches
+    /// other shards through its own `/rows` and `/wedges` exchanges from
+    /// there).
     pub(crate) fn routing_vertex(&self) -> u64 {
         match *self {
             Point::Query(q) => q.routing_vertex(),

@@ -35,7 +35,7 @@ pub enum ServeError {
     Oracle(String),
     /// A non-resident row could not be fetched from the peer owning its
     /// shard, or its intersections not computed there (unreachable peer,
-    /// timeout, or a non-200 or malformed `/row` / `/wedges` answer).
+    /// timeout, or a non-200 or malformed `/rows` / `/wedges` answer).
     /// The message names the peer, its shard range, and the row. The
     /// query — not the engine — fails; the next query retries from
     /// scratch.
@@ -214,11 +214,11 @@ pub struct OpenOptions {
     /// [`AnswerSource::CrossCheckSampled`] load the factor copies at open
     /// and fail if they are missing or stale.
     pub source: AnswerSource,
-    /// Byte budget of the LRU over hot decoded rows consulted by the
-    /// artifact triangle kernels (each row charges its decoded payload,
-    /// 8 bytes per entry); `0` disables it (pure zero-copy). In a
-    /// cluster, remote rows flow through the same LRU. The CLI accepts
-    /// `--cache 512m`-style sizes.
+    /// Byte budget of the LRU over the hot decoded rows of resident
+    /// neighbours that the artifact triangle kernels read (each row
+    /// charges its decoded payload, 8 bytes per entry); `0` disables it
+    /// (pure zero-copy). In a cluster no far row enters it. The CLI
+    /// accepts `--cache 512m`-style sizes.
     pub row_cache_bytes: u64,
     /// Open only this contiguous shard range (`kron serve --shards a..b`):
     /// the multi-node case. `None` (the default) opens every shard. A
@@ -513,61 +513,42 @@ impl ServeEngine {
         self.set.num_vertices()
     }
 
-    /// The one row fetch: the row of `v`, which the caller has routed to
-    /// `shard`, recording the route — zero-copy (v1) or decoded (csr2)
-    /// from a resident shard's mapping, shared out of the LRU, or over the
-    /// wire from a peer owning its shard. `cache_local` controls whether
-    /// *resident* rows also flow through the LRU (the triangle kernels'
-    /// neighbor fetches do; primary row reads stay zero-copy) — remote
-    /// rows always do when a cache is configured, because the wire round
-    /// trip is exactly the expensive fetch the LRU exists to absorb.
-    fn fetch_routed(
-        &self,
-        shard: usize,
-        v: u64,
-        cache_local: bool,
-    ) -> Result<RowRef<'_>, ServeError> {
-        let local = self.set.local(shard);
-        let cache = self
-            .cache
-            .as_ref()
-            .filter(|_| cache_local || local.is_none());
-        if let Some(cache) = cache {
-            if let Some(row) = cache.get(v) {
-                self.routing.record_hit();
-                return Ok(RowRef::Shared(row));
-            }
-            self.routing.record_miss();
-        }
+    /// Where `shard`'s rows live when not here: the peer table and the
+    /// replicas to ask, or `None` for a resident shard. The one place that
+    /// says whether a row is far.
+    fn far(&self, shard: usize) -> Option<(&RemoteShards, &[usize])> {
+        let remote = self.remote.as_ref()?;
+        let far = self.set.local(shard).is_none();
+        far.then(|| (remote, remote.replicas(shard)))
+    }
+
+    /// The row of `v` off the mapping of `shard`, which routing put `v` in
+    /// and [`Self::far`] found resident: zero-copy (v1) or decoded (csr2).
+    /// Counts the fetch.
+    fn resident_row(&self, shard: usize, v: u64) -> Result<RowRef<'_>, ServeError> {
         self.routing.record_fetch(shard);
-        let row = match local {
-            // routing put v inside the shard's range and admission matched
-            // the mapped header to it, so only a csr2 row whose bytes do
-            // not decode can be missing here
-            Some(open) => open.reader.row(v).ok_or_else(|| {
-                ServeError::Corrupt(format!("shard {shard}: row {v} does not decode"))
-            })?,
-            None => {
-                let remote = self.remote.as_ref().ok_or_else(|| {
-                    // unreachable by construction (a partial subset cannot
-                    // open without a complete peer table), but degrade to
-                    // an error rather than a panic if it ever regresses
-                    ServeError::Remote(format!(
-                        "shard {shard} is not resident and no peer is configured"
-                    ))
-                })?;
-                self.routing.record_remote();
-                RowRef::Shared(remote.fetch(shard, v)?)
-            }
+        // admission matched the mapped header to the shard's range, so
+        // only a csr2 row whose bytes do not decode can be missing here
+        let row = self.set.local(shard).and_then(|open| open.reader.row(v));
+        row.ok_or_else(|| ServeError::Corrupt(format!("shard {shard}: row {v} does not decode")))
+    }
+
+    /// The row of `u`, a neighbour in resident `shard` that the triangle
+    /// loop intersects with: shared out of the LRU when one is configured
+    /// (a miss is read off the mapping and inserted), read in place
+    /// otherwise. The only reader and writer of the LRU.
+    fn neighbour_row(&self, shard: usize, u: u64) -> Result<RowRef<'_>, ServeError> {
+        let Some(cache) = &self.cache else {
+            return self.resident_row(shard, u);
         };
-        Ok(match cache {
-            Some(cache) => {
-                let shared: Arc<[u64]> = row.into();
-                cache.insert(v, shared.clone());
-                RowRef::Shared(shared)
-            }
-            None => row,
-        })
+        if let Some(row) = cache.get(u) {
+            self.routing.record_hit();
+            return Ok(RowRef::Shared(row));
+        }
+        self.routing.record_miss();
+        let row: Arc<[u64]> = self.resident_row(shard, u)?.into();
+        cache.insert(u, row.clone());
+        Ok(RowRef::Shared(row))
     }
 
     pub(crate) fn out_of_range(&self, vertex: u64) -> ServeError {
@@ -577,17 +558,34 @@ impl ServeEngine {
         }
     }
 
-    /// The adjacency row of a vertex the query itself named: zero-copy
-    /// off a resident mapping, or fetched over `GET /row` (through the LRU
-    /// when one is configured) from a peer owning its shard.
+    /// The adjacency row of a vertex the query itself named: read in
+    /// place off a resident mapping, or asked of a replica of its shard in
+    /// a one-vertex `POST /rows` (one `shard_fetches`, one
+    /// `remote_fetches`). Neither touches the LRU.
     ///
     /// # Errors
     ///
     /// [`ServeError::VertexOutOfRange`] when no shard owns `v`, plus
-    /// whatever the fetch itself reports.
-    pub(crate) fn row(&self, v: u64) -> Result<RowRef<'_>, ServeError> {
+    /// whatever the read itself reports.
+    pub(crate) fn row(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
         let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
-        self.fetch_routed(shard, v, false)
+        let Some((remote, replicas)) = self.far(shard) else {
+            return Ok(self.resident_row(shard, v)?.into());
+        };
+        self.routing.record_fetch(shard);
+        self.routing.record_remote();
+        // a peer answers at least the first vertex asked
+        Ok(Cow::Owned(remote.rows(replicas, &[v])?.decode(0)))
+    }
+
+    /// The row of `u` for a query about the pair `(u, v)`. Both ids are
+    /// checked against `n_C` first, `u` before `v`, so a pair naming no
+    /// vertex is refused alike on every node, whatever its peers' health.
+    fn pair_row(&self, u: u64, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
+        if let Some(&w) = [u, v].iter().find(|&&w| w >= self.set.num_vertices()) {
+            return Err(self.out_of_range(w));
+        }
+        self.row(u)
     }
 
     /// The rows one traversal level expands, for a sorted `frontier`: the
@@ -604,28 +602,27 @@ impl ServeEngine {
     /// [`ServeError::VertexOutOfRange`] for a frontier vertex no shard
     /// owns; [`ServeError::Remote`] when no replica of a set answers.
     pub(crate) fn level_rows(&self, frontier: &[u64]) -> Result<LevelRows<'_>, ServeError> {
-        let (mut answers, mut far_rows) = (Vec::new(), HashMap::new());
-        if let Some(remote) = &self.remote {
-            let mut far: BTreeMap<&[usize], Vec<u64>> = BTreeMap::new();
-            for &v in frontier {
-                let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
-                if self.set.local(shard).is_none() {
-                    self.routing.record_fetch(shard);
-                    far.entry(remote.replicas(shard)).or_default().push(v);
-                }
+        let mut far: FarGroups<'_> = BTreeMap::new();
+        for &v in frontier {
+            let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
+            if let Some((remote, replicas)) = self.far(shard) {
+                self.routing.record_fetch(shard);
+                let (_, asked) = far.entry(replicas).or_insert((remote, Vec::new()));
+                asked.push(v);
             }
-            for (replicas, asked) in &far {
-                for asked in asked.chunks(INLINE_ROW_CAP) {
-                    self.ask_until_answered(asked, |rest| {
-                        let answer = remote.rows(replicas, rest)?;
-                        let answered = answer.spans.len();
-                        let at = answers.len();
-                        let rows = rest[..answered].iter().enumerate();
-                        far_rows.extend(rows.map(|(i, &v)| (v, (at, i))));
-                        answers.push(answer);
-                        Ok(answered)
-                    })?;
-                }
+        }
+        let (mut answers, mut far_rows) = (Vec::new(), HashMap::new());
+        for (replicas, (remote, asked)) in &far {
+            for asked in asked.chunks(INLINE_ROW_CAP) {
+                self.ask_until_answered(asked, |rest| {
+                    let answer = remote.rows(replicas, rest)?;
+                    let answered = answer.spans.len();
+                    let at = answers.len();
+                    let rows = rest[..answered].iter().enumerate();
+                    far_rows.extend(rows.map(|(i, &v)| (v, (at, i))));
+                    answers.push(answer);
+                    Ok(answered)
+                })?;
             }
         }
         Ok(LevelRows {
@@ -712,7 +709,7 @@ impl ServeEngine {
     /// [`ServeError::Remote`] when the owning peer cannot produce the row.
     pub fn neighbors(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
         match self.path() {
-            QueryPath::Artifact => Ok(self.row(v)?.into()),
+            QueryPath::Artifact => self.row(v),
             QueryPath::Oracle(oracle) => Ok(Cow::Owned(oracle.neighbors(v)?)),
             QueryPath::Check(oracle) => {
                 let art = self.row(v);
@@ -745,7 +742,7 @@ impl ServeEngine {
                         show(ora.as_ref().map(Vec::as_slice), show_row),
                     );
                 }
-                Ok(art?.into())
+                art
             }
         }
     }
@@ -775,11 +772,7 @@ impl ServeEngine {
     }
 
     pub(crate) fn has_edge_artifact(&self, u: u64, v: u64) -> Result<bool, ServeError> {
-        let row = self.row(u)?;
-        if v >= self.set.num_vertices() {
-            return Err(self.out_of_range(v));
-        }
-        Ok(slice::contains_sorted(&row, v))
+        Ok(slice::contains_sorted(&self.pair_row(u, v)?, v))
     }
 
     /// Whether `{u, v}` is an adjacency entry of the product (loops
@@ -820,28 +813,26 @@ impl ServeEngine {
         // wire. On a tampered artifact `Σ Δ` can be odd; the floor division
         // then gives a deterministic wrong count for cross-check to flag.
         let (mut twice_t, mut checks) = (0u64, 0u64);
-        let mut far: BTreeMap<&[usize], Vec<u64>> = BTreeMap::new();
+        let mut far: FarGroups<'_> = BTreeMap::new();
         for &u in row_v.iter().filter(|&&u| u != v) {
             let shard = self
                 .set
                 .route(u)
                 .ok_or_else(|| Self::stray_neighbor(v, u))?;
-            let far_here = |_: &&RemoteShards| self.set.local(shard).is_none();
-            if let Some(remote) = self.remote.as_ref().filter(far_here) {
-                far.entry(remote.replicas(shard)).or_default().push(u);
+            if let Some((remote, replicas)) = self.far(shard) {
+                let (_, asked) = far.entry(replicas).or_insert((remote, Vec::new()));
+                asked.push(u);
                 continue;
             }
-            let row_u = self.fetch_routed(shard, u, true)?;
+            let row_u = self.neighbour_row(shard, u)?;
             let (delta, c) = slice::intersect_excluding(&row_v, &row_u, v, u);
             twice_t += delta;
             checks += c;
         }
-        if let Some(remote) = &self.remote {
-            for (replicas, asked) in &far {
-                let (delta, c) = self.wedges(remote, replicas, v, &row_v, asked)?;
-                twice_t += delta;
-                checks += c;
-            }
+        for (replicas, (remote, asked)) in &far {
+            let (delta, c) = self.wedges(remote, replicas, v, &row_v, asked)?;
+            twice_t += delta;
+            checks += c;
         }
         Ok((twice_t / 2, checks))
     }
@@ -913,10 +904,7 @@ impl ServeEngine {
     }
 
     fn edge_triangles_artifact(&self, u: u64, v: u64) -> Result<Option<(u64, u64)>, ServeError> {
-        let row_u = self.row(u)?;
-        if v >= self.set.num_vertices() {
-            return Err(self.out_of_range(v));
-        }
+        let row_u = self.pair_row(u, v)?;
         if !slice::contains_sorted(&row_u, v) {
             return Ok(None);
         }
@@ -927,13 +915,11 @@ impl ServeEngine {
             .set
             .route(v)
             .ok_or_else(|| Self::stray_neighbor(u, v))?;
-        if let (Some(remote), None) = (&self.remote, self.set.local(shard)) {
+        if let Some((remote, replicas)) = self.far(shard) {
             // `v`'s row lives on a peer: ship `row(u)` there instead
-            return self
-                .wedges(remote, remote.replicas(shard), u, &row_u, &[v])
-                .map(Some);
+            return self.wedges(remote, replicas, u, &row_u, &[v]).map(Some);
         }
-        let row_v = self.fetch_routed(shard, v, true)?;
+        let row_v = self.neighbour_row(shard, v)?;
         Ok(Some(slice::edge_triangles_rows(&row_u, &row_v, u, v)))
     }
 
@@ -989,6 +975,11 @@ impl ServeEngine {
     }
 }
 
+/// Far vertices grouped by the replica set holding their rows, with the
+/// peer table to ask it through: one exchange (or a few, for a prefix
+/// answer) per group.
+type FarGroups<'e> = BTreeMap<&'e [usize], (&'e RemoteShards, Vec<u64>)>;
+
 /// One traversal level's rows ([`ServeEngine::level_rows`]): the
 /// answers the level's exchanges brought, which of them holds each far
 /// vertex's row, and the engine for the resident rest.
@@ -1005,7 +996,7 @@ impl LevelRows<'_> {
     pub(crate) fn row(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
         match self.far.get(&v) {
             Some(&(answer, i)) => Ok(Cow::Owned(self.answers[answer].decode(i))),
-            None => Ok(self.engine.row(v)?.into()),
+            None => self.engine.row(v),
         }
     }
 }
@@ -1165,6 +1156,46 @@ mod tests {
         }
         let msg = e.degree(n).unwrap_err().to_string();
         assert!(msg.contains(&n.to_string()), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A pair query is refused for an id outside the product before any
+    /// row is read: a node whose peer is down answers `has_edge <far u>
+    /// <n_C>` as a single node does, not with a remote failure. With both
+    /// ids out of range it names `u`.
+    #[test]
+    fn pair_queries_check_both_ids_before_reading_a_far_row() {
+        let dir = tmpdir("pair_range");
+        let c = product();
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+        cfg.shards = 2;
+        stream_product(&c, &cfg).unwrap();
+        let node = ServeEngine::open_with(
+            &dir,
+            &OpenOptions {
+                shard_subset: Some(0..1),
+                // nothing listens on port 1: every far read fails
+                peers: vec![PeerSpec::parse("1..2=127.0.0.1:1").unwrap()],
+                peer_timeout: Duration::from_millis(200),
+                ..OpenOptions::default()
+            },
+        )
+        .unwrap();
+        fn refused<T: std::fmt::Debug>(r: Result<T, ServeError>) -> u64 {
+            match r {
+                Err(ServeError::VertexOutOfRange { vertex, .. }) => vertex,
+                other => panic!("not refused as out of range: {other:?}"),
+            }
+        }
+        let n = node.num_vertices();
+        let far = node.shard_set().subset_vertices().end;
+        assert_eq!(refused(node.has_edge(far, n)), n);
+        assert_eq!(refused(node.edge_triangles(far, n)), n);
+        assert_eq!(refused(node.has_edge(n + 1, n)), n + 1);
+        assert_eq!(refused(node.edge_triangles(n + 1, n)), n + 1);
+        // the far row itself is still a remote failure
+        let err = node.has_edge(far, 0).unwrap_err();
+        assert!(matches!(err, ServeError::Remote(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,9 +19,8 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// The `Content-Type` of every `200` to `GET /row`: the row in the v2
-/// shard format's varint delta encoding. The fetcher refuses a `200` that
-/// declares anything else, so a node that answers some other encoding
-/// fails over instead of being misread.
+/// shard format's varint delta encoding, so a caller can refuse a `200`
+/// that declares anything else instead of misreading it.
 pub const ROW_VD_CONTENT_TYPE: &str = "application/kron-row-vd";
 
 /// The `Content-Type` of a `POST /rows` answer: one length-prefixed

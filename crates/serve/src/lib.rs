@@ -42,11 +42,12 @@
 //!   always-on 1-in-N conformance auditing at artifact-path cost;
 //! * [`cluster`] — multi-node serving (`kron serve --shards a..b
 //!   --peers …`): each node memory-maps only its claimed shard subset
-//!   ([`kron_stream::ShardSet::open_with`]) and fetches non-resident
-//!   rows from a peer over the internal `GET /row` endpoint (through
-//!   the [`RowCache`], which caches remote rows too), while serving the
-//!   *unchanged* single-node wire protocol — including cross-checking
-//!   answers assembled from peers' bytes. Overlapping claims are
+//!   ([`kron_stream::ShardSet::open_with`]) and asks a peer for the
+//!   non-resident rows a query reads over the internal `POST /rows`
+//!   endpoint (a triangle query ships its row to the peer in `POST
+//!   /wedges` instead), while serving the *unchanged* single-node wire
+//!   protocol — including cross-checking answers assembled from peers'
+//!   bytes. Overlapping claims are
 //!   **replicas**: fetches rotate round-robin, fail over on transport
 //!   errors, and eject unhealthy peers until a `/healthz` probe
 //!   succeeds;
@@ -62,10 +63,10 @@
 //! * **traversal serving** — [`PathFinder`] answers `GET
 //!   /path?from=&to=` (bidirectional-BFS shortest paths, `kron path` on
 //!   the CLI) and `GET /khop?v=&k=` (k-hop neighborhoods with per-level
-//!   counts) through the same row-fetch path as everything else, so a
+//!   counts) over the same row reads as every other query, so a
 //!   cluster node traverses the whole product while holding only its
-//!   claimed shards — remote rows ride `GET /row?enc=vd` and the
-//!   hot-row cache. Under a cross-check source, [`PathCertifier`]
+//!   claimed shards — a level's far rows arrive in one `POST /rows`
+//!   per replica set. Under a cross-check source, [`PathCertifier`]
 //!   re-verifies every returned path edge-by-edge against the artifact
 //!   and the closed-form oracle;
 //! * [`Router`] — the stateless forwarding front end (`kron route`):

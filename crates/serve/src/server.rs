@@ -590,12 +590,12 @@ fn answer_point(state: &ServerState<'_>, point: Point) -> Response {
     }
 }
 
-/// `GET /row` — the cluster-internal row fetch: one resident adjacency
-/// row in the varint delta encoding, whatever `enc` asks for. Not a
-/// query — it bumps `rows_served`, never the engine's query counter (the
-/// *querying* node accounts the query). Every refusal is bounded; the row
-/// itself only up to [`INLINE_ROW_CAP`], past which the event thread
-/// declines.
+/// `GET /row` — one resident adjacency row in the varint delta encoding,
+/// whatever `enc` asks for. No node asks it (peers ask `POST /rows`); it
+/// stays for tools that probe a single row. Not a query — it bumps
+/// `rows_served`, never the engine's query counter. Every refusal is
+/// bounded; the row itself only up to [`INLINE_ROW_CAP`], past which the
+/// event thread declines.
 fn serve_row(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Option<Response> {
     let set = state.engine.shard_set();
     let (Some(shard), Some(v)) = (req.query_param("shard"), req.query_param("v")) else {

@@ -95,7 +95,7 @@ pub fn varint_read(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 
 /// Encode a sorted row as the v2 column stream bytes: first column
 /// absolute, every later column as the gap to its predecessor. This is
-/// also the `GET /row` wire encoding (`enc=vd`).
+/// also the wire encoding of a row in `GET /row` and `POST /rows`.
 pub fn encode_row_vd(row: &[u64], out: &mut Vec<u8>) {
     let mut prev = 0u64;
     for (i, &q) in row.iter().enumerate() {
@@ -459,16 +459,16 @@ impl CsrMap {
 /// The one adjacency-row handle, `Deref`ing to `&[u64]`.
 ///
 /// v1 rows are zero-copy slices of the mapping; v2 rows are decoded into
-/// an owned buffer; rows out of a hot-row cache or fetched from a cluster
-/// peer are shared. Every kernel above the reader is generic over
-/// `Deref<Target = [u64]>`, so all three travel the same paths.
+/// an owned buffer; rows out of a hot-row cache are shared. Every kernel
+/// above the reader is generic over `Deref<Target = [u64]>`, so all three
+/// travel the same paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowRef<'a> {
     /// A zero-copy slice into a v1 mapping.
     Mapped(&'a [u64]),
     /// A row decoded out of a v2 column stream.
     Decoded(Vec<u64>),
-    /// A shared row: out of the hot-row cache, or fetched from a peer.
+    /// A shared row out of the hot-row cache.
     Shared(Arc<[u64]>),
 }
 

@@ -137,6 +137,25 @@ pub fn count_triangles_serial(g: &Graph) -> TriangleCount {
     }
 }
 
+/// Enumerate the triangles of an undirected graph (ignoring self loops),
+/// invoking `f(a, b, c)` once per triangle, `a < b < c`. A simple ordered
+/// enumeration for the labeled and directed taxonomies, which run on
+/// factor-sized graphs where clarity beats raw speed (the fast kernels
+/// above and in `vertex.rs` are cross-checked against it).
+pub(crate) fn for_each_triangle<F: FnMut(u32, u32, u32)>(g: &Graph, mut f: F) {
+    let n = g.num_vertices() as u32;
+    for a in 0..n {
+        let row_a: Vec<u32> = g.neighbors(a).filter(|&b| b > a).collect();
+        for (idx, &b) in row_a.iter().enumerate() {
+            for &c in &row_a[idx + 1..] {
+                if g.has_edge(b, c) {
+                    f(a, b, c);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

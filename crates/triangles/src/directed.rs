@@ -302,9 +302,9 @@ fn assert_loop_free(g: &DiGraph) {
 pub fn directed_vertex_participation(g: &DiGraph) -> DirVertexCounts {
     assert_loop_free(g);
     let n = g.num_vertices();
-    let au = g.undirected_closure();
+    let au: Graph = g.undirected_closure();
     let mut counts = vec![vec![0u64; n]; 15];
-    for_each_triangle(&au, |a, b, c| {
+    crate::count::for_each_triangle(&au, |a, b, c| {
         for (x, y, z) in [(a, b, c), (b, c, a), (c, a, b)] {
             // corner x, walks x→y→z→x and x→z→y→x
             for (j, k) in [(y, z), (z, y)] {
@@ -452,25 +452,6 @@ pub fn directed_edge_participation_formula(g: &DiGraph) -> DirEdgeCounts {
                 masked_spgemm(pick(c), pick(w1), pick(w2))
             })
             .collect(),
-    }
-}
-
-/// Enumerate the triangles of an undirected graph (ignoring self loops),
-/// invoking `f(a, b, c)` once per triangle.
-fn for_each_triangle<F: FnMut(u32, u32, u32)>(g: &Graph, mut f: F) {
-    let n = g.num_vertices() as u32;
-    // simple ordered enumeration; the taxonomy is used on factor-sized
-    // graphs, where clarity beats raw speed (the fast kernels live in
-    // count.rs/vertex.rs and are cross-checked against this).
-    for a in 0..n {
-        let row_a: Vec<u32> = g.neighbors(a).filter(|&b| b > a).collect();
-        for (idx, &b) in row_a.iter().enumerate() {
-            for &c in &row_a[idx + 1..] {
-                if g.has_edge(b, c) {
-                    f(a, b, c);
-                }
-            }
-        }
     }
 }
 

@@ -93,7 +93,7 @@ pub fn labeled_vertex_participation(lg: &LabeledGraph) -> LabeledVertexCounts {
     let g = lg.graph();
     let n = g.num_vertices();
     let mut counts: HashMap<(Label, Label, Label), Vec<u64>> = HashMap::new();
-    super::labeled::for_each_triangle(g, |a, b, c| {
+    crate::count::for_each_triangle(g, |a, b, c| {
         for (x, y, z) in [(a, b, c), (b, c, a), (c, a, b)] {
             let q1 = lg.label(x);
             let (l2, l3) = (lg.label(y), lg.label(z));
@@ -218,20 +218,6 @@ pub fn labeled_edge_participation_formula(lg: &LabeledGraph) -> LabeledEdgeCount
 pub fn label_filter(lg: &LabeledGraph, q: Label) -> CsrMatrix<u64> {
     let diag: Vec<u64> = lg.labels().iter().map(|&l| u64::from(l == q)).collect();
     CsrMatrix::from_diag(&diag)
-}
-
-pub(crate) fn for_each_triangle<F: FnMut(u32, u32, u32)>(g: &kron_graph::Graph, mut f: F) {
-    let n = g.num_vertices() as u32;
-    for a in 0..n {
-        let row_a: Vec<u32> = g.neighbors(a).filter(|&b| b > a).collect();
-        for (idx, &b) in row_a.iter().enumerate() {
-            for &c in &row_a[idx + 1..] {
-                if g.has_edge(b, c) {
-                    f(a, b, c);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 # End-to-end smoke of the cluster path: generate a CSR run directory,
 # serve it three ways at once — one whole-run server, and a 2-node
 # shard-subset cluster behind a `kron route` front end — and assert the
-# routed answers are byte-identical to the single node's. Then the
+# routed answers, and those of a node asked directly about rows its peer
+# owns, are byte-identical to the single node's. Then the
 # failover leg: a 3-node cluster with every shard on two replicas gets
 # one node SIGKILLed mid-/batch, and the answers must stay
 # byte-identical with zero client-visible errors and failovers > 0 in
@@ -76,6 +77,14 @@ curl -fsS --data-binary @"$work/queries.txt" "http://$single_addr/batch" > "$wor
 curl -fsS --data-binary @"$work/queries.txt" "http://$router_addr/batch" > "$work/batch_routed.txt"
 diff "$work/batch_single.txt" "$work/batch_routed.txt" \
     || { echo "routed /batch diverged from the single node"; exit 1; }
+# asked of node 0 directly, the same batch names rows node 1 owns (vertex
+# 1599's): node 0 asks node 1 for each in a one-vertex POST /rows, and
+# its cross-checked answers are the single node's
+curl -fsS --data-binary @"$work/queries.txt" "http://$node0_addr/batch" > "$work/batch_node0.txt"
+diff "$work/batch_single.txt" "$work/batch_node0.txt" \
+    || { echo "node 0's direct /batch diverged from the single node"; exit 1; }
+curl -fsS "http://$node0_addr/stats" | grep -q '"mismatch_count":0' \
+    || { echo "node 0's direct /batch recorded a cross-check mismatch"; exit 1; }
 total() { # key → the router's summed peer counter
     curl -fsS "http://$router_addr/stats" | grep -o '"totals":{[^}]*}' \
         | grep -o "\"$1\":[0-9]*" | cut -d: -f2

@@ -31,6 +31,17 @@ fn cluster_product(seed: u64) -> KronProduct {
     KronProduct::new(a, b)
 }
 
+/// Sets its flag when dropped: a scope running servers until the flag is
+/// set stops them whatever its body does, or a failed assertion would
+/// leave the scope waiting on them forever.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 #[test]
 fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
     let dir = tmpdir("byte_identical");
@@ -64,8 +75,9 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
                     shards: peer_shards,
                     addr: peer,
                 }],
-                // a peer's row that a query names arrives over /row and
-                // flows through the LRU
+                // the LRU holds resident neighbour rows: a peer's row
+                // that a query names arrives in a one-vertex /rows and
+                // never enters it
                 row_cache_bytes: 64 << 10,
                 ..OpenOptions::default()
             },
@@ -88,6 +100,7 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
         .unwrap();
         let (stop_ref, opts_ref, front_ref) = (&stop, &opts, &front);
         let h_router = s.spawn(move || router.run(front_ref, opts_ref, stop_ref).unwrap());
+        let _guard = StopOnDrop(&stop);
 
         let mut one = Client::connect(addr_single).unwrap();
         let mut routed = Client::connect(addr_front).unwrap();
@@ -121,7 +134,7 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
 
         // one /batch over the whole grid: a single body, byte-identical —
         // and, the claims being disjoint, exactly one sub-batch per node
-        // (a node's requests that are neither `/row` nor `/wedges` from
+        // (a node's requests that are neither `/rows` nor `/wedges` from
         // its peer, less the `/stats` read itself)
         let mut direct1 = Client::connect(addr1).unwrap();
         let non_row_requests = |c: &mut Client| {
@@ -187,6 +200,41 @@ fn two_node_cluster_with_router_matches_single_node_byte_for_byte() {
         assert_eq!(doc.req("vertex_hi").unwrap().as_u64(), Some(n));
 
         assert_eq!(routed.get("/healthz").unwrap(), (200, "ok\n".to_string()));
+
+        // A direct query for a row node 1 holds costs node 0 one
+        // one-vertex `/rows` — one exchange, one row served — every time
+        // it is asked, and never touches node 0's LRU.
+        let rows_served = |c: &mut Client| {
+            let doc = Json::parse(&c.get("/stats").unwrap().1).unwrap();
+            doc.req("rows_served").unwrap().as_u64().unwrap()
+        };
+        let touched = |r: kron_serve::RoutingReport| r.cache_hits + r.cache_misses;
+        let lru = touched(node0.routing());
+        let asks: [(&str, &dyn Fn(u64) -> bool); 3] = [
+            ("degree", &|v| node0.degree(v).unwrap() == c.degree(v)),
+            ("neighbors", &|v| {
+                node0.neighbors(v).unwrap() == c.neighbors(v).as_slice()
+            }),
+            ("has_edge", &|v| {
+                node0.has_edge(v, (v + 3) % n).unwrap() == c.has_edge(v, (v + 3) % n)
+            }),
+        ];
+        for _ in 0..2 {
+            for v in node1.shard_set().subset_vertices() {
+                for (what, ask) in &asks {
+                    let fetches = node0.routing().remote_fetches;
+                    let served = rows_served(&mut direct1);
+                    assert!(ask(v), "{what} {v}");
+                    assert_eq!(node0.routing().remote_fetches, fetches + 1, "{what} {v}");
+                    assert_eq!(rows_served(&mut direct1), served + 1, "{what} {v}");
+                }
+            }
+        }
+        assert_eq!(
+            touched(node0.routing()),
+            lru,
+            "a direct far read used the LRU"
+        );
 
         stop.store(true, Ordering::SeqCst);
         drop((one, routed, direct0, direct1));
@@ -459,15 +507,7 @@ fn with_split(
             .zip(&engines)
             .map(|(server, engine)| s.spawn(|| server.run(engine, &opts, &stop).unwrap()))
             .collect();
-        // stop the nodes whatever `body` does, or a failed assertion
-        // would leave the scope waiting on them forever
-        struct Stop<'a>(&'a AtomicBool);
-        impl Drop for Stop<'_> {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-        let guard = Stop(&stop);
+        let guard = StopOnDrop(&stop);
         body(&engines);
         drop(guard);
         runs.into_iter().map(|h| h.join().unwrap()).collect()
@@ -479,7 +519,7 @@ fn with_split(
 /// `(answer, checks)` for every vertex and a sample of edges, asked of
 /// every node holding the first vertex's row. The far rows never travel:
 /// the intersections happen where they live (`wedges_served`), and not
-/// one `/row` crosses the wire.
+/// one row crosses the wire.
 #[test]
 fn triangle_answers_and_checks_are_the_single_nodes_on_every_split() {
     let dir = tmpdir("wedge_splits");
@@ -523,7 +563,7 @@ fn triangle_answers_and_checks_are_the_single_nodes_on_every_split() {
         });
         let rows: u64 = reports.iter().map(|r| r.rows_served).sum();
         let wedges: u64 = reports.iter().map(|r| r.wedges_served).sum();
-        assert_eq!(rows, 0, "{claims:?}: a triangle query moved a /row");
+        assert_eq!(rows, 0, "{claims:?}: a triangle query moved a row");
         assert_eq!(
             wedges > 0,
             claims.len() > 1,

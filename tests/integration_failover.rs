@@ -233,10 +233,10 @@ fn killed_replica_mid_batch_is_invisible_to_clients() {
 
 /// The traversal leg of the same story: a replica dying mid-`/path` on a
 /// 3-node cluster is invisible to clients. Traversals are the most
-/// replica-hungry requests we serve — one `/path` fans out into many
-/// `/row` fetches on the executing node — so both failover layers fire:
-/// the router re-picks the front node, and the surviving splitters
-/// re-pick their row replicas. Every path and k-hop answer must stay
+/// replica-hungry requests we serve — one `/path` fans out into a
+/// `/rows` exchange per level on the executing node — so both failover
+/// layers fire: the router re-picks the front node, and the surviving
+/// splitters re-pick their row replicas. Every path and k-hop answer must stay
 /// byte-identical to a single server, with `failovers > 0` and zero
 /// client-visible errors.
 #[test]
@@ -830,8 +830,8 @@ fn blackholed_peer_does_not_delay_resident_reads_or_health_probes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A node that answers `/row` in another encoding than the one the
-/// protocol has — raw little-endian words of the right row, declared
+/// A node that answers `/rows` in another encoding than the one the
+/// protocol has — raw little-endian words of the asked rows, declared
 /// `application/octet-stream` — and `ok` to anything else. Serves
 /// `listener` until `stop`.
 fn raw_words_peer(listener: &std::net::TcpListener, c: &KronProduct, stop: &AtomicBool) {
@@ -860,11 +860,14 @@ fn raw_words_peer(listener: &std::net::TcpListener, c: &KronProduct, stop: &Atom
                         Err(_) => return,
                     }
                     while let Ok(Some(req)) = buf.next_request() {
-                        let body: Vec<u8> = match req.query_param("v") {
-                            Some(v) => (c.neighbors(v.parse().unwrap()).iter())
+                        let mut asked = Vec::new();
+                        let body: Vec<u8> = if req.path == "/rows" {
+                            assert!(kron_stream::decode_row_vd(&req.body, &mut asked));
+                            (asked.iter().flat_map(|&v| c.neighbors(v)))
                                 .flat_map(|w| w.to_le_bytes())
-                                .collect(),
-                            None => b"ok\n".to_vec(),
+                                .collect()
+                        } else {
+                            b"ok\n".to_vec()
                         };
                         let mut out = Vec::new();
                         write_response(&mut out, 200, "application/octet-stream", &body).unwrap();
@@ -878,13 +881,13 @@ fn raw_words_peer(listener: &std::net::TcpListener, c: &KronProduct, stop: &Atom
     });
 }
 
-/// `/row` speaks one encoding, and the fetcher refuses a `200` that
+/// `/rows` speaks one encoding, and the asker refuses a `200` that
 /// declares another before reading its body. A peer answering raw words
 /// is a torn reply: every query that needs its rows gets one well-formed
 /// `502` — never a `200` read from misdecoded words — and the cross-check
 /// ledger records no mismatch.
 #[test]
-fn peer_answering_raw_row_words_yields_a_502_never_a_wrong_answer() {
+fn peer_answering_rows_in_raw_words_yields_a_502_never_a_wrong_answer() {
     let dir = tmpdir("raw_words_peer");
     let c = cluster_product(21);
     let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
