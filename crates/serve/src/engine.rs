@@ -6,7 +6,7 @@ use crate::cache::{RoutingReport, RoutingStats, RowCache};
 use crate::cluster::{PeerRows, PeerSpec, RemoteShards};
 use crate::oracle::FactorOracle;
 use crate::server::INLINE_ROW_CAP;
-use kron_stream::{RowRef, ShardSet, StreamError};
+use kron_stream::{RowRef, ShardSet, SplitMix, StreamError};
 use kron_triangles::slice;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -611,7 +611,7 @@ impl ServeEngine {
                 asked.push(v);
             }
         }
-        let (mut answers, mut far_rows) = (Vec::new(), HashMap::new());
+        let (mut answers, mut far_rows) = (Vec::new(), HashMap::default());
         for (replicas, (remote, asked)) in &far {
             for asked in asked.chunks(INLINE_ROW_CAP) {
                 self.ask_until_answered(asked, |rest| {
@@ -987,7 +987,7 @@ pub(crate) struct LevelRows<'e> {
     engine: &'e ServeEngine,
     answers: Vec<PeerRows>,
     /// Far vertex → (answer, row within it).
-    far: HashMap<u64, (usize, usize)>,
+    far: HashMap<u64, (usize, usize), SplitMix>,
 }
 
 impl LevelRows<'_> {

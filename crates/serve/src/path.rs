@@ -13,11 +13,15 @@
 //! the analytics BFS runs chunk-parallel over resident shards.
 //!
 //! Every step is deterministic: frontiers are kept sorted, the smaller
-//! side expands first (ties toward the `from` side), neighbors are
-//! visited in row order with first-discovery parent assignment, and
-//! competing meeting points resolve to the smallest `(total hops,
-//! vertex id)`. A single whole-run node and any cluster tiling
-//! therefore produce **byte-identical** answers.
+//! side expands first (ties toward the `from` side), and a vertex's
+//! parent is the first frontier vertex whose row lists it — the smallest
+//! neighbour one level nearer that side's source. The first level that
+//! meets the other side ends the search at the smallest vertex the two
+//! frontiers share, and the path is the two parent walks from it. A
+//! single whole-run node and any cluster tiling therefore produce
+//! **byte-identical** answers. They are not the lexicographically
+//! smallest shortest paths: the meeting vertex is fixed first and each
+//! half is chosen walking away from it.
 //!
 //! Traversal answers are *witnesses*, so correctness tooling rides
 //! along: under a cross-check source, [`PathCertifier`] re-verifies
@@ -29,7 +33,14 @@
 use crate::engine::{disagree, show, ServeEngine, ServeError};
 use kron_analyze::frontier_step;
 use kron_stream::json::Json;
+use kron_stream::SplitMix;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+
+/// One side of a bidirectional search: vertex → the frontier vertex that
+/// first listed it; the side's source parents itself. The keys are
+/// vertex ids off the artifact, so the unkeyed [`SplitMix`] is safe.
+type Parents = HashMap<u64, u64, SplitMix>;
 
 /// Stop a k-hop expansion once this many vertices are reached: the
 /// level whose completion crosses the cap is the last one expanded,
@@ -185,16 +196,16 @@ impl<'e> PathFinder<'e> {
         self.engine.count_traversal_query();
         self.check_vertex(v)?;
         let n = self.engine.num_vertices();
-        let mut seen: HashSet<u64> = HashSet::from([v]);
-        let mut frontier = vec![v];
+        let mut seen: HashSet<u64, SplitMix> = HashSet::from_iter([v]);
         let mut level_sets: Vec<Vec<u64>> = vec![vec![v]];
         let mut reached = 1u64;
         let mut truncated = false;
         for _ in 0..k {
-            let level = self.engine.level_rows(&frontier)?;
+            let frontier = &level_sets[level_sets.len() - 1];
+            let level = self.engine.level_rows(frontier)?;
             let mut next: Vec<u64> = Vec::new();
             frontier_step(
-                &frontier,
+                frontier,
                 n,
                 |w| level.row(w),
                 ServeEngine::stray_neighbor,
@@ -209,7 +220,6 @@ impl<'e> PathFinder<'e> {
             }
             next.sort_unstable();
             reached += next.len() as u64;
-            frontier = next.clone();
             level_sets.push(next);
             if reached > MAX_KHOP_VERTICES {
                 truncated = true;
@@ -224,93 +234,59 @@ impl<'e> PathFinder<'e> {
         })
     }
 
-    /// The two-frontier search. Correctness of the stopping rule: any
-    /// path of length `L ≤ dA+dB` (completed depths) has a vertex
-    /// visited by both sides, which recorded a meeting candidate
-    /// `μ ≤ L` the moment it became doubly-visited — so once the best
-    /// candidate satisfies `μ ≤ dA+dB`, it is the true distance. An
-    /// emptied frontier means that side's component is exhausted, and
-    /// `dA+dB ≥ max_depth` means no in-bound path can still beat the
-    /// candidates already seen.
+    /// The two-frontier search. Side A holds the vertices within `da`
+    /// hops of `from`, side B those within `db` of `to`, and while no
+    /// vertex is on both sides the distance exceeds `da+db`: a shorter
+    /// path's vertex `da` hops along would be on both. So when A grows
+    /// to `da+1`, every vertex it shares with B is one of B's frontier
+    /// (depth `db`), every such meeting is a path of the same length
+    /// `da+1+db`, and that length is the distance. The search stops at
+    /// that level, at the smallest meeting vertex — the first common
+    /// element of the two sorted frontiers. An emptied frontier means
+    /// that side's component is exhausted, and `da+db ≥ max_depth`
+    /// means every in-bound path would have met already.
     fn bidirectional(
         &self,
         from: u64,
         to: u64,
         max_depth: Option<u64>,
     ) -> Result<Option<Vec<u64>>, ServeError> {
-        // Per side: vertex → (depth, parent); the sources parent themselves.
-        let mut seen_a: HashMap<u64, (u64, u64)> = HashMap::from([(from, (0, from))]);
-        let mut seen_b: HashMap<u64, (u64, u64)> = HashMap::from([(to, (0, to))]);
+        let mut parents_a = Parents::from_iter([(from, from)]);
+        let mut parents_b = Parents::from_iter([(to, to)]);
         let mut frontier_a = vec![from];
         let mut frontier_b = vec![to];
-        let (mut da, mut db) = (0u64, 0u64);
-        // Best meeting so far: (total hops, meeting vertex), minimized.
-        let mut best: Option<(u64, u64)> = None;
-        loop {
-            if best.is_some_and(|(mu, _)| mu <= da + db) {
-                break;
-            }
-            if frontier_a.is_empty() || frontier_b.is_empty() {
-                break;
-            }
-            if max_depth.is_some_and(|k| da + db >= k) {
+        let mut hops = 0u64;
+        while !frontier_a.is_empty() && !frontier_b.is_empty() {
+            if max_depth.is_some_and(|k| hops >= k) {
                 break;
             }
             // Expand the smaller frontier — the classic bidirectional
             // work bound — and, because frontier sizes are themselves
             // deterministic, the same side on every node of a cluster.
-            if frontier_a.len() <= frontier_b.len() {
-                frontier_a = self.expand(&frontier_a, da, &mut seen_a, &seen_b, &mut best)?;
-                da += 1;
+            let meet = if frontier_a.len() <= frontier_b.len() {
+                frontier_a = self.expand(&frontier_a, &mut parents_a)?;
+                first_common(&frontier_a, &frontier_b)
             } else {
-                frontier_b = self.expand(&frontier_b, db, &mut seen_b, &seen_a, &mut best)?;
-                db += 1;
+                frontier_b = self.expand(&frontier_b, &mut parents_b)?;
+                first_common(&frontier_b, &frontier_a)
+            };
+            hops += 1;
+            if let Some(meet) = meet {
+                let mut path = walk_back(&parents_a, meet);
+                path.reverse();
+                path.extend(&walk_back(&parents_b, meet)[1..]);
+                debug_assert_eq!(path.len() as u64, hops + 1);
+                return Ok(Some(path));
             }
         }
-        let Some((mu, meet)) = best else {
-            return Ok(None);
-        };
-        if max_depth.is_some_and(|k| mu > k) {
-            return Ok(None);
-        }
-        // Stitch the witness: parent-walk from the meeting vertex out
-        // to both endpoints.
-        let mut path = Vec::with_capacity(mu as usize + 1);
-        let mut v = meet;
-        loop {
-            path.push(v);
-            let (d, parent) = seen_a[&v];
-            if d == 0 {
-                break;
-            }
-            v = parent;
-        }
-        path.reverse();
-        let mut v = meet;
-        loop {
-            let (d, parent) = seen_b[&v];
-            if d == 0 {
-                break;
-            }
-            v = parent;
-            path.push(v);
-        }
-        debug_assert_eq!(path.len() as u64, mu + 1);
-        Ok(Some(path))
+        Ok(None)
     }
 
     /// One level of one side: fetch the sorted frontier's far rows, then
-    /// discover unseen neighbors in frontier order (first listing wins the
-    /// parent slot), record meetings with the other side, and return the
+    /// record each unseen neighbour's parent in frontier order (first
+    /// listing wins, one map probe per listed neighbour), and return the
     /// next frontier sorted.
-    fn expand(
-        &self,
-        frontier: &[u64],
-        depth: u64,
-        seen: &mut HashMap<u64, (u64, u64)>,
-        other: &HashMap<u64, (u64, u64)>,
-        best: &mut Option<(u64, u64)>,
-    ) -> Result<Vec<u64>, ServeError> {
+    fn expand(&self, frontier: &[u64], parents: &mut Parents) -> Result<Vec<u64>, ServeError> {
         let level = self.engine.level_rows(frontier)?;
         let mut next: Vec<u64> = Vec::new();
         frontier_step(
@@ -319,22 +295,39 @@ impl<'e> PathFinder<'e> {
             |v| level.row(v),
             ServeEngine::stray_neighbor,
             |v, u| {
-                if seen.contains_key(&u) {
-                    return;
-                }
-                seen.insert(u, (depth + 1, v));
-                next.push(u);
-                if let Some(&(d_other, _)) = other.get(&u) {
-                    let mu = depth + 1 + d_other;
-                    if best.is_none_or(|(bm, bv)| (mu, u) < (bm, bv)) {
-                        *best = Some((mu, u));
-                    }
+                if let Entry::Vacant(slot) = parents.entry(u) {
+                    slot.insert(v);
+                    next.push(u);
                 }
             },
         )?;
         next.sort_unstable();
         Ok(next)
     }
+}
+
+/// The smallest element two ascending slices share, by one merge pass.
+fn first_common(a: &[u64], b: &[u64]) -> Option<u64> {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return Some(a[i]),
+        }
+    }
+    None
+}
+
+/// The walk from `v` back to its side's source, `v` first: parent after
+/// parent until the vertex that parents itself.
+fn walk_back(parents: &Parents, mut v: u64) -> Vec<u64> {
+    let mut walk = vec![v];
+    while parents[&v] != v {
+        v = parents[&v];
+        walk.push(v);
+    }
+    walk
 }
 
 /// Re-verifies returned paths edge-by-edge: the traversal layer's
@@ -515,6 +508,24 @@ mod tests {
             .iter()
             .any(|m| m.query.starts_with("path 0 1: edge")));
         drop(c);
+    }
+
+    #[test]
+    fn first_common_is_the_smallest_shared_element() {
+        assert_eq!(first_common(&[], &[]), None);
+        assert_eq!(first_common(&[], &[1, 2]), None);
+        assert_eq!(first_common(&[1, 2], &[]), None);
+        assert_eq!(first_common(&[1, 3, 5], &[0, 2, 4, 6]), None);
+        assert_eq!(first_common(&[1, 4, 6, 9], &[0, 4, 6, 9]), Some(4));
+        assert_eq!(first_common(&[2, 7, 8], &[0, 1, 8, 9]), Some(8));
+    }
+
+    #[test]
+    fn walk_back_follows_parents_to_the_self_parented_source() {
+        let parents = Parents::from_iter([(3, 3), (8, 3), (1, 8), (5, 3), (0, 1)]);
+        assert_eq!(walk_back(&parents, 3), vec![3]);
+        assert_eq!(walk_back(&parents, 5), vec![5, 3]);
+        assert_eq!(walk_back(&parents, 0), vec![0, 1, 8, 3]);
     }
 
     fn reference_bfs(c: &KronProduct, from: u64) -> Vec<Option<u64>> {

@@ -75,7 +75,9 @@ pub use driver::{
     load_factors, load_manifest, run_shard, stream_product, StreamConfig, FACTOR_A_FILE,
     FACTOR_B_FILE, RUN_FILE,
 };
-pub use manifest::{manifest_name, read_json, OutputFormat, RunSummary, ShardManifest, StreamHash};
+pub use manifest::{
+    manifest_name, mix, read_json, OutputFormat, RunSummary, ShardManifest, SplitMix, StreamHash,
+};
 pub use open::{OpenShard, ShardSet};
 pub use plan::{ShardPlan, ShardSpec, MAX_SHARDS};
 pub use sink::{CountSink, Csr2Sink, CsrSink, CsrWriter, EdgeSink};

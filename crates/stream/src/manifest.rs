@@ -3,6 +3,7 @@
 
 use crate::json::Json;
 use kron::RowBlockStats;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::path::Path;
 
@@ -106,13 +107,46 @@ impl StreamHash {
     }
 }
 
-/// SplitMix64 finalizer — the per-entry fingerprint mixer.
+/// SplitMix64 finalizer — the per-entry fingerprint mixer, and the hash
+/// behind [`SplitMix`].
 #[inline]
-fn mix(x: u64) -> u64 {
+pub fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The `BuildHasher` of maps keyed by vertex ids: one [`mix`] per `u64`
+/// key, where the default SipHash costs several times that. It is
+/// unkeyed, so keys chosen to collide would degrade a map to a list —
+/// use it only for ids read off an artifact or bounded by the vertex
+/// count, never for request strings.
+pub type SplitMix = BuildHasherDefault<MixHasher>;
+
+/// The [`Hasher`] of [`SplitMix`]: folds each `u64` written through
+/// [`mix`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix(self.0 ^ x);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Per-shard manifest: the shard's identity, its artifact, and both the
@@ -498,6 +532,18 @@ mod tests {
         runs.update_run(7, &[9]);
         runs.update_run(8, &[]);
         assert_eq!(runs, of(&[(7, 1), (7, 2), (7, 9)]));
+    }
+
+    #[test]
+    fn split_mix_hashes_a_u64_key_with_one_mix() {
+        use std::hash::BuildHasher;
+        for key in [0u64, 1, 7, u64::MAX] {
+            assert_eq!(SplitMix::default().hash_one(key), mix(key));
+        }
+        // a byte write folds little-endian words, short tail zero-padded
+        let mut h = MixHasher::default();
+        h.write(&[1, 0, 0, 0, 0, 0, 0, 0, 2]);
+        assert_eq!(h.finish(), mix(mix(1) ^ 2));
     }
 
     #[test]

@@ -118,11 +118,32 @@ exchanges_before=$(node_total remote_fetches)
 # node fetches real cross-node rows; plus a bounded search that comes
 # back unreachable in-band
 for req in 'path?from=0&to=1599' 'path?from=1599&to=0' 'path?from=7&to=801' \
-           'path?from=0&to=1599&max_depth=1' 'khop?v=57&k=2' 'khop?v=801&k=1'; do
+           'path?from=42&to=1125' 'path?from=0&to=1599&max_depth=1' \
+           'khop?v=57&k=2' 'khop?v=801&k=1'; do
     one=$(curl -fsS "http://$single_addr/$req")
     routed=$(curl -fsS "http://$router_addr/$req")
     [ "$one" = "$routed" ] || { echo "routed /$req diverged: $one vs $routed"; exit 1; }
 done
+# the answers themselves are pinned: the diff above cannot see a change
+# to the search that moves both sides alike. 42 -> 1125 is not the
+# lexicographically smallest shortest path, [42,200,441,1125]: the
+# search fixes its meeting vertex, 440, first (ARCHITECTURE.md
+# § "Traversal serving")
+pinned() { # request, expected body without its newline
+    local got
+    got=$(curl -fsS "http://$router_addr/$1")
+    [ "$got" = "$2" ] || { echo "/$1 answered $got, pinned $2"; exit 1; }
+}
+pinned 'path?from=0&to=1599' '{"from":0,"to":1599,"hops":2,"path":[0,287,1599]}'
+pinned 'path?from=1599&to=0' '{"from":1599,"to":0,"hops":2,"path":[1599,287,0]}'
+pinned 'path?from=7&to=801' '{"from":7,"to":801,"hops":2,"path":[7,80,801]}'
+pinned 'path?from=42&to=1125' '{"from":42,"to":1125,"hops":3,"path":[42,220,440,1125]}'
+pinned 'path?from=0&to=1599&max_depth=1' '{"from":0,"to":1599,"max_depth":1,"unreachable":true}'
+pinned 'khop?v=801&k=1' '{"v":801,"k":1,"reached":31,"levels":[1,30],"vertices":[[801],[0,3,4,5,10,22,23,25,34,35,80,83,84,85,90,102,103,105,114,115,1160,1163,1164,1165,1170,1182,1183,1185,1194,1195]]}'
+# 630 vertices: the 2670-byte body is pinned by its sha256
+sum=$(curl -fsS "http://$router_addr/khop?v=57&k=2" | sha256sum | cut -d' ' -f1)
+[ "$sum" = 746aa575b8f5a071fab31ad3a3e8a144610d3b8881a99804fa2b14291c2a2e47 ] \
+    || { echo "/khop?v=57&k=2 body has sha256 $sum"; exit 1; }
 # out-of-range vertices are 422, garbage parameters 400 — through both tiers
 for addr in "$single_addr" "$router_addr"; do
     code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/path?from=0&to=9999999")

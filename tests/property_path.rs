@@ -1,6 +1,6 @@
 //! Differential properties of traversal serving (`/path`, `/khop`).
 //!
-//! On a randomized sharded product the suite proves the three promises
+//! On a randomized sharded product the suite proves the four promises
 //! of the traversal tier:
 //!
 //! 1. **valid** — every returned path is a real walk: each consecutive
@@ -12,7 +12,11 @@
 //!    a shard on two replicas (with real cross-node `/rows` traffic,
 //!    several rows per exchange, asserted), answer `/path` and `/khop`
 //!    byte-identically to one server over the whole run directory,
-//!    directly and through the router.
+//!    directly and through the router;
+//! 4. **rule-bound** — every path is the one the tie rules of
+//!    ARCHITECTURE.md § "Traversal serving" pick, rebuilt from two full
+//!    BFS distance arrays without the search (the cluster leg cannot
+//!    see a change that moves every node's answers alike).
 //!
 //! Plus the fuzz leg for the new query-string grammar (garbage never
 //! panics; overflow vs malformed are distinguished, mirroring
@@ -148,6 +152,106 @@ fn paths_are_valid_minimal_walks_matching_the_analyze_bfs() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The path the documented tie rules pick, built from two full BFS
+/// distance arrays without running the search: the sides expand in the
+/// order the level sizes give (`from`'s while its level is no larger),
+/// they meet at the smallest vertex at the final depths `(a, b)`, and
+/// each half steps to the smallest neighbour one level nearer its end.
+fn tie_rule_path(c: &KronProduct, from: u64, to: u64, max_depth: Option<u64>) -> Option<Vec<u64>> {
+    if from == to {
+        return Some(vec![from]);
+    }
+    let dist_a = reference_distances(c, from);
+    let dist_b = reference_distances(c, to);
+    let d = dist_a[to as usize].filter(|&d| max_depth.is_none_or(|k| d <= k))?;
+    let level = |dist: &[Option<u64>], l: u64| dist.iter().filter(|&&x| x == Some(l)).count();
+    let (mut a, mut b) = (0, 0);
+    while a + b < d {
+        if level(&dist_a, a) <= level(&dist_b, b) {
+            a += 1;
+        } else {
+            b += 1;
+        }
+    }
+    let at = |dist: &[Option<u64>], v: u64, l: u64| dist[v as usize] == Some(l);
+    let meet = (0..c.num_vertices())
+        .find(|&u| at(&dist_a, u, a) && at(&dist_b, u, b))
+        .expect("a vertex at the final depths");
+    let half = |dist: &[Option<u64>], end: u64| {
+        let mut walk = vec![meet];
+        let mut v = meet;
+        while v != end {
+            let l = dist[v as usize].unwrap() - 1;
+            v = c
+                .neighbors(v)
+                .into_iter()
+                .find(|&u| at(dist, u, l))
+                .unwrap();
+            walk.push(v);
+        }
+        walk
+    };
+    let mut path = half(&dist_a, from);
+    path.reverse();
+    path.extend(&half(&dist_b, to)[1..]);
+    Some(path)
+}
+
+#[test]
+fn paths_follow_the_documented_tie_rules() {
+    let products = [
+        // paths of three hops and more: the answer is often not the
+        // lexicographically smallest shortest path
+        KronProduct::new(
+            kron_gen::holme_kim(12, 2, 0.5, 7),
+            kron_gen::holme_kim(9, 2, 0.5, 8),
+        ),
+        // isolated vertices and self-loops: unreachable pairs
+        traversal_product(42),
+        KronProduct::new(
+            kron_gen::erdos_renyi(8, 0.35, 3),
+            kron_gen::holme_kim(6, 2, 0.8, 4),
+        ),
+    ];
+    let (mut unreachable, mut bounded) = (0, 0);
+    for (i, c) in products.iter().enumerate() {
+        let dir = tmpdir(&format!("ties{i}"));
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+        cfg.shards = 3;
+        stream_product(c, &cfg).unwrap();
+        let engine = ServeEngine::open_verified(&dir).unwrap();
+        let finder = PathFinder::new(&engine);
+        let n = c.num_vertices();
+        for from in 0..n {
+            for to in 0..n {
+                let want = tie_rule_path(c, from, to, None);
+                let got = finder.shortest_path(from, to, None).unwrap().path;
+                assert_eq!(got, want, "product {i}: {from}->{to}");
+                unreachable += usize::from(want.is_none());
+                // a bound at the distance keeps the path, one below drops it
+                if (from + 3 * to) % 7 == 0 {
+                    if let Some(hops) = want.as_ref().map(|p| p.len() as u64 - 1) {
+                        for k in [hops.saturating_sub(1), hops, hops + 1] {
+                            let want = tie_rule_path(c, from, to, Some(k));
+                            let got = finder.shortest_path(from, to, Some(k)).unwrap().path;
+                            assert_eq!(got, want, "product {i}: {from}->{to} max_depth={k}");
+                            bounded += usize::from(want.is_none());
+                        }
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert!(unreachable > 0, "no product had an unreachable pair");
+    assert!(bounded > 0, "no max_depth case cut a path");
+    // 5 -> 0 answers [5, 27, 10, 0], not the lexicographically smaller
+    // shortest path [5, 9, 28, 0]: the meeting vertex 10 is fixed first
+    let c = &products[0];
+    assert_eq!(tie_rule_path(c, 5, 0, None), Some(vec![5, 27, 10, 0]));
+    assert!(c.has_edge(5, 9) && c.has_edge(9, 28) && c.has_edge(28, 0));
 }
 
 #[test]
