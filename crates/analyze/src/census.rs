@@ -6,13 +6,16 @@
 //! recounts everything from the artifact with the sweep the paper runs
 //! on its own factor (§VI, Chiba–Nishizeki): rank the vertices by
 //! `(row length, id)`, keep for every vertex only its neighbours of
-//! higher rank, and merge `out(v) ∩ out(u)` for every forward edge
+//! higher rank, and find `out(v) ∩ out(u)` for every forward edge
 //! `v → u`. Each triangle `{v, u, w}` is met exactly once — at its
 //! lowest-ranked edge — and credited to its three edge slots, so the
 //! pass yields the per-edge participation `Δ(e)` of Def. 6 for every
 //! edge, and `t(v) = ½·Σ_{e ∋ v} Δ(e)` (the identity below Def. 6) for
-//! every vertex. Work is `O(m·α)` comparisons for arboricity `α`;
-//! `wedge_checks` counts them, the paper's §VI accounting.
+//! every vertex. The intersection is a probe, not a merge: `out(v)` is
+//! marked once in a scratch bitmap of `n` bits per worker, and every
+//! `w ∈ out(u)` is tested against it. `wedge_checks` counts the oriented
+//! wedges `v → u → w` so probed, `Σ_{v→u} |out(u)|` — `O(m·α)` for
+//! arboricity `α`, and the same for every thread count.
 //!
 //! Three passes, the first two through [`scan_rows`]:
 //!
@@ -22,12 +25,15 @@
 //!    stored rows are, 4 B per undirected edge and the only `O(m)` state
 //!    besides `Δ` (another 4 B) — and, when validating, **every stored
 //!    entry is an entry of the product, in its place in the product's
-//!    ascending row**. The merges never read a row's lower-rank entries,
+//!    ascending row**. The probes never read a row's lower-rank entries,
 //!    so this is the check that sees a tampered back entry — a stray
 //!    column, or a neighbour overwritten with a copy of another;
-//! 3. the merges, chunk-parallel over source vertices. Credits are
-//!    integer atomic adds — commutative, so `Δ`, `t` and the result
-//!    document are byte-identical for every thread count.
+//! 3. the probes, chunk-parallel over runs of source vertices. A hit
+//!    finds its slot in `out(v)` by binary search; `v`'s own slots are
+//!    summed in a local buffer and credited once per `v`, the `(u, w)`
+//!    slot at once. Credits are integer atomic adds — commutative, so
+//!    `Δ`, `t` and the result document are byte-identical for every
+//!    thread count.
 //!
 //! Validation is then element-wise: `Δ(v, u)` against
 //! [`KronProduct::edge_triangles`] at every forward edge, `t(v)` against
@@ -43,20 +49,18 @@
 //! given a second, wider code path. `Δ(e) < n_C` fits the same width.
 //!
 //! `kron_triangles::count` runs the same sweep over an in-memory `Graph`
-//! and stays separate: its out-lists are *rank*-sorted (it sorts each one
-//! and compares through a `rank` array, which buys the suffix-only merge
-//! `ou[i+1..] ∩ out(v)`), and its merge reports the common *vertex*. Here
-//! the rows arrive id-sorted, so the lists need no sort and no rank
-//! lookup per comparison, and the merge must report *positions* to credit
-//! edge slots. A merge generic over both would be longer than the two.
+//! and stays separate: its out-lists are *rank*-sorted and merged
+//! suffix-only, `ou[i+1..] ∩ out(v)`, and its `wedge_checks` count that
+//! merge's comparisons — the paper's §VI accounting, which `expt_table1`
+//! reports. It yields triangles, not edge slots; here every triangle
+//! must be credited to three slots, which the probe finds directly.
 
-use crate::{check_stop, scan_rows, AnalyzeError, Row};
+use crate::{check_stop, scan_rows, AnalyzeError, BitSet, Row};
 use kron::KronProduct;
 use kron_stream::json::Json;
 use kron_stream::ShardSet;
 use kron_triangles::slice::contains_sorted;
 use rayon::prelude::*;
-use std::cmp::Ordering::{Equal, Greater, Less};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -233,49 +237,60 @@ fn orient(
     Ok((Forward { offsets, targets }, entries_are_edges))
 }
 
-/// The merge pass: `Δ` per edge slot and the comparisons it took.
-fn merge(dag: &Forward, stop: &AtomicBool) -> Result<(Vec<u32>, u128), AnalyzeError> {
+/// The probe pass: `Δ` per edge slot and the wedges it probed.
+fn probe(dag: &Forward, stop: &AtomicBool) -> Result<(Vec<u32>, u128), AnalyzeError> {
     // Relaxed: the adds publish nothing, and the counts are read only
     // after the scoped workers are joined.
     let delta: Vec<AtomicU32> = dag.targets.iter().map(|_| AtomicU32::new(0)).collect();
     let credit = |slot: usize, by: u32| {
         delta[slot].fetch_add(by, Ordering::Relaxed);
     };
-    let wedge_checks = dag
-        .sources()
+    let n = dag.sources().end;
+    // Runs of sources, each with its own bitmap: at most one per worker
+    // is alive at a time.
+    let step = n.div_ceil(rayon::current_num_threads() * 4).max(1);
+    let wedge_checks = (0..n.div_ceil(step))
         .into_par_iter()
-        .fold(
-            || Ok(0u128),
-            |checks: Result<u128, AnalyzeError>, v| {
-                let mut checks = checks?;
+        .map(|run| {
+            let mut marks = BitSet::new(n);
+            let mut own: Vec<u32> = Vec::new();
+            let mut checks = 0u128;
+            for v in run * step..n.min(run * step + step) {
                 check_stop(stop)?;
-                let base_v = dag.offsets[v];
                 let out_v = &dag.targets[dag.out(v)];
+                for &w in out_v {
+                    marks.set(w.into());
+                }
+                own.clear();
+                own.resize(out_v.len(), 0);
                 for (at, &u) in out_v.iter().enumerate() {
-                    let base_u = dag.offsets[u as usize];
-                    let out_u = &dag.targets[dag.out(u as usize)];
-                    let (mut p, mut q, mut found) = (0, 0, 0);
-                    while p < out_v.len() && q < out_u.len() {
-                        checks += 1;
-                        match out_v[p].cmp(&out_u[q]) {
-                            Less => p += 1,
-                            Greater => q += 1,
-                            Equal => {
-                                credit(base_v + p, 1);
-                                credit(base_u + q, 1);
-                                found += 1;
-                                p += 1;
-                                q += 1;
-                            }
+                    let wedges = dag.out(u as usize);
+                    checks += wedges.len() as u128;
+                    for slot in wedges {
+                        let w = dag.targets[slot];
+                        if !marks.test(w.into()) {
+                            continue;
+                        }
+                        // `Err` only on a list out of order, which
+                        // `entries_are_edges` fails
+                        if let Ok(p) = out_v.binary_search(&w) {
+                            own[p] += 1;
+                            own[at] += 1;
+                            credit(slot, 1);
                         }
                     }
-                    if found > 0 {
-                        credit(base_v + at, found);
+                }
+                for (slot, &d) in dag.out(v).zip(&own) {
+                    if d > 0 {
+                        credit(slot, d);
                     }
                 }
-                Ok(checks)
-            },
-        )
+                for &w in out_v {
+                    marks.clear(w.into());
+                }
+            }
+            Ok(checks)
+        })
         .reduce(|| Ok(0), |a, b| Ok(a? + b?))?;
     let delta = delta.into_iter().map(AtomicU32::into_inner).collect();
     Ok((delta, wedge_checks))
@@ -433,7 +448,7 @@ pub(crate) fn run(
     fits_u32(set.num_vertices())?;
     let rows = lengths(set, stop)?;
     let (dag, entries_are_edges) = orient(set, &rows.len, product, stop)?;
-    let (delta, wedge_checks) = merge(&dag, stop)?;
+    let (delta, wedge_checks) = probe(&dag, stop)?;
     let t = fold_vertices(&dag, &delta);
     let tally = tally(&dag, &delta, &t, product, stop)?;
 
@@ -525,7 +540,7 @@ mod tests {
 
             let rows = lengths(&set, &stop).unwrap();
             let (dag, _) = orient(&set, &rows.len, None, &stop).unwrap();
-            let (delta, wedge_checks) = merge(&dag, &stop).unwrap();
+            let (delta, wedge_checks) = probe(&dag, &stop).unwrap();
             let t = fold_vertices(&dag, &delta);
 
             assert_eq!(dag.targets.len() as u64, g.num_edges(), "seed {seed}");
@@ -538,6 +553,13 @@ mod tests {
             }
             let triangles = count_triangles_serial(&g).triangles;
             assert_eq!(t.iter().sum::<u64>(), 3 * triangles, "seed {seed}");
+            // one probe per oriented wedge v → u → w: Σ_{v→u} |out(u)|
+            let rank = |v: u32| (g.row_len(v), v);
+            let out = |v: u32| g.neighbors(v).filter(move |&w| rank(w) > rank(v));
+            let wedges: usize = (0..g.num_vertices() as u32)
+                .flat_map(|v| out(v).map(|u| out(u).count()))
+                .sum();
+            assert_eq!(wedge_checks, wedges as u128, "seed {seed}");
             let m = g.num_edges() as f64;
             assert!(wedge_checks as f64 <= 3.0 * m.powf(1.5), "seed {seed}");
 
@@ -565,8 +587,8 @@ mod tests {
         let rows = lengths(&set, &go).unwrap();
         assert!(cancelled(orient(&set, &rows.len, None, &raised).map(drop)));
         let (dag, _) = orient(&set, &rows.len, None, &go).unwrap();
-        assert!(cancelled(merge(&dag, &raised).map(drop)));
-        let (delta, _) = merge(&dag, &go).unwrap();
+        assert!(cancelled(probe(&dag, &raised).map(drop)));
+        let (delta, _) = probe(&dag, &go).unwrap();
         let t = fold_vertices(&dag, &delta);
         assert!(cancelled(
             tally(&dag, &delta, &t, Some(&c), &raised).map(drop)

@@ -454,6 +454,12 @@ impl BitSet {
         *word |= mask;
         fresh
     }
+
+    /// Clear bit `v`.
+    #[inline]
+    pub(crate) fn clear(&mut self, v: u64) {
+        self.words[(v / 64) as usize] &= !(1u64 << (v % 64));
+    }
 }
 
 /// Render a histogram as the `[[key, count], …]` JSON array every result

@@ -62,14 +62,17 @@ impl PagerankResult {
     }
 }
 
-/// `Σ_{u ∈ cols} rank[u]/deg(u)`, summed left to right. A function of its
-/// own so the running sum stays in a register: written out inside the
-/// scan closure it was spilled to the stack on every entry, which made a
+/// `Σ_{u ∈ cols} share[u]`, summed left to right, where
+/// `share[u] = rank[u]·(1/deg(u))` is built once per iteration: one
+/// gather per entry instead of two, and the same IEEE products, so every
+/// rank is bit-identical to multiplying per entry. A function of its own
+/// so the running sum stays in a register: written out inside the scan
+/// closure it was spilled to the stack on every entry, which made a
 /// PageRank iteration 1.5× slower.
-fn pulled_mass(cols: impl Iterator<Item = u64>, rank: &[f64], inv_deg: &[f64]) -> f64 {
+fn pulled_mass(cols: impl Iterator<Item = u64>, share: &[f64]) -> f64 {
     let mut s = 0.0;
     for u in cols {
-        s += rank[u as usize] * inv_deg[u as usize];
+        s += share[u as usize];
     }
     s
 }
@@ -118,12 +121,13 @@ pub(crate) fn run(
             .map(|(&r, _)| r)
             .sum();
         let base = (1.0 - DAMPING) / nf + DAMPING * dangling_mass / nf;
+        let share: Vec<f64> = rank.iter().zip(&inv_deg).map(|(&r, &i)| r * i).collect();
         let next: Vec<f64> = scan_rows(
             set,
             stop,
             |_| true,
             |out: &mut Vec<f64>, _, row| {
-                out.push(base + DAMPING * pulled_mass(row.cols(), &rank, &inv_deg));
+                out.push(base + DAMPING * pulled_mass(row.cols(), &share));
                 Ok(())
             },
         )?

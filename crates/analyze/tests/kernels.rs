@@ -6,7 +6,8 @@
 //! relies on), and — for the census — against the paper's closed forms
 //! at every vertex and every edge, including the tampered-artifact
 //! failure paths: a flipped column, a relabelled artifact that keeps
-//! every total, and a back entry no forward merge reads.
+//! every total, a back entry no forward probe reads, and a forward list
+//! out of order or with a column stored twice.
 
 use kron::KronProduct;
 use kron_analyze::{load_product, run_kernel, AnalyzeError, Kernel, KernelSpec};
@@ -474,7 +475,7 @@ fn census_catches_a_relabelling_only_the_edges_can_see() {
     assert_eq!(num(check, "mismatches"), entries);
 }
 
-/// The forward merges read only the higher-ranked half of a row. Tamper
+/// The forward probes read only the higher-ranked half of a row. Tamper
 /// one column of the top-ranked hub's row — every entry there is a back
 /// entry — and the recount is untouched: every `Δ`, every `t` and every
 /// total still agree. Only the entry-is-edge check sees it, and it must
@@ -535,6 +536,74 @@ fn census_flags_a_back_entry_stored_twice() {
         let at = row.len() / 2;
         row[at] = row[at - 1];
         row[at]
+    });
+}
+
+/// The probes do read a low-ranked vertex's forward list, and find a
+/// hit's slot there by binary search. Tamper the forward columns of the
+/// lowest-ranked vertex `v` whose last forward column `w` closes a
+/// triangle the probes meet at `v` (`w` is in `out(u)` for some `u` in
+/// `out(v)`) — `tamper` gets the row and the forward positions, and
+/// returns the column it expects named first — and the census must end
+/// in a validation failure naming that row under `entries_are_edges`,
+/// never a panic or an out-of-bounds slot.
+fn census_of_tampered_forward_list(name: &str, tamper: impl FnOnce(&mut [u64], &[usize]) -> u64) {
+    let c = web_product();
+    let n = c.num_vertices();
+    let rank = |v: u64| (c.row_len(v), v);
+    let mut rows: Vec<Vec<u64>> = (0..n).map(|v| c.neighbors(v)).collect();
+    let (v, forward) = (0..n)
+        .map(|v| {
+            let row = &rows[v as usize];
+            let at: Vec<usize> = (0..row.len())
+                .filter(|&at| rank(row[at]) > rank(v))
+                .collect();
+            (v, at)
+        })
+        .filter(|(v, at)| {
+            let row = &rows[*v as usize];
+            let Some(&last) = at.last() else { return false };
+            let w = row[last];
+            at.iter()
+                .any(|&p| rank(w) > rank(row[p]) && c.has_edge(row[p], w))
+        })
+        .min_by_key(|&(v, _)| rank(v))
+        .expect("some forward list closes a triangle with its last column");
+    let culprit = tamper(&mut rows[v as usize], &forward);
+
+    let dir = streamed(name, &c, 1);
+    rewrite_rows(&dir, &rows);
+    let set = ShardSet::open(&dir).unwrap();
+    let err = run(&set, &KernelSpec::new(Kernel::TriCensus)).unwrap_err();
+    let AnalyzeError::Validation(doc) = err else {
+        panic!("a tampered forward list must fail validation, got {err}");
+    };
+    let check = doc
+        .get("validation")
+        .unwrap()
+        .get("entries_are_edges")
+        .unwrap();
+    let first = &check.get("first").unwrap().as_arr().unwrap()[0];
+    assert_eq!(first.to_string(), format!("[{v},{culprit}]"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The first and the last forward column trade places: the largest
+/// stands first, and a binary search for it ends past the last slot.
+#[test]
+fn census_flags_forward_columns_out_of_order() {
+    census_of_tampered_forward_list("forward_swapped", |row, forward| {
+        let (first, last) = (forward[0], forward[forward.len() - 1]);
+        row.swap(first, last);
+        row[first + 1]
+    });
+}
+
+#[test]
+fn census_flags_a_forward_column_stored_twice() {
+    census_of_tampered_forward_list("forward_twice", |row, forward| {
+        row[forward[1]] = row[forward[0]];
+        row[forward[0]]
     });
 }
 

@@ -8,16 +8,23 @@
 //!
 //! Semantics match rayon where the workspace relies on them:
 //!
-//! * adapters execute on `std::thread::scope` worker threads, one
-//!   contiguous chunk per thread, so work genuinely runs in parallel;
-//! * order-sensitive terminals (`collect`) preserve input order;
+//! * adapters split their input into `4 ×` [`current_num_threads`]
+//!   contiguous chunks, and that many workers — the calling thread plus
+//!   scoped threads beside it — claim the chunks in turn from a shared
+//!   index, so work genuinely runs in parallel on at most
+//!   `current_num_threads()` threads at once;
+//! * order-sensitive terminals (`collect`) preserve input order: each
+//!   chunk's output lands in its own slot;
 //! * `fold` produces one accumulator per chunk (rayon: per split), which
-//!   `reduce` then combines.
+//!   `reduce` then combines in chunk order;
+//! * a panic in any worker reaches the caller once every worker stopped.
 //!
-//! Unlike rayon there is no work stealing: a skewed chunk can straggle.
-//! The chunk count is `4 ×` the thread count to soften that.
+//! Unlike rayon there is no work stealing within a chunk: a skewed chunk
+//! can straggle. Four chunks per worker soften that.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Number of worker threads used by the shim (rayon API compatibility).
 ///
@@ -36,8 +43,9 @@ pub fn current_num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `f` over owned chunks of `items` on scoped threads, concatenating
-/// the per-chunk outputs in input order.
+/// Run `f` over owned chunks of `items` on `current_num_threads()`
+/// workers, the caller among them, concatenating the per-chunk outputs
+/// in input order.
 fn run_chunked<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -49,30 +57,39 @@ where
     if threads <= 1 || n <= 1 {
         return f(items);
     }
-    // 4 chunks per thread softens stragglers; each chunk gets its own
-    // scoped thread, joined in order so outputs concatenate in order.
     let chunk = n.div_ceil(threads * 4).max(1);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(n.div_ceil(chunk));
+    let mut inputs: Vec<Mutex<Vec<T>>> = Vec::with_capacity(n.div_ceil(chunk));
     let mut it = items.into_iter();
     loop {
         let c: Vec<T> = it.by_ref().take(chunk).collect();
         if c.is_empty() {
             break;
         }
-        chunks.push(c);
+        inputs.push(Mutex::new(c));
     }
-    let fref = &f;
-    let mut out = Vec::with_capacity(n);
+    let outputs: Vec<Mutex<Vec<R>>> = inputs.iter().map(|_| Mutex::new(Vec::new())).collect();
+    let next = AtomicUsize::new(0);
+    // Relaxed: the index only hands out chunks, whose data moves under
+    // the slot locks. No lock is held while `f` runs, so a panicking
+    // chunk poisons none.
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(input) = inputs.get(i) else { return };
+        let c = std::mem::take(&mut *input.lock().expect("no lock is held across `f`"));
+        let out = f(c);
+        *outputs[i].lock().expect("no lock is held across `f`") = out;
+    };
+    // `scope` joins every worker, then panics if one of them did.
     std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| s.spawn(move || fref(c)))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("shim rayon worker panicked"));
+        for _ in 1..threads {
+            s.spawn(work);
         }
+        work();
     });
-    out
+    outputs
+        .into_iter()
+        .flat_map(|o| o.into_inner().expect("no lock is held across `f`"))
+        .collect()
 }
 
 /// An eager "parallel iterator" over an owned item list.
@@ -263,6 +280,57 @@ mod tests {
             .collect();
         assert_eq!(v, (0u32..300).collect::<Vec<_>>());
         assert_eq!((5u32..50).into_par_iter().map(|x| x + 1).min(), Some(6));
+    }
+
+    #[test]
+    fn order_holds_when_the_first_chunk_finishes_last() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        let last_done = AtomicBool::new(false);
+        let v: Vec<u64> = (0u64..64)
+            .into_par_iter()
+            .map(|x| {
+                // Hold the first chunk until the last one is done. One
+                // worker runs the chunks in order, hence the time limit.
+                let t0 = Instant::now();
+                while x == 0
+                    && !last_done.load(Ordering::SeqCst)
+                    && t0.elapsed() < Duration::from_secs(1)
+                {
+                    std::thread::yield_now();
+                }
+                last_done.fetch_or(x == 63, Ordering::SeqCst);
+                x * 3
+            })
+            .collect();
+        assert_eq!(v, (0u64..64).map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn at_most_current_num_threads_closures_run_at_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (running, high) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        (0u32..64).into_par_iter().for_each(|_| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            high.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            running.fetch_sub(1, Ordering::SeqCst);
+        });
+        let high = high.into_inner();
+        assert!(
+            (1..=super::current_num_threads()).contains(&high),
+            "{high} closures ran at once"
+        );
+    }
+
+    #[test]
+    fn a_panicking_worker_reaches_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            (0u32..64).into_par_iter().for_each(|x| {
+                assert_ne!(x, 57, "worker panic");
+            });
+        });
+        assert!(caught.is_err());
     }
 
     #[test]

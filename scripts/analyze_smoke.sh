@@ -39,12 +39,15 @@ entries=$(field '"entries":[0-9]*')
 [ "$(field '"edge_triangles":{"ok":true,"checked":[0-9]*')" = $((entries / 2)) ]
 
 echo "== results are deterministic across thread counts"
-for kernel in cc tri-census; do
-    "$BIN" analyze "$work/run" --kernel $kernel --threads 1 > "$work/$kernel.t1.json"
-    "$BIN" analyze "$work/run" --kernel $kernel --threads 4 > "$work/$kernel.t4.json"
+for args in "bfs --source 3" "cc" "pagerank --top 3" "tri-census"; do
+    kernel=${args%% *}   # $args stays unquoted below: kernel plus options
+    "$BIN" analyze "$work/run" --kernel $args --threads 1 > "$work/$kernel.t1.json"
+    "$BIN" analyze "$work/run" --kernel $args --threads 4 > "$work/$kernel.t4.json"
     cmp "$work/$kernel.t1.json" "$work/$kernel.t4.json"
 done
+cmp "$work/bfs.t1.json" "$work/bfs.json"
 cmp "$work/cc.t1.json" "$work/cc.json"
+cmp "$work/pagerank.t1.json" "$work/pr.json"
 cmp "$work/tri-census.t1.json" "$work/census.json"
 
 echo "== a tampered artifact fails the recount nonzero"
