@@ -13,7 +13,7 @@
 //! sorted frontier vector; levels are expanded chunk-parallel across the
 //! shard plan and merged in plan order.
 
-use crate::{bad_column, check_stop, scan_rows, AnalyzeError, BitSet, KernelSpec, Row};
+use crate::{bad_column, check_stop, scan_rows, AnalyzeError, BitSet, KernelSpec, LevelRows};
 use kron_stream::json::Json;
 use kron_stream::ShardSet;
 use rayon::prelude::*;
@@ -21,41 +21,6 @@ use std::sync::atomic::AtomicBool;
 
 /// Pull once the frontier exceeds n/PULL_DIVISOR vertices.
 const PULL_DIVISOR: u64 = 20;
-
-/// One push-direction frontier expansion over an arbitrary row source.
-///
-/// For each frontier vertex `v` (in slice order) the row is fetched via
-/// `row_of` and every neighbor `u` is handed to `emit(v, u)` in row
-/// order, so callers observe a deterministic discovery sequence. Strict
-/// about columns: a neighbor id outside the product ([`Row::cols`]) aborts
-/// with `bad_column(v, u)` — on a checksummed artifact that can only mean
-/// corruption.
-///
-/// This is the kernel shared between the analytics BFS (`push_round`
-/// runs it chunk-parallel over resident shards) and `kron-serve`'s
-/// traversal endpoints, whose row source transparently mixes zero-copy
-/// mapped rows with rows fetched from cluster peers. Each caller brings
-/// its own stop-flag poll and error type in the closures.
-pub fn frontier_step<R, E>(
-    frontier: &[u64],
-    num_vertices: u64,
-    mut row_of: impl FnMut(u64) -> Result<R, E>,
-    bad_column: impl Fn(u64, u64) -> E,
-    mut emit: impl FnMut(u64, u64),
-) -> Result<(), E>
-where
-    R: std::ops::Deref<Target = [u64]>,
-{
-    for &v in frontier {
-        let row = row_of(v)?;
-        let row = Row::new(&row, num_vertices);
-        row.cols().for_each(|u| emit(v, u));
-        if let Some(u) = row.stray() {
-            return Err(bad_column(v, u));
-        }
-    }
-    Ok(())
-}
 
 /// The deterministic outcome of one BFS run.
 pub(crate) struct BfsResult {
@@ -125,7 +90,7 @@ pub(crate) fn run(
             pull_round(set, &frontier, &visited, len, stop)?
         } else {
             push_rounds += 1;
-            push_round(set, &frontier, &visited, n, stop)?
+            push_round(set, &frontier, &visited, stop)?
         };
         // Serial merge: dedup against the visited bitmap in plan order.
         let mut next: Vec<u64> = Vec::new();
@@ -154,13 +119,12 @@ pub(crate) fn run(
     })
 }
 
-/// Expand the sorted frontier by scanning its own rows. Strict about
-/// columns: a neighbor id outside the product is corruption.
+/// Expand the sorted frontier by scanning its own rows, chunk-parallel,
+/// through [`LevelRows`]; chunks merge in frontier order.
 fn push_round(
     set: &ShardSet,
     frontier: &[u64],
     visited: &BitSet,
-    n: u64,
     stop: &AtomicBool,
 ) -> Result<Vec<u64>, AnalyzeError> {
     let pieces = rayon::current_num_threads().max(1) * 4;
@@ -171,24 +135,11 @@ fn push_round(
         .into_par_iter()
         .map(|slice| {
             let mut out = Vec::new();
-            frontier_step(
-                slice,
-                n,
-                |v| {
-                    check_stop(stop)?;
-                    set.row(v).ok_or_else(|| {
-                        AnalyzeError::Corrupt(format!(
-                            "vertex {v} has no resident row in a complete set"
-                        ))
-                    })
-                },
-                |v, u| bad_column(v, u, n),
-                |_, u| {
-                    if !visited.test(u) {
-                        out.push(u);
-                    }
-                },
-            )?;
+            (set, stop).each_neighbour(slice, |_, u| {
+                if !visited.test(u) {
+                    out.push(u);
+                }
+            })?;
             Ok(out)
         })
         .collect();
@@ -197,6 +148,34 @@ fn push_round(
         merged.extend(part?);
     }
     Ok(merged)
+}
+
+/// A complete set's rows, read in place, for BFS push rounds; the stop
+/// flag is polled before every row.
+impl LevelRows for (&ShardSet, &AtomicBool) {
+    type Error = AnalyzeError;
+
+    fn num_vertices(&self) -> u64 {
+        self.0.num_vertices()
+    }
+
+    fn bad_column(&self, v: u64, u: u64) -> AnalyzeError {
+        bad_column(v, u, self.0.num_vertices())
+    }
+
+    fn each_row<F>(&self, frontier: &[u64], mut row: F) -> Result<(), AnalyzeError>
+    where
+        F: FnMut(u64, &[u64]) -> Result<(), AnalyzeError>,
+    {
+        for &v in frontier {
+            check_stop(self.1)?;
+            let cols = self.0.row(v).ok_or_else(|| {
+                AnalyzeError::Corrupt(format!("vertex {v} has no resident row in a complete set"))
+            })?;
+            row(v, &cols)?;
+        }
+        Ok(())
+    }
 }
 
 /// Expand by scanning every unvisited row against the frontier bitmap.

@@ -15,11 +15,15 @@
 //!   every triangle once and yields `Δ(e)` at every edge and `t(v)` at
 //!   every vertex, alongside an exact degree histogram.
 //!
-//! Every kernel takes its rows from one driver, [`scan_rows`] — resident
-//! rows in shard order, chunk-parallel across the shard plan through the
-//! rayon shim, merged in plan order — and emits a deterministic JSON
-//! result document, byte-identical across thread counts, so a CLI run and
-//! a server job over the same artifact can be compared verbatim.
+//! Kernels take their rows through two seams. Whole-graph scans —
+//! CC, PageRank, the census and BFS pull rounds — run on [`scan_rows`]:
+//! resident rows in shard order, chunk-parallel across the shard plan
+//! through the rayon shim, merged in plan order. BFS push rounds read the
+//! rows of a sorted frontier through [`LevelRows`], the trait the serving
+//! tier's `/path` and `/khop` levels read theirs through too. Every
+//! kernel emits a deterministic JSON result document, byte-identical
+//! across thread counts, so a CLI run and a server job over the same
+//! artifact can be compared verbatim.
 //!
 //! Where the paper provides closed forms the result carries **validation
 //! fields**, and the tri-census checks them element by element: every
@@ -49,8 +53,6 @@ mod bfs;
 mod cc;
 mod census;
 mod pagerank;
-
-pub use bfs::frontier_step;
 
 use kron::KronProduct;
 use kron_stream::json::Json;
@@ -328,11 +330,12 @@ pub(crate) fn bad_column(v: u64, u: u64, n: u64) -> AnalyzeError {
     ))
 }
 
-/// One row as [`scan_rows`] (and [`frontier_step`]) shows it to an
-/// algorithm: the stored columns (`Deref`, unchecked) plus [`Row::cols`],
-/// the checked read every kernel that indexes a dense per-vertex array by
-/// column goes through. The check rides the kernel's own loop — no second
-/// pass over the row, and a loop that exits early never pays for the tail.
+/// One row as [`scan_rows`] (and [`LevelRows::each_neighbour`]) shows it
+/// to an algorithm: the stored columns (`Deref`, unchecked) plus
+/// [`Row::cols`], the checked read every kernel that indexes a dense
+/// per-vertex array by column goes through. The check rides the kernel's
+/// own loop — no second pass over the row, and a loop that exits early
+/// never pays for the tail.
 pub struct Row<'a> {
     cols: &'a [u64],
     n: u64,
@@ -426,6 +429,55 @@ where
         })
         .collect();
     parts.into_iter().collect()
+}
+
+/// The one row seam every traversal level reads through: for a sorted
+/// frontier, each vertex's row in frontier order, then row order. Whether
+/// a row was mapped, decoded or fetched from a peer is the implementor's
+/// business; the caller sees neighbours only. Implemented on a complete
+/// shard set paired with its stop flag (BFS push rounds) and on the
+/// serving tier's engine (`/path` and `/khop`).
+pub trait LevelRows {
+    /// Why a row could not be read.
+    type Error;
+
+    /// `n_C`: a stored column at or past it is corruption.
+    fn num_vertices(&self) -> u64;
+
+    /// The error for row `v` naming column `u ≥ n_C`.
+    fn bad_column(&self, v: u64, u: u64) -> Self::Error;
+
+    /// Hand `row(v, cols)` every vertex of the ascending `frontier` with
+    /// its stored columns, in frontier order, and stop at the first error
+    /// a read or `row` returns.
+    ///
+    /// # Errors
+    ///
+    /// The implementor's for a row it cannot produce; `row`'s first.
+    fn each_row<F>(&self, frontier: &[u64], row: F) -> Result<(), Self::Error>
+    where
+        F: FnMut(u64, &[u64]) -> Result<(), Self::Error>;
+
+    /// Hand `emit(v, u)` every neighbour `u` of every frontier vertex `v`,
+    /// in frontier order, then row order, so callers observe a
+    /// deterministic discovery sequence. A column `≥ n_C` ([`Row::cols`])
+    /// ends the walk with [`LevelRows::bad_column`].
+    ///
+    /// # Errors
+    ///
+    /// As [`LevelRows::each_row`], plus the bad column.
+    fn each_neighbour(
+        &self,
+        frontier: &[u64],
+        mut emit: impl FnMut(u64, u64),
+    ) -> Result<(), Self::Error> {
+        let n = self.num_vertices();
+        self.each_row(frontier, |v, cols| {
+            let row = Row::new(cols, n);
+            row.cols().for_each(|u| emit(v, u));
+            row.stray().map_or(Ok(()), |u| Err(self.bad_column(v, u)))
+        })
+    }
 }
 
 /// A plain fixed-size bitmap over vertex ids.

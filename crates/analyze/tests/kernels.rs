@@ -116,6 +116,39 @@ fn bfs_depth_limit_truncates_levels() {
 }
 
 #[test]
+fn bfs_refuses_a_row_naming_a_vertex_past_the_product() {
+    // An unverified open does not hash contents: the first column of
+    // the first non-empty row of shard 0 becomes u64::MAX, and the push
+    // round that reads it must fail naming it.
+    let c = KronProduct::new(hub_cycle(), path(4));
+    let dir = streamed("bfs_stray", &c, 2);
+    let m = kron_stream::load_manifest(&dir, 0).unwrap();
+    let file = dir.join(m.file.as_deref().unwrap());
+    let mut bytes = std::fs::read(&file).unwrap();
+    let col0 = 32 + 8 * (m.vertices.end - m.vertices.start + 1) as usize;
+    bytes[col0..col0 + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(&file, &bytes).unwrap();
+    let victim = m.vertices.clone().find(|&v| c.degree(v) > 0).unwrap();
+
+    let set = ShardSet::open(&dir).unwrap();
+    let mut spec = KernelSpec::new(Kernel::Bfs);
+    spec.source = victim;
+    let err = run(&set, &spec).unwrap_err();
+    let AnalyzeError::Corrupt(msg) = err else {
+        panic!("a stray column is corruption, got {err}");
+    };
+    let n = c.num_vertices();
+    assert_eq!(
+        msg,
+        format!(
+            "row {victim} names vertex {}, but the product has only {n}",
+            u64::MAX
+        )
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cc_matches_a_serial_flood_fill() {
     // A factor with an isolated vertex makes whole product rows empty.
     let a = Graph::from_edges(5, [(0, 1), (1, 2), (3, 3)]);

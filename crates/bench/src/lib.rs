@@ -1,6 +1,6 @@
-//! Shared workload builders for the criterion benches and the `expt_*`
-//! experiment binaries (one per table/figure of the paper, each named
-//! after it: `src/bin/expt_table1.rs`, `expt_fig7.rs`, …).
+//! Shared workload builders for the `expt_*` experiment binaries (one
+//! per table/figure of the paper, each named after it:
+//! `src/bin/expt_table1.rs`, `expt_fig7.rs`, …).
 
 use kron_graph::{DiGraph, Graph, Label, LabeledGraph};
 use rand::prelude::*;
@@ -38,34 +38,9 @@ pub fn labeled_web_factor(n: usize, l: usize, seed: u64) -> LabeledGraph {
     LabeledGraph::new(base, labels, l)
 }
 
-/// Naive triangle counting — every wedge at every vertex is closed-checked
-/// with a binary search, no degree ordering. The ablation baseline for the
-/// forward algorithm (criterion bench `trianglecount`).
-pub fn naive_triangle_count(g: &Graph) -> u64 {
-    let mut count = 0u64;
-    for v in 0..g.num_vertices() as u32 {
-        let nbrs: Vec<u32> = g.neighbors(v).collect();
-        for (i, &a) in nbrs.iter().enumerate() {
-            for &b in &nbrs[i + 1..] {
-                if g.has_edge(a, b) {
-                    count += 1;
-                }
-            }
-        }
-    }
-    count / 3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kron_triangles::count_triangles;
-
-    #[test]
-    fn naive_count_agrees_with_forward() {
-        let g = web_factor(800);
-        assert_eq!(naive_triangle_count(&g), count_triangles(&g).triangles);
-    }
 
     #[test]
     fn factories_are_deterministic() {

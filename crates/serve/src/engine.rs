@@ -3,9 +3,10 @@
 //! both at once with cross-checking.
 
 use crate::cache::{RoutingReport, RoutingStats, RowCache};
-use crate::cluster::{PeerRows, PeerSpec, RemoteShards};
+use crate::cluster::{PeerSpec, RemoteShards};
 use crate::oracle::FactorOracle;
 use crate::server::INLINE_ROW_CAP;
+use kron_analyze::LevelRows;
 use kron_stream::{RowRef, ShardSet, SplitMix, StreamError};
 use kron_triangles::slice;
 use std::borrow::Cow;
@@ -588,50 +589,6 @@ impl ServeEngine {
         self.row(u)
     }
 
-    /// The rows one traversal level expands, for a sorted `frontier`: the
-    /// rows peers hold arrive now, in one `POST /rows` per replica set
-    /// and [`INLINE_ROW_CAP`] vertices — a body a peer's event thread
-    /// decodes — and another for what a prefix answer left over;
-    /// resident rows are read in place when [`LevelRows::row`] asks for
-    /// them. Neither touches the LRU — a BFS level reads each row once.
-    /// Every row counts in its shard's `shard_fetches`, every exchange
-    /// once in `remote_fetches`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::VertexOutOfRange`] for a frontier vertex no shard
-    /// owns; [`ServeError::Remote`] when no replica of a set answers.
-    pub(crate) fn level_rows(&self, frontier: &[u64]) -> Result<LevelRows<'_>, ServeError> {
-        let mut far: FarGroups<'_> = BTreeMap::new();
-        for &v in frontier {
-            let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
-            if let Some((remote, replicas)) = self.far(shard) {
-                self.routing.record_fetch(shard);
-                let (_, asked) = far.entry(replicas).or_insert((remote, Vec::new()));
-                asked.push(v);
-            }
-        }
-        let (mut answers, mut far_rows) = (Vec::new(), HashMap::default());
-        for (replicas, (remote, asked)) in &far {
-            for asked in asked.chunks(INLINE_ROW_CAP) {
-                self.ask_until_answered(asked, |rest| {
-                    let answer = remote.rows(replicas, rest)?;
-                    let answered = answer.spans.len();
-                    let at = answers.len();
-                    let rows = rest[..answered].iter().enumerate();
-                    far_rows.extend(rows.map(|(i, &v)| (v, (at, i))));
-                    answers.push(answer);
-                    Ok(answered)
-                })?;
-            }
-        }
-        Ok(LevelRows {
-            engine: self,
-            answers,
-            far: far_rows,
-        })
-    }
-
     /// Send `ask` the still-unanswered tail of `asked` until none is
     /// left, counting each exchange in `remote_fetches`. `ask` returns how
     /// many leading items its exchange answered — at least one, since the
@@ -798,7 +755,7 @@ impl ServeEngine {
     /// The error for a row that names a vertex no shard owns: in a
     /// checksum-verified set every column id resolves (the shards tile
     /// `0..n_C`), so this means tampering.
-    pub(crate) fn stray_neighbor(v: u64, u: u64) -> ServeError {
+    fn stray_neighbor(v: u64, u: u64) -> ServeError {
         ServeError::Corrupt(format!("row {v} lists neighbor {u} outside every shard"))
     }
 
@@ -980,24 +937,61 @@ impl ServeEngine {
 /// answer) per group.
 type FarGroups<'e> = BTreeMap<&'e [usize], (&'e RemoteShards, Vec<u64>)>;
 
-/// One traversal level's rows ([`ServeEngine::level_rows`]): the
-/// answers the level's exchanges brought, which of them holds each far
-/// vertex's row, and the engine for the resident rest.
-pub(crate) struct LevelRows<'e> {
-    engine: &'e ServeEngine,
-    answers: Vec<PeerRows>,
-    /// Far vertex → (answer, row within it).
-    far: HashMap<u64, (usize, usize), SplitMix>,
-}
+/// One traversal level's rows (`/path`, `/khop`): the rows peers hold
+/// arrive first, in one `POST /rows` per replica set and 4096 vertices
+/// (`INLINE_ROW_CAP`) — a body a peer's event thread decodes — and
+/// another for what a prefix answer left over; resident rows are read in
+/// place as the walk reaches them. Neither touches the LRU — a BFS level
+/// reads each row once. Every row counts in its shard's `shard_fetches`,
+/// every exchange once in `remote_fetches`. Errors:
+/// [`ServeError::VertexOutOfRange`] for a frontier vertex no shard owns,
+/// [`ServeError::Remote`] when no replica of a set answers.
+impl LevelRows for ServeEngine {
+    type Error = ServeError;
 
-impl LevelRows<'_> {
-    /// The row of a vertex of the level's frontier: decoded off its
-    /// answer for a far vertex, the resident mapping's row otherwise.
-    pub(crate) fn row(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
-        match self.far.get(&v) {
-            Some(&(answer, i)) => Ok(Cow::Owned(self.answers[answer].decode(i))),
-            None => self.engine.row(v),
+    fn num_vertices(&self) -> u64 {
+        self.set.num_vertices()
+    }
+
+    fn bad_column(&self, v: u64, u: u64) -> ServeError {
+        Self::stray_neighbor(v, u)
+    }
+
+    fn each_row<F>(&self, frontier: &[u64], mut row: F) -> Result<(), ServeError>
+    where
+        F: FnMut(u64, &[u64]) -> Result<(), ServeError>,
+    {
+        let mut far: FarGroups<'_> = BTreeMap::new();
+        for &v in frontier {
+            let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
+            if let Some((remote, replicas)) = self.far(shard) {
+                self.routing.record_fetch(shard);
+                let (_, asked) = far.entry(replicas).or_insert((remote, Vec::new()));
+                asked.push(v);
+            }
         }
+        // far vertex → (answer, row within it)
+        let (mut answers, mut far_rows) = (Vec::new(), HashMap::<_, _, SplitMix>::default());
+        for (replicas, (remote, asked)) in &far {
+            for asked in asked.chunks(INLINE_ROW_CAP) {
+                self.ask_until_answered(asked, |rest| {
+                    let answer = remote.rows(replicas, rest)?;
+                    let answered = answer.spans.len();
+                    let at = answers.len();
+                    let rows = rest[..answered].iter().enumerate();
+                    far_rows.extend(rows.map(|(i, &v)| (v, (at, i))));
+                    answers.push(answer);
+                    Ok(answered)
+                })?;
+            }
+        }
+        for &v in frontier {
+            match far_rows.get(&v) {
+                Some(&(answer, i)) => row(v, &answers[answer].decode(i))?,
+                None => row(v, &self.row(v)?)?,
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1397,6 +1391,21 @@ mod tests {
             .unwrap();
         let err = e.vertex_triangles(victim).unwrap_err();
         assert!(matches!(err, ServeError::Corrupt(_)), "{err}");
+        // the traversals read the row through `LevelRows` and refuse it too
+        let finder = crate::PathFinder::new(&e);
+        let other = (victim + 1) % c.num_vertices();
+        for err in [
+            finder.khop(victim, 1).err().unwrap(),
+            finder.shortest_path(victim, other, None).err().unwrap(),
+        ] {
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "corrupt artifact: row {victim} lists neighbor {} outside every shard",
+                    u64::MAX
+                )
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,9 +8,11 @@
 //! trip per row — and the expansion reads resident rows in place off
 //! the shard mappings, so a cluster node can traverse the whole product
 //! while holding only its claimed shards. No traversal row enters the
-//! hot-row cache: a BFS level reads each row once. The frontier
-//! expansion itself is [`kron_analyze::frontier_step`], the same kernel
-//! the analytics BFS runs chunk-parallel over resident shards.
+//! hot-row cache: a BFS level reads each row once. Both endpoints read a
+//! level's rows through the engine's [`kron_analyze::LevelRows`], the
+//! trait the analytics BFS push rounds read resident shards through, and
+//! share one level step; each keeps its own visited structure (a set for
+//! `/khop`, the parent maps for `/path`).
 //!
 //! Every step is deterministic: frontiers are kept sorted, the smaller
 //! side expands first (ties toward the `from` side), and a vertex's
@@ -31,7 +33,7 @@
 //! `/stats` and the CLI's nonzero cross-check exit.
 
 use crate::engine::{disagree, show, ServeEngine, ServeError};
-use kron_analyze::frontier_step;
+use kron_analyze::LevelRows;
 use kron_stream::json::Json;
 use kron_stream::SplitMix;
 use std::collections::hash_map::Entry;
@@ -43,9 +45,10 @@ use std::collections::{HashMap, HashSet};
 type Parents = HashMap<u64, u64, SplitMix>;
 
 /// Stop a k-hop expansion once this many vertices are reached: the
-/// level whose completion crosses the cap is the last one expanded,
-/// and the response carries per-level counts only (`"truncated":true`,
-/// no member lists). Bounds both the work and the response size.
+/// level whose completion crosses the cap is the last one expanded, and
+/// the response carries the counts of the levels expanded only
+/// (`"truncated":true`, no member lists). Bounds both the work and the
+/// response size.
 pub const MAX_KHOP_VERTICES: u64 = 65_536;
 
 /// A `/path` answer: the endpoints as asked, and the witness walk when
@@ -87,8 +90,9 @@ impl PathAnswer {
 }
 
 /// A `/khop` answer: the BFS neighborhood of `v` out to `k` hops, with
-/// exact per-level counts and (when under [`MAX_KHOP_VERTICES`]) the
-/// sorted member list of every level.
+/// per-level counts and (when under [`MAX_KHOP_VERTICES`]) the sorted
+/// member list of every level. Past the cap the search stops, so the
+/// counts cover only the levels expanded.
 pub struct KhopAnswer {
     /// Center vertex of the neighborhood.
     pub v: u64,
@@ -96,7 +100,7 @@ pub struct KhopAnswer {
     /// the neighborhood is exhausted or the size cap is crossed).
     pub k: u64,
     /// `levels[d]` = vertices first reached at depth `d`
-    /// (`levels[0] = 1`, the center itself).
+    /// (`levels[0] = 1`, the center itself), for every level expanded.
     pub levels: Vec<u64>,
     /// Sorted members of each level; `None` when the expansion crossed
     /// [`MAX_KHOP_VERTICES`] and the lists were dropped.
@@ -190,35 +194,21 @@ impl<'e> PathFinder<'e> {
         })
     }
 
-    /// The k-hop BFS neighborhood of `v`: exact per-level counts, with
-    /// member lists unless the expansion crosses [`MAX_KHOP_VERTICES`].
+    /// The k-hop BFS neighborhood of `v`: per-level counts with member
+    /// lists, or — once a level takes the count past
+    /// [`MAX_KHOP_VERTICES`] — the counts up to that level only.
     pub fn khop(&self, v: u64, k: u64) -> Result<KhopAnswer, ServeError> {
         self.engine.count_traversal_query();
         self.check_vertex(v)?;
-        let n = self.engine.num_vertices();
         let mut seen: HashSet<u64, SplitMix> = HashSet::from_iter([v]);
         let mut level_sets: Vec<Vec<u64>> = vec![vec![v]];
         let mut reached = 1u64;
         let mut truncated = false;
         for _ in 0..k {
-            let frontier = &level_sets[level_sets.len() - 1];
-            let level = self.engine.level_rows(frontier)?;
-            let mut next: Vec<u64> = Vec::new();
-            frontier_step(
-                frontier,
-                n,
-                |w| level.row(w),
-                ServeEngine::stray_neighbor,
-                |_, u| {
-                    if seen.insert(u) {
-                        next.push(u);
-                    }
-                },
-            )?;
+            let next = self.level(&level_sets[level_sets.len() - 1], |_, u| seen.insert(u))?;
             if next.is_empty() {
                 break;
             }
-            next.sort_unstable();
             reached += next.len() as u64;
             level_sets.push(next);
             if reached > MAX_KHOP_VERTICES {
@@ -264,10 +254,10 @@ impl<'e> PathFinder<'e> {
             // work bound — and, because frontier sizes are themselves
             // deterministic, the same side on every node of a cluster.
             let meet = if frontier_a.len() <= frontier_b.len() {
-                frontier_a = self.expand(&frontier_a, &mut parents_a)?;
+                frontier_a = self.level(&frontier_a, |v, u| adopt(&mut parents_a, v, u))?;
                 first_common(&frontier_a, &frontier_b)
             } else {
-                frontier_b = self.expand(&frontier_b, &mut parents_b)?;
+                frontier_b = self.level(&frontier_b, |v, u| adopt(&mut parents_b, v, u))?;
                 first_common(&frontier_b, &frontier_a)
             };
             hops += 1;
@@ -282,28 +272,35 @@ impl<'e> PathFinder<'e> {
         Ok(None)
     }
 
-    /// One level of one side: fetch the sorted frontier's far rows, then
-    /// record each unseen neighbour's parent in frontier order (first
-    /// listing wins, one map probe per listed neighbour), and return the
-    /// next frontier sorted.
-    fn expand(&self, frontier: &[u64], parents: &mut Parents) -> Result<Vec<u64>, ServeError> {
-        let level = self.engine.level_rows(frontier)?;
-        let mut next: Vec<u64> = Vec::new();
-        frontier_step(
-            frontier,
-            self.engine.num_vertices(),
-            |v| level.row(v),
-            ServeEngine::stray_neighbor,
-            |v, u| {
-                if let Entry::Vacant(slot) = parents.entry(u) {
-                    slot.insert(v);
-                    next.push(u);
-                }
-            },
-        )?;
+    /// One BFS level, for `/path` and `/khop` alike: walk the sorted
+    /// frontier's rows through the engine's [`LevelRows`], keep each
+    /// listed neighbour `u` of `v` that `fresh(v, u)` admits (the caller's
+    /// visited structure, one probe per listed neighbour, first listing
+    /// wins), and return the next frontier sorted.
+    fn level(
+        &self,
+        frontier: &[u64],
+        mut fresh: impl FnMut(u64, u64) -> bool,
+    ) -> Result<Vec<u64>, ServeError> {
+        let mut next = Vec::new();
+        self.engine.each_neighbour(frontier, |v, u| {
+            if fresh(v, u) {
+                next.push(u);
+            }
+        })?;
         next.sort_unstable();
         Ok(next)
     }
+}
+
+/// Record `v` as the parent of `u` unless `u` has one already; `true`
+/// when `u` was unseen.
+fn adopt(parents: &mut Parents, v: u64, u: u64) -> bool {
+    let Entry::Vacant(slot) = parents.entry(u) else {
+        return false;
+    };
+    slot.insert(v);
+    true
 }
 
 /// The smallest element two ascending slices share, by one merge pass.
@@ -477,6 +474,38 @@ mod tests {
             finder.shortest_path(0, 9, None),
             Err(ServeError::VertexOutOfRange { vertex: 9, .. })
         ));
+    }
+
+    #[test]
+    fn khop_stops_after_the_level_that_crosses_the_cap() {
+        // C301 ⊗ C301: 90,601 vertices, 362,404 entries, connected, and
+        // about 300 levels deep from any vertex — far past the cap.
+        use kron_gen::deterministic::cycle;
+        let dir = tmpdir("khop_cap");
+        let c = KronProduct::new(cycle(301), cycle(301));
+        assert_eq!((c.num_vertices(), c.nnz()), (90_601, 362_404));
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+        cfg.shards = 4;
+        stream_product(&c, &cfg).unwrap();
+        let engine = ServeEngine::open(&dir).unwrap();
+        let a = PathFinder::new(&engine).khop(0, 300).unwrap();
+
+        let set = kron_stream::ShardSet::open(&dir).unwrap();
+        let spec = kron_analyze::KernelSpec::new(kron_analyze::Kernel::Bfs);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let bfs = kron_analyze::run_kernel(&set, &spec, &stop).unwrap();
+        let full = bfs.get("levels").unwrap().as_arr().unwrap().iter();
+        let full: Vec<u64> = full.map(|l| l.as_u64().unwrap()).collect();
+
+        assert!(a.levels.len() < full.len(), "the search stopped early");
+        assert_eq!(a.levels, full[..a.levels.len()], "a strict prefix");
+        assert!(a.reached() > MAX_KHOP_VERTICES);
+        assert!(a.reached() - a.levels.last().unwrap() <= MAX_KHOP_VERTICES);
+        assert!(a.vertices.is_none());
+        let body = a.to_json().to_string();
+        assert!(body.contains(r#""truncated":true"#), "{body}");
+        assert!(!body.contains("vertices"), "{body}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   then peel edges in increasing support order), the production path;
 //! * [`truss_decomposition_simple`] — the paper's "simple (yet inefficient)
 //!   algorithm" quoted verbatim in §III-D: recompute `Δ`, remove edges below
-//!   threshold, iterate — kept as a readable oracle and as the ablation
-//!   baseline for `kron-bench/benches/truss.rs`;
+//!   threshold, iterate — kept as a readable oracle the peeling path is
+//!   tested against;
 //! * [`ktruss_subgraph`] / [`verify_truss`] — extraction and validation.
 //!
 //! ## Semantics
