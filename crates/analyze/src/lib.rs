@@ -413,13 +413,13 @@ where
         .into_par_iter()
         .map(|(shard, range)| {
             let reader = &set.local(shard).expect("resident shard").reader;
-            let mut acc = T::default();
+            let (mut acc, mut buf) = (T::default(), Vec::new());
             for v in range.filter(|&v| wanted(v)) {
                 check_stop(stop)?;
-                let row = reader.row(v).ok_or_else(|| {
+                let row = reader.row_into(v, &mut buf).ok_or_else(|| {
                     AnalyzeError::Corrupt(format!("shard {shard} is missing row {v}"))
                 })?;
-                let row = Row::new(&row, n);
+                let row = Row::new(row, n);
                 body(&mut acc, v, &row)?;
                 if let Some(u) = row.stray() {
                     return Err(bad_column(v, u, n));

@@ -23,10 +23,11 @@
 //! | [`KronLabeledProduct`] | labeled triangle types (Thms. 6–7) |
 //! | [`KronChain`] | multi-factor products `A₁ ⊗ ⋯ ⊗ A_k` (extension) |
 //!
-//! Every formula is backed by a validation path ([`validate`],
-//! [`KronProduct::egonet`]) that materializes small products or individual
-//! egonets and checks the numbers exactly — the methodology of the paper's
-//! §VI.
+//! Every formula is backed by a validation path that materializes small
+//! products or individual egonets and checks the numbers exactly — the
+//! methodology of the paper's §VI: [`validate`] and [`KronProduct::egonet`]
+//! for the undirected statistics, the workspace's directed and labeled
+//! integration tests for Thms. 4–7.
 //!
 //! The row-block partition API ([`KronProduct::partition_rows_by_nnz`],
 //! [`RowBlockStats`]) underpins the durable pipeline built on top of this

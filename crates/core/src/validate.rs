@@ -170,101 +170,6 @@ pub fn spot_check(c: &KronProduct, samples: usize, seed: u64) -> Result<(), Kron
     Ok(())
 }
 
-/// Materialize a directed product (guarded) and verify Thm. 4 and Thm. 5
-/// for all fifteen types at every vertex and stored entry, plus the §IV-B
-/// degree formulas.
-pub fn validate_directed(c: &crate::KronDirectedProduct, limit: u128) -> Result<(), KronError> {
-    use kron_triangles::directed::{
-        directed_edge_participation, directed_vertex_participation, DirEdgeType, DirVertexType,
-    };
-    let g = c.materialize(limit)?;
-    let dv = directed_vertex_participation(&g);
-    for ty in DirVertexType::ALL {
-        for p in 0..c.num_vertices() {
-            let (direct, formula) = (dv.get(ty)[p as usize], c.vertex_type_count(p, ty));
-            if direct != formula {
-                return Err(mismatch(ty.label(), p, direct, formula));
-            }
-        }
-    }
-    let de = directed_edge_participation(&g);
-    for ty in DirEdgeType::ALL {
-        for (p, q, v) in de.get(ty).iter() {
-            let formula = c.edge_type_count(p as u64, q as u64, ty);
-            if v != formula {
-                return Err(mismatch(ty.label(), (p, q), v, formula));
-            }
-        }
-    }
-    for p in 0..c.num_vertices() {
-        if g.out_degree(p as u32) != c.out_degree(p) {
-            return Err(mismatch(
-                "out-degree",
-                p,
-                g.out_degree(p as u32),
-                c.out_degree(p),
-            ));
-        }
-        if g.in_degree(p as u32) != c.in_degree(p) {
-            return Err(mismatch(
-                "in-degree",
-                p,
-                g.in_degree(p as u32),
-                c.in_degree(p),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Materialize a labeled product (guarded) and verify Thm. 6 and Thm. 7
-/// for every labeled type, plus blockwise label inheritance.
-pub fn validate_labeled(c: &crate::KronLabeledProduct, limit: u128) -> Result<(), KronError> {
-    use kron_graph::Label;
-    use kron_triangles::labeled::{labeled_edge_participation, labeled_vertex_participation};
-    let g = c.materialize(limit)?;
-    let nl = c.factors().0.num_labels() as Label;
-    for p in 0..c.num_vertices() {
-        if g.label(p as u32) != c.label(p) {
-            return Err(mismatch("label", p, g.label(p as u32), c.label(p)));
-        }
-    }
-    let dv = labeled_vertex_participation(&g);
-    let de = labeled_edge_participation(&g);
-    for q1 in 0..nl {
-        for q2 in 0..nl {
-            for q3 in q2..nl {
-                let direct = dv.get(q1, q2, q3);
-                for p in 0..c.num_vertices() {
-                    let formula = c.vertex_type_count(p, q1, q2, q3);
-                    if direct[p as usize] != formula {
-                        return Err(mismatch(
-                            "labeled vertex type",
-                            (q1, q2, q3, p),
-                            direct[p as usize],
-                            formula,
-                        ));
-                    }
-                }
-            }
-            for q3 in 0..nl {
-                for (p, q, v) in de.get(q1, q2, q3).iter() {
-                    let formula = c.edge_type_count(p as u64, q as u64, q1, q2, q3);
-                    if v != formula {
-                        return Err(mismatch(
-                            "labeled edge type",
-                            (q1, q2, q3, p, q),
-                            v,
-                            formula,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,23 +198,6 @@ mod tests {
         let c = KronProduct::new(a, b);
         assert!(c.num_edges() > 50_000_000); // several 10^7 edges, implicit only
         spot_check(&c, 25, 11).expect("egonet checks pass at scale");
-    }
-
-    #[test]
-    fn directed_and_labeled_validators_pass() {
-        use kron_graph::{DiGraph, LabeledGraph};
-        let a = DiGraph::from_arcs(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)]);
-        let b = clique(3).with_all_self_loops();
-        let cd = crate::KronDirectedProduct::new(a, b.clone()).unwrap();
-        validate_directed(&cd, 1 << 20).expect("Thm 4/5 hold");
-
-        let la = LabeledGraph::new(
-            kron_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
-            vec![0, 1, 2, 1],
-            3,
-        );
-        let cl = crate::KronLabeledProduct::new(la, b).unwrap();
-        validate_labeled(&cl, 1 << 20).expect("Thm 6/7 hold");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! * [`deterministic`] — closed-form families used throughout the paper's
 //!   examples: cliques `K_n`, looped cliques `J_n` (Ex. 1), the hub-cycle
 //!   graph of Ex. 2 / Fig. 3, cycles, paths, stars, grids;
-//! * [`erdos_renyi`] / [`barabasi_albert`] / [`chung_lu`] — standard random
-//!   models for factors;
+//! * [`erdos_renyi`] / [`barabasi_albert`] — standard random models for
+//!   factors;
 //! * [`holme_kim`] — powerlaw-with-clustering model; the workspace's
 //!   **substitute for the SNAP `web-NotreDame` graph** of §VI:
 //!   scale-free, heavy-tailed, rich in triangles;
@@ -44,7 +44,6 @@
 pub mod deterministic;
 
 mod ba;
-mod chung_lu;
 mod er;
 mod holme_kim;
 mod one_triangle;
@@ -54,7 +53,6 @@ mod sparsify;
 mod wedge_close;
 
 pub use ba::barabasi_albert;
-pub use chung_lu::{chung_lu, pareto_weights};
 pub use er::erdos_renyi;
 pub use holme_kim::holme_kim;
 pub use one_triangle::one_triangle_per_edge;

@@ -38,7 +38,6 @@
 
 mod builder;
 mod convert;
-mod cores;
 mod digraph;
 mod egonet;
 mod io;
@@ -48,13 +47,10 @@ mod undirected;
 mod unionfind;
 
 pub use builder::GraphBuilder;
-pub use cores::{core_decomposition, degeneracy};
 pub use digraph::{DiGraph, EdgeKind};
 pub use egonet::{egonet, induced_subgraph, Egonet};
 pub use io::{read_edge_list, read_edge_list_path, write_edge_list, write_edge_list_path};
 pub use labeled::{Label, LabeledGraph};
-pub use traversal::{
-    bfs_distances, connected_components, is_connected, pseudo_diameter, spanning_tree,
-};
+pub use traversal::{bfs_distances, connected_components, is_connected, spanning_tree};
 pub use undirected::Graph;
 pub use unionfind::UnionFind;

@@ -49,26 +49,6 @@ pub fn is_connected(g: &Graph) -> bool {
     connected_components(g).0 <= 1
 }
 
-/// Pseudo-diameter by the double-sweep heuristic: BFS from `start`, then
-/// BFS again from the farthest vertex found; the second eccentricity is a
-/// lower bound on the diameter that is exact on trees and very tight on
-/// small-world graphs (the diameter behaviour of Kronecker products is
-/// analyzed in the paper's reference \[7\]). Returns `None` when `start`'s
-/// component is a single vertex.
-pub fn pseudo_diameter(g: &Graph, start: u32) -> Option<u32> {
-    let first = bfs_distances(g, start);
-    let (far, &d1) = first
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d != u32::MAX)
-        .max_by_key(|&(_, &d)| d)?;
-    if d1 == 0 {
-        return None;
-    }
-    let second = bfs_distances(g, far as u32);
-    second.into_iter().filter(|&d| d != u32::MAX).max()
-}
-
 /// An arbitrary spanning forest as a list of edges (one tree per
 /// component), found by union–find over the edge list. Used by the paper's
 /// §III-D strategy (a): edges of a spanning tree are protected while
@@ -133,21 +113,6 @@ mod tests {
         let forest = Graph::from_edges(6, t);
         let (c, _) = connected_components(&forest);
         assert_eq!(c, 2);
-    }
-
-    #[test]
-    fn pseudo_diameter_paths_and_cycles() {
-        let p = Graph::from_edges(6, (0..5).map(|i| (i, i + 1)));
-        assert_eq!(pseudo_diameter(&p, 2), Some(5)); // exact on trees
-        let c6 = Graph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6)));
-        assert_eq!(pseudo_diameter(&c6, 0), Some(3));
-        // lower bound property on a random graph
-        let g = two_triangles();
-        let d = pseudo_diameter(&g, 0).unwrap();
-        assert_eq!(d, 1); // within the first triangle
-        assert_eq!(pseudo_diameter(&Graph::empty(3), 0), None);
-        let k2 = Graph::from_edges(2, [(0, 1)]);
-        assert_eq!(pseudo_diameter(&k2, 0), Some(1));
     }
 
     #[test]

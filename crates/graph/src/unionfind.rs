@@ -5,7 +5,6 @@
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
-    num_sets: usize,
 }
 
 impl UnionFind {
@@ -14,7 +13,6 @@ impl UnionFind {
         Self {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
-            num_sets: n,
         }
     }
 
@@ -44,13 +42,7 @@ impl UnionFind {
             }
         };
         self.parent[lo as usize] = hi;
-        self.num_sets -= 1;
         true
-    }
-
-    /// Current number of disjoint sets.
-    pub fn num_sets(&self) -> usize {
-        self.num_sets
     }
 }
 
@@ -58,14 +50,18 @@ impl UnionFind {
 mod tests {
     use super::*;
 
+    fn num_sets(uf: &mut UnionFind, n: u32) -> usize {
+        (0..n).filter(|&v| uf.find(v) == v).count()
+    }
+
     #[test]
     fn union_and_find() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.num_sets(), 5);
+        assert_eq!(num_sets(&mut uf, 5), 5);
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2));
-        assert_eq!(uf.num_sets(), 3);
+        assert_eq!(num_sets(&mut uf, 5), 3);
         assert_eq!(uf.find(0), uf.find(2));
         assert_ne!(uf.find(0), uf.find(3));
     }
@@ -76,7 +72,7 @@ mod tests {
         for i in 0..3 {
             uf.union(i, i + 1);
         }
-        assert_eq!(uf.num_sets(), 1);
+        assert_eq!(num_sets(&mut uf, 4), 1);
         let r = uf.find(0);
         for i in 0..4 {
             assert_eq!(uf.find(i), r);

@@ -2,8 +2,8 @@
 //! conversion roundtrips, traversal consistency.
 
 use kron_graph::{
-    bfs_distances, connected_components, core_decomposition, egonet, read_edge_list, spanning_tree,
-    write_edge_list, DiGraph, Graph,
+    bfs_distances, connected_components, egonet, read_edge_list, spanning_tree, write_edge_list,
+    DiGraph, Graph,
 };
 use proptest::prelude::*;
 
@@ -98,26 +98,6 @@ proptest! {
         // every egonet edge exists in the host
         for (u, v) in e.graph.edges() {
             prop_assert!(g.has_edge(e.mapping[u as usize], e.mapping[v as usize]));
-        }
-    }
-
-    #[test]
-    fn core_numbers_bounded_by_degree((n, edges) in arb_edges(12)) {
-        let g = Graph::from_edges(n, edges);
-        let core = core_decomposition(&g);
-        for v in 0..n as u32 {
-            prop_assert!(core[v as usize] as u64 <= g.degree(v));
-        }
-        // k-core subgraph has min degree ≥ k for the max k
-        if let Some(&k) = core.iter().max() {
-            if k > 0 {
-                let keep: Vec<u32> =
-                    (0..n as u32).filter(|&v| core[v as usize] >= k).collect();
-                let (sub, _) = kron_graph::induced_subgraph(&g, &keep);
-                for v in 0..sub.num_vertices() as u32 {
-                    prop_assert!(sub.degree(v) >= k as u64);
-                }
-            }
         }
     }
 

@@ -427,14 +427,22 @@ pub(crate) fn parse_rows_ask(body: &[u8], num_vertices: u64) -> Result<Vec<u64>,
     decode_peer_row(body, num_vertices).map_err(|e| format!("asked vertices: {e}"))
 }
 
-/// The status half of judging a peer's answer: the body of a `200`, or
-/// how the failover loop treats anything else.
-fn ok_body<T>(
-    (status, ctype, body): Reply,
+/// The status and type half of judging a peer's answer: the body of a
+/// `200` that declares `ctype`, or how the failover loop treats anything
+/// else. A `200` of another type is torn, refused before its body is read
+/// — raw bytes can pass for varints.
+fn typed_body<T>(
+    (status, declared, body): Reply,
+    ctype: &str,
     fail: &dyn Fn(String) -> String,
-) -> Result<(String, Vec<u8>), Attempt<T, ServeError>> {
+) -> Result<Vec<u8>, Attempt<T, ServeError>> {
     if status == 200 {
-        return Ok((ctype, body));
+        if declared != ctype {
+            return Err(Attempt::Transport(fail(format!(
+                "200 declares Content-Type {declared:?}, not {ctype}"
+            ))));
+        }
+        return Ok(body);
     }
     let detail = fail(format!(
         "status {status}: {}",
@@ -450,22 +458,6 @@ fn ok_body<T>(
         // failover
         Attempt::Final(ServeError::Remote(detail))
     })
-}
-
-/// [`ok_body`] for an answer whose `200` must declare `ctype`: one of
-/// another type is torn, refused before its body is read.
-fn typed_body<T>(
-    reply: Reply,
-    ctype: &str,
-    fail: &dyn Fn(String) -> String,
-) -> Result<Vec<u8>, Attempt<T, ServeError>> {
-    let (declared, body) = ok_body(reply, fail)?;
-    if declared != ctype {
-        return Err(Attempt::Transport(fail(format!(
-            "200 declares Content-Type {declared:?}, not {ctype}"
-        ))));
-    }
-    Ok(body)
 }
 
 /// The framing every prefix answer shares (`/wedges`, `/rows`): whole
@@ -494,7 +486,8 @@ fn decode_prefix<T>(
 }
 
 /// Judge one `/wedges` answer for `asked` neighbours of a `row_len`-entry
-/// row: [`decode_prefix`] framing of `(count, checks)` varint pairs, every
+/// row: a `200` of [`crate::http::WEDGES_CONTENT_TYPE`] whose body has
+/// [`decode_prefix`] framing of `(count, checks)` varint pairs, every
 /// count at most `row_len` (an intersection is no larger than the row) and
 /// every check count at least its count (each common column costs a
 /// comparison). Anything else is torn — never a count to trust. Returns
@@ -505,8 +498,8 @@ fn decode_wedges(
     row_len: u64,
     fail: &dyn Fn(String) -> String,
 ) -> Attempt<(usize, u64, u64), ServeError> {
-    let body = match ok_body(reply, fail) {
-        Ok((_, body)) => body,
+    let body = match typed_body(reply, crate::http::WEDGES_CONTENT_TYPE, fail) {
+        Ok(body) => body,
         Err(attempt) => return attempt,
     };
     let read = |pos: &mut usize| kron_stream::csr::varint_read(&body, pos);
@@ -764,8 +757,8 @@ pub(crate) mod tests {
     /// that frames but breaks the row contract (strictly ascending columns
     /// below `n_C`), or comes as raw words or under another Content-Type,
     /// is the torn-body class — the replica is charged, the next one
-    /// answers, nothing is served from it. So is a `/wedges` reply that
-    /// breaks its framing: no pair, a pair too many, half a pair, a count
+    /// answers, nothing is served from it. So is a `/wedges` reply under
+    /// another Content-Type or that breaks its framing: no pair, a pair too many, half a pair, a count
     /// above the shipped row's length or above its own checks; and a
     /// `/rows` reply that does: no row, a row too many, a length past the
     /// body, a trailing byte.
@@ -898,6 +891,11 @@ pub(crate) mod tests {
         ));
         let none = decode_wedges(wedges(&[]), 0, 0, &|d| d);
         assert!(matches!(none, Attempt::Done((0, 0, 0))));
+        // untyped bytes that frame as one (count, checks) pair are not one
+        let one = |reply, fail: &dyn Fn(String) -> String| decode_wedges(reply, 1, 3, fail);
+        let octets = (200, "application/octet-stream".into(), vec![1, 1]);
+        let good = wedges(&[1, 4]);
+        fails_over("octet-stream 200", &octets, &good, one, &(1, 1, 4));
 
         // `/rows` for two vertices: one or two length-prefixed vd rows,
         // each strictly ascending below n_C, nothing more

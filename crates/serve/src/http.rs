@@ -15,7 +15,7 @@
 //! keep-alive connection whatever each non-blocking read delivers.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// The `Content-Type` of every `200` to `GET /row`: the row in the v2
@@ -354,15 +354,6 @@ impl Client {
             stream,
             buf: Vec::new(),
         })
-    }
-
-    /// The peer (server) address.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the socket is no longer connected.
-    pub fn peer_addr(&self) -> io::Result<SocketAddr> {
-        self.stream.peer_addr()
     }
 
     /// `GET path` → `(status, body)`.

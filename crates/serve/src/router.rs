@@ -240,11 +240,6 @@ impl Router {
         self.rediscover = Some(every);
     }
 
-    /// Completed re-discovery rounds (table swaps).
-    pub fn rediscoveries(&self) -> u64 {
-        self.rediscoveries.load(Ordering::Relaxed)
-    }
-
     /// One peer's `GET /shards` exchange, parsed.
     fn discover_one(addr: &str, timeout: Duration) -> Result<Discovered, String> {
         let fail = |detail: String| format!("peer {addr}: {detail}");
