@@ -22,49 +22,13 @@ use std::sync::atomic::AtomicBool;
 /// Pull once the frontier exceeds n/PULL_DIVISOR vertices.
 const PULL_DIVISOR: u64 = 20;
 
-/// The deterministic outcome of one BFS run.
-pub(crate) struct BfsResult {
-    pub source: u64,
-    pub depth_limit: Option<u64>,
-    pub vertices: u64,
-    pub reached: u64,
-    pub eccentricity: u64,
-    /// `levels[d]` = vertices first reached at depth `d` (`levels[0] = 1`).
-    pub levels: Vec<u64>,
-    pub push_rounds: u64,
-    pub pull_rounds: u64,
-}
-
-impl BfsResult {
-    pub(crate) fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("kernel", Json::str("bfs")),
-            ("source", Json::num(self.source)),
-        ];
-        if let Some(k) = self.depth_limit {
-            pairs.push(("depth_limit", Json::num(k)));
-        }
-        pairs.extend([
-            ("vertices", Json::num(self.vertices)),
-            ("reached", Json::num(self.reached)),
-            ("unreached", Json::num(self.vertices - self.reached)),
-            ("eccentricity", Json::num(self.eccentricity)),
-            (
-                "levels",
-                Json::Arr(self.levels.iter().map(Json::num).collect()),
-            ),
-            ("push_rounds", Json::num(self.push_rounds)),
-            ("pull_rounds", Json::num(self.pull_rounds)),
-        ]);
-        Json::obj(pairs)
-    }
-}
-
+/// The BFS result document: the level structure from `spec.source`, out
+/// to `spec.depth` hops when one is set.
 pub(crate) fn run(
     set: &ShardSet,
     spec: &KernelSpec,
     stop: &AtomicBool,
-) -> Result<BfsResult, AnalyzeError> {
+) -> Result<Json, AnalyzeError> {
     let n = set.num_vertices();
     let len = crate::dense_len(set)?;
     if spec.source >= n {
@@ -107,16 +71,24 @@ pub(crate) fn run(
         frontier = next;
     }
 
-    Ok(BfsResult {
-        source: spec.source,
-        depth_limit: spec.depth,
-        vertices: n,
-        reached: levels.iter().sum(),
-        eccentricity: levels.len() as u64 - 1,
-        levels,
-        push_rounds,
-        pull_rounds,
-    })
+    let reached: u64 = levels.iter().sum();
+    let mut pairs = vec![
+        ("kernel", Json::str("bfs")),
+        ("source", Json::num(spec.source)),
+    ];
+    if let Some(k) = spec.depth {
+        pairs.push(("depth_limit", Json::num(k)));
+    }
+    pairs.extend([
+        ("vertices", Json::num(n)),
+        ("reached", Json::num(reached)),
+        ("unreached", Json::num(n - reached)),
+        ("eccentricity", Json::num(levels.len() as u64 - 1)),
+        ("levels", Json::Arr(levels.iter().map(Json::num).collect())),
+        ("push_rounds", Json::num(push_rounds)),
+        ("pull_rounds", Json::num(pull_rounds)),
+    ]);
+    Ok(Json::obj(pairs))
 }
 
 /// Expand the sorted frontier by scanning its own rows, chunk-parallel,
@@ -150,8 +122,9 @@ fn push_round(
     Ok(merged)
 }
 
-/// A complete set's rows, read in place, for BFS push rounds; the stop
-/// flag is polled before every row.
+/// A complete set's rows, read in place (a csr2 row is decoded into one
+/// buffer per call), for BFS push rounds; the stop flag is polled before
+/// every row.
 impl LevelRows for (&ShardSet, &AtomicBool) {
     type Error = AnalyzeError;
 
@@ -167,12 +140,17 @@ impl LevelRows for (&ShardSet, &AtomicBool) {
     where
         F: FnMut(u64, &[u64]) -> Result<(), AnalyzeError>,
     {
+        let mut buf = Vec::new();
         for &v in frontier {
             check_stop(self.1)?;
-            let cols = self.0.row(v).ok_or_else(|| {
+            let cols = self
+                .0
+                .route(v)
+                .and_then(|s| self.0.local(s)?.reader.row_into(v, &mut buf));
+            let cols = cols.ok_or_else(|| {
                 AnalyzeError::Corrupt(format!("vertex {v} has no resident row in a complete set"))
             })?;
-            row(v, &cols)?;
+            row(v, cols)?;
         }
         Ok(())
     }

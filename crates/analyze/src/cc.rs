@@ -14,39 +14,13 @@ use kron_stream::ShardSet;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
-/// The deterministic outcome of one components pass.
-pub(crate) struct CcResult {
-    pub vertices: u64,
-    pub components: u64,
-    pub largest: u64,
-    pub isolated: u64,
-    pub rounds: u64,
-    /// component size → number of components of that size
-    pub size_histogram: BTreeMap<u64, u64>,
-}
-
-impl CcResult {
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("kernel", Json::str("cc")),
-            ("vertices", Json::num(self.vertices)),
-            ("components", Json::num(self.components)),
-            ("largest", Json::num(self.largest)),
-            ("isolated", Json::num(self.isolated)),
-            ("rounds", Json::num(self.rounds)),
-            (
-                "size_histogram",
-                crate::histogram_json(&self.size_histogram),
-            ),
-        ])
-    }
-}
-
 /// One chunk's propagation sweep: the `(vertex, lowered label)` updates
 /// it wants applied, plus how many empty rows it saw.
 type ChunkSweep = (Vec<(u64, u64)>, u64);
 
-pub(crate) fn run(set: &ShardSet, stop: &AtomicBool) -> Result<CcResult, AnalyzeError> {
+/// The components result document: counts, the largest size, and the
+/// size histogram.
+pub(crate) fn run(set: &ShardSet, stop: &AtomicBool) -> Result<Json, AnalyzeError> {
     let n = set.num_vertices();
     crate::dense_len(set)?;
     let mut labels: Vec<u64> = (0..n).collect();
@@ -99,12 +73,13 @@ pub(crate) fn run(set: &ShardSet, stop: &AtomicBool) -> Result<CcResult, Analyze
         *size_histogram.entry(size).or_insert(0) += 1;
         largest = largest.max(size);
     }
-    Ok(CcResult {
-        vertices: n,
-        components: sizes.len() as u64,
-        largest,
-        isolated,
-        rounds,
-        size_histogram,
-    })
+    Ok(Json::obj(vec![
+        ("kernel", Json::str("cc")),
+        ("vertices", Json::num(n)),
+        ("components", Json::num(sizes.len() as u64)),
+        ("largest", Json::num(largest)),
+        ("isolated", Json::num(isolated)),
+        ("rounds", Json::num(rounds)),
+        ("size_histogram", crate::histogram_json(&size_histogram)),
+    ]))
 }

@@ -243,9 +243,9 @@ pub fn run_kernel(
         )));
     }
     match spec.kernel {
-        Kernel::Bfs => Ok(bfs::run(set, spec, stop)?.to_json()),
-        Kernel::Cc => Ok(cc::run(set, stop)?.to_json()),
-        Kernel::Pagerank => Ok(pagerank::run(set, spec, stop)?.to_json()),
+        Kernel::Bfs => bfs::run(set, spec, stop),
+        Kernel::Cc => cc::run(set, stop),
+        Kernel::Pagerank => pagerank::run(set, spec, stop),
         Kernel::TriCensus => {
             let product = spec.validate.then(|| load_product(set)).transpose()?;
             let (doc, ok) = census::run(set, product.as_ref(), stop)?;

@@ -22,46 +22,6 @@ use std::sync::atomic::AtomicBool;
 /// The damping factor, fixed at the customary value.
 const DAMPING: f64 = 0.85;
 
-/// The deterministic outcome of one PageRank run.
-pub(crate) struct PagerankResult {
-    pub vertices: u64,
-    pub tol: f64,
-    pub max_iters: u64,
-    pub iterations: u64,
-    pub residual: f64,
-    pub dangling: u64,
-    pub sum: f64,
-    /// `(vertex, rank)`, rank-descending, vertex id breaking ties.
-    pub top: Vec<(u64, f64)>,
-}
-
-impl PagerankResult {
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("kernel", Json::str("pagerank")),
-            ("vertices", Json::num(self.vertices)),
-            ("damping", Json::num(DAMPING)),
-            ("tol", Json::num(self.tol)),
-            ("max_iters", Json::num(self.max_iters)),
-            ("iterations", Json::num(self.iterations)),
-            ("residual", Json::num(self.residual)),
-            ("dangling", Json::num(self.dangling)),
-            ("sum", Json::num(self.sum)),
-            (
-                "top",
-                Json::Arr(
-                    self.top
-                        .iter()
-                        .map(|&(v, r)| {
-                            Json::obj(vec![("vertex", Json::num(v)), ("rank", Json::num(r))])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 /// `Σ_{u ∈ cols} share[u]`, summed left to right, where
 /// `share[u] = rank[u]·(1/deg(u))` is built once per iteration: one
 /// gather per entry instead of two, and the same IEEE products, so every
@@ -77,11 +37,14 @@ fn pulled_mass(cols: impl Iterator<Item = u64>, share: &[f64]) -> f64 {
     s
 }
 
+/// The PageRank result document: convergence, the dangling count, the
+/// rank sum, and the `spec.top_k` top-ranked vertices, rank-descending,
+/// vertex id breaking ties.
 pub(crate) fn run(
     set: &ShardSet,
     spec: &KernelSpec,
     stop: &AtomicBool,
-) -> Result<PagerankResult, AnalyzeError> {
+) -> Result<Json, AnalyzeError> {
     let n = set.num_vertices();
     let len = crate::dense_len(set)?;
     if len == 0 {
@@ -144,17 +107,27 @@ pub(crate) fn run(
             .then(a.cmp(&b))
     });
     order.truncate(spec.top_k);
-    let top = order.into_iter().map(|v| (v, rank[v as usize])).collect();
-    Ok(PagerankResult {
-        vertices: n,
-        tol: spec.tol,
-        max_iters: spec.max_iters,
-        iterations,
+    let top = order.into_iter().map(|v| {
+        Json::obj(vec![
+            ("vertex", Json::num(v)),
+            ("rank", Json::num(rank[v as usize])),
+        ])
+    });
+    Ok(Json::obj(vec![
+        ("kernel", Json::str("pagerank")),
+        ("vertices", Json::num(n)),
+        ("damping", Json::num(DAMPING)),
+        ("tol", Json::num(spec.tol)),
+        ("max_iters", Json::num(spec.max_iters)),
+        ("iterations", Json::num(iterations)),
         // A 0-iteration run never measured a residual; report 0 rather
         // than the infinity sentinel (which is not a JSON number).
-        residual: if iterations == 0 { 0.0 } else { residual },
-        dangling: dangling_count,
-        sum: rank.iter().sum(),
-        top,
-    })
+        (
+            "residual",
+            Json::num(if iterations == 0 { 0.0 } else { residual }),
+        ),
+        ("dangling", Json::num(dangling_count)),
+        ("sum", Json::num(rank.iter().sum::<f64>())),
+        ("top", Json::Arr(top.collect())),
+    ]))
 }

@@ -681,3 +681,37 @@ fn kernels_cancel_cooperatively_and_reject_subsets() {
     ));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The exact bytes of a `cc` document, a `pagerank` document with three
+/// top entries, and a `bfs` document with a depth limit, on a product
+/// with empty rows (an isolated factor vertex), so `isolated`,
+/// `dangling` and `depth_limit` all carry values.
+#[test]
+fn documents_keep_their_exact_bytes() {
+    let a = Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 2)]);
+    let c = KronProduct::new(a, path(3));
+    let dir = streamed("pinned_bytes", &c, 2);
+    let set = ShardSet::open(&dir).unwrap();
+    let mut pagerank = KernelSpec::new(Kernel::Pagerank);
+    pagerank.top_k = 3;
+    let mut bfs = KernelSpec::new(Kernel::Bfs);
+    bfs.source = 1;
+    bfs.depth = Some(1);
+    for (spec, pinned) in [
+        (
+            KernelSpec::new(Kernel::Cc),
+            r#"{"kernel":"cc","vertices":12,"components":4,"largest":9,"isolated":3,"rounds":4,"size_histogram":[[1,3],[9,1]]}"#,
+        ),
+        (
+            pagerank,
+            r#"{"kernel":"pagerank","vertices":12,"damping":0.85,"tol":0.00000001,"max_iters":100,"iterations":100,"residual":0.00000003499069445300762,"dangling":3,"sum":0.9999999999999998,"top":[{"vertex":7,"rank":0.19524915502431148},{"vertex":1,"rank":0.13403565012887445},{"vertex":4,"rank":0.13403565012887445}]}"#,
+        ),
+        (
+            bfs,
+            r#"{"kernel":"bfs","source":1,"depth_limit":1,"vertices":12,"reached":5,"unreached":7,"eccentricity":1,"levels":[1,4],"push_rounds":0,"pull_rounds":1}"#,
+        ),
+    ] {
+        assert_eq!(run(&set, &spec).unwrap().to_string(), pinned);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

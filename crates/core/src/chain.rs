@@ -1,6 +1,6 @@
 //! Multi-factor Kronecker chains `C = A₁ ⊗ A₂ ⊗ ⋯ ⊗ A_k` — the natural
 //! extension of the paper's two-factor theorems, used by the Graph500-scale
-//! generators the paper cites ([3] builds graphs from many small factors).
+//! generators the paper cites (\[3\] builds graphs from many small factors).
 //!
 //! For loop-free undirected factors, associativity of `⊗` and Thm. 1/2
 //! give by induction:

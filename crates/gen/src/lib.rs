@@ -7,7 +7,7 @@
 //!   graph of Ex. 2 / Fig. 3, cycles, paths, stars, grids;
 //! * [`erdos_renyi`] / [`barabasi_albert`] — standard random models for
 //!   factors;
-//! * [`holme_kim`] — powerlaw-with-clustering model; the workspace's
+//! * [`holme_kim()`] — powerlaw-with-clustering model; the workspace's
 //!   **substitute for the SNAP `web-NotreDame` graph** of §VI:
 //!   scale-free, heavy-tailed, rich in triangles;
 //! * [`one_triangle_per_edge`] — the paper's §III-D strategy (b): a
@@ -15,7 +15,7 @@
 //!   the hypothesis of the truss theorem (Thm. 3);
 //! * [`triangle_sparsify`] — §III-D strategy (a): delete edges from a real
 //!   graph until `Δ ≤ 1`, protecting a spanning tree to keep connectivity;
-//! * [`rmat`] / [`stochastic_kronecker`] — the *stochastic* generators the
+//! * [`rmat()`] / [`stochastic_kronecker`] — the *stochastic* generators the
 //!   paper contrasts against (Rem. 1: stochastic Kronecker graphs have
 //!   relatively few triangles — the experiment `expt_rem1_stochastic`
 //!   reproduces this).

@@ -8,7 +8,7 @@
 //! > each new node `u`, pick edge `(i, j)` uniformly at random from the
 //! > previously existing edges. Pick vertex `v` from `{i, j}` uniformly at
 //! > random and add `(u, v)` to the list of edges. If the number of
-//! > triangles that `(i, j)` participates in is zero, then let `w` be [the]
+//! > triangles that `(i, j)` participates in is zero, then let `w` be \[the\]
 //! > vertex in `{i, j}` that wasn't already attached, add `(u, w)` to the
 //! > list of edges, and increment the triangle count for `(i, j)`,
 //! > `(u, v)`, and `(u, w)`. Repeat for a new `u` until the desired number

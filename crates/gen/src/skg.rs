@@ -1,5 +1,5 @@
 //! Stochastic Kronecker graphs (Leskovec et al.) — the generator class of
-//! the paper's references [4]/[7], kept as the Rem. 1 baseline: edges are
+//! the paper's references \[4\]/\[7\], kept as the Rem. 1 baseline: edges are
 //! sampled independently from `P^{⊗k}`, which yields *few* triangles,
 //! unlike the nonstochastic products this workspace is about.
 //!

@@ -41,25 +41,7 @@ impl Query {
     pub fn parse(line: &str) -> Result<Query, String> {
         let mut tok = line.split_whitespace();
         let kw = tok.next().ok_or("empty query")?;
-        let mut arg = |name: &str| -> Result<u64, String> {
-            let raw = tok
-                .next()
-                .ok_or_else(|| format!("{kw}: missing <{name}>"))?;
-            // The server echoes these errors to remote clients, so
-            // distinguish a number that is simply too large from a token
-            // that is not a number at all.
-            raw.parse().map_err(|e: std::num::ParseIntError| {
-                if *e.kind() == std::num::IntErrorKind::PosOverflow {
-                    format!(
-                        "{kw}: <{name}> {raw:?} overflows the vertex id range \
-                         (max {})",
-                        u64::MAX
-                    )
-                } else {
-                    format!("{kw}: <{name}> must be a vertex id (got {raw:?})")
-                }
-            })
-        };
+        let mut arg = |name| u64_arg(tok.next(), kw, name, "vertex id");
         let q = match kw {
             "degree" => Query::Degree(arg("v")?),
             "neighbors" => Query::Neighbors(arg("v")?),
@@ -90,6 +72,25 @@ impl Query {
             Query::HasEdge(u, _) | Query::EdgeTriangles(u, _) => u,
         }
     }
+}
+
+/// Parse `raw`, the value of integer parameter `<name>` of the query or
+/// endpoint `kw`, as a `noun` (`vertex id`, `hop count`): the one parser
+/// of a query's integer parameters, batch lines and `/path` / `/khop`
+/// alike. The server echoes these errors to remote clients, so a missing
+/// parameter names itself, a number that is simply too large is told
+/// apart from a token that is not a number at all, and the token is
+/// echoed back.
+pub(crate) fn u64_arg(raw: Option<&str>, kw: &str, name: &str, noun: &str) -> Result<u64, String> {
+    let raw = raw.ok_or_else(|| format!("{kw}: missing <{name}>"))?;
+    raw.parse().map_err(|e: std::num::ParseIntError| {
+        if *e.kind() == std::num::IntErrorKind::PosOverflow {
+            let max = u64::MAX;
+            format!("{kw}: <{name}> {raw:?} overflows the {noun} range (max {max})")
+        } else {
+            format!("{kw}: <{name}> must be a {noun} (got {raw:?})")
+        }
+    })
 }
 
 impl std::fmt::Display for Query {

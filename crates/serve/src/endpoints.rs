@@ -7,7 +7,7 @@
 //! single-answer endpoints through [`Point::parse`], so a router's `400`
 //! is a node's `400` byte for byte.
 
-use crate::batch::{parse_queries, Query};
+use crate::batch::{parse_queries, u64_arg, Query};
 use crate::http::{encode_query_component, Request};
 use kron_stream::json::Json;
 use std::ops::Range;
@@ -219,7 +219,7 @@ impl Point {
     /// Parse the request's parameters. The error is the text of the
     /// `400` body after `error: `.
     pub(crate) fn parse(kind: PointKind, req: &Request) -> Result<Point, String> {
-        let param = |kw, name, noun| u64_param(req, kw, name, noun);
+        let param = |kw, name, noun| u64_arg(req.query_param(name), kw, name, noun);
         Ok(match kind {
             PointKind::Query => Point::Query(Query::parse(
                 req.query_param("q").ok_or("missing query parameter q")?,
@@ -290,24 +290,6 @@ impl Point {
             Point::Path { .. } | Point::Khop { .. } => JSON,
         }
     }
-}
-
-/// Parse the `u64` query parameter `name` with the `Query::parse` error
-/// conventions pinned in the batch grammar: a missing parameter names
-/// it, overflow is distinguished from malformed, and the offending
-/// token is echoed back.
-fn u64_param(req: &Request, kw: &str, name: &str, noun: &str) -> Result<u64, String> {
-    let raw = req
-        .query_param(name)
-        .ok_or_else(|| format!("{kw}: missing <{name}>"))?;
-    raw.parse().map_err(|e: std::num::ParseIntError| {
-        if *e.kind() == std::num::IntErrorKind::PosOverflow {
-            let max = u64::MAX;
-            format!("{kw}: <{name}> {raw:?} overflows the {noun} range (max {max})")
-        } else {
-            format!("{kw}: <{name}> must be a {noun} (got {raw:?})")
-        }
-    })
 }
 
 #[cfg(test)]

@@ -274,10 +274,10 @@ enum QueryPath<'o> {
 /// blip, while the query itself already failed loudly. Both sides failing
 /// (e.g. both out of range) is agreement; one side failing while the
 /// other answers is exactly what cross-check exists to flag.
-pub(crate) fn disagree<A: ?Sized, O>(
-    art: Result<&A, &ServeError>,
-    ora: Result<&O, &ServeError>,
-    same: impl FnOnce(&A, &O) -> bool,
+fn disagree<T>(
+    art: Result<&T, &ServeError>,
+    ora: Result<&T, &ServeError>,
+    same: impl FnOnce(&T, &T) -> bool,
 ) -> bool {
     match (art, ora) {
         (Ok(a), Ok(o)) => !same(a, o),
@@ -288,7 +288,7 @@ pub(crate) fn disagree<A: ?Sized, O>(
 
 /// One side of a recorded disagreement: the answer as `render` shows it,
 /// an error as `error: …`.
-pub(crate) fn show<T: ?Sized>(r: Result<&T, &ServeError>, render: impl Fn(&T) -> String) -> String {
+fn show<T>(r: Result<&T, &ServeError>, render: impl Fn(&T) -> String) -> String {
     match r {
         Ok(v) => render(v),
         Err(e) => format!("error: {e}"),
@@ -534,22 +534,28 @@ impl ServeEngine {
         row.ok_or_else(|| ServeError::Corrupt(format!("shard {shard}: row {v} does not decode")))
     }
 
-    /// The row of `u`, a neighbour in resident `shard` that the triangle
-    /// loop intersects with: shared out of the LRU when one is configured
-    /// (a miss is read off the mapping and inserted), read in place
-    /// otherwise. The only reader and writer of the LRU.
-    fn neighbour_row(&self, shard: usize, u: u64) -> Result<RowRef<'_>, ServeError> {
+    /// `with` applied to the row of `u`, a neighbour in resident `shard`
+    /// that the triangle loop intersects with: the row is lent out of the
+    /// LRU when one is configured (a miss is read off the mapping, a copy
+    /// inserted, and the read row lent), read in place otherwise. The only
+    /// reader and writer of the LRU.
+    fn neighbour_row<R>(
+        &self,
+        shard: usize,
+        u: u64,
+        with: impl FnOnce(&[u64]) -> R,
+    ) -> Result<R, ServeError> {
         let Some(cache) = &self.cache else {
-            return self.resident_row(shard, u);
+            return Ok(with(&self.resident_row(shard, u)?));
         };
         if let Some(row) = cache.get(u) {
             self.routing.record_hit();
-            return Ok(RowRef::Shared(row));
+            return Ok(with(&row));
         }
         self.routing.record_miss();
-        let row: Arc<[u64]> = self.resident_row(shard, u)?.into();
-        cache.insert(u, row.clone());
-        Ok(RowRef::Shared(row))
+        let row = self.resident_row(shard, u)?;
+        cache.insert(u, Arc::from(&*row));
+        Ok(with(&row))
     }
 
     pub(crate) fn out_of_range(&self, vertex: u64) -> ServeError {
@@ -625,7 +631,7 @@ impl ServeEngine {
 
     /// Record one cross-check disagreement: bump the counter, and keep
     /// rendered detail up to the log cap.
-    pub(crate) fn note_mismatch(&self, query: String, artifact: String, oracle: String) {
+    fn note_mismatch(&self, query: String, artifact: String, oracle: String) {
         self.mismatch_count.fetch_add(1, Ordering::Relaxed);
         let mut log = self.mismatch_log.lock().unwrap();
         if log.len() < MISMATCH_LOG_CAP {
@@ -637,71 +643,78 @@ impl ServeEngine {
         }
     }
 
-    /// Record a cross-check outcome by [`disagree`]; only a disagreement
-    /// allocates (the rendered pair for the log).
-    fn reconcile<T: PartialEq>(
+    /// The one cross-check step: reconcile the artifact's answer `art`
+    /// with the oracle's `ora` by [`disagree`] under `same`, and log a
+    /// disagreement through [`Self::note_mismatch`], each side rendered
+    /// by `render` (which sees the other side's answer too). Only a
+    /// disagreement allocates. Returns the artifact's answer and whether
+    /// the two disagreed. Point queries reach it through
+    /// [`Self::answer`], path certificates directly.
+    pub(crate) fn cross_check<T>(
         &self,
         query: impl FnOnce() -> String,
-        artifact: &Result<T, ServeError>,
-        oracle: &Result<T, ServeError>,
-        render: impl Fn(&T) -> String,
-    ) {
-        if disagree(artifact.as_ref(), oracle.as_ref(), T::eq) {
-            self.note_mismatch(
-                query(),
-                show(artifact.as_ref(), &render),
-                show(oracle.as_ref(), &render),
-            );
+        art: Result<T, ServeError>,
+        ora: Result<T, ServeError>,
+        same: impl FnOnce(&T, &T) -> bool,
+        render: impl Fn(&T, Option<&T>) -> String,
+    ) -> (Result<T, ServeError>, bool) {
+        let disagreed = disagree(art.as_ref(), ora.as_ref(), same);
+        if disagreed {
+            let a = show(art.as_ref(), |a| render(a, ora.as_ref().ok()));
+            let o = show(ora.as_ref(), |o| render(o, art.as_ref().ok()));
+            self.note_mismatch(query(), a, o);
+        }
+        (art, disagreed)
+    }
+
+    /// Answer one point query through the machinery [`Self::path`] picks
+    /// for it: the artifact walk `art`, the closed form `ora` off the
+    /// oracle, or both through [`Self::cross_check`]. The one place that
+    /// branches on the query path.
+    fn answer<T>(
+        &self,
+        query: impl FnOnce() -> String,
+        art: impl FnOnce() -> Result<T, ServeError>,
+        ora: impl FnOnce(&FactorOracle) -> Result<T, ServeError>,
+        same: impl FnOnce(&T, &T) -> bool,
+        render: impl Fn(&T, Option<&T>) -> String,
+    ) -> Result<T, ServeError> {
+        match self.path() {
+            QueryPath::Artifact => art(),
+            QueryPath::Oracle(oracle) => ora(oracle),
+            QueryPath::Check(oracle) => self.cross_check(query, art(), ora(oracle), same, render).0,
         }
     }
 
     /// The sorted adjacency row of `v` (self loop included, matching
     /// `KronProduct::neighbors`): zero-copy from the mapping in artifact
     /// mode (an owned copy for a non-resident row), materialized from the
-    /// factor rows in oracle mode.
+    /// factor rows in oracle mode. A cross-check compares the artifact row
+    /// in place — the agree path (every query on a healthy run) does not
+    /// copy it — and logs a bounded digest of each row (hub rows can be
+    /// huge): its length and its entry at the first position the two
+    /// differ.
     ///
     /// # Errors
     ///
     /// [`ServeError::VertexOutOfRange`] for `v ≥ n_C`; in a cluster,
     /// [`ServeError::Remote`] when the owning peer cannot produce the row.
     pub fn neighbors(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
-        match self.path() {
-            QueryPath::Artifact => self.row(v),
-            QueryPath::Oracle(oracle) => Ok(Cow::Owned(oracle.neighbors(v)?)),
-            QueryPath::Check(oracle) => {
-                let art = self.row(v);
-                let ora = oracle.neighbors(v);
-                // Compare borrowed against owned directly — the agree path
-                // (every query on a healthy run) must not copy the row.
-                if disagree(art.as_ref(), ora.as_ref(), |a, o| **a == *o.as_slice()) {
-                    // Rows can be huge (hub vertices); render a bounded
-                    // digest — length plus the first diverging position —
-                    // so the mismatch log and stderr stay usable.
-                    let divergence = match (&art, &ora) {
-                        (Ok(a), Ok(o)) => a
-                            .iter()
-                            .zip(o.iter())
-                            .position(|(x, y)| x != y)
-                            .or(Some(a.len().min(o.len()))),
-                        _ => None,
-                    };
-                    let show_row = |r: &[u64]| match divergence {
-                        Some(at) => format!(
-                            "[{} entries] ..[{at}] = {}",
-                            r.len(),
-                            r.get(at).map_or("<end>".into(), u64::to_string)
-                        ),
-                        None => format!("[{} entries]", r.len()),
-                    };
-                    self.note_mismatch(
-                        format!("neighbors {v}"),
-                        show(art.as_ref().map(|r| &**r), show_row),
-                        show(ora.as_ref().map(Vec::as_slice), show_row),
-                    );
-                }
-                art
-            }
-        }
+        self.answer(
+            || format!("neighbors {v}"),
+            || self.row(v),
+            |oracle| Ok(Cow::Owned(oracle.neighbors(v)?)),
+            |a, o| a == o,
+            |r, other| {
+                let Some(o) = other else {
+                    return format!("[{} entries]", r.len());
+                };
+                let at = r.iter().zip(o.iter()).position(|(x, y)| x != y);
+                let at = at.unwrap_or(r.len().min(o.len()));
+                let x = r.get(at).map_or("<end>".into(), u64::to_string);
+                format!("[{} entries] ..[{at}] = {x}", r.len())
+            },
+        )
     }
 
     fn degree_artifact(&self, v: u64) -> Result<u64, ServeError> {
@@ -716,16 +729,13 @@ impl ServeEngine {
     /// [`ServeError::VertexOutOfRange`] for `v ≥ n_C`; in a cluster,
     /// [`ServeError::Remote`] when the owning peer cannot produce the row.
     pub fn degree(&self, v: u64) -> Result<u64, ServeError> {
-        match self.path() {
-            QueryPath::Artifact => self.degree_artifact(v),
-            QueryPath::Oracle(oracle) => oracle.degree(v),
-            QueryPath::Check(oracle) => {
-                let art = self.degree_artifact(v);
-                let ora = oracle.degree(v);
-                self.reconcile(|| format!("degree {v}"), &art, &ora, u64::to_string);
-                art
-            }
-        }
+        self.answer(
+            || format!("degree {v}"),
+            || self.degree_artifact(v),
+            |oracle| oracle.degree(v),
+            u64::eq,
+            |d, _| d.to_string(),
+        )
     }
 
     pub(crate) fn has_edge_artifact(&self, u: u64, v: u64) -> Result<bool, ServeError> {
@@ -740,16 +750,13 @@ impl ServeEngine {
     /// [`ServeError::VertexOutOfRange`] for either id ≥ `n_C`; in a
     /// cluster, [`ServeError::Remote`] when `u`'s row is not fetchable.
     pub fn has_edge(&self, u: u64, v: u64) -> Result<bool, ServeError> {
-        match self.path() {
-            QueryPath::Artifact => self.has_edge_artifact(u, v),
-            QueryPath::Oracle(oracle) => oracle.has_edge(u, v),
-            QueryPath::Check(oracle) => {
-                let art = self.has_edge_artifact(u, v);
-                let ora = oracle.has_edge(u, v);
-                self.reconcile(|| format!("has_edge {u} {v}"), &art, &ora, bool::to_string);
-                art
-            }
-        }
+        self.answer(
+            || format!("has_edge {u} {v}"),
+            || self.has_edge_artifact(u, v),
+            |oracle| oracle.has_edge(u, v),
+            bool::eq,
+            |b, _| b.to_string(),
+        )
     }
 
     /// The error for a row that names a vertex no shard owns: in a
@@ -781,8 +788,9 @@ impl ServeEngine {
                 asked.push(u);
                 continue;
             }
-            let row_u = self.neighbour_row(shard, u)?;
-            let (delta, c) = slice::intersect_excluding(&row_v, &row_u, v, u);
+            let (delta, c) = self.neighbour_row(shard, u, |row_u| {
+                slice::intersect_excluding(&row_v, row_u, v, u)
+            })?;
             twice_t += delta;
             checks += c;
         }
@@ -837,18 +845,14 @@ impl ServeEngine {
     /// every shard; in a cluster, [`ServeError::Remote`] when a needed
     /// row's owning peer cannot produce it.
     pub fn vertex_triangles_with_checks(&self, v: u64) -> Result<(u64, u64), ServeError> {
-        match self.path() {
-            QueryPath::Artifact => self.vertex_triangles_artifact(v),
-            QueryPath::Oracle(oracle) => Ok((oracle.vertex_triangles(v)?, 0)),
-            QueryPath::Check(oracle) => {
-                let art = self.vertex_triangles_artifact(v);
-                let ora = oracle.vertex_triangles(v);
-                // compare counts only — wedge checks are accounting, not answers
-                let art_t = art.as_ref().map(|&(t, _)| t).map_err(ServeError::clone);
-                self.reconcile(|| format!("tri_vertex {v}"), &art_t, &ora, u64::to_string);
-                art
-            }
-        }
+        // compare counts only — wedge checks are accounting, not answers
+        self.answer(
+            || format!("tri_vertex {v}"),
+            || self.vertex_triangles_artifact(v),
+            |oracle| Ok((oracle.vertex_triangles(v)?, 0)),
+            |a, o| a.0 == o.0,
+            |(t, _), _| t.to_string(),
+        )
     }
 
     /// Triangle participation `t_C(v)` (Def. 5).
@@ -876,8 +880,9 @@ impl ServeEngine {
             // `v`'s row lives on a peer: ship `row(u)` there instead
             return self.wedges(remote, replicas, u, &row_u, &[v]).map(Some);
         }
-        let row_v = self.neighbour_row(shard, v)?;
-        Ok(Some(slice::edge_triangles_rows(&row_u, &row_v, u, v)))
+        self.neighbour_row(shard, v, |row_v| {
+            Some(slice::edge_triangles_rows(&row_u, row_v, u, v))
+        })
     }
 
     /// Triangle participation `Δ_C[{u, v}]` of the edge `{u, v}` (Def. 6)
@@ -897,28 +902,13 @@ impl ServeEngine {
         u: u64,
         v: u64,
     ) -> Result<Option<(u64, u64)>, ServeError> {
-        match self.path() {
-            QueryPath::Artifact => self.edge_triangles_artifact(u, v),
-            QueryPath::Oracle(oracle) => Ok(oracle.edge_triangles(u, v)?.map(|d| (d, 0))),
-            QueryPath::Check(oracle) => {
-                let art = self.edge_triangles_artifact(u, v);
-                let ora = oracle.edge_triangles(u, v);
-                let art_d = art
-                    .as_ref()
-                    .map(|o| o.map(|(d, _)| d))
-                    .map_err(ServeError::clone);
-                self.reconcile(
-                    || format!("tri_edge {u} {v}"),
-                    &art_d,
-                    &ora,
-                    |o| match o {
-                        Some(d) => d.to_string(),
-                        None => "not-an-edge".into(),
-                    },
-                );
-                art
-            }
-        }
+        self.answer(
+            || format!("tri_edge {u} {v}"),
+            || self.edge_triangles_artifact(u, v),
+            |oracle| Ok(oracle.edge_triangles(u, v)?.map(|d| (d, 0))),
+            |a, o| a.map(|(d, _)| d) == o.map(|(d, _)| d),
+            |e, _| e.map_or("not-an-edge".into(), |(d, _)| d.to_string()),
+        )
     }
 
     /// Triangle participation `Δ_C[{u, v}]`, or `None` if `{u, v}` is not

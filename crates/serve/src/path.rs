@@ -32,7 +32,7 @@
 //! into the engine's mismatch machinery — the same counters that drive
 //! `/stats` and the CLI's nonzero cross-check exit.
 
-use crate::engine::{disagree, show, ServeEngine, ServeError};
+use crate::engine::{ServeEngine, ServeError};
 use kron_analyze::LevelRows;
 use kron_stream::json::Json;
 use kron_stream::SplitMix;
@@ -345,27 +345,25 @@ impl<'e> PathCertifier<'e> {
     }
 
     /// Certify one path; returns how many of its edges failed. Counts
-    /// one sampled check on the engine, and one mismatch per edge that
-    /// either side denies, under the engine's one cross-check verdict
-    /// rule: a remote-fetch failure while re-reading is no verdict.
-    /// Without an oracle only the artifact is asked.
+    /// one sampled check on the engine, and puts every edge, unsampled,
+    /// through the engine's one cross-check step, under which an edge
+    /// fails when either side denies it — and a remote-fetch failure
+    /// while re-reading is no verdict. Without an oracle only the
+    /// artifact is asked.
     pub fn certify(&self, from: u64, to: u64, path: &[u64]) -> u64 {
         self.engine.count_certified();
-        let mut bad = 0u64;
-        for pair in path.windows(2) {
-            let (u, v) = (pair[0], pair[1]);
-            let art = self.engine.has_edge_artifact(u, v);
-            let ora = self.engine.oracle().map_or(Ok(true), |o| o.has_edge(u, v));
-            if disagree(art.as_ref(), ora.as_ref(), |&a, &o| a && o) {
-                bad += 1;
-                self.engine.note_mismatch(
-                    format!("path {from} {to}: edge {u} {v}"),
-                    show(art.as_ref(), bool::to_string),
-                    show(ora.as_ref(), bool::to_string),
-                );
-            }
+        let mut failed = 0;
+        for (&u, &v) in path.iter().zip(path.iter().skip(1)) {
+            let (_, bad) = self.engine.cross_check(
+                || format!("path {from} {to}: edge {u} {v}"),
+                self.engine.has_edge_artifact(u, v),
+                self.engine.oracle().map_or(Ok(true), |o| o.has_edge(u, v)),
+                |&a, &o| a && o,
+                |b, _| b.to_string(),
+            );
+            failed += u64::from(bad);
         }
-        bad
+        failed
     }
 }
 
@@ -531,11 +529,13 @@ mod tests {
         // flagged: (0,0)-(0,1) and (0,1)-(0,2) are both non-edges.
         let bad = PathCertifier::new(&engine).certify(0, 1, &[0, 1, 2]);
         assert_eq!(bad, 2, "0-1 and 1-2 are both non-edges");
-        assert!(engine.mismatch_count() >= 2);
-        assert!(engine
-            .mismatches()
-            .iter()
-            .any(|m| m.query.starts_with("path 0 1: edge")));
+        assert_eq!(engine.mismatch_count(), 2);
+        let record = |edge: &str| crate::Mismatch {
+            query: format!("path 0 1: edge {edge}"),
+            artifact: "false".into(),
+            oracle: "false".into(),
+        };
+        assert_eq!(engine.mismatches(), vec![record("0 1"), record("1 2")]);
         drop(c);
     }
 

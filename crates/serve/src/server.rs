@@ -6,7 +6,7 @@
 //! oracle modes) factor parsing. [`Server`] amortizes all of that across
 //! the process lifetime: open once, `mmap` once, then answer over
 //! loopback or the network until told to stop. Combined with
-//! [`AnswerSource::CrossCheckSampled`] this is the ROADMAP's production
+//! [`crate::AnswerSource::CrossCheckSampled`] this is the ROADMAP's production
 //! posture: artifact-cost serving with an always-on 1-in-N conformance
 //! audit against the paper's closed forms.
 //!
@@ -817,12 +817,12 @@ fn serve_wedges(state: &ServerState<'_>, req: &http::Request, on: Thread) -> Opt
             return None;
         }
     }
-    let mut body = Vec::with_capacity(4 * answered);
+    let (mut body, mut buf) = (Vec::with_capacity(4 * answered), Vec::new());
     for (&u, open) in ask.asked.iter().zip(shards).take(answered) {
-        let Some(row_u) = open.reader.row(u) else {
+        let Some(row_u) = open.reader.row_into(u, &mut buf) else {
             return Some(error(500, "resident row unavailable"));
         };
-        let (count, checks) = slice::intersect_excluding(&ask.row_v, &row_u, ask.v, u);
+        let (count, checks) = slice::intersect_excluding(&ask.row_v, row_u, ask.v, u);
         varint_push(count, &mut body);
         varint_push(checks, &mut body);
     }

@@ -34,7 +34,6 @@ use std::borrow::Cow;
 use std::fs::File;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 /// File magic of the v1 (raw) format.
 pub const MAGIC: &[u8; 8] = b"KRONCSR1";
@@ -459,24 +458,14 @@ impl CsrMap {
 /// The one adjacency-row handle, `Deref`ing to `&[u64]`.
 ///
 /// v1 rows are zero-copy slices of the mapping; v2 rows are decoded into
-/// an owned buffer; rows out of a hot-row cache are shared. Every kernel
-/// above the reader is generic over `Deref<Target = [u64]>`, so all three
-/// travel the same paths.
+/// an owned buffer. Every kernel above the reader is generic over
+/// `Deref<Target = [u64]>`, so both travel the same paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowRef<'a> {
     /// A zero-copy slice into a v1 mapping.
     Mapped(&'a [u64]),
     /// A row decoded out of a v2 column stream.
     Decoded(Vec<u64>),
-    /// A shared row out of the hot-row cache.
-    Shared(Arc<[u64]>),
-}
-
-impl RowRef<'_> {
-    /// The row as a plain slice.
-    pub fn as_slice(&self) -> &[u64] {
-        self
-    }
 }
 
 impl std::ops::Deref for RowRef<'_> {
@@ -487,35 +476,17 @@ impl std::ops::Deref for RowRef<'_> {
         match self {
             RowRef::Mapped(s) => s,
             RowRef::Decoded(v) => v,
-            RowRef::Shared(a) => a,
         }
     }
 }
 
-impl From<RowRef<'_>> for Arc<[u64]> {
-    fn from(row: RowRef<'_>) -> Arc<[u64]> {
-        match row {
-            RowRef::Mapped(s) => s.into(),
-            RowRef::Decoded(v) => v.into(),
-            RowRef::Shared(a) => a,
-        }
-    }
-}
-
-/// Borrowed for a mapped row, owned otherwise (a shared row is copied).
+/// Borrowed for a mapped row, owned for a decoded one.
 impl<'a> From<RowRef<'a>> for Cow<'a, [u64]> {
     fn from(row: RowRef<'a>) -> Cow<'a, [u64]> {
         match row {
             RowRef::Mapped(s) => Cow::Borrowed(s),
             RowRef::Decoded(v) => Cow::Owned(v),
-            RowRef::Shared(a) => Cow::Owned(a.to_vec()),
         }
-    }
-}
-
-impl From<RowRef<'_>> for Vec<u64> {
-    fn from(row: RowRef<'_>) -> Vec<u64> {
-        Cow::from(row).into_owned()
     }
 }
 
@@ -791,7 +762,7 @@ mod tests {
         for v in 9..=13u64 {
             match (v1.row(v), v2.row(v)) {
                 (None, None) => {}
-                (Some(a), Some(b)) => assert_eq!(a.as_slice(), b.as_slice(), "row {v}"),
+                (Some(a), Some(b)) => assert_eq!(*a, *b, "row {v}"),
                 (a, b) => panic!("row {v} residency disagrees: {a:?} vs {b:?}"),
             }
         }

@@ -261,7 +261,8 @@ fn cross_check_flags_exactly_the_tampered_queries() {
     let artifact = ServeEngine::open_with(&dir, &opts(AnswerSource::Artifact)).unwrap();
     let crosscheck = ServeEngine::open_with(&dir, &opts(AnswerSource::CrossCheck)).unwrap();
 
-    // The full per-vertex query grid plus the three targeted edge probes.
+    // The full per-vertex query grid, the two targeted edge probes, and
+    // `tri_edge` from r to each of its closed-form neighbours and to c_new.
     let mut queries = Vec::new();
     for v in 0..n_c {
         queries.push(Query::Degree(v));
@@ -270,6 +271,9 @@ fn cross_check_flags_exactly_the_tampered_queries() {
     }
     queries.push(Query::HasEdge(r, c_old));
     queries.push(Query::HasEdge(r, c_new));
+    for u in c.neighbors(r).into_iter().chain([c_new]) {
+        queries.push(Query::EdgeTriangles(r, u));
+    }
 
     // Expected mismatch set, computed independently: every query where
     // the (tampered) artifact engine and the closed form disagree.
@@ -317,6 +321,50 @@ fn cross_check_flags_exactly_the_tampered_queries() {
         .map(|m| m.query)
         .collect();
     assert_eq!(flagged, expected, "flagged set must equal the affected set");
+    assert!(expected.contains(&format!("tri_edge {r} {c_old}")));
+    assert!(expected.contains(&format!("tri_edge {r} {c_new}")));
+
+    // Every record carries both answers as the log renders them: a scalar
+    // bare (`not-an-edge` for a non-edge, `error: …` for an error), a row
+    // as its length and the first position where the two rows differ.
+    let err = |e: kron_serve::ServeError| format!("error: {e}");
+    let edge = |d: Option<u64>| d.map_or("not-an-edge".to_string(), |d| d.to_string());
+    let rendered = |q: Query| -> (String, String) {
+        match q {
+            Query::Degree(v) => (
+                artifact.degree(v).map_or_else(err, |d| d.to_string()),
+                c.degree(v).to_string(),
+            ),
+            Query::Neighbors(v) => {
+                let (a, o) = (artifact.neighbors(v).unwrap().into_owned(), c.neighbors(v));
+                let at = a.iter().zip(&o).position(|(x, y)| x != y);
+                let at = at.unwrap_or(a.len().min(o.len()));
+                let digest = |r: &[u64]| {
+                    let x = r.get(at).map_or("<end>".to_string(), u64::to_string);
+                    format!("[{} entries] ..[{at}] = {x}", r.len())
+                };
+                (digest(&a), digest(&o))
+            }
+            Query::VertexTriangles(v) => (
+                artifact
+                    .vertex_triangles(v)
+                    .map_or_else(err, |t| t.to_string()),
+                c.vertex_triangles(v).to_string(),
+            ),
+            Query::HasEdge(u, v) => (
+                artifact.has_edge(u, v).map_or_else(err, |b| b.to_string()),
+                c.has_edge(u, v).to_string(),
+            ),
+            Query::EdgeTriangles(u, v) => (
+                artifact.edge_triangles(u, v).map_or_else(err, edge),
+                edge(c.edge_triangles(u, v)),
+            ),
+        }
+    };
+    for m in crosscheck.mismatches() {
+        let q = *queries.iter().find(|q| q.to_string() == m.query).unwrap();
+        assert_eq!((m.artifact, m.oracle), rendered(q), "{}", m.query);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
