@@ -496,7 +496,7 @@ mod tests {
     use kron_gen::erdos_renyi;
     use kron_graph::Graph;
     use kron_stream::{stream_product, OutputFormat, StreamConfig};
-    use kron_triangles::{count_triangles_serial, edge_participation, vertex_participation};
+    use kron_triangles::{count_triangles, edge_participation, vertex_participation};
 
     fn streamed(
         name: &str,
@@ -551,7 +551,7 @@ mod tests {
                     assert_eq!(u64::from(delta[slot]), want_delta[at], "seed {seed}");
                 }
             }
-            let triangles = count_triangles_serial(&g).triangles;
+            let triangles = count_triangles(&g).triangles;
             assert_eq!(t.iter().sum::<u64>(), 3 * triangles, "seed {seed}");
             // one probe per oriented wedge v → u → w: Σ_{v→u} |out(u)|
             let rank = |v: u32| (g.row_len(v), v);

@@ -77,12 +77,12 @@ USAGE:
       stderr. --source oracle answers in closed form from the factor
       copies (artifact contents are never read, so checksum verification
       is skipped); --source cross-check answers from the artifact, checks
-      every answer against the oracle, and exits nonzero on mismatch
-      (a live conformance monitor); --source cross-check:N checks 1 in N
-      queries (deterministic by query counter — the always-on audit mode
-      at artifact cost). --cache keeps an LRU of hot decoded rows for
-      the triangle kernels' resident neighbours on skewed loads, bounded
-      by a byte budget (plain bytes or 512k / 512m / 4g suffixes)
+      every answer against the oracle, and exits nonzero on mismatch;
+      cross-check:N checks 1 in N queries, picked by query counter. A
+      cross-checked batch runs in input order on one thread (--threads
+      does not apply), so every run checks and logs the same queries.
+      --cache keeps an LRU of hot decoded rows for the triangle kernels'
+      resident neighbours, bounded in bytes (plain, or 512k / 512m / 4g)
   kron serve <DIR> --listen ADDR [--threads T] [--jobs J] [--no-verify]
              [--source artifact|oracle|cross-check[:N]] [--cache BYTES]
              [--max-conns N] [--idle-timeout SECS] [--io-timeout SECS]

@@ -61,7 +61,6 @@
 mod blocks;
 mod chain;
 mod directed;
-mod directed_general;
 pub mod distributions;
 mod egonet;
 mod error;
@@ -77,7 +76,6 @@ pub mod validate;
 pub use blocks::{RowBlockStats, RowRuns, RUN_CAPACITY};
 pub use chain::KronChain;
 pub use directed::KronDirectedProduct;
-pub use directed_general::KronDirectedGeneral;
 pub use egonet::ProductEgonet;
 pub use error::KronError;
 pub use index::ProductIndexer;

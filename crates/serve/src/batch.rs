@@ -4,7 +4,8 @@
 //! file, one query per line — see [`parse_queries`]). [`run_batch`] fans
 //! the batch out across worker threads (the shim rayon), each query
 //! routing to its shard(s) independently, and collects per-query answers
-//! *in input order* plus an aggregate [`QueryStats`] report.
+//! *in input order* plus an aggregate [`QueryStats`] report. A
+//! cross-checked batch runs in input order on the calling thread.
 
 use crate::engine::{AnswerSource, ServeEngine, ServeError};
 use kron_stream::json::Json;
@@ -335,6 +336,12 @@ pub struct BatchOutcome {
 /// out-of-range vertex) yields its own `Err` slot without aborting the
 /// rest of the batch.
 ///
+/// Under a cross-check source the queries run one after another, in
+/// input order, on the calling thread: the engine's query counter picks
+/// which queries a `cross-check:N` source checks, so only then does
+/// every run check the same queries and log their disagreements in the
+/// same order.
+///
 /// The engine's configured [`AnswerSource`] decides what each query
 /// actually does; the stats report that source, and in cross-check mode
 /// also how many artifact/oracle disagreements surfaced during the
@@ -343,32 +350,28 @@ pub struct BatchOutcome {
 /// batches share an engine concurrently).
 pub fn run_batch(engine: &ServeEngine, queries: &[Query]) -> BatchOutcome {
     let mismatches_before = engine.mismatch_count();
+    let timed = |i: usize| {
+        let q0 = Instant::now();
+        let (res, checks) = answer(engine, queries[i]);
+        (res, q0.elapsed(), checks)
+    };
     let t0 = Instant::now();
-    let results: Vec<(Result<Answer, ServeError>, Duration, u64)> = (0..queries.len())
-        .into_par_iter()
-        .map(|i| {
-            let q0 = Instant::now();
-            let (res, checks) = answer(engine, queries[i]);
-            (res, q0.elapsed(), checks)
-        })
-        .collect();
+    let (results, threads): (Vec<_>, _) = if engine.source().check_every().is_some() {
+        ((0..queries.len()).map(timed).collect(), 1)
+    } else {
+        let fanned = (0..queries.len()).into_par_iter().map(timed).collect();
+        (fanned, rayon::current_num_threads())
+    };
     let wall = t0.elapsed();
-    let mut answers = Vec::with_capacity(results.len());
-    let mut latencies = Vec::with_capacity(results.len());
-    let mut wedge_checks = 0u64;
-    let mut errors = 0usize;
-    for (res, lat, checks) in results {
-        errors += usize::from(res.is_err());
-        wedge_checks += checks;
-        latencies.push(lat);
-        answers.push(res);
-    }
+    let wedge_checks = results.iter().map(|(_, _, checks)| checks).sum();
+    let (answers, latencies): (Vec<_>, _) =
+        results.into_iter().map(|(res, lat, _)| (res, lat)).unzip();
     let stats = QueryStats::from_samples(
         engine.source(),
         latencies,
-        errors,
+        answers.iter().filter(|a| a.is_err()).count(),
         engine.mismatch_count() - mismatches_before,
-        rayon::current_num_threads(),
+        threads,
         wall,
         wedge_checks,
     );

@@ -7,7 +7,7 @@ use crate::cluster::{PeerSpec, RemoteShards};
 use crate::oracle::FactorOracle;
 use crate::server::INLINE_ROW_CAP;
 use kron_analyze::LevelRows;
-use kron_stream::{RowRef, ShardSet, SplitMix, StreamError};
+use kron_stream::{ShardSet, SplitMix, StreamError};
 use kron_triangles::slice;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -526,7 +526,7 @@ impl ServeEngine {
     /// The row of `v` off the mapping of `shard`, which routing put `v` in
     /// and [`Self::far`] found resident: zero-copy (v1) or decoded (csr2).
     /// Counts the fetch.
-    fn resident_row(&self, shard: usize, v: u64) -> Result<RowRef<'_>, ServeError> {
+    fn resident_row(&self, shard: usize, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
         self.routing.record_fetch(shard);
         // admission matched the mapped header to the shard's range, so
         // only a csr2 row whose bytes do not decode can be missing here
@@ -577,7 +577,7 @@ impl ServeEngine {
     pub(crate) fn row(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
         let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
         let Some((remote, replicas)) = self.far(shard) else {
-            return Ok(self.resident_row(shard, v)?.into());
+            return self.resident_row(shard, v);
         };
         self.routing.record_fetch(shard);
         self.routing.record_remote();

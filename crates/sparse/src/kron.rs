@@ -136,7 +136,11 @@ mod tests {
         let a = j(3);
         let b = j(4);
         let lhs = a.kron(&b).diag();
-        let rhs = crate::kron_vec(&a.diag(), &b.diag());
+        let (x, y) = (a.diag(), b.diag());
+        let rhs: Vec<i64> = x
+            .iter()
+            .flat_map(|&xi| y.iter().map(move |&yk| xi * yk))
+            .collect();
         assert_eq!(lhs, rhs);
     }
 

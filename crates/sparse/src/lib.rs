@@ -19,11 +19,11 @@
 //! * [`CsrMatrix::hadamard`] — elementwise product (`∘` in the paper);
 //! * [`CsrMatrix::kron`] — the explicit Kronecker product `A ⊗ B`
 //!   (Def. 1 of the paper), used to materialize small products in tests;
-//! * diagonal operators — `diag(A)`, `D_A = I ∘ A`, structural diagonal
-//!   removal (Rem. 3 of the paper);
+//! * diagonal operators — `diag(A)`, `D_A = I ∘ A` (as
+//!   [`CsrMatrix::from_diag`] of `diag(A)`), structural diagonal removal
+//!   (Rem. 3 of the paper);
 //! * [`masked_spgemm`] — `(A·B) ∘ M` without forming `A·B`, the standard
-//!   linear-algebraic triangle-counting kernel;
-//! * dense-vector helpers — [`kron_vec`] computes `x ⊗ y`.
+//!   linear-algebraic triangle-counting kernel.
 //!
 //! Everything is generic over a minimal [`Scalar`] trait (implemented for the
 //! unsigned/signed integers and `f64`), because triangle counts want `u64`
@@ -55,9 +55,7 @@ mod masked;
 mod ops;
 mod scalar;
 mod spgemm;
-mod vector;
 
 pub use csr::CsrMatrix;
 pub use masked::masked_spgemm;
 pub use scalar::Scalar;
-pub use vector::{add_vec, hadamard_vec, kron_vec, scale_vec, sub_vec};

@@ -131,31 +131,6 @@ impl<T: Scalar> CsrMatrix<T> {
         self.hadamard(other, |a, b| a.mul(b))
     }
 
-    /// Scale every entry by `alpha`.
-    pub fn scale(&self, alpha: T) -> Self {
-        self.map_values(|v| v.mul(alpha))
-    }
-
-    /// Apply `f` to every stored value (dropping any that become zero).
-    pub fn map_values<U: Scalar, F: Fn(T) -> U>(&self, f: F) -> CsrMatrix<U> {
-        let mut offsets = Vec::with_capacity(self.nrows() + 1);
-        let mut indices = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        offsets.push(0);
-        for i in 0..self.nrows() {
-            for (&j, &v) in self.row_indices(i).iter().zip(self.row_values(i)) {
-                let r = f(v);
-                if r != U::ZERO {
-                    indices.push(j);
-                    values.push(r);
-                }
-            }
-            offsets.push(indices.len());
-        }
-        CsrMatrix::try_from_parts(self.nrows(), self.ncols(), offsets, indices, values)
-            .expect("map_values preserves invariants")
-    }
-
     /// The diagonal as a dense vector: `diag(A)` in the paper's Def. 4.
     ///
     /// # Panics
@@ -163,12 +138,6 @@ impl<T: Scalar> CsrMatrix<T> {
     pub fn diag(&self) -> Vec<T> {
         assert_eq!(self.nrows(), self.ncols(), "diag of non-square matrix");
         (0..self.nrows()).map(|i| self.get(i, i)).collect()
-    }
-
-    /// The diagonal part `D_A = I ∘ A` as a sparse matrix (Def. 4).
-    pub fn diag_matrix(&self) -> Self {
-        assert_eq!(self.nrows(), self.ncols(), "diag of non-square matrix");
-        Self::from_diag(&self.diag())
     }
 
     /// Structurally remove the diagonal: `A − I ∘ A` (Rem. 3 of the paper).
@@ -202,35 +171,9 @@ impl<T: Scalar> CsrMatrix<T> {
             .collect()
     }
 
-    /// Sparse matrix × dense vector.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != ncols`.
-    pub fn matvec(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.ncols(), "matvec dimension mismatch");
-        (0..self.nrows())
-            .map(|i| {
-                self.row_indices(i)
-                    .iter()
-                    .zip(self.row_values(i))
-                    .fold(T::ZERO, |acc, (&j, &v)| acc.add(v.mul(x[j as usize])))
-            })
-            .collect()
-    }
-
     /// Whether `A == Aᵗ` (pattern and values).
     pub fn is_symmetric(&self) -> bool {
         self.nrows() == self.ncols() && *self == self.transpose()
-    }
-
-    /// Whether every diagonal entry is zero (graph has no self loops).
-    pub fn diag_is_zero(&self) -> bool {
-        self.nrows() == self.ncols() && (0..self.nrows()).all(|i| self.get(i, i) == T::ZERO)
-    }
-
-    /// Sum of all entries.
-    pub fn total(&self) -> T {
-        self.values().iter().fold(T::ZERO, |acc, &v| acc.add(v))
     }
 }
 
@@ -265,7 +208,7 @@ mod tests {
     #[test]
     fn add_and_cancellation() {
         let a = small();
-        let b = a.map_values(|v| -v);
+        let b = CsrMatrix::from_dense(&[vec![-1, 0, -2], vec![0, -3, 0], vec![-4, 0, -5]]);
         let s = a.add(&b);
         assert_eq!(s.nnz(), 0);
     }
@@ -282,10 +225,10 @@ mod tests {
     fn diag_ops() {
         let a = small();
         assert_eq!(a.diag(), vec![1, 3, 5]);
-        let d = a.diag_matrix();
+        let d = CsrMatrix::from_diag(&a.diag());
         assert_eq!(d.nnz(), 3);
         let nod = a.drop_diagonal();
-        assert!(nod.diag_is_zero());
+        assert_eq!(nod.diag(), vec![0, 0, 0]);
         assert_eq!(nod.nnz(), 2);
         // A == (A − D) + D
         assert_eq!(nod.add(&d), a);
@@ -295,8 +238,10 @@ mod tests {
     fn row_sums_and_matvec() {
         let a = small();
         assert_eq!(a.row_sums(), vec![3, 3, 9]);
-        assert_eq!(a.matvec(&[1, 1, 1]), vec![3, 3, 9]);
-        assert_eq!(a.matvec(&[1, 0, 0]), vec![1, 0, 4]);
+        // A·x as the product with a one-column matrix
+        let matvec = |x: [i64; 3]| a.spgemm(&CsrMatrix::from_dense(&x.map(|v| vec![v])));
+        assert_eq!(matvec([1, 1, 1]).to_dense(), [[3], [3], [9]]);
+        assert_eq!(matvec([1, 0, 0]).to_dense(), [[1], [0], [4]]);
     }
 
     #[test]
@@ -305,13 +250,6 @@ mod tests {
         assert!(sym.is_symmetric());
         let asym = CsrMatrix::<u64>::from_triplets(2, 2, [(0, 1, 3)]);
         assert!(!asym.is_symmetric());
-    }
-
-    #[test]
-    fn scale_and_total() {
-        let a = small();
-        assert_eq!(a.scale(2).total(), 2 * a.total());
-        assert_eq!(a.total(), 15);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   rows, and most columns take 1–2 bytes instead of 8.
 //!
 //! [`CsrMap`] opens either, picking the codec by the magic, and hands
-//! every row out through one [`RowRef`]-returning API. v1 stays readable
-//! forever.
+//! every row out as one `Cow<[u64]>`: borrowed from the mapping for v1,
+//! owned and decoded for v2. v1 stays readable forever.
 
 use crate::mmap::{as_u64s, Mmap};
 use std::borrow::Cow;
@@ -241,9 +241,9 @@ impl RowCodec for VarintDelta {
 /// length once. A row is then a slice of the mapping (v1, zero-copy) or
 /// one row's stream bytes decoded on demand (v2), and bytes that do not
 /// decode are refused. Readers above this type ([`crate::ShardSet`], the
-/// serving engine) see one [`RowRef`]-returning row API and never branch
-/// on the format. Content integrity (row lengths, checksums) is the job of
-/// `verify-shards` and checksum-verified opens.
+/// serving engine) see one `Cow<[u64]>`-returning row API and never
+/// branch on the format. Content integrity (row lengths, checksums) is
+/// the job of `verify-shards` and checksum-verified opens.
 pub struct CsrMap {
     map: Mmap,
     codec: Codec,
@@ -412,10 +412,10 @@ impl CsrMap {
     // memory round trip of the handle and ~20 ns per row. Each codec's
     // body stays out of line so the dispatch stays small enough to inline.
     #[inline]
-    pub fn row(&self, p: u64) -> Option<RowRef<'_>> {
+    pub fn row(&self, p: u64) -> Option<Cow<'_, [u64]>> {
         match self.codec {
-            Codec::Raw => self.raw_row(p).map(RowRef::Mapped),
-            Codec::VarintDelta => self.decoded_row(p).map(RowRef::Decoded),
+            Codec::Raw => self.raw_row(p).map(Cow::Borrowed),
+            Codec::VarintDelta => self.decoded_row(p).map(Cow::Owned),
         }
     }
 
@@ -451,41 +451,6 @@ impl CsrMap {
                 buf.clear();
                 decode_row_vd(self.stream_bytes(p)?, buf).then_some(&buf[..])
             }
-        }
-    }
-}
-
-/// The one adjacency-row handle, `Deref`ing to `&[u64]`.
-///
-/// v1 rows are zero-copy slices of the mapping; v2 rows are decoded into
-/// an owned buffer. Every kernel above the reader is generic over
-/// `Deref<Target = [u64]>`, so both travel the same paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RowRef<'a> {
-    /// A zero-copy slice into a v1 mapping.
-    Mapped(&'a [u64]),
-    /// A row decoded out of a v2 column stream.
-    Decoded(Vec<u64>),
-}
-
-impl std::ops::Deref for RowRef<'_> {
-    type Target = [u64];
-
-    #[inline]
-    fn deref(&self) -> &[u64] {
-        match self {
-            RowRef::Mapped(s) => s,
-            RowRef::Decoded(v) => v,
-        }
-    }
-}
-
-/// Borrowed for a mapped row, owned for a decoded one.
-impl<'a> From<RowRef<'a>> for Cow<'a, [u64]> {
-    fn from(row: RowRef<'a>) -> Cow<'a, [u64]> {
-        match row {
-            RowRef::Mapped(s) => Cow::Borrowed(s),
-            RowRef::Decoded(v) => Cow::Owned(v),
         }
     }
 }
@@ -535,9 +500,13 @@ mod tests {
         assert_eq!(r.num_rows(), 3);
         assert_eq!(r.nnz(), 3);
         assert_eq!(r.offsets(), &[0, 2, 2, 3]);
-        assert_eq!(r.row(10), Some(RowRef::Mapped(&[3, 7])));
-        assert_eq!(r.row(11), Some(RowRef::Mapped(&[])));
-        assert_eq!(r.row(12), Some(RowRef::Mapped(&[0])));
+        for (p, want) in [(10, &[3, 7][..]), (11, &[]), (12, &[0])] {
+            let row = r.row(p);
+            assert!(
+                matches!(row, Some(Cow::Borrowed(s)) if s == want),
+                "row {p}: {row:?}"
+            );
+        }
         assert_eq!(r.row(13), None);
         assert_eq!(r.row(9), None);
         assert_eq!(
@@ -731,9 +700,13 @@ mod tests {
         assert_eq!(r.num_rows(), 3);
         assert_eq!(r.nnz(), 3);
         assert_eq!(r.offsets(), &[0, 2, 2, 3]);
-        assert_eq!(r.row(10), Some(RowRef::Decoded(vec![3, 7])));
-        assert_eq!(r.row(11), Some(RowRef::Decoded(vec![])));
-        assert_eq!(r.row(12), Some(RowRef::Decoded(vec![0])));
+        for (p, want) in [(10, &[3, 7][..]), (11, &[]), (12, &[0])] {
+            let row = r.row(p);
+            assert!(
+                matches!(&row, Some(Cow::Owned(v)) if v == want),
+                "row {p}: {row:?}"
+            );
+        }
         assert_eq!(r.row(13), None);
         assert_eq!(r.row(9), None);
         assert_eq!(r.stream_bytes(10).unwrap(), &[3u8, 4]);

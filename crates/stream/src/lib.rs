@@ -16,7 +16,7 @@
 //!   columns) or v2 ([`Csr2Sink`], varint delta-encoded, roughly 4×
 //!   smaller on sorted rows), or a statistics-only counter
 //!   ([`CountSink`]); [`CsrMap`] is the one mmap-backed reader of both,
-//!   handing out every row as a [`RowRef`]; [`compact_run`] converts a v1
+//!   handing out every row as a `Cow<[u64]>`; [`compact_run`] converts a v1
 //!   run to v2 in place with checksums preserved;
 //! * [`ShardManifest`] — per-shard JSON recording the shard's range, entry
 //!   count, closed-form checksums (degree sum, triangle-participation sum)
@@ -70,7 +70,7 @@ mod sink;
 mod verify;
 
 pub use compact::{compact_run, CompactReport};
-pub use csr::{decode_row_vd, encode_row_vd, CsrMap, RowRef};
+pub use csr::{decode_row_vd, encode_row_vd, CsrMap};
 pub use driver::{
     load_factors, load_manifest, run_shard, stream_product, StreamConfig, FACTOR_A_FILE,
     FACTOR_B_FILE, RUN_FILE,

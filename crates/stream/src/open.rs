@@ -5,11 +5,11 @@
 //! once, cross-checks each mapped header against its manifest, and then
 //! routes product vertices to shards by the plan's contiguous vertex
 //! ranges. After a successful open, every adjacency row of the product is
-//! reachable as a [`RowRef`] — a zero-copy `&[u64]` slice for v1 (`csr`)
-//! shards, a decoded-on-demand buffer for v2 (`csr2`) shards — without
-//! loading the graph. Both formats travel every path above this module
-//! identically; a run may even mix them per shard (the state a
-//! `kron compact` conversion passes through).
+//! reachable as a `Cow<[u64]>` — a zero-copy slice borrowed from the
+//! mapping for v1 (`csr`) shards, an owned buffer decoded on demand for
+//! v2 (`csr2`) shards — without loading the graph. Both formats travel
+//! every path above this module identically; a run may even mix them per
+//! shard (the state a `kron compact` conversion passes through).
 //!
 //! Two levels of validation are offered:
 //!
@@ -40,10 +40,11 @@
 //! at all (only the small JSON manifests must); a run directory whose
 //! manifests do not cover the claimed range is rejected at open.
 
-use crate::csr::{CsrMap, RowRef};
+use crate::csr::CsrMap;
 use crate::driver::{for_each_shard, load_manifest};
 use crate::manifest::{OutputFormat, RunSummary, ShardManifest, StreamHash};
 use crate::StreamError;
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 /// Load shard `index`'s manifest as a member of `run`: it must say it is
@@ -440,11 +441,10 @@ impl ShardSet {
     }
 
     /// The adjacency row of product vertex `v` (sorted ascending, self
-    /// loop included) as a [`RowRef`] — zero-copy into the owning shard's
-    /// mapping for v1, decoded on demand for v2 — or `None` if `v` is
-    /// outside every shard **or its shard is not resident in this set's
-    /// subset**.
-    pub fn row(&self, v: u64) -> Option<RowRef<'_>> {
+    /// loop included): borrowed from the owning shard's mapping for v1,
+    /// decoded on demand for v2 — or `None` if `v` is outside every shard
+    /// **or its shard is not resident in this set's subset**.
+    pub fn row(&self, v: u64) -> Option<Cow<'_, [u64]>> {
         let shard = self.route(v)?;
         self.local(shard)?.reader.row(v)
     }

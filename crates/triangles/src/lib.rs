@@ -61,9 +61,9 @@ pub mod slice;
 mod vertex;
 pub mod wedge;
 
-pub use count::{count_triangles, count_triangles_serial, TriangleCount};
+pub use count::{count_triangles, TriangleCount};
 pub use edge::{edge_participation, edge_participation_csr};
-pub use vertex::{vertex_participation, vertex_participation_serial};
+pub use vertex::vertex_participation;
 
 /// Local clustering coefficients and global transitivity.
 pub mod clustering {

@@ -40,28 +40,11 @@ pub fn vertex_participation(g: &Graph) -> Vec<u64> {
         )
 }
 
-/// Single-threaded [`vertex_participation`] — deterministic oracle.
-pub fn vertex_participation_serial(g: &Graph) -> Vec<u64> {
-    let n = g.num_vertices();
-    let dag = build_dag(g);
-    let mut t = vec![0u64; n];
-    for u in 0..n as u32 {
-        let ou = dag.out(u);
-        for (i, &v) in ou.iter().enumerate() {
-            intersect_ranked(&dag.rank, &ou[i + 1..], dag.out(v), |w| {
-                t[u as usize] += 1;
-                t[v as usize] += 1;
-                t[w as usize] += 1;
-            });
-        }
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::count_triangles;
+    use crate::matrix_oracle::vertex_participation_formula;
 
     #[test]
     fn clique_participation_is_binomial() {
@@ -110,7 +93,7 @@ mod tests {
             let t = vertex_participation(&g);
             let tau = count_triangles(&g).triangles;
             assert_eq!(t.iter().sum::<u64>(), 3 * tau);
-            assert_eq!(t, vertex_participation_serial(&g));
+            assert_eq!(t, vertex_participation_formula(&g));
         }
     }
 

@@ -198,23 +198,20 @@ fn fresh_run_directory_cross_checks_clean() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Tamper with one CSR row payload and cross-check must flag *exactly*
-/// the affected queries — no false negatives (silent garbage) and no
-/// false positives on untouched rows.
-#[test]
-fn cross_check_flags_exactly_the_tampered_queries() {
-    use kron_serve::{AnswerSource, OpenOptions};
-    use std::collections::BTreeSet;
-
+/// The product both cross-check tamper tests stream and corrupt.
+fn tamper_product() -> KronProduct {
     let a = Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4), (5, 5)]);
     let b = Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (3, 3), (0, 0)]);
-    let c = KronProduct::new(a, b);
-    let dir = tmpdir("crosscheck_tamper");
-    {
-        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
-        cfg.shards = 2;
-        stream_product(&c, &cfg).unwrap();
-    }
+    KronProduct::new(a, b)
+}
+
+/// Stream `c` into two v1 shards under `dir`, then rewrite the last
+/// column of one row `r` of shard 0 from `c_old` to `c_new`; returns
+/// `(r, c_old, c_new)`.
+fn tamper_one_row(dir: &std::path::Path, c: &KronProduct) -> (u64, u64, u64) {
+    let mut cfg = StreamConfig::new(dir, OutputFormat::Csr);
+    cfg.shards = 2;
+    stream_product(c, &cfg).unwrap();
     let n_c = c.num_vertices();
 
     // Locate, inside shard 0's artifact, a row r whose *last* column can
@@ -223,7 +220,7 @@ fn cross_check_flags_exactly_the_tampered_queries() {
     // it nor the new value equals r (degree must stay put), and {r, n_C−1}
     // is not a real edge (so the tampered artifact now asserts an edge the
     // closed form denies).
-    let m = kron_stream::load_manifest(&dir, 0).unwrap();
+    let m = kron_stream::load_manifest(dir, 0).unwrap();
     let path = dir.join(m.file.as_deref().unwrap());
     let mut bytes = std::fs::read(&path).unwrap();
     let rows = (m.vertices.end - m.vertices.start) as usize;
@@ -250,6 +247,21 @@ fn cross_check_flags_exactly_the_tampered_queries() {
     let (r, c_old, c_new, at) = target.expect("a tamperable row exists in shard 0");
     bytes[at..at + 8].copy_from_slice(&c_new.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
+    (r, c_old, c_new)
+}
+
+/// Tamper with one CSR row payload and cross-check must flag *exactly*
+/// the affected queries — no false negatives (silent garbage) and no
+/// false positives on untouched rows.
+#[test]
+fn cross_check_flags_exactly_the_tampered_queries() {
+    use kron_serve::{AnswerSource, OpenOptions};
+    use std::collections::BTreeSet;
+
+    let c = tamper_product();
+    let dir = tmpdir("crosscheck_tamper");
+    let (r, c_old, c_new) = tamper_one_row(&dir, &c);
+    let n_c = c.num_vertices();
 
     // Structural opens (checksum verification would reject the file
     // before any query — that path is already tested).
@@ -365,6 +377,54 @@ fn cross_check_flags_exactly_the_tampered_queries() {
         let q = *queries.iter().find(|q| q.to_string() == m.query).unwrap();
         assert_eq!((m.artifact, m.oracle), rendered(q), "{}", m.query);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `cross-check:N` source checks the queries its engine's counter
+/// picks, so a batch must reach the engine in input order: then every
+/// run of the same batch checks input positions 0, N, 2N, … and logs
+/// their disagreements in that order.
+#[test]
+fn cross_checked_batches_check_the_same_queries_in_input_order() {
+    use kron_serve::{AnswerSource, OpenOptions};
+
+    let c = tamper_product();
+    let dir = tmpdir("crosscheck_order");
+    let (r, c_old, c_new) = tamper_one_row(&dir, &c);
+    // every query disagrees, so the log names exactly the checked ones;
+    // four kinds under a stride of three tell the positions apart
+    let kinds = [
+        Query::Neighbors(r),
+        Query::HasEdge(r, c_new),
+        Query::HasEdge(r, c_old),
+        Query::EdgeTriangles(r, c_new),
+    ];
+    let queries: Vec<Query> = (0..40).map(|i| kinds[i % kinds.len()]).collect();
+    let checked: Vec<String> = queries.iter().step_by(3).map(Query::to_string).collect();
+
+    let opts = OpenOptions {
+        verify_checksums: false,
+        source: AnswerSource::CrossCheckSampled(3),
+        ..OpenOptions::default()
+    };
+    let mut logs = Vec::new();
+    for _ in 0..2 {
+        let engine = ServeEngine::open_with(&dir, &opts).unwrap();
+        let out = run_batch(&engine, &queries);
+        assert_eq!(out.stats.mismatches as usize, checked.len());
+        assert_eq!(engine.sampled_checks() as usize, checked.len());
+        let log = engine.mismatches();
+        let flagged: Vec<String> = log.iter().map(|m| m.query.clone()).collect();
+        assert_eq!(
+            flagged, checked,
+            "the checked queries are input positions 0, 3, 6, …"
+        );
+        logs.push(log);
+    }
+    assert_eq!(
+        logs[0], logs[1],
+        "two runs of one batch log the same records"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
