@@ -647,11 +647,14 @@ fn results_are_byte_identical_across_thread_counts() {
     let set = ShardSet::open(&dir).unwrap();
     for kernel in [Kernel::Bfs, Kernel::Cc, Kernel::Pagerank, Kernel::TriCensus] {
         let spec = KernelSpec::new(kernel);
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-        let serial = run(&set, &spec).unwrap().to_string();
-        std::env::set_var("RAYON_NUM_THREADS", "7");
-        let parallel = run(&set, &spec).unwrap().to_string();
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let pool = |n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+        };
+        let serial = pool(1).install(|| run(&set, &spec).unwrap().to_string());
+        let parallel = pool(7).install(|| run(&set, &spec).unwrap().to_string());
         assert_eq!(
             serial,
             parallel,

@@ -172,9 +172,10 @@ EXIT CODES:
 
 /// The options and flags subcommand `cmd` takes, read off its synopsis
 /// in [`USAGE`] — each `kron <cmd>` line and the `[…]` lines under it —
-/// so the help text and the parser cannot drift. `None` when `cmd` has
-/// no synopsis.
-fn synopsis_options(cmd: &str) -> Option<Vec<&'static str>> {
+/// so the help text and the parser cannot drift: each name, and whether
+/// it is a bare flag (written `[--name]`). `None` when `cmd` has no
+/// synopsis.
+fn synopsis_options(cmd: &str) -> Option<Vec<(&'static str, bool)>> {
     let mut names = Vec::new();
     let mut found = false;
     let mut inside = false;
@@ -187,9 +188,10 @@ fn synopsis_options(cmd: &str) -> Option<Vec<&'static str>> {
         }
         if inside {
             names.extend(line.split("--").skip(1).map(|opt| {
-                opt.split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
-                    .next()
-                    .unwrap_or_default()
+                let end = opt
+                    .find(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+                    .unwrap_or(opt.len());
+                (&opt[..end], opt[end..].starts_with(']'))
             }));
         }
     }
@@ -197,14 +199,23 @@ fn synopsis_options(cmd: &str) -> Option<Vec<&'static str>> {
 }
 
 /// Dispatch a parsed command line. An option or flag the subcommand does
-/// not take is refused before anything runs: a typo must not quietly
-/// weaken a check (`verify-shards --rehsh`).
+/// not take, a flag given a value and an option given none are refused
+/// before anything runs: a typo must not quietly weaken a check
+/// (`verify-shards --rehsh`, `verify-shards --rehash yes`).
 pub fn run(p: &ParsedArgs) -> Result<(), String> {
     if let Some(known) = synopsis_options(&p.command) {
-        let given = p.options.keys().chain(&p.flags);
-        if let Some(bad) = given.filter(|o| !known.contains(&o.as_str())).min() {
+        let given = p.options.keys().map(|o| (o, false));
+        let mut given: Vec<_> = given.chain(p.flags.iter().map(|f| (f, true))).collect();
+        given.sort();
+        for (name, bare) in given {
+            let (what, why) = match known.iter().find(|(k, _)| k == name) {
+                None => ("unknown option", ""),
+                Some(&(_, true)) if !bare => ("flag", " takes no value"),
+                Some(&(_, false)) if bare => ("option", " needs a value"),
+                Some(_) => continue,
+            };
             return Err(format!(
-                "{}: unknown option --{bad} (see `kron help`)",
+                "{}: {what} --{name}{why} (see `kron help`)",
                 p.command
             ));
         }
@@ -665,48 +676,48 @@ fn cmd_analyze(p: &ParsedArgs) -> Result<(), String> {
     spec.max_iters = p.opt("iters", spec.max_iters)?;
     spec.top_k = p.opt("top", spec.top_k)?;
     spec.validate = !p.flag("no-validate");
-    rayon_threads(p)?;
-    // Structural open only: the kernels recount everything and tri-census
-    // checks the totals against the closed forms, which is a stronger
-    // verdict than re-hashing bytes (`kron verify-shards` does that).
-    let set = kron_stream::ShardSet::open(std::path::Path::new(dir))
-        .map_err(|e| format!("opening {dir}: {e}"))?;
-    let stop = crate::signals::install_shutdown_flag();
-    match kron_analyze::run_kernel(&set, &spec, stop) {
-        Ok(doc) => {
-            println!("{doc}");
-            Ok(())
+    rayon_pool(p)?.install(|| {
+        // Structural open only: the kernels recount everything and tri-census
+        // checks the totals against the closed forms, which is a stronger
+        // verdict than re-hashing bytes (`kron verify-shards` does that).
+        let set = kron_stream::ShardSet::open(std::path::Path::new(dir))
+            .map_err(|e| format!("opening {dir}: {e}"))?;
+        let stop = crate::signals::install_shutdown_flag();
+        match kron_analyze::run_kernel(&set, &spec, stop) {
+            Ok(doc) => {
+                println!("{doc}");
+                Ok(())
+            }
+            // A signal is an operator's decision, not a failure: stop
+            // cooperatively, print no verdict, exit 0 — the same contract as
+            // a clean server shutdown with no mismatches.
+            Err(kron_analyze::AnalyzeError::Cancelled) => {
+                eprintln!("analyze: cancelled by signal before completion; no verdict");
+                Ok(())
+            }
+            // Validation failure still prints the full result document
+            // (stdout, like success) so the mismatch report is scriptable;
+            // the nonzero exit carries the verdict.
+            Err(kron_analyze::AnalyzeError::Validation(doc)) => {
+                println!("{doc}");
+                Err(
+                    "validation failed: recounted statistics contradict the closed forms \
+                     (artifact corrupt or stale)"
+                        .into(),
+                )
+            }
+            Err(e) => Err(e.to_string()),
         }
-        // A signal is an operator's decision, not a failure: stop
-        // cooperatively, print no verdict, exit 0 — the same contract as
-        // a clean server shutdown with no mismatches.
-        Err(kron_analyze::AnalyzeError::Cancelled) => {
-            eprintln!("analyze: cancelled by signal before completion; no verdict");
-            Ok(())
-        }
-        // Validation failure still prints the full result document
-        // (stdout, like success) so the mismatch report is scriptable;
-        // the nonzero exit carries the verdict.
-        Err(kron_analyze::AnalyzeError::Validation(doc)) => {
-            println!("{doc}");
-            Err(
-                "validation failed: recounted statistics contradict the closed forms \
-                 (artifact corrupt or stale)"
-                    .into(),
-            )
-        }
-        Err(e) => Err(e.to_string()),
-    }
+    })
 }
 
-/// `--threads T` of the batch commands: the shim rayon sizes its pool
-/// from `RAYON_NUM_THREADS` on every call (absent or 0: every core).
-fn rayon_threads(p: &ParsedArgs) -> Result<(), String> {
-    let threads: usize = p.opt("threads", 0)?;
-    if threads > 0 {
-        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    }
-    Ok(())
+/// `--threads T` of the batch commands, as the pool they run in (absent
+/// or 0: `RAYON_NUM_THREADS` if set, else every core).
+fn rayon_pool(p: &ParsedArgs) -> Result<rayon::ThreadPool, String> {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(p.opt("threads", 0)?)
+        .build()
+        .map_err(|e| e.to_string())
 }
 
 /// A number of seconds from 0 to 10⁹ (fractions allowed) from option
@@ -780,10 +791,15 @@ fn cmd_serve(p: &ParsedArgs) -> Result<(), String> {
         return crosscheck_verdict(&engine);
     }
     let file = p.required("queries", "FILE (or --listen ADDR for the server)")?;
-    rayon_threads(p)?;
+    rayon_pool(p)?.install(|| serve_queries(dir, file, &opts))
+}
+
+/// `kron serve <DIR> --queries FILE`: one answer line per query on
+/// stdout, the batch report on stderr.
+fn serve_queries(dir: &str, file: &str, opts: &OpenOptions) -> Result<(), String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
     let queries = parse_queries(&text).map_err(|e| format!("{file}: {e}"))?;
-    let engine = open_serve_engine(dir, &opts)?;
+    let engine = open_serve_engine(dir, opts)?;
 
     let out = run_batch(&engine, &queries);
     let mut failed = 0usize;

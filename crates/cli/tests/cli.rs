@@ -55,6 +55,36 @@ fn an_option_the_subcommand_does_not_take_is_refused_before_anything_runs() {
 }
 
 #[test]
+fn a_flag_given_a_value_and_an_option_given_none_are_refused_before_anything_runs() {
+    // Had either command run, it would fail on run.json or on reading
+    // its missing factor files instead.
+    let dir = tmpdir().join("flag_value_not_a_run");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dir.to_str().unwrap();
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["verify-shards", dir, "--rehash", "yes"],
+            "verify-shards: flag --rehash takes no value",
+        ),
+        (
+            &["stream", "no_a.tsv", "no_b.tsv", "--out", dir, "--shards"],
+            "stream: option --shards needs a value",
+        ),
+    ];
+    for (args, refusal) in cases {
+        let out = kron(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(refusal), "{stderr}");
+        assert!(
+            !stderr.contains("run.json") && !stderr.contains("no_a.tsv"),
+            "{args:?} ran: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn every_option_usage_lists_is_accepted() {
     let help = String::from_utf8(kron(&["help"]).stdout).unwrap();
     // a synopsis is a `kron <cmd>` line plus the `[…]` lines under it
@@ -541,6 +571,8 @@ fn serve_and_query_answer_off_shards() {
         run_dir.to_str().unwrap(),
         "--queries",
         qfile.to_str().unwrap(),
+        "--threads",
+        "3",
     ]);
     assert!(
         out.status.success(),
@@ -553,6 +585,8 @@ fn serve_and_query_answer_off_shards() {
     assert!(stdout.contains("tri_edge 57 58 = "), "{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("q/s"), "{stderr}");
+    // --threads sizes the pool the batch fans out on
+    assert!(stderr.contains("on 3 thread(s)"), "{stderr}");
     assert!(stderr.contains("checksums verified"), "{stderr}");
 
     // a batch with an out-of-range vertex exits nonzero but answers the rest

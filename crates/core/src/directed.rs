@@ -8,7 +8,7 @@
 //! * Thm. 4: `t^(τ)_C = t^(τ)_A ⊗ diag(B³)`;
 //! * Thm. 5: `Δ^(τ)_C = Δ^(τ)_A ⊗ (B ∘ B²)`.
 
-use crate::factor_stats::{EdgeTerms, VertexTerms};
+use crate::factor_stats::FactorTerms;
 use crate::{KronError, ProductIndexer};
 use kron_graph::{DiGraph, Graph};
 use kron_triangles::directed::{
@@ -25,12 +25,8 @@ pub struct KronDirectedProduct {
     ta: DirVertexCounts,
     /// `Δ^(τ)_A` for all fifteen types.
     da: DirEdgeCounts,
-    /// `diag(B³)` (loop walks included).
-    d3b: Vec<u64>,
-    /// slot-aligned `(B ∘ B²)`.
-    had2b: EdgeTerms,
-    /// row lengths of `B` (for degree formulas).
-    rowlen_b: Vec<u64>,
+    /// `diag(B³)`, slot-aligned `(B ∘ B²)` and the row lengths of `B`.
+    vb: FactorTerms,
 }
 
 impl KronDirectedProduct {
@@ -49,17 +45,14 @@ impl KronDirectedProduct {
         let ix = ProductIndexer::new(a.num_vertices(), b.num_vertices());
         let ta = directed_vertex_participation(&a);
         let da = directed_edge_participation(&a);
-        let vb = VertexTerms::compute(&b);
-        let had2b = EdgeTerms::compute(&b);
+        let vb = FactorTerms::compute(&b);
         Ok(Self {
             a,
             b,
             ix,
             ta,
             da,
-            d3b: vb.diag3,
-            had2b,
-            rowlen_b: vb.rowlen,
+            vb,
         })
     }
 
@@ -86,13 +79,13 @@ impl KronDirectedProduct {
     /// Out-degree `d^out_C(p) = d^out_A(i)·(B·1)_k`.
     pub fn out_degree(&self, p: u64) -> u64 {
         let (i, k) = self.ix.split(p);
-        self.a.out_degree(i) * self.rowlen_b[k as usize]
+        self.a.out_degree(i) * self.vb.rowlen[k as usize]
     }
 
     /// In-degree `d^in_C(p) = d^in_A(i)·(B·1)_k`.
     pub fn in_degree(&self, p: u64) -> u64 {
         let (i, k) = self.ix.split(p);
-        self.a.in_degree(i) * self.rowlen_b[k as usize]
+        self.a.in_degree(i) * self.vb.rowlen[k as usize]
     }
 
     /// Whether the arc `p → q` exists in `C`.
@@ -106,7 +99,7 @@ impl KronDirectedProduct {
     /// vertex `p`: `t^(τ)_A(i) · diag(B³)_k`.
     pub fn vertex_type_count(&self, p: u64, ty: DirVertexType) -> u64 {
         let (i, k) = self.ix.split(p);
-        self.ta.get(ty)[i as usize] * self.d3b[k as usize]
+        self.ta.get(ty)[i as usize] * self.vb.diag3[k as usize]
     }
 
     /// Thm. 5: the number of directed triangles of type `ty` at product
@@ -120,7 +113,7 @@ impl KronDirectedProduct {
             return 0;
         }
         match self.b.edge_slot(k, l) {
-            Some(slot) => da * self.had2b.had2[slot],
+            Some(slot) => da * self.vb.had2[slot],
             None => 0,
         }
     }
@@ -128,7 +121,7 @@ impl KronDirectedProduct {
     /// Total count of type-`ty` triangles over all product vertices:
     /// `(Σ t^(τ)_A)·(Σ diag(B³))`.
     pub fn vertex_type_total(&self, ty: DirVertexType) -> u128 {
-        self.ta.total(ty) as u128 * self.d3b.iter().map(|&x| x as u128).sum::<u128>()
+        self.ta.total(ty) as u128 * self.vb.diag3.iter().map(|&x| x as u128).sum::<u128>()
     }
 
     /// Materialize `C` as a concrete [`DiGraph`] for validation (guarded by

@@ -10,6 +10,7 @@
 //! *squares* (`‖d_C‖_∞/n_C = (‖d_A‖_∞/n_A)·(‖d_B‖_∞/n_B)` for loop-free
 //! factors).
 
+use crate::factor_stats::FactorTerms;
 use crate::KronProduct;
 use std::collections::{BTreeMap, HashMap};
 
@@ -39,60 +40,27 @@ pub fn degree_histogram(c: &KronProduct) -> BTreeMap<u64, u128> {
 /// The exact triangle-participation histogram of `C` (`t → vertex count`),
 /// from factor joint histograms over the general-formula term tuples.
 pub fn triangle_histogram(c: &KronProduct) -> BTreeMap<u64, u128> {
-    let (a, b) = c.factors();
+    // t_C(p) depends only on the factor vertices' terms
+    // (diag(X³), diag(X²D_X), diag(XD_XX), loop), so group each factor's
+    // vertices by that tuple, evaluate the formula once per class pair
+    // on a representative, and weight by the class sizes.
+    let classes = |t: &FactorTerms| {
+        let mut m: HashMap<_, (u32, u128)> = HashMap::new();
+        for v in 0..t.s.len() {
+            let key = (t.diag3[v], t.v2[v], t.v3[v], t.s[v]);
+            m.entry(key).or_insert((v as u32, 0)).1 += 1;
+        }
+        m.into_values().collect::<Vec<_>>()
+    };
     let ix = c.indexer();
-    // t_C(p) depends only on the factor vertices' statistic tuples, so
-    // group each factor's vertices into equivalence classes keyed by that
-    // tuple, evaluate the formula once per class pair, and weight by the
-    // class sizes.
-    let a_classes = vertex_classes(a);
-    let b_classes = vertex_classes(b);
     let mut out = BTreeMap::new();
-    for (ia, ca) in &a_classes {
-        for (kb, cb) in &b_classes {
-            let p = ix.compose(*ia, *kb);
-            let t = c.vertex_triangles(p);
-            *out.entry(t).or_insert(0u128) += (*ca as u128) * (*cb as u128);
+    for (i, ca) in classes(&c.va) {
+        for &(k, cb) in &classes(&c.vb) {
+            let t = c.vertex_triangles(ix.compose(i, k));
+            *out.entry(t).or_insert(0u128) += ca * cb;
         }
     }
     out
-}
-
-/// Group vertices of a factor by their full local-statistic signature
-/// `(diag(X³), rowlen, loopy-neighbor count, loop)`, returning one
-/// representative and the class size. The signature is exactly the tuple
-/// the general vertex formula consumes, so members are interchangeable.
-fn vertex_classes(g: &kron_graph::Graph) -> Vec<(u32, u64)> {
-    let mut classes: HashMap<(u64, u64, u64, bool), (u32, u64)> = HashMap::new();
-    for v in 0..g.num_vertices() as u32 {
-        let row = g.adj_row(v);
-        let diag3: u64 = row
-            .iter()
-            .map(|&j| {
-                let rj = g.adj_row(j);
-                let (mut p, mut q, mut c) = (0, 0, 0u64);
-                while p < row.len() && q < rj.len() {
-                    match row[p].cmp(&rj[q]) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            c += 1;
-                            p += 1;
-                            q += 1;
-                        }
-                    }
-                }
-                c
-            })
-            .sum();
-        let loopy_nbrs = row.iter().filter(|&&j| g.has_self_loop(j)).count() as u64;
-        let key = (diag3, row.len() as u64, loopy_nbrs, g.has_self_loop(v));
-        classes
-            .entry(key)
-            .and_modify(|e| e.1 += 1)
-            .or_insert((v, 1));
-    }
-    classes.into_values().collect()
 }
 
 /// Complementary cumulative counts: entries `(x, #vertices with value ≥ x)`
@@ -150,6 +118,26 @@ mod tests {
             }
             assert_eq!(degree_histogram(&c), dh);
             assert_eq!(triangle_histogram(&c), th);
+        }
+    }
+
+    #[test]
+    fn triangle_histogram_matches_every_vertex_with_loops_in_both_factors() {
+        use kron_gen::deterministic::{clique_with_loops, hub_cycle};
+        for (a, b) in [
+            (hub_cycle().with_all_self_loops(), clique_with_loops(4)),
+            (
+                kron_gen::holme_kim(30, 2, 0.6, 4).with_all_self_loops(),
+                random_graph(&mut StdRng::seed_from_u64(113), 9, 0.4, 0.5),
+            ),
+        ] {
+            assert!(a.num_self_loops() > 0 && b.num_self_loops() > 0);
+            let c = KronProduct::new(a, b);
+            let mut every = BTreeMap::new();
+            for p in 0..c.num_vertices() {
+                *every.entry(c.vertex_triangles(p)).or_insert(0u128) += 1;
+            }
+            assert_eq!(triangle_histogram(&c), every);
         }
     }
 

@@ -1,42 +1,34 @@
 //! Per-factor statistics backing the Kronecker formulas.
 //!
 //! The general (both-factors-loopy) formulas of §III-B/§III-C combine, per
-//! factor `X`, four per-vertex terms and five per-edge terms. All of them
-//! reduce to cheap, parallel adjacency-row computations — no matrix
-//! products are ever formed on the factors here (the `kron-sparse`
+//! factor `X`, four per-vertex terms and the slot-aligned `X ∘ X²`. All of
+//! them come from one pass over the factor's adjacency: each stored entry
+//! `(i, j)` is intersected once, by the `kron_triangles::slice` merge
+//! kernel, and `diag(X³)` is the row sum of those intersections. No matrix
+//! product is ever formed on the factors here (the `kron-sparse`
 //! evaluation of the same quantities is kept as a test oracle in
 //! `kron-triangles::matrix_oracle`).
 
 use kron_graph::Graph;
+use kron_triangles::slice::merge_by;
 use rayon::prelude::*;
 
-/// `|row(i) ∩ row(j)|` for sorted rows — counts *all* common adjacency
-/// entries, self loops included (this is `(X·X)(i,j)` restricted to the
-/// stored pattern, i.e. the entry of `X ∘ X²`).
-#[inline]
-fn row_intersection(ri: &[u32], rj: &[u32]) -> u64 {
-    let (mut p, mut q) = (0usize, 0usize);
-    let mut count = 0u64;
-    while p < ri.len() && q < rj.len() {
-        match ri[p].cmp(&rj[q]) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                p += 1;
-                q += 1;
-            }
-        }
-    }
-    count
-}
-
-/// Per-vertex terms of the general vertex formula
+/// The terms of one factor `X` that the general formulas consume. The
+/// vertex formula is
 /// `t_C = ½[diag(A³)⊗diag(B³) − 2·diag(A²D_A)⊗diag(B²D_B)
-///          − diag(A D_A A)⊗diag(B D_B B) + 2·diag(D_A)⊗diag(D_B)]`.
+///          − diag(A D_A A)⊗diag(B D_B B) + 2·diag(D_A)⊗diag(D_B)]`,
+/// the edge formula
+/// `Δ_C = (A∘A²)⊗(B∘B²) − (D_A A)⊗(D_B B) − (A D_A)⊗(B D_B)
+///        + 2·D_A⊗D_B − (D_A∘A²)⊗(D_B∘B²)`.
+/// Of the edge terms only `(X ∘ X²)` needs precomputation; the other four
+/// are O(1) functions of the loop indicators at query time.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct VertexTerms {
-    /// `diag(X³)_i` — closed 3-walks, loop walks included.
+pub(crate) struct FactorTerms {
+    /// Slot-aligned `|row(i) ∩ row(j)|` (= `(X ∘ X²)` on the stored
+    /// pattern, loops included).
+    pub had2: Vec<u64>,
+    /// `diag(X³)_i` — closed 3-walks, loop walks included: the sum of
+    /// `had2` over row `i`.
     pub diag3: Vec<u64>,
     /// `diag(X² D_X)_i = s_i · rowlen_i`.
     pub v2: Vec<u64>,
@@ -44,88 +36,48 @@ pub(crate) struct VertexTerms {
     pub v3: Vec<u64>,
     /// `diag(D_X)_i` — 1 iff `i` has a self loop.
     pub s: Vec<u64>,
-    /// Paper-convention degree (loops excluded).
-    pub deg: Vec<u64>,
     /// Adjacency-row length (degree + loop).
     pub rowlen: Vec<u64>,
 }
 
-impl VertexTerms {
+impl FactorTerms {
     pub fn compute(g: &Graph) -> Self {
-        let n = g.num_vertices();
-        let mut terms = Self {
-            diag3: vec![0; n],
-            v2: vec![0; n],
-            v3: vec![0; n],
-            s: vec![0; n],
-            deg: vec![0; n],
-            rowlen: vec![0; n],
-        };
-        let loopy: Vec<bool> = (0..n as u32).map(|v| g.has_self_loop(v)).collect();
-        let results: Vec<(u64, u64, u64, u64, u64, u64)> = (0..n as u32)
-            .into_par_iter()
-            .map(|i| {
-                let row = g.adj_row(i);
-                let has_loop = loopy[i as usize];
-                // diag(X³)_i = Σ_{j ∈ row(i)} |row(j) ∩ row(i)|
-                let diag3: u64 = row
-                    .iter()
-                    .map(|&j| row_intersection(g.adj_row(j), row))
-                    .sum();
-                let rowlen = row.len() as u64;
-                let v2 = if has_loop { rowlen } else { 0 };
-                let v3 = row.iter().filter(|&&j| loopy[j as usize]).count() as u64;
-                let s = u64::from(has_loop);
-                let deg = rowlen - s;
-                (diag3, v2, v3, s, deg, rowlen)
-            })
-            .collect();
-        for (i, (d3, v2, v3, s, deg, rowlen)) in results.into_iter().enumerate() {
-            terms.diag3[i] = d3;
-            terms.v2[i] = v2;
-            terms.v3[i] = v3;
-            terms.s[i] = s;
-            terms.deg[i] = deg;
-            terms.rowlen[i] = rowlen;
-        }
-        terms
-    }
-
-    /// Sums of each term, for the closed-form `τ(C)`.
-    pub fn sums(&self) -> (u128, u128, u128, u128) {
-        let f = |v: &[u64]| v.iter().map(|&x| x as u128).sum();
-        (f(&self.diag3), f(&self.v2), f(&self.v3), f(&self.s))
-    }
-}
-
-/// Per-adjacency-slot terms of the general edge formula
-/// `Δ_C = (A∘A²)⊗(B∘B²) − (D_A A)⊗(D_B B) − (A D_A)⊗(B D_B)
-///        + 2·D_A⊗D_B − (D_A∘A²)⊗(D_B∘B²)`.
-///
-/// Only `(X ∘ X²)` needs precomputation; the other four terms are O(1)
-/// functions of the loop indicators at query time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct EdgeTerms {
-    /// Slot-aligned `|row(i) ∩ row(j)|` (= `(X ∘ X²)` on the stored
-    /// pattern, loops included).
-    pub had2: Vec<u64>,
-}
-
-impl EdgeTerms {
-    pub fn compute(g: &Graph) -> Self {
-        let n = g.num_vertices();
-        let offsets = g.offsets();
+        let n = g.num_vertices() as u32;
         let had2: Vec<u64> = (0..n)
             .into_par_iter()
             .flat_map_iter(|i| {
-                let ri = g.adj_row(i as u32);
-                (offsets[i]..offsets[i + 1]).map(move |slot| {
-                    let j = g.neighbor_array()[slot];
-                    row_intersection(ri, g.adj_row(j))
+                let ri = g.adj_row(i);
+                ri.iter().map(move |&j| {
+                    let mut common = 0;
+                    merge_by(ri, g.adj_row(j), u32::cmp, |_, _| common += 1);
+                    common
                 })
             })
             .collect();
-        Self { had2 }
+        let offsets = g.offsets();
+        let diag3 = (0..n as usize)
+            .map(|i| had2[offsets[i]..offsets[i + 1]].iter().sum())
+            .collect();
+        let s: Vec<u64> = (0..n).map(|i| u64::from(g.has_self_loop(i))).collect();
+        let rowlen: Vec<u64> = (0..n).map(|i| g.adj_row(i).len() as u64).collect();
+        let v2 = s.iter().zip(&rowlen).map(|(s, r)| s * r).collect();
+        let v3 = (0..n)
+            .map(|i| g.adj_row(i).iter().map(|&j| s[j as usize]).sum())
+            .collect();
+        Self {
+            had2,
+            diag3,
+            v2,
+            v3,
+            s,
+            rowlen,
+        }
+    }
+
+    /// Sums of the vertex terms, for the closed-form `τ(C)`.
+    pub fn sums(&self) -> (u128, u128, u128, u128) {
+        let f = |v: &[u64]| v.iter().map(|&x| x as u128).sum();
+        (f(&self.diag3), f(&self.v2), f(&self.v3), f(&self.s))
     }
 }
 
@@ -135,7 +87,7 @@ mod tests {
     use kron_triangles::matrix_oracle;
 
     fn check(g: &Graph) {
-        let terms = VertexTerms::compute(g);
+        let terms = FactorTerms::compute(g);
         // diag(X³) against the SpGEMM oracle
         assert_eq!(terms.diag3, matrix_oracle::diag_cubed(g));
         // v2 = diag(X²)∘s, with diag(X²)_i = rowlen_i for symmetric X
@@ -148,12 +100,11 @@ mod tests {
             assert_eq!(terms.v2[i as usize], expect);
         }
         // had2 against the masked-SpGEMM oracle
-        let had2 = EdgeTerms::compute(g).had2;
         let oracle = matrix_oracle::hadamard_squared(g);
         for (i, j) in g.adjacency_entries() {
             let slot = g.edge_slot(i, j).unwrap();
             assert_eq!(
-                had2[slot],
+                terms.had2[slot],
                 oracle.get(i as usize, j as usize),
                 "(X∘X²)({i},{j})"
             );
@@ -187,18 +138,18 @@ mod tests {
             n,
             (0..n as u32).flat_map(|i| (i..n as u32).map(move |j| (i, j))),
         );
-        let t = VertexTerms::compute(&j);
+        let t = FactorTerms::compute(&j);
         assert!(t.diag3.iter().all(|&x| x == (n * n) as u64));
         assert!(t.v2.iter().all(|&x| x == n as u64));
         assert!(t.v3.iter().all(|&x| x == n as u64));
         assert!(t.s.iter().all(|&x| x == 1));
-        assert!(t.deg.iter().all(|&x| x == (n - 1) as u64));
+        assert!(t.rowlen.iter().all(|&x| x == n as u64));
     }
 
     #[test]
     fn loop_free_terms_vanish() {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let t = VertexTerms::compute(&g);
+        let t = FactorTerms::compute(&g);
         assert!(t.v2.iter().all(|&x| x == 0));
         assert!(t.v3.iter().all(|&x| x == 0));
         assert!(t.s.iter().all(|&x| x == 0));

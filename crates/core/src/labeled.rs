@@ -9,7 +9,7 @@
 //!
 //! for every labeled triangle type `τ = (q1, q2, q3)`.
 
-use crate::factor_stats::{EdgeTerms, VertexTerms};
+use crate::factor_stats::FactorTerms;
 use crate::{KronError, ProductIndexer};
 use kron_graph::{Graph, Label, LabeledGraph};
 use kron_triangles::labeled::{
@@ -24,8 +24,7 @@ pub struct KronLabeledProduct {
     ix: ProductIndexer,
     ta: LabeledVertexCounts,
     da: LabeledEdgeCounts,
-    d3b: Vec<u64>,
-    had2b: EdgeTerms,
+    vb: FactorTerms,
 }
 
 impl KronLabeledProduct {
@@ -44,16 +43,14 @@ impl KronLabeledProduct {
         let ix = ProductIndexer::new(a.graph().num_vertices(), b.num_vertices());
         let ta = labeled_vertex_participation(&a);
         let da = labeled_edge_participation(&a);
-        let vb = VertexTerms::compute(&b);
-        let had2b = EdgeTerms::compute(&b);
+        let vb = FactorTerms::compute(&b);
         Ok(Self {
             a,
             b,
             ix,
             ta,
             da,
-            d3b: vb.diag3,
-            had2b,
+            vb,
         })
     }
 
@@ -81,7 +78,7 @@ impl KronLabeledProduct {
     /// product vertex `p`: `t^(τ)_A(i) · diag(B³)_k`.
     pub fn vertex_type_count(&self, p: u64, q1: Label, q2: Label, q3: Label) -> u64 {
         let (i, k) = self.ix.split(p);
-        self.ta.get(q1, q2, q3)[i as usize] * self.d3b[k as usize]
+        self.ta.get(q1, q2, q3)[i as usize] * self.vb.diag3[k as usize]
     }
 
     /// Thm. 7: labeled triangle participation of type `(q1, q2, q3)` at
@@ -94,7 +91,7 @@ impl KronLabeledProduct {
             return 0;
         }
         match self.b.edge_slot(k, l) {
-            Some(slot) => da * self.had2b.had2[slot],
+            Some(slot) => da * self.vb.had2[slot],
             None => 0,
         }
     }

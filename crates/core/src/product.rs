@@ -1,6 +1,6 @@
 //! The implicit undirected Kronecker product graph `C = A ⊗ B`.
 
-use crate::factor_stats::{EdgeTerms, VertexTerms};
+use crate::factor_stats::FactorTerms;
 use crate::{KronError, ProductIndexer, ProductStats};
 use kron_graph::{Graph, GraphBuilder};
 
@@ -38,29 +38,17 @@ pub struct KronProduct {
     pub(crate) a: Graph,
     pub(crate) b: Graph,
     pub(crate) ix: ProductIndexer,
-    pub(crate) va: VertexTerms,
-    pub(crate) vb: VertexTerms,
-    ea: EdgeTerms,
-    eb: EdgeTerms,
+    pub(crate) va: FactorTerms,
+    pub(crate) vb: FactorTerms,
 }
 
 impl KronProduct {
     /// Build the implicit product, precomputing factor statistics.
     pub fn new(a: Graph, b: Graph) -> Self {
         let ix = ProductIndexer::new(a.num_vertices(), b.num_vertices());
-        let va = VertexTerms::compute(&a);
-        let vb = VertexTerms::compute(&b);
-        let ea = EdgeTerms::compute(&a);
-        let eb = EdgeTerms::compute(&b);
-        Self {
-            a,
-            b,
-            ix,
-            va,
-            vb,
-            ea,
-            eb,
-        }
+        let va = FactorTerms::compute(&a);
+        let vb = FactorTerms::compute(&b);
+        Self { a, b, ix, va, vb }
     }
 
     /// The factors `(A, B)`.
@@ -205,7 +193,7 @@ impl KronProduct {
         let sa = self.a.edge_slot(i, j)?;
         let sb = self.b.edge_slot(k, l)?;
         let (iu, ju, ku, lu) = (i as usize, j as usize, k as usize, l as usize);
-        let e1 = self.ea.had2[sa] as i128 * self.eb.had2[sb] as i128;
+        let e1 = self.va.had2[sa] as i128 * self.vb.had2[sb] as i128;
         let e2 = (self.va.s[iu] * self.vb.s[ku]) as i128;
         let e3 = (self.va.s[ju] * self.vb.s[lu]) as i128;
         let diag_a = i == j;

@@ -12,6 +12,7 @@
 //!   vertices in C" mode, usable at any scale.
 
 use crate::{KronError, KronProduct};
+use kron_triangles::slice::intersect_excluding;
 use kron_triangles::{count_triangles, edge_participation, vertex_participation};
 
 /// SplitMix64 — a tiny deterministic PRNG so sampling needs no external
@@ -145,22 +146,7 @@ pub fn spot_check(c: &KronProduct, samples: usize, seed: u64) -> Result<(), Kron
                 }
                 continue;
             }
-            let nq = c.neighbors(q);
-            let mut count = 0u64;
-            let (mut x, mut y) = (0usize, 0usize);
-            while x < nbrs.len() && y < nq.len() {
-                match nbrs[x].cmp(&nq[y]) {
-                    std::cmp::Ordering::Less => x += 1,
-                    std::cmp::Ordering::Greater => y += 1,
-                    std::cmp::Ordering::Equal => {
-                        if nbrs[x] != p && nbrs[x] != q {
-                            count += 1;
-                        }
-                        x += 1;
-                        y += 1;
-                    }
-                }
-            }
+            let (count, _) = intersect_excluding(&nbrs, &c.neighbors(q), p, q);
             let formula = c.edge_triangles(p, q);
             if Some(count) != formula {
                 return Err(mismatch("edge triangles", (p, q), Some(count), formula));

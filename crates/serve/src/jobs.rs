@@ -227,15 +227,19 @@ pub(crate) fn execute(engine: &ServeEngine, registry: &JobRegistry, entry: &JobE
     // thread-count-independent by contract, so shaving one worker only
     // costs job wall-clock while keeping point-query tail latency flat
     // (`kronbench`'s `serve.jobs.query_p99_under_job_us` measures exactly
-    // this). An operator's explicit RAYON_NUM_THREADS is honored untouched.
-    if std::env::var_os("RAYON_NUM_THREADS").is_none() {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        std::env::set_var(
-            "RAYON_NUM_THREADS",
-            cores.saturating_sub(1).max(1).to_string(),
-        );
-    }
-    let outcome = run_kernel(engine.shard_set(), &entry.spec, &entry.stop);
+    // this). An operator's explicit RAYON_NUM_THREADS is honored untouched
+    // (a pool of size 0 reads it). The pool scopes the size to this job:
+    // no thread writes the process environment.
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let threads = match std::env::var_os("RAYON_NUM_THREADS") {
+        Some(_) => 0,
+        None => cores.saturating_sub(1).max(1),
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("a pool that only sets a thread count always builds");
+    let outcome = pool.install(|| run_kernel(engine.shard_set(), &entry.spec, &entry.stop));
     let next = match outcome {
         Ok(doc) => {
             registry.done.fetch_add(1, Ordering::Relaxed);

@@ -4,7 +4,8 @@
 //! subset of rayon's API the workspace uses: `into_par_iter()` on ranges
 //! and vectors, with `map` / `flat_map_iter` / `for_each` / `fold` /
 //! `reduce` / `collect` / `min` / `sum` / `count` adapters, plus
-//! [`current_num_threads`].
+//! [`current_num_threads`] and a [`ThreadPoolBuilder`] whose pools only
+//! scope that number.
 //!
 //! Semantics match rayon where the workspace relies on them:
 //!
@@ -22,15 +23,26 @@
 //! Unlike rayon there is no work stealing within a chunk: a skewed chunk
 //! can straggle. Four chunks per worker soften that.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+thread_local! {
+    /// The thread count of the [`ThreadPool::install`] this thread runs
+    /// in, if any.
+    static INSTALLED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
 /// Number of worker threads used by the shim (rayon API compatibility).
 ///
-/// Respects `RAYON_NUM_THREADS` when set, otherwise the machine's
-/// available parallelism.
+/// Inside [`ThreadPool::install`], the pool's size; otherwise
+/// `RAYON_NUM_THREADS` when set, else the machine's available
+/// parallelism.
 pub fn current_num_threads() -> usize {
+    if let Some(n) = INSTALLED.get() {
+        return n;
+    }
     if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             if n > 0 {
@@ -41,6 +53,66 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
+}
+
+/// Builds a [`ThreadPool`] (rayon's `ThreadPoolBuilder`, thread count
+/// only).
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// A builder for a pool of the default size.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Pool size; `0` (the default) means [`current_num_threads`] as it
+    /// reads outside any pool.
+    pub fn num_threads(mut self, n: usize) -> Self {
+        self.num_threads = n;
+        self
+    }
+
+    /// The pool. A `Result` as in rayon, so callers handle it the same
+    /// way; building a shim pool cannot fail.
+    pub fn build(self) -> Result<ThreadPool, std::convert::Infallible> {
+        Ok(ThreadPool {
+            num_threads: (self.num_threads > 0).then_some(self.num_threads),
+        })
+    }
+}
+
+/// A thread count that [`ThreadPool::install`] puts in force for the
+/// length of one call. Unlike rayon's, the pool owns no threads: the
+/// adapters spawn scoped workers as always, sized by it.
+#[derive(Debug)]
+pub struct ThreadPool {
+    num_threads: Option<usize>,
+}
+
+impl ThreadPool {
+    /// Run `op` on this thread with [`current_num_threads`] reading the
+    /// pool's size, there and in every worker the adapters spawn inside
+    /// `op`. The previous value comes back when `op` returns or unwinds.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(Option<usize>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED.set(self.0);
+            }
+        }
+        let _restore = Restore(INSTALLED.get());
+        if self.num_threads.is_some() {
+            INSTALLED.set(self.num_threads);
+        }
+        op()
+    }
 }
 
 /// Run `f` over owned chunks of `items` on `current_num_threads()`
@@ -80,9 +152,13 @@ where
         *outputs[i].lock().expect("no lock is held across `f`") = out;
     };
     // `scope` joins every worker, then panics if one of them did.
+    let installed = INSTALLED.get();
     std::thread::scope(|s| {
         for _ in 1..threads {
-            s.spawn(work);
+            s.spawn(|| {
+                INSTALLED.set(installed);
+                work()
+            });
         }
         work();
     });
@@ -321,6 +397,32 @@ mod tests {
             (1..=super::current_num_threads()).contains(&high),
             "{high} closures ran at once"
         );
+    }
+
+    #[test]
+    fn install_scopes_the_thread_count_to_the_call_and_its_workers() {
+        use super::{current_num_threads, ThreadPoolBuilder};
+        let outside = current_num_threads();
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let seen: Vec<usize> = pool.install(|| {
+            assert_eq!(current_num_threads(), 3);
+            (0u32..64)
+                .into_par_iter()
+                .map(|_| current_num_threads())
+                .collect()
+        });
+        assert!(seen.iter().all(|&n| n == 3), "{seen:?}");
+        // nested pools restore the outer size, also when `op` unwinds
+        let one = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        pool.install(|| {
+            let caught = std::panic::catch_unwind(|| one.install(|| panic!("inner")));
+            assert!(caught.is_err());
+            assert_eq!(current_num_threads(), 3);
+        });
+        // a default-sized pool changes nothing
+        let default = ThreadPoolBuilder::new().build().unwrap();
+        assert_eq!(default.install(current_num_threads), outside);
+        assert_eq!(current_num_threads(), outside);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! ordering bounds work by `O(m^{3/2})` and in practice by `O(m·α)` for
 //! arboricity `α`, matching the paper's "nearly square root" observation.
 
+use crate::slice::merge_by;
 use kron_graph::Graph;
 use rayon::prelude::*;
+use std::cmp::Ordering;
 
 /// Result of a triangle count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,33 +67,12 @@ impl DegreeDag {
     pub fn out(&self, v: u32) -> &[u32] {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
-}
 
-/// Merge-intersect two rank-sorted neighbor lists, invoking `hit` for every
-/// common vertex; returns the number of comparisons (wedge checks).
-#[inline]
-pub(crate) fn intersect_ranked<F: FnMut(u32)>(
-    rank: &[u32],
-    a: &[u32],
-    b: &[u32],
-    mut hit: F,
-) -> u64 {
-    let (mut p, mut q) = (0, 0);
-    let mut checks = 0u64;
-    while p < a.len() && q < b.len() {
-        checks += 1;
-        let (ra, rb) = (rank[a[p] as usize], rank[b[q] as usize]);
-        match ra.cmp(&rb) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                hit(a[p]);
-                p += 1;
-                q += 1;
-            }
-        }
+    /// The order the `out` rows are sorted in, for [`merge_by`].
+    #[inline]
+    pub fn by_rank(&self) -> impl Fn(&u32, &u32) -> Ordering + '_ {
+        |x, y| self.rank[*x as usize].cmp(&self.rank[*y as usize])
     }
-    checks
 }
 
 /// Count the triangles of `g` in parallel (rayon over source vertices).
@@ -104,9 +85,7 @@ pub fn count_triangles(g: &Graph) -> TriangleCount {
             let mut checks = 0u64;
             let ou = dag.out(u);
             for (i, &v) in ou.iter().enumerate() {
-                checks += intersect_ranked(&dag.rank, &ou[i + 1..], dag.out(v), |_| {
-                    tris += 1;
-                });
+                checks += merge_by(&ou[i + 1..], dag.out(v), dag.by_rank(), |_, _| tris += 1);
             }
             (tris, checks)
         })

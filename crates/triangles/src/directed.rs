@@ -22,6 +22,7 @@
 //! All functions require the digraph to be self-loop-free (`diag(A) = 0`),
 //! the standing assumption of §IV.
 
+use crate::slice::merge_by;
 use kron_graph::{DiGraph, Graph};
 use kron_sparse::{masked_spgemm, CsrMatrix};
 
@@ -401,28 +402,17 @@ pub fn directed_edge_participation(g: &DiGraph) -> DirEdgeCounts {
     for (i, j) in g.arcs() {
         let central = rel(g, i, j).unwrap();
         // common neighbors of i and j in the undirected closure
-        let (ri, rj) = (au.adj_row(i), au.adj_row(j));
-        let (mut p, mut q) = (0, 0);
-        while p < ri.len() && q < rj.len() {
-            match ri[p].cmp(&rj[q]) {
-                std::cmp::Ordering::Less => p += 1,
-                std::cmp::Ordering::Greater => q += 1,
-                std::cmp::Ordering::Equal => {
-                    let k = ri[p];
-                    p += 1;
-                    q += 1;
-                    if k == i || k == j {
-                        continue;
-                    }
-                    let w1 = rel(g, i, k).unwrap();
-                    let w2 = rel(g, k, j).unwrap();
-                    let combo = (central, w1, w2);
-                    if let Some(ty) = DirEdgeType::ALL.into_iter().find(|t| t.combo() == combo) {
-                        trip[ty.index()].push((i as usize, j as usize, 1));
-                    }
-                }
+        let ri = au.adj_row(i);
+        merge_by(ri, au.adj_row(j), u32::cmp, |p, _| {
+            let k = ri[p];
+            if k == i || k == j {
+                return;
             }
-        }
+            let combo = (central, rel(g, i, k).unwrap(), rel(g, k, j).unwrap());
+            if let Some(ty) = DirEdgeType::ALL.into_iter().find(|t| t.combo() == combo) {
+                trip[ty.index()].push((i as usize, j as usize, 1));
+            }
+        });
     }
     DirEdgeCounts {
         mats: trip

@@ -1,5 +1,6 @@
 //! Per-edge triangle participation `Δ_A` (Def. 6 of the paper).
 
+use crate::slice::intersect_excluding;
 use kron_graph::Graph;
 use kron_sparse::CsrMatrix;
 use rayon::prelude::*;
@@ -37,24 +38,7 @@ pub fn edge_participation(g: &Graph) -> Vec<u64> {
             if u == v {
                 continue; // self loop: Δ diagonal is zero
             }
-            let row_u = g.adj_row(u);
-            let mut count = 0u64;
-            let (mut p, mut q) = (0, 0);
-            while p < row_v.len() && q < row_u.len() {
-                match row_v[p].cmp(&row_u[q]) {
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                    std::cmp::Ordering::Equal => {
-                        let w = row_v[p];
-                        if w != u && w != v {
-                            count += 1;
-                        }
-                        p += 1;
-                        q += 1;
-                    }
-                }
-            }
-            *slot = count;
+            *slot = intersect_excluding(row_v, g.adj_row(u), u, v).0;
         }
     });
     values

@@ -15,6 +15,7 @@
 //! typo (`q2 = q3` on both branches); the `½` factor belongs to the
 //! `q2 = q3` case, which the matrix-vs-enumeration agreement confirms.
 
+use crate::slice::merge_by;
 use kron_graph::{Label, LabeledGraph};
 use kron_sparse::{masked_spgemm, CsrMatrix};
 use std::collections::HashMap;
@@ -154,26 +155,16 @@ pub fn labeled_edge_participation(lg: &LabeledGraph) -> LabeledEdgeCounts {
     let n = g.num_vertices();
     let mut trip: HashMap<(Label, Label, Label), SlotIncrements> = HashMap::new();
     for (i, j) in g.adjacency_entries() {
-        let (ri, rj) = (g.adj_row(i), g.adj_row(j));
-        let (mut p, mut q) = (0, 0);
-        while p < ri.len() && q < rj.len() {
-            match ri[p].cmp(&rj[q]) {
-                std::cmp::Ordering::Less => p += 1,
-                std::cmp::Ordering::Greater => q += 1,
-                std::cmp::Ordering::Equal => {
-                    let k = ri[p];
-                    p += 1;
-                    q += 1;
-                    if k == i || k == j {
-                        continue;
-                    }
-                    let key = (lg.label(j), lg.label(i), lg.label(k));
-                    trip.entry(key)
-                        .or_default()
-                        .push((i as usize, j as usize, 1));
-                }
+        let ri = g.adj_row(i);
+        merge_by(ri, g.adj_row(j), u32::cmp, |p, _| {
+            let k = ri[p];
+            if k != i && k != j {
+                let key = (lg.label(j), lg.label(i), lg.label(k));
+                trip.entry(key)
+                    .or_default()
+                    .push((i as usize, j as usize, 1));
             }
-        }
+        });
     }
     LabeledEdgeCounts {
         mats: trip

@@ -18,9 +18,11 @@
 //!   Fig. 6), likewise via enumeration and label-filtered matrix products;
 //! * [`clustering`] — local clustering coefficients and global transitivity
 //!   (the downstream statistics §I motivates);
-//! * [`mod@slice`] — the same intersection kernels over borrowed sorted
-//!   `&[u64]` rows, shared with the `kron-serve` engine that answers
-//!   triangle queries off mmap'd on-disk CSR shards.
+//! * [`mod@slice`] — the workspace's one sorted-merge kernel, generic over
+//!   the row type: it serves the `u32` factor rows of the kernels here, of
+//!   the `kron` closed forms and of the truss peel alike, and the `u64`
+//!   shard rows the `kron-serve` engine answers triangle queries from off
+//!   mmap'd on-disk CSR shards.
 //!
 //! ## Example
 //!

@@ -1,21 +1,52 @@
-//! Triangle kernels over borrowed sorted rows.
+//! The workspace's one sorted-merge kernel, over borrowed sorted rows.
 //!
-//! The in-memory kernels in this crate walk a [`kron_graph::Graph`]'s
-//! `u32` CSR. The serving path (`kron-serve`) answers the same statistics
-//! off *on-disk* CSR shards, whose rows arrive as zero-copy `&[u64]`
-//! slices out of a memory mapping. These kernels are the common core both
-//! can share: sorted-merge intersection with the paper's loop-exclusion
-//! convention (Rem. 3: a triangle never uses a self loop), plus the
-//! wedge-check accounting the paper's §VI reports.
+//! Every count of common neighbours walks two ascending rows in step:
+//! the in-memory kernels over a [`kron_graph::Graph`]'s `u32` factor
+//! rows, the factor terms of the `kron` closed forms, the truss peel,
+//! and the serving path (`kron-serve`), whose `u64` rows arrive as
+//! zero-copy slices out of a memory-mapped CSR shard. [`merge_by`] is
+//! that walk, generic over the row type and the order; the helpers
+//! below add the paper's loop-exclusion convention (Rem. 3: a triangle
+//! never uses a self loop) and report the comparisons the merge made,
+//! which §VI calls wedge checks.
 //!
-//! Rows must be sorted ascending — exactly what `kron_stream::CsrMap`
-//! hands out (its writer refuses anything else, and `verify-shards`
-//! re-checks) for every shard row, in either format.
+//! Rows must be sorted ascending under the comparison used — exactly
+//! what `kron_stream::CsrMap` hands out (its writer refuses anything
+//! else, and `verify-shards` re-checks) for every shard row, in either
+//! format, and what a `Graph` stores.
+
+use std::cmp::Ordering;
 
 /// Whether a sorted row contains `v` (binary search).
 #[inline]
 pub fn contains_sorted(row: &[u64], v: u64) -> bool {
     row.binary_search(&v).is_ok()
+}
+
+/// Merge two rows sorted ascending under `cmp`, calling `common(i, j)`
+/// for every pair `a[i]`, `b[j]` that compares equal. Returns the number
+/// of comparisons made — the wedge checks of §VI.
+#[inline]
+pub fn merge_by<T, C, F>(a: &[T], b: &[T], mut cmp: C, mut common: F) -> u64
+where
+    C: FnMut(&T, &T) -> Ordering,
+    F: FnMut(usize, usize),
+{
+    let (mut p, mut q) = (0, 0);
+    let mut checks = 0u64;
+    while p < a.len() && q < b.len() {
+        checks += 1;
+        match cmp(&a[p], &b[q]) {
+            Ordering::Less => p += 1,
+            Ordering::Greater => q += 1,
+            Ordering::Equal => {
+                common(p, q);
+                p += 1;
+                q += 1;
+            }
+        }
+    }
+    checks
 }
 
 /// Intersect two sorted rows, counting common values with `ex0` and `ex1`
@@ -26,25 +57,11 @@ pub fn contains_sorted(row: &[u64], v: u64) -> bool {
 /// `|N(u) ∩ N(v) \ {u, v}|` — the per-edge triangle participation
 /// `Δ[{u,v}]` of Def. 6, loop slots excluded per Rem. 3.
 #[inline]
-pub fn intersect_excluding(a: &[u64], b: &[u64], ex0: u64, ex1: u64) -> (u64, u64) {
-    let (mut p, mut q) = (0, 0);
+pub fn intersect_excluding<T: Ord + Copy>(a: &[T], b: &[T], ex0: T, ex1: T) -> (u64, u64) {
     let mut count = 0u64;
-    let mut checks = 0u64;
-    while p < a.len() && q < b.len() {
-        checks += 1;
-        match a[p].cmp(&b[q]) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                let w = a[p];
-                if w != ex0 && w != ex1 {
-                    count += 1;
-                }
-                p += 1;
-                q += 1;
-            }
-        }
-    }
+    let checks = merge_by(a, b, T::cmp, |i, _| {
+        count += u64::from(a[i] != ex0 && a[i] != ex1);
+    });
     (count, checks)
 }
 
@@ -111,6 +128,76 @@ mod tests {
         let (n, _) = intersect_excluding(&a, &b, 2, 8);
         assert_eq!(n, 1); // only 3 survives
         assert_eq!(intersect_excluding(&[], &b, 0, 0).0, 0);
+    }
+
+    /// The loop `intersect_excluding` ran before it was built on
+    /// [`merge_by`]: the reference for the reported comparison count.
+    fn reference_intersect(a: &[u64], b: &[u64], ex0: u64, ex1: u64) -> (u64, u64) {
+        let (mut p, mut q) = (0, 0);
+        let mut count = 0u64;
+        let mut checks = 0u64;
+        while p < a.len() && q < b.len() {
+            checks += 1;
+            match a[p].cmp(&b[q]) {
+                std::cmp::Ordering::Less => p += 1,
+                std::cmp::Ordering::Greater => q += 1,
+                std::cmp::Ordering::Equal => {
+                    let w = a[p];
+                    if w != ex0 && w != ex1 {
+                        count += 1;
+                    }
+                    p += 1;
+                    q += 1;
+                }
+            }
+        }
+        (count, checks)
+    }
+
+    #[test]
+    fn merge_matches_brute_force_and_the_reference_loop_on_random_rows() {
+        use rand::prelude::*;
+        use std::collections::BTreeSet;
+        let mut rng = StdRng::seed_from_u64(41);
+        let row = |rng: &mut StdRng| -> Vec<u64> {
+            let (len, range) = (rng.gen_range(0..40), rng.gen_range(1..120));
+            let set: BTreeSet<u64> = (0..len).map(|_| rng.gen_range(0..range)).collect();
+            set.into_iter().collect()
+        };
+        for _ in 0..500 {
+            let (a, b) = (row(&mut rng), row(&mut rng));
+            let expect: Vec<(usize, usize)> = a
+                .iter()
+                .enumerate()
+                .filter_map(|(i, x)| b.iter().position(|y| y == x).map(|j| (i, j)))
+                .collect();
+            let mut pairs = Vec::new();
+            let checks = merge_by(&a, &b, u64::cmp, |i, j| pairs.push((i, j)));
+            assert_eq!(pairs, expect, "{a:?} ∩ {b:?}");
+            // u32::MAX is in no row: no exclusion
+            let none = u64::from(u32::MAX);
+            let pick = |rng: &mut StdRng, row: &[u64]| match rng.gen_range(0..3) {
+                0 if !row.is_empty() => row[rng.gen_range(0..row.len())],
+                1 => rng.gen_range(0..120),
+                _ => none,
+            };
+            let (ex0, ex1) = (pick(&mut rng, &a), pick(&mut rng, &b));
+            for (ex0, ex1) in [(none, none), (ex0, ex1)] {
+                let count = expect
+                    .iter()
+                    .filter(|&&(i, _)| a[i] != ex0 && a[i] != ex1)
+                    .count() as u64;
+                let reference = reference_intersect(&a, &b, ex0, ex1);
+                assert_eq!(reference, (count, checks));
+                assert_eq!(intersect_excluding(&a, &b, ex0, ex1), reference);
+                let narrow = |r: &[u64]| r.iter().map(|&x| x as u32).collect::<Vec<u32>>();
+                let (a32, b32) = (narrow(&a), narrow(&b));
+                assert_eq!(
+                    intersect_excluding(&a32, &b32, ex0 as u32, ex1 as u32),
+                    reference
+                );
+            }
+        }
     }
 
     #[test]

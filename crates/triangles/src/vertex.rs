@@ -1,6 +1,7 @@
 //! Per-vertex triangle participation `t_A` (Def. 5 of the paper).
 
-use crate::count::{build_dag, intersect_ranked};
+use crate::count::build_dag;
+use crate::slice::merge_by;
 use kron_graph::Graph;
 use rayon::prelude::*;
 
@@ -20,10 +21,11 @@ pub fn vertex_participation(g: &Graph) -> Vec<u64> {
             |mut t, u| {
                 let ou = dag.out(u);
                 for (i, &v) in ou.iter().enumerate() {
-                    intersect_ranked(&dag.rank, &ou[i + 1..], dag.out(v), |w| {
+                    let rest = &ou[i + 1..];
+                    merge_by(rest, dag.out(v), dag.by_rank(), |p, _| {
                         t[u as usize] += 1;
                         t[v as usize] += 1;
-                        t[w as usize] += 1;
+                        t[rest[p] as usize] += 1;
                     });
                 }
                 t

@@ -10,6 +10,7 @@
 use crate::TrussDecomposition;
 use kron_graph::Graph;
 use kron_triangles::edge_participation;
+use kron_triangles::slice::merge_by;
 
 /// Compute the full truss decomposition of `g` (self loops ignored).
 pub fn truss_decomposition(g: &Graph) -> TrussDecomposition {
@@ -87,34 +88,22 @@ pub fn truss_decomposition(g: &Graph) -> TrussDecomposition {
         trussness[e] = level;
         let (u, v) = edges[e];
         // find triangles (u, v, w) whose other two edges are still alive
-        let (ru, rv) = (g.adj_row(u), g.adj_row(v));
-        let (mut p, mut q) = (0, 0);
-        while p < ru.len() && q < rv.len() {
-            match ru[p].cmp(&rv[q]) {
-                std::cmp::Ordering::Less => p += 1,
-                std::cmp::Ordering::Greater => q += 1,
-                std::cmp::Ordering::Equal => {
-                    let w = ru[p];
-                    p += 1;
-                    q += 1;
-                    if w == u || w == v {
-                        continue;
-                    }
-                    let f1 = eid_of_slot[g.offsets()[u as usize] + p - 1] as usize;
-                    let f2 = eid_of_slot[g.offsets()[v as usize] + q - 1] as usize;
-                    if !alive[f1] || !alive[f2] {
-                        continue;
-                    }
-                    // supports never drop below the current floor
-                    if sup[f1] + 2 > level {
-                        decrement(f1, &mut sup, &mut bin, &mut pos, &mut order);
-                    }
-                    if sup[f2] + 2 > level {
-                        decrement(f2, &mut sup, &mut bin, &mut pos, &mut order);
-                    }
-                }
+        // (g is loop-free, so no common neighbour is u or v)
+        let (su, sv) = (g.offsets()[u as usize], g.offsets()[v as usize]);
+        merge_by(g.adj_row(u), g.adj_row(v), u32::cmp, |p, q| {
+            let f1 = eid_of_slot[su + p] as usize;
+            let f2 = eid_of_slot[sv + q] as usize;
+            if !alive[f1] || !alive[f2] {
+                return;
             }
-        }
+            // supports never drop below the current floor
+            if sup[f1] + 2 > level {
+                decrement(f1, &mut sup, &mut bin, &mut pos, &mut order);
+            }
+            if sup[f2] + 2 > level {
+                decrement(f2, &mut sup, &mut bin, &mut pos, &mut order);
+            }
+        });
     }
     let _ = n;
     TrussDecomposition { edges, trussness }

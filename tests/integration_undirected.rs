@@ -171,3 +171,21 @@ fn associativity_via_chain() {
         assert_eq!(chain.degree(p as u128), c2.degree(p) as u128);
     }
 }
+
+#[test]
+fn wedge_checks_are_pinned_on_seeded_holme_kim_graphs() {
+    // The §VI accounting: the comparisons the degree-ordered sweep makes.
+    // A change to the merge loop that counts differently shows here.
+    for (n, m, seed, triangles, checks) in [
+        (500, 3, 1, 784, 2477),
+        (2000, 4, 2, 4697, 21441),
+        (5000, 5, 3, 15620, 96622),
+    ] {
+        let count = count_triangles(&holme_kim(n, m, 0.7, seed));
+        assert_eq!(
+            (count.triangles, count.wedge_checks),
+            (triangles, checks),
+            "holme_kim({n}, {m}, 0.7, {seed})"
+        );
+    }
+}

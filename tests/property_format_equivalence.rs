@@ -394,20 +394,24 @@ fn every_consumer_sees_the_same_row() {
     let set = ShardSet::open(&runs[0].1).unwrap();
     let stop = AtomicBool::new(false);
     let visited = std::sync::Mutex::new(Vec::new());
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let cancelled = scan_rows(
-        &set,
-        &stop,
-        |_| true,
-        |_: &mut (), v, _| {
-            visited.lock().unwrap().push(v);
-            if v == 5 {
-                stop.store(true, Ordering::SeqCst);
-            }
-            Ok(())
-        },
-    );
-    std::env::remove_var("RAYON_NUM_THREADS");
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let cancelled = one.install(|| {
+        scan_rows(
+            &set,
+            &stop,
+            |_| true,
+            |_: &mut (), v, _| {
+                visited.lock().unwrap().push(v);
+                if v == 5 {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                Ok(())
+            },
+        )
+    });
     assert!(matches!(cancelled, Err(AnalyzeError::Cancelled)));
     assert_eq!(*visited.lock().unwrap(), (0..=5).collect::<Vec<u64>>());
 
