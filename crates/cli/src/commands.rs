@@ -201,23 +201,20 @@ fn synopsis_options(cmd: &str) -> Option<Vec<(&'static str, bool)>> {
 /// Dispatch a parsed command line. An option or flag the subcommand does
 /// not take, a flag given a value and an option given none are refused
 /// before anything runs: a typo must not quietly weaken a check
-/// (`verify-shards --rehsh`, `verify-shards --rehash yes`).
+/// (`verify-shards --rehsh`, `verify-shards --rehash yes`). Unknown names
+/// are reported first, so a shape error never hides a typo.
 pub fn run(p: &ParsedArgs) -> Result<(), String> {
     if let Some(known) = synopsis_options(&p.command) {
         let given = p.options.keys().map(|o| (o, false));
-        let mut given: Vec<_> = given.chain(p.flags.iter().map(|f| (f, true))).collect();
-        given.sort();
-        for (name, bare) in given {
-            let (what, why) = match known.iter().find(|(k, _)| k == name) {
-                None => ("unknown option", ""),
-                Some(&(_, true)) if !bare => ("flag", " takes no value"),
-                Some(&(_, false)) if bare => ("option", " needs a value"),
-                Some(_) => continue,
-            };
-            return Err(format!(
-                "{}: {what} --{name}{why} (see `kron help`)",
-                p.command
-            ));
+        let given = given.chain(p.flags.iter().map(|f| (f, true)));
+        let refusal = |(name, bare): (&String, bool)| match known.iter().find(|(k, _)| k == name) {
+            None => Some((0, format!("unknown option --{name}"))),
+            Some(&(_, true)) if !bare => Some((1, format!("flag --{name} takes no value"))),
+            Some(&(_, false)) if bare => Some((1, format!("option --{name} needs a value"))),
+            Some(_) => None,
+        };
+        if let Some((_, why)) = given.filter_map(refusal).min() {
+            return Err(format!("{}: {why} (see `kron help`)", p.command));
         }
     }
     match p.command.as_str() {

@@ -68,8 +68,8 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Pool size; `0` (the default) means [`current_num_threads`] as it
-    /// reads outside any pool.
+    /// Pool size; `0` (the default) leaves the size in force unchanged:
+    /// the enclosing pool's, else `RAYON_NUM_THREADS` or every core.
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = n;
         self
