@@ -54,7 +54,6 @@ mod cc;
 mod census;
 mod pagerank;
 
-use kron::KronProduct;
 use kron_stream::json::Json;
 use kron_stream::ShardSet;
 use rayon::prelude::*;
@@ -183,7 +182,7 @@ impl KernelSpec {
 #[derive(Debug)]
 pub enum AnalyzeError {
     /// The run directory or spec is unusable (incomplete shard subset,
-    /// out-of-range source vertex, unreadable factor copies, …).
+    /// out-of-range source vertex, …).
     Open(String),
     /// The stop flag was raised; the pass ended early with no verdict.
     Cancelled,
@@ -247,8 +246,8 @@ pub fn run_kernel(
         Kernel::Cc => cc::run(set, stop),
         Kernel::Pagerank => pagerank::run(set, spec, stop),
         Kernel::TriCensus => {
-            let product = spec.validate.then(|| load_product(set)).transpose()?;
-            let (doc, ok) = census::run(set, product.as_ref(), stop)?;
+            let product = spec.validate.then(|| &**set.product());
+            let (doc, ok) = census::run(set, product, stop)?;
             if ok {
                 Ok(doc)
             } else {
@@ -256,19 +255,6 @@ pub fn run_kernel(
             }
         }
     }
-}
-
-/// Rebuild the implicit [`KronProduct`] from the run directory's factor
-/// copies through [`kron_stream::load_factors`] — the same loader, with
-/// the same checks against `run.json`, as the serving tier's oracle and
-/// `verify-shards`, so a swapped, truncated or rewired factor file is
-/// rejected instead of silently "validating" against the wrong product.
-///
-/// # Errors
-///
-/// [`AnalyzeError::Open`] naming the offending factor copy.
-pub fn load_product(set: &ShardSet) -> Result<KronProduct, AnalyzeError> {
-    kron_stream::load_factors(set.dir(), set.run()).map_err(|e| AnalyzeError::Open(e.to_string()))
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,7 @@
 //! out of order or with a column stored twice.
 
 use kron::KronProduct;
-use kron_analyze::{load_product, run_kernel, AnalyzeError, Kernel, KernelSpec};
+use kron_analyze::{run_kernel, AnalyzeError, Kernel, KernelSpec};
 use kron_gen::deterministic::{clique, cycle, hub_cycle, path};
 use kron_gen::holme_kim;
 use kron_graph::Graph;
@@ -320,7 +320,7 @@ fn census_validates_a_clean_artifact_against_the_closed_forms() {
     assert_eq!(got, expected);
 
     // the loaded product used for validation is the documented one
-    let loaded = load_product(&set).unwrap();
+    let loaded = set.product();
     assert_eq!(loaded.num_vertices(), c.num_vertices());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -31,7 +31,6 @@ USAGE:
   kron query <a.tsv> <b.tsv> <p> [<q>]
       O(1) degree/triangle lookup at product vertex p (or edge {p,q})
   kron query <DIR> <p> [<q>] [--source artifact|oracle|cross-check[:N]]
-             [--cache BYTES]
       the same lookups over a `kron stream` (csr or csr2) run directory:
       artifact walks the mmap'd CSR shards (graph never loaded), oracle
       evaluates the closed forms on the run's factor copies (no shard
@@ -369,9 +368,10 @@ fn vertex(s: &str, n: u64) -> Result<u64, String> {
 }
 
 /// The engine options of `kron query <DIR>`, `kron path` and `kron serve`,
-/// parsed once and before any open: `--source`, `--cache` (not on `kron
-/// path`: a traversal reads no row through the LRU), plus (for `serving`,
-/// i.e. `kron serve`) `--no-verify`, `--shards` and `--peers`.
+/// parsed once and before any open: `--source`, `--cache` (only on `kron
+/// serve`: a traversal reads no row through the LRU, and a one-shot
+/// lookup could hit it once at most), plus (for `serving`, i.e. `kron
+/// serve`) `--no-verify`, `--shards` and `--peers`.
 /// The point commands open structurally; `kron verify-shards` owns
 /// whole-artifact hashing.
 fn engine_options(p: &ParsedArgs, serving: bool) -> Result<OpenOptions, String> {

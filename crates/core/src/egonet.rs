@@ -5,50 +5,17 @@
 //! materializing C**.
 
 use crate::KronProduct;
-use kron_graph::Graph;
+use kron_graph::{Egonet, Graph};
 use std::collections::HashMap;
-
-/// A materialized egonet of a single product vertex: the induced subgraph
-/// on the closed neighborhood of `center`, built purely from the factors.
-#[derive(Clone, Debug)]
-pub struct ProductEgonet {
-    /// The local induced subgraph (vertices renumbered `0..k`).
-    pub graph: Graph,
-    /// `mapping[local]` = global product-vertex id.
-    pub mapping: Vec<u64>,
-    /// Local id of the center.
-    pub center: u32,
-}
-
-impl ProductEgonet {
-    /// Degree of the center inside the egonet (= its degree in `C`).
-    pub fn center_degree(&self) -> u64 {
-        self.graph.degree(self.center)
-    }
-
-    /// Triangles through the center, counted *locally* (edges among the
-    /// center's neighbors) — the independent check against
-    /// [`KronProduct::vertex_triangles`].
-    pub fn triangles_at_center(&self) -> u64 {
-        let nbrs: Vec<u32> = self.graph.neighbors(self.center).collect();
-        let mut count = 0u64;
-        for (i, &u) in nbrs.iter().enumerate() {
-            for &v in &nbrs[i + 1..] {
-                if self.graph.has_edge(u, v) {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-}
 
 impl KronProduct {
     /// Extract the egonet of product vertex `p` implicitly: neighbors come
     /// from the factor rows (`N_C(p) = N_A(i) × N_B(k)` under `γ`), and
     /// edges among them from factor edge lookups. Cost `O(d_C(p)²·log)`,
-    /// independent of `|E_C|`.
-    pub fn egonet(&self, p: u64) -> ProductEgonet {
+    /// independent of `|E_C|`. Degree and triangles at the center,
+    /// counted locally, are the independent check against
+    /// [`KronProduct::degree`] and [`KronProduct::vertex_triangles`].
+    pub fn egonet(&self, p: u64) -> Egonet<u64> {
         let mut verts: Vec<u64> = self.neighbors(p);
         if !self.has_self_loop(p) {
             verts.push(p);
@@ -72,7 +39,7 @@ impl KronProduct {
         }
         let graph = Graph::from_edges(verts.len(), edges);
         let center = local[&p];
-        ProductEgonet {
+        Egonet {
             graph,
             mapping: verts,
             center,

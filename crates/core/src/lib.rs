@@ -76,7 +76,6 @@ pub mod validate;
 pub use blocks::{RowBlockStats, RowRuns, RUN_CAPACITY};
 pub use chain::KronChain;
 pub use directed::KronDirectedProduct;
-pub use egonet::ProductEgonet;
 pub use error::KronError;
 pub use index::ProductIndexer;
 pub use labeled::KronLabeledProduct;

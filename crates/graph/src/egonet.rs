@@ -10,19 +10,21 @@
 use crate::Graph;
 
 /// An extracted egonet: the induced subgraph on `{center} ∪ N(center)`.
+/// `V` is the host's vertex id type — `u32` for a [`Graph`], `u64` for
+/// an egonet built implicitly from a Kronecker product's factors.
 #[derive(Clone, Debug)]
-pub struct Egonet {
+pub struct Egonet<V = u32> {
     /// The induced subgraph, with vertices renumbered `0..k`.
     pub graph: Graph,
     /// `mapping[local]` is the original vertex id.
-    pub mapping: Vec<u32>,
+    pub mapping: Vec<V>,
     /// The local id of the center vertex.
     pub center: u32,
 }
 
-impl Egonet {
+impl<V> Egonet<V> {
     /// Number of triangles through the center = number of edges among the
-    /// center's neighbors (valid when the host graph has no self loops).
+    /// center's neighbors (self loops are no neighbors, so never count).
     pub fn triangles_at_center(&self) -> u64 {
         let nbrs: Vec<u32> = self.graph.neighbors(self.center).collect();
         let mut count = 0u64;

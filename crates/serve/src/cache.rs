@@ -28,6 +28,7 @@
 //! from the rest — the signal a multi-node tier would use to replicate or
 //! split that shard.
 
+use kron_stream::mix;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -106,11 +107,9 @@ impl RowCache {
     }
 
     fn stripe(&self, v: u64) -> &RwLock<Stripe> {
-        // SplitMix64-style fingerprint so consecutive vertex ids (a shard's
+        // SplitMix64 fingerprint so consecutive vertex ids (a shard's
         // contiguous range) spread across stripes instead of clustering.
-        let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        &self.stripes[(z as usize) % self.stripes.len()]
+        &self.stripes[(mix(v) as usize) % self.stripes.len()]
     }
 
     /// The configured byte budget.
@@ -350,11 +349,7 @@ mod tests {
 
     /// Keys guaranteed to land in the same stripe.
     fn same_stripe_keys(n: usize) -> Vec<u64> {
-        let probe = |k: u64| {
-            let mut z = k.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            (z as usize) % STRIPES
-        };
+        let probe = |k: u64| (mix(k) as usize) % STRIPES;
         let s0 = probe(0);
         (0..100_000).filter(|&k| probe(k) == s0).take(n).collect()
     }

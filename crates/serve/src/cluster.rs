@@ -35,9 +35,10 @@
 //!
 //! The **ownership map** has two layers, both static:
 //!
-//! * *shard → vertex range* comes from the run directory's manifests —
-//!   every node reads all of them (they are small JSON files), so routing
-//!   any product vertex to its owning shard needs no network round trip;
+//! * *shard → vertex range* comes from the shard plan, a function of the
+//!   run's factor copies and shard count that every node computes at
+//!   open, so routing any product vertex to its owning shard needs no
+//!   network round trip and no other shard's manifest;
 //! * *shard → replica list* comes from the command line: each node is
 //!   started with `--shards a..b` (its own claim) and `--peers
 //!   a..b=ADDR,…` ([`PeerSpec`]) for every other node. Claims **may

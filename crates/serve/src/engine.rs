@@ -379,11 +379,11 @@ impl ServeEngine {
     /// # Errors
     ///
     /// [`ServeError::Open`] for a directory that fails the requested
-    /// validation depth, an impossible `cross-check:0` rate, or an
-    /// incomplete cluster ownership map (subset + peers must cover every
-    /// shard; overlapping claims are replicas and are legal);
-    /// [`ServeError::Oracle`] when an oracle-loading source finds the
-    /// factor copies missing or stale.
+    /// validation depth — missing or stale factor copies included, for
+    /// every source, since the shard set loads them — an impossible
+    /// `cross-check:0` rate, or an incomplete cluster ownership map
+    /// (subset + peers must cover every shard; overlapping claims are
+    /// replicas and are legal).
     pub fn open_with(dir: &Path, opts: &OpenOptions) -> Result<ServeEngine, ServeError> {
         // Reject an impossible config before paying for the open (a
         // checksum-verified open rehashes every shard byte).
@@ -410,8 +410,7 @@ impl ServeEngine {
             .transpose()?;
         // every source but the artifact walk answers or checks in closed form
         let oracle = (opts.source != AnswerSource::Artifact)
-            .then(|| FactorOracle::load(dir, set.run()))
-            .transpose()?;
+            .then(|| FactorOracle::new(set.product().clone()));
         let routing = RoutingStats::new(set.num_shards());
         Ok(ServeEngine {
             set,

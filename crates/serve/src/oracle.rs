@@ -15,12 +15,15 @@
 //! validates the factor copies against `run.json` (vertex counts,
 //! adjacency nnz, closed-form triangle sum), so a run directory whose
 //! factors were swapped or truncated after generation is rejected instead
-//! of silently answering for a different product.
+//! of silently answering for a different product. The engine does not
+//! load them again: it shares the product its [`kron_stream::ShardSet`]
+//! loaded at open ([`FactorOracle::new`]).
 
 use crate::engine::ServeError;
 use kron::KronProduct;
 use kron_stream::RunSummary;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Closed-form query oracle over the run directory's factor copies.
 ///
@@ -29,7 +32,7 @@ use std::path::Path;
 /// factors alone. Out-of-range handling matches the artifact path exactly:
 /// the same [`ServeError::VertexOutOfRange`] on the same inputs.
 pub struct FactorOracle {
-    product: KronProduct,
+    product: Arc<KronProduct>,
 }
 
 impl std::fmt::Debug for FactorOracle {
@@ -52,8 +55,14 @@ impl FactorOracle {
     /// adjacency nnz, closed-form triangle sum).
     pub fn load(dir: &Path, run: &RunSummary) -> Result<FactorOracle, ServeError> {
         kron_stream::load_factors(dir, run)
-            .map(|product| FactorOracle { product })
+            .map(|product| FactorOracle::new(Arc::new(product)))
             .map_err(|e| ServeError::Oracle(e.to_string()))
+    }
+
+    /// An oracle over a product already loaded and checked — a
+    /// [`kron_stream::ShardSet`]'s, shared rather than parsed again.
+    pub fn new(product: Arc<KronProduct>) -> FactorOracle {
+        FactorOracle { product }
     }
 
     /// The implicit product rebuilt from the factor copies.

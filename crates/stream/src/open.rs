@@ -1,51 +1,53 @@
 //! Opening a completed CSR run directory for in-place querying.
 //!
 //! [`ShardSet`] is the bridge between generation and serving: it reads
-//! `run.json` and every shard manifest, memory-maps every CSR artifact
-//! once, cross-checks each mapped header against its manifest, and then
-//! routes product vertices to shards by the plan's contiguous vertex
-//! ranges. After a successful open, every adjacency row of the product is
+//! `run.json`, the factor copies and each claimed shard's manifest,
+//! memory-maps each claimed CSR artifact once, cross-checks each mapped
+//! header against its manifest, and then routes product vertices to
+//! shards by the plan's contiguous vertex ranges. After a successful
+//! open, every resident adjacency row of the product is
 //! reachable as a `Cow<[u64]>` — a zero-copy slice borrowed from the
 //! mapping for v1 (`csr`) shards, an owned buffer decoded on demand for
 //! v2 (`csr2`) shards — without loading the graph. Both formats travel
 //! every path above this module identically; a run may even mix them per
 //! shard (the state a `kron compact` conversion passes through).
 //!
-//! Two levels of validation are offered:
+//! Every open first loads the run directory's factor copies through
+//! [`crate::load_factors`] and builds the [`ShardPlan`]: the plan, a
+//! function of the factors and the shard count alone, is the ownership
+//! map. Two levels of validation are offered on top:
 //!
 //! * [`ShardSet::open`] — structural: JSON parses, the format is CSR, the
-//!   shard vertex ranges tile `0..n_C` contiguously, every artifact's
-//!   header (magic, `vertex_lo`, `num_rows`, `nnz`, offsets monotonicity)
-//!   agrees with its manifest and file size, and the per-shard entry
-//!   counts sum to `run.json`'s total. `O(shards + Σ num_rows)`.
+//!   factor copies are the ones `run.json` was generated from, and each
+//!   claimed manifest's range and closed-form sums are its plan entry's;
+//!   every claimed artifact's header (magic, `vertex_lo`, `num_rows`,
+//!   `nnz`, offsets monotonicity) agrees with its manifest and file size.
+//!   `O(nnz(A) + nnz(B) + shards + Σ num_rows)`.
 //! * [`ShardSet::open_verified`] — additionally recomputes each shard's
 //!   order-independent content checksum from the mapped columns and
 //!   compares it to the manifest. `O(nnz)`, done exactly once at open;
 //!   queries afterwards trust the mapping.
 //!
-//! Either way an open runs in two stages. The manifests of *every* shard
-//! are read and cross-checked first, in order; then the claimed
-//! artifacts are admitted (and, verified, content-checked) shard-parallel
-//! on every core. Each stage fails with its lowest-index bad shard,
+//! The claimed shards are read shard-parallel on every core, manifest
+//! then artifact, and an open fails with its lowest-index bad shard,
 //! whatever the worker count.
 //!
 //! A **subset open** ([`ShardSet::open_with`] with a claimed range) is
-//! the multi-node entry point:
-//! one node of a cluster claims a contiguous shard range, memory-maps
-//! only those artifacts, and still learns the *full* ownership map —
-//! every manifest is read and validated (index, format, range
-//! contiguity, entry totals), so routing a vertex to its owning shard
-//! works for the whole product even though only the claimed shards are
-//! resident. Artifacts of non-claimed shards need not exist on the node
-//! at all (only the small JSON manifests must); a run directory whose
-//! manifests do not cover the claimed range is rejected at open.
+//! the multi-node entry point: one node of a cluster claims a contiguous
+//! shard range and reads only those manifests and artifacts, yet routes
+//! every vertex of the product, because the plan says which shard owns
+//! it. Manifests and artifacts of non-claimed shards need not exist on
+//! the node at all.
 
 use crate::csr::CsrMap;
-use crate::driver::{for_each_shard, load_manifest};
+use crate::driver::{for_each_shard, load_factors, load_manifest};
 use crate::manifest::{OutputFormat, RunSummary, ShardManifest, StreamHash};
+use crate::plan::ShardPlan;
 use crate::StreamError;
+use kron::KronProduct;
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Load shard `index`'s manifest as a member of `run`: it must say it is
 /// shard `index`, and its format must be admissible in the run. The
@@ -175,25 +177,27 @@ impl std::fmt::Debug for OpenShard {
 
 /// A CSR run directory, opened and validated once, with the claimed
 /// shards memory-mapped and *every* product vertex routable to its
-/// owning shard (resident here or not).
+/// owning shard (resident here or not) by the run's [`ShardPlan`].
 ///
 /// [`ShardSet::open`] validates structure only; [`ShardSet::open_verified`]
-/// additionally recomputes every shard's content checksum once.
-/// [`ShardSet::open_with`] maps only a claimed contiguous shard range —
-/// the multi-node case — while still reading every manifest for the
-/// ownership map.
+/// additionally recomputes every claimed shard's content checksum once.
+/// [`ShardSet::open_with`] reads only a claimed contiguous shard range —
+/// the multi-node case.
 pub struct ShardSet {
     dir: PathBuf,
     run: RunSummary,
+    /// The product rebuilt from the run's factor copies: the ground truth
+    /// the plan, the oracle and tri-census validation all read.
+    product: Arc<KronProduct>,
     /// Product-vertex range of every shard of the run, by shard index —
-    /// the ownership map. Always complete, even for subset opens.
+    /// the ownership map, from the plan. Always complete, even for
+    /// subset opens.
     ranges: Vec<std::ops::Range<u64>>,
     /// The opened (claimed) shards, in index order: shard
     /// `subset.start + i` is `shards[i]`.
     shards: Vec<OpenShard>,
     /// The claimed shard range. `0..ranges.len()` for a full open.
     subset: std::ops::Range<usize>,
-    num_vertices: u64,
 }
 
 impl std::fmt::Debug for ShardSet {
@@ -202,20 +206,21 @@ impl std::fmt::Debug for ShardSet {
             .field("dir", &self.dir)
             .field("shards", &self.ranges.len())
             .field("subset", &self.subset)
-            .field("num_vertices", &self.num_vertices)
+            .field("num_vertices", &self.num_vertices())
             .finish()
     }
 }
 
 impl ShardSet {
-    /// Open a run directory with structural validation (headers, sizes,
-    /// ranges — no content hashing).
+    /// Open a run directory with structural validation (factor copies,
+    /// plan, headers, sizes — no content hashing).
     ///
     /// # Errors
     ///
-    /// Fails when `run.json` or any manifest is missing or malformed, the
-    /// run format is not CSR, the shard ranges do not tile `0..n_C`, or
-    /// any artifact's mapped header disagrees with its manifest.
+    /// Fails when `run.json`, a factor copy or any manifest is missing or
+    /// malformed, the run format is not CSR, the factor copies are not
+    /// the ones `run.json` records, a manifest disagrees with its plan
+    /// entry, or any artifact's mapped header disagrees with its manifest.
     pub fn open(dir: &Path) -> Result<ShardSet, StreamError> {
         Self::open_with(dir, None, false)
     }
@@ -232,18 +237,16 @@ impl ShardSet {
     }
 
     /// Open the claimed contiguous shard range `subset` (`None`: every
-    /// shard), with structural validation of the claimed artifacts and,
-    /// with `verify`, their content checksums too. Every manifest of the
-    /// run is still read and validated (the ownership map must be
-    /// complete), but artifacts outside `subset` are neither opened nor
-    /// required to exist on this node — they have no resident contents
-    /// to hash.
+    /// shard), with structural validation of the claimed manifests and
+    /// artifacts and, with `verify`, their content checksums too.
+    /// Manifests and artifacts outside `subset` are neither read nor
+    /// required to exist on this node: the plan routes their vertices.
     ///
     /// # Errors
     ///
     /// Everything [`ShardSet::open`] (and, with `verify`,
     /// [`ShardSet::open_verified`]) rejects for the claimed shards, plus
-    /// an empty claim or one not covered by the run's manifests
+    /// an empty claim or one beyond the run's shards
     /// (`subset.end > shards` or `subset.start ≥ subset.end`).
     pub fn open_with(
         dir: &Path,
@@ -253,8 +256,8 @@ impl ShardSet {
         Self::open_impl(dir, verify, subset, 0)
     }
 
-    /// Every open: `threads` workers admit (and, with `verify`, content-
-    /// check) the claimed artifacts; 0 means every available core.
+    /// Every open: `threads` workers read (and, with `verify`, content-
+    /// check) the claimed shards; 0 means every available core.
     fn open_impl(
         dir: &Path,
         verify: bool,
@@ -270,13 +273,6 @@ impl ShardSet {
                 run.format.as_str()
             )));
         }
-        let num_vertices = run.n_a.checked_mul(run.n_b).ok_or_else(|| {
-            StreamError::Manifest(format!(
-                "run.json: n_A·n_B = {}·{} overflows u64",
-                run.n_a, run.n_b
-            ))
-        })?;
-
         let subset = match subset {
             None => 0..run.shards,
             Some(s) => {
@@ -296,64 +292,41 @@ impl ShardSet {
                 s
             }
         };
-
-        // Manifests first, every shard of the run, in order: the ownership
-        // map must be whole before any artifact is touched.
-        let mut manifests = Vec::with_capacity(run.shards);
-        let mut next_vertex = 0u64;
-        let mut total_entries = 0u128;
-        for index in 0..run.shards {
-            let manifest = load_run_manifest(dir, &run, index)?;
-            if manifest.vertices.start != next_vertex {
-                return Err(StreamError::Shard(
-                    index,
-                    format!(
-                        "vertex range starts at {}, previous shard ended at {next_vertex}",
-                        manifest.vertices.start
-                    ),
-                ));
-            }
-            next_vertex = manifest.vertices.end;
-            total_entries += manifest.entries;
-            manifests.push(manifest);
-        }
-        if next_vertex != num_vertices {
+        let product = load_factors(dir, &run)?;
+        if run.total_entries != product.nnz() {
             return Err(StreamError::Manifest(format!(
-                "shard vertex ranges end at {next_vertex}, product has {num_vertices} vertices"
+                "run.json: total_entries is {}, the factors' product has {}",
+                run.total_entries,
+                product.nnz()
             )));
         }
-        if total_entries != run.total_entries {
-            return Err(StreamError::Manifest(format!(
-                "shard entries sum to {total_entries}, run.json says {}",
-                run.total_entries
-            )));
-        }
-        let ranges = manifests.iter().map(|m| m.vertices.clone()).collect();
+        let plan = ShardPlan::new(&product, run.shards);
+        let ranges = plan.iter().map(|s| s.stats.vertices.clone()).collect();
 
-        // Then the claimed artifacts, shard-parallel. Non-claimed shards
-        // contribute their manifest to the ownership map only; their
-        // artifacts may live on other nodes.
-        let claimed = &manifests[subset.clone()];
-        let readers = for_each_shard(claimed.len(), threads, |i| {
-            let reader = admit_shard(dir, &claimed[i])?;
+        // The claimed shards only, shard-parallel: each manifest must be
+        // its plan entry, each artifact its manifest. The others' files
+        // may live on other nodes.
+        let shards = for_each_shard(subset.len(), threads, |i| {
+            let spec = plan
+                .get(subset.start + i)
+                .expect("the plan has run.shards shards");
+            let manifest = load_run_manifest(dir, &run, spec.index)?;
+            manifest
+                .matches_stats(&spec.stats)
+                .map_err(StreamError::Manifest)?;
+            let reader = admit_shard(dir, &manifest)?;
             if verify {
-                check_content(&reader, &claimed[i], |_, _| Ok(()))?;
+                check_content(&reader, &manifest, |_, _| Ok(()))?;
             }
-            Ok(reader)
+            Ok(OpenShard { manifest, reader })
         })?;
-        let shards = manifests
-            .into_iter()
-            .skip(subset.start)
-            .zip(readers)
-            .map(|(manifest, reader)| OpenShard { manifest, reader })
-            .collect();
         Ok(ShardSet {
             dir: dir.to_path_buf(),
             run,
+            product: Arc::new(product),
             ranges,
             shards,
             subset,
-            num_vertices,
         })
     }
 
@@ -367,9 +340,15 @@ impl ShardSet {
         &self.run
     }
 
+    /// The product rebuilt from the run's factor copies at open — the
+    /// closed-form ground truth every consumer of the set shares.
+    pub fn product(&self) -> &Arc<KronProduct> {
+        &self.product
+    }
+
     /// Product vertex count `n_C = n_A·n_B`.
     pub fn num_vertices(&self) -> u64 {
-        self.num_vertices
+        self.product.num_vertices()
     }
 
     /// Total adjacency entries across all shards (`nnz(A)·nnz(B)`).
@@ -701,9 +680,13 @@ mod tests {
             let err = ShardSet::open_with(&dir, Some(bad.clone()), false).unwrap_err();
             assert!(matches!(err, StreamError::Config(_)), "{bad:?}: {err}");
         }
-        // a claim needs every manifest (the ownership map is run-wide)…
+        // a claim needs only its own manifests (the plan is the ownership
+        // map)…
         std::fs::remove_file(dir.join(crate::manifest_name(2))).unwrap();
-        assert!(ShardSet::open_with(&dir, Some(0..1), false).is_err());
+        assert!(ShardSet::open_with(&dir, Some(0..1), false).is_ok());
+        // …and a claim of the missing one names it
+        let err = ShardSet::open_with(&dir, Some(1..3), false).unwrap_err();
+        assert!(err.to_string().contains("shard_00002.json"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -723,6 +706,59 @@ mod tests {
         assert!(ShardSet::open_with(&dir, Some(2..3), false).is_err());
         assert!(ShardSet::open_with(&dir, Some(0..3), false).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn subset_open_needs_only_its_own_manifests_and_artifacts() {
+        let dir = tmpdir("subset_own_files");
+        let c = product();
+        streamed(&dir, &c, 3);
+        let m2 = load_manifest(&dir, 2).unwrap();
+        std::fs::remove_file(dir.join(m2.file.as_deref().unwrap())).unwrap();
+        std::fs::remove_file(dir.join(crate::manifest_name(2))).unwrap();
+        let set = ShardSet::open_with(&dir, Some(0..2), true).unwrap();
+        // the plan still routes shard 2's vertices to shard 2…
+        for v in m2.vertices.clone() {
+            assert_eq!(set.route(v), Some(2), "route {v}");
+            assert!(set.row(v).is_none());
+        }
+        assert_eq!(set.shard_vertices(2), Some(m2.vertices));
+        // …and every claimed row is served
+        for v in set.subset_vertices() {
+            assert_eq!(&*set.row(v).unwrap(), c.neighbors(v).as_slice());
+        }
+        let err = ShardSet::open(&dir).unwrap_err();
+        assert!(err.to_string().contains("shard_00002.json"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_refuses_a_manifest_its_plan_entry_contradicts() {
+        let c = product();
+        // an edited closed-form sum, artifact untouched
+        let dir = tmpdir("plan_edited");
+        streamed(&dir, &c, 3);
+        let mut m = load_manifest(&dir, 1).unwrap();
+        m.degree_sum += 1;
+        crate::manifest::write_json_atomic(&dir, &crate::manifest_name(1), &m.to_json()).unwrap();
+        for subset in [None, Some(1..2)] {
+            let err = ShardSet::open_with(&dir, subset.clone(), false).unwrap_err();
+            assert!(matches!(err, StreamError::Manifest(_)), "{subset:?}: {err}");
+            assert!(err.to_string().contains("shard 1: degree_sum"), "{err}");
+        }
+        // shard 0's manifest and artifact from a 2-shard run of the same
+        // product: consistent with each other, not with this run's plan
+        let other = tmpdir("plan_other_count");
+        streamed(&other, &c, 2);
+        let m0 = load_manifest(&other, 0).unwrap();
+        for name in [crate::manifest_name(0), m0.file.clone().unwrap()] {
+            std::fs::copy(other.join(&name), dir.join(&name)).unwrap();
+        }
+        let err = ShardSet::open_with(&dir, Some(0..1), true).unwrap_err();
+        assert!(matches!(err, StreamError::Manifest(_)), "{err}");
+        assert!(err.to_string().contains("shard 0:"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&other).ok();
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! Kept verbatim as the correctness oracle for [`crate::truss_decomposition`]
 //! and as the baseline of the truss ablation bench.
 
-use crate::TrussDecomposition;
+use crate::{ktruss_subgraph, TrussDecomposition};
 use kron_graph::Graph;
-use kron_triangles::edge_participation;
 
 /// Truss decomposition by repeated `Δ` recomputation (the paper's §III-D
 /// procedure). Self loops are ignored.
@@ -26,20 +25,7 @@ pub fn truss_decomposition_simple(g: &Graph) -> TrussDecomposition {
     let mut kappa = 3u32;
     while cur.num_edges() > 0 {
         // removal phases for fixed κ
-        loop {
-            let delta = edge_participation(&cur);
-            let doomed: Vec<(u32, u32)> = cur
-                .edges()
-                .filter(|&(u, v)| {
-                    let s = cur.edge_slot(u, v).expect("edge exists");
-                    delta[s] + 2 < kappa as u64
-                })
-                .collect();
-            if doomed.is_empty() {
-                break;
-            }
-            cur = cur.without_edges(&doomed);
-        }
+        cur = ktruss_subgraph(&cur, kappa);
         // survivors are in the κ-truss
         for (u, v) in cur.edges() {
             let id = edges

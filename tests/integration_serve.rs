@@ -547,15 +547,14 @@ fn undecodable_csr2_row_fails_every_reader_and_answers_none() {
 
 /// The factor copies are the ground truth everything is validated
 /// against, so there is one loader and one verdict: whichever entry
-/// point meets a bad copy — the serving oracle, `tri-census` validation,
+/// point meets a bad copy — a shard-set open (which every engine,
+/// `tri-census` run and server job goes through), the serving engine,
 /// `verify-shards` — refuses it at load, with the loader's own words.
 #[test]
 fn bad_factor_copies_are_refused_identically_by_every_loader() {
-    use kron_analyze::{run_kernel, AnalyzeError, Kernel, KernelSpec};
     use kron_graph::write_edge_list_path;
     use kron_serve::{AnswerSource, OpenOptions};
     use kron_stream::{load_factors, verify_shards, RunSummary, ShardSet};
-    use std::sync::atomic::AtomicBool;
 
     let edges_a = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4), (5, 5)];
     let a = Graph::from_edges(6, edges_a);
@@ -625,23 +624,10 @@ fn bad_factor_copies_are_refused_identically_by_every_loader() {
         )
         .unwrap_err()
         .to_string();
-        // the shards themselves are intact: only the validation step of
-        // tri-census can (and must) refuse
-        let set = ShardSet::open_verified(&dir).unwrap();
-        let census = match run_kernel(
-            &set,
-            &KernelSpec::new(Kernel::TriCensus),
-            &AtomicBool::new(false),
-        ) {
-            Err(e @ AnalyzeError::Open(_)) => e.to_string(),
-            other => panic!("{what}: tri-census must refuse at load, got {other:?}"),
-        };
+        // the shards themselves are intact: the open refuses the factors
+        let open = ShardSet::open_verified(&dir).unwrap_err().to_string();
         let verify = verify_shards(&dir, false).unwrap_err().to_string();
-        for (entry, err) in [
-            ("oracle", oracle),
-            ("tri-census", census),
-            ("verify", verify),
-        ] {
+        for (entry, err) in [("oracle", oracle), ("open", open), ("verify", verify)] {
             assert!(err.contains(&verdict), "{what} via {entry}: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
