@@ -212,8 +212,8 @@ pub struct OpenOptions {
     pub verify_checksums: bool,
     /// Which machinery answers queries. Default [`AnswerSource::Artifact`].
     /// [`AnswerSource::Oracle`], [`AnswerSource::CrossCheck`], and
-    /// [`AnswerSource::CrossCheckSampled`] load the factor copies at open
-    /// and fail if they are missing or stale.
+    /// [`AnswerSource::CrossCheckSampled`] answer or check from the
+    /// product the shard set loaded from the factor copies at open.
     pub source: AnswerSource,
     /// Byte budget of the LRU over the hot decoded rows of resident
     /// neighbours that the artifact triangle kernels read (each row
