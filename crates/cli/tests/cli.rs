@@ -1256,7 +1256,7 @@ fn cluster_flag_errors_are_rejected_up_front() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // a claim the manifests do not cover
+    // a claim beyond the run's shards
     let out = kron(&[
         "serve",
         run_dir.to_str().unwrap(),
@@ -1267,7 +1267,7 @@ fn cluster_flag_errors_are_rejected_up_front() {
     ]);
     assert!(!out.status.success());
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("not covered"),
+        String::from_utf8_lossy(&out.stderr).contains("lies outside the run's 3 shards"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );

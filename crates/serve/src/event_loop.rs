@@ -814,34 +814,24 @@ mod imp {
             // so nothing here is double-counted)
             let mut expired: Vec<u64> = Vec::new();
             for (&id, c) in conns.iter_mut() {
-                if c.busy {
+                if c.deadline(cfg.idle_timeout, cfg.io_timeout)
+                    .is_none_or(|d| now < d)
+                {
                     continue;
                 }
-                if c.writing() {
-                    if now.duration_since(c.last_write_progress) >= cfg.io_timeout {
-                        counters
-                            .conns
-                            .timeout_closed
-                            .fetch_add(1, Ordering::Relaxed);
-                        expired.push(id);
-                    }
-                } else if let Some(d) = c.read_deadline {
-                    if now >= d {
-                        // 408-style: tell the slow client why, best
-                        // effort, then close — the partial request can
-                        // never complete
-                        c.queue_response(408, b"error: request timed out\n", now);
-                        let _ = c.stream.write(&c.out);
-                        counters
-                            .conns
-                            .timeout_closed
-                            .fetch_add(1, Ordering::Relaxed);
-                        expired.push(id);
-                    }
-                } else if now.duration_since(c.idle_since) >= cfg.idle_timeout {
-                    counters.conns.idle_closed.fetch_add(1, Ordering::Relaxed);
-                    expired.push(id);
-                }
+                let closed = if c.writing() {
+                    &counters.conns.timeout_closed
+                } else if c.read_deadline.is_some() {
+                    // 408-style: tell the slow client why, best effort,
+                    // then close — the partial request can never complete
+                    c.queue_response(408, b"error: request timed out\n", now);
+                    let _ = c.stream.write(&c.out);
+                    &counters.conns.timeout_closed
+                } else {
+                    &counters.conns.idle_closed
+                };
+                closed.fetch_add(1, Ordering::Relaxed);
+                expired.push(id);
             }
             for id in expired {
                 remove(&mut conns, counters, id);

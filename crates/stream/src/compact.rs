@@ -19,9 +19,9 @@
 use crate::csr::file_size_checked;
 use crate::driver::RUN_FILE;
 use crate::manifest::{manifest_name, write_json_atomic, OutputFormat};
-use crate::open::{admit_shard, load_run_manifest};
+use crate::open::{Depth, Ground};
 use crate::sink::{Csr2Sink, EdgeSink};
-use crate::{RunSummary, StreamError};
+use crate::StreamError;
 use std::path::Path;
 
 /// Outcome of [`compact_run`].
@@ -63,29 +63,30 @@ impl CompactReport {
 /// [`StreamError::Config`] when the run's format is not `csr` or `csr2`
 /// (a count run has nothing to compact);
 /// [`StreamError::Shard`] naming the first shard whose artifact is
-/// missing, fails admission (header, size) or fails to convert; any
-/// manifest/summary error from reading the directory.
+/// missing, fails the header check of every open (manifest against its
+/// plan entry, artifact header and size against the manifest) or fails
+/// to convert; any error reading `run.json` or the factor copies.
 pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
-    let mut run = RunSummary::load(dir)?;
-    if !run.format.is_csr() {
+    let mut ground = Ground::load(dir)?;
+    if !ground.run.format.is_csr() {
         return Err(StreamError::Config(format!(
             "{}: run format is {:?}; only csr runs can be compacted",
             dir.display(),
-            run.format.as_str()
+            ground.run.format.as_str()
         )));
     }
 
     let mut report = CompactReport {
-        shards: run.shards,
+        shards: ground.run.shards,
         converted: 0,
         skipped: 0,
         bytes_before: 0,
         bytes_after: 0,
     };
-    for index in 0..run.shards {
-        let m = load_run_manifest(dir, &run, index)?;
+    for index in 0..ground.run.shards {
+        let (m, reader) = ground.check(dir, index, Depth::Header)?;
+        let reader = reader.expect("a csr run admits csr shards only");
         let fail = |msg: String| StreamError::Shard(index, msg);
-        let reader = admit_shard(dir, &m)?;
         let v1_bytes = reader
             .nnz()
             .checked_mul(8)
@@ -107,7 +108,8 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
             .artifact_name(index)
             .expect("csr2 names artifacts");
         // Row lengths come straight from the v1 offset table (the bound is
-        // exact there) — no factors needed, so compact works on a bare run.
+        // exact there): the conversion copies the rows the header check
+        // admitted as they are.
         let lengths = m
             .vertices
             .clone()
@@ -141,9 +143,9 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
         report.bytes_after += bytes;
     }
 
-    if run.format != OutputFormat::Csr2 {
-        run.format = OutputFormat::Csr2;
-        write_json_atomic(dir, RUN_FILE, &run.to_json())
+    if ground.run.format != OutputFormat::Csr2 {
+        ground.run.format = OutputFormat::Csr2;
+        write_json_atomic(dir, RUN_FILE, &ground.run.to_json())
             .map_err(|e| StreamError::Io(e.to_string()))?;
     }
     Ok(report)
@@ -153,7 +155,7 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
 mod tests {
     use super::*;
     use crate::driver::{load_manifest, stream_product, StreamConfig};
-    use crate::{verify_shards, ShardSet};
+    use crate::{verify_shards, RunSummary, ShardSet};
     use kron::KronProduct;
     use kron_graph::Graph;
 

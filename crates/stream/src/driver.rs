@@ -5,6 +5,7 @@ use crate::manifest::{
     manifest_name, read_json, write_json_atomic, OutputFormat, RunSummary, ShardManifest,
     StreamHash,
 };
+use crate::open::{check_shard, Depth};
 use crate::plan::{ShardPlan, ShardSpec};
 use crate::sink::{CountSink, Csr2Sink, CsrSink, EdgeSink};
 use crate::StreamError;
@@ -24,12 +25,14 @@ pub struct StreamConfig {
     pub format: OutputFormat,
     /// Worker threads; 0 means available parallelism.
     pub threads: usize,
-    /// Skip shards whose manifest already exists and validates.
+    /// Skip shards that pass the header check of [`crate::ShardSet::open`]
+    /// for this format, and regenerate the rest.
     ///
-    /// The check is rsync-style quick: manifest statistics against the
-    /// closed form plus artifact size — O(1) per shard, no content read.
-    /// Bit-level corruption in a same-size artifact is the job of
-    /// [`crate::verify_shards`]; delete the artifact it flags and resume.
+    /// A kept shard's manifest names its index and equals its plan entry,
+    /// and its artifact's header maps and matches the manifest: O(rows)
+    /// per shard, no content read. Bit-level corruption of a same-size
+    /// artifact's rows is the job of [`crate::verify_shards`]; delete the
+    /// artifact it flags and resume.
     pub resume: bool,
 }
 
@@ -259,23 +262,6 @@ fn remove_stale_shard_files(
     Ok(())
 }
 
-/// The shard's manifest, if a completed, valid manifest + artifact
-/// already exist for it (the resume check).
-fn completed_shard(dir: &Path, spec: &ShardSpec, format: OutputFormat) -> Option<ShardManifest> {
-    let doc = read_json(&dir.join(manifest_name(spec.index))).ok()?;
-    let m = ShardManifest::from_json(&doc).ok()?;
-    if m.format != format || m.matches_stats(&spec.stats).is_err() {
-        return None;
-    }
-    let complete = match &m.file {
-        None => format == OutputFormat::Count,
-        Some(name) => {
-            std::fs::metadata(dir.join(name)).map(|md| md.len()).ok() == Some(m.file_bytes)
-        }
-    };
-    complete.then_some(m)
-}
-
 /// Load a shard's manifest from a run directory.
 ///
 /// # Errors
@@ -313,8 +299,9 @@ impl RunSummary {
 /// Rebuild the implicit product — the closed-form ground truth — from a
 /// run directory's factor copies, refusing copies that are not the
 /// factors `run` was generated from: vertex counts and adjacency nnz per
-/// copy, then the closed-form triangle sum of the pair. The serving
-/// oracle, `tri-census` validation, and [`crate::verify_shards`] all load
+/// copy, then the closed-form triangle sum of the pair. Every
+/// [`crate::ShardSet`] open (so the serving oracle and `tri-census`
+/// validation), [`crate::verify_shards`] and [`crate::compact_run`] load
 /// through here, so none can validate an artifact against factors
 /// another would refuse.
 ///
@@ -370,8 +357,7 @@ pub fn load_factors(dir: &Path, run: &RunSummary) -> Result<KronProduct, StreamE
 
 /// The run-wide totals of `manifests` — `(entries, triangle sum)` — which
 /// must be the product's `nnz(A)·nnz(B)` and `3·τ(C)`: checked by
-/// [`stream_product`] before it writes `run.json`, and by
-/// [`crate::verify_shards`].
+/// [`stream_product`] before it writes `run.json`.
 pub(crate) fn run_totals(
     product: &KronProduct,
     manifests: &[ShardManifest],
@@ -428,7 +414,7 @@ pub fn stream_product(
     let shards = for_each_shard(cfg.shards, threads, |i| {
         let spec = plan.get(i).expect("the plan has cfg.shards shards");
         if cfg.resume {
-            if let Some(m) = completed_shard(dir, spec, cfg.format) {
+            if let Ok((m, _)) = check_shard(dir, cfg.format, product, spec, Depth::Header) {
                 return Ok((true, m));
             }
         }

@@ -184,6 +184,29 @@ mod tests {
     }
 
     #[test]
+    fn resume_regenerates_a_same_size_artifact_whose_header_lies() {
+        for format in [OutputFormat::Csr, OutputFormat::Csr2] {
+            let dir = tmpdir(&format!("resume_header_{}", format.as_str()));
+            let c = web_pair();
+            let mut cfg = StreamConfig::new(&dir, format);
+            cfg.shards = 5;
+            stream_product(&c, &cfg).unwrap();
+            // flip a byte of shard 1's `vertex_lo` (header word 1): the
+            // artifact keeps its size, its header no longer its manifest's
+            let m = load_manifest(&dir, 1).unwrap();
+            let path = dir.join(m.file.as_deref().unwrap());
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[8] ^= 1;
+            std::fs::write(&path, &bytes).unwrap();
+            cfg.resume = true;
+            let run = stream_product(&c, &cfg).unwrap();
+            assert_eq!(run.resumed_shards, cfg.shards - 1);
+            verify_shards(&dir, true).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn verify_detects_artifact_tampering() {
         let dir = tmpdir("tamper");
         let c = web_pair();

@@ -15,7 +15,8 @@
 //! Every open first loads the run directory's factor copies through
 //! [`crate::load_factors`] and builds the [`ShardPlan`]: the plan, a
 //! function of the factors and the shard count alone, is the ownership
-//! map. Two levels of validation are offered on top:
+//! map. Each claimed shard then passes the one shard check every reader
+//! of a run directory makes (`check_shard`), at one of two depths:
 //!
 //! * [`ShardSet::open`] — structural: JSON parses, the format is CSR, the
 //!   factor copies are the ones `run.json` was generated from, and each
@@ -23,10 +24,11 @@
 //!   every claimed artifact's header (magic, `vertex_lo`, `num_rows`,
 //!   `nnz`, offsets monotonicity) agrees with its manifest and file size.
 //!   `O(nnz(A) + nnz(B) + shards + Σ num_rows)`.
-//! * [`ShardSet::open_verified`] — additionally recomputes each shard's
-//!   order-independent content checksum from the mapped columns and
-//!   compares it to the manifest. `O(nnz)`, done exactly once at open;
-//!   queries afterwards trust the mapping.
+//! * [`ShardSet::open_verified`] — additionally reads every row once:
+//!   each must decode, hold strictly ascending columns and have its
+//!   closed-form length, and together they must reproduce the manifest's
+//!   order-independent content checksum. `O(nnz)`, done exactly once at
+//!   open; queries afterwards trust the mapping.
 //!
 //! The claimed shards are read shard-parallel on every core, manifest
 //! then artifact, and an open fails with its lowest-index bad shard,
@@ -42,21 +44,103 @@
 use crate::csr::CsrMap;
 use crate::driver::{for_each_shard, load_factors, load_manifest};
 use crate::manifest::{OutputFormat, RunSummary, ShardManifest, StreamHash};
-use crate::plan::ShardPlan;
+use crate::plan::{ShardPlan, ShardSpec};
 use crate::StreamError;
 use kron::KronProduct;
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Load shard `index`'s manifest as a member of `run`: it must say it is
-/// shard `index`, and its format must be admissible in the run. The
-/// format rule, stated once: a shard has its run's format, except that a
-/// `csr`/`csr2` run may mix `csr` and `csr2` shards (the state a
-/// `kron compact` conversion passes through) — nothing else.
-pub(crate) fn load_run_manifest(
+/// The ground truth every reader of a run directory checks its shards
+/// against: `run.json`, the product rebuilt from the factor copies, and
+/// the plan — a function of the factors and the shard count alone.
+pub(crate) struct Ground {
+    pub(crate) run: RunSummary,
+    pub(crate) product: KronProduct,
+    pub(crate) plan: ShardPlan,
+}
+
+impl Ground {
+    /// Load `run.json` and the factor copies ([`load_factors`], the one
+    /// loader), check `total_entries` against `nnz(A)·nnz(B)`, and plan
+    /// the run's shards.
+    pub(crate) fn load(dir: &Path) -> Result<Ground, StreamError> {
+        let run = RunSummary::load(dir)?;
+        let product = load_factors(dir, &run)?;
+        let (got, want) = (run.total_entries, product.nnz());
+        if got != want {
+            return Err(StreamError::Manifest(format!(
+                "run.json: total_entries is {got}, the factors' product has {want}"
+            )));
+        }
+        let plan = ShardPlan::new(&product, run.shards);
+        Ok(Ground { run, product, plan })
+    }
+
+    /// [`check_shard`] of shard `index` of this run.
+    pub(crate) fn check(
+        &self,
+        dir: &Path,
+        index: usize,
+        depth: Depth,
+    ) -> Result<(ShardManifest, Option<CsrMap>), StreamError> {
+        let spec = self.plan.get(index).expect("index < run.shards");
+        check_shard(dir, self.run.format, &self.product, spec, depth)
+    }
+}
+
+/// How far [`check_shard`] reads a shard.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Depth {
+    /// The manifest is its plan entry, and the artifact's header is the
+    /// manifest's. No row is read.
+    Header,
+    /// As `Header`, plus every row decodes, is strictly ascending and
+    /// has its closed-form length, and the rows reproduce the stream hash.
+    Content,
+    /// As `Content`, plus every column is the product's.
+    Rehash,
+}
+
+/// Admit shard `spec.index` of a `format` run at `depth` — the one
+/// decision every reader of a run directory makes about a shard: opens,
+/// [`crate::verify_shards`], `--resume` and [`crate::compact_run`].
+/// Returns the manifest and, for a `csr`/`csr2` shard, its mapping; a
+/// `count` shard stops after the manifest check.
+pub(crate) fn check_shard(
     dir: &Path,
-    run: &RunSummary,
+    format: OutputFormat,
+    product: &KronProduct,
+    spec: &ShardSpec,
+    depth: Depth,
+) -> Result<(ShardManifest, Option<CsrMap>), StreamError> {
+    let m = load_run_manifest(dir, format, spec.index)?;
+    m.matches_stats(&spec.stats)
+        .map_err(StreamError::Manifest)?;
+    if !m.format.is_csr() {
+        return match m.file {
+            Some(_) => Err(StreamError::Shard(
+                spec.index,
+                "count shard names a file".into(),
+            )),
+            None => Ok((m, None)),
+        };
+    }
+    let reader = admit_shard(dir, &m)?;
+    if depth != Depth::Header {
+        check_content(&reader, &m, product, depth == Depth::Rehash)?;
+    }
+    Ok((m, Some(reader)))
+}
+
+/// Load shard `index`'s manifest as a member of a `format` run: it must
+/// say it is shard `index`, and its format must be admissible in the run.
+/// The format rule, stated once: a shard has its run's format, except
+/// that a `csr`/`csr2` run may mix `csr` and `csr2` shards (the state a
+/// `kron compact` conversion passes through) — nothing else.
+fn load_run_manifest(
+    dir: &Path,
+    format: OutputFormat,
     index: usize,
 ) -> Result<ShardManifest, StreamError> {
     let m = load_manifest(dir, index)?;
@@ -66,27 +150,26 @@ pub(crate) fn load_run_manifest(
             format!("manifest says shard {}", m.shard),
         ));
     }
-    if m.format != run.format && !(m.format.is_csr() && run.format.is_csr()) {
+    if m.format != format && !(m.format.is_csr() && format.is_csr()) {
         return Err(StreamError::Shard(
             index,
             format!(
                 "manifest format {} has no place in a {} run (only csr and csr2 shards may mix)",
                 m.format.as_str(),
-                run.format.as_str()
+                format.as_str()
             ),
         ));
     }
     Ok(m)
 }
 
-/// The single admission check for a CSR shard artifact, shared by
-/// [`ShardSet`] opens, [`crate::verify_shards`] and [`crate::compact_run`]:
-/// the manifest names a file, the file maps as a structurally valid shard
-/// ([`CsrMap::open`]), its magic is the manifest's `format`, its header
-/// (`vertex_lo`, `num_rows`, `nnz`) is the manifest's range and entry
-/// count, and its size on disk is the manifest's `file_bytes`. Content
-/// (row bytes) is not read here; see [`check_content`].
-pub(crate) fn admit_shard(dir: &Path, m: &ShardManifest) -> Result<CsrMap, StreamError> {
+/// The admission check of a CSR shard artifact: the manifest names a
+/// file, the file maps as a structurally valid shard ([`CsrMap::open`]),
+/// its magic is the manifest's `format`, its header (`vertex_lo`,
+/// `num_rows`, `nnz`) is the manifest's range and entry count, and its
+/// size on disk is the manifest's `file_bytes`. Content (row bytes) is
+/// not read here; see [`check_content`].
+fn admit_shard(dir: &Path, m: &ShardManifest) -> Result<CsrMap, StreamError> {
     let fail = |msg: String| StreamError::Shard(m.shard, msg);
     let name = m
         .file
@@ -122,13 +205,16 @@ pub(crate) fn admit_shard(dir: &Path, m: &ShardManifest) -> Result<CsrMap, Strea
 }
 
 /// Read every row of a shard [`admit_shard`] admitted for `m` once, in
-/// vertex order: each must decode, pass `check_row(vertex, row)` and hold
-/// strictly ascending columns (what every binary search above relies on),
-/// and together they must reproduce the manifest's content checksum.
-pub(crate) fn check_content(
+/// vertex order: each must decode, have its closed-form length
+/// ([`KronProduct::row_lengths_in_rows`], with `rehash` the product's
+/// columns too) and hold strictly ascending columns (what every binary search
+/// above relies on), and together they must reproduce the manifest's
+/// content checksum.
+fn check_content(
     reader: &CsrMap,
     m: &ShardManifest,
-    mut check_row: impl FnMut(u64, &[u64]) -> Result<(), String>,
+    product: &KronProduct,
+    rehash: bool,
 ) -> Result<(), StreamError> {
     let name = m.file.as_deref().unwrap_or_default();
     let fail = |msg: String| StreamError::Shard(m.shard, format!("{name}: {msg}"));
@@ -136,11 +222,26 @@ pub(crate) fn check_content(
     let mut unsorted: Option<u64> = None;
     // one decode buffer for the whole shard
     let mut buf = Vec::new();
-    for p in m.vertices.clone() {
+    // the manifest is its plan entry, so `rows` yields a length per vertex
+    let lengths = product.row_lengths_in_rows(m.rows.clone());
+    for (p, want) in m.vertices.clone().zip(lengths) {
         let row = reader
             .row_into(p, &mut buf)
             .ok_or_else(|| fail(format!("row {p} does not decode")))?;
-        check_row(p, row).map_err(fail)?;
+        let got = row.len() as u64;
+        if got != want {
+            return Err(fail(format!(
+                "row {p} has {got} entries, closed form says {want}"
+            )));
+        }
+        if rehash {
+            let mut pairs = row.iter().copied().zip(product.row(p)).enumerate();
+            if let Some((at, (got, want))) = pairs.find(|(_, (got, want))| got != want) {
+                return Err(fail(format!(
+                    "row {p} position {at}: stored column {got}, the product's is {want}"
+                )));
+            }
+        }
         if row.windows(2).any(|w| w[0] >= w[1]) {
             unsorted.get_or_insert(p);
         }
@@ -180,7 +281,7 @@ impl std::fmt::Debug for OpenShard {
 /// owning shard (resident here or not) by the run's [`ShardPlan`].
 ///
 /// [`ShardSet::open`] validates structure only; [`ShardSet::open_verified`]
-/// additionally recomputes every claimed shard's content checksum once.
+/// additionally reads every claimed shard's rows and checksum once.
 /// [`ShardSet::open_with`] reads only a claimed contiguous shard range —
 /// the multi-node case.
 pub struct ShardSet {
@@ -225,13 +326,15 @@ impl ShardSet {
         Self::open_with(dir, None, false)
     }
 
-    /// Open a run directory and additionally verify every shard's content
-    /// checksum against its manifest, once.
+    /// Open a run directory and additionally verify every shard's rows
+    /// and content checksum against its manifest, once.
     ///
     /// # Errors
     ///
-    /// Everything [`ShardSet::open`] rejects, plus any shard whose mapped
-    /// contents fail the manifest's stream hash.
+    /// Everything [`ShardSet::open`] rejects, plus any shard with a row
+    /// that does not decode, is not strictly ascending or does not have
+    /// its closed-form length, or whose mapped contents fail the
+    /// manifest's stream hash.
     pub fn open_verified(dir: &Path) -> Result<ShardSet, StreamError> {
         Self::open_with(dir, None, true)
     }
@@ -264,7 +367,8 @@ impl ShardSet {
         subset: Option<std::ops::Range<usize>>,
         threads: usize,
     ) -> Result<ShardSet, StreamError> {
-        let run = RunSummary::load(dir)?;
+        let ground = Ground::load(dir)?;
+        let run = &ground.run;
         if !run.format.is_csr() {
             return Err(StreamError::Config(format!(
                 "{}: run format is {:?}; only csr or csr2 shards are queryable in place \
@@ -284,42 +388,25 @@ impl ShardSet {
                 }
                 if s.end > run.shards {
                     return Err(StreamError::Config(format!(
-                        "claimed shard range {}..{} is not covered by this run's \
-                         manifests (run has {} shards)",
+                        "claimed shard range {}..{} lies outside the run's {} shards",
                         s.start, s.end, run.shards
                     )));
                 }
                 s
             }
         };
-        let product = load_factors(dir, &run)?;
-        if run.total_entries != product.nnz() {
-            return Err(StreamError::Manifest(format!(
-                "run.json: total_entries is {}, the factors' product has {}",
-                run.total_entries,
-                product.nnz()
-            )));
-        }
-        let plan = ShardPlan::new(&product, run.shards);
-        let ranges = plan.iter().map(|s| s.stats.vertices.clone()).collect();
+        use Depth::{Content, Header};
+        let depth = if verify { Content } else { Header };
 
-        // The claimed shards only, shard-parallel: each manifest must be
-        // its plan entry, each artifact its manifest. The others' files
-        // may live on other nodes.
+        // The claimed shards only, shard-parallel. The others' files may
+        // live on other nodes.
         let shards = for_each_shard(subset.len(), threads, |i| {
-            let spec = plan
-                .get(subset.start + i)
-                .expect("the plan has run.shards shards");
-            let manifest = load_run_manifest(dir, &run, spec.index)?;
-            manifest
-                .matches_stats(&spec.stats)
-                .map_err(StreamError::Manifest)?;
-            let reader = admit_shard(dir, &manifest)?;
-            if verify {
-                check_content(&reader, &manifest, |_, _| Ok(()))?;
-            }
+            let (manifest, reader) = ground.check(dir, subset.start + i, depth)?;
+            let reader = reader.expect("a csr run admits csr shards only");
             Ok(OpenShard { manifest, reader })
         })?;
+        let Ground { run, product, plan } = ground;
+        let ranges = plan.iter().map(|s| s.stats.vertices.clone()).collect();
         Ok(ShardSet {
             dir: dir.to_path_buf(),
             run,
@@ -679,6 +766,13 @@ mod tests {
         for bad in [0..4, 3..5, 2..2, backwards] {
             let err = ShardSet::open_with(&dir, Some(bad.clone()), false).unwrap_err();
             assert!(matches!(err, StreamError::Config(_)), "{bad:?}: {err}");
+            if bad == (0..4) {
+                assert!(
+                    err.to_string()
+                        .contains("claimed shard range 0..4 lies outside the run's 3 shards"),
+                    "{err}"
+                );
+            }
         }
         // a claim needs only its own manifests (the plan is the ownership
         // map)…

@@ -2,12 +2,10 @@
 //! shard is re-checked against the closed-form factor statistics and its
 //! on-disk artifact.
 
-use crate::driver::{for_each_shard, load_factors, run_totals};
-use crate::manifest::{RunSummary, ShardManifest};
-use crate::open::{admit_shard, check_content, load_run_manifest};
-use crate::plan::{ShardPlan, ShardSpec};
+use crate::driver::for_each_shard;
+use crate::open::Depth::{Content, Rehash};
+use crate::open::Ground;
 use crate::StreamError;
-use kron::KronProduct;
 use std::path::Path;
 
 /// Outcome of [`verify_shards`].
@@ -24,19 +22,24 @@ pub struct VerifyReport {
     pub rehashed: bool,
 }
 
-/// Verify a run directory produced by [`crate::stream_product`].
+/// Verify a run directory produced by [`crate::stream_product`]: a
+/// verified open ([`crate::ShardSet::open_verified`]) of every shard,
+/// `count` runs included.
 ///
-/// Checks, per shard: the manifest's closed-form statistics against a
-/// fresh recomputation from the factor copies in the directory; the
-/// artifact's existence, size, structure (CSR offsets and closed-form row
-/// lengths), and content checksum; and globally that the shard row blocks
-/// tile `0..n_A` disjointly and the entry counts sum to `nnz(A)·nnz(B)`.
+/// Checks `run.json`'s entry total against the factor copies in the
+/// directory, then per shard: the manifest against its plan entry (range
+/// and closed-form statistics, recomputed from the factors); the
+/// artifact's existence, size and header; and every row's decoding,
+/// order and closed-form length, and the content checksum. Since the
+/// plan's row blocks tile `0..n_A` and its entries sum to
+/// `nnz(A)·nnz(B)`, manifests that each equal their plan entry cover the
+/// product exactly. A `count` shard has no artifact, so its check ends
+/// at the manifest.
 ///
 /// With `rehash`, every stored row is also compared with the product's
-/// row ([`KronProduct::row`]) in the same single pass over the artifact,
-/// so a failure names the first differing row and position — the
-/// strongest check, at the cost of regenerating every row. A `count`
-/// shard stores no rows, so there it adds nothing.
+/// row ([`kron::KronProduct::row`]) in the same single pass over the
+/// artifact, so a failure names the first differing row and position —
+/// the strongest check, at the cost of regenerating every row.
 ///
 /// Shards are checked in parallel on every available core.
 ///
@@ -49,76 +52,20 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
     verify_with(dir, rehash, 0)
 }
 
-/// Every per-shard check of [`verify_shards`], for the shard `spec` plans;
-/// returns the checked manifest.
-fn verify_shard(
-    dir: &Path,
-    run: &RunSummary,
-    product: &KronProduct,
-    spec: &ShardSpec,
-    rehash: bool,
-) -> Result<ShardManifest, StreamError> {
-    let m = load_run_manifest(dir, run, spec.index)?;
-    // closed-form checksums, recomputed from the factors
-    m.matches_stats(&spec.stats)
-        .map_err(StreamError::Manifest)?;
-    if !m.format.is_csr() {
-        return match m.file {
-            Some(_) => Err(StreamError::Shard(
-                spec.index,
-                "count shard names a file".into(),
-            )),
-            None => Ok(m),
-        };
-    }
-    // one pass over the rows of either format: every row decodes, has its
-    // closed-form length (and, with `rehash`, the product's columns) and
-    // strictly ascending columns, and the content checksum holds
-    let reader = admit_shard(dir, &m)?;
-    check_content(&reader, &m, |p, row| {
-        let want = product.row_len(p);
-        if row.len() as u64 != want {
-            return Err(format!(
-                "row {p} has {} entries, closed form says {want}",
-                row.len()
-            ));
-        }
-        if rehash {
-            let mut pairs = row.iter().copied().zip(product.row(p)).enumerate();
-            if let Some((at, (got, want))) = pairs.find(|(_, (got, want))| got != want) {
-                return Err(format!(
-                    "row {p} position {at}: stored column {got}, the product's is {want}"
-                ));
-            }
-        }
-        Ok(())
-    })?;
-    Ok(m)
-}
-
 /// [`verify_shards`] on `threads` workers (0: every available core).
 pub(crate) fn verify_with(
     dir: &Path,
     rehash: bool,
     threads: usize,
 ) -> Result<VerifyReport, StreamError> {
-    let run = RunSummary::load(dir)?;
-    let product = load_factors(dir, &run)?;
-    let plan = ShardPlan::new(&product, run.shards);
-    let manifests = for_each_shard(run.shards, threads, |i| {
-        let spec = plan.get(i).expect("the plan has run.shards shards");
-        verify_shard(dir, &run, &product, spec, rehash)
+    let ground = Ground::load(dir)?;
+    let depth = if rehash { Rehash } else { Content };
+    let manifests = for_each_shard(ground.run.shards, threads, |i| {
+        Ok(ground.check(dir, i, depth)?.0)
     })?;
-    let (total_entries, _) = run_totals(&product, &manifests)?;
-    if total_entries != run.total_entries {
-        return Err(StreamError::Manifest(
-            "run.json total_entries disagrees with shard manifests".into(),
-        ));
-    }
-
     Ok(VerifyReport {
-        shards: run.shards,
-        total_entries,
+        shards: ground.run.shards,
+        total_entries: ground.run.total_entries,
         // admitted artifacts only: a count shard has none to measure
         artifact_bytes: manifests
             .iter()
@@ -135,7 +82,8 @@ mod tests {
     use crate::driver::{load_manifest, stream_product, StreamConfig};
     use crate::manifest::{manifest_name, write_json_atomic, OutputFormat, StreamHash};
     use crate::sink::{Csr2Sink, CsrSink, EdgeSink};
-    use crate::{CsrMap, ShardSet};
+    use crate::{CsrMap, RunSummary, ShardSet};
+    use kron::KronProduct;
     use kron_graph::Graph;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -151,12 +99,11 @@ mod tests {
         KronProduct::new(a, b)
     }
 
-    /// Rewrite shard `shard` through its own sink with one column of a
-    /// multi-entry row moved into the gap after it — the row stays
-    /// strictly ascending and as long — and re-derive the manifest's hash
-    /// and size, so decode, length, order and checksum all still pass.
-    /// Returns the row and the position changed.
-    fn forge_row(dir: &Path, shard: usize) -> (u64, usize) {
+    /// Rewrite shard `shard` through its own sink with its rows as `edit`
+    /// leaves them, and re-derive the manifest's hash and size, so decode
+    /// and checksum still pass. `edit` gets the rows and the shard's first
+    /// vertex; its result is returned.
+    fn forge<R>(dir: &Path, shard: usize, edit: impl FnOnce(&mut [Vec<u64>], u64) -> R) -> R {
         let mut m = load_manifest(dir, shard).unwrap();
         let name = m.file.clone().unwrap();
         let reader = CsrMap::open(&dir.join(&name)).unwrap();
@@ -165,14 +112,9 @@ mod tests {
             .clone()
             .map(|p| reader.row(p).unwrap().to_vec())
             .collect();
-        let (r, at) = rows
-            .iter()
-            .enumerate()
-            .find_map(|(r, row)| Some((r, row.windows(2).position(|w| w[0] + 1 < w[1])?)))
-            .expect("a row with a gap");
-        rows[r][at] += 1;
-        let lengths = rows.iter().map(|row| row.len() as u64);
         let lo = m.vertices.start;
+        let out = edit(&mut rows, lo);
+        let lengths = rows.iter().map(|row| row.len() as u64);
         let mut sink: Box<dyn EdgeSink> = match m.format {
             OutputFormat::Csr => Box::new(CsrSink::create(dir, &name, lo, lengths).unwrap()),
             _ => Box::new(Csr2Sink::create(dir, &name, lo, lengths).unwrap()),
@@ -185,7 +127,48 @@ mod tests {
         m.file_bytes = sink.finish().unwrap().unwrap().1;
         m.hash = hash;
         write_json_atomic(dir, &manifest_name(shard), &m.to_json()).unwrap();
-        (lo + r as u64, at)
+        out
+    }
+
+    /// [`forge`] with one column of a multi-entry row moved into the gap
+    /// after it — the row stays strictly ascending and as long — so
+    /// decode, length, order and checksum all still pass. Returns the
+    /// row and the position changed.
+    fn forge_row(dir: &Path, shard: usize) -> (u64, usize) {
+        forge(dir, shard, |rows, lo| {
+            let (r, at) = rows
+                .iter()
+                .enumerate()
+                .find_map(|(r, row)| Some((r, row.windows(2).position(|w| w[0] + 1 < w[1])?)))
+                .expect("a row with a gap");
+            rows[r][at] += 1;
+            (lo + r as u64, at)
+        })
+    }
+
+    /// [`forge`] with one column moved from its row to another row of
+    /// the shard that lacks it: both rows stay strictly ascending and the
+    /// shard keeps its entry count and header, but the two rows' lengths
+    /// are off by one. Returns the first of the two rows, its stored
+    /// length and its closed-form length.
+    fn forge_move(dir: &Path, shard: usize) -> (u64, usize, usize) {
+        forge(dir, shard, |rows, lo| {
+            let (from, to, q) = (0..rows.len())
+                .find_map(|from| {
+                    rows[from].iter().find_map(|&q| {
+                        let lacks =
+                            |to: &usize| *to != from && rows[*to].binary_search(&q).is_err();
+                        Some((from, (0..rows.len()).find(lacks)?, q))
+                    })
+                })
+                .expect("a column another row lacks");
+            let first = from.min(to);
+            let want = rows[first].len();
+            rows[from].retain(|&c| c != q);
+            let at = rows[to].binary_search(&q).unwrap_err();
+            rows[to].insert(at, q);
+            (lo + first as u64, rows[first].len(), want)
+        })
     }
 
     #[test]
@@ -208,5 +191,60 @@ mod tests {
             );
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn a_column_moved_to_another_row_fails_every_content_level() {
+        for format in [OutputFormat::Csr, OutputFormat::Csr2] {
+            let dir = tmpdir(&format!("moved_{}", format.as_str()));
+            let mut cfg = StreamConfig::new(&dir, format);
+            cfg.shards = 3;
+            stream_product(&product(), &cfg).unwrap();
+            let (row, got, want) = forge_move(&dir, 1);
+            // the header check cannot see it…
+            ShardSet::open(&dir).unwrap();
+            // …every check that reads the rows must
+            for err in [
+                ShardSet::open_verified(&dir).unwrap_err(),
+                verify_shards(&dir, false).unwrap_err(),
+                verify_shards(&dir, true).unwrap_err(),
+            ] {
+                assert!(matches!(err, StreamError::Shard(1, _)), "{err}");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!(
+                        "row {row} has {got} entries, closed form says {want}"
+                    )),
+                    "{msg}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn every_reader_refuses_a_run_total_the_factors_contradict() {
+        let dir = tmpdir("bad_total");
+        let c = product();
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+        cfg.shards = 3;
+        stream_product(&c, &cfg).unwrap();
+        let mut run = RunSummary::load(&dir).unwrap();
+        run.total_entries += 1;
+        write_json_atomic(&dir, crate::RUN_FILE, &run.to_json()).unwrap();
+        let want = format!(
+            "run.json: total_entries is {}, the factors' product has {}",
+            c.nnz() + 1,
+            c.nnz()
+        );
+        for err in [
+            verify_shards(&dir, false).unwrap_err(),
+            ShardSet::open(&dir).unwrap_err(),
+            crate::compact_run(&dir).unwrap_err(),
+        ] {
+            assert!(matches!(err, StreamError::Manifest(_)), "{err}");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,7 +8,9 @@
 # state (run.json still csr, one shard already csr2) verifying, answering
 # and resuming — and the on-disk bytes themselves: both formats streamed
 # with 1 and with 4 threads must agree file for file, and with sha256
-# sums recorded before the write path went from entries to runs. Last,
+# sums recorded before the write path went from entries to runs, and
+# `--resume` regenerating a same-size artifact whose header was
+# overwritten in place to exactly those bytes. Last,
 # `kron stream` without `--format` must write exactly those csr2 bytes,
 # and `--format edges` (a format no longer written) must be refused
 # naming the accepted set. Run from the repo root; CI calls it after the
@@ -26,13 +28,18 @@ echo "== generate a factor and stream it in both formats"
 "$BIN" verify-shards "$work/run_v1" --rehash
 "$BIN" verify-shards "$work/run_v2" --rehash
 
+# flip_byte FILE AT: xor the byte at offset AT with 1, in place
+flip_byte() {
+    local byte
+    byte=$(od -An -tu1 -j"$2" -N1 "$1" | tr -d ' ')
+    printf "\\$(printf '%03o' $((byte ^ 1)))" | dd of="$1" bs=1 seek="$2" conv=notrunc status=none
+}
+
 echo "== a flipped column byte fails --rehash naming its file; a typo is refused"
 f="$work/run_v1/shard_00002.csr"
 cp "$f" "$work/good.csr"
 rows=$(od -An -tu8 -j16 -N8 "$f" | tr -d ' ')
-at=$((32 + 8 * (rows + 1)))   # the shard's first column word
-byte=$(od -An -tu1 -j"$at" -N1 "$f" | tr -d ' ')
-printf "\\$(printf '%03o' $((byte ^ 1)))" | dd of="$f" bs=1 seek="$at" conv=notrunc status=none
+flip_byte "$f" $((32 + 8 * (rows + 1)))   # the shard's first column word
 code=0; out=$("$BIN" verify-shards "$work/run_v1" --rehash 2>&1) || code=$?
 [ "$code" -eq 1 ] || { echo "--rehash on a flipped byte exited $code: $out"; exit 1; }
 grep -qF 'shard_00002.csr' <<<"$out" \
@@ -138,6 +145,16 @@ SUMS
     )
 }
 csr2_sums "$work/pin_csr2_t1" || { echo "csr2 bytes moved from the recorded sha256s"; exit 1; }
+
+echo "== --resume regenerates a same-size artifact whose header was overwritten"
+cp -r "$work/run_v2" "$work/run_resume"
+flip_byte "$work/run_resume/shard_00001.csr2" 8   # the low byte of vertex_lo
+out=$("$BIN" stream "$work/a.tsv" "$work/a.tsv" --out "$work/run_resume" \
+    --shards 4 --format csr2 --resume 2>&1)
+grep -qF '(3 resumed)' <<<"$out" \
+    || { echo "--resume kept the shard with the overwritten header: $out"; exit 1; }
+"$BIN" verify-shards "$work/run_resume" --rehash
+csr2_sums "$work/run_resume" || { echo "the resumed run's bytes moved from the recorded sha256s"; exit 1; }
 
 echo "== no --format writes csr2, byte for byte; --format edges is refused"
 for t in 1 4; do

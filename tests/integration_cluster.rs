@@ -382,9 +382,12 @@ fn node_rejects_incomplete_ownership_maps_at_open() {
     assert!(err.to_string().contains("shard 2"), "{err}");
     // overlap between the claim and a peer is replication, not an error
     assert!(open(0..2, &["1..4=x:1"]).is_ok());
-    // a claim the run's manifests do not cover
+    // a claim beyond the run's shards
     let err = open(2..6, &["0..2=x:1"]).unwrap_err();
-    assert!(err.to_string().contains("not covered"), "{err}");
+    assert!(
+        err.to_string().contains("lies outside the run's 4 shards"),
+        "{err}"
+    );
     // complete map: opens fine (peers are contacted lazily)
     assert!(open(0..2, &["2..4=x:1"]).is_ok());
     // two replicas of the non-resident range: also fine
