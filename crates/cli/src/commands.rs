@@ -30,7 +30,7 @@ USAGE:
       the paper's Table rows for A, B, and A (x) B (exact, implicit)
   kron query <a.tsv> <b.tsv> <p> [<q>]
       O(1) degree/triangle lookup at product vertex p (or edge {p,q})
-  kron query <DIR> <p> [<q>] [--source artifact|oracle|cross-check[:N]]
+  kron query <DIR> <p> [<q>] [--source artifact|oracle|cross-check]
       the same lookups over a `kron stream` (csr or csr2) run directory:
       artifact walks the mmap'd CSR shards (graph never loaded), oracle
       evaluates the closed forms on the run's factor copies (no shard
@@ -68,7 +68,7 @@ USAGE:
       the check). Results are byte-identical for any --threads. SIGTERM/
       ctrl-c cancels cooperatively: no verdict, exit 0
   kron serve <DIR> --queries FILE [--threads T] [--no-verify]
-             [--source artifact|oracle|cross-check[:N]] [--cache BYTES]
+             [--source artifact|oracle|cross-check] [--cache BYTES]
       answer a batch of point queries over the CSR run directory DIR;
       query file lines: degree v | neighbors v | has_edge u v |
       tri_vertex v | tri_edge u v  (blank lines and # comments ignored);
@@ -76,14 +76,13 @@ USAGE:
       stderr. --source oracle answers in closed form from the factor
       copies (artifact contents are never read, so checksum verification
       is skipped); --source cross-check answers from the artifact, checks
-      every answer against the oracle, and exits nonzero on mismatch;
-      cross-check:N checks 1 in N queries, picked by query counter. A
+      every answer against the oracle, and exits nonzero on mismatch. A
       cross-checked batch runs in input order on one thread (--threads
-      does not apply), so every run checks and logs the same queries.
+      does not apply), so every run logs the same mismatches in order.
       --cache keeps an LRU of hot decoded rows for the triangle kernels'
       resident neighbours, bounded in bytes (plain, or 512k / 512m / 4g)
   kron serve <DIR> --listen ADDR [--threads T] [--jobs J] [--no-verify]
-             [--source artifact|oracle|cross-check[:N]] [--cache BYTES]
+             [--source artifact|oracle|cross-check] [--cache BYTES]
              [--max-conns N] [--idle-timeout SECS] [--io-timeout SECS]
              [--shards A..B --peers A..B=ADDR[,A..B=ADDR...]]
       long-lived HTTP server over the same engine: open + validate once,
@@ -123,7 +122,7 @@ USAGE:
       on fetch errors) for far rows (POST /rows) and intersections
       (POST /wedges). Nodes answer those, GET /shards and GET /row
   kron path <DIR> --from F --to T [--max-depth K]
-            [--source artifact|oracle|cross-check[:N]]
+            [--source artifact|oracle|cross-check]
       bidirectional-BFS shortest path between two product vertices over
       the CSR run directory DIR: prints the vertex sequence (space
       separated) or `unreachable` on stdout, hop count and timing on
@@ -403,17 +402,16 @@ fn engine_options(p: &ParsedArgs, serving: bool) -> Result<OpenOptions, String> 
 
 /// After a run over `engine`: under a cross-checking source, describe
 /// the outcome and fail on mismatches; under any other, nothing to say.
-fn crosscheck_verdict(engine: &ServeEngine) -> Result<(), String> {
-    if engine.source().check_every().is_none() {
+fn cross_check_verdict(engine: &ServeEngine) -> Result<(), String> {
+    if !engine.source().checks() {
         return Ok(());
     }
     let n = engine.mismatch_count();
     if n == 0 {
         eprintln!(
-            "cross-check: 0 mismatches in {} checked of {} queries \
+            "cross-check: 0 mismatches in {} checked answers \
              (artifact agrees with the closed-form oracle)",
             engine.sampled_checks(),
-            engine.queries_answered(),
         );
         return Ok(());
     }
@@ -476,7 +474,7 @@ fn cmd_path(p: &ParsedArgs) -> Result<(), String> {
             println!("unreachable");
         }
     }
-    crosscheck_verdict(&engine)
+    cross_check_verdict(&engine)
 }
 
 /// `kron query <a.tsv> <b.tsv> <p> [<q>]` answers in closed form off the
@@ -508,7 +506,7 @@ fn cmd_query(p: &ParsedArgs) -> Result<(), String> {
     let edge = qv.map(|qv| engine.edge_triangles(pv, qv).map(|d| (qv, d)));
     let edge = edge.transpose().map_err(err)?;
     print_lookups(pv, degree, t, edge);
-    crosscheck_verdict(&engine)
+    cross_check_verdict(&engine)
 }
 
 /// The `<p> [<q>]` of `kron query`, from positional argument `at` on.
@@ -785,7 +783,7 @@ fn cmd_serve(p: &ParsedArgs) -> Result<(), String> {
                 report.job_validation_failures
             ));
         }
-        return crosscheck_verdict(&engine);
+        return cross_check_verdict(&engine);
     }
     let file = p.required("queries", "FILE (or --listen ADDR for the server)")?;
     rayon_pool(p)?.install(|| serve_queries(dir, file, &opts))
@@ -822,7 +820,7 @@ fn serve_queries(dir: &str, file: &str, opts: &OpenOptions) -> Result<(), String
             eprintln!("{}", rep.shard_summary());
         }
     }
-    crosscheck_verdict(&engine)?;
+    cross_check_verdict(&engine)?;
     if failed > 0 {
         return Err(format!("{failed} of {} queries failed", queries.len()));
     }

@@ -24,9 +24,9 @@
 //! batch was answered, and `kron query DIR p --source cross-check`
 //! exiting `0` certifies the served answers against the paper's closed
 //! forms. The `--listen` server follows the same contract at shutdown:
-//! after SIGTERM/ctrl-c it exits `0` only if no cross-checked query
-//! (every query under `cross-check`, 1 in N under `cross-check:N`)
-//! disagreed with the closed-form oracle during the entire run — and a
+//! after SIGTERM/ctrl-c it exits `0` only if no answer checked under
+//! `--source cross-check` disagreed with the closed-form oracle during
+//! the entire run — and a
 //! cluster node (`--shards A..B`) applies that contract to queries it
 //! answered with *remote* rows too, so a tampered artifact anywhere in
 //! the cluster fails the node that served its bytes to a client.

@@ -303,11 +303,23 @@ fn engine_options_are_refused_alike_before_any_open() {
         &["path", dir, "--from", "0", "--to", "1"],
         &["serve", dir, "--queries", queries],
     ];
-    for (option, value, message) in [
-        ("--source", "cross-check:0", "sampling rate must be ≥ 1"),
-        ("--source", "bogus", "unknown answer source \"bogus\""),
-        ("--cache", "12q", "--cache: cannot parse \"12q\""),
-    ] {
+    // `cross-check` takes no sampling rate and has no unhyphenated alias
+    let alias = "cross-check".replace('-', "");
+    let sampled = [0, 4].map(|n| format!("cross-check:{n}"));
+    let mut cases: Vec<(&str, String, String)> = ["bogus", &sampled[0], &sampled[1], &alias]
+        .map(|v| {
+            let message = format!(
+                "--source: unknown answer source {v:?} (expected artifact, oracle, or cross-check)"
+            );
+            ("--source", v.to_string(), message)
+        })
+        .into();
+    cases.push((
+        "--cache",
+        "12q".into(),
+        "--cache: cannot parse \"12q\"".into(),
+    ));
+    for (option, value, message) in cases {
         let mut seen: Vec<String> = Vec::new();
         for command in commands {
             if option == "--cache" && command[0] != "serve" {
@@ -316,12 +328,12 @@ fn engine_options_are_refused_alike_before_any_open() {
                 continue;
             }
             let mut args = command.to_vec();
-            args.extend([option, value]);
+            args.extend([option, value.as_str()]);
             let out = kron(&args);
             assert_eq!(out.status.code(), Some(1), "{args:?}");
             assert!(out.stdout.is_empty(), "{args:?}");
             let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-            assert!(stderr.contains(message), "{args:?}: {stderr}");
+            assert!(stderr.contains(&message), "{args:?}: {stderr}");
             assert!(!stderr.contains("run.json"), "{args:?} opened: {stderr}");
             seen.push(stderr);
         }
@@ -768,11 +780,8 @@ fn serve_and_query_answer_sources_agree_and_cross_check() {
         batches[0].0, batches[2].0,
         "artifact vs cross-check answers"
     );
-    assert!(
-        batches[2].1.contains("cross-check: 0 mismatches"),
-        "{}",
-        batches[2].1
-    );
+    let verdict = "cross-check: 0 mismatches in 5 checked answers";
+    assert!(batches[2].1.contains(verdict), "{}", batches[2].1);
     assert!(
         batches[0].1.contains("row fetches per shard"),
         "{}",
@@ -789,11 +798,11 @@ fn serve_and_query_answer_sources_agree_and_cross_check() {
         "psychic",
     ]);
     assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let valid = "(expected artifact, oracle, or cross-check)";
     assert!(
-        String::from_utf8_lossy(&out.stderr)
-            .contains("artifact, oracle, cross-check, or cross-check:N"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains(&format!("unknown answer source \"psychic\" {valid}")),
+        "{stderr}"
     );
 
     // tamper a CSR artifact: cross-check serve must exit nonzero naming
@@ -942,7 +951,7 @@ fn server_run_dir(name: &str) -> std::path::PathBuf {
 #[test]
 fn serve_listen_answers_and_exits_zero_on_clean_sigterm() {
     let run_dir = server_run_dir("listen_clean");
-    let server = ServerChild::spawn(&run_dir, &["--source", "cross-check:4"]);
+    let server = ServerChild::spawn(&run_dir, &["--source", "cross-check"]);
     let mut client = server.client();
 
     let (status, body) = client.get("/healthz").unwrap();
@@ -972,7 +981,8 @@ fn serve_listen_answers_and_exits_zero_on_clean_sigterm() {
     let (status, body) = client.get("/stats").unwrap();
     assert_eq!(status, 200);
     assert!(body.contains("\"mismatch_count\":0"), "{body}");
-    assert!(body.contains("\"source\":\"cross-check:4\""), "{body}");
+    assert!(body.contains("\"source\":\"cross-check\""), "{body}");
+    assert!(body.contains("\"sampled_checks\":4"), "{body}");
     drop(client);
 
     let out = server.terminate();
@@ -983,7 +993,10 @@ fn serve_listen_answers_and_exits_zero_on_clean_sigterm() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("shutdown:"), "{stderr}");
-    assert!(stderr.contains("cross-check: 0 mismatches"), "{stderr}");
+    assert!(
+        stderr.contains("cross-check: 0 mismatches in 4 checked answers"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -1003,15 +1016,15 @@ fn serve_listen_sampled_mismatch_exits_nonzero_after_sigterm() {
     bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
-    // --no-verify: the sampling audit tier skips open-time rehashing —
-    // live cross-checks are what must catch this
+    // --no-verify: the audit tier skips open-time rehashing — live
+    // cross-checks are what must catch this
     let server = ServerChild::spawn(
         &run_dir,
-        &["--source", "cross-check:1", "--no-verify", "--threads", "2"],
+        &["--source", "cross-check", "--no-verify", "--threads", "2"],
     );
     let mut client = server.client();
-    // hammer every row: with rate 1 every query is checked, so the
-    // tampered row is guaranteed to reconcile against the oracle
+    // hammer every row: every query is checked, so the tampered row is
+    // guaranteed to reconcile against the oracle
     let n = 36u64; // clique(6) ⊗ clique(6)
     let file: String = (0..n).map(|v| format!("neighbors {v}\n")).collect();
     let (status, _body) = client.post("/batch", file.as_bytes()).unwrap();
@@ -1028,7 +1041,7 @@ fn serve_listen_sampled_mismatch_exits_nonzero_after_sigterm() {
     let out = server.terminate();
     assert!(
         !out.status.success(),
-        "a run with sampled mismatches must exit nonzero"
+        "a run with cross-check mismatches must exit nonzero"
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("mismatch"), "{stderr}");
@@ -1050,20 +1063,24 @@ fn serve_listen_rejects_bad_listen_addresses_and_sources() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let out = kron(&[
-        "serve",
-        run_dir.to_str().unwrap(),
-        "--listen",
-        "127.0.0.1:0",
-        "--source",
-        "cross-check:0",
-    ]);
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("sampling rate"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    for n in [0, 4] {
+        let source = format!("cross-check:{n}");
+        let out = kron(&[
+            "serve",
+            run_dir.to_str().unwrap(),
+            "--listen",
+            "127.0.0.1:0",
+            "--source",
+            &source,
+        ]);
+        assert_eq!(out.status.code(), Some(1));
+        assert!(out.stdout.is_empty(), "refused before binding");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown answer source {source:?}")),
+            "{stderr}"
+        );
+    }
     // without --listen, --queries is still required (and the error now
     // mentions both modes)
     let out = kron(&["serve", run_dir.to_str().unwrap()]);
@@ -1096,7 +1113,7 @@ fn cluster_nodes_and_router_serve_end_to_end() {
             "--peers",
             &peers0,
             "--source",
-            "cross-check:1",
+            "cross-check",
         ],
     );
     // The router in front of both, plus a whole-run reference server.
@@ -1536,7 +1553,7 @@ fn analyze_sigterm_cancels_cooperatively_and_exits_zero() {
 #[test]
 fn serve_sigterm_with_a_running_job_exits_zero() {
     let run_dir = analyze_run_dir("job_sigterm");
-    let server = ServerChild::spawn(&run_dir, &["--source", "cross-check:4"]);
+    let server = ServerChild::spawn(&run_dir, &["--source", "cross-check"]);
     let mut client = server.client();
     let (status, _) = client
         .post(

@@ -337,10 +337,8 @@ pub struct BatchOutcome {
 /// rest of the batch.
 ///
 /// Under a cross-check source the queries run one after another, in
-/// input order, on the calling thread: the engine's query counter picks
-/// which queries a `cross-check:N` source checks, so only then does
-/// every run check the same queries and log their disagreements in the
-/// same order.
+/// input order, on the calling thread, so every run logs the same
+/// disagreements in the same order.
 ///
 /// The engine's configured [`AnswerSource`] decides what each query
 /// actually does; the stats report that source, and in cross-check mode
@@ -356,7 +354,7 @@ pub fn run_batch(engine: &ServeEngine, queries: &[Query]) -> BatchOutcome {
         (res, q0.elapsed(), checks)
     };
     let t0 = Instant::now();
-    let (results, threads): (Vec<_>, _) = if engine.source().check_every().is_some() {
+    let (results, threads): (Vec<_>, _) = if engine.source().checks() {
         ((0..queries.len()).map(timed).collect(), 1)
     } else {
         let fanned = (0..queries.len()).into_par_iter().map(timed).collect();

@@ -37,9 +37,9 @@
 //!   `poll(2)` event loop (10K+ concurrent keep-alive peers on one
 //!   node, with idle/slow-client timeouts); the event thread answers
 //!   bounded requests itself and a bounded worker pool executes the
-//!   rest. Pair it with
-//!   [`AnswerSource::CrossCheckSampled`] (`--source cross-check:N`) for
-//!   always-on 1-in-N conformance auditing at artifact-path cost;
+//!   rest. Pair it with [`AnswerSource::CrossCheck`] (`--source
+//!   cross-check`) to check every answer against the closed forms while
+//!   serving;
 //! * [`cluster`] — multi-node serving (`kron serve --shards a..b
 //!   --peers …`): each node memory-maps only its claimed shard subset
 //!   ([`kron_stream::ShardSet::open_with`]) and asks a peer for the
@@ -66,9 +66,9 @@
 //!   counts) over the same row reads as every other query, so a
 //!   cluster node traverses the whole product while holding only its
 //!   claimed shards — a level's far rows arrive in one `POST /rows`
-//!   per replica set. Under a cross-check source, [`PathCertifier`]
-//!   re-verifies every returned path edge-by-edge against the artifact
-//!   and the closed-form oracle;
+//!   per replica set. Under a cross-check source,
+//!   [`ServeEngine::certify_path`] re-verifies every returned path
+//!   edge-by-edge against the artifact and the closed-form oracle;
 //! * [`Router`] — the stateless forwarding front end (`kron route`):
 //!   discovers each node's claim via `GET /shards`, forwards `/query`
 //!   and `/batch` by vertex range over each vertex's replicas with the
@@ -147,6 +147,6 @@ pub use cache::{RoutingReport, RowCache};
 pub use cluster::{parse_shard_range, PeerSpec};
 pub use engine::{AnswerSource, Mismatch, OpenOptions, ServeEngine, ServeError};
 pub use oracle::FactorOracle;
-pub use path::{KhopAnswer, PathAnswer, PathCertifier, PathFinder, MAX_KHOP_VERTICES};
+pub use path::{KhopAnswer, PathAnswer, PathFinder, MAX_KHOP_VERTICES};
 pub use router::{Router, RouterReport};
 pub use server::{Server, ServerOptions, ServerReport};

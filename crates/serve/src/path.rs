@@ -26,11 +26,11 @@
 //! half is chosen walking away from it.
 //!
 //! Traversal answers are *witnesses*, so correctness tooling rides
-//! along: under a cross-check source, [`PathCertifier`] re-verifies
-//! every returned path edge-by-edge against the artifact (`has_edge`)
-//! and the closed-form [`crate::FactorOracle`], counting disagreements
-//! into the engine's mismatch machinery — the same counters that drive
-//! `/stats` and the CLI's nonzero cross-check exit.
+//! along: under a cross-check source, [`ServeEngine::certify_path`]
+//! re-verifies every returned path edge-by-edge against the artifact
+//! (`has_edge`) and the closed-form [`crate::FactorOracle`], counting
+//! disagreements into the engine's mismatch machinery — the same
+//! counters that drive `/stats` and the CLI's nonzero cross-check exit.
 
 use crate::engine::{ServeEngine, ServeError};
 use kron_analyze::LevelRows;
@@ -164,14 +164,13 @@ impl<'e> PathFinder<'e> {
     /// in-band `path: None`, not an error; out-of-range endpoints and
     /// failed remote row fetches are errors. Under a cross-check
     /// source, every returned path is certified edge-by-edge before it
-    /// is returned (see [`PathCertifier`]).
+    /// is returned (see [`ServeEngine::certify_path`]).
     pub fn shortest_path(
         &self,
         from: u64,
         to: u64,
         max_depth: Option<u64>,
     ) -> Result<PathAnswer, ServeError> {
-        self.engine.count_traversal_query();
         self.check_vertex(from)?;
         self.check_vertex(to)?;
         let path = if from == to {
@@ -182,8 +181,8 @@ impl<'e> PathFinder<'e> {
             self.bidirectional(from, to, max_depth)?
         };
         if let Some(p) = &path {
-            if self.engine.source().check_every().is_some() {
-                PathCertifier::new(self.engine).certify(from, to, p);
+            if self.engine.source().checks() {
+                self.engine.certify_path(from, to, p);
             }
         }
         Ok(PathAnswer {
@@ -198,7 +197,6 @@ impl<'e> PathFinder<'e> {
     /// lists, or — once a level takes the count past
     /// [`MAX_KHOP_VERTICES`] — the counts up to that level only.
     pub fn khop(&self, v: u64, k: u64) -> Result<KhopAnswer, ServeError> {
-        self.engine.count_traversal_query();
         self.check_vertex(v)?;
         let mut seen: HashSet<u64, SplitMix> = HashSet::from_iter([v]);
         let mut level_sets: Vec<Vec<u64>> = vec![vec![v]];
@@ -325,46 +323,6 @@ fn walk_back(parents: &Parents, mut v: u64) -> Vec<u64> {
         walk.push(v);
     }
     walk
-}
-
-/// Re-verifies returned paths edge-by-edge: the traversal layer's
-/// answer is a *witness*, so under `--source cross-check` each claimed
-/// edge is re-read through the artifact (`has_edge`) and recomputed
-/// against the closed-form [`crate::FactorOracle`] when the engine
-/// carries one. Disagreements land in the engine's mismatch log and
-/// counter — the machinery behind `/stats` `mismatch_count` and the
-/// CLI's nonzero cross-check exit.
-pub struct PathCertifier<'e> {
-    engine: &'e ServeEngine,
-}
-
-impl<'e> PathCertifier<'e> {
-    /// A certifier borrowing the engine.
-    pub fn new(engine: &'e ServeEngine) -> PathCertifier<'e> {
-        PathCertifier { engine }
-    }
-
-    /// Certify one path; returns how many of its edges failed. Counts
-    /// one sampled check on the engine, and puts every edge, unsampled,
-    /// through the engine's one cross-check step, under which an edge
-    /// fails when either side denies it — and a remote-fetch failure
-    /// while re-reading is no verdict. Without an oracle only the
-    /// artifact is asked.
-    pub fn certify(&self, from: u64, to: u64, path: &[u64]) -> u64 {
-        self.engine.count_certified();
-        let mut failed = 0;
-        for (&u, &v) in path.iter().zip(path.iter().skip(1)) {
-            let (_, bad) = self.engine.cross_check(
-                || format!("path {from} {to}: edge {u} {v}"),
-                self.engine.has_edge_artifact(u, v),
-                self.engine.oracle().map_or(Ok(true), |o| o.has_edge(u, v)),
-                |&a, &o| a && o,
-                |b, _| b.to_string(),
-            );
-            failed += u64::from(bad);
-        }
-        failed
-    }
 }
 
 #[cfg(test)]
@@ -523,13 +481,14 @@ mod tests {
         let a = finder.shortest_path(0, 1, None).unwrap();
         assert!(a.path.is_some());
         assert_eq!(engine.mismatch_count(), 0, "clean artifact certifies clean");
-        assert!(engine.sampled_checks() >= 1);
+        assert_eq!(engine.sampled_checks(), 1, "one certified path");
 
         // A fabricated walk through same-left-coordinate pairs must be
         // flagged: (0,0)-(0,1) and (0,1)-(0,2) are both non-edges.
-        let bad = PathCertifier::new(&engine).certify(0, 1, &[0, 1, 2]);
+        let bad = engine.certify_path(0, 1, &[0, 1, 2]);
         assert_eq!(bad, 2, "0-1 and 1-2 are both non-edges");
         assert_eq!(engine.mismatch_count(), 2);
+        assert_eq!(engine.sampled_checks(), 2);
         let record = |edge: &str| crate::Mismatch {
             query: format!("path 0 1: edge {edge}"),
             artifact: "false".into(),

@@ -1,14 +1,12 @@
 //! The long-lived serving process: a TCP/HTTP front end over
 //! [`ServeEngine`].
 //!
-//! PR 2/3 made point queries cheap — but every `kron serve --queries`
-//! invocation still paid process startup, shard validation, and (in
-//! oracle modes) factor parsing. [`Server`] amortizes all of that across
-//! the process lifetime: open once, `mmap` once, then answer over
-//! loopback or the network until told to stop. Combined with
-//! [`crate::AnswerSource::CrossCheckSampled`] this is the ROADMAP's production
-//! posture: artifact-cost serving with an always-on 1-in-N conformance
-//! audit against the paper's closed forms.
+//! A `kron serve --queries` run pays process startup, shard validation
+//! and the factor load for one batch. [`Server`] pays them once for the
+//! process lifetime: open once, `mmap` once, then answer over loopback
+//! or the network until told to stop. Under
+//! [`crate::AnswerSource::CrossCheck`] every answer it serves is checked
+//! against the paper's closed forms.
 //!
 //! Design constraints shape the implementation:
 //!
@@ -42,7 +40,7 @@
 //!   tests from a scope thread). On shutdown the listener stops
 //!   accepting, in-flight requests drain, and `run` returns a
 //!   [`ServerReport`] the caller turns into an exit code (nonzero if any
-//!   sampled query disagreed with the oracle).
+//!   checked answer disagreed with the oracle).
 //!
 //! The wire protocol (endpoints, status codes, JSON shapes) is specified
 //! normatively in `ARCHITECTURE.md` § "Serving over the network"; the
@@ -168,7 +166,7 @@ pub struct ServerReport {
     /// `POST /wedges` exchanges answered for cluster peers: one per
     /// request, however many neighbours it asked about.
     pub wedges_served: u64,
-    /// Queries that ran both answer paths (see
+    /// Answers checked against the closed forms (see
     /// [`ServeEngine::sampled_checks`]).
     pub sampled_checks: u64,
     /// Artifact/oracle disagreements recorded over the whole run.
@@ -195,7 +193,7 @@ impl std::fmt::Display for ServerReport {
             f,
             "{} requests ({} malformed), {} queries ({} errors), \
              {} rows served to peers ({} wire bytes), {} wedge exchanges served, \
-             {} sampled cross-checks, {} mismatches, \
+             {} checked answers, {} mismatches, \
              {} jobs ({} failed, {} cancelled, {} validation failures)",
             self.requests,
             self.bad_requests,
@@ -1532,7 +1530,7 @@ mod tests {
         let engine = ServeEngine::open_with(
             &dir,
             &OpenOptions {
-                source: AnswerSource::CrossCheckSampled(4),
+                source: AnswerSource::CrossCheck,
                 ..OpenOptions::default()
             },
         )
@@ -1560,10 +1558,10 @@ mod tests {
             assert_eq!(status, 200);
             let (_, body) = client.get("/stats").unwrap();
             let doc = Json::parse(&body).unwrap();
-            assert_eq!(doc.req("source").unwrap().as_str(), Some("cross-check:4"));
+            assert_eq!(doc.req("source").unwrap().as_str(), Some("cross-check"));
             assert_eq!(
                 doc.req("sampled_checks").unwrap().as_u64(),
-                Some(c.num_vertices().div_ceil(4))
+                Some(c.num_vertices())
             );
             assert_eq!(doc.req("mismatch_count").unwrap().as_u64(), Some(0));
             stop.store(true, Ordering::SeqCst);

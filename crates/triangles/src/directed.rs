@@ -368,19 +368,8 @@ fn diag_of_triple(x: &CsrMatrix<u64>, y: &CsrMatrix<u64>, z: &CsrMatrix<u64>) ->
         .map(|i| {
             let (ai, av) = xy.row(i);
             let (bi, bv) = zt.row(i);
-            let (mut p, mut q) = (0, 0);
             let mut acc = 0u64;
-            while p < ai.len() && q < bi.len() {
-                match ai[p].cmp(&bi[q]) {
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                    std::cmp::Ordering::Equal => {
-                        acc += av[p] * bv[q];
-                        p += 1;
-                        q += 1;
-                    }
-                }
-            }
+            merge_by(ai, bi, u32::cmp, |p, q| acc += av[p] * bv[q]);
             acc
         })
         .collect()

@@ -57,7 +57,7 @@ echo "== generate a run directory (4 CSR shards)"
 echo "== start the whole-run reference server and the 2-node cluster"
 start single serve "$work/run" --listen 127.0.0.1:0
 start node0 serve "$work/run" --listen "127.0.0.1:$P0" --shards 0..2 \
-    --peers "2..4=127.0.0.1:$P1" --source cross-check:4 --cache 1024
+    --peers "2..4=127.0.0.1:$P1" --source cross-check --cache 1024
 start node1 serve "$work/run" --listen "127.0.0.1:$P1" --shards 2..4 \
     --peers "0..2=127.0.0.1:$P0"
 start router route --peers "127.0.0.1:$P0,127.0.0.1:$P1" --listen 127.0.0.1:0
@@ -83,8 +83,11 @@ diff "$work/batch_single.txt" "$work/batch_routed.txt" \
 curl -fsS --data-binary @"$work/queries.txt" "http://$node0_addr/batch" > "$work/batch_node0.txt"
 diff "$work/batch_single.txt" "$work/batch_node0.txt" \
     || { echo "node 0's direct /batch diverged from the single node"; exit 1; }
-curl -fsS "http://$node0_addr/stats" | grep -q '"mismatch_count":0' \
+node0_stats=$(curl -fsS "http://$node0_addr/stats")
+echo "$node0_stats" | grep -q '"mismatch_count":0' \
     || { echo "node 0's direct /batch recorded a cross-check mismatch"; exit 1; }
+echo "$node0_stats" | grep -q '"source":"cross-check"' \
+    || { echo "node 0 does not report its cross-check source: $node0_stats"; exit 1; }
 total() { # key → the router's summed peer counter
     curl -fsS "http://$router_addr/stats" | grep -o '"totals":{[^}]*}' \
         | grep -o "\"$1\":[0-9]*" | cut -d: -f2
@@ -182,7 +185,7 @@ PA=$((P0 + 2)); PB=$((P0 + 3)); PC=$((P0 + 4))
 # other splitter, plus C); C serves the whole run. Killing C leaves every
 # shard with exactly one live replica.
 start nodeA serve "$work/run" --listen "127.0.0.1:$PA" --shards 0..2 \
-    --peers "2..4=127.0.0.1:$PB,2..4=127.0.0.1:$PC" --source cross-check:4 --cache 1024
+    --peers "2..4=127.0.0.1:$PB,2..4=127.0.0.1:$PC" --source cross-check --cache 1024
 start nodeB serve "$work/run" --listen "127.0.0.1:$PB" --shards 2..4 \
     --peers "0..2=127.0.0.1:$PA,0..2=127.0.0.1:$PC"
 start nodeC serve "$work/run" --listen "127.0.0.1:$PC"

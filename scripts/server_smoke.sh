@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke of `kron serve --listen`: generate a small CSR run
-# directory, start the server with sampled cross-checking, exercise every
-# endpoint with a scripted client, then assert a clean graceful shutdown
-# (exit 0 — meaning no sampled query disagreed with the closed-form
-# oracle). A second stress leg drives ~2K concurrent keep-alive
+# directory, start the server with every answer cross-checked, exercise
+# every endpoint with a scripted client, then assert a clean graceful
+# shutdown (exit 0 — meaning no checked answer disagreed with the
+# closed-form oracle). A second stress leg drives ~2K concurrent keep-alive
 # connections through the event loop with `stress_serve` (built by
 # `cargo build --release -p kron-bench --bin stress_serve`; the leg is
 # skipped with a warning when the binary is missing), asserts zero
-# request errors and a sane p99 under `--source cross-check:16`, and
+# request errors and a sane p99 under `--source cross-check`, and
 # ends with a clean SIGTERM drain. Run from the repo root; CI calls it
 # after the release build.
 set -euo pipefail
@@ -32,8 +32,8 @@ echo "== generate a run directory"
 "$BIN" stream "$work/a.tsv" "$work/a.tsv" --out "$work/run" --shards 4 --format csr
 "$BIN" verify-shards "$work/run"
 
-echo "== start the server (ephemeral port, cross-check 1 in 4)"
-"$BIN" serve "$work/run" --listen 127.0.0.1:0 --source cross-check:4 \
+echo "== start the server (ephemeral port, every answer cross-checked)"
+"$BIN" serve "$work/run" --listen 127.0.0.1:0 --source cross-check \
     > "$work/stdout.txt" 2> "$work/stderr.txt" &
 server_pid=$!
 for _ in $(seq 100); do
@@ -55,8 +55,12 @@ printf 'degree 57\ntri_vertex 57\ntri_edge 57 58\nneighbors 3\n' \
 grep -q '^degree 57 = ' "$work/batch.txt"
 stats=$(curl -fsS "http://$addr/stats")
 echo "$stats" | grep -q '"mismatch_count":0'
-echo "$stats" | grep -q '"source":"cross-check:4"'
-echo "$stats" | grep -vq '"sampled_checks":0'
+echo "$stats" | grep -q '"source":"cross-check"'
+# every answer is checked: the one /query and the four /batch lines
+first() { echo "$stats" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2; }
+queries=$(first queries); checked=$(first sampled_checks)
+[ "$queries" -eq 5 ] && [ "$checked" -eq "$queries" ] \
+    || { echo "sampled_checks $checked != queries $queries: $stats"; exit 1; }
 # malformed queries are 400s, not crashes
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/query?q=frobnicate")
 [ "$code" = 400 ]
@@ -88,8 +92,8 @@ if [ ! -x "$STRESS_BIN" ]; then
     exit 0
 fi
 
-echo "== stress leg: $STRESS_CONNS keep-alive connections, cross-check 1 in 16"
-"$BIN" serve "$work/run" --listen 127.0.0.1:0 --source cross-check:16 \
+echo "== stress leg: $STRESS_CONNS keep-alive connections, every answer cross-checked"
+"$BIN" serve "$work/run" --listen 127.0.0.1:0 --source cross-check \
     --max-conns $(( STRESS_CONNS + 64 )) \
     > "$work/stress_stdout.txt" 2> "$work/stress_stderr.txt" &
 server_pid=$!
@@ -116,7 +120,7 @@ p99=$(sed -n 's/.*"p99_us":\([0-9]*\).*/\1/p' "$work/stress.json")
 
 stats=$(curl -fsS "http://$addr/stats")
 echo "$stats" | grep -q '"mismatch_count":0'
-echo "$stats" | grep -q '"source":"cross-check:16"'
+echo "$stats" | grep -q '"source":"cross-check"'
 # the event loop saw (at least) every stress connection
 peak=$(echo "$stats" | sed -n 's/.*"peak":\([0-9]*\).*/\1/p')
 [ -n "$peak" ] && [ "$peak" -ge "$STRESS_CONNS" ] \

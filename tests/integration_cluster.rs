@@ -295,13 +295,13 @@ fn tampered_remote_row_is_flagged_on_the_querying_node() {
         node1_srv.local_addr().unwrap(),
     );
     // Node 0's own shard is clean and checksum-verified; it audits every
-    // query (cross-check:1), including ones answered with peers' bytes.
+    // query, including ones answered with peers' bytes.
     let node0 = ServeEngine::open_with(
         &dir,
         &OpenOptions {
             shard_subset: Some(0..1),
             peers: vec![PeerSpec::parse(&format!("1..3={addr1}")).unwrap()],
-            source: kron_serve::AnswerSource::CrossCheckSampled(1),
+            source: kron_serve::AnswerSource::CrossCheck,
             ..OpenOptions::default()
         },
     )
@@ -413,7 +413,7 @@ fn remote_fetch_failure_fails_the_query_without_poisoning_cross_check() {
             shard_subset: Some(0..1),
             // nothing listens on port 1: every remote fetch fails fast
             peers: vec![PeerSpec::parse("1..3=127.0.0.1:1").unwrap()],
-            source: kron_serve::AnswerSource::CrossCheckSampled(1),
+            source: kron_serve::AnswerSource::CrossCheck,
             peer_timeout: Duration::from_millis(200),
             ..OpenOptions::default()
         },
@@ -441,7 +441,7 @@ fn remote_fetch_failure_fails_the_query_without_poisoning_cross_check() {
         .iter()
         .find(|&&u| u != remote)
         .expect("the non-resident vertex has a neighbor");
-    let bad = kron_serve::PathCertifier::new(&node0).certify(remote, hop, &[remote, hop]);
+    let bad = node0.certify_path(remote, hop, &[remote, hop]);
     assert_eq!(bad, 0, "an unreadable edge is no verdict, not a bad edge");
     // a resident tri_vertex whose neighborhood crosses the dead peer
     let victim = span

@@ -102,7 +102,7 @@ fn killed_replica_mid_batch_is_invisible_to_clients() {
                         addr: proxy.addr().to_string(),
                     },
                 ],
-                source: kron_serve::AnswerSource::CrossCheckSampled(4),
+                source: kron_serve::AnswerSource::CrossCheck,
                 ..OpenOptions::default()
             },
         )
@@ -278,7 +278,7 @@ fn killed_replica_mid_path_is_invisible_to_clients() {
                         addr: proxy.addr().to_string(),
                     },
                 ],
-                source: kron_serve::AnswerSource::CrossCheckSampled(4),
+                source: kron_serve::AnswerSource::CrossCheck,
                 ..OpenOptions::default()
             },
         )
@@ -416,7 +416,7 @@ fn flappy_peer_is_ejected_then_readmitted_after_probe() {
         &OpenOptions {
             shard_subset: Some(0..1),
             peers: vec![PeerSpec::parse(&format!("1..3={}", proxy.addr())).unwrap()],
-            source: kron_serve::AnswerSource::CrossCheckSampled(1),
+            source: kron_serve::AnswerSource::CrossCheck,
             peer_timeout: Duration::from_millis(300),
             ..OpenOptions::default()
         },
@@ -606,7 +606,7 @@ fn all_replicas_down_yields_single_502_with_peer_list() {
 /// The regression fixed in this PR, positive path: a fetch that fails on
 /// one replica and succeeds on the next must answer 200 with the right
 /// bytes AND leave the cross-check ledger exactly as a clean fetch would
-/// — a sampled verdict for the final answer, zero mismatches, zero
+/// — a checked verdict for the final answer, zero mismatches, zero
 /// `bad_requests`. (The all-replicas-failed path recording NO verdict is
 /// covered by `remote_fetch_failure_fails_the_query_without_poisoning_
 /// cross_check` in the cluster suite.)
@@ -635,7 +635,7 @@ fn failover_leaves_cross_check_and_bad_requests_clean() {
                 PeerSpec::parse("1..3=127.0.0.1:1").unwrap(), // nothing listens
                 PeerSpec::parse(&format!("1..3={addr_owner}")).unwrap(),
             ],
-            source: kron_serve::AnswerSource::CrossCheckSampled(1),
+            source: kron_serve::AnswerSource::CrossCheck,
             peer_timeout: Duration::from_millis(300),
             ..OpenOptions::default()
         },
@@ -697,7 +697,9 @@ fn failover_leaves_cross_check_and_bad_requests_clean() {
         // …and the ledger looks exactly like a healthy cluster's: the
         // final answers were cross-checked and passed, nothing about the
         // failed attempts leaked into verdicts or request accounting.
-        assert!(doc.req("sampled_checks").unwrap().as_u64().unwrap() > 0);
+        let count = |key| doc.req(key).unwrap().as_u64().unwrap();
+        assert_eq!(count("sampled_checks"), count("queries"), "{stats}");
+        assert!(count("sampled_checks") > 0);
         assert_eq!(doc.req("mismatch_count").unwrap().as_u64(), Some(0));
         assert_eq!(doc.req("bad_requests").unwrap().as_u64(), Some(0));
         assert_eq!(doc.req("errors").unwrap().as_u64(), Some(0));
@@ -902,7 +904,7 @@ fn peer_answering_rows_in_raw_words_yields_a_502_never_a_wrong_answer() {
         &OpenOptions {
             shard_subset: Some(0..1),
             peers: vec![PeerSpec::parse(&format!("1..2={}", peer.local_addr().unwrap())).unwrap()],
-            source: kron_serve::AnswerSource::CrossCheckSampled(1),
+            source: kron_serve::AnswerSource::CrossCheck,
             ..OpenOptions::default()
         },
     )

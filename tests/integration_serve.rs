@@ -169,7 +169,7 @@ fn fresh_run_directory_cross_checks_clean() {
     let a = holme_kim(14, 2, 0.5, 11);
     let b = Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 0)]);
     let c = KronProduct::new(a, b);
-    let dir = tmpdir("crosscheck_clean");
+    let dir = tmpdir("cross_check_clean");
     {
         let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
         cfg.shards = 5;
@@ -259,7 +259,7 @@ fn cross_check_flags_exactly_the_tampered_queries() {
     use std::collections::BTreeSet;
 
     let c = tamper_product();
-    let dir = tmpdir("crosscheck_tamper");
+    let dir = tmpdir("cross_check_tamper");
     let (r, c_old, c_new) = tamper_one_row(&dir, &c);
     let n_c = c.num_vertices();
 
@@ -271,7 +271,7 @@ fn cross_check_flags_exactly_the_tampered_queries() {
         ..OpenOptions::default()
     };
     let artifact = ServeEngine::open_with(&dir, &opts(AnswerSource::Artifact)).unwrap();
-    let crosscheck = ServeEngine::open_with(&dir, &opts(AnswerSource::CrossCheck)).unwrap();
+    let cross_check = ServeEngine::open_with(&dir, &opts(AnswerSource::CrossCheck)).unwrap();
 
     // The full per-vertex query grid, the two targeted edge probes, and
     // `tri_edge` from r to each of its closed-form neighbours and to c_new.
@@ -321,13 +321,13 @@ fn cross_check_flags_exactly_the_tampered_queries() {
         }
     }
 
-    let out = run_batch(&crosscheck, &queries);
+    let out = run_batch(&cross_check, &queries);
     assert_eq!(
         out.stats.mismatches as usize,
         expected.len(),
         "cross-check must flag exactly the affected queries"
     );
-    let flagged: BTreeSet<String> = crosscheck
+    let flagged: BTreeSet<String> = cross_check
         .mismatches()
         .into_iter()
         .map(|m| m.query)
@@ -373,51 +373,55 @@ fn cross_check_flags_exactly_the_tampered_queries() {
             ),
         }
     };
-    for m in crosscheck.mismatches() {
+    for m in cross_check.mismatches() {
         let q = *queries.iter().find(|q| q.to_string() == m.query).unwrap();
         assert_eq!((m.artifact, m.oracle), rendered(q), "{}", m.query);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A `cross-check:N` source checks the queries its engine's counter
-/// picks, so a batch must reach the engine in input order: then every
-/// run of the same batch checks input positions 0, N, 2N, … and logs
-/// their disagreements in that order.
+/// A cross-checked batch reaches the engine in input order on one
+/// thread, so every run of the same batch logs the same disagreements,
+/// in input order: exactly the queries the tamper changes.
 #[test]
 fn cross_checked_batches_check_the_same_queries_in_input_order() {
     use kron_serve::{AnswerSource, OpenOptions};
 
     let c = tamper_product();
-    let dir = tmpdir("crosscheck_order");
+    let dir = tmpdir("cross_check_order");
     let (r, c_old, c_new) = tamper_one_row(&dir, &c);
-    // every query disagrees, so the log names exactly the checked ones;
-    // four kinds under a stride of three tell the positions apart
+    // four kinds the tamper changes, and r's degree, which the
+    // length-preserving tamper keeps: the log must skip that one
     let kinds = [
         Query::Neighbors(r),
         Query::HasEdge(r, c_new),
+        Query::Degree(r),
         Query::HasEdge(r, c_old),
         Query::EdgeTriangles(r, c_new),
     ];
     let queries: Vec<Query> = (0..40).map(|i| kinds[i % kinds.len()]).collect();
-    let checked: Vec<String> = queries.iter().step_by(3).map(Query::to_string).collect();
+    let tampered: Vec<String> = queries
+        .iter()
+        .filter(|q| !matches!(q, Query::Degree(_)))
+        .map(Query::to_string)
+        .collect();
 
     let opts = OpenOptions {
         verify_checksums: false,
-        source: AnswerSource::CrossCheckSampled(3),
+        source: AnswerSource::CrossCheck,
         ..OpenOptions::default()
     };
     let mut logs = Vec::new();
     for _ in 0..2 {
         let engine = ServeEngine::open_with(&dir, &opts).unwrap();
         let out = run_batch(&engine, &queries);
-        assert_eq!(out.stats.mismatches as usize, checked.len());
-        assert_eq!(engine.sampled_checks() as usize, checked.len());
+        assert_eq!(out.stats.mismatches as usize, tampered.len());
+        assert_eq!(engine.sampled_checks() as usize, queries.len());
         let log = engine.mismatches();
         let flagged: Vec<String> = log.iter().map(|m| m.query.clone()).collect();
         assert_eq!(
-            flagged, checked,
-            "the checked queries are input positions 0, 3, 6, …"
+            flagged, tampered,
+            "the log names the tampered queries in input order"
         );
         logs.push(log);
     }
@@ -666,7 +670,7 @@ fn large_scale_serving_sources_and_cache() {
     };
     let artifact = open(AnswerSource::Artifact, 32 << 20);
     let oracle = open(AnswerSource::Oracle, 0);
-    let crosscheck = open(AnswerSource::CrossCheck, 0);
+    let cross_check = open(AnswerSource::CrossCheck, 0);
 
     // a skewed query mix: 95% of triangle queries hit 64 hot vertices
     let n = c.num_vertices();
@@ -713,7 +717,7 @@ fn large_scale_serving_sources_and_cache() {
 
     // cross-check a sample end to end: fresh artifacts reconcile clean
     let sample: Vec<Query> = queries.iter().step_by(10).copied().collect();
-    let out = run_batch(&crosscheck, &sample);
+    let out = run_batch(&cross_check, &sample);
     assert_eq!(out.stats.errors, 0);
     assert_eq!(out.stats.mismatches, 0, "fresh run must cross-check clean");
     std::fs::remove_dir_all(&dir).ok();

@@ -1,6 +1,6 @@
 //! End-to-end socket tests of the HTTP serving layer: a real
 //! `TcpListener`, real HTTP/1.1 over loopback, concurrent clients, and
-//! the sampled cross-check audit path — everything `kron serve --listen`
+//! the cross-check audit path — everything `kron serve --listen`
 //! does, exercised in-process so the tests can also inspect the engine.
 
 use kron::KronProduct;
@@ -148,60 +148,56 @@ fn sampled_cross_check_samples_exactly_ceil_q_over_n_through_the_server() {
     let dir = tmpdir("sampling");
     let c = product();
     make_run_dir(&dir, &c, 2);
-    for n in [1u64, 4, 7] {
-        let engine = ServeEngine::open_with(
-            &dir,
-            &OpenOptions {
-                source: AnswerSource::CrossCheckSampled(n),
-                ..OpenOptions::default()
-            },
-        )
-        .unwrap();
-        let server = Server::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let run = s.spawn(|| {
-                server.run(
-                    &engine,
-                    &ServerOptions {
-                        threads: 2,
-                        ..Default::default()
-                    },
-                    &stop,
-                )
-            });
-            let mut client = Client::connect(addr).unwrap();
-            let queries = mixed_queries(&c);
-            let file: String = queries.iter().map(|q| format!("{q}\n")).collect();
-            let (status, body) = client.post("/batch", file.as_bytes()).unwrap();
-            assert_eq!(status, 200);
-            // sampling must never change an answer: the audited server's
-            // output is byte-identical to plain artifact batch mode
-            let expected = reference_lines(&dir, &queries);
-            assert_eq!(
-                body.lines().collect::<Vec<_>>(),
-                expected.iter().map(String::as_str).collect::<Vec<_>>(),
-                "cross-check:{n} answers diverge from artifact batch mode"
-            );
-            let (_, body) = client.get("/stats").unwrap();
-            let doc = Json::parse(&body).unwrap();
-            let q = queries.len() as u64;
-            assert_eq!(
-                doc.req("sampled_checks").unwrap().as_u64(),
-                Some(q.div_ceil(n)),
-                "1 in {n} of {q} queries"
-            );
-            assert_eq!(
-                doc.req("source").unwrap().as_str().unwrap(),
-                format!("cross-check:{n}")
-            );
-            assert_eq!(doc.req("mismatch_count").unwrap().as_u64(), Some(0));
-            stop.store(true, Ordering::SeqCst);
-            let report = run.join().unwrap().unwrap();
-            assert_eq!(report.sampled_checks, q.div_ceil(n));
+    let engine = ServeEngine::open_with(
+        &dir,
+        &OpenOptions {
+            source: AnswerSource::CrossCheck,
+            ..OpenOptions::default()
+        },
+    )
+    .unwrap();
+    let server = Server::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let run = s.spawn(|| {
+            server.run(
+                &engine,
+                &ServerOptions {
+                    threads: 2,
+                    ..Default::default()
+                },
+                &stop,
+            )
         });
-    }
+        let mut client = Client::connect(addr).unwrap();
+        let queries = mixed_queries(&c);
+        let file: String = queries.iter().map(|q| format!("{q}\n")).collect();
+        let (status, body) = client.post("/batch", file.as_bytes()).unwrap();
+        assert_eq!(status, 200);
+        // checking must never change an answer: the audited server's
+        // output is byte-identical to plain artifact batch mode
+        let expected = reference_lines(&dir, &queries);
+        assert_eq!(
+            body.lines().collect::<Vec<_>>(),
+            expected.iter().map(String::as_str).collect::<Vec<_>>(),
+            "cross-check answers diverge from artifact batch mode"
+        );
+        let (_, body) = client.get("/stats").unwrap();
+        let doc = Json::parse(&body).unwrap();
+        let q = queries.len() as u64;
+        assert_eq!(doc.req("queries").unwrap().as_u64(), Some(q));
+        assert_eq!(
+            doc.req("sampled_checks").unwrap().as_u64(),
+            Some(q),
+            "every one of {q} queries is checked"
+        );
+        assert_eq!(doc.req("source").unwrap().as_str(), Some("cross-check"));
+        assert_eq!(doc.req("mismatch_count").unwrap().as_u64(), Some(0));
+        stop.store(true, Ordering::SeqCst);
+        let report = run.join().unwrap().unwrap();
+        assert_eq!(report.sampled_checks, q);
+    });
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -218,13 +214,13 @@ fn tampered_run_dir_surfaces_mismatches_through_stats() {
     bytes[32 + 8 * (rows + 1)] ^= 0x04;
     std::fs::write(&path, &bytes).unwrap();
 
-    // structural open (a sampling audit tier skips per-open rehashing —
-    // that is exactly the corruption it exists to catch), check 1-in-1
+    // structural open (an audit tier skips per-open rehashing — that is
+    // exactly the corruption it exists to catch), every answer checked
     let engine = ServeEngine::open_with(
         &dir,
         &OpenOptions {
             verify_checksums: false,
-            source: AnswerSource::CrossCheckSampled(1),
+            source: AnswerSource::CrossCheck,
             ..OpenOptions::default()
         },
     )

@@ -593,7 +593,7 @@ fn tampered_shard_fails_path_certification() {
     } else {
         // A real two-hop detour answered first — force the phantom edge
         // through the certifier directly.
-        let bad = kron_serve::PathCertifier::new(&engine).certify(victim, bogus, &[victim, bogus]);
+        let bad = engine.certify_path(victim, bogus, &[victim, bogus]);
         assert!(bad >= 1);
         assert!(engine.mismatch_count() >= 1);
     }

@@ -68,7 +68,7 @@ proptest! {
 
         let artifact = open(&dir, AnswerSource::Artifact);
         let oracle = open(&dir, AnswerSource::Oracle);
-        let crosscheck = open(&dir, AnswerSource::CrossCheck);
+        let cross_check = open(&dir, AnswerSource::CrossCheck);
 
         // The independent referee: Defs. 5/6 evaluated by sparse matrix
         // algebra on the materialized product.
@@ -82,22 +82,22 @@ proptest! {
             let want_deg = g.degree(v as u32);
             prop_assert_eq!(artifact.degree(v).unwrap(), want_deg);
             prop_assert_eq!(oracle.degree(v).unwrap(), want_deg);
-            prop_assert_eq!(crosscheck.degree(v).unwrap(), want_deg);
+            prop_assert_eq!(cross_check.degree(v).unwrap(), want_deg);
 
             let want_row: Vec<u64> = g.adj_row(v as u32).iter().map(|&x| x as u64).collect();
             prop_assert_eq!(artifact.neighbors(v).unwrap().as_ref(), want_row.as_slice());
             prop_assert_eq!(oracle.neighbors(v).unwrap().as_ref(), want_row.as_slice());
-            prop_assert_eq!(crosscheck.neighbors(v).unwrap().as_ref(), want_row.as_slice());
+            prop_assert_eq!(cross_check.neighbors(v).unwrap().as_ref(), want_row.as_slice());
 
             prop_assert_eq!(artifact.vertex_triangles(v).unwrap(), t_ref[vu], "t_C({})", v);
             prop_assert_eq!(oracle.vertex_triangles(v).unwrap(), t_ref[vu]);
-            prop_assert_eq!(crosscheck.vertex_triangles(v).unwrap(), t_ref[vu]);
+            prop_assert_eq!(cross_check.vertex_triangles(v).unwrap(), t_ref[vu]);
 
             for q in 0..n {
                 let want_edge = g.has_edge(v as u32, q as u32);
                 prop_assert_eq!(artifact.has_edge(v, q).unwrap(), want_edge);
                 prop_assert_eq!(oracle.has_edge(v, q).unwrap(), want_edge);
-                prop_assert_eq!(crosscheck.has_edge(v, q).unwrap(), want_edge);
+                prop_assert_eq!(cross_check.has_edge(v, q).unwrap(), want_edge);
 
                 // Δ formula drops the diagonal, so an existing loop slot
                 // reads back 0 — exactly the serving convention Some(0).
@@ -105,14 +105,14 @@ proptest! {
                     want_edge.then(|| delta_ref.get(vu, q as usize));
                 prop_assert_eq!(artifact.edge_triangles(v, q).unwrap(), want_delta);
                 prop_assert_eq!(oracle.edge_triangles(v, q).unwrap(), want_delta);
-                prop_assert_eq!(crosscheck.edge_triangles(v, q).unwrap(), want_delta);
+                prop_assert_eq!(cross_check.edge_triangles(v, q).unwrap(), want_delta);
             }
         }
 
         // The cross-check engine saw the full query grid: a fresh run
         // directory must reconcile clean.
-        prop_assert_eq!(crosscheck.mismatch_count(), 0);
-        prop_assert!(crosscheck.mismatches().is_empty());
+        prop_assert_eq!(cross_check.mismatch_count(), 0);
+        prop_assert!(cross_check.mismatches().is_empty());
         // …and the pure-oracle engine never touched a shard.
         prop_assert_eq!(oracle.routing().total_fetches(), 0);
 
