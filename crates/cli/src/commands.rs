@@ -5,8 +5,8 @@ use kron::{human_count, product_truss, validate, KronProduct, ProductStats};
 use kron_gen::deterministic;
 use kron_graph::{read_edge_list_path, write_edge_list_path, Graph};
 use kron_serve::{
-    parse_queries, parse_shard_range, run_batch, AnswerSource, OpenOptions, PeerSpec, Router,
-    ServeEngine, Server, ServerOptions,
+    parse_queries, parse_shard_range, push_line, run_batch, AnswerSource, OpenOptions, PeerSpec,
+    Router, ServeEngine, Server, ServerOptions,
 };
 use kron_stream::{compact_run, stream_product, verify_shards, OutputFormat, StreamConfig};
 use kron_triangles::count_triangles;
@@ -76,9 +76,8 @@ USAGE:
       stderr. --source oracle answers in closed form from the factor
       copies (artifact contents are never read, so checksum verification
       is skipped); --source cross-check answers from the artifact, checks
-      every answer against the oracle, and exits nonzero on mismatch. A
-      cross-checked batch runs in input order on one thread (--threads
-      does not apply), so every run logs the same mismatches in order.
+      every answer against the oracle, and exits nonzero on mismatch; a
+      checked batch logs the same mismatches, ascending, at any --threads.
       --cache keeps an LRU of hot decoded rows for the triangle kernels'
       resident neighbours, bounded in bytes (plain, or 512k / 512m / 4g)
   kron serve <DIR> --listen ADDR [--threads T] [--jobs J] [--no-verify]
@@ -797,16 +796,9 @@ fn serve_queries(dir: &str, file: &str, opts: &OpenOptions) -> Result<(), String
     let engine = open_serve_engine(dir, opts)?;
 
     let out = run_batch(&engine, &queries);
-    let mut failed = 0usize;
     let mut lines = String::new();
-    for (q, ans) in queries.iter().zip(&out.answers) {
-        match ans {
-            Ok(a) => lines.push_str(&format!("{q} = {a}\n")),
-            Err(e) => {
-                failed += 1;
-                lines.push_str(&format!("{q} = error: {e}\n"));
-            }
-        }
+    for (&q, ans) in queries.iter().zip(&out.answers) {
+        push_line(&mut lines, q, ans);
     }
     print!("{lines}");
     eprintln!("{}", out.stats);
@@ -821,6 +813,7 @@ fn serve_queries(dir: &str, file: &str, opts: &OpenOptions) -> Result<(), String
         }
     }
     cross_check_verdict(&engine)?;
+    let failed = out.stats.errors;
     if failed > 0 {
         return Err(format!("{failed} of {} queries failed", queries.len()));
     }

@@ -79,6 +79,6 @@ pub use directed::KronDirectedProduct;
 pub use error::KronError;
 pub use index::ProductIndexer;
 pub use labeled::KronLabeledProduct;
-pub use product::{KronProduct, LoopProfile};
+pub use product::KronProduct;
 pub use stats::{human_count, ProductStats};
 pub use truss_product::{product_truss, KronTruss};

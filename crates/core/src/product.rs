@@ -4,20 +4,6 @@ use crate::factor_stats::FactorTerms;
 use crate::{KronError, ProductIndexer, ProductStats};
 use kron_graph::{Graph, GraphBuilder};
 
-/// Which factors carry self loops — selects the applicable paper result
-/// (Rem. 3: loops boost product triangles).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LoopProfile {
-    /// Neither factor has loops: Thm. 1 / Thm. 2 apply.
-    NoLoops,
-    /// Only `B` has loops: Cor. 1 / Cor. 2 apply.
-    LoopsInBOnly,
-    /// Only `A` has loops (mirror of Cor. 1/2).
-    LoopsInAOnly,
-    /// Both factors have loops: the general §III-B/§III-C formulas apply.
-    LoopsInBoth,
-}
-
 /// The Kronecker product `C = A ⊗ B` of two undirected factors,
 /// represented implicitly: `O(nnz(A) + nnz(B))` memory for an
 /// `nnz(A)·nnz(B)`-entry graph.
@@ -59,16 +45,6 @@ impl KronProduct {
     /// The index maps between product vertices and factor pairs.
     pub fn indexer(&self) -> ProductIndexer {
         self.ix
-    }
-
-    /// Which self-loop case the factors are in.
-    pub fn loop_profile(&self) -> LoopProfile {
-        match (self.a.num_self_loops() > 0, self.b.num_self_loops() > 0) {
-            (false, false) => LoopProfile::NoLoops,
-            (false, true) => LoopProfile::LoopsInBOnly,
-            (true, false) => LoopProfile::LoopsInAOnly,
-            (true, true) => LoopProfile::LoopsInBoth,
-        }
     }
 
     /// `n_C = n_A · n_B`.
@@ -375,8 +351,9 @@ mod tests {
             assert_eq!(
                 t_direct[p as usize],
                 c.vertex_triangles(p),
-                "t_C({p}) [{:?}]",
-                c.loop_profile()
+                "t_C({p}) [factor loops {}, {}]",
+                c.a.num_self_loops(),
+                c.b.num_self_loops()
             );
         }
         // total
@@ -432,7 +409,7 @@ mod tests {
                 (ix.compose(0, 0), ix.compose(1, 1))
             };
             assert_eq!(c.edge_triangles(p, q), Some(de));
-            assert_eq!(c.loop_profile(), LoopProfile::NoLoops);
+            assert_eq!((c.a.num_self_loops(), c.b.num_self_loops()), (0, 0));
         }
     }
 
@@ -457,7 +434,7 @@ mod tests {
                     "t Ex 1(b) na={na} nb={nb}"
                 );
             }
-            assert_eq!(c.loop_profile(), LoopProfile::LoopsInBOnly);
+            assert_eq!((c.a.num_self_loops(), c.b.num_self_loops()), (0, nbu));
             // every product edge sees n_An_B − 2n_B triangles
             let ix = c.indexer();
             let (p, q) = (ix.compose(0, 0), ix.compose(1, 0));
@@ -472,7 +449,7 @@ mod tests {
         // and check the general formulas against materialization, plus the
         // loop-free clique identities on the materialized drop-diagonal.
         let c = KronProduct::new(clique_with_loops(3), clique_with_loops(4));
-        assert_eq!(c.loop_profile(), LoopProfile::LoopsInBoth);
+        assert_eq!((c.a.num_self_loops(), c.b.num_self_loops()), (3, 4));
         let nm = 12u64;
         for p in 0..c.num_vertices() {
             // J⊗J has a loop everywhere; degree (paper convention) nm−1

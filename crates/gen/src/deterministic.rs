@@ -56,23 +56,6 @@ pub fn hub_cycle() -> Graph {
     )
 }
 
-/// An `r × c` grid graph (4-neighborhood).
-pub fn grid(r: usize, c: usize) -> Graph {
-    let id = |i: usize, j: usize| (i * c + j) as u32;
-    let mut edges = Vec::with_capacity(2 * r * c);
-    for i in 0..r {
-        for j in 0..c {
-            if j + 1 < c {
-                edges.push((id(i, j), id(i, j + 1)));
-            }
-            if i + 1 < r {
-                edges.push((id(i, j), id(i + 1, j)));
-            }
-        }
-    }
-    Graph::from_edges(r * c, edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,14 +109,5 @@ mod tests {
         assert_eq!(g.num_edges(), 8);
         assert_eq!(count_triangles(&g).triangles, 4);
         assert_eq!(vertex_participation(&g), vec![4, 2, 2, 2, 2]);
-    }
-
-    #[test]
-    fn grid_shape() {
-        let g = grid(3, 4);
-        assert_eq!(g.num_vertices(), 12);
-        assert_eq!(g.num_edges(), (3 * 3 + 2 * 4) as u64); // r(c−1) + (r−1)c
-        assert!(is_connected(&g));
-        assert_eq!(count_triangles(&g).triangles, 0);
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! * [`deterministic`] — closed-form families used throughout the paper's
 //!   examples: cliques `K_n`, looped cliques `J_n` (Ex. 1), the hub-cycle
-//!   graph of Ex. 2 / Fig. 3, cycles, paths, stars, grids;
+//!   graph of Ex. 2 / Fig. 3, cycles, paths, stars;
 //! * [`erdos_renyi`] / [`barabasi_albert`] — standard random models for
 //!   factors;
 //! * [`holme_kim()`] — powerlaw-with-clustering model; the workspace's

@@ -3,17 +3,6 @@
 
 use crate::Graph;
 
-/// How an arc set relates a concrete ordered pair `(u, v)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// Both `u→v` and `v→u` exist (an edge of `A_r`).
-    Reciprocal,
-    /// Only `u→v` exists (an edge of `A_d`, seen from its source).
-    Out,
-    /// Only `v→u` exists (an edge of `A_d`, seen from its target).
-    In,
-}
-
 /// A directed graph stored as paired out-/in-adjacency CSR structures.
 ///
 /// Both neighbor rows are sorted and duplicate-free. [`DiGraph::num_arcs`]
@@ -141,16 +130,6 @@ impl DiGraph {
         self.out_row(u).binary_search(&v).is_ok()
     }
 
-    /// Classify the ordered pair `(u, v)` (Def. 8 of the paper).
-    pub fn edge_kind(&self, u: u32, v: u32) -> Option<EdgeKind> {
-        match (self.has_arc(u, v), self.has_arc(v, u)) {
-            (true, true) => Some(EdgeKind::Reciprocal),
-            (true, false) => Some(EdgeKind::Out),
-            (false, true) => Some(EdgeKind::In),
-            (false, false) => None,
-        }
-    }
-
     /// Iterate over all arcs `(src, dst)`.
     pub fn arcs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         (0..self.num_vertices() as u32)
@@ -263,16 +242,6 @@ mod tests {
         assert_eq!(g.out_degree(1), 2);
         assert_eq!(g.in_degree(0), 2);
         assert!(g.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn kinds() {
-        let g = sample();
-        assert_eq!(g.edge_kind(0, 1), Some(EdgeKind::Reciprocal));
-        assert_eq!(g.edge_kind(1, 2), Some(EdgeKind::Out));
-        assert_eq!(g.edge_kind(2, 1), Some(EdgeKind::In));
-        assert_eq!(g.edge_kind(0, 3), None);
-        assert_eq!(g.edge_kind(3, 3), Some(EdgeKind::Reciprocal));
     }
 
     #[test]

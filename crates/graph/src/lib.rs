@@ -47,7 +47,7 @@ mod undirected;
 mod unionfind;
 
 pub use builder::GraphBuilder;
-pub use digraph::{DiGraph, EdgeKind};
+pub use digraph::DiGraph;
 pub use egonet::{egonet, induced_subgraph, Egonet};
 pub use io::{read_edge_list, read_edge_list_path, write_edge_list, write_edge_list_path};
 pub use labeled::{Label, LabeledGraph};

@@ -4,12 +4,14 @@
 //! file, one query per line — see [`parse_queries`]). [`run_batch`] fans
 //! the batch out across worker threads (the shim rayon), each query
 //! routing to its shard(s) independently, and collects per-query answers
-//! *in input order* plus an aggregate [`QueryStats`] report. A
-//! cross-checked batch runs in input order on the calling thread.
+//! *in input order* plus an aggregate [`QueryStats`] report, whatever the
+//! answer source. [`push_line`] renders one answer line, the format
+//! `kron serve --queries` prints and `POST /batch` returns.
 
 use crate::engine::{AnswerSource, ServeEngine, ServeError};
 use kron_stream::json::Json;
 use rayon::prelude::*;
+use std::fmt::Write;
 use std::time::{Duration, Instant};
 
 /// One point query against the shard set.
@@ -155,6 +157,16 @@ impl std::fmt::Display for Answer {
             Answer::NotAnEdge => write!(f, "not-an-edge"),
         }
     }
+}
+
+/// Append the answer line of `q` to `out`: `<query> = <answer>`, or
+/// `<query> = error: <message>` for a query that failed.
+pub fn push_line(out: &mut String, q: Query, answer: &Result<Answer, ServeError>) {
+    // writing to a String cannot fail
+    let _ = match answer {
+        Ok(a) => writeln!(out, "{q} = {a}"),
+        Err(e) => writeln!(out, "{q} = error: {e}"),
+    };
 }
 
 /// Answer one query, returning the wedge checks it performed. Shared by
@@ -336,9 +348,9 @@ pub struct BatchOutcome {
 /// out-of-range vertex) yields its own `Err` slot without aborting the
 /// rest of the batch.
 ///
-/// Under a cross-check source the queries run one after another, in
-/// input order, on the calling thread, so every run logs the same
-/// disagreements in the same order.
+/// Every source fans out alike: the engine's mismatch log keeps its
+/// records ascending, so a cross-checked batch logs the same
+/// disagreements at every thread count.
 ///
 /// The engine's configured [`AnswerSource`] decides what each query
 /// actually does; the stats report that source, and in cross-check mode
@@ -354,12 +366,7 @@ pub fn run_batch(engine: &ServeEngine, queries: &[Query]) -> BatchOutcome {
         (res, q0.elapsed(), checks)
     };
     let t0 = Instant::now();
-    let (results, threads): (Vec<_>, _) = if engine.source().checks() {
-        ((0..queries.len()).map(timed).collect(), 1)
-    } else {
-        let fanned = (0..queries.len()).into_par_iter().map(timed).collect();
-        (fanned, rayon::current_num_threads())
-    };
+    let results: Vec<_> = (0..queries.len()).into_par_iter().map(timed).collect();
     let wall = t0.elapsed();
     let wedge_checks = results.iter().map(|(_, _, checks)| checks).sum();
     let (answers, latencies): (Vec<_>, _) =
@@ -369,7 +376,7 @@ pub fn run_batch(engine: &ServeEngine, queries: &[Query]) -> BatchOutcome {
         latencies,
         answers.iter().filter(|a| a.is_err()).count(),
         engine.mismatch_count() - mismatches_before,
-        threads,
+        rayon::current_num_threads(),
         wall,
         wedge_checks,
     );

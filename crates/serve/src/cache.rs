@@ -282,11 +282,6 @@ pub struct RoutingReport {
 }
 
 impl RoutingReport {
-    /// Total row fetches that reached a shard mapping.
-    pub fn total_fetches(&self) -> u64 {
-        self.shard_fetches.iter().sum()
-    }
-
     /// Just the per-shard fetch counts, without the cache totals — for
     /// reporting on engines that have no row cache configured.
     pub fn shard_summary(&self) -> String {
@@ -475,7 +470,6 @@ mod tests {
         r.record_remote();
         let rep = r.report();
         assert_eq!(rep.shard_fetches, vec![1, 0, 2]);
-        assert_eq!(rep.total_fetches(), 3);
         assert_eq!(rep.cache_hits, 1);
         assert_eq!(rep.cache_misses, 3);
         assert_eq!(rep.remote_fetches, 1);
@@ -493,6 +487,6 @@ mod tests {
     fn empty_report_has_zero_hit_rate() {
         let rep = RoutingStats::new(2).report();
         assert_eq!(rep.hit_rate(), 0.0);
-        assert_eq!(rep.total_fetches(), 0);
+        assert_eq!(rep.shard_fetches, vec![0, 0]);
     }
 }

@@ -133,8 +133,10 @@ impl std::fmt::Display for AnswerSource {
 }
 
 /// One recorded cross-check disagreement: the query and both rendered
-/// answers (an `Err` renders as `error: …`).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// answers (an `Err` renders as `error: …`). Records order by query
+/// text, then the artifact's answer, then the oracle's, bytewise: the
+/// order the engine's log keeps them in.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Mismatch {
     /// The query, in the `kron serve` line format.
     pub query: String,
@@ -218,8 +220,8 @@ impl Default for OpenOptions {
     }
 }
 
-/// Detail of a cross-check disagreement kept in the log; the counter keeps
-/// counting past this many.
+/// Disagreements whose detail the log keeps, the least by [`Mismatch`]'s
+/// order; the counter keeps counting past this many.
 const MISMATCH_LOG_CAP: usize = 64;
 
 /// The cross-check verdict rule, stated once: does the artifact answer
@@ -382,12 +384,6 @@ impl ServeEngine {
         self.source
     }
 
-    /// The factor-copy oracle, when the engine was opened in
-    /// [`AnswerSource::Oracle`] or [`AnswerSource::CrossCheck`] mode.
-    pub fn oracle(&self) -> Option<&FactorOracle> {
-        self.oracle.as_ref()
-    }
-
     /// Cross-check disagreements observed so far (0 outside
     /// [`AnswerSource::CrossCheck`] mode).
     pub fn mismatch_count(&self) -> u64 {
@@ -401,8 +397,9 @@ impl ServeEngine {
         self.checked.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the recorded disagreements (detail is kept for the
-    /// first 64; [`Self::mismatch_count`] keeps counting past that).
+    /// Snapshot of the recorded disagreements, ascending: the 64 least
+    /// records, so every run of the same answers at every thread count
+    /// logs the same ones ([`Self::mismatch_count`] counts them all).
     pub fn mismatches(&self) -> Vec<Mismatch> {
         self.mismatch_log.lock().unwrap().clone()
     }
@@ -532,17 +529,22 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Record one cross-check disagreement: bump the counter, and keep
-    /// rendered detail up to the log cap.
+    /// Record one cross-check disagreement: bump the counter, and insert
+    /// the record at its place in the ascending log, which keeps the
+    /// least [`MISMATCH_LOG_CAP`] records. The kept set does not depend on
+    /// the order the records arrive in, so neither does the log.
     fn note_mismatch(&self, query: String, artifact: String, oracle: String) {
         self.mismatch_count.fetch_add(1, Ordering::Relaxed);
+        let m = Mismatch {
+            query,
+            artifact,
+            oracle,
+        };
         let mut log = self.mismatch_log.lock().unwrap();
-        if log.len() < MISMATCH_LOG_CAP {
-            log.push(Mismatch {
-                query,
-                artifact,
-                oracle,
-            });
+        let at = log.partition_point(|kept| *kept <= m);
+        if at < MISMATCH_LOG_CAP {
+            log.insert(at, m);
+            log.truncate(MISMATCH_LOG_CAP);
         }
     }
 
@@ -575,7 +577,8 @@ impl ServeEngine {
     /// walk `art` without an oracle, the closed form `ora` off the oracle
     /// under [`AnswerSource::Oracle`], or both through
     /// [`Self::cross_check`] under [`AnswerSource::CrossCheck`], counted
-    /// as one check. The one place that branches on the source per query.
+    /// as one check. The one place that branches on the source per query
+    /// ([`Self::certify_path`] is the one per path).
     fn answer<T>(
         &self,
         query: impl FnOnce() -> String,
@@ -595,23 +598,25 @@ impl ServeEngine {
         self.cross_check(query, art(), ora(oracle), same, render).0
     }
 
-    /// Certify one returned path `from → to` edge by edge; returns how
-    /// many of its edges failed. A traversal answer is a *witness*, so
-    /// each claimed edge is re-read through the artifact (`has_edge`) and
-    /// asked of the closed-form oracle, and goes through the one
-    /// cross-check step, under which an edge fails when either side
-    /// denies it — and a remote-fetch failure while re-reading is no
-    /// verdict. Counts one check. Without an oracle only the artifact is
-    /// asked.
+    /// Certify one returned path `from → to` edge by edge under
+    /// [`AnswerSource::CrossCheck`]; returns how many of its edges failed.
+    /// A traversal answer is a *witness*, so each claimed edge is re-read
+    /// through the artifact (`has_edge`) and asked of the closed-form
+    /// oracle, and goes through the one cross-check step, under which an
+    /// edge fails when either side denies it — and a remote-fetch failure
+    /// while re-reading is no verdict. Counts one check. Under any other
+    /// source it checks nothing, counts nothing and returns 0.
     pub fn certify_path(&self, from: u64, to: u64, path: &[u64]) -> u64 {
+        let Some(oracle) = self.oracle.as_ref().filter(|_| self.source.checks()) else {
+            return 0;
+        };
         self.checked.fetch_add(1, Ordering::Relaxed);
-        let oracle = self.oracle.as_ref();
         let mut failed = 0;
         for (&u, &v) in path.iter().zip(path.iter().skip(1)) {
             let (_, bad) = self.cross_check(
                 || format!("path {from} {to}: edge {u} {v}"),
                 self.has_edge_artifact(u, v),
-                oracle.map_or(Ok(true), |o| o.has_edge(u, v)),
+                oracle.has_edge(u, v),
                 |&a, &o| a && o,
                 |b, _| b.to_string(),
             );
@@ -1012,9 +1017,9 @@ mod tests {
         }
         // oracle mode never touched a shard; artifact mode never cached
         let oracle_engine = &engines[1];
-        assert_eq!(oracle_engine.routing().total_fetches(), 0);
-        assert!(engines[0].oracle().is_none());
-        assert!(oracle_engine.oracle().is_some());
+        assert_eq!(oracle_engine.routing().shard_fetches.iter().sum::<u64>(), 0);
+        assert!(engines[0].oracle.is_none());
+        assert!(oracle_engine.oracle.is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1047,7 +1052,7 @@ mod tests {
         let rep = e.routing();
         assert!(rep.cache_hits > 0, "repeat load must hit the cache: {rep}");
         assert!(rep.cache_misses > 0);
-        assert!(rep.total_fetches() > 0);
+        assert!(rep.shard_fetches.iter().sum::<u64>() > 0);
         assert!(
             rep.cache_bytes > 0 && rep.cache_bytes <= 64 * 1024,
             "resident bytes must be counted and bounded: {rep}"

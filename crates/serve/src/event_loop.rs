@@ -2,10 +2,10 @@
 //! event loop that answers bounded requests itself and hands the rest
 //! to a worker pool.
 //!
-//! PR 4's thread-per-connection loop capped the serving tier at
-//! `--threads` concurrent keep-alive clients — each idle peer owned a
-//! whole (mostly sleeping) thread. This module replaces it with the
-//! shape the ROADMAP's "millions of users" north star asks for:
+//! A thread per connection would cap the serving tier at `--threads`
+//! concurrent keep-alive clients, each idle peer owning a whole (mostly
+//! sleeping) thread. This module has the shape the ROADMAP's "millions
+//! of users" north star asks for instead:
 //!
 //! * **one event thread** owns every socket: it `poll(2)`s the listener,
 //!   a wake pipe, and every connection that currently wants I/O, via the
@@ -40,11 +40,10 @@
 //!
 //! Timeout- or reset-closed connections are **transport** events: they
 //! count in the `/stats` `connections` object, never in `bad_requests`
-//! (PR 4's transport-vs-framing distinction, pinned by the regression
-//! suite). Shutdown semantics are unchanged from the blocking loop:
-//! stop accepting, close idle connections, drain in-flight requests,
-//! return — the caller (Server::run) then cancels jobs and certifies
-//! the exit code.
+//! (the transport-vs-framing distinction the regression suite pins).
+//! Shutdown: stop accepting, close idle connections, drain in-flight
+//! requests, return — the caller (Server::run) then cancels jobs and
+//! certifies the exit code.
 //!
 //! The full lifecycle and timeout semantics are normative in
 //! `ARCHITECTURE.md` § "Connection lifecycle & timeouts".
@@ -747,10 +746,10 @@ mod imp {
                         Ok((stream, _peer)) => {
                             accept_errors = 0;
                             // The event loop *requires* non-blocking
-                            // sockets. (The blocking loop force-cleared
-                            // O_NONBLOCK here to undo BSD accept
-                            // inheritance; the guard is now inverted —
-                            // set it explicitly on every platform.)
+                            // sockets. Whether an accepted socket
+                            // inherits the listener's O_NONBLOCK differs
+                            // by platform (BSD does, Linux does not), so
+                            // set it explicitly on every platform.
                             if stream.set_nonblocking(true).is_err()
                                 || stream.set_nodelay(true).is_err()
                             {

@@ -1,7 +1,7 @@
 //! # kron-serve — point queries straight off the mmap'd CSR shards
 //!
 //! The paper's end goal is *using* validated per-vertex/per-edge triangle
-//! statistics at scale, not just generating them. `kron stream` (PR 1)
+//! statistics at scale, not just generating them. `kron stream`
 //! turns the implicit product `C = A ⊗ B` into durable CSR shards; this
 //! crate is the first consumer of those artifacts: a **read-only query
 //! engine** that answers the paper's headline statistics in place,
@@ -142,7 +142,7 @@ mod replica;
 pub mod router;
 mod server;
 
-pub use batch::{parse_queries, run_batch, Answer, BatchOutcome, Query, QueryStats};
+pub use batch::{parse_queries, push_line, run_batch, Answer, BatchOutcome, Query, QueryStats};
 pub use cache::{RoutingReport, RowCache};
 pub use cluster::{parse_shard_range, PeerSpec};
 pub use engine::{AnswerSource, Mismatch, OpenOptions, ServeEngine, ServeError};

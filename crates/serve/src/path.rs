@@ -25,12 +25,12 @@
 //! smallest shortest paths: the meeting vertex is fixed first and each
 //! half is chosen walking away from it.
 //!
-//! Traversal answers are *witnesses*, so correctness tooling rides
-//! along: under a cross-check source, [`ServeEngine::certify_path`]
-//! re-verifies every returned path edge-by-edge against the artifact
-//! (`has_edge`) and the closed-form [`crate::FactorOracle`], counting
-//! disagreements into the engine's mismatch machinery — the same
-//! counters that drive `/stats` and the CLI's nonzero cross-check exit.
+//! Traversal answers are *witnesses*: every returned path goes to
+//! [`ServeEngine::certify_path`], which under a cross-check source
+//! re-verifies it edge by edge against the artifact (`has_edge`) and the
+//! closed-form [`crate::FactorOracle`] and counts disagreements into the
+//! engine's mismatch log and counter, the ones behind `/stats` and the
+//! CLI's nonzero cross-check exit. The engine decides whether to check.
 
 use crate::engine::{ServeEngine, ServeError};
 use kron_analyze::LevelRows;
@@ -162,9 +162,9 @@ impl<'e> PathFinder<'e> {
     /// A minimal-hop path `from → to`, bounded by `max_depth` hops when
     /// given. Unreachable (or only reachable beyond the bound) is the
     /// in-band `path: None`, not an error; out-of-range endpoints and
-    /// failed remote row fetches are errors. Under a cross-check
-    /// source, every returned path is certified edge-by-edge before it
-    /// is returned (see [`ServeEngine::certify_path`]).
+    /// failed remote row fetches are errors. Every returned path goes
+    /// through [`ServeEngine::certify_path`] first, which checks it
+    /// edge by edge under a cross-check source.
     pub fn shortest_path(
         &self,
         from: u64,
@@ -181,9 +181,7 @@ impl<'e> PathFinder<'e> {
             self.bidirectional(from, to, max_depth)?
         };
         if let Some(p) = &path {
-            if self.engine.source().checks() {
-                self.engine.certify_path(from, to, p);
-            }
+            self.engine.certify_path(from, to, p);
         }
         Ok(PathAnswer {
             from,
@@ -495,6 +493,18 @@ mod tests {
             oracle: "false".into(),
         };
         assert_eq!(engine.mismatches(), vec![record("0 1"), record("1 2")]);
+
+        // An engine that does not check certifies nothing and counts
+        // nothing, even a walk through non-edges.
+        let artifact = ServeEngine::open(&dir).unwrap();
+        assert!(PathFinder::new(&artifact)
+            .shortest_path(0, 1, None)
+            .unwrap()
+            .path
+            .is_some());
+        assert_eq!(artifact.certify_path(0, 1, &[0, 1, 2]), 0);
+        assert_eq!(artifact.sampled_checks(), 0);
+        assert_eq!(artifact.mismatch_count(), 0);
         drop(c);
     }
 

@@ -842,10 +842,7 @@ fn answer_batch(state: &ServerState<'_>, req: &http::Request) -> Response {
         let t0 = Instant::now();
         let (res, checks) = batch::answer(state.engine, q);
         state.record_query(t0.elapsed(), res.is_err(), checks);
-        match res {
-            Ok(a) => lines.push_str(&format!("{q} = {a}\n")),
-            Err(e) => lines.push_str(&format!("{q} = error: {e}\n")),
-        }
+        batch::push_line(&mut lines, q, &res);
         // The request body is capped, but answers amplify (one
         // `neighbors <hub>` line can render thousands of ids); keep the
         // response bounded too instead of buffering gigabytes for one

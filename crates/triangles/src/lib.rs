@@ -90,12 +90,7 @@ pub mod clustering {
     /// Global transitivity `3τ / #wedges` (`0` if there are no wedges).
     pub fn transitivity(g: &Graph) -> f64 {
         let tau = super::count_triangles(g).triangles;
-        let wedges: u64 = (0..g.num_vertices() as u32)
-            .map(|v| {
-                let d = g.degree(v);
-                d * d.saturating_sub(1) / 2
-            })
-            .sum();
+        let wedges = super::wedge::total_wedges(g);
         if wedges == 0 {
             0.0
         } else {

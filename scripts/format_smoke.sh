@@ -10,7 +10,9 @@
 # with 1 and with 4 threads must agree file for file, and with sha256
 # sums recorded before the write path went from entries to runs, and
 # `--resume` regenerating a same-size artifact whose header was
-# overwritten in place to exactly those bytes. Last,
+# overwritten in place to exactly those bytes. A cross-checked batch over
+# a run with many flipped column bytes, served twice on 2 threads, must
+# log the same mismatches, ascending by query. Last,
 # `kron stream` without `--format` must write exactly those csr2 bytes,
 # and `--format edges` (a format no longer written) must be refused
 # naming the accepted set. Run from the repo root; CI calls it after the
@@ -72,6 +74,41 @@ n=1600   # n_C of the 40-vertex factor squared
     --source cross-check > "$work/answers_v2.txt"
 diff -u "$work/answers_v1.txt" "$work/answers_v2.txt" \
     || { echo "csr and csr2 answers diverged"; exit 1; }
+
+echo "== a checked batch logs the same mismatches, ascending, on 2 threads"
+cp -r "$work/run_v1" "$work/run_flipped"
+f="$work/run_flipped/shard_00002.csr"
+rows=$(od -An -tu8 -j16 -N8 "$f" | tr -d ' ')
+nnz=$(od -An -tu8 -j24 -N8 "$f" | tr -d ' ')
+for ((i = 0; i < nnz; i += 97)); do
+    flip_byte "$f" $((32 + 8 * (rows + 1) + 8 * i))   # low byte of column word i
+done
+for ((v = 0; v < n; v++)); do
+    echo "tri_vertex $v"
+    echo "neighbors $v"
+done > "$work/every_vertex.txt"
+for run in 1 2; do
+    code=0
+    "$BIN" serve "$work/run_flipped" --queries "$work/every_vertex.txt" \
+        --source cross-check --no-verify --threads 2 \
+        > /dev/null 2> "$work/checked_$run.txt" || code=$?
+    [ "$code" -eq 1 ] || { echo "checked batch $run on a flipped run exited $code"; exit 1; }
+    grep -qF 'from cross-check on 2 thread(s)' "$work/checked_$run.txt" \
+        || { echo "checked batch $run did not run on 2 threads"; exit 1; }
+    grep '^cross-check mismatch: ' "$work/checked_$run.txt" > "$work/mismatches_$run.txt"
+    grep -o 'cross-check: [0-9]* mismatch(es)' "$work/checked_$run.txt" > "$work/count_$run.txt"
+done
+cmp "$work/count_1.txt" "$work/count_2.txt" \
+    || { echo "two checked runs counted different mismatches"; exit 1; }
+cmp "$work/mismatches_1.txt" "$work/mismatches_2.txt" \
+    || { echo "two checked runs logged different mismatches"; exit 1; }
+[ -s "$work/mismatches_1.txt" ] || { echo "the flipped run logged no mismatch"; exit 1; }
+# whole lines do not sort like (query, artifact, oracle) records when one
+# query is a prefix of another, so check the query fields alone
+sed -E 's/^cross-check mismatch: (.*): artifact says .*$/\1/' "$work/mismatches_1.txt" \
+    | LC_ALL=C sort -c \
+    || { echo "the mismatch log is not ascending by query"; exit 1; }
+echo "   $(cat "$work/count_1.txt"), $(wc -l < "$work/mismatches_1.txt") logged, ascending"
 
 echo "== compact the v1 run in place and re-verify"
 "$BIN" compact "$work/run_v1" | tee "$work/compact.txt"

@@ -336,55 +336,75 @@ fn cross_check_flags_exactly_the_tampered_queries() {
     assert!(expected.contains(&format!("tri_edge {r} {c_old}")));
     assert!(expected.contains(&format!("tri_edge {r} {c_new}")));
 
-    // Every record carries both answers as the log renders them: a scalar
-    // bare (`not-an-edge` for a non-edge, `error: …` for an error), a row
-    // as its length and the first position where the two rows differ.
-    let err = |e: kron_serve::ServeError| format!("error: {e}");
-    let edge = |d: Option<u64>| d.map_or("not-an-edge".to_string(), |d| d.to_string());
-    let rendered = |q: Query| -> (String, String) {
-        match q {
-            Query::Degree(v) => (
-                artifact.degree(v).map_or_else(err, |d| d.to_string()),
-                c.degree(v).to_string(),
-            ),
-            Query::Neighbors(v) => {
-                let (a, o) = (artifact.neighbors(v).unwrap().into_owned(), c.neighbors(v));
-                let at = a.iter().zip(&o).position(|(x, y)| x != y);
-                let at = at.unwrap_or(a.len().min(o.len()));
-                let digest = |r: &[u64]| {
-                    let x = r.get(at).map_or("<end>".to_string(), u64::to_string);
-                    format!("[{} entries] ..[{at}] = {x}", r.len())
-                };
-                (digest(&a), digest(&o))
-            }
-            Query::VertexTriangles(v) => (
-                artifact
-                    .vertex_triangles(v)
-                    .map_or_else(err, |t| t.to_string()),
-                c.vertex_triangles(v).to_string(),
-            ),
-            Query::HasEdge(u, v) => (
-                artifact.has_edge(u, v).map_or_else(err, |b| b.to_string()),
-                c.has_edge(u, v).to_string(),
-            ),
-            Query::EdgeTriangles(u, v) => (
-                artifact.edge_triangles(u, v).map_or_else(err, edge),
-                edge(c.edge_triangles(u, v)),
-            ),
-        }
-    };
     for m in cross_check.mismatches() {
         let q = *queries.iter().find(|q| q.to_string() == m.query).unwrap();
-        assert_eq!((m.artifact, m.oracle), rendered(q), "{}", m.query);
+        assert_eq!(m, expected_record(&artifact, &c, q));
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A cross-checked batch reaches the engine in input order on one
-/// thread, so every run of the same batch logs the same disagreements,
-/// in input order: exactly the queries the tamper changes.
+/// The record cross-check logs for `q`, computed independently: the
+/// answer of the `artifact`-source engine and the closed form of `c`,
+/// each as the log renders it — a scalar bare (`not-an-edge` for a
+/// non-edge, `error: …` for an error), a row as its length and the
+/// first position where the two rows differ.
+fn expected_record(artifact: &ServeEngine, c: &KronProduct, q: Query) -> kron_serve::Mismatch {
+    let err = |e: kron_serve::ServeError| format!("error: {e}");
+    let edge = |d: Option<u64>| d.map_or("not-an-edge".to_string(), |d| d.to_string());
+    let (artifact, oracle) = match q {
+        Query::Degree(v) => (
+            artifact.degree(v).map_or_else(err, |d| d.to_string()),
+            c.degree(v).to_string(),
+        ),
+        Query::Neighbors(v) => {
+            let (a, o) = (artifact.neighbors(v).unwrap().into_owned(), c.neighbors(v));
+            let at = a.iter().zip(&o).position(|(x, y)| x != y);
+            let at = at.unwrap_or(a.len().min(o.len()));
+            let digest = |r: &[u64]| {
+                let x = r.get(at).map_or("<end>".to_string(), u64::to_string);
+                format!("[{} entries] ..[{at}] = {x}", r.len())
+            };
+            (digest(&a), digest(&o))
+        }
+        Query::VertexTriangles(v) => (
+            artifact
+                .vertex_triangles(v)
+                .map_or_else(err, |t| t.to_string()),
+            c.vertex_triangles(v).to_string(),
+        ),
+        Query::HasEdge(u, v) => (
+            artifact.has_edge(u, v).map_or_else(err, |b| b.to_string()),
+            c.has_edge(u, v).to_string(),
+        ),
+        Query::EdgeTriangles(u, v) => (
+            artifact.edge_triangles(u, v).map_or_else(err, edge),
+            edge(c.edge_triangles(u, v)),
+        ),
+    };
+    kron_serve::Mismatch {
+        query: q.to_string(),
+        artifact,
+        oracle,
+    }
+}
+
+/// Run `queries` through `engine` on a pool of two worker threads.
+fn run_batch_on_two_threads(engine: &ServeEngine, queries: &[Query]) -> kron_serve::BatchOutcome {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    let out = pool.install(|| run_batch(engine, queries));
+    assert_eq!(out.stats.threads, 2, "a cross-checked batch fans out");
+    out
+}
+
+/// A cross-checked batch fans out like any other, and its log keeps its
+/// records ascending, so every run of the same batch at two threads logs
+/// the same disagreements in log order: exactly the queries the tamper
+/// changes, sorted, duplicates included.
 #[test]
-fn cross_checked_batches_check_the_same_queries_in_input_order() {
+fn cross_checked_batches_check_the_same_queries_in_log_order() {
     use kron_serve::{AnswerSource, OpenOptions};
 
     let c = tamper_product();
@@ -400,11 +420,12 @@ fn cross_checked_batches_check_the_same_queries_in_input_order() {
         Query::EdgeTriangles(r, c_new),
     ];
     let queries: Vec<Query> = (0..40).map(|i| kinds[i % kinds.len()]).collect();
-    let tampered: Vec<String> = queries
+    let mut tampered: Vec<String> = queries
         .iter()
         .filter(|q| !matches!(q, Query::Degree(_)))
         .map(Query::to_string)
         .collect();
+    tampered.sort();
 
     let opts = OpenOptions {
         verify_checksums: false,
@@ -414,14 +435,14 @@ fn cross_checked_batches_check_the_same_queries_in_input_order() {
     let mut logs = Vec::new();
     for _ in 0..2 {
         let engine = ServeEngine::open_with(&dir, &opts).unwrap();
-        let out = run_batch(&engine, &queries);
+        let out = run_batch_on_two_threads(&engine, &queries);
         assert_eq!(out.stats.mismatches as usize, tampered.len());
         assert_eq!(engine.sampled_checks() as usize, queries.len());
         let log = engine.mismatches();
         let flagged: Vec<String> = log.iter().map(|m| m.query.clone()).collect();
         assert_eq!(
             flagged, tampered,
-            "the log names the tampered queries in input order"
+            "the log names the tampered queries in ascending order"
         );
         logs.push(log);
     }
@@ -429,6 +450,57 @@ fn cross_checked_batches_check_the_same_queries_in_input_order() {
         logs[0], logs[1],
         "two runs of one batch log the same records"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Past the log's 64 records the counter still counts every
+/// disagreement, and the log keeps the 64 least of them, whichever
+/// worker thread reached the engine first.
+#[test]
+fn a_full_mismatch_log_keeps_the_least_records_at_two_threads() {
+    use kron_serve::{AnswerSource, OpenOptions};
+
+    let c = tamper_product();
+    let dir = tmpdir("cross_check_full_log");
+    let (r, c_old, c_new) = tamper_one_row(&dir, &c);
+    // five kinds the tamper changes, and r's degree, which it keeps
+    let kinds = [
+        Query::EdgeTriangles(r, c_old),
+        Query::Neighbors(r),
+        Query::HasEdge(r, c_new),
+        Query::Degree(r),
+        Query::HasEdge(r, c_old),
+        Query::EdgeTriangles(r, c_new),
+    ];
+    let queries: Vec<Query> = (0..180).map(|i| kinds[i % kinds.len()]).collect();
+
+    let opts = |source| OpenOptions {
+        verify_checksums: false,
+        source,
+        ..OpenOptions::default()
+    };
+    let artifact = ServeEngine::open_with(&dir, &opts(AnswerSource::Artifact)).unwrap();
+    let mut expected: Vec<_> = queries
+        .iter()
+        .filter(|q| !matches!(q, Query::Degree(_)))
+        .map(|&q| expected_record(&artifact, &c, q))
+        .collect();
+    assert_eq!(expected.len(), 150);
+    assert!(expected.iter().all(|m| m.artifact != m.oracle));
+    expected.sort();
+    expected.truncate(64);
+
+    let mut logs = Vec::new();
+    for _ in 0..2 {
+        let engine = ServeEngine::open_with(&dir, &opts(AnswerSource::CrossCheck)).unwrap();
+        let out = run_batch_on_two_threads(&engine, &queries);
+        assert_eq!(out.stats.mismatches, 150);
+        assert_eq!(engine.mismatch_count(), 150, "the counter counts every one");
+        let log = engine.mismatches();
+        assert_eq!(log, expected, "the 64 least records, ascending");
+        logs.push(log);
+    }
+    assert_eq!(logs[0], logs[1]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

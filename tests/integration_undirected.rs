@@ -2,7 +2,7 @@
 //! generators → implicit product → exact statistics → validation against
 //! full materialization (the paper's §III results end to end).
 
-use kron::{validate, KronProduct, LoopProfile};
+use kron::{validate, KronProduct};
 use kron_gen::deterministic::{clique, clique_with_loops, cycle, hub_cycle, star};
 use kron_gen::{erdos_renyi, holme_kim};
 use kron_graph::Graph;
@@ -51,7 +51,8 @@ fn web_like_miniature_of_section_vi() {
     validate::validate_undirected(&caa, 1 << 26).unwrap();
 
     let cab = KronProduct::new(a.clone(), b.clone());
-    assert_eq!(cab.loop_profile(), LoopProfile::LoopsInBOnly);
+    // loops in B only: Cor. 1 / Cor. 2 apply
+    assert_eq!((a.num_self_loops(), b.num_self_loops()), (0, 60));
     // τ(A⊗B) = ⅓·(Σt_A)·(Σdiag(B³)) = τ(A)·(6τ(A) + 6m + n)
     let m = a.num_edges() as u128;
     let n = a.num_vertices() as u128;

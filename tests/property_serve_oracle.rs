@@ -114,7 +114,7 @@ proptest! {
         prop_assert_eq!(cross_check.mismatch_count(), 0);
         prop_assert!(cross_check.mismatches().is_empty());
         // …and the pure-oracle engine never touched a shard.
-        prop_assert_eq!(oracle.routing().total_fetches(), 0);
+        prop_assert_eq!(oracle.routing().shard_fetches.iter().sum::<u64>(), 0);
 
         std::fs::remove_dir_all(&dir).ok();
     }
