@@ -81,6 +81,11 @@ pub fn manifest_name(shard: usize) -> String {
 /// Commutative combination means the checksum of a shard is the same
 /// whether computed at generation time, from the artifact, or by
 /// re-streaming — regardless of entry order.
+///
+/// The value is defined by [`StreamHash::update`], one entry at a time.
+/// [`StreamHash::update_run`] computes the same value for a whole run,
+/// in the widest vector tier the running CPU reports; since `+` and `^`
+/// commute, every tier is bit-identical to the per-entry fold.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamHash {
     /// Wrapping sum of entry fingerprints.
@@ -90,7 +95,8 @@ pub struct StreamHash {
 }
 
 impl StreamHash {
-    /// Fold one entry into the checksum.
+    /// Fold one entry into the checksum: `h = mix(p ^ mix(q))` is added
+    /// to `sum` and xored into `xor`. This is the checksum's definition.
     #[inline]
     pub fn update(&mut self, p: u64, q: u64) {
         let h = mix(p ^ mix(q));
@@ -98,13 +104,98 @@ impl StreamHash {
         self.xor ^= h;
     }
 
-    /// Fold one run — columns `cols` of row `p` — into the checksum.
+    /// Fold one run — columns `cols` of row `p` — into the checksum:
+    /// [`StreamHash::update`] for every column, bit for bit. A run at
+    /// least a vector wide folds in the widest vector tier the CPU
+    /// reports (AVX-512, then AVX2, chosen at run time); a shorter run,
+    /// and every run on a CPU without them, folds in scalar code.
     #[inline]
     pub fn update_run(&mut self, p: u64, cols: &[u64]) {
-        for &q in cols {
-            self.update(p, q);
+        let (sum, xor) = Tier::widest(cols.len()).fold(p, cols);
+        self.sum = self.sum.wrapping_add(sum);
+        self.xor ^= xor;
+    }
+}
+
+/// A compilation of [`fold_run`]: the same source, built for
+/// one set of CPU features. A value other than [`Tier::Scalar`] exists
+/// only once the running CPU has reported its features, so
+/// [`Tier::fold`] never executes an instruction the CPU lacks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tier {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Tier {
+    /// The tier for a run of `len` columns: the widest the CPU reports
+    /// whose vector (8 or 4 `u64` lanes) the run fills at least once.
+    #[inline]
+    fn widest(len: usize) -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if len >= 8
+                && is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512vl")
+            {
+                return Tier::Avx512;
+            }
+            if len >= 4 && is_x86_feature_detected!("avx2") {
+                return Tier::Avx2;
+            }
+        }
+        let _ = len; // read only on x86-64
+        Tier::Scalar
+    }
+
+    /// `(Σ h, ⊕ h)` over the run, in this tier.
+    #[inline]
+    fn fold(self, p: u64, cols: &[u64]) -> (u64, u64) {
+        match self {
+            Tier::Scalar => fold_run(p, cols),
+            // SAFETY: `Tier::Avx2` comes only from `widest`, after the CPU
+            // reported `avx2`.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { fold_avx2(p, cols) },
+            // SAFETY: `Tier::Avx512` comes only from `widest`, after the
+            // CPU reported `avx512f`, `avx512dq` and `avx512vl`.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { fold_avx512(p, cols) },
         }
     }
+}
+
+/// The run fold every tier compiles: the wrapping sum and the xor of
+/// `mix(p ^ mix(q))` over `cols`. Plain code — the compiler vectorizes
+/// it wherever the enclosing function enables the features.
+#[inline(always)]
+fn fold_run(p: u64, cols: &[u64]) -> (u64, u64) {
+    cols.iter().fold((0, 0), |(sum, xor), &q| {
+        let h = mix(p ^ mix(q));
+        (sum.wrapping_add(h), xor ^ h)
+    })
+}
+
+/// [`fold_run`] for AVX2: four lanes, each 64-bit multiply built from
+/// 32-bit ones. A call needs an `unsafe` block whose caller has seen the
+/// CPU report `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_avx2(p: u64, cols: &[u64]) -> (u64, u64) {
+    fold_run(p, cols)
+}
+
+/// [`fold_run`] for AVX-512: eight lanes, with the 64-bit multiply of
+/// `avx512dq`. A call needs an `unsafe` block whose caller has seen the
+/// CPU report `avx512f`, `avx512dq` and `avx512vl`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn fold_avx512(p: u64, cols: &[u64]) -> (u64, u64) {
+    fold_run(p, cols)
 }
 
 /// SplitMix64 finalizer — the per-entry fingerprint mixer, and the hash
@@ -511,6 +602,51 @@ mod tests {
         };
         let back = RunSummary::from_json(&Json::parse(&s.to_json().to_string()).unwrap()).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// Every tier the running CPU reports: scalar always, then whatever
+    /// [`Tier::widest`] picks for a run of one AVX2 and one AVX-512 vector.
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Scalar, Tier::widest(4), Tier::widest(8)];
+        tiers.dedup();
+        tiers
+    }
+
+    #[test]
+    fn every_tier_folds_a_run_bit_identically_to_per_entry_updates() {
+        // random columns (SplitMix64 over a counter) with 0 and u64::MAX
+        // among them; every length up to past 16 vectors of 8 lanes, so
+        // each remainder of each tier is hit, and a 99·99 hub row
+        let word = |i: u64| mix(i.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let mut runs: Vec<(u64, Vec<u64>)> = (0..=130u64)
+            .map(|len| {
+                let mut cols: Vec<u64> = (0..len).map(|i| word(len << 32 | i)).collect();
+                if let [first, .., last] = cols.as_mut_slice() {
+                    (*first, *last) = (0, u64::MAX);
+                }
+                let p = [0, u64::MAX, word(len)][len as usize % 3];
+                (p, cols)
+            })
+            .collect();
+        runs.push((0, (1..=9_801).map(word).collect()));
+        for (p, cols) in &runs {
+            let mut want = StreamHash::default();
+            for &q in cols {
+                want.update(*p, q);
+            }
+            for tier in tiers() {
+                let (sum, xor) = tier.fold(*p, cols);
+                assert_eq!(
+                    StreamHash { sum, xor },
+                    want,
+                    "{tier:?}, {} columns",
+                    cols.len()
+                );
+            }
+            let mut got = StreamHash::default();
+            got.update_run(*p, cols);
+            assert_eq!(got, want, "update_run, {} columns", cols.len());
+        }
     }
 
     #[test]

@@ -206,10 +206,10 @@ fn admit_shard(dir: &Path, m: &ShardManifest) -> Result<CsrMap, StreamError> {
 
 /// Read every row of a shard [`admit_shard`] admitted for `m` once, in
 /// vertex order: each must decode, have its closed-form length
-/// ([`KronProduct::row_lengths_in_rows`], with `rehash` the product's
-/// columns too) and hold strictly ascending columns (what every binary search
-/// above relies on), and together they must reproduce the manifest's
-/// content checksum.
+/// ([`KronProduct::row_lengths_in_rows`]; with `rehash`, the columns of
+/// the product's runs too) and hold strictly ascending columns (what
+/// every binary search above relies on), and together they must
+/// reproduce the manifest's content checksum.
 fn check_content(
     reader: &CsrMap,
     m: &ShardManifest,
@@ -224,6 +224,8 @@ fn check_content(
     let mut buf = Vec::new();
     // the manifest is its plan entry, so `rows` yields a length per vertex
     let lengths = product.row_lengths_in_rows(m.rows.clone());
+    // the writer's own runs: they tile each row, in vertex order
+    let mut runs = rehash.then(|| product.runs_in_rows(m.rows.clone()));
     for (p, want) in m.vertices.clone().zip(lengths) {
         let row = reader
             .row_into(p, &mut buf)
@@ -234,15 +236,28 @@ fn check_content(
                 "row {p} has {got} entries, closed form says {want}"
             )));
         }
-        if rehash {
-            let mut pairs = row.iter().copied().zip(product.row(p)).enumerate();
-            if let Some((at, (got, want))) = pairs.find(|(_, (got, want))| got != want) {
-                return Err(fail(format!(
-                    "row {p} position {at}: stored column {got}, the product's is {want}"
-                )));
+        if let Some(runs) = runs.as_mut() {
+            // the row has its closed-form length, so its runs end with it
+            let mut at = 0;
+            while at < row.len() {
+                let (q, cols) = runs.next_run().expect("runs tile every row");
+                debug_assert_eq!(q, p, "a run of another row");
+                let stored = &row[at..at + cols.len()];
+                if let Some(k) = stored.iter().zip(cols).position(|(g, w)| g != w) {
+                    return Err(fail(format!(
+                        "row {p} position {}: stored column {}, the product's is {}",
+                        at + k,
+                        stored[k],
+                        cols[k]
+                    )));
+                }
+                at += cols.len();
             }
         }
-        if row.windows(2).any(|w| w[0] >= w[1]) {
+        // A csr2 row is ascending by construction: `decode_row_vd`
+        // refuses a zero or wrapped gap. Only raw v1 columns can be out
+        // of order.
+        if !reader.is_v2() && row.windows(2).any(|w| w[0] >= w[1]) {
             unsorted.get_or_insert(p);
         }
         hash.update_run(p, row);

@@ -17,7 +17,7 @@ pub struct VerifyReport {
     pub total_entries: u128,
     /// Artifact bytes checked on disk.
     pub artifact_bytes: u64,
-    /// Whether every stored row was compared with the product's row,
+    /// Whether every stored row was compared with the product's runs,
     /// regenerated from the factors.
     pub rehashed: bool,
 }
@@ -36,10 +36,11 @@ pub struct VerifyReport {
 /// product exactly. A `count` shard has no artifact, so its check ends
 /// at the manifest.
 ///
-/// With `rehash`, every stored row is also compared with the product's
-/// row ([`kron::KronProduct::row`]) in the same single pass over the
-/// artifact, so a failure names the first differing row and position —
-/// the strongest check, at the cost of regenerating every row.
+/// With `rehash`, every stored row is also compared with the runs the
+/// writer streams ([`kron::KronProduct::runs_in_rows`]) in the same
+/// single pass over the artifact, so a failure names the first differing
+/// row and position — the strongest check, at the cost of regenerating
+/// every row.
 ///
 /// Shards are checked in parallel on every available core.
 ///
@@ -187,6 +188,42 @@ mod tests {
             assert!(msg.contains(&format!("row {row} position {at}:")), "{msg}");
             assert!(
                 msg.contains(&format!("shard_00001.{}", format.as_str())),
+                "{msg}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn rehash_names_a_position_past_the_first_run_of_a_hub_row() {
+        // star(100) ⊗ star(100): row 0 has 99·99 entries, three runs
+        let star = kron_gen::deterministic::star(100);
+        let hub = KronProduct::new(star.clone(), star);
+        for format in [OutputFormat::Csr, OutputFormat::Csr2] {
+            let dir = tmpdir(&format!("hub_{}", format.as_str()));
+            let mut cfg = StreamConfig::new(&dir, format);
+            cfg.shards = 2;
+            stream_product(&hub, &cfg).unwrap();
+            // a column past the first run, moved into the gap after it
+            let (at, got, want) = forge(&dir, 0, |rows, lo| {
+                assert_eq!(lo, 0);
+                let row = &mut rows[0];
+                let at = kron::RUN_CAPACITY
+                    + row[kron::RUN_CAPACITY..]
+                        .windows(2)
+                        .position(|w| w[0] + 1 < w[1])
+                        .expect("a gap past the first run");
+                row[at] += 1;
+                (at, row[at], row[at] - 1)
+            });
+            verify_shards(&dir, false).unwrap();
+            let err = verify_shards(&dir, true).unwrap_err();
+            assert!(matches!(err, StreamError::Shard(0, _)), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!(
+                    "row 0 position {at}: stored column {got}, the product's is {want}"
+                )),
                 "{msg}"
             );
             std::fs::remove_dir_all(&dir).ok();

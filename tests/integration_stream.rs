@@ -152,9 +152,11 @@ fn streamed_shards(
 }
 
 /// On-disk bytes are a contract: every constant below was recorded from
-/// the commit *before* the write path went from entries to runs, so a
-/// writer that moves one byte of any format, for any thread count, fails
-/// here. (`scripts/format_smoke.sh` pins a third product by sha256.)
+/// the commit *before* the write path went from entries to runs (the
+/// loopless hub's: before the stream hash folded runs at vector width),
+/// so a writer that moves one byte of any format, or a hash that moves
+/// one bit, for any thread count, fails here. (`scripts/format_smoke.sh`
+/// pins a further product by sha256.)
 #[test]
 fn artifact_bytes_and_manifest_hashes_equal_the_recorded_constants() {
     // A: an edge, a loop and an isolated vertex; B: a triangle. Two shards.
@@ -222,6 +224,30 @@ fn artifact_bytes_and_manifest_hashes_equal_the_recorded_constants() {
         ),
     ];
 
+    // star(100) ⊗ star(100): a 9 801-entry hub row with no loop, the
+    // row the stream hash folds at vector width — two shards.
+    let plain_hub = KronProduct::new(star.clone(), star);
+    let plain_hashes = [
+        (0x0b81_88bf_0eb2_3d5f, 0x67cb_1799_9029_aef1),
+        (0x83ed_0ba5_899a_0cca, 0xe443_d147_1a42_8860),
+    ];
+    let plain_files = [
+        (
+            OutputFormat::Csr,
+            [
+                (157_656, 0x78cd_29b5_46be_683f),
+                (236_056, 0xdaa8_78e4_e84f_b732),
+            ],
+        ),
+        (
+            OutputFormat::Csr2,
+            [
+                (20_442, 0xe2d1_fec3_f626_9829),
+                (98_842, 0x9853_a4f6_6b71_886c),
+            ],
+        ),
+    ];
+
     for threads in [1, 4] {
         for (format, files) in [(OutputFormat::Csr, &csr), (OutputFormat::Csr2, &csr2)] {
             let got = streamed_shards(&tiny, 2, format, threads);
@@ -235,6 +261,14 @@ fn artifact_bytes_and_manifest_hashes_equal_the_recorded_constants() {
                 .collect();
             let want: Vec<GoldenShard> = hub_hashes.iter().copied().zip(files).collect();
             assert_eq!(got, want, "hub {} x{threads}", format.as_str());
+        }
+        for (format, files) in plain_files {
+            let got: Vec<GoldenShard> = streamed_shards(&plain_hub, 2, format, threads)
+                .into_iter()
+                .map(|(hash, bytes)| (hash, (bytes.len(), fnv1a64(&bytes))))
+                .collect();
+            let want: Vec<GoldenShard> = plain_hashes.iter().copied().zip(files).collect();
+            assert_eq!(got, want, "plain hub {} x{threads}", format.as_str());
         }
     }
 }
