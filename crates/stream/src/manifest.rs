@@ -105,10 +105,10 @@ impl StreamHash {
     }
 
     /// Fold one run — columns `cols` of row `p` — into the checksum:
-    /// [`StreamHash::update`] for every column, bit for bit. A run at
-    /// least a vector wide folds in the widest vector tier the CPU
-    /// reports (AVX-512, then AVX2, chosen at run time); a shorter run,
-    /// and every run on a CPU without them, folds in scalar code.
+    /// [`StreamHash::update`] for every column, bit for bit. A run of at
+    /// least 8 columns folds in AVX-512 when the CPU reports it (checked
+    /// at run time); a shorter run, and every run on any other CPU, folds
+    /// in scalar code.
     #[inline]
     pub fn update_run(&mut self, p: u64, cols: &[u64]) {
         let (sum, xor) = Tier::widest(cols.len()).fold(p, cols);
@@ -118,35 +118,28 @@ impl StreamHash {
 }
 
 /// A compilation of [`fold_run`]: the same source, built for
-/// one set of CPU features. A value other than [`Tier::Scalar`] exists
-/// only once the running CPU has reported its features, so
-/// [`Tier::fold`] never executes an instruction the CPU lacks.
+/// one set of CPU features. [`Tier::Avx512`] exists only once the
+/// running CPU has reported its features, so [`Tier::fold`] never
+/// executes an instruction the CPU lacks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Tier {
     Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
 
 impl Tier {
-    /// The tier for a run of `len` columns: the widest the CPU reports
-    /// whose vector (8 or 4 `u64` lanes) the run fills at least once.
+    /// The tier for a run of `len` columns: AVX-512 when the CPU reports
+    /// it and the run fills its 8 `u64` lanes at least once, else scalar.
     #[inline]
     fn widest(len: usize) -> Tier {
         #[cfg(target_arch = "x86_64")]
+        if len >= 8
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl")
         {
-            if len >= 8
-                && is_x86_feature_detected!("avx512f")
-                && is_x86_feature_detected!("avx512dq")
-                && is_x86_feature_detected!("avx512vl")
-            {
-                return Tier::Avx512;
-            }
-            if len >= 4 && is_x86_feature_detected!("avx2") {
-                return Tier::Avx2;
-            }
+            return Tier::Avx512;
         }
         let _ = len; // read only on x86-64
         Tier::Scalar
@@ -157,10 +150,6 @@ impl Tier {
     fn fold(self, p: u64, cols: &[u64]) -> (u64, u64) {
         match self {
             Tier::Scalar => fold_run(p, cols),
-            // SAFETY: `Tier::Avx2` comes only from `widest`, after the CPU
-            // reported `avx2`.
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe { fold_avx2(p, cols) },
             // SAFETY: `Tier::Avx512` comes only from `widest`, after the
             // CPU reported `avx512f`, `avx512dq` and `avx512vl`.
             #[cfg(target_arch = "x86_64")]
@@ -178,15 +167,6 @@ fn fold_run(p: u64, cols: &[u64]) -> (u64, u64) {
         let h = mix(p ^ mix(q));
         (sum.wrapping_add(h), xor ^ h)
     })
-}
-
-/// [`fold_run`] for AVX2: four lanes, each 64-bit multiply built from
-/// 32-bit ones. A call needs an `unsafe` block whose caller has seen the
-/// CPU report `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn fold_avx2(p: u64, cols: &[u64]) -> (u64, u64) {
-    fold_run(p, cols)
 }
 
 /// [`fold_run`] for AVX-512: eight lanes, with the 64-bit multiply of
@@ -605,9 +585,9 @@ mod tests {
     }
 
     /// Every tier the running CPU reports: scalar always, then whatever
-    /// [`Tier::widest`] picks for a run of one AVX2 and one AVX-512 vector.
+    /// [`Tier::widest`] picks for a run of one AVX-512 vector.
     fn tiers() -> Vec<Tier> {
-        let mut tiers = vec![Tier::Scalar, Tier::widest(4), Tier::widest(8)];
+        let mut tiers = vec![Tier::Scalar, Tier::widest(8)];
         tiers.dedup();
         tiers
     }

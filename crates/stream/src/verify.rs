@@ -131,19 +131,23 @@ mod tests {
         out
     }
 
-    /// [`forge`] with one column of a multi-entry row moved into the gap
-    /// after it — the row stays strictly ascending and as long — so
-    /// decode, length, order and checksum all still pass. Returns the
-    /// row and the position changed.
-    fn forge_row(dir: &Path, shard: usize) -> (u64, usize) {
+    /// [`forge`] with one column of a multi-entry row, at position `from`
+    /// or later, moved into the gap after it — the row stays strictly
+    /// ascending and as long — so decode, length, order and checksum all
+    /// still pass. Returns the row, the position changed and the column
+    /// now stored there (the product's is one less).
+    fn forge_row(dir: &Path, shard: usize, from: usize) -> (u64, usize, u64) {
         forge(dir, shard, |rows, lo| {
             let (r, at) = rows
                 .iter()
                 .enumerate()
-                .find_map(|(r, row)| Some((r, row.windows(2).position(|w| w[0] + 1 < w[1])?)))
+                .find_map(|(r, row)| {
+                    let gap = row.get(from..)?.windows(2).position(|w| w[0] + 1 < w[1])?;
+                    Some((r, from + gap))
+                })
                 .expect("a row with a gap");
             rows[r][at] += 1;
-            (lo + r as u64, at)
+            (lo + r as u64, at, rows[r][at])
         })
     }
 
@@ -174,59 +178,39 @@ mod tests {
 
     #[test]
     fn rehash_names_the_row_and_position_every_other_level_accepts() {
-        for format in [OutputFormat::Csr, OutputFormat::Csr2] {
-            let dir = tmpdir(format.as_str());
-            let mut cfg = StreamConfig::new(&dir, format);
-            cfg.shards = 3;
-            stream_product(&product(), &cfg).unwrap();
-            let (row, at) = forge_row(&dir, 1);
-            verify_shards(&dir, false).unwrap();
-            ShardSet::open_verified(&dir).unwrap();
-            let err = verify_shards(&dir, true).unwrap_err();
-            assert!(matches!(err, StreamError::Shard(1, _)), "{err}");
-            let msg = err.to_string();
-            assert!(msg.contains(&format!("row {row} position {at}:")), "{msg}");
-            assert!(
-                msg.contains(&format!("shard_00001.{}", format.as_str())),
-                "{msg}"
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
-    #[test]
-    fn rehash_names_a_position_past_the_first_run_of_a_hub_row() {
-        // star(100) ⊗ star(100): row 0 has 99·99 entries, three runs
+        // star(100) ⊗ star(100): row 0 has 99·99 entries in three runs,
+        // so a column past the first run pins the run's offset in the row
         let star = kron_gen::deterministic::star(100);
         let hub = KronProduct::new(star.clone(), star);
-        for format in [OutputFormat::Csr, OutputFormat::Csr2] {
-            let dir = tmpdir(&format!("hub_{}", format.as_str()));
-            let mut cfg = StreamConfig::new(&dir, format);
-            cfg.shards = 2;
-            stream_product(&hub, &cfg).unwrap();
-            // a column past the first run, moved into the gap after it
-            let (at, got, want) = forge(&dir, 0, |rows, lo| {
-                assert_eq!(lo, 0);
-                let row = &mut rows[0];
-                let at = kron::RUN_CAPACITY
-                    + row[kron::RUN_CAPACITY..]
-                        .windows(2)
-                        .position(|w| w[0] + 1 < w[1])
-                        .expect("a gap past the first run");
-                row[at] += 1;
-                (at, row[at], row[at] - 1)
-            });
-            verify_shards(&dir, false).unwrap();
-            let err = verify_shards(&dir, true).unwrap_err();
-            assert!(matches!(err, StreamError::Shard(0, _)), "{err}");
-            let msg = err.to_string();
-            assert!(
-                msg.contains(&format!(
-                    "row 0 position {at}: stored column {got}, the product's is {want}"
-                )),
-                "{msg}"
-            );
-            std::fs::remove_dir_all(&dir).ok();
+        for (graph, shards, shard, from) in [(product(), 3, 1, 0), (hub, 2, 0, kron::RUN_CAPACITY)]
+        {
+            for format in [OutputFormat::Csr, OutputFormat::Csr2] {
+                let dir = tmpdir(&format!("{shards}_{}", format.as_str()));
+                let mut cfg = StreamConfig::new(&dir, format);
+                cfg.shards = shards;
+                stream_product(&graph, &cfg).unwrap();
+                let (row, at, got) = forge_row(&dir, shard, from);
+                verify_shards(&dir, false).unwrap();
+                ShardSet::open_verified(&dir).unwrap();
+                let err = verify_shards(&dir, true).unwrap_err();
+                assert!(
+                    matches!(err, StreamError::Shard(s, _) if s == shard),
+                    "{err}"
+                );
+                let msg = err.to_string();
+                let want = got - 1;
+                assert!(
+                    msg.contains(&format!(
+                        "row {row} position {at}: stored column {got}, the product's is {want}"
+                    )),
+                    "{msg}"
+                );
+                assert!(
+                    msg.contains(&format!("shard_{shard:05}.{}", format.as_str())),
+                    "{msg}"
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
         }
     }
 
