@@ -621,8 +621,7 @@ fn open_serve_engine(dir: &str, opts: &OpenOptions) -> Result<ServeEngine, Strin
             s.start,
             s.end,
             set.num_shards(),
-            engine
-                .remote_peers()
+            opts.peers
                 .iter()
                 .map(PeerSpec::to_string)
                 .collect::<Vec<_>>()

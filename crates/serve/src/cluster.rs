@@ -1,6 +1,5 @@
-//! Multi-node shard-subset serving: peer specs, replica-aware shard →
-//! peer resolution, and the remote-row and remote-intersection client
-//! with failover.
+//! Multi-node shard-subset serving: peer specs, the node's peer table,
+//! and the remote-row and remote-intersection client with failover.
 //!
 //! One machine stops being enough exactly when the paper's products get
 //! interesting: a trillion-entry CSR run directory does not fit one
@@ -47,16 +46,21 @@
 //!   must **cover** `0..shards`, or the engine refuses to open (the
 //!   rejection names the first uncovered shard).
 //!
-//! Peers are contacted lazily (first non-resident row fetch), so nodes
-//! can start in any order. A failed fetch (connect error, timeout, 5xx,
-//! or a malformed row body) transparently **fails over** to the next
-//! replica, and three consecutive failures **eject** a peer until a
-//! `GET /healthz` probe re-admits it. That policy — pooling, the stale-
-//! connection retry, rotation, failover, ejection, probing — is not
-//! implemented here: `replica.rs` is its single implementation, shared
-//! with the router. This module only says what a `/rows` or `/wedges`
-//! answer means (which statuses fail over, how a body decodes, which
-//! framing is torn). No far row enters the engine's hot-row
+//! The node holds its peers in a `replica::PeerTable`, the type
+//! the router holds too: each `--peers` claim spans the vertices its
+//! shards hold in this node's own plan, and the replicas of a vertex are
+//! the peers whose span holds it, in `--peers` order — the same answer
+//! the router's table gives. Peers are contacted lazily (first
+//! non-resident row fetch), so nodes can start in any order. A failed
+//! fetch (connect error, timeout, 5xx, or a malformed row body)
+//! transparently **fails over** to the next replica, and three
+//! consecutive failures **eject** a peer until a `GET /healthz` probe
+//! re-admits it. That policy — the lookup, pooling, the stale-connection
+//! retry, rotation, failover, ejection, probing, and the rule that a
+//! `5xx` fails over — is not implemented here: `replica.rs` is its single
+//! implementation, shared with the router. This module only says what a
+//! `/rows` or `/wedges` answer means (how a body decodes, which framing
+//! is torn, that a `4xx` is final). No far row enters the engine's hot-row
 //! [`crate::RowCache`]: a direct query reads its row once, and so does
 //! a BFS level. (Nodes still answer `GET /row`, one resident row per
 //! request, for tools that probe a single row; no node asks it.)
@@ -74,10 +78,10 @@
 //! ```
 
 use crate::engine::ServeError;
-use crate::replica::{failover, first_uncovered, now_ms, Attempt, Method, Peer, Reply};
+use crate::replica::{first_uncovered, Attempt, Method, Peer, PeerTable, Reply};
 use kron_stream::json::Json;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default node-to-node fetch timeout (connect and read): long enough
@@ -171,39 +175,34 @@ impl std::fmt::Display for PeerSpec {
     }
 }
 
-/// The remote side of a cluster node's engine: shard → replica-list
-/// resolution over the configured peers.
+/// The remote side of a cluster node's engine: the [`PeerTable`] of its
+/// `--peers` entries, in `--peers` order, each spanning the vertices its
+/// claim holds in this node's own plan.
 ///
 /// Fetches are blocking with a bounded timeout and rotate round-robin
-/// over a shard's replicas with the failover, ejection, and probing of
+/// over a vertex's replicas with the failover, ejection, and probing of
 /// [`crate::replica`]; only when every replica has failed does the fetch
 /// surface as [`ServeError::Remote`] (naming each replica tried).
 #[derive(Debug)]
 pub(crate) struct RemoteShards {
-    /// One per `--peers` entry, in `--peers` order.
-    peers: Vec<Peer>,
-    /// Run-wide shard index → indices into `peers` of its replicas
-    /// (empty = resident locally only).
-    by_shard: Vec<Vec<usize>>,
-    /// Round-robin cursor over replicas, shared across shards.
-    rr: AtomicUsize,
+    pub(crate) table: PeerTable,
     /// Product vertex count `n_C`: every column of a fetched row must be
     /// below it.
     num_vertices: u64,
 }
 
 impl RemoteShards {
-    /// Build the shard → replica-list table, enforcing that `own` plus
-    /// the peer ranges **cover** `0..num_shards`. Overlapping claims are
-    /// replicas; a gap rejects the open, naming the first uncovered
-    /// shard.
+    /// Build the peer table over `shards`, the plan's vertex range of
+    /// every shard of the run, enforcing that `own` plus the peer claims
+    /// **cover** the run. Overlapping claims are replicas; a gap rejects
+    /// the open, naming the first uncovered shard.
     pub(crate) fn new(
         specs: &[PeerSpec],
         own: Range<usize>,
-        num_shards: usize,
-        num_vertices: u64,
+        shards: &[Range<u64>],
         timeout: Duration,
     ) -> Result<RemoteShards, ServeError> {
+        let num_shards = shards.len();
         if let Some(spec) = specs.iter().find(|s| s.shards.end > num_shards) {
             return Err(ServeError::Open(format!(
                 "peer {spec}: run has only {num_shards} shards"
@@ -217,83 +216,33 @@ impl RemoteShards {
                 own.start, own.end
             )));
         }
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        for (i, spec) in specs.iter().enumerate() {
-            for s in spec.shards.clone() {
-                by_shard[s].push(i);
-            }
-        }
+        let peers = specs.iter().map(|s| {
+            let span = shards[s.shards.start].start..shards[s.shards.end - 1].end;
+            Arc::new(Peer::new(
+                s.to_string(),
+                s.addr.clone(),
+                s.shards.clone(),
+                span,
+                timeout,
+            ))
+        });
         Ok(RemoteShards {
-            peers: specs
-                .iter()
-                .map(|s| Peer::new(s.to_string(), s.addr.clone(), s.shards.clone(), timeout))
-                .collect(),
-            by_shard,
-            rr: AtomicUsize::new(0),
-            num_vertices,
+            table: PeerTable::new(peers.collect(), None),
+            // the plan tiles 0..n_C
+            num_vertices: shards.last().map_or(0, |r| r.end),
         })
-    }
-
-    /// The configured peer specs, in `--peers` order.
-    pub(crate) fn specs(&self) -> Vec<PeerSpec> {
-        self.peers
-            .iter()
-            .map(|p| PeerSpec {
-                shards: p.shards.clone(),
-                addr: p.addr.clone(),
-            })
-            .collect()
     }
 
     /// The `/stats` `peers` array: one object per `--peers` entry with
     /// its claim and health counters, in `--peers` order.
     pub(crate) fn peer_stats(&self) -> Json {
         Json::Arr(
-            self.peers
+            self.table
+                .peers()
                 .iter()
                 .map(|p| Json::obj(p.stats_fields([])))
                 .collect(),
         )
-    }
-
-    /// Indices into the peer table of `shard`'s replicas (empty for a
-    /// shard resident here only). Two shards with equal lists share one
-    /// `/wedges` exchange.
-    pub(crate) fn replicas(&self, shard: usize) -> &[usize] {
-        &self.by_shard[shard]
-    }
-
-    /// One request to one of `replicas` through [`failover`], `judge`
-    /// classifying each framed answer; `what` names the request in the
-    /// all-replicas-failed error.
-    fn ask<T>(
-        &self,
-        replicas: &[usize],
-        method: Method<'_>,
-        path: &str,
-        what: impl std::fmt::Display,
-        judge: impl Fn(&Peer, Reply) -> Attempt<T, ServeError>,
-    ) -> Result<T, ServeError> {
-        assert!(
-            !replicas.is_empty(),
-            "peers are only asked about shards the table maps to them"
-        );
-        let outcome = failover(
-            replicas.iter().map(|&i| &self.peers[i]),
-            self.rr.fetch_add(1, Ordering::Relaxed),
-            &now_ms,
-            |peer| match peer.exchange(method, path) {
-                Err(detail) => Attempt::Transport(detail),
-                Ok(reply) => judge(peer, reply),
-            },
-        );
-        match outcome {
-            Attempt::Done(answer) => Ok(answer),
-            Attempt::Transport(failures) => Err(ServeError::Remote(format!(
-                "all replicas failed for {what}: {failures}"
-            ))),
-            Attempt::Final(e) => Err(e),
-        }
     }
 
     /// Ask one of `replicas` in one `POST /rows` for the rows of `asked`,
@@ -303,17 +252,16 @@ impl RemoteShards {
     pub(crate) fn rows(&self, replicas: &[usize], asked: &[u64]) -> Result<PeerRows, ServeError> {
         let mut body = Vec::new();
         kron_stream::encode_row_vd(asked, &mut body);
-        self.ask(
-            replicas,
-            Method::Post(&body),
-            "/rows",
-            format_args!("/rows of {} vertices from {}", asked.len(), asked[0]),
-            |peer, reply| {
-                decode_rows(reply, asked.len(), self.num_vertices, &|detail| {
-                    format!("peer {} (/rows from {}): {detail}", peer.label, asked[0])
-                })
-            },
-        )
+        let what = || format!("/rows of {} vertices from {}", asked.len(), asked[0]);
+        let judge = |peer: &Peer, reply| {
+            decode_rows(reply, asked.len(), self.num_vertices, &|detail| {
+                format!("peer {} (/rows from {}): {detail}", peer.label, asked[0])
+            })
+        };
+        let outcome = self
+            .table
+            .ask(replicas, Method::Post(&body), "/rows", judge);
+        outcome.settle(|failures| all_failed(what(), failures))
     }
 
     /// Ship `row_v` to one of `replicas` in one `POST /wedges` about
@@ -329,18 +277,22 @@ impl RemoteShards {
         asked: &[u64],
     ) -> Result<(usize, u64, u64), ServeError> {
         let body = encode_wedges(v, row_v, asked);
-        self.ask(
-            replicas,
-            Method::Post(&body),
-            "/wedges",
-            format_args!("/wedges v {v} ({} neighbours)", asked.len()),
-            |peer, reply| {
-                decode_wedges(reply, asked.len(), row_v.len() as u64, &|detail| {
-                    format!("peer {} (/wedges v {v}): {detail}", peer.label)
-                })
-            },
-        )
+        let what = || format!("/wedges v {v} ({} neighbours)", asked.len());
+        let judge = |peer: &Peer, reply| {
+            decode_wedges(reply, asked.len(), row_v.len() as u64, &|detail| {
+                format!("peer {} (/wedges v {v}): {detail}", peer.label)
+            })
+        };
+        let outcome = self
+            .table
+            .ask(replicas, Method::Post(&body), "/wedges", judge);
+        outcome.settle(|failures| all_failed(what(), failures))
     }
+}
+
+/// The error of a fetch `what` that every replica failed.
+fn all_failed(what: String, failures: String) -> ServeError {
+    ServeError::Remote(format!("all replicas failed for {what}: {failures}"))
 }
 
 /// The body of a `POST /wedges`: `v` and the byte length of `row(v)`'s
@@ -428,37 +380,29 @@ pub(crate) fn parse_rows_ask(body: &[u8], num_vertices: u64) -> Result<Vec<u64>,
     decode_peer_row(body, num_vertices).map_err(|e| format!("asked vertices: {e}"))
 }
 
-/// The status and type half of judging a peer's answer: the body of a
-/// `200` that declares `ctype`, or how the failover loop treats anything
-/// else. A `200` of another type is torn, refused before its body is read
-/// — raw bytes can pass for varints.
+/// The status and type half of judging a peer's answer (a `5xx` never
+/// gets here, [`PeerTable::ask`] fails it over): the body of a `200` that
+/// declares `ctype`, or how the failover loop treats anything else. A
+/// `200` of another type is torn, refused before its body is read — raw
+/// bytes can pass for varints. Any other status comes with the peer's
+/// text/plain error (not owned here / out of range / malformed): config
+/// skew between nodes, which every replica would repeat, so it is final.
 fn typed_body<T>(
     (status, declared, body): Reply,
     ctype: &str,
     fail: &dyn Fn(String) -> String,
 ) -> Result<Vec<u8>, Attempt<T, ServeError>> {
-    if status == 200 {
-        if declared != ctype {
-            return Err(Attempt::Transport(fail(format!(
-                "200 declares Content-Type {declared:?}, not {ctype}"
-            ))));
-        }
-        return Ok(body);
+    if status != 200 {
+        let body = String::from_utf8_lossy(&body);
+        let detail = fail(format!("status {status}: {}", body.trim()));
+        return Err(Attempt::Final(ServeError::Remote(detail)));
     }
-    let detail = fail(format!(
-        "status {status}: {}",
-        String::from_utf8_lossy(&body).trim()
-    ));
-    Err(if status >= 500 {
-        // the replica answered but could not serve — fail over
-        Attempt::Transport(detail)
-    } else {
-        // the peer's text/plain error body explains (not owned here /
-        // out of range / malformed) — config skew between nodes; a
-        // deterministic answer every replica would repeat, so no
-        // failover
-        Attempt::Final(ServeError::Remote(detail))
-    })
+    if declared != ctype {
+        return Err(Attempt::Transport(fail(format!(
+            "200 declares Content-Type {declared:?}, not {ctype}"
+        ))));
+    }
+    Ok(body)
 }
 
 /// The framing every prefix answer shares (`/wedges`, `/rows`): whole
@@ -615,35 +559,55 @@ pub(crate) mod tests {
         assert!(parse_shard_range("0-4").is_err(), "only a..b is accepted");
     }
 
+    /// The vertex ranges of shards of `sizes` vertices, tiling from 0 as
+    /// a plan does.
+    fn tiles(sizes: &[u64]) -> Vec<Range<u64>> {
+        let mut lo = 0;
+        sizes
+            .iter()
+            .map(|&n| {
+                lo += n;
+                lo - n..lo
+            })
+            .collect()
+    }
+
     #[test]
     fn replica_claims_may_overlap_but_must_cover() {
         let t = DEFAULT_PEER_TIMEOUT;
         let spec = |s: &str| PeerSpec::parse(s).unwrap();
+        let shards = tiles(&[10; 6]);
+        let table = |specs: &[PeerSpec]| RemoteShards::new(specs, 0..2, &shards, t);
         // complete, disjoint: own 0..2, peers cover 2..6
-        assert!(RemoteShards::new(&[spec("2..4=a:1"), spec("4..6=b:1")], 0..2, 6, 100, t).is_ok());
+        assert!(table(&[spec("2..4=a:1"), spec("4..6=b:1")]).is_ok());
         // overlap with the own range is a replica, not an error
-        assert!(RemoteShards::new(&[spec("1..6=a:1")], 0..2, 6, 100, t).is_ok());
-        // overlap between peers: shards 4..5 have two replicas
-        let r = RemoteShards::new(&[spec("2..5=a:1"), spec("4..6=b:1")], 0..2, 6, 100, t).unwrap();
-        assert_eq!(r.by_shard[4], vec![0, 1]);
-        assert_eq!(r.by_shard[3], vec![0]);
+        assert!(table(&[spec("1..6=a:1")]).is_ok());
+        // overlap between peers: shard 4 (vertices 40..50) has two
+        // replicas, shard 3 one
+        let r = table(&[spec("2..5=a:1"), spec("4..6=b:1")]).unwrap();
+        assert_eq!(r.table.replicas(45), [0, 1]);
+        assert_eq!(r.table.replicas(35), [0]);
         // duplicate peer entries are two replicas of the same address
-        assert!(RemoteShards::new(&[spec("2..6=a:1"), spec("2..6=a:1")], 0..2, 6, 100, t).is_ok());
+        assert!(table(&[spec("2..6=a:1"), spec("2..6=a:1")]).is_ok());
         // gap: shard 5 uncovered — named in the rejection
-        let err = RemoteShards::new(&[spec("2..5=a:1")], 0..2, 6, 100, t).unwrap_err();
+        let err = table(&[spec("2..5=a:1")]).unwrap_err();
         assert!(err.to_string().contains("incomplete"), "{err}");
         assert!(err.to_string().contains("shard 5"), "{err}");
         // beyond the run
-        let err = RemoteShards::new(&[spec("2..9=a:1")], 0..2, 6, 100, t).unwrap_err();
+        let err = table(&[spec("2..9=a:1")]).unwrap_err();
         assert!(err.to_string().contains("only 6 shards"), "{err}");
     }
 
-    /// Fuzz the replica-table validation: randomized claim sets with
-    /// gaps, partial overlaps, duplicate peers, and the single-replica
-    /// degenerate case must be accepted iff coverage is complete, and a
-    /// rejection must name the **first** uncovered shard.
+    /// Fuzz the replica table of both tiers: randomized claim sets with
+    /// gaps, partial overlaps, duplicate peers, empty shards, and the
+    /// single-replica degenerate case must be accepted iff coverage is
+    /// complete, and a rejection must name the **first** uncovered shard.
+    /// In every accepted table, the replicas of each vertex are exactly
+    /// the peers whose claim holds its shard, in table order. The router
+    /// gets the same claims with the node's own as one more peer.
     #[test]
     fn replica_table_fuzz_accepts_iff_coverage_complete() {
+        use crate::router::RouterTable;
         let t = DEFAULT_PEER_TIMEOUT;
         let mut state = 0x243F_6A88_85A3_08D3u64; // deterministic LCG
         let mut rnd = |m: usize| -> usize {
@@ -657,6 +621,9 @@ pub(crate) mod tests {
         let mut rejected = 0usize;
         for _ in 0..400 {
             let num_shards = 1 + rnd(8);
+            let sizes: Vec<u64> = (0..num_shards).map(|_| rnd(4) as u64).collect();
+            let shards = tiles(&sizes);
+            let n = shards[num_shards - 1].end;
             let own_lo = rnd(num_shards);
             let own_hi = own_lo + 1 + rnd(num_shards - own_lo);
             let n_peers = rnd(4);
@@ -678,34 +645,62 @@ pub(crate) mod tests {
                 }
             }
             let first_gap = covered.iter().position(|&c| !c);
-            let result = RemoteShards::new(&specs, own_lo..own_hi, num_shards, 100, t);
-            match (first_gap, result) {
-                (None, Ok(r)) => {
-                    accepted += 1;
-                    // every shard resolves: resident or ≥ 1 replica
-                    for s in 0..num_shards {
+            let node = RemoteShards::new(&specs, own_lo..own_hi, &shards, t);
+            let own = PeerSpec {
+                shards: own_lo..own_hi,
+                addr: "own:1".into(),
+            };
+            let discovered = specs.iter().chain([&own]).map(|s| {
+                let span = shards[s.shards.start].start..shards[s.shards.end - 1].end;
+                Arc::new(Peer::new(
+                    s.addr.clone(),
+                    s.addr.clone(),
+                    s.shards.clone(),
+                    span,
+                    t,
+                ))
+            });
+            let router = RouterTable::new(discovered.collect(), num_shards, n, None);
+            let tables = [
+                ("node", node.map(|r| r.table).map_err(|e| e.to_string())),
+                ("router", router.map(|r| r.peers)),
+            ];
+            for (tier, result) in tables {
+                match (first_gap, result) {
+                    (None, Ok(table)) => {
+                        accepted += 1;
+                        for v in 0..=n {
+                            let shard = shards.iter().position(|r| r.contains(&v));
+                            let want: Vec<usize> = (0..table.peers().len())
+                                .filter(|&i| {
+                                    shard.is_some_and(|s| table.peers()[i].shards.contains(&s))
+                                })
+                                .collect();
+                            assert_eq!(table.replicas(v), want, "{tier}: vertex {v}");
+                            // every vertex resolves: resident or ≥ 1 replica
+                            let resident = shard.is_some_and(|s| (own_lo..own_hi).contains(&s));
+                            assert!(
+                                v == n || resident || !want.is_empty(),
+                                "{tier}: vertex {v} unresolvable in an accepted table"
+                            );
+                        }
+                    }
+                    (Some(gap), Err(msg)) => {
+                        rejected += 1;
+                        assert!(msg.contains("incomplete"), "{tier}: {msg}");
                         assert!(
-                            (own_lo..own_hi).contains(&s) || !r.by_shard[s].is_empty(),
-                            "shard {s} unresolvable in an accepted table"
+                            msg.contains(&format!("shard {gap} ")),
+                            "{tier}: rejection must name the first uncovered shard {gap}: {msg}"
                         );
                     }
+                    (None, Err(e)) => panic!("{tier}: complete coverage rejected: {e}"),
+                    (Some(gap), Ok(_)) => panic!("{tier}: gap at shard {gap} accepted"),
                 }
-                (Some(gap), Err(e)) => {
-                    rejected += 1;
-                    let msg = e.to_string();
-                    assert!(msg.contains("incomplete"), "{msg}");
-                    assert!(
-                        msg.contains(&format!("shard {gap} ")),
-                        "rejection must name the first uncovered shard {gap}: {msg}"
-                    );
-                }
-                (None, Err(e)) => panic!("complete coverage rejected: {e}"),
-                (Some(gap), Ok(_)) => panic!("gap at shard {gap} accepted"),
             }
         }
         // the generator must actually exercise both outcomes
-        assert!(accepted > 20, "only {accepted} accepted cases");
-        assert!(rejected > 20, "only {rejected} rejected cases");
+        assert!(accepted > 40, "only {accepted} accepted cases");
+        assert!(rejected > 40, "only {rejected} rejected cases");
     }
 
     /// Run one attempt against two replicas of shard 1 — `bad` answering
@@ -724,8 +719,10 @@ pub(crate) mod tests {
             PeerSpec::parse("1..2=bad.invalid:1").unwrap(),
             PeerSpec::parse("1..2=good.invalid:1").unwrap(),
         ];
-        let remote = RemoteShards::new(&specs, 0..1, 2, 50, DEFAULT_PEER_TIMEOUT).unwrap();
-        let outcome = failover(remote.peers.iter(), 0, &|| 0, |peer| {
+        let shards = tiles(&[25, 25]);
+        let remote = RemoteShards::new(&specs, 0..1, &shards, DEFAULT_PEER_TIMEOUT).unwrap();
+        let peers = remote.table.peers().iter().map(|p| &**p);
+        let outcome = crate::replica::failover(peers, 0, &|| 0, |peer| {
             let reply = if peer.addr.starts_with("bad") {
                 bad_reply
             } else {
@@ -863,7 +860,6 @@ pub(crate) mod tests {
                     1, 4, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
                 ]),
             ),
-            ("5xx", (503, "text/plain".into(), b"error: busy\n".to_vec())),
         ];
         for (what, reply) in &torn {
             fails_over(what, reply, &good_wedges, judge, &(2, 1, 134));
@@ -920,7 +916,6 @@ pub(crate) mod tests {
                     good_rows.2.clone(),
                 ),
             ),
-            ("5xx", (503, "text/plain".into(), b"error: busy\n".to_vec())),
         ];
         let want = vec![vec![3, 7], vec![]];
         for (what, reply) in &torn {
@@ -1014,12 +1009,11 @@ pub(crate) mod tests {
             // port 1 on loopback: nothing listens there
             &[PeerSpec::parse("1..2=127.0.0.1:1").unwrap()],
             0..1,
-            2,
-            100,
+            &tiles(&[50, 50]),
             Duration::from_millis(200),
         )
         .unwrap();
-        let Err(err) = remote.rows(remote.replicas(1), &[5]) else {
+        let Err(err) = remote.rows(remote.table.replicas(75), &[75]) else {
             panic!("nothing listens on port 1");
         };
         assert!(matches!(err, ServeError::Remote(_)), "{err}");

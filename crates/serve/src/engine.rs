@@ -348,13 +348,10 @@ impl ServeEngine {
         // least one serving replica (overlapping claims are replicas).
         let remote = (!set.is_complete() || !opts.peers.is_empty())
             .then(|| {
-                RemoteShards::new(
-                    &opts.peers,
-                    set.subset(),
-                    set.num_shards(),
-                    set.num_vertices(),
-                    opts.peer_timeout,
-                )
+                let shards: Vec<_> = (0..set.num_shards())
+                    .filter_map(|i| set.shard_vertices(i))
+                    .collect();
+                RemoteShards::new(&opts.peers, set.subset(), &shards, opts.peer_timeout)
             })
             .transpose()?;
         // every source but the artifact walk answers or checks in closed form
@@ -412,12 +409,6 @@ impl ServeEngine {
         report
     }
 
-    /// The cluster peers this engine fetches non-resident rows from, in
-    /// `--peers` order (empty on a single-node engine).
-    pub fn remote_peers(&self) -> Vec<PeerSpec> {
-        self.remote.as_ref().map_or_else(Vec::new, |r| r.specs())
-    }
-
     /// The peer table (`None` on a single-node engine) — the server's
     /// `/stats` surfaces its per-replica health counters.
     pub(crate) fn remote(&self) -> Option<&RemoteShards> {
@@ -429,13 +420,21 @@ impl ServeEngine {
         self.set.num_vertices()
     }
 
-    /// Where `shard`'s rows live when not here: the peer table and the
-    /// replicas to ask, or `None` for a resident shard. The one place that
-    /// says whether a row is far.
-    fn far(&self, shard: usize) -> Option<(&RemoteShards, &[usize])> {
+    /// Where the row of `v`, which routing put in `shard`, lives when not
+    /// here: the peers and the indices of `v`'s replicas among them, or
+    /// `None` for a resident shard. The one place that says whether a row
+    /// is far.
+    fn far(&self, shard: usize, v: u64) -> Option<(&RemoteShards, &[usize])> {
         let remote = self.remote.as_ref()?;
         let far = self.set.local(shard).is_none();
-        far.then(|| (remote, remote.replicas(shard)))
+        far.then(|| {
+            let replicas = remote.table.replicas(v);
+            assert!(
+                !replicas.is_empty(),
+                "the open checked that every shard has a replica"
+            );
+            (remote, replicas)
+        })
     }
 
     /// The row of `v` off the mapping of `shard`, which routing put `v` in
@@ -491,7 +490,7 @@ impl ServeEngine {
     /// whatever the read itself reports.
     pub(crate) fn row(&self, v: u64) -> Result<Cow<'_, [u64]>, ServeError> {
         let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
-        let Some((remote, replicas)) = self.far(shard) else {
+        let Some((remote, replicas)) = self.far(shard, v) else {
             return self.resident_row(shard, v);
         };
         self.routing.record_fetch(shard);
@@ -722,7 +721,7 @@ impl ServeEngine {
                 .set
                 .route(u)
                 .ok_or_else(|| Self::stray_neighbor(v, u))?;
-            if let Some((remote, replicas)) = self.far(shard) {
+            if let Some((remote, replicas)) = self.far(shard, u) {
                 let (_, asked) = far.entry(replicas).or_insert((remote, Vec::new()));
                 asked.push(u);
                 continue;
@@ -815,7 +814,7 @@ impl ServeEngine {
             .set
             .route(v)
             .ok_or_else(|| Self::stray_neighbor(u, v))?;
-        if let Some((remote, replicas)) = self.far(shard) {
+        if let Some((remote, replicas)) = self.far(shard, v) {
             // `v`'s row lives on a peer: ship `row(u)` there instead
             return self.wedges(remote, replicas, u, &row_u, &[v]).map(Some);
         }
@@ -893,7 +892,7 @@ impl LevelRows for ServeEngine {
         let mut far: FarGroups<'_> = BTreeMap::new();
         for &v in frontier {
             let shard = self.set.route(v).ok_or_else(|| self.out_of_range(v))?;
-            if let Some((remote, replicas)) = self.far(shard) {
+            if let Some((remote, replicas)) = self.far(shard, v) {
                 self.routing.record_fetch(shard);
                 let (_, asked) = far.entry(replicas).or_insert((remote, Vec::new()));
                 asked.push(v);

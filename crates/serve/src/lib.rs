@@ -71,8 +71,9 @@
 //!   edge-by-edge against the artifact and the closed-form oracle;
 //! * [`Router`] — the stateless forwarding front end (`kron route`):
 //!   discovers each node's claim via `GET /shards`, forwards `/query`
-//!   and `/batch` by vertex range over each vertex's replicas with the
-//!   same failover/ejection semantics as the nodes (answers
+//!   and `/batch` by vertex range over each vertex's replicas — found
+//!   and asked through the same peer table a node holds (`replica.rs`),
+//!   so with the same failover/ejection semantics as the nodes (answers
 //!   byte-identical to a single node over the whole run directory),
 //!   merges `/stats` across the cluster, and — with `--rediscover` —
 //!   re-runs discovery periodically so nodes can join/leave live.

@@ -1,10 +1,12 @@
-//! The peer-transport policy, implemented once for the node-side
-//! remote-row client ([`crate::cluster`]) and the router
-//! ([`crate::router`]): a [`Peer`] with its capped keep-alive pool and
-//! [`PeerHealth`], the pooled exchange with its single stale-connection
-//! retry, the health gate with its `/healthz` probe, the round-robin
-//! [`failover`] loop, the shard-coverage check, and the per-peer `/stats`
-//! fields. The rules themselves — a transport failure fails over, a
+//! The peer-transport policy and the peer table, implemented once for
+//! the node-side remote-row client ([`crate::cluster`]) and the router
+//! ([`crate::router`]): a [`Peer`] with its claim, vertex span, capped
+//! keep-alive pool and [`PeerHealth`]; the pooled exchange with its single
+//! stale-connection retry; the health gate with its `/healthz` probe; the
+//! round-robin [`failover`] loop; the shard-coverage check; the per-peer
+//! `/stats` fields; and the [`PeerTable`] both tiers hold, which finds a
+//! vertex's replicas and asks them ([`PeerTable::ask`]). The rules
+//! themselves — a transport failure or a `5xx` fails over, a
 //! deterministic answer does not, the 3rd consecutive failure ejects, a
 //! `/healthz` probe on a doubling backoff re-admits — are normative in
 //! `ARCHITECTURE.md` § "Replication, failover, and health".
@@ -12,8 +14,8 @@
 use crate::http::Client;
 use kron_stream::json::Json;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Consecutive transport failures after which a peer is ejected
@@ -151,12 +153,13 @@ pub(crate) enum Method<'a> {
 pub(crate) type Reply = (u16, String, Vec<u8>);
 
 /// One cluster peer as either tier sees it: where it listens, which
-/// shards it claims, a capped pool of idle keep-alive connections, and
-/// its health.
+/// shards it claims and the product vertices they span, a capped pool of
+/// idle keep-alive connections, and its health.
 #[derive(Debug)]
 pub(crate) struct Peer {
     pub(crate) addr: String,
     pub(crate) shards: Range<usize>,
+    pub(crate) vertices: Range<u64>,
     /// Connect **and** read timeout of every exchange and probe.
     timeout: Duration,
     /// How error texts name this peer (`a..b=ADDR` on a node, `ADDR` on
@@ -171,11 +174,13 @@ impl Peer {
         label: String,
         addr: String,
         shards: Range<usize>,
+        vertices: Range<u64>,
         timeout: Duration,
     ) -> Peer {
         Peer {
             addr,
             shards,
+            vertices,
             timeout,
             label,
             pool: Mutex::new(Vec::new()),
@@ -296,6 +301,18 @@ pub(crate) enum Attempt<T, E> {
     Final(E),
 }
 
+impl<T, E> Attempt<T, E> {
+    /// A [`PeerTable::ask`] outcome as a result: the answer, the final
+    /// error, or `all_failed` of the failures of every replica.
+    pub(crate) fn settle(self, all_failed: impl FnOnce(String) -> E) -> Result<T, E> {
+        match self {
+            Attempt::Done(answer) => Ok(answer),
+            Attempt::Transport(failures) => Err(all_failed(failures)),
+            Attempt::Final(e) => Err(e),
+        }
+    }
+}
+
 /// Round-robin failover: walk `replicas` once in rotation order from
 /// `start`, health-gating each ([`Peer::admit`]) and running `attempt`
 /// on those admitted, until one is [`Attempt::Done`] or
@@ -329,6 +346,108 @@ pub(crate) fn failover<'p, T, E>(
     Attempt::Transport(failures.join("; "))
 }
 
+/// The peers one tier asks, in that tier's order (`--peers` order on a
+/// node, ascending claim on the router), with the lookup from a product
+/// vertex to its replicas and the round-robin cursor over them. Built
+/// once per peer list, so a lookup allocates nothing.
+#[derive(Debug)]
+pub(crate) struct PeerTable {
+    peers: Vec<Arc<Peer>>,
+    /// Every end of a peer's vertex span, ascending: between two cuts
+    /// every vertex has the same replicas.
+    cuts: Vec<u64>,
+    /// The replicas of the vertices from each cut to the next.
+    holders: Vec<Vec<usize>>,
+    rr: AtomicUsize,
+    /// Failed attempts, shared with the tables this one replaced and will
+    /// be replaced by, so a table swap loses no count.
+    failovers: Arc<AtomicU64>,
+}
+
+impl PeerTable {
+    /// The table over `peers`; one that replaces `prev` carries on its
+    /// cursor and its failover count.
+    pub(crate) fn new(peers: Vec<Arc<Peer>>, prev: Option<&PeerTable>) -> PeerTable {
+        let mut cuts: Vec<u64> = peers
+            .iter()
+            .flat_map(|p| [p.vertices.start, p.vertices.end])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let holders = cuts
+            .iter()
+            .map(|&at| {
+                (0..peers.len())
+                    .filter(|&i| peers[i].vertices.contains(&at))
+                    .collect()
+            })
+            .collect();
+        PeerTable {
+            peers,
+            cuts,
+            holders,
+            rr: AtomicUsize::new(prev.map_or(0, |t| t.rr.load(Ordering::Relaxed))),
+            failovers: prev.map_or_else(Arc::default, |t| t.failovers.clone()),
+        }
+    }
+
+    /// The peers, in table order.
+    pub(crate) fn peers(&self) -> &[Arc<Peer>] {
+        &self.peers
+    }
+
+    /// Indices into [`Self::peers`] of the peers whose vertex span holds
+    /// `v`, in table order — `v`'s replicas (none for a vertex no peer
+    /// holds).
+    pub(crate) fn replicas(&self, v: u64) -> &[usize] {
+        match self.cuts.partition_point(|&at| at <= v) {
+            0 => &[],
+            i => &self.holders[i - 1],
+        }
+    }
+
+    /// Failed attempts through this table and those it replaced.
+    pub(crate) fn failovers(&self) -> u64 {
+        self.failovers.load(Ordering::Relaxed)
+    }
+
+    /// One request to one of `replicas` (indices into [`Self::peers`])
+    /// through [`failover`], the first chosen round-robin. A transport
+    /// error or a `5xx` — the replica answered but could not serve — fails
+    /// over before `judge` sees a reply; `judge` says what every other
+    /// reply means: the answer, a torn reply to fail over on, or a final
+    /// one that every replica of a consistent cluster would repeat.
+    pub(crate) fn ask<T, E>(
+        &self,
+        replicas: &[usize],
+        method: Method<'_>,
+        path: &str,
+        judge: impl Fn(&Peer, Reply) -> Attempt<T, E>,
+    ) -> Attempt<T, E> {
+        let start = self.rr.fetch_add(1, Ordering::Relaxed);
+        failover(
+            replicas.iter().map(|&i| &*self.peers[i]),
+            start,
+            &now_ms,
+            |peer| {
+                let outcome = match peer.exchange(method, path) {
+                    Ok((status, _, body)) if status >= 500 => Attempt::Transport(format!(
+                        "peer {}: {path} answered {status}: {}",
+                        peer.label,
+                        String::from_utf8_lossy(&body).trim()
+                    )),
+                    Ok(reply) => judge(peer, reply),
+                    Err(detail) => Attempt::Transport(detail),
+                };
+                if let Attempt::Transport(_) = outcome {
+                    self.failovers.fetch_add(1, Ordering::Relaxed);
+                }
+                outcome
+            },
+        )
+    }
+}
+
 /// The first shard of `0..num_shards` that none of `claims` contains —
 /// overlapping claims are replicas, a gap is what both tiers refuse.
 pub(crate) fn first_uncovered(
@@ -355,7 +474,7 @@ mod tests {
 
     fn peer(name: &str) -> Peer {
         // never dialed: every test below stays off the network
-        Peer::new(name.to_string(), format!("{name}.invalid:1"), 0..1, T)
+        Peer::new(name.to_string(), format!("{name}.invalid:1"), 0..1, 0..1, T)
     }
 
     #[test]
@@ -501,7 +620,7 @@ mod tests {
     fn pool_is_capped() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let p = Peer::new("p".into(), addr.to_string(), 0..1, T);
+        let p = Peer::new("p".into(), addr.to_string(), 0..1, 0..1, T);
         // a burst of concurrent workers each hands its connection back
         for _ in 0..POOL_CAP + 5 {
             p.pool_push(Client::connect_timeout(addr, T).unwrap());
@@ -509,8 +628,64 @@ mod tests {
         assert_eq!(p.pool.lock().unwrap().len(), POOL_CAP);
     }
 
+    /// Answer every request on the first connection to `listener` with
+    /// the HTTP response `reply`, until the client hangs up.
+    fn answer_with(listener: &TcpListener, reply: &str) {
+        use std::io::{Read, Write};
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut buf = [0u8; 4096];
+        while conn.read(&mut buf).is_ok_and(|n| n > 0) {
+            conn.write_all(reply.as_bytes()).unwrap();
+        }
+    }
+
+    /// [`PeerTable::ask`] over loopback: a replica answering `503` is
+    /// failed over and charged before the judge sees a reply, the next one
+    /// answers, and the failover count carries over to a table that
+    /// replaces this one, with its cursor.
+    #[test]
+    fn ask_fails_over_a_5xx_before_the_judge_sees_it() {
+        let busy = "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n\
+                    Content-Length: 12\r\n\r\nerror: busy\n";
+        let fine = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 3\r\n\r\nok\n";
+        let listeners = [(); 2].map(|_| TcpListener::bind("127.0.0.1:0").unwrap());
+        std::thread::scope(|s| {
+            s.spawn(|| answer_with(&listeners[0], busy));
+            s.spawn(|| answer_with(&listeners[1], fine));
+            let peer = |name: &str, l: &TcpListener| {
+                let addr = l.local_addr().unwrap().to_string();
+                Arc::new(Peer::new(name.into(), addr, 0..1, 0..10, T))
+            };
+            let peers = vec![peer("busy", &listeners[0]), peer("fine", &listeners[1])];
+            let table = PeerTable::new(peers.clone(), None);
+            let ask = |table: &PeerTable, replicas: &[usize]| {
+                table.ask(replicas, Method::Get, "/x", |_, (status, _, body)| {
+                    assert!(status < 500, "the judge saw a {status}");
+                    Attempt::<_, ()>::Done(body)
+                })
+            };
+            assert_eq!(table.replicas(3), [0, 1]);
+            // the cursor starts at the busy replica, then at the fine one
+            for failovers in [1, 1] {
+                assert!(matches!(ask(&table, table.replicas(3)), Attempt::Done(b) if b == b"ok\n"));
+                assert_eq!(table.failovers(), failovers);
+            }
+            assert_eq!(peers[0].health.failovers.load(Ordering::Relaxed), 1);
+            assert_eq!(peers[1].health.fetches.load(Ordering::Relaxed), 2);
+            let next = PeerTable::new(peers.clone(), Some(&table));
+            match ask(&next, &[0]) {
+                Attempt::Transport(e) => {
+                    assert_eq!(e, "peer busy: /x answered 503: error: busy")
+                }
+                _ => panic!("the only replica is busy"),
+            }
+            assert_eq!((table.failovers(), next.failovers()), (2, 2));
+            drop((table, next, peers)); // hang up: the responders return
+        });
+    }
+
     /// The first-gap rule itself is fuzzed through `RemoteShards::new`
-    /// (`cluster.rs`); what only the router can feed this check is a
+    /// and `RouterTable::new` (`cluster.rs`); what only the router can feed this check is a
     /// claim past the run's shard count, straight from a peer's `/shards`.
     #[test]
     fn coverage_clamps_claims_to_the_run() {

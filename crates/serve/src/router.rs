@@ -14,7 +14,8 @@
 //! * splits `POST /batch` bodies into one sub-batch per replica set,
 //!   forwards each with failover, and reassembles the answer lines **in
 //!   input order** — byte-identical to what one node serving the whole
-//!   run directory would produce;
+//!   run directory would produce, a node's `413` for a sub-batch past the
+//!   response cap included (relayed verbatim, as `/query` relays);
 //! * merges `GET /stats` across peers (per-peer documents plus summed
 //!   totals and per-replica health; see `ARCHITECTURE.md` § "Cluster
 //!   serving" for the normative merge rules);
@@ -22,14 +23,16 @@
 //!
 //! A failed forward (connect error, timeout, 5xx, short sub-batch
 //! response) transparently **fails over** to the next replica, and
-//! health ejection works exactly as on the nodes — literally: pooling,
-//! the stale-connection retry, rotation, failover, ejection, and probing
-//! are `replica.rs`, the single implementation both tiers call — `/query`,
+//! health ejection works exactly as on the nodes — literally: the peer
+//! table (`replica::PeerTable`: the vertex → replicas lookup,
+//! the round-robin cursor, and the one `ask`), pooling, the
+//! stale-connection retry, failover, ejection, and probing are
+//! `replica.rs`, the single implementation both tiers call — `/query`,
 //! each `/batch` sub-batch, and the traversals alike. What is left here
-//! is discovery, the table swap, the `/batch` split, and the `/stats`
-//! merge. Only when *every* replica of a vertex has failed does
-//! the client see an error: a single `502 Bad Gateway` naming each
-//! replica tried — the router never invents an answer. Parse errors
+//! is discovery, the table swap, the out-of-range rule, the `/batch`
+//! split, and the `/stats` merge. Only when *every* replica of a vertex
+//! has failed does the client see an error: a single `502 Bad Gateway`
+//! naming each replica tried — the router never invents an answer. Parse errors
 //! (`400`) come from the same parser the nodes use (`endpoints.rs`), so
 //! clients cannot tell a router from a node on the error path either.
 //!
@@ -68,14 +71,13 @@ use crate::endpoints::{
 };
 use crate::event_loop::{serve_connections, Thread};
 use crate::http::{self, Client};
-use crate::replica::{failover, first_uncovered, now_ms, Attempt, Method, Peer, Reply};
+use crate::replica::{first_uncovered, Attempt, Method, Peer, PeerTable, Reply};
 use crate::server::{LoopCounters, Server, ServerOptions};
 use kron_stream::json::Json;
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::io;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -84,64 +86,57 @@ use std::time::{Duration, Instant};
 /// exchange left open (seeded into the peer's pool).
 type Discovered = (Range<usize>, Range<u64>, (u64, u64), Client);
 
-/// One discovered peer: the shared transport [`Peer`] (address, shard
-/// claim, pool, health) plus the vertex span the router routes by.
-struct RouterPeer {
-    peer: Peer,
-    vertices: Range<u64>,
-}
-
-/// The framed `(status, body)` of one forward, body as (lossy) text.
-type Forwarded = Result<(u16, String), String>;
-
-/// Every answer the router relays or merges is text: read a framed reply
-/// as `(status, lossy UTF-8 body)`.
-fn text((status, _ctype, body): Reply) -> (u16, String) {
-    (status, String::from_utf8_lossy(&body).into_owned())
-}
-
 /// One immutable routing table: the discovered peers of one
 /// (re-)discovery round. Handlers snapshot it per request, so a
 /// concurrent re-discovery swap never tears a request in half.
-struct RouterTable {
+pub(crate) struct RouterTable {
     /// Ascending by claim (then address) — the `/stats` peer order.
-    peers: Vec<Arc<RouterPeer>>,
+    pub(crate) peers: PeerTable,
     num_vertices: u64,
     num_shards: usize,
 }
 
 impl RouterTable {
-    /// Indices of the peers whose claim contains `v` — the vertex's
-    /// replicas. Out-of-range vertices go to the replicas of the first
-    /// vertex range: their engines produce the exact out-of-range error a
-    /// single-node server would, keeping the client-visible bytes
-    /// identical. `/query` and `/batch` both route through here, so the
-    /// policy cannot diverge between them.
-    fn candidates_for(&self, v: u64) -> Vec<usize> {
-        let own: Vec<usize> = self
-            .peers
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.vertices.contains(&v))
-            .map(|(i, _)| i)
-            .collect();
-        if !own.is_empty() {
-            return own;
+    /// The table over `peers` for a run of `num_shards` shards and
+    /// `num_vertices` vertices, replacing `prev` if any: sorted by claim,
+    /// and refused when the claims leave a shard uncovered (overlap is
+    /// replication).
+    pub(crate) fn new(
+        mut peers: Vec<Arc<Peer>>,
+        num_shards: usize,
+        num_vertices: u64,
+        prev: Option<&RouterTable>,
+    ) -> Result<RouterTable, String> {
+        peers.sort_by(|a, b| {
+            let key = |p: &'_ Peer| (p.shards.start, p.shards.end);
+            (key(a), &a.addr).cmp(&(key(b), &b.addr))
+        });
+        if let Some(s) = first_uncovered(num_shards, peers.iter().map(|p| p.shards.clone())) {
+            return Err(format!(
+                "cluster ownership map incomplete: shard {s} is not claimed \
+                 by any --peers node (a node is missing from --peers)"
+            ));
         }
+        Ok(RouterTable {
+            peers: PeerTable::new(peers, prev.map(|t| &t.peers)),
+            num_vertices,
+            num_shards,
+        })
+    }
+
+    /// The replicas of `v`. An out-of-range vertex goes to vertex 0's:
+    /// their engines produce the exact out-of-range error a single-node
+    /// server would, keeping the client-visible bytes identical. `/query`
+    /// and `/batch` both route through here, so the policy cannot diverge
+    /// between them.
+    fn replicas(&self, v: u64) -> &[usize] {
         self.peers
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.vertices.start == 0)
-            .map(|(i, _)| i)
-            .collect()
+            .replicas(if v < self.num_vertices { v } else { 0 })
     }
 
     fn addr_list(&self) -> String {
-        self.peers
-            .iter()
-            .map(|p| p.peer.addr.as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
+        let addrs: Vec<&str> = self.peers.peers().iter().map(|p| p.addr.as_str()).collect();
+        addrs.join(", ")
     }
 }
 
@@ -193,11 +188,6 @@ pub struct Router {
     peer_addrs: Vec<String>,
     timeout: Duration,
     rediscover: Option<Duration>,
-    /// Round-robin cursor over replicas.
-    rr: AtomicUsize,
-    /// Failovers survive table swaps (per-peer counters reset when a
-    /// peer's claim changes), so `/stats` never under-reports them.
-    failovers: AtomicU64,
     rediscoveries: AtomicU64,
 }
 
@@ -228,8 +218,6 @@ impl Router {
             peer_addrs: peer_addrs.to_vec(),
             timeout,
             rediscover: None,
-            rr: AtomicUsize::new(0),
-            failovers: AtomicU64::new(0),
             rediscoveries: AtomicU64::new(0),
         })
     }
@@ -252,11 +240,7 @@ impl Router {
             return Err(fail(format!("GET /shards answered {status}")));
         }
         let doc = Json::parse(&body).map_err(|e| fail(format!("/shards JSON: {e}")))?;
-        let num = |key: &str| -> Result<u64, String> {
-            doc.req(key)
-                .and_then(|v| v.as_u64().ok_or_else(|| format!("{key} is not an integer")))
-                .map_err(|e| fail(format!("/shards: {e}")))
-        };
+        let num = |key: &str| doc.req_u64(key).map_err(|e| fail(format!("/shards: {e}")));
         let subset = doc
             .req("subset")
             .ok()
@@ -286,9 +270,10 @@ impl Router {
         if peer_addrs.is_empty() {
             return Err("router needs at least one peer".into());
         }
-        let mut peers: Vec<Arc<RouterPeer>> = Vec::with_capacity(peer_addrs.len());
+        let mut peers: Vec<Arc<Peer>> = Vec::with_capacity(peer_addrs.len());
         let mut shape: Option<(u64, u64)> = prev.map(|t| (t.num_shards as u64, t.num_vertices));
         for addr in peer_addrs {
+            let known = prev.and_then(|t| t.peers.peers().iter().find(|p| p.addr == *addr));
             match Self::discover_one(addr, timeout) {
                 Ok((shards, vertices, this_shape, client)) => {
                     match shape {
@@ -305,56 +290,30 @@ impl Router {
                     // An unchanged claim keeps its pool, health, and
                     // counters; answering /shards is also proof of life,
                     // restoring an ejected peer.
-                    let reused = prev.and_then(|t| {
-                        t.peers
-                            .iter()
-                            .find(|p| {
-                                p.peer.addr == *addr
-                                    && p.peer.shards == shards
-                                    && p.vertices == vertices
-                            })
-                            .cloned()
-                    });
-                    let p = reused.unwrap_or_else(|| {
-                        Arc::new(RouterPeer {
-                            peer: Peer::new(addr.clone(), addr.clone(), shards, timeout),
+                    let p = match known {
+                        Some(p) if p.shards == shards && p.vertices == vertices => p.clone(),
+                        _ => Arc::new(Peer::new(
+                            addr.clone(),
+                            addr.clone(),
+                            shards,
                             vertices,
-                        })
-                    });
-                    p.peer.health.record_success();
-                    p.peer.pool_push(client);
+                            timeout,
+                        )),
+                    };
+                    p.health.record_success();
+                    p.pool_push(client);
                     peers.push(p);
                 }
-                Err(e) => {
-                    let carried =
-                        prev.and_then(|t| t.peers.iter().find(|p| p.peer.addr == *addr).cloned());
-                    match carried {
-                        Some(p) => peers.push(p),
-                        None if prev.is_none() => return Err(e),
-                        None => {} // a joining node that is not up yet
-                    }
-                }
+                Err(e) => match known {
+                    Some(p) => peers.push(p.clone()),
+                    None if prev.is_none() => return Err(e),
+                    None => {} // a joining node that is not up yet
+                },
             }
         }
         let (num_shards, num_vertices) =
             shape.ok_or_else(|| "no peer answered GET /shards".to_string())?;
-        let num_shards = num_shards as usize;
-        peers.sort_by(|a, b| {
-            let key = |p: &'_ RouterPeer| (p.peer.shards.start, p.peer.shards.end);
-            (key(a), &a.peer.addr).cmp(&(key(b), &b.peer.addr))
-        });
-        // The claims must cover the run; overlap is replication.
-        if let Some(s) = first_uncovered(num_shards, peers.iter().map(|p| p.peer.shards.clone())) {
-            return Err(format!(
-                "cluster ownership map incomplete: shard {s} is not claimed \
-                 by any --peers node (a node is missing from --peers)"
-            ));
-        }
-        Ok(RouterTable {
-            peers,
-            num_vertices,
-            num_shards,
-        })
+        RouterTable::new(peers, num_shards as usize, num_vertices, prev)
     }
 
     /// Current table snapshot (cheap: one `Arc` clone under a read lock).
@@ -378,15 +337,12 @@ impl Router {
     pub fn peer_summary(&self) -> Vec<String> {
         self.table()
             .peers
+            .peers()
             .iter()
             .map(|p| {
                 format!(
                     "{} → shards {}..{}, vertices {}..{}",
-                    p.peer.addr,
-                    p.peer.shards.start,
-                    p.peer.shards.end,
-                    p.vertices.start,
-                    p.vertices.end
+                    p.addr, p.shards.start, p.shards.end, p.vertices.start, p.vertices.end
                 )
             })
             .collect()
@@ -395,45 +351,6 @@ impl Router {
     /// Product vertex count of the routed run.
     pub fn num_vertices(&self) -> u64 {
         self.table().num_vertices
-    }
-
-    /// One request to the replicas `candidates` through [`failover`],
-    /// rotating round-robin: a replica that is down, unreachable or
-    /// answers 5xx is failed over, and `judge` classifies every other
-    /// answer as the answer, a torn reply to fail over on, or a final
-    /// error that every replica of a consistent cluster would repeat.
-    fn try_replicas<T, E>(
-        &self,
-        table: &RouterTable,
-        candidates: &[usize],
-        method: Method<'_>,
-        path: &str,
-        judge: impl Fn(&Peer, u16, String) -> Attempt<T, E>,
-    ) -> Attempt<T, E> {
-        let label = match method {
-            Method::Get => "GET",
-            Method::Post(_) => path,
-        };
-        failover(
-            candidates.iter().map(|&i| &table.peers[i].peer),
-            self.rr.fetch_add(1, Ordering::Relaxed),
-            &now_ms,
-            |peer| {
-                let outcome = match peer.exchange(method, path).map(text) {
-                    Ok((status, body)) if status >= 500 => Attempt::Transport(format!(
-                        "peer {}: {label} answered {status}: {}",
-                        peer.addr,
-                        body.trim()
-                    )),
-                    Ok((status, body)) => judge(peer, status, body),
-                    Err(e) => Attempt::Transport(e),
-                };
-                if let Attempt::Transport(_) = outcome {
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
-                }
-                outcome
-            },
-        )
     }
 
     /// Route until `shutdown` becomes `true`, accepting on the bound
@@ -491,14 +408,14 @@ impl Router {
             bad_requests: state.http.bad_requests.load(Ordering::Relaxed),
             queries: state.queries.load(Ordering::Relaxed),
             forward_errors: state.forward_errors.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
+            failovers: self.table().peers.failovers(),
         })
     }
 }
 
 /// A peer's slot in a [`fan_out`] round: `None` when the peer was
-/// skipped, otherwise the forward's outcome.
-type FanOutSlot<'t> = (&'t RouterPeer, Option<Forwarded>);
+/// skipped, otherwise the exchange's outcome.
+type FanOutSlot<'t> = (&'t Peer, Option<Result<Reply, String>>);
 
 /// `GET path` from every peer of `table` that `ask` selects,
 /// concurrently — a hung peer costs the caller one timeout, not one per
@@ -506,16 +423,15 @@ type FanOutSlot<'t> = (&'t RouterPeer, Option<Forwarded>);
 fn fan_out<'t>(
     table: &'t RouterTable,
     path: &str,
-    ask: &(impl Fn(&RouterPeer) -> bool + Sync),
+    ask: &(impl Fn(&Peer) -> bool + Sync),
 ) -> Vec<FanOutSlot<'t>> {
+    let peers = table.peers.peers();
     std::thread::scope(|s| {
-        let handles: Vec<_> = table
-            .peers
+        let handles: Vec<_> = peers
             .iter()
-            .map(|p| ask(p).then(|| s.spawn(move || p.peer.exchange(Method::Get, path).map(text))))
+            .map(|p| ask(p).then(|| s.spawn(move || p.exchange(Method::Get, path))))
             .collect();
-        table
-            .peers
+        peers
             .iter()
             .zip(handles)
             .map(|(p, h)| (&**p, h.map(|h| h.join().expect("forward thread panicked"))))
@@ -552,11 +468,11 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
             // cluster as it is right now.
             for (p, res) in fan_out(&table, "/healthz", &|_| true) {
                 match res.expect("healthz skips no peer") {
-                    Ok((200, _)) => {}
-                    Ok((status, _)) => {
+                    Ok((200, ..)) => {}
+                    Ok((status, ..)) => {
                         return error(
                             503,
-                            format_args!("peer {} unhealthy (status {status})", p.peer.addr),
+                            format_args!("peer {} unhealthy (status {status})", p.addr),
                         )
                     }
                     Err(e) => return error(503, e),
@@ -573,22 +489,15 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
             Ok(point) => {
                 state.queries.fetch_add(1, Ordering::Relaxed);
                 let table = r.table();
-                let candidates = table.candidates_for(point.routing_vertex());
-                let relay = |_: &Peer, status, body| Attempt::Done((status, body));
-                let outcome: Attempt<_, Infallible> = r.try_replicas(
-                    &table,
-                    &candidates,
-                    Method::Get,
-                    &point.forward_path(),
-                    relay,
-                );
-                match outcome {
-                    Attempt::Done((200, body)) => (200, point.content_type(), body.into_bytes()),
-                    Attempt::Done((status, body)) => (status, TEXT, body.into_bytes()),
-                    Attempt::Transport(failures) => {
-                        gateway_err(format!("all replicas failed: {failures}"))
-                    }
-                    Attempt::Final(never) => match never {},
+                let replicas = table.replicas(point.routing_vertex());
+                let relay = |_: &Peer, reply| Attempt::Done(reply);
+                let outcome = table
+                    .peers
+                    .ask(replicas, Method::Get, &point.forward_path(), relay);
+                match outcome.settle(|failures| format!("all replicas failed: {failures}")) {
+                    Ok((200, _, body)) => (200, point.content_type(), body),
+                    Ok((status, _, body)) => (status, TEXT, body),
+                    Err(detail) => gateway_err(detail),
                 }
             }
         },
@@ -614,7 +523,7 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
             // `/stats` down with it would blind monitoring exactly when
             // it matters).
             let table = r.table();
-            let mut peer_docs = Vec::with_capacity(table.peers.len());
+            let mut peer_docs = Vec::with_capacity(table.peers.peers().len());
             let mut totals = [0u64; 9];
             const KEYS: [&str; 9] = [
                 "queries",
@@ -629,10 +538,10 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
             ];
             // don't pay a timeout per /stats call for a known-down peer;
             // it reports up:false, stats:null below
-            let responses = fan_out(&table, "/stats", &|p| p.peer.health.is_up());
+            let responses = fan_out(&table, "/stats", &|p| p.health.is_up());
             for (p, res) in responses {
                 let stats = match res {
-                    Some(Ok((200, body))) => Json::parse(&body).ok(),
+                    Some(Ok((200, _, body))) => Json::parse(&String::from_utf8_lossy(&body)).ok(),
                     _ => None,
                 };
                 if let Some(doc) = &stats {
@@ -642,7 +551,7 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
                         totals[i] += field.and_then(Json::as_u64).unwrap_or(0);
                     }
                 }
-                let mut fields = p.peer.stats_fields([
+                let mut fields = p.stats_fields([
                     ("vertex_lo", Json::num(p.vertices.start)),
                     ("vertex_hi", Json::num(p.vertices.end)),
                 ]);
@@ -668,7 +577,7 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
                     "forward_errors",
                     Json::num(state.forward_errors.load(Ordering::Relaxed)),
                 ),
-                ("failovers", Json::num(r.failovers.load(Ordering::Relaxed))),
+                ("failovers", Json::num(table.peers.failovers())),
                 (
                     "rediscoveries",
                     Json::num(r.rediscoveries.load(Ordering::Relaxed)),
@@ -712,40 +621,42 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
 /// through failover concurrently (wall clock tracks the slowest set, not
 /// the sum), then reassemble the answer lines by original index —
 /// byte-identical to a single node walking the batch in order. With
-/// disjoint claims that is one sub-batch per peer. `Err` is the detail of
-/// the router's `502`.
+/// disjoint claims that is one sub-batch per peer. A sub-batch answer
+/// that is neither a `200` nor a `5xx` (a node's `413` for a sub-batch
+/// past the response cap) is relayed verbatim, as a node would answer
+/// the whole batch. `Err` is the detail of the router's `502`.
 fn forward_batch(r: &Router, queries: &[Query]) -> Result<Response, String> {
     let table = r.table();
-    let mut groups: BTreeMap<Vec<usize>, (Vec<usize>, String)> = BTreeMap::new();
+    let mut groups: BTreeMap<&[usize], (Vec<usize>, String)> = BTreeMap::new();
     for (i, q) in queries.iter().enumerate() {
         let (indices, body) = groups
-            .entry(table.candidates_for(q.routing_vertex()))
+            .entry(table.replicas(q.routing_vertex()))
             .or_default();
         indices.push(i);
         body.push_str(&format!("{q}\n"));
     }
-    let outcomes: Vec<Attempt<String, String>> = std::thread::scope(|s| {
-        let table = &table;
+    let outcomes: Vec<Attempt<String, Reply>> = std::thread::scope(|s| {
         let handles: Vec<_> = groups
             .iter()
             .map(|(replicas, (indices, body))| {
                 // one answer line per query, or the reply is torn
-                let judge =
-                    move |peer: &Peer, status, resp: String| match (status, resp.lines().count()) {
-                        (200, n) if n == indices.len() => Attempt::Done(resp),
-                        (200, n) => Attempt::Transport(format!(
+                let judge = move |peer: &Peer, reply: Reply| {
+                    if reply.0 != 200 {
+                        return Attempt::Final(reply);
+                    }
+                    let resp = String::from_utf8_lossy(&reply.2).into_owned();
+                    match resp.lines().count() {
+                        n if n == indices.len() => Attempt::Done(resp),
+                        n => Attempt::Transport(format!(
                             "peer {}: /batch returned {n} lines for {} queries",
                             peer.addr,
                             indices.len()
                         )),
-                        _ => Attempt::Final(format!(
-                            "peer {}: /batch answered {status}: {}",
-                            peer.addr,
-                            resp.trim()
-                        )),
-                    };
+                    }
+                };
                 let post = Method::Post(body.as_bytes());
-                s.spawn(move || r.try_replicas(table, replicas, post, "/batch", judge))
+                let peers = &table.peers;
+                s.spawn(move || peers.ask(replicas, post, "/batch", judge))
             })
             .collect();
         handles
@@ -768,7 +679,7 @@ fn forward_batch(r: &Router, queries: &[Query]) -> Result<Response, String> {
                     table.addr_list()
                 ))
             }
-            Attempt::Final(detail) => return Err(detail.clone()),
+            Attempt::Final((status, _, body)) => return Ok((*status, TEXT, body.clone())),
         }
     }
     if lines.iter().map(|l| l.len() + 1).sum::<usize>() > MAX_BATCH_RESPONSE {

@@ -1480,8 +1480,13 @@ mod tests {
             // the asking side of the other node: shard 0 lives at `addr`
             let peer = crate::PeerSpec::parse(&format!("0..1={addr}")).unwrap();
             let timeout = crate::cluster::DEFAULT_PEER_TIMEOUT;
-            let remote = crate::cluster::RemoteShards::new(&[peer], 1..2, 2, n, timeout).unwrap();
-            let rows = remote.rows(remote.replicas(0), &asked).unwrap();
+            let set = engine.shard_set();
+            let shards: Vec<_> = (0..2).filter_map(|i| set.shard_vertices(i)).collect();
+            let remote =
+                crate::cluster::RemoteShards::new(&[peer], 1..2, &shards, timeout).unwrap();
+            let rows = remote
+                .rows(remote.table.replicas(asked[0]), &asked)
+                .unwrap();
             let want: Vec<Vec<u64>> = asked.iter().map(|&v| c.neighbors(v)).collect();
             assert_eq!(crate::cluster::tests::decoded(&rows), want);
 

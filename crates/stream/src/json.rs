@@ -58,6 +58,28 @@ impl Json {
         self.get(key).ok_or_else(|| format!("missing key {key:?}"))
     }
 
+    /// The integer under `key`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the key when it is missing or not a `u64`.
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.req(key)?
+            .as_u64()
+            .ok_or_else(|| format!("{key} is not an integer"))
+    }
+
+    /// The integer under `key`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the key when it is missing or not a `u128`.
+    pub fn req_u128(&self, key: &str) -> Result<u128, String> {
+        self.req(key)?
+            .as_u128()
+            .ok_or_else(|| format!("{key} is not an integer"))
+    }
+
     /// The value as u128 (integer tokens only).
     pub fn as_u128(&self) -> Option<u128> {
         match self {
@@ -340,6 +362,10 @@ mod tests {
         let doc = Json::obj(vec![("n", Json::num(big))]);
         let parsed = Json::parse(&doc.to_string()).unwrap();
         assert_eq!(parsed.req("n").unwrap().as_u128(), Some(big));
+        assert_eq!(parsed.req_u128("n"), Ok(big));
+        // the refusals every manifest, run.json and /shards reader gives
+        assert_eq!(parsed.req_u64("n"), Err("n is not an integer".into()));
+        assert_eq!(parsed.req_u128("m"), Err("missing key \"m\"".into()));
     }
 
     #[test]

@@ -318,16 +318,6 @@ impl ShardManifest {
     ///
     /// A message naming the missing or mistyped key.
     pub fn from_json(j: &Json) -> Result<Self, String> {
-        let u128of = |key: &str| -> Result<u128, String> {
-            j.req(key)?
-                .as_u128()
-                .ok_or_else(|| format!("{key} is not an integer"))
-        };
-        let u64of = |key: &str| -> Result<u64, String> {
-            j.req(key)?
-                .as_u64()
-                .ok_or_else(|| format!("{key} is not an integer"))
-        };
         let format =
             OutputFormat::parse(j.req("format")?.as_str().ok_or("format is not a string")?)?;
         // `version` arrived with csr2; manifests written before it are
@@ -353,21 +343,21 @@ impl ShardManifest {
                 .ok_or("shard is not an integer")?,
             rows: {
                 let u32of = |key: &str| -> Result<u32, String> {
-                    u32::try_from(u64of(key)?).map_err(|_| format!("{key} exceeds u32"))
+                    u32::try_from(j.req_u64(key)?).map_err(|_| format!("{key} exceeds u32"))
                 };
                 u32of("row_lo")?..u32of("row_hi")?
             },
-            vertices: u64of("vertex_lo")?..u64of("vertex_hi")?,
+            vertices: j.req_u64("vertex_lo")?..j.req_u64("vertex_hi")?,
             format,
             file,
-            file_bytes: u64of("file_bytes")?,
-            entries: u128of("entries")?,
-            self_loops: u128of("self_loops")?,
-            degree_sum: u128of("degree_sum")?,
-            triangle_sum: u128of("triangle_sum")?,
+            file_bytes: j.req_u64("file_bytes")?,
+            entries: j.req_u128("entries")?,
+            self_loops: j.req_u128("self_loops")?,
+            degree_sum: j.req_u128("degree_sum")?,
+            triangle_sum: j.req_u128("triangle_sum")?,
             hash: StreamHash {
-                sum: u64of("hash_sum")?,
-                xor: u64of("hash_xor")?,
+                sum: j.req_u64("hash_sum")?,
+                xor: j.req_u64("hash_xor")?,
             },
         })
     }
@@ -435,28 +425,17 @@ impl RunSummary {
         if j.req("magic")?.as_str() != Some("kron-stream-run") {
             return Err("not a kron-stream run.json".into());
         }
-        let u64of = |key: &str| -> Result<u64, String> {
-            j.req(key)?
-                .as_u64()
-                .ok_or_else(|| format!("{key} is not an integer"))
-        };
         Ok(RunSummary {
-            shards: u64of("shards")? as usize,
+            shards: j.req_u64("shards")? as usize,
             format: OutputFormat::parse(
                 j.req("format")?.as_str().ok_or("format is not a string")?,
             )?,
-            n_a: u64of("n_a")?,
-            n_b: u64of("n_b")?,
-            nnz_a: u64of("nnz_a")?,
-            nnz_b: u64of("nnz_b")?,
-            total_entries: j
-                .req("total_entries")?
-                .as_u128()
-                .ok_or("total_entries is not an integer")?,
-            total_triangle_sum: j
-                .req("total_triangle_sum")?
-                .as_u128()
-                .ok_or("total_triangle_sum is not an integer")?,
+            n_a: j.req_u64("n_a")?,
+            n_b: j.req_u64("n_b")?,
+            nnz_a: j.req_u64("nnz_a")?,
+            nnz_b: j.req_u64("nnz_b")?,
+            total_entries: j.req_u128("total_entries")?,
+            total_triangle_sum: j.req_u128("total_triangle_sum")?,
             factor_a: j
                 .req("factor_a")?
                 .as_str()
@@ -467,12 +446,12 @@ impl RunSummary {
                 .as_str()
                 .ok_or("factor_b is not a string")?
                 .to_string(),
-            threads: u64of("threads")? as usize,
+            threads: j.req_u64("threads")? as usize,
             elapsed_secs: j
                 .req("elapsed_secs")?
                 .as_f64()
                 .ok_or("elapsed_secs is not a number")?,
-            resumed_shards: u64of("resumed_shards")? as usize,
+            resumed_shards: j.req_u64("resumed_shards")? as usize,
         })
     }
 }

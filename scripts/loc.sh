@@ -16,6 +16,10 @@ if [ ${#crates[@]} -eq 0 ]; then
         crates+=("${c%/src}")
     done
 fi
+# A misspelt name would count as 0 lines; refuse it before any output.
+for c in "${crates[@]}"; do
+    [ -d "crates/$c/src" ] || { echo "loc.sh: no crate named $c (no crates/$c/src)" >&2; exit 1; }
+done
 
 # Sum of the per-file counts of the files named.
 count() {

@@ -9,6 +9,7 @@
 //! node, the one that served the corrupt bytes to a client.
 
 use kron::KronProduct;
+use kron_gen::deterministic::star;
 use kron_serve::http::{encode_query_component, Client};
 use kron_serve::{OpenOptions, PeerSpec, Router, ServeEngine, Server, ServerOptions};
 use kron_stream::json::Json;
@@ -573,5 +574,73 @@ fn triangle_answers_and_checks_are_the_single_nodes_on_every_split() {
             "{claims:?}: {wedges} wedge exchanges"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch whose answer passes the 64 MiB response cap on one node —
+/// `neighbors` of a 9,801-entry hub, asked over and over — gets the
+/// single node's exact `413` through the router too: the node's refusal
+/// of its sub-batch is relayed verbatim, and it is no forward error.
+#[test]
+fn router_relays_a_nodes_batch_refusal_verbatim() {
+    let dir = tmpdir("batch_413");
+    let c = KronProduct::new(star(100), star(100));
+    let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+    cfg.shards = 2;
+    stream_product(&c, &cfg).unwrap();
+    // `neighbors 0 = ` and each column with its separator
+    let hub_line: usize = 14
+        + c.neighbors(0)
+            .iter()
+            .map(|u| u.to_string().len() + 1)
+            .sum::<usize>();
+    let lines = 64 * 1024 * 1024 / hub_line + 2;
+    let batch = "neighbors 0\n".repeat(lines);
+
+    let single_srv = Server::bind("127.0.0.1:0").unwrap();
+    let node0_srv = Server::bind("127.0.0.1:0").unwrap();
+    let node1_srv = Server::bind("127.0.0.1:0").unwrap();
+    let front = Server::bind("127.0.0.1:0").unwrap();
+    let addr = |s: &Server| s.local_addr().unwrap().to_string();
+    let (addr0, addr1) = (addr(&node0_srv), addr(&node1_srv));
+    let single = ServeEngine::open(&dir).unwrap();
+    let node = |own, peer: String| {
+        let opts = OpenOptions {
+            shard_subset: Some(own),
+            peers: vec![PeerSpec::parse(&peer).unwrap()],
+            ..OpenOptions::default()
+        };
+        ServeEngine::open_with(&dir, &opts).unwrap()
+    };
+    let node0 = node(0..1, format!("1..2={addr1}"));
+    let node1 = node(1..2, format!("0..1={addr0}"));
+
+    let stop = AtomicBool::new(false);
+    let opts = ServerOptions::default();
+    let router_rep = std::thread::scope(|s| {
+        s.spawn(|| single_srv.run(&single, &opts, &stop).unwrap());
+        s.spawn(|| node0_srv.run(&node0, &opts, &stop).unwrap());
+        s.spawn(|| node1_srv.run(&node1, &opts, &stop).unwrap());
+        let router =
+            Router::discover(&[addr0.clone(), addr1.clone()], Duration::from_secs(30)).unwrap();
+        let (stop_ref, opts_ref, front_ref) = (&stop, &opts, &front);
+        let h_router = s.spawn(move || router.run(front_ref, opts_ref, stop_ref).unwrap());
+        let _guard = StopOnDrop(&stop);
+
+        let want = Client::connect(addr(&single_srv))
+            .unwrap()
+            .post("/batch", batch.as_bytes())
+            .unwrap();
+        assert_eq!(want.0, 413, "{} bytes", want.1.len());
+        let got = Client::connect(addr(&front))
+            .unwrap()
+            .post("/batch", batch.as_bytes())
+            .unwrap();
+        assert!(got == want, "{} {}", got.0, &got.1[..got.1.len().min(200)]);
+
+        stop.store(true, Ordering::SeqCst);
+        h_router.join().unwrap()
+    });
+    assert_eq!(router_rep.forward_errors, 0, "{router_rep}");
     std::fs::remove_dir_all(&dir).ok();
 }
