@@ -19,8 +19,13 @@
 //! each behind its own `RwLock`, and the hit path takes only the *shared*
 //! lock — recency is tracked by a relaxed atomic stamp per entry, so
 //! concurrent batch workers never serialize on hits. Eviction happens on
-//! insert (a miss), scanning the stripe for the minimum stamp: stripes
-//! are small, and at a high hit rate inserts are rare.
+//! insert (a miss), from a lazy min-heap of `(stamp, key)` nodes beside
+//! the stripe's map: a node whose entry is gone is dropped, one whose
+//! entry was touched since is pushed again at its new stamp, and the
+//! first node still current names the least recently touched row. So
+//! the LRU order is exact (up to hits racing on one entry, whose stamps
+//! may land in either order), hits never touch the heap, and an eviction
+//! costs a few heap steps rather than a scan of the stripe.
 //!
 //! [`RoutingStats`] rides along: per-shard row-fetch counters plus cache
 //! hit/miss totals, cheap relaxed atomics the engine bumps on every fetch.
@@ -28,13 +33,18 @@
 //! from the rest — the signal a multi-node tier would use to replicate or
 //! split that shard.
 
-use kron_stream::mix;
-use std::collections::HashMap;
+use kron_stream::{mix, SeededMix};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Number of independently locked stripes.
 const STRIPES: usize = 16;
+
+/// Stale heap nodes a stripe tolerates beyond twice its entries before
+/// it rebuilds the heap from the map.
+const HEAP_SLACK: usize = 16;
 
 /// The budget charge for one cached row: its decoded payload, with a
 /// floor of one word so empty rows still count against the budget.
@@ -50,15 +60,22 @@ struct Entry {
 }
 
 struct Stripe {
-    map: HashMap<u64, Entry>,
+    /// Hashed `mix(key ^ seed)`: `stripe` takes its bits from `mix(key)`,
+    /// and the seed is drawn per cache, so clients cannot aim keys at
+    /// one bucket.
+    map: HashMap<u64, Entry, SeededMix>,
+    /// `(stamp when pushed, key)`, least first. Every resident key has a
+    /// node no later than its entry's stamp; nodes of evicted or
+    /// replaced entries linger until popped or rebuilt away.
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
     /// Maximum resident row **bytes** in this stripe.
     cap: u64,
     /// Resident row bytes (sum of [`row_cost`] over the map).
     bytes: u64,
     /// Monotone touch counter, *per stripe* so concurrent hits on
-    /// different stripes never share a contended cache line (relaxed;
-    /// exact ordering between racing touches does not matter for an
-    /// eviction heuristic, and eviction only compares within a stripe).
+    /// different stripes never share a contended cache line (relaxed:
+    /// eviction only compares stamps within a stripe, under its write
+    /// lock, and the order of two racing touches does not matter).
     clock: AtomicU64,
 }
 
@@ -91,11 +108,13 @@ impl RowCache {
     /// nothing at all).
     pub fn new(budget_bytes: u64) -> RowCache {
         let per_stripe = budget_bytes / STRIPES as u64;
+        let seed = SeededMix::random();
         RowCache {
             stripes: (0..STRIPES)
                 .map(|_| {
                     RwLock::new(Stripe {
-                        map: HashMap::new(),
+                        map: HashMap::with_hasher(seed),
+                        heap: BinaryHeap::new(),
                         cap: per_stripe,
                         bytes: 0,
                         clock: AtomicU64::new(0),
@@ -150,7 +169,8 @@ impl RowCache {
     /// rows of its stripe until the new row's bytes fit the stripe's
     /// budget. A row too large for the whole stripe is dropped rather
     /// than blowing the bound (any stale copy under the same key is
-    /// still removed).
+    /// still removed). Each eviction pops the stripe's heap until a node
+    /// is current, re-pushing the nodes of entries touched since.
     pub fn insert(&self, v: u64, row: Arc<[u64]>) {
         let cost = row_cost(&row);
         let mut s = self.stripe(v).write().unwrap();
@@ -161,27 +181,19 @@ impl RowCache {
         if cost > s.cap {
             return;
         }
-        // Evict the stripe's oldest entries until the budget holds. The
-        // stripe is small, and inserts only happen on misses, so the
-        // linear min-stamp scans are off the hit path entirely.
         while s.bytes + cost > s.cap {
-            // A plain loop rather than `min_by_key`: the iterator form ran
-            // as fast as LLVM's choice to inline hashbrown's `fold` here,
-            // and an unrelated edit elsewhere in the crate flipped that
-            // choice (~13% of `tri_batch` throughput on a 2-core x86-64
-            // VM).
-            let mut oldest = None;
-            let mut oldest_stamp = u64::MAX;
-            for (&k, e) in &s.map {
-                let stamp = e.stamp.load(Ordering::Relaxed);
-                if oldest.is_none() || stamp < oldest_stamp {
-                    (oldest, oldest_stamp) = (Some(k), stamp);
-                }
-            }
-            let Some(oldest) = oldest else {
+            let Some(Reverse((pushed, k))) = s.heap.pop() else {
                 break;
             };
-            let evicted = s.map.remove(&oldest).expect("key came from the map");
+            let Some(entry) = s.map.get(&k) else {
+                continue;
+            };
+            let now = entry.stamp.load(Ordering::Relaxed);
+            if now != pushed {
+                s.heap.push(Reverse((now, k)));
+                continue;
+            }
+            let evicted = s.map.remove(&k).expect("key came from the map");
             s.bytes -= row_cost(&evicted.row);
         }
         s.bytes += cost;
@@ -192,6 +204,14 @@ impl RowCache {
                 stamp: AtomicU64::new(stamp),
             },
         );
+        s.heap.push(Reverse((stamp, v)));
+        if s.heap.len() > 2 * s.map.len() + HEAP_SLACK {
+            s.heap = s
+                .map
+                .iter()
+                .map(|(&k, e)| Reverse((e.stamp.load(Ordering::Relaxed), k)))
+                .collect();
+        }
     }
 }
 
@@ -337,6 +357,7 @@ impl std::fmt::Display for RoutingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn row(vals: &[u64]) -> Arc<[u64]> {
         vals.to_vec().into()
@@ -387,6 +408,80 @@ mod tests {
         c.insert(cc, row(&[3]));
         assert!(c.get(a).is_some(), "refreshed row must survive");
         assert!(c.get(b).is_none(), "unrefreshed row is evicted");
+    }
+
+    /// The keys resident in `k`'s stripe, read without touching a stamp.
+    fn resident(c: &RowCache, k: u64) -> BTreeSet<u64> {
+        c.stripe(k).read().unwrap().map.keys().copied().collect()
+    }
+
+    #[test]
+    fn one_stripe_matches_an_exact_lru_model() {
+        const CAP: u64 = 64; // bytes per stripe: up to 8 one-word rows
+        let keys = same_stripe_keys(12);
+        let c = RowCache::new(CAP * STRIPES as u64);
+        // (key, cost), least recently used first
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let mut draws = 0u64;
+        let mut draw = |n: u64| {
+            draws += 1;
+            mix(draws) % n
+        };
+        for step in 0..20_000 {
+            let k = keys[draw(keys.len() as u64) as usize];
+            let at = model.iter().position(|&(m, _)| m == k);
+            if draw(2) == 0 {
+                assert_eq!(c.get(k).is_some(), at.is_some(), "step {step}: get {k}");
+                if let Some(i) = at {
+                    let touched = model.remove(i);
+                    model.push(touched);
+                }
+            } else {
+                // up to 9 words: a row over the stripe's 8 is dropped
+                let len = draw(10);
+                c.insert(k, (0..len).collect::<Vec<u64>>().into());
+                if let Some(i) = at {
+                    model.remove(i);
+                }
+                let cost = len.max(1) * 8;
+                if cost <= CAP {
+                    while model.iter().map(|&(_, b)| b).sum::<u64>() + cost > CAP {
+                        model.remove(0);
+                    }
+                    model.push((k, cost));
+                }
+            }
+            let expect: BTreeSet<u64> = model.iter().map(|&(m, _)| m).collect();
+            assert_eq!(resident(&c, k), expect, "step {step}");
+            assert!(c.bytes() <= c.capacity());
+        }
+    }
+
+    #[test]
+    fn refreshing_inserts_keep_the_heap_within_its_rebuild_bound() {
+        let keys = same_stripe_keys(4);
+        let c = RowCache::new(64 * 1024); // room for every row: no eviction
+        let mut most = 0;
+        for i in 0..5_000u64 {
+            let k = keys[(i % 4) as usize];
+            c.insert(k, row(&[i]));
+            assert!(c.get(k).is_some());
+            let s = c.stripe(k).read().unwrap();
+            assert!(s.heap.len() <= 2 * s.map.len() + HEAP_SLACK);
+            most = most.max(s.heap.len());
+        }
+        assert_eq!(resident(&c, keys[0]).len(), 4);
+        assert!(most > 4, "re-inserts leave stale nodes until a rebuild");
+    }
+
+    #[test]
+    fn one_stripes_keys_spread_over_the_map_hash() {
+        use std::hash::BuildHasher;
+        let c = RowCache::new(1024);
+        let keys = same_stripe_keys(64);
+        let hasher = *c.stripe(keys[0]).read().unwrap().map.hasher();
+        let low: BTreeSet<u64> = keys.iter().map(|&k| hasher.hash_one(k) % 16).collect();
+        assert!(low.len() > 1, "the map hash reuses the stripe's bits");
     }
 
     #[test]

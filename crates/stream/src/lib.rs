@@ -76,7 +76,8 @@ pub use driver::{
     FACTOR_B_FILE, RUN_FILE,
 };
 pub use manifest::{
-    manifest_name, mix, read_json, OutputFormat, RunSummary, ShardManifest, SplitMix, StreamHash,
+    manifest_name, mix, read_json, OutputFormat, RunSummary, SeededMix, ShardManifest, SplitMix,
+    StreamHash,
 };
 pub use open::{OpenShard, ShardSet};
 pub use plan::{ShardPlan, ShardSpec, MAX_SHARDS};

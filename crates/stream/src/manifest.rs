@@ -3,7 +3,7 @@
 
 use crate::json::Json;
 use kron::RowBlockStats;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::io;
 use std::path::Path;
 
@@ -194,6 +194,29 @@ pub fn mix(x: u64) -> u64 {
 /// use it only for ids read off an artifact or bounded by the vertex
 /// count, never for request strings.
 pub type SplitMix = BuildHasherDefault<MixHasher>;
+
+/// [`SplitMix`] keyed by a seed: a `u64` key hashes to `mix(seed ^ key)`.
+/// For maps whose keys a client picks: [`SeededMix::random`] draws the
+/// seed per map, so no key set chosen in advance collides in every map.
+#[derive(Clone, Copy, Debug)]
+pub struct SeededMix(u64);
+
+impl SeededMix {
+    /// A random nonzero seed (from the standard library's per-process
+    /// hash keys), so the hash is never the unseeded `mix(key)`.
+    pub fn random() -> SeededMix {
+        SeededMix(std::collections::hash_map::RandomState::new().hash_one(0u64) | 1)
+    }
+}
+
+impl BuildHasher for SeededMix {
+    type Hasher = MixHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> MixHasher {
+        MixHasher(self.0)
+    }
+}
 
 /// The [`Hasher`] of [`SplitMix`]: folds each `u64` written through
 /// [`mix`].

@@ -10,6 +10,13 @@
 //! never uses a self loop) and report the comparisons the merge made,
 //! which §VI calls wedge checks.
 //!
+//! The merge skips ahead: where one row's head is below the other's, it
+//! passes every entry still below, four at a time, instead of one per
+//! comparison. It reports the comparisons the one-step merge would have
+//! made, `p + q − matches` at the end, so every wedge-check figure of
+//! §VI reads the same as it did before the skip. Kronecker rows are runs
+//! with long gaps between them, and the gaps are what the skip passes.
+//!
 //! Rows must be sorted ascending under the comparison used — exactly
 //! what `kron_stream::CsrMap` hands out (its writer refuses anything
 //! else, and `verify-shards` re-checks) for every shard row, in either
@@ -25,28 +32,49 @@ pub fn contains_sorted(row: &[u64], v: u64) -> bool {
 
 /// Merge two rows sorted ascending under `cmp`, calling `common(i, j)`
 /// for every pair `a[i]`, `b[j]` that compares equal. Returns the number
-/// of comparisons made — the wedge checks of §VI.
+/// of comparisons the one-step merge makes — the wedge checks of §VI.
+///
+/// A step that finds `a[p]` below `b[q]` does not stop at `p + 1`: it
+/// skips every `a[p]` still below `b[q]`, four at a time while `a[p + 3]`
+/// is below, then one at a time (and likewise for `q`). Those are states
+/// the one-step merge passes through, and it ends in the same one, so
+/// its count is `p + q − matches`: each of its comparisons advances `p`
+/// or `q` by one, or both on a match. The time goes where a Kronecker
+/// row has it — long skips between runs — and §VI's figures are the
+/// one-step merge's, unchanged.
 #[inline]
 pub fn merge_by<T, C, F>(a: &[T], b: &[T], mut cmp: C, mut common: F) -> u64
 where
     C: FnMut(&T, &T) -> Ordering,
     F: FnMut(usize, usize),
 {
-    let (mut p, mut q) = (0, 0);
-    let mut checks = 0u64;
+    let (mut p, mut q, mut matches) = (0, 0, 0);
     while p < a.len() && q < b.len() {
-        checks += 1;
         match cmp(&a[p], &b[q]) {
-            Ordering::Less => p += 1,
-            Ordering::Greater => q += 1,
+            Ordering::Less => p = skip_while(a, p + 1, |x| cmp(x, &b[q]) == Ordering::Less),
+            Ordering::Greater => q = skip_while(b, q + 1, |y| cmp(&a[p], y) == Ordering::Greater),
             Ordering::Equal => {
                 common(p, q);
                 p += 1;
                 q += 1;
+                matches += 1;
             }
         }
     }
-    checks
+    (p + q - matches) as u64
+}
+
+/// The first index at or after `i` whose element is not `below`, for a
+/// `row` whose `below` elements form a prefix: four at a time, then one.
+#[inline(always)]
+fn skip_while<T>(row: &[T], mut i: usize, mut below: impl FnMut(&T) -> bool) -> usize {
+    while i + 3 < row.len() && below(&row[i + 3]) {
+        i += 4;
+    }
+    while i < row.len() && below(&row[i]) {
+        i += 1;
+    }
+    i
 }
 
 /// Intersect two sorted rows, counting common values with `ex0` and `ex1`
@@ -152,6 +180,109 @@ mod tests {
             }
         }
         (count, checks)
+    }
+
+    /// The merge [`merge_by`] ran before it skipped ahead: one comparison
+    /// per step. The reference for its `common` calls and its count.
+    fn one_step_merge<T>(
+        a: &[T],
+        b: &[T],
+        mut cmp: impl FnMut(&T, &T) -> Ordering,
+        mut common: impl FnMut(usize, usize),
+    ) -> u64 {
+        let (mut p, mut q, mut checks) = (0, 0, 0);
+        while p < a.len() && q < b.len() {
+            checks += 1;
+            match cmp(&a[p], &b[q]) {
+                Ordering::Less => p += 1,
+                Ordering::Greater => q += 1,
+                Ordering::Equal => {
+                    common(p, q);
+                    p += 1;
+                    q += 1;
+                }
+            }
+        }
+        checks
+    }
+
+    /// `merge_by` and the one-step merge agree on `a`, `b` under `cmp`:
+    /// the same `common` calls in the same order, and the same count.
+    fn assert_same_merge<T: std::fmt::Debug>(a: &[T], b: &[T], cmp: impl Fn(&T, &T) -> Ordering) {
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let checks = one_step_merge(a, b, &cmp, |i, j| want.push((i, j)));
+        let skipped = merge_by(a, b, &cmp, |i, j| got.push((i, j)));
+        assert_eq!((got, skipped), (want, checks), "{a:?} ∩ {b:?}");
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let checks = one_step_merge(b, a, &cmp, |i, j| want.push((i, j)));
+        let skipped = merge_by(b, a, &cmp, |i, j| got.push((i, j)));
+        assert_eq!((got, skipped), (want, checks), "{b:?} ∩ {a:?}");
+    }
+
+    #[test]
+    fn skipping_merge_matches_the_one_step_merge() {
+        use rand::prelude::*;
+        use std::collections::BTreeSet;
+        let mut rng = StdRng::seed_from_u64(50);
+        // sparse and dense random rows: dense ones skip runs longer than 4
+        let random = |rng: &mut StdRng| -> Vec<u64> {
+            let (len, range) = (rng.gen_range(0..80), rng.gen_range(1..400));
+            let set: BTreeSet<u64> = (0..len).map(|_| rng.gen_range(0..range)).collect();
+            set.into_iter().collect()
+        };
+        // a row of A ⊗ B: one run of B's row per entry of A's, with long
+        // skips between runs
+        let kron = |rng: &mut StdRng| -> Vec<u64> {
+            let nb = 40;
+            let (ra, rb) = (random(rng), random(rng));
+            let rb: Vec<u64> = rb.into_iter().filter(|&l| l < nb).collect();
+            ra.iter()
+                .take(12)
+                .flat_map(|&j| rb.iter().map(move |&l| j * nb + l))
+                .collect()
+        };
+        let mut pairs = vec![
+            (vec![], vec![]),
+            (vec![], vec![1, 2, 3]),
+            (vec![1, 5, 9], vec![2, 5, 9]),
+            (vec![1, 2, 3], vec![1, 2, 3, 4, 5, 6, 7]),
+            ((0..20).collect(), vec![3, 19]),
+            ((0..20).collect(), (10..11).collect()),
+            ((0..9).collect(), (100..130).collect()),
+        ];
+        for _ in 0..400 {
+            pairs.push((random(&mut rng), random(&mut rng)));
+            pairs.push((kron(&mut rng), kron(&mut rng)));
+            let k = kron(&mut rng);
+            let cut = rng.gen_range(0..=k.len());
+            pairs.push((k[..cut].to_vec(), k));
+        }
+        // a non-natural order: a random rank of every value
+        let mut rank: Vec<u64> = (0..20_000).collect();
+        rank.shuffle(&mut rng);
+        let by_rank = |x: &u64, y: &u64| rank[*x as usize].cmp(&rank[*y as usize]);
+        for (a, b) in &pairs {
+            assert_same_merge(a, b, u64::cmp);
+            let (mut a, mut b) = (a.clone(), b.clone());
+            a.sort_by(by_rank);
+            b.sort_by(by_rank);
+            assert_same_merge(&a, &b, by_rank);
+        }
+        // the degree order the in-memory counters merge in
+        for _ in 0..10 {
+            let n = rng.gen_range(10..60);
+            let edges: Vec<(u32, u32)> = (0..n as u32)
+                .flat_map(|i| (i..n as u32).map(move |j| (i, j)))
+                .filter(|_| rng.gen_bool(0.4))
+                .collect();
+            let dag = crate::count::build_dag(&Graph::from_edges(n, edges));
+            for u in 0..n as u32 {
+                let ou = dag.out(u);
+                for (i, &v) in ou.iter().enumerate() {
+                    assert_same_merge(&ou[i + 1..], dag.out(v), dag.by_rank());
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,6 +61,11 @@ first() { echo "$stats" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2; }
 queries=$(first queries); checked=$(first sampled_checks)
 [ "$queries" -eq 5 ] && [ "$checked" -eq "$queries" ] \
     || { echo "sampled_checks $checked != queries $queries: $stats"; exit 1; }
+# §VI's accounting end to end: tri_vertex 57 costs 1411 wedge checks
+# and tri_edge 57 58 (no edge) none; the count is the one-step merge's
+# comparisons, however the merge skips ahead
+wedges=$(first wedge_checks)
+[ "$wedges" -eq 1411 ] || { echo "wedge_checks $wedges != 1411: $stats"; exit 1; }
 # malformed queries are 400s, not crashes
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/query?q=frobnicate")
 [ "$code" = 400 ]
