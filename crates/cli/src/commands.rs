@@ -49,10 +49,10 @@ USAGE:
       same queries, same checksums, roughly 4x smaller artifacts than
       csr's raw u64 columns; count writes manifests only
   kron compact <DIR>
-      convert a --format csr run directory to csr2 in place: every
-      shard is re-encoded (atomically, manifest checksums preserved
-      verbatim), the v1 artifacts are deleted, and run.json flips to
-      csr2 last. Idempotent — re-running resumes a crashed conversion
+      make a --format csr run directory csr2 in place: re-stream it from
+      its own factor copies on every core, keeping the shards already
+      csr2 (as stream --resume does) and writing run.json last. Rerun it
+      to finish an interrupted compaction, which nothing else opens
   kron analyze <DIR> --kernel bfs|cc|pagerank|tri-census [--source V]
                [--depth K] [--tol T] [--iters N] [--top K] [--threads T]
                [--no-validate]
@@ -410,7 +410,7 @@ fn cross_check_verdict(engine: &ServeEngine) -> Result<(), String> {
         eprintln!(
             "cross-check: 0 mismatches in {} checked answers \
              (artifact agrees with the closed-form oracle)",
-            engine.sampled_checks(),
+            engine.checked(),
         );
         return Ok(());
     }

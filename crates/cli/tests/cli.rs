@@ -982,7 +982,7 @@ fn serve_listen_answers_and_exits_zero_on_clean_sigterm() {
     assert_eq!(status, 200);
     assert!(body.contains("\"mismatch_count\":0"), "{body}");
     assert!(body.contains("\"source\":\"cross-check\""), "{body}");
-    assert!(body.contains("\"sampled_checks\":4"), "{body}");
+    assert!(body.contains("\"checked\":4"), "{body}");
     drop(client);
 
     let out = server.terminate();

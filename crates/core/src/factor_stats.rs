@@ -2,9 +2,10 @@
 //!
 //! The general (both-factors-loopy) formulas of §III-B/§III-C combine, per
 //! factor `X`, four per-vertex terms and the slot-aligned `X ∘ X²`. All of
-//! them come from one pass over the factor's adjacency: each stored entry
-//! `(i, j)` is intersected once, by the `kron_triangles::slice` merge
-//! kernel, and `diag(X³)` is the row sum of those intersections. No matrix
+//! them come from one pass over the factor's adjacency: each stored pair
+//! `{i, j}` is intersected once, by the `kron_triangles::slice` merge
+//! kernel, and the count fills both slots `(i, j)` and `(j, i)`;
+//! `diag(X³)` is the row sum of those intersections. No matrix
 //! product is ever formed on the factors here (the `kron-sparse`
 //! evaluation of the same quantities is kept as a test oracle in
 //! `kron-triangles::matrix_oracle`).
@@ -43,18 +44,38 @@ pub(crate) struct FactorTerms {
 impl FactorTerms {
     pub fn compute(g: &Graph) -> Self {
         let n = g.num_vertices() as u32;
-        let had2: Vec<u64> = (0..n)
+        let offsets = g.offsets();
+        // `|row(i) ∩ row(j)|` is symmetric: merge each stored pair once,
+        // for the entries `j ≥ i` of each row, in slot order…
+        let upper: Vec<u64> = (0..n)
             .into_par_iter()
             .flat_map_iter(|i| {
                 let ri = g.adj_row(i);
-                ri.iter().map(move |&j| {
+                ri[ri.partition_point(|&j| j < i)..].iter().map(move |&j| {
                     let mut common = 0;
                     merge_by(ri, g.adj_row(j), u32::cmp, |_, _| common += 1);
                     common
                 })
             })
             .collect();
-        let offsets = g.offsets();
+        // …and mirror each into slot `(j, i)`. Row `j`'s entries below `j`
+        // are exactly the `i < j` met here, in ascending order, so a
+        // cursor per row finds their slots.
+        let mut had2 = vec![0; g.neighbor_array().len()];
+        let mut below = offsets[..n as usize].to_vec();
+        let mut counts = upper.into_iter();
+        for i in 0..n {
+            let ri = g.adj_row(i);
+            let diag = ri.partition_point(|&j| j < i);
+            for (k, &j) in ri.iter().enumerate().skip(diag) {
+                let common = counts.next().expect("one count per upper entry");
+                had2[offsets[i as usize] + k] = common;
+                if j != i {
+                    had2[below[j as usize]] = common;
+                    below[j as usize] += 1;
+                }
+            }
+        }
         let diag3 = (0..n as usize)
             .map(|i| had2[offsets[i]..offsets[i + 1]].iter().sum())
             .collect();
@@ -111,22 +132,56 @@ mod tests {
         }
     }
 
+    /// A random graph on 2..18 vertices: each pair an edge with
+    /// probability 0.4, each vertex looped with probability `loops`.
+    fn random_graph(rng: &mut rand::rngs::StdRng, loops: f64) -> Graph {
+        use rand::prelude::*;
+        let n = rng.gen_range(2..18);
+        let mut edges: Vec<(u32, u32)> = (0..n as u32)
+            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
+            .filter(|_| rng.gen_bool(0.4))
+            .collect();
+        for v in 0..n as u32 {
+            if rng.gen_bool(loops) {
+                edges.push((v, v));
+            }
+        }
+        Graph::from_edges(n, edges)
+    }
+
     #[test]
     fn matches_matrix_oracle_on_random_graphs() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(51);
         for _ in 0..12 {
-            let n = rng.gen_range(2..18);
-            let mut edges: Vec<(u32, u32)> = (0..n as u32)
-                .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
-                .filter(|_| rng.gen_bool(0.4))
-                .collect();
-            for v in 0..n as u32 {
-                if rng.gen_bool(0.4) {
-                    edges.push((v, v));
+            check(&random_graph(&mut rng, 0.4));
+        }
+    }
+
+    #[test]
+    fn each_pair_merged_once_fills_every_slot_as_a_merge_per_slot_does() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(52);
+        for loops in [0.0, 0.5, 1.0] {
+            for _ in 0..16 {
+                let g = random_graph(&mut rng, loops);
+                let per_slot: Vec<u64> = (0..g.num_vertices() as u32)
+                    .flat_map(|i| {
+                        let ri = g.adj_row(i);
+                        ri.iter().map(|&j| {
+                            let mut common = 0;
+                            merge_by(ri, g.adj_row(j), u32::cmp, |_, _| common += 1);
+                            common
+                        })
+                    })
+                    .collect();
+                let terms = FactorTerms::compute(&g);
+                assert_eq!(terms.had2, per_slot, "loops {loops}: {g:?}");
+                let offsets = g.offsets();
+                for (i, &d) in terms.diag3.iter().enumerate() {
+                    assert_eq!(d, per_slot[offsets[i]..offsets[i + 1]].iter().sum());
                 }
             }
-            check(&Graph::from_edges(n, edges));
         }
     }
 

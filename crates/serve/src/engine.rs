@@ -390,7 +390,7 @@ impl ServeEngine {
     /// Answers checked against the closed forms so far: under
     /// [`AnswerSource::CrossCheck`], the point queries answered plus the
     /// paths certified; 0 under any other source.
-    pub fn sampled_checks(&self) -> u64 {
+    pub fn checked(&self) -> u64 {
         self.checked.load(Ordering::Relaxed)
     }
 

@@ -479,14 +479,14 @@ mod tests {
         let a = finder.shortest_path(0, 1, None).unwrap();
         assert!(a.path.is_some());
         assert_eq!(engine.mismatch_count(), 0, "clean artifact certifies clean");
-        assert_eq!(engine.sampled_checks(), 1, "one certified path");
+        assert_eq!(engine.checked(), 1, "one certified path");
 
         // A fabricated walk through same-left-coordinate pairs must be
         // flagged: (0,0)-(0,1) and (0,1)-(0,2) are both non-edges.
         let bad = engine.certify_path(0, 1, &[0, 1, 2]);
         assert_eq!(bad, 2, "0-1 and 1-2 are both non-edges");
         assert_eq!(engine.mismatch_count(), 2);
-        assert_eq!(engine.sampled_checks(), 2);
+        assert_eq!(engine.checked(), 2);
         let record = |edge: &str| crate::Mismatch {
             query: format!("path 0 1: edge {edge}"),
             artifact: "false".into(),
@@ -503,7 +503,7 @@ mod tests {
             .path
             .is_some());
         assert_eq!(artifact.certify_path(0, 1, &[0, 1, 2]), 0);
-        assert_eq!(artifact.sampled_checks(), 0);
+        assert_eq!(artifact.checked(), 0);
         assert_eq!(artifact.mismatch_count(), 0);
         drop(c);
     }

@@ -529,7 +529,7 @@ fn forward(state: &RouterState<'_>, req: &http::Request, endpoint: Endpoint) -> 
                 "queries",
                 "errors",
                 "bad_requests",
-                "sampled_checks",
+                "checked",
                 "mismatch_count",
                 "rows_served",
                 "wedges_served",

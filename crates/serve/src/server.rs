@@ -167,8 +167,8 @@ pub struct ServerReport {
     /// request, however many neighbours it asked about.
     pub wedges_served: u64,
     /// Answers checked against the closed forms (see
-    /// [`ServeEngine::sampled_checks`]).
-    pub sampled_checks: u64,
+    /// [`ServeEngine::checked`]).
+    pub checked: u64,
     /// Artifact/oracle disagreements recorded over the whole run.
     pub mismatches: u64,
     /// Analytics jobs submitted over `POST /jobs` (admitted, not
@@ -202,7 +202,7 @@ impl std::fmt::Display for ServerReport {
             self.rows_served,
             self.row_wire_bytes,
             self.wedges_served,
-            self.sampled_checks,
+            self.checked,
             self.mismatches,
             self.jobs_submitted,
             self.jobs_failed,
@@ -293,7 +293,7 @@ impl<'e> ServerState<'e> {
             rows_served: self.rows_served.load(Ordering::Relaxed),
             row_wire_bytes: self.row_wire_bytes.load(Ordering::Relaxed),
             wedges_served: self.wedges_served.load(Ordering::Relaxed),
-            sampled_checks: self.engine.sampled_checks(),
+            checked: self.engine.checked(),
             mismatches: self.engine.mismatch_count(),
             jobs_submitted: self.jobs.submitted(),
             jobs_failed: self.jobs.jobs_failed(),
@@ -355,7 +355,7 @@ impl<'e> ServerState<'e> {
                 "row_wire_bytes",
                 Json::num(self.row_wire_bytes.load(Ordering::Relaxed)),
             ),
-            ("sampled_checks", Json::num(self.engine.sampled_checks())),
+            ("checked", Json::num(self.engine.checked())),
             ("mismatch_count", Json::num(self.engine.mismatch_count())),
             ("connections", self.http.conns.to_json()),
             ("recent", window.to_json()),
@@ -1561,10 +1561,7 @@ mod tests {
             let (_, body) = client.get("/stats").unwrap();
             let doc = Json::parse(&body).unwrap();
             assert_eq!(doc.req("source").unwrap().as_str(), Some("cross-check"));
-            assert_eq!(
-                doc.req("sampled_checks").unwrap().as_u64(),
-                Some(c.num_vertices())
-            );
+            assert_eq!(doc.req("checked").unwrap().as_u64(), Some(c.num_vertices()));
             assert_eq!(doc.req("mismatch_count").unwrap().as_u64(), Some(0));
             stop.store(true, Ordering::SeqCst);
             run.join().unwrap().unwrap();

@@ -2,8 +2,8 @@
 //! artifacts + manifests, with resume support.
 
 use crate::manifest::{
-    manifest_name, read_json, write_json_atomic, OutputFormat, RunSummary, ShardManifest,
-    StreamHash,
+    manifest_name, read_json, write_atomic, write_json_atomic, OutputFormat, RunSummary,
+    ShardManifest, StreamHash,
 };
 use crate::open::{check_shard, Depth};
 use crate::plan::{ShardPlan, ShardSpec};
@@ -403,7 +403,12 @@ pub fn stream_product(
         .map_err(|e| StreamError::Io(e.to_string()))?;
     let (a, b) = product.factors();
     for (file, g) in [(FACTOR_A_FILE, a), (FACTOR_B_FILE, b)] {
-        kron_graph::write_edge_list_path(g, dir.join(file))
+        // Renamed into place: once a resume has deleted another format's
+        // artifacts, the factor copies are all the run can be regenerated
+        // from, and a write killed midway must not truncate them.
+        let mut text = Vec::new();
+        kron_graph::write_edge_list(g, &mut text)
+            .and_then(|()| write_atomic(dir, file, &text))
             .map_err(|e| StreamError::Io(format!("writing {file}: {e}")))?;
     }
 
@@ -499,6 +504,38 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, StreamError::Shard(1, _)), "{err}");
+    }
+
+    #[test]
+    fn factor_copies_are_renamed_into_place_never_truncated() {
+        let dir =
+            std::env::temp_dir().join(format!("kron_driver_test_{}_factors", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let a = kron_graph::Graph::from_edges(3, [(0, 1), (1, 2)]);
+        let b = kron_graph::Graph::from_edges(2, [(0, 1), (1, 1)]);
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr2);
+        cfg.shards = 2;
+        stream_product(&KronProduct::new(a.clone(), b.clone()), &cfg).unwrap();
+        let files = [FACTOR_A_FILE, FACTOR_B_FILE];
+        let old = files.map(|f| std::fs::read(dir.join(f)).unwrap());
+        let held = files.map(|f| std::fs::File::open(dir.join(f)).unwrap());
+        // the factors swap places, so both copies change
+        cfg.resume = true;
+        stream_product(&KronProduct::new(b, a), &cfg).unwrap();
+        for ((file, mut held), old) in files.into_iter().zip(held).zip(old) {
+            let mut seen = Vec::new();
+            std::io::Read::read_to_end(&mut held, &mut seen).unwrap();
+            assert_eq!(seen, old, "{file}: the old copy was written over");
+            assert_ne!(std::fs::read(dir.join(file)).unwrap(), old, "{file}");
+        }
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name();
+            assert!(
+                !name.to_string_lossy().ends_with(".tmp"),
+                "{name:?} left behind"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

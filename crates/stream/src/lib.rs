@@ -16,8 +16,8 @@
 //!   columns) or v2 ([`Csr2Sink`], varint delta-encoded, roughly 4×
 //!   smaller on sorted rows), or a statistics-only counter
 //!   ([`CountSink`]); [`CsrMap`] is the one mmap-backed reader of both,
-//!   handing out every row as a `Cow<[u64]>`; [`compact_run`] converts a v1
-//!   run to v2 in place with checksums preserved;
+//!   handing out every row as a `Cow<[u64]>`; [`compact_run`] makes a v1
+//!   run v2 in place by re-streaming it from its own factor copies;
 //! * [`ShardManifest`] — per-shard JSON recording the shard's range, entry
 //!   count, closed-form checksums (degree sum, triangle-participation sum)
 //!   and an order-independent content hash, so every shard is

@@ -479,14 +479,21 @@ impl RunSummary {
     }
 }
 
-/// Write a JSON document atomically (`.tmp` + rename).
+/// Write a JSON document atomically ([`write_atomic`]).
 ///
 /// # Errors
 ///
 /// Any I/O error from the write or the rename.
 pub fn write_json_atomic(dir: &Path, name: &str, doc: &Json) -> io::Result<()> {
+    write_atomic(dir, name, format!("{doc}\n").as_bytes())
+}
+
+/// Write `dir/name` atomically: to `name.tmp`, then renamed over `name`,
+/// so a reader or a crash finds the old file or the new one, never a
+/// truncated one.
+pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
-    std::fs::write(&tmp, format!("{doc}\n"))?;
+    std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, dir.join(name))
 }
 

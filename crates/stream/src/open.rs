@@ -9,8 +9,8 @@
 //! reachable as a `Cow<[u64]>` — a zero-copy slice borrowed from the
 //! mapping for v1 (`csr`) shards, an owned buffer decoded on demand for
 //! v2 (`csr2`) shards — without loading the graph. Both formats travel
-//! every path above this module identically; a run may even mix them per
-//! shard (the state a `kron compact` conversion passes through).
+//! every path above this module identically; every shard of a run has
+//! the run's format.
 //!
 //! Every open first loads the run directory's factor copies through
 //! [`crate::load_factors`] and builds the [`ShardPlan`]: the plan, a
@@ -134,10 +134,7 @@ pub(crate) fn check_shard(
 }
 
 /// Load shard `index`'s manifest as a member of a `format` run: it must
-/// say it is shard `index`, and its format must be admissible in the run.
-/// The format rule, stated once: a shard has its run's format, except
-/// that a `csr`/`csr2` run may mix `csr` and `csr2` shards (the state a
-/// `kron compact` conversion passes through) — nothing else.
+/// say it is shard `index` and name its run's format.
 fn load_run_manifest(
     dir: &Path,
     format: OutputFormat,
@@ -150,11 +147,11 @@ fn load_run_manifest(
             format!("manifest says shard {}", m.shard),
         ));
     }
-    if m.format != format && !(m.format.is_csr() && format.is_csr()) {
+    if m.format != format {
         return Err(StreamError::Shard(
             index,
             format!(
-                "manifest format {} has no place in a {} run (only csr and csr2 shards may mix)",
+                "manifest format {} has no place in a {} run",
                 m.format.as_str(),
                 format.as_str()
             ),
@@ -942,9 +939,9 @@ mod tests {
     }
 
     #[test]
-    fn mixed_format_shards_open_but_renamed_artifacts_do_not() {
-        // The state `kron compact` passes through: some shards already
-        // csr2, the rest still csr. Both must serve.
+    fn mixed_format_shards_and_renamed_artifacts_are_refused() {
+        // A shard has its run's format: a csr2 shard grafted into a csr
+        // run (what an interrupted conversion once left) does not open.
         let dir = tmpdir("mixed");
         let dir2 = tmpdir("mixed_v2");
         let c = product();
@@ -955,11 +952,18 @@ mod tests {
         let name2 = m2.file.as_deref().unwrap();
         std::fs::copy(dir2.join(name2), dir.join(name2)).unwrap();
         crate::manifest::write_json_atomic(&dir, &crate::manifest_name(1), &m2.to_json()).unwrap();
-        let set = ShardSet::open_verified(&dir).unwrap();
-        for v in 0..c.num_vertices() {
-            assert_eq!(&*set.row(v).unwrap(), c.neighbors(v).as_slice(), "row {v}");
+        for err in [
+            ShardSet::open(&dir).unwrap_err(),
+            ShardSet::open_verified(&dir).unwrap_err(),
+        ] {
+            assert!(matches!(err, StreamError::Shard(1, _)), "{err}");
+            assert!(
+                err.to_string()
+                    .contains("manifest format csr2 has no place in a csr run"),
+                "{err}"
+            );
         }
-        // …but a manifest whose format contradicts the artifact magic is
+        // …and a manifest whose format contradicts the artifact magic is
         // rejected, not silently misread
         let m1 = load_manifest(&dir, 1).unwrap();
         let mut lied = m1.clone();

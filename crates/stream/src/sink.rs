@@ -347,7 +347,7 @@ mod tests {
         assert!(runs.buffer_capacity() <= 2 * RUN_CAPACITY);
         assert!(sink.scratch.capacity() <= 16 * RUN_CAPACITY);
 
-        // …and as `compact` hands it over: the whole row as one run
+        // …and as one run: the whole row at once
         let hub_row = c.neighbors(0);
         let lengths = std::iter::once(hub_row.len() as u64);
         let mut sink = Csr2Sink::create(&dir, "row.csr2", 0, lengths.clone()).unwrap();

@@ -2,11 +2,13 @@
 # End-to-end smoke of the csr2 shard format: generate a product, stream
 # it twice (csr and csr2), verify both with full rehashing, answer an
 # identical query batch over both and diff the answers byte for byte,
-# then convert the v1 run in place with `kron compact`, re-verify it,
-# and diff again — plus idempotence (a second compact converts nothing),
-# the size claim (the csr2 artifacts are smaller), and the mid-compaction
-# state (run.json still csr, one shard already csr2) verifying, answering
-# and resuming — and the on-disk bytes themselves: both formats streamed
+# then compact the v1 run in place with `kron compact` to the recorded
+# csr2 bytes and factor copies of the csr2 run, re-verify it and diff
+# again — plus idempotence (a second compact regenerates nothing), the
+# size claim (the csr2 artifacts are smaller), and a half-converted
+# directory (run.json still csr, one shard already csr2) refused by
+# `verify-shards` and `serve` naming the shard, then finished by
+# `compact` — and the on-disk bytes themselves: both formats streamed
 # with 1 and with 4 threads must agree file for file, and with sha256
 # sums recorded before the write path went from entries to runs, and
 # `--resume` regenerating a same-size artifact whose header was
@@ -36,6 +38,23 @@ flip_byte() {
     byte=$(od -An -tu1 -j"$2" -N1 "$1" | tr -d ' ')
     printf "\\$(printf '%03o' $((byte ^ 1)))" | dd of="$1" bs=1 seek="$2" conv=notrunc status=none
 }
+
+# the recorded csr2 sums, checked in directory $1
+csr2_sums() {
+    (cd "$1" && sha256sum --check --quiet - <<'SUMS'
+62d92e938cd18fa37b350bd0da6b22e684006919052dad393e0f1b2347f713ec  shard_00000.csr2
+fd33ae7edfebc8597c57dd61f10a8242b030c6af743655ebfee59bdfc01742c0  shard_00000.json
+b6c31d459041037ba6478b2fb7a2621d5fa81896c5bd8cf966f3f4bc29dbf3e9  shard_00001.csr2
+a77a358254aab664add6a1846f663b449ec8cb2bb3136222ed1aa11526b2e38a  shard_00001.json
+72a25f64265a2845f7d9e9dec3e4142656025424a1d63f29fe2cd135b3985ba2  shard_00002.csr2
+645edd7a09a97b0542d98e0a0c0738efee20e44991b1806344288e18b20d425d  shard_00002.json
+b668b04020c3b63820ab7cde4c603db342bf65b9fe7b98a9894cb82ec8f681d5  shard_00003.csr2
+adde39ea419aa06efc865f227894b4e754e1d158c037e6332e817bbd15fc6409  shard_00003.json
+SUMS
+    )
+}
+# run.json records the worker count and the wall time; nothing else may differ
+run_json() { sed -E 's/"threads":[0-9]+,"elapsed_secs":[^,}]+/"threads":T,"elapsed_secs":S/' "$1/run.json"; }
 
 echo "== a flipped column byte fails --rehash naming its file; a typo is refused"
 f="$work/run_v1/shard_00002.csr"
@@ -110,11 +129,20 @@ sed -E 's/^cross-check mismatch: (.*): artifact says .*$/\1/' "$work/mismatches_
     || { echo "the mismatch log is not ascending by query"; exit 1; }
 echo "   $(cat "$work/count_1.txt"), $(wc -l < "$work/mismatches_1.txt") logged, ascending"
 
-echo "== compact the v1 run in place and re-verify"
+echo "== compact the v1 run in place: the csr2 run's bytes, re-verified"
 "$BIN" compact "$work/run_v1" | tee "$work/compact.txt"
 grep -q '4 converted' "$work/compact.txt"
 ls "$work/run_v1"/*.csr 2>/dev/null \
     && { echo "compact left v1 artifacts behind"; exit 1; }
+csr2_sums "$work/run_v1" || { echo "the compacted run's bytes moved from the recorded sha256s"; exit 1; }
+for f in factor_a.tsv factor_b.tsv; do
+    cmp "$work/run_v1/$f" "$work/run_v2/$f" \
+        || { echo "the compacted run's $f differs from the csr2 run's"; exit 1; }
+done
+# a compaction may differ from a fresh stream in resumed_shards too
+informative() { run_json "$1" | sed -E 's/"resumed_shards":[0-9]+/"resumed_shards":R/'; }
+[ "$(informative "$work/run_v1")" = "$(informative "$work/run_v2")" ] \
+    || { echo "the compacted run.json differs beyond its informative fields"; exit 1; }
 "$BIN" verify-shards "$work/run_v1" --rehash
 "$BIN" serve "$work/run_v1" --queries "$work/queries.txt" \
     --source cross-check > "$work/answers_compacted.txt"
@@ -124,26 +152,30 @@ diff -u "$work/answers_v2.txt" "$work/answers_compacted.txt" \
 echo "== compact is idempotent"
 "$BIN" compact "$work/run_v1" | tee "$work/compact2.txt"
 grep -q '0 converted' "$work/compact2.txt"
+csr2_sums "$work/run_v1" || { echo "a second compact moved the bytes"; exit 1; }
 
-echo "== a compact killed after its first shard: verify, answer, resume"
+echo "== a half-converted directory is refused naming the shard; compact finishes it"
 "$BIN" stream "$work/a.tsv" "$work/a.tsv" --out "$work/run_mid" --shards 4 --format csr
-cp "$work/run_v1/shard_00000.csr2" "$work/run_v1/shard_00000.json" "$work/run_mid/"
+cp "$work/run_v2/shard_00000.csr2" "$work/run_v2/shard_00000.json" "$work/run_mid/"
 rm "$work/run_mid/shard_00000.csr"
 grep -q '"format":"csr"' "$work/run_mid/run.json"
-"$BIN" verify-shards "$work/run_mid" --rehash
-"$BIN" serve "$work/run_mid" --queries "$work/queries.txt" \
-    --source cross-check > "$work/answers_mid.txt"
-diff -u "$work/answers_v2.txt" "$work/answers_mid.txt" \
-    || { echo "mid-compaction run diverged from the csr2-native run"; exit 1; }
+for cmd in verify-shards serve; do
+    code=0
+    case $cmd in
+        verify-shards) out=$("$BIN" verify-shards "$work/run_mid" --rehash 2>&1) || code=$? ;;
+        serve) out=$("$BIN" serve "$work/run_mid" --queries "$work/queries.txt" 2>&1) || code=$? ;;
+    esac
+    [ "$code" -eq 1 ] && grep -qF 'shard 0: manifest format csr2 has no place in a csr run' <<<"$out" \
+        || { echo "$cmd did not refuse the half-converted run ($code): $out"; exit 1; }
+done
 "$BIN" compact "$work/run_mid" | tee "$work/compact_mid.txt"
 grep -q '3 converted, 1 already csr2' "$work/compact_mid.txt"
+csr2_sums "$work/run_mid" || { echo "the finished compaction's bytes moved from the recorded sha256s"; exit 1; }
 
 echo "== on-disk bytes are pinned: any thread count, the recorded sha256s"
 echo "1d411fadb1b2197a85f14621b62becf63892a4c7dd3c920b1a842b1eaa44162e  $work/a.tsv" \
     | sha256sum --check --quiet \
     || { echo "the fixed factor changed; the recorded sums below are for the old one"; exit 1; }
-# run.json records the worker count and the wall time; nothing else may differ
-run_json() { sed -E 's/"threads":[0-9]+,"elapsed_secs":[^,}]+/"threads":T,"elapsed_secs":S/' "$1/run.json"; }
 for fmt in csr csr2; do
     for t in 1 4; do
         "$BIN" stream "$work/a.tsv" "$work/a.tsv" --out "$work/pin_${fmt}_t$t" \
@@ -167,20 +199,6 @@ fef0438e2e82e188a8f45ce09ba6576c231dcb4d6264d3421b63f0b75a3f6cad  shard_00000.js
 b5cd3477b93d1cf6215038b4e90cdedd72c0de0aae52981f30d09583c7e0d082  shard_00003.json
 SUMS
 ) || { echo "csr bytes moved from the recorded sha256s"; exit 1; }
-# the recorded csr2 sums, checked in directory $1
-csr2_sums() {
-    (cd "$1" && sha256sum --check --quiet - <<'SUMS'
-62d92e938cd18fa37b350bd0da6b22e684006919052dad393e0f1b2347f713ec  shard_00000.csr2
-fd33ae7edfebc8597c57dd61f10a8242b030c6af743655ebfee59bdfc01742c0  shard_00000.json
-b6c31d459041037ba6478b2fb7a2621d5fa81896c5bd8cf966f3f4bc29dbf3e9  shard_00001.csr2
-a77a358254aab664add6a1846f663b449ec8cb2bb3136222ed1aa11526b2e38a  shard_00001.json
-72a25f64265a2845f7d9e9dec3e4142656025424a1d63f29fe2cd135b3985ba2  shard_00002.csr2
-645edd7a09a97b0542d98e0a0c0738efee20e44991b1806344288e18b20d425d  shard_00002.json
-b668b04020c3b63820ab7cde4c603db342bf65b9fe7b98a9894cb82ec8f681d5  shard_00003.csr2
-adde39ea419aa06efc865f227894b4e754e1d158c037e6332e817bbd15fc6409  shard_00003.json
-SUMS
-    )
-}
 csr2_sums "$work/pin_csr2_t1" || { echo "csr2 bytes moved from the recorded sha256s"; exit 1; }
 
 echo "== --resume regenerates a same-size artifact whose header was overwritten"

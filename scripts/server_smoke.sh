@@ -58,9 +58,9 @@ echo "$stats" | grep -q '"mismatch_count":0'
 echo "$stats" | grep -q '"source":"cross-check"'
 # every answer is checked: the one /query and the four /batch lines
 first() { echo "$stats" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2; }
-queries=$(first queries); checked=$(first sampled_checks)
+queries=$(first queries); checked=$(first checked)
 [ "$queries" -eq 5 ] && [ "$checked" -eq "$queries" ] \
-    || { echo "sampled_checks $checked != queries $queries: $stats"; exit 1; }
+    || { echo "checked $checked != queries $queries: $stats"; exit 1; }
 # §VI's accounting end to end: tri_vertex 57 costs 1411 wedge checks
 # and tri_edge 57 58 (no edge) none; the count is the one-step merge's
 # comparisons, however the merge skips ahead

@@ -437,7 +437,7 @@ fn cross_checked_batches_check_the_same_queries_in_log_order() {
         let engine = ServeEngine::open_with(&dir, &opts).unwrap();
         let out = run_batch_on_two_threads(&engine, &queries);
         assert_eq!(out.stats.mismatches as usize, tampered.len());
-        assert_eq!(engine.sampled_checks() as usize, queries.len());
+        assert_eq!(engine.checked() as usize, queries.len());
         let log = engine.mismatches();
         let flagged: Vec<String> = log.iter().map(|m| m.query.clone()).collect();
         assert_eq!(

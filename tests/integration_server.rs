@@ -144,8 +144,8 @@ fn concurrent_clients_match_single_threaded_run_batch() {
 }
 
 #[test]
-fn sampled_cross_check_samples_exactly_ceil_q_over_n_through_the_server() {
-    let dir = tmpdir("sampling");
+fn cross_check_checks_every_query_through_the_server() {
+    let dir = tmpdir("checking");
     let c = product();
     make_run_dir(&dir, &c, 2);
     let engine = ServeEngine::open_with(
@@ -188,7 +188,7 @@ fn sampled_cross_check_samples_exactly_ceil_q_over_n_through_the_server() {
         let q = queries.len() as u64;
         assert_eq!(doc.req("queries").unwrap().as_u64(), Some(q));
         assert_eq!(
-            doc.req("sampled_checks").unwrap().as_u64(),
+            doc.req("checked").unwrap().as_u64(),
             Some(q),
             "every one of {q} queries is checked"
         );
@@ -196,7 +196,7 @@ fn sampled_cross_check_samples_exactly_ceil_q_over_n_through_the_server() {
         assert_eq!(doc.req("mismatch_count").unwrap().as_u64(), Some(0));
         stop.store(true, Ordering::SeqCst);
         let report = run.join().unwrap().unwrap();
-        assert_eq!(report.sampled_checks, q);
+        assert_eq!(report.checked, q);
     });
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -18,8 +18,7 @@ use kron_graph::Graph;
 use kron_serve::http::{encode_query_component, Client};
 use kron_serve::{AnswerSource, OpenOptions, PeerSpec, ServeEngine, Server, ServerOptions};
 use kron_stream::{
-    compact_run, decode_row_vd, load_manifest, manifest_name, stream_product, OutputFormat,
-    ShardSet, StreamConfig,
+    compact_run, decode_row_vd, load_manifest, stream_product, OutputFormat, ShardSet, StreamConfig,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -51,22 +50,6 @@ fn stream(c: &KronProduct, fmt: OutputFormat, shards: usize, tag: &str) -> std::
     let mut cfg = StreamConfig::new(&dir, fmt);
     cfg.shards = shards;
     stream_product(c, &cfg).unwrap();
-    dir
-}
-
-/// What a `kron compact` killed after its first shard leaves behind:
-/// `run.json` still says `csr`, shard 0 (artifact and manifest) is
-/// already `csr2`, its v1 artifact gone.
-fn mid_compaction(c: &KronProduct, shards: usize, tag: &str) -> std::path::PathBuf {
-    let dir = stream(c, OutputFormat::Csr, shards, tag);
-    let donor = stream(c, OutputFormat::Csr, shards, "donor");
-    compact_run(&donor).unwrap();
-    let v1 = load_manifest(&dir, 0).unwrap().file.unwrap();
-    let v2 = load_manifest(&donor, 0).unwrap().file.unwrap();
-    std::fs::copy(donor.join(&v2), dir.join(&v2)).unwrap();
-    std::fs::copy(donor.join(manifest_name(0)), dir.join(manifest_name(0))).unwrap();
-    std::fs::remove_file(dir.join(v1)).unwrap();
-    std::fs::remove_dir_all(&donor).ok();
     dir
 }
 
@@ -172,7 +155,7 @@ proptest! {
             );
         }
 
-        // In-place conversion: the compacted v1 twin is now csr2 and
+        // In-place compaction: the compacted v1 twin is now csr2 and
         // still answers the original grid.
         let report = compact_run(&v1).unwrap();
         prop_assert_eq!(report.converted, shards);
@@ -312,8 +295,8 @@ fn vd_row_bodies_are_at_least_1_5x_smaller_than_raw() {
     }
 }
 
-/// One read path: whatever a run directory's format — v1, csr2, or the
-/// mixed state mid-`kron compact` — every consumer hands back the row the
+/// One read path: whatever a run directory's format — v1 or csr2 —
+/// every consumer hands back the row the
 /// closed form generates, for every vertex: the shard set, the analyze
 /// scan driver, the engine under `artifact` and `cross-check`, and a
 /// decoded `GET /row` body, asked for with and without `enc=vd`.
@@ -326,7 +309,6 @@ fn every_consumer_sees_the_same_row() {
     let runs = [
         ("v1", stream(&c, OutputFormat::Csr, 3, "rows_v1")),
         ("csr2", stream(&c, OutputFormat::Csr2, 3, "rows_v2")),
-        ("mid-compaction", mid_compaction(&c, 3, "rows_mixed")),
     ];
     for (tag, dir) in &runs {
         let set = ShardSet::open_verified(dir).unwrap();
